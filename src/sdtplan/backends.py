@@ -15,8 +15,6 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Protocol, runtime_checkable
 
-import requests
-
 from . import lexicon, prompts
 from .errors import BackendError, OracleError
 from .sdt import ActionName
@@ -49,7 +47,10 @@ class HttpBackend:
     """OpenAI-compatible chat-completion client with exponential backoff.
 
     Auth comes from the environment only; a missing key simply sends no
-    Authorization header (local stubs don't need one).
+    Authorization header (local stubs don't need one). Timeouts, transport
+    errors, HTTP 429 and 5xx are retried; an integer ``Retry-After`` can
+    lengthen the wait, up to the request timeout. ``requests`` is imported
+    on first use, so the offline oracle path never pays for it.
     """
 
     name = "http"
@@ -58,10 +59,14 @@ class HttpBackend:
     _BACKOFF_BASE = 0.25
 
     def __init__(self, config: HttpConfig):
+        import requests
+
         self.config = config
         self._session = requests.Session()
 
     def complete(self, prompt: str) -> str:
+        import requests
+
         cfg = self.config
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(cfg.api_key_env)
@@ -69,9 +74,11 @@ class HttpBackend:
             headers["Authorization"] = f"Bearer {token}"
         body = {"model": cfg.model, "messages": [{"role": "user", "content": prompt}]}
         last_error = "no attempt made"
+        retry_after = 0.0
         for attempt in range(cfg.max_retries + 1):
             if attempt:
-                time.sleep(self._BACKOFF_BASE * (2 ** (attempt - 1)))
+                time.sleep(max(self._BACKOFF_BASE * (2 ** (attempt - 1)), retry_after))
+            retry_after = 0.0
             try:
                 response = self._session.post(
                     cfg.endpoint, headers=headers, json=body, timeout=cfg.timeout
@@ -82,8 +89,9 @@ class HttpBackend:
             except requests.RequestException as exc:
                 last_error = f"transport error: {exc}"
                 continue
-            if response.status_code >= 500:
+            if response.status_code == 429 or response.status_code >= 500:
                 last_error = f"HTTP {response.status_code}"
+                retry_after = min(_retry_after_s(response.headers), cfg.timeout)
                 continue
             if response.status_code >= 400:
                 raise BackendError(f"HTTP {response.status_code}: {response.text[:200]}")
@@ -93,6 +101,14 @@ class HttpBackend:
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise BackendError(f"malformed completion response: {exc}") from exc
         raise BackendError(f"backend unreachable after {cfg.max_retries + 1} attempts ({last_error})")
+
+
+def _retry_after_s(headers) -> float:
+    """Seconds from an integer ``Retry-After`` header; 0 when absent or not an integer."""
+    try:
+        return float(max(0, int(headers.get("Retry-After", ""))))
+    except ValueError:
+        return 0.0
 
 
 # ---------------------------------------------------------------------------

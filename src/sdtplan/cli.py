@@ -337,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--replan-cap", type=int, default=3)
     run.add_argument("--report", choices=("md", "csv", "json"), default="md")
     run.add_argument("--jobs", type=int, default=1)
-    run.add_argument("--seed", type=int, default=0, help="reserved; runs are deterministic")
     run.add_argument("--out", default="runs", help="directory for report and trace files")
     run.add_argument("--lenient", action="store_true", help="exit 0 even when tasks fail")
     run.add_argument("--no-regression-check", action="store_true")

@@ -65,7 +65,3 @@ class NoCandidate(SdtPlanError):
     def __init__(self, ref: str):
         super().__init__(f"no candidate instance for reference {ref!r}")
         self.ref = ref
-
-
-class BadChoice(SdtPlanError):
-    """The backend chose an id outside the offered candidate lists."""

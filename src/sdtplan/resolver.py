@@ -24,14 +24,19 @@ from .interpreter import (
     postcondition_satisfied,
     resolve,
 )
-from .sdt import SDT, ActionName, AffordanceTag, POSE_ACTIONS, filter_actions
+from .sdt import SDT, ActionName, AffordanceTag, ObjectDescription, POSE_ACTIONS, filter_actions
 from .triplets import ActionTriplet, RecoveryPair, parse_recovery
 from .world import (
     ActionOutcome,
     ConcreteAction,
+    ObjectInstance,
     WorldState,
+    container_chain_open,
+    describe,
     format_object_id,
-    object_descriptions,
+    in_sight,
+    is_closed_openable,
+    object_descriptions,  # noqa: F401  (not called here; bench/tracer.py wraps this binding)
     step,
 )
 
@@ -88,25 +93,33 @@ class AdaptiveMemory:
 # Action pair map
 
 
-def _counterfactual_views(state: WorldState, sdt: SDT) -> list[WorldState]:
-    """Current view plus pose-toggled and all-doors-open variants."""
-    views = [state]
-    toggled = state.clone()
-    toggled.agent_crouched = not toggled.agent_crouched
-    views.append(toggled)
-    opened = state.clone()
-    changed = False
-    for obj in opened.objects.values():
-        entry = sdt.get(obj.type_name)
-        if entry is not None and entry.has(AffordanceTag.OPENABLE) and not obj.flag("isOpen"):
-            obj.flags["isOpen"] = True
-            changed = True
-    if changed:
-        views.append(opened)
-        opened_toggled = opened.clone()
-        opened_toggled.agent_crouched = not opened_toggled.agent_crouched
-        views.append(opened_toggled)
-    return views
+#: Actions offered against scene objects; pose pairs are appended apart.
+_OBJECT_ACTIONS = tuple(a for a in ActionName if a not in POSE_ACTIONS)
+
+
+def _view_descriptions(
+    state: WorldState, sdt: SDT, obj: ObjectInstance
+) -> list[ObjectDescription]:
+    """Descriptions of ``obj`` across the four counterfactual views.
+
+    The views cross the current and the toggled pose with the doors as they
+    are and every closed openable opened. A pose only selects a view band,
+    so the union takes either band. Opening the doors shows what their
+    containers hide and describes each closed openable with isOpen=True; a
+    closed openable keeps its as-is description only while its own
+    container chain is open as it is.
+    """
+    if not in_sight(state, obj, either_pose=True):
+        return []
+    as_is = container_chain_open(state, obj)
+    # A chain that only opens with the doors opened holds a closed openable,
+    # so the doors-opened views exist whenever this second walk matters.
+    if not as_is and not container_chain_open(state, obj, sdt):
+        return []
+    if not is_closed_openable(sdt, obj):
+        return [describe(state, obj)]
+    opened = describe(state, obj, opened=True)
+    return [describe(state, obj), opened] if as_is else [opened]
 
 
 def _pose_anchor(state: WorldState, sdt: SDT, focus: Optional[str]) -> str:
@@ -136,10 +149,10 @@ def build_action_pairs(
     visible to the model; pose pairs are appended against the focus object's
     nearest receptacle.
     """
-    pairs: set[tuple[ActionName, str]] = set()
-    full_action_set = [a for a in ActionName if a not in POSE_ACTIONS]
-    for view in _counterfactual_views(state, sdt):
-        pairs |= filter_actions(sdt, object_descriptions(view), full_action_set)
+    descriptions = [
+        d for obj in state.objects.values() for d in _view_descriptions(state, sdt, obj)
+    ]
+    pairs = filter_actions(sdt, descriptions, _OBJECT_ACTIONS)
     ordered = sorted(
         pairs,
         key=lambda p: (
@@ -152,6 +165,26 @@ def build_action_pairs(
     ordered.append((ActionName.CROUCH, anchor))
     ordered.append((ActionName.STAND, anchor))
     return ordered
+
+
+def pair_admitted(
+    state: WorldState,
+    sdt: SDT,
+    action: ActionName,
+    target: Optional[str],
+    focus: Optional[str] = None,
+) -> bool:
+    """Whether ``(action, target)`` is in ``build_action_pairs(state, sdt, focus)``.
+
+    Decided from the one target object (or the pose anchor) instead of the
+    whole map.
+    """
+    if action in POSE_ACTIONS:
+        return target == _pose_anchor(state, sdt, focus)
+    obj = state.objects.get(target)
+    if obj is None:
+        return False
+    return (action, target) in filter_actions(sdt, _view_descriptions(state, sdt, obj), (action,))
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +300,9 @@ def resolve_failure(
             continue
         feedback = ""
         for pair in sequence:
-            current = set(build_action_pairs(state, sdt, focus=focus or _focus_from_ref(state, ctx)))
-            if (pair.action, pair.target) not in current:
+            if not pair_admitted(
+                state, sdt, pair.action, pair.target, focus or _focus_from_ref(state, ctx)
+            ):
                 feedback = f"invalid pair {pair.render()}"
                 break
             concrete = _pair_to_concrete(pair)

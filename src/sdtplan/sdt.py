@@ -210,7 +210,8 @@ class SDT:
     def slicing_tool_types(self) -> list[str]:
         return sorted(t for t, e in self._entries.items() if e.is_slicing_tool)
 
-    def effect_affordance(self, field_name: str, to: object) -> Optional[AffordanceTag]:
+    @staticmethod
+    def effect_affordance(field_name: str, to: object) -> Optional[AffordanceTag]:
         """Affordance an instance needs before an effect on ``field_name`` applies."""
         if field_name == "temperature":
             if to == "Hot":
@@ -282,21 +283,11 @@ def _validate_rule(entry_name: str, affordances: frozenset[AffordanceTag], rule:
     for eff in rule.effects:
         if eff.scope != "self":
             continue
-        gate = _effect_gate(eff)
+        gate = SDT.effect_affordance(eff.field_name, eff.to)
         if gate is not None and gate not in affordances:
             raise ValidationError(
                 f"{where}: effect on {eff.field_name} requires affordance {gate}"
             )
-
-
-def _effect_gate(eff: StateEffect) -> Optional[AffordanceTag]:
-    if eff.field_name == "temperature":
-        if eff.to == "Hot":
-            return AffordanceTag.HEATABLE
-        if eff.to == "Cold":
-            return AffordanceTag.COOLABLE
-        return None
-    return _FLAG_EFFECT_AFFORDANCES.get(eff.field_name)
 
 
 def parse_sdt_data(data: object) -> SDT:

@@ -381,23 +381,44 @@ def load_scene(path: str | Path, sdt: SDT) -> WorldState:
 # Visibility and descriptions
 
 
-def _container_chain_open(state: WorldState, obj: ObjectInstance) -> bool:
+def is_closed_openable(sdt: SDT, obj: ObjectInstance) -> bool:
+    entry = sdt.get(obj.type_name)
+    return entry is not None and entry.has(AffordanceTag.OPENABLE) and not obj.flag("isOpen")
+
+
+def container_chain_open(
+    state: WorldState, obj: ObjectInstance, sdt: Optional[SDT] = None
+) -> bool:
+    """Every container around ``obj`` is open.
+
+    With the knowledge base given, closed containers of an openable type
+    count as open: the chain as it would be with every door opened.
+    """
     cur = obj.parent_receptacle
     while cur is not None:
         parent = state.objects.get(cur)
-        if parent is None or not parent.flag("isOpen"):
+        if parent is None:
+            return False
+        if not parent.flag("isOpen") and (sdt is None or not is_closed_openable(sdt, parent)):
             return False
         cur = parent.parent_receptacle
     return True
 
 
-def is_visible(state: WorldState, obj: ObjectInstance) -> bool:
+def in_sight(state: WorldState, obj: ObjectInstance, either_pose: bool = False) -> bool:
+    """Within the visibility radius and the current pose's view band (or either band)."""
     if state.distance_to(obj) > state.visibility_radius:
         return False
-    if not _container_chain_open(state, obj):
-        return False
+    y = obj.position[1]
+    if either_pose:
+        (lo_s, hi_s), (lo_c, hi_c) = state.view_band_standing, state.view_band_crouched
+        return lo_s <= y <= hi_s or lo_c <= y <= hi_c
     lo, hi = state.view_band
-    return lo <= obj.position[1] <= hi
+    return lo <= y <= hi
+
+
+def is_visible(state: WorldState, obj: ObjectInstance) -> bool:
+    return in_sight(state, obj) and container_chain_open(state, obj)
 
 
 def visible_objects(state: WorldState) -> list[ObjectInstance]:
@@ -408,11 +429,15 @@ def visible_objects(state: WorldState) -> list[ObjectInstance]:
     )
 
 
-def describe(state: WorldState, obj: ObjectInstance) -> ObjectDescription:
+def describe(state: WorldState, obj: ObjectInstance, opened: bool = False) -> ObjectDescription:
+    """Description of ``obj``; ``opened`` describes it with isOpen=True."""
+    flags = {k: obj.flags.get(k, False) for k in FLAG_NAMES}
+    if opened:
+        flags["isOpen"] = True
     return ObjectDescription(
         object_id=obj.object_id,
         type_name=obj.type_name,
-        flags={k: obj.flags.get(k, False) for k in FLAG_NAMES},
+        flags=flags,
         temperature=obj.temperature,
         parent_receptacle=obj.parent_receptacle,
         distance=round(state.distance_to(obj), 4),
@@ -577,7 +602,7 @@ def step(state: WorldState, action: ConcreteAction, sdt: SDT) -> tuple[WorldStat
             return state, ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE)
         if not _afforded(sdt, obj, AffordanceTag.RECEPTACLE) or obj.object_id == state.held_object:
             return state, ActionOutcome.error("NotAfforded", MSG_NOT_AFFORDED)
-        if _afforded(sdt, obj, AffordanceTag.OPENABLE) and not obj.flag("isOpen"):
+        if is_closed_openable(sdt, obj):
             return state, ActionOutcome.error("ClosedReceptacle", MSG_CLOSED_RECEPTACLE)
         if len(state.contents_of(obj.object_id)) >= obj.capacity:
             return state, ActionOutcome.error("NoValidPosition", MSG_NO_VALID_POSITION)

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
 from conftest import scene_for_row, suite_row
 
+import sdtplan
 from sdtplan.backends import HttpBackend, HttpConfig, OracleConfig, ScriptedOracle
 from sdtplan.errors import BackendError, OracleError
 from sdtplan.planner import build_plan_prompt, filter_relevant_objects, load_examples
@@ -130,8 +135,11 @@ def test_oracle_misorder_heat_toggles_with_door_open(sdt, suite):
 # HTTP client
 
 
+_STUB_DEFAULTS = {"failures_left": 0, "delay": 0.0, "requests": 0, "status": 500, "retry_after": None}
+
+
 class _StubHandler(BaseHTTPRequestHandler):
-    behavior = {"failures_left": 0, "delay": 0.0, "requests": 0}
+    behavior = dict(_STUB_DEFAULTS)
 
     def do_POST(self):
         cls = type(self)
@@ -142,7 +150,9 @@ class _StubHandler(BaseHTTPRequestHandler):
             time.sleep(cls.behavior["delay"])
         if cls.behavior["failures_left"] > 0:
             cls.behavior["failures_left"] -= 1
-            self.send_response(500)
+            self.send_response(cls.behavior["status"])
+            if cls.behavior["retry_after"] is not None:
+                self.send_header("Retry-After", cls.behavior["retry_after"])
             self.end_headers()
             return
         prompt = body["messages"][0]["content"]
@@ -160,12 +170,20 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture()
 def stub_server():
-    _StubHandler.behavior = {"failures_left": 0, "delay": 0.0, "requests": 0}
+    _StubHandler.behavior = dict(_STUB_DEFAULTS)
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions", _StubHandler.behavior
     server.shutdown()
+
+
+def test_cli_import_does_not_load_requests():
+    src = str(Path(sdtplan.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, sdtplan.cli; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_http_echo(stub_server):
@@ -195,6 +213,37 @@ def test_http_recovers_within_retry_budget(stub_server):
     behavior["failures_left"] = 2
     backend = HttpBackend(HttpConfig(endpoint=url, model="m", timeout=5, max_retries=2))
     assert backend.complete("x") == "echo:x"
+
+
+def test_http_retries_429_within_budget(stub_server):
+    url, behavior = stub_server
+    behavior.update(failures_left=1, status=429)
+    backend = HttpBackend(HttpConfig(endpoint=url, model="m", timeout=5, max_retries=2))
+    assert backend.complete("x") == "echo:x"
+    assert behavior["requests"] == 2
+
+
+def test_http_persistent_429_fails_after_budget(stub_server):
+    url, behavior = stub_server
+    behavior.update(failures_left=10, status=429)
+    backend = HttpBackend(HttpConfig(endpoint=url, model="m", timeout=5, max_retries=2))
+    with pytest.raises(BackendError):
+        backend.complete("x")
+    assert behavior["requests"] == 3
+
+
+@pytest.mark.parametrize(
+    "retry_after, expected_sleep",
+    [("3", 3.0), ("120", 5.0), ("0", 0.25), ("soon", 0.25), ("-4", 0.25)],
+)
+def test_http_429_sleeps_for_capped_retry_after(stub_server, monkeypatch, retry_after, expected_sleep):
+    url, behavior = stub_server
+    behavior.update(failures_left=1, status=429, retry_after=retry_after)
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    backend = HttpBackend(HttpConfig(endpoint=url, model="m", timeout=5, max_retries=2))
+    assert backend.complete("x") == "echo:x"
+    assert sleeps == [expected_sleep]  # larger of backoff and Retry-After, capped at timeout
 
 
 def test_http_timeout_raises_backend_error(stub_server):

@@ -12,17 +12,21 @@ from sdtplan.backends import ScriptedOracle
 from sdtplan.resolver import (
     AdaptiveMemory,
     FailureContext,
+    _pose_anchor,
     build_action_pairs,
     build_failure_query,
+    pair_admitted,
     resolve_failure,
 )
-from sdtplan.sdt import ActionName, POSE_ACTIONS, condition_fn
+from sdtplan.sdt import FLAG_NAMES, ActionName, AffordanceTag, POSE_ACTIONS, condition_fn
 from sdtplan.triplets import ActionTriplet, RecoveryPair
 from sdtplan.world import (
     ActionOutcome,
     ConcreteAction,
     MSG_NOT_VISIBLE,
     MSG_NO_VALID_POSITION,
+    ObjectInstance,
+    format_object_id,
     object_descriptions,
     step,
     type_of_id,
@@ -70,25 +74,128 @@ def test_pairs_empty_scene_pose_only(tmp_path, sdt):
     assert [p[0] for p in pairs] == [ActionName.CROUCH, ActionName.STAND]
 
 
-def test_pairs_match_brute_force_enumeration(sdt):
-    rng = random.Random(41)
-    actions = [a for a in ActionName if a not in POSE_ACTIONS]
-    for _ in range(30):
-        state = random_state(rng, sdt, max_objects=8)
-        pairs = build_action_pairs(state, sdt)
-        object_pairs = {p for p in pairs if p[0] not in POSE_ACTIONS}
-        pose_pairs = [p for p in pairs if p[0] in POSE_ACTIONS]
-        # brute force over the same counterfactual views
-        from sdtplan.resolver import _counterfactual_views
+def _counterfactual_views(state, sdt):
+    """Reference: current view plus pose-toggled and all-doors-open clones."""
+    views = [state]
+    toggled = state.clone()
+    toggled.agent_crouched = not toggled.agent_crouched
+    views.append(toggled)
+    opened = state.clone()
+    changed = False
+    for obj in opened.objects.values():
+        entry = sdt.get(obj.type_name)
+        if entry is not None and entry.has(AffordanceTag.OPENABLE) and not obj.flag("isOpen"):
+            obj.flags["isOpen"] = True
+            changed = True
+    if changed:
+        views.append(opened)
+        opened_toggled = opened.clone()
+        opened_toggled.agent_crouched = not opened_toggled.agent_crouched
+        views.append(opened_toggled)
+    return views
 
-        expected = set()
-        for view in _counterfactual_views(state, sdt):
-            for desc in object_descriptions(view):
-                for action in actions:
-                    if condition_fn(sdt, desc, action):
-                        expected.add((action, desc.object_id))
-        assert object_pairs == expected
-        assert [p[0] for p in pose_pairs] == [ActionName.CROUCH, ActionName.STAND]
+
+def reference_pairs(state, sdt, focus=None):
+    """The pair map by brute force over cloned views, in the map's order."""
+    actions = [a for a in ActionName if a not in POSE_ACTIONS]
+    expected = set()
+    for view in _counterfactual_views(state, sdt):
+        for desc in object_descriptions(view):
+            if desc.type_name not in sdt:
+                continue
+            for action in actions:
+                if condition_fn(sdt, desc, action):
+                    expected.add((action, desc.object_id))
+    ordered = sorted(
+        expected, key=lambda p: (round(state.distance_to(state.objects[p[1]]), 4), p[1], p[0].value)
+    )
+    anchor = _pose_anchor(state, sdt, focus)
+    return ordered + [(ActionName.CROUCH, anchor), (ActionName.STAND, anchor)]
+
+
+def nested_random_state(rng, sdt):
+    """Random scene with receptacles nested in closed openables and an unknown type."""
+    state = random_state(rng, sdt, max_objects=10)
+    objects = list(state.objects.values())
+    openables = [o for o in objects if sdt.entry(o.type_name).has(AffordanceTag.OPENABLE)]
+    # nest only into receptacles later in the list, so no containment cycle forms
+    for i, obj in enumerate(objects):
+        later = [o for o in openables if objects.index(o) > i]
+        if later and rng.random() < 0.4:
+            obj.parent_receptacle = rng.choice(later).object_id
+    for obj in openables:
+        obj.flags["isOpen"] = rng.random() < 0.3
+    pos = (round(rng.uniform(-3, 3), 2), round(rng.uniform(0.0, 2.0), 2), 0.0)
+    unicorn = ObjectInstance(
+        object_id=format_object_id("Unicorn", pos),
+        type_name="Unicorn",
+        position=pos,
+        flags={k: False for k in FLAG_NAMES},
+        parent_receptacle=rng.choice([None] + [o.object_id for o in openables]),
+    )
+    state.objects[unicorn.object_id] = unicorn
+    state.agent_crouched = rng.random() < 0.5
+    return state
+
+
+def pair_map_states(sdt, suite):
+    rng = random.Random(41)
+    for _ in range(150):
+        yield random_state(rng, sdt, max_objects=8)
+    for _ in range(150):
+        yield nested_random_state(rng, sdt)
+    for row in suite["tasks"]:
+        for crouched in (False, True):
+            state = scene_for_row(row, sdt).clone()
+            state.agent_crouched = crouched
+            yield state
+
+
+def padded_state(sdt, suite, count=1000):
+    state = scene_for_row(suite_row(suite, 9), sdt)
+    rng = random.Random(7)
+    while count:
+        pos = tuple(round(rng.uniform(lo, hi), 2) for lo, hi in ((-9, 9), (0.0, 2.5), (-9, 9)))
+        object_id = format_object_id("Statue", pos)
+        if object_id in state.objects:
+            continue
+        state.objects[object_id] = ObjectInstance(
+            object_id=object_id,
+            type_name="Statue",
+            position=pos,
+            flags={k: False for k in FLAG_NAMES},
+        )
+        count -= 1
+    return state
+
+
+def test_pairs_match_brute_force_enumeration(sdt, suite):
+    for state in pair_map_states(sdt, suite):
+        assert build_action_pairs(state, sdt) == reference_pairs(state, sdt)
+
+
+def test_pairs_match_brute_force_in_padded_scene(sdt, suite):
+    state = padded_state(sdt, suite)
+    pairs = build_action_pairs(state, sdt)
+    assert len(pairs) > 1000
+    assert pairs == reference_pairs(state, sdt)
+
+
+def test_pair_admitted_equals_map_membership(sdt, suite):
+    rng = random.Random(43)
+    actions = [a for a in ActionName if a not in POSE_ACTIONS]
+    for state in list(pair_map_states(sdt, suite)) + [padded_state(sdt, suite, count=200)]:
+        ids = list(state.objects)
+        focus = rng.choice(ids + [None])
+        pairs = set(build_action_pairs(state, sdt, focus=focus))
+        for object_id in ids + ["Apple|+09.00|+00.90|+09.00", None]:
+            for action in actions:
+                expected = (action, object_id) in pairs
+                assert pair_admitted(state, sdt, action, object_id, focus) == expected
+        for object_id in ids + [next(p[1] for p in pairs if p[0] is ActionName.CROUCH)]:
+            for action in POSE_ACTIONS:
+                expected = (action, object_id) in pairs
+                assert pair_admitted(state, sdt, action, object_id, focus) == expected
 
 
 def test_pairs_deterministic_order(sdt, suite):
