@@ -13,10 +13,10 @@ import os
 import re
 import time
 from dataclasses import dataclass
-from typing import Optional, Protocol, runtime_checkable
+from typing import Callable, Optional, Protocol, TypeVar, runtime_checkable
 
 from . import lexicon, prompts
-from .errors import BackendError, OracleError
+from .errors import BackendError, GrammarError, OracleError, PlanParseError
 from .sdt import ActionName
 from .triplets import ActionTriplet, GoalClause, format_triplets, parse_recovery, parse_triplets
 from .world import is_valid_object_id, type_of_id
@@ -28,6 +28,27 @@ class LLMBackend(Protocol):
     deterministic: bool
 
     def complete(self, prompt: str) -> str: ...
+
+
+T = TypeVar("T")
+
+
+def ask(backend: LLMBackend, prompt: str, parse: Callable[[str], T], reminder: str) -> T:
+    """Query the backend and parse the reply, asking once more on a grammar error.
+
+    The retry sends ``prompt`` with ``reminder`` appended. When that reply
+    does not parse either, PlanParseError is raised, chained to its grammar
+    error. Backend errors are never retried here.
+    """
+    try:
+        return parse(backend.complete(prompt))
+    except GrammarError as first_err:
+        try:
+            return parse(backend.complete(prompt + reminder))
+        except GrammarError as exc:
+            raise PlanParseError(
+                f"unparseable reply after retry: {exc} (first error: {first_err})"
+            ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +375,7 @@ class ScriptedOracle:
                     # the line carries one flat triplet; wrap it for the parser
                     triplet = parse_triplets(f"[{payload}]")[0]
                     return triplet.action
-                except Exception:
+                except GrammarError:
                     return None
         return None
 
@@ -469,7 +490,7 @@ class ScriptedOracle:
                 try:
                     triplet = parse_triplets(f"[{payload}]")[0]
                     action, ref = triplet.action.value, triplet.arg1
-                except Exception:
+                except GrammarError:
                     pass
             elif line.startswith("Grounded: ") and line != "Grounded: -":
                 m = re.search(r"\(\w+,(\S+?)\)", line)
@@ -493,7 +514,7 @@ class ScriptedOracle:
             payload = line.split(" => ", 1)[0]
             try:
                 seq = parse_recovery(payload)
-            except Exception:
+            except GrammarError:
                 continue
             blocked.add(tuple((p.action.value, p.target) for p in seq))
         return blocked

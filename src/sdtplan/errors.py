@@ -19,15 +19,15 @@ class UnknownType(SdtPlanError):
     """An object type is absent from the loaded knowledge base."""
 
 
-class UnknownObject(SdtPlanError):
-    """A referenced object id does not exist in the scene."""
+class GrammarError(SdtPlanError):
+    """Model output does not match the reply grammar; a reformat retry may help."""
 
 
-class NoTripletsFound(SdtPlanError):
+class NoTripletsFound(GrammarError):
     """No well-formed triplet / pair structure found in the text."""
 
 
-class BadAction(SdtPlanError):
+class BadAction(GrammarError):
     """An action name outside the closed action enumeration."""
 
     def __init__(self, name: str):
@@ -35,7 +35,7 @@ class BadAction(SdtPlanError):
         self.name = name
 
 
-class MalformedEntry(SdtPlanError):
+class MalformedEntry(GrammarError):
     """A structurally broken entry inside an otherwise parsable list."""
 
     def __init__(self, message: str, position: int):
@@ -43,7 +43,7 @@ class MalformedEntry(SdtPlanError):
         self.position = position
 
 
-class GoalParseError(SdtPlanError):
+class GoalParseError(GrammarError):
     """A GOAL line does not match the goal grammar."""
 
 

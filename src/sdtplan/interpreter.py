@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
 from . import prompts
-from .backends import LLMBackend
-from .errors import NoCandidate
-from .sdt import SDT, ActionName
+from .backends import LLMBackend, ask
+from .errors import GrammarError, NoCandidate, PlanParseError
+from .sdt import FLAG_ACTIONS, SDT, ActionName
 from .triplets import ActionTriplet, RecoveryPair
 from .world import (
     ActionOutcome,
@@ -31,6 +31,7 @@ from .world import (
 
 HISTORY_TAIL = 5
 _CHOICE_RE = re.compile(r"CHOICE:\{([^{}]*)\}")
+_CHOICE_REMINDER = "\n\nFORMAT REMINDER: choose ids from the candidate lists only."
 
 
 @dataclass
@@ -168,12 +169,13 @@ def candidate_instances(
     return [o.object_id for o in out]
 
 
-def _refs_to_ground(triplet: ActionTriplet) -> list[str]:
+def _ref_to_ground(triplet: ActionTriplet) -> Optional[str]:
+    """The one reference a triplet's concrete target is chosen for (none for poses)."""
     if triplet.action in (ActionName.CROUCH, ActionName.STAND):
-        return []
-    if triplet.action is ActionName.PUT:
-        return [triplet.arg2 if triplet.arg2 is not None else triplet.arg1]
-    return [triplet.arg1]
+        return None
+    if triplet.action is ActionName.PUT and triplet.arg2 is not None:
+        return triplet.arg2
+    return triplet.arg1
 
 
 def _build_choice_query(
@@ -228,36 +230,32 @@ def resolve(
 ) -> ConcreteAction:
     """Ground one triplet to a concrete action.
 
-    Raises NoCandidate when a reference has no instance; the caller surfaces
+    Raises NoCandidate when the reference has no instance; the caller surfaces
     that to the failure resolver as a visibility failure. A backend choice
     outside the candidate list is retried once, then the nearest candidate
     is used.
     """
-    refs = _refs_to_ground(triplet)
-    if not refs:
+    ref = _ref_to_ground(triplet)
+    if ref is None:
         return ConcreteAction(name=triplet.action, target=None)
-    candidates: dict[str, list[str]] = {}
-    for ref in refs:
-        ids = candidate_instances(state, ref, triplet.action)
-        if not ids:
-            raise NoCandidate(ref)
-        candidates[ref] = ids
-    ambiguous = {r: ids for r, ids in candidates.items() if len(ids) > 1}
-    chosen: dict[str, str] = {r: ids[0] for r, ids in candidates.items() if len(ids) == 1}
-    if ambiguous:
-        query = _build_choice_query(triplet, task, state, history, ambiguous)
-        reply = backend.complete(query)
-        picks = _parse_choice(reply)
-        bad = [r for r in ambiguous if picks.get(r) not in ambiguous[r]]
-        if bad:
-            reply = backend.complete(
-                query + "\n\nFORMAT REMINDER: choose ids from the candidate lists only."
-            )
-            picks = _parse_choice(reply)
-        for ref, ids in ambiguous.items():
-            pick = picks.get(ref)
-            chosen[ref] = pick if pick in ids else ids[0]  # nearest fallback
-    return ConcreteAction(name=triplet.action, target=chosen[refs[0]])
+    ids = candidate_instances(state, ref, triplet.action)
+    if not ids:
+        raise NoCandidate(ref)
+    if len(ids) == 1:
+        return ConcreteAction(name=triplet.action, target=ids[0])
+
+    def parse_pick(reply: str) -> str:
+        pick = _parse_choice(reply).get(ref)
+        if pick not in ids:
+            raise GrammarError(f"choice outside the candidate list: {pick!r}")
+        return pick
+
+    query = _build_choice_query(triplet, task, state, history, {ref: ids})
+    try:
+        target = ask(backend, query, parse_pick, _CHOICE_REMINDER)
+    except PlanParseError:
+        target = ids[0]  # nearest fallback
+    return ConcreteAction(name=triplet.action, target=target)
 
 
 # ---------------------------------------------------------------------------
@@ -298,19 +296,13 @@ def postcondition_satisfied(state: WorldState, triplet: ActionTriplet) -> bool:
             return parent is not None and _matches_ref(parent, triplet.arg2, include_sliced=False)
 
         return _any_instance(state, ref, True, placed)
-    if action is ActionName.OPEN:
-        return _any_instance(state, ref, False, lambda o: o.flag("isOpen"))
-    if action is ActionName.CLOSE:
-        return _any_instance(state, ref, False, lambda o: not o.flag("isOpen"))
-    if action is ActionName.TOGGLE_ON:
-        return _any_instance(state, ref, False, lambda o: o.flag("isToggled"))
-    if action is ActionName.TOGGLE_OFF:
-        return _any_instance(state, ref, False, lambda o: not o.flag("isToggled"))
-    if action is ActionName.SLICE:
-        return _any_instance(state, ref, False, lambda o: o.flag("isSliced")) or _any_instance(
-            state, f"{ref}Sliced", False, lambda o: True
-        )
-    return False
+    gate = FLAG_ACTIONS.get(action)
+    if gate is None:
+        return False
+    _, flag, value = gate
+    if _any_instance(state, ref, False, lambda o: o.flag(flag) == value):
+        return True
+    return action is ActionName.SLICE and _any_instance(state, f"{ref}Sliced", False, lambda o: True)
 
 
 # ---------------------------------------------------------------------------

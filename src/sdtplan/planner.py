@@ -13,8 +13,7 @@ import json
 from typing import Optional
 
 from . import lexicon, prompts
-from .backends import LLMBackend
-from .errors import BadAction, GoalParseError, MalformedEntry, NoTripletsFound, PlanParseError
+from .backends import LLMBackend, ask
 from .sdt import SDT, ActionName, AffordanceTag, ObjectDescription, render_type_text
 from .triplets import ActionTriplet, GoalCondition, parse_goal, parse_triplets
 from .world import WorldState, object_descriptions
@@ -142,9 +141,7 @@ def build_plan_prompt(
 
 
 def _parse_plan_reply(text: str) -> tuple[list[ActionTriplet], GoalCondition]:
-    triplets = parse_triplets(text)
-    goal = parse_goal(text)
-    return triplets, goal
+    return parse_triplets(text), parse_goal(text)
 
 
 def plan(
@@ -159,14 +156,4 @@ def plan(
         examples = load_examples()
     objects = filter_relevant_objects(state, task, sdt)
     prompt = build_plan_prompt(task, objects, sdt, examples)
-    reply = backend.complete(prompt)
-    try:
-        return _parse_plan_reply(reply)
-    except (NoTripletsFound, BadAction, MalformedEntry, GoalParseError) as first_err:
-        retry_reply = backend.complete(prompt + _RETRY_REMINDER)
-        try:
-            return _parse_plan_reply(retry_reply)
-        except (NoTripletsFound, BadAction, MalformedEntry, GoalParseError) as exc:
-            raise PlanParseError(
-                f"unparseable plan after retry: {exc} (first error: {first_err})"
-            ) from exc
+    return ask(backend, prompt, _parse_plan_reply, _RETRY_REMINDER)

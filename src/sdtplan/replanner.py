@@ -7,14 +7,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import prompts
-from .backends import LLMBackend
-from .errors import (
-    BadAction,
-    MalformedEntry,
-    NoTripletsFound,
-    PlanParseError,
-    SdtPlanError,
-)
+from .backends import LLMBackend, ask
+from .errors import SdtPlanError
 from .interpreter import ExecutionHistory, execute_plan
 from .planner import plan as make_plan
 from .resolver import DEFAULT_BUDGET, FailureResolver
@@ -71,15 +65,7 @@ def replan(
     if ok:
         raise ValueError("replan called although the goal is already satisfied")
     prompt = build_replan_prompt(task, history, state, unmet)
-    reply = backend.complete(prompt)
-    try:
-        return parse_triplets(reply)
-    except (NoTripletsFound, BadAction, MalformedEntry):
-        reply = backend.complete(prompt + _RETRY_REMINDER)
-        try:
-            return parse_triplets(reply)
-        except (NoTripletsFound, BadAction, MalformedEntry) as exc:
-            raise PlanParseError(f"unparseable replan after retry: {exc}") from exc
+    return ask(backend, prompt, parse_triplets, _RETRY_REMINDER)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import prompts
 from .backends import LLMBackend
-from .errors import BadAction, MalformedEntry, NoCandidate, NoTripletsFound
+from .errors import GrammarError, NoCandidate
 from .interpreter import (
     ExecutionHistory,
     HistoryEntry,
@@ -25,7 +25,7 @@ from .interpreter import (
     resolve,
 )
 from .sdt import SDT, ActionName, AffordanceTag, ObjectDescription, POSE_ACTIONS, filter_actions
-from .triplets import ActionTriplet, RecoveryPair, parse_recovery
+from .triplets import ActionTriplet, RecoveryPair, format_recovery, parse_recovery
 from .world import (
     ActionOutcome,
     ConcreteAction,
@@ -76,13 +76,10 @@ class AdaptiveMemory:
     def entries(self, key: FailureKey) -> list[tuple[tuple[RecoveryPair, ...], str]]:
         return list(self._attempts.get(key, []))
 
-    def clear(self) -> None:
-        self._attempts.clear()
-
     def dump(self) -> dict:
         return {
             f"{idx}:{code}": [
-                {"sequence": "[" + ",".join(p.render() for p in seq) + "]", "feedback": fb}
+                {"sequence": format_recovery(seq), "feedback": fb}
                 for seq, fb in attempts
             ]
             for (idx, code), attempts in sorted(self._attempts.items())
@@ -218,8 +215,7 @@ def build_failure_query(
         lines.append("")
         lines.append(prompts.SEC_NO_REPEAT)
         for seq, feedback in attempted:
-            rendered = "[" + ",".join(p.render() for p in seq) + "]"
-            lines.append(f"- {rendered} => {feedback}")
+            lines.append(f"- {format_recovery(seq)} => {feedback}")
     lines.append("")
     lines.append(prompts.SEC_OUTPUT)
     lines.append(
@@ -287,7 +283,7 @@ def resolve_failure(
         reply = backend.complete(query)
         try:
             sequence = parse_recovery(reply)
-        except (NoTripletsFound, BadAction, MalformedEntry) as exc:
+        except GrammarError as exc:
             attempts.append(RecoveryAttempt(proposed=[], feedback=f"unparseable proposal: {exc}"))
             continue
         attempt = RecoveryAttempt(proposed=sequence)

@@ -57,6 +57,18 @@ class AffordanceTag(str, Enum):
 #: Agent-pose actions: they target no object and never pass the action filter.
 POSE_ACTIONS = frozenset({ActionName.CROUCH, ActionName.STAND})
 
+#: Actions that set one boolean flag on their target: the affordance the
+#: target's type needs, the flag, and the value the action sets. The action
+#: filter, the simulator and the postcondition check all read this one table;
+#: an action is afforded only while the flag does not hold the value yet.
+FLAG_ACTIONS: dict[ActionName, tuple[AffordanceTag, str, bool]] = {
+    ActionName.OPEN: (AffordanceTag.OPENABLE, "isOpen", True),
+    ActionName.CLOSE: (AffordanceTag.OPENABLE, "isOpen", False),
+    ActionName.TOGGLE_ON: (AffordanceTag.TOGGLEABLE, "isToggled", True),
+    ActionName.TOGGLE_OFF: (AffordanceTag.TOGGLEABLE, "isToggled", False),
+    ActionName.SLICE: (AffordanceTag.SLICEABLE, "isSliced", True),
+}
+
 #: Boolean state flags every scene object carries.
 FLAG_NAMES = (
     "isOpen",
@@ -370,17 +382,11 @@ def condition_fn(sdt: SDT, object_desc: ObjectDescription, action: ActionName) -
     if action is ActionName.PUT:
         # isOpen is normalized to True for non-openable receptacles at load.
         return entry.has(AffordanceTag.RECEPTACLE) and object_desc.flag("isOpen")
-    if action is ActionName.OPEN:
-        return entry.has(AffordanceTag.OPENABLE) and not object_desc.flag("isOpen")
-    if action is ActionName.CLOSE:
-        return entry.has(AffordanceTag.OPENABLE) and object_desc.flag("isOpen")
-    if action is ActionName.TOGGLE_ON:
-        return entry.has(AffordanceTag.TOGGLEABLE) and not object_desc.flag("isToggled")
-    if action is ActionName.TOGGLE_OFF:
-        return entry.has(AffordanceTag.TOGGLEABLE) and object_desc.flag("isToggled")
-    if action is ActionName.SLICE:
-        return entry.has(AffordanceTag.SLICEABLE) and not object_desc.flag("isSliced")
-    return False
+    gate = FLAG_ACTIONS.get(action)
+    if gate is None:
+        return False
+    tag, flag, value = gate
+    return entry.has(tag) and object_desc.flag(flag) != value
 
 
 def filter_actions(

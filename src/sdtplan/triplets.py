@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import BadAction, GoalParseError, MalformedEntry, NoTripletsFound
 from .sdt import ActionName, FLAG_NAMES, TEMPERATURES
@@ -175,7 +175,7 @@ def parse_recovery(text: str) -> list[RecoveryPair]:
     raise NoTripletsFound("no recovery pairs found in text")
 
 
-def format_recovery(pairs: list[RecoveryPair]) -> str:
+def format_recovery(pairs: Iterable[RecoveryPair]) -> str:
     return "[" + ",".join(p.render() for p in pairs) + "]"
 
 

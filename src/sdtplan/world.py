@@ -23,6 +23,7 @@ from .sdt import (
     SDT,
     ActionName,
     AffordanceTag,
+    FLAG_ACTIONS,
     FLAG_NAMES,
     ObjectDescription,
     StateEffect,
@@ -614,49 +615,27 @@ def step(state: WorldState, action: ConcreteAction, sdt: SDT) -> tuple[WorldStat
         _fire_rules(new, sdt, name, new.objects[obj.object_id])
         return new, ActionOutcome.success()
 
-    if name is ActionName.OPEN or name is ActionName.CLOSE:
-        if not is_visible(state, obj):
-            return state, ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE)
-        want_open = name is ActionName.OPEN
-        if not _afforded(sdt, obj, AffordanceTag.OPENABLE) or obj.flag("isOpen") == want_open:
-            return state, ActionOutcome.error("NotAfforded", MSG_NOT_AFFORDED)
-        new = state.clone()
-        target = new.objects[obj.object_id]
-        target.flags["isOpen"] = want_open
-        _fire_rules(new, sdt, name, target)
-        return new, ActionOutcome.success()
-
-    if name is ActionName.TOGGLE_ON or name is ActionName.TOGGLE_OFF:
-        if not is_visible(state, obj):
-            return state, ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE)
-        want = name is ActionName.TOGGLE_ON
-        if not _afforded(sdt, obj, AffordanceTag.TOGGLEABLE) or obj.flag("isToggled") == want:
-            return state, ActionOutcome.error("NotAfforded", MSG_NOT_AFFORDED)
-        new = state.clone()
-        target = new.objects[obj.object_id]
-        target.flags["isToggled"] = want
-        _fire_rules(new, sdt, name, target)
-        return new, ActionOutcome.success()
-
+    gate = FLAG_ACTIONS.get(name)
+    if gate is None:
+        return state, ActionOutcome.error("NotAfforded", MSG_NOT_AFFORDED)
+    tag, flag, value = gate
+    if not is_visible(state, obj):
+        return state, ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE)
+    if not _afforded(sdt, obj, tag) or obj.flag(flag) == value:
+        return state, ActionOutcome.error("NotAfforded", MSG_NOT_AFFORDED)
     if name is ActionName.SLICE:
-        if not is_visible(state, obj):
-            return state, ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE)
-        if not _afforded(sdt, obj, AffordanceTag.SLICEABLE) or obj.flag("isSliced"):
-            return state, ActionOutcome.error("NotAfforded", MSG_NOT_AFFORDED)
         if state.held_object is None:
             return state, ActionOutcome.error("HandEmpty", MSG_HAND_EMPTY)
         held_entry = sdt.get(state.objects[state.held_object].type_name)
         if held_entry is None or not held_entry.is_slicing_tool:
             return state, ActionOutcome.error("NotAfforded", MSG_NOT_AFFORDED)
-        new = state.clone()
-        target = new.objects[obj.object_id]
-        target.flags["isSliced"] = True
-        children = _spawn_slices(new, target)
-        target.slice_children = [c.object_id for c in children]
-        _fire_rules(new, sdt, name, target)
-        return new, ActionOutcome.success()
-
-    return state, ActionOutcome.error("NotAfforded", MSG_NOT_AFFORDED)
+    new = state.clone()
+    target = new.objects[obj.object_id]
+    target.flags[flag] = value
+    if name is ActionName.SLICE:
+        target.slice_children = [c.object_id for c in _spawn_slices(new, target)]
+    _fire_rules(new, sdt, name, target)
+    return new, ActionOutcome.success()
 
 
 def _spawn_slices(state: WorldState, parent: ObjectInstance) -> list[ObjectInstance]:

@@ -16,8 +16,8 @@ import pytest
 from conftest import scene_for_row, suite_row
 
 import sdtplan
-from sdtplan.backends import HttpBackend, HttpConfig, OracleConfig, ScriptedOracle
-from sdtplan.errors import BackendError, OracleError
+from sdtplan.backends import HttpBackend, HttpConfig, OracleConfig, ScriptedOracle, ask
+from sdtplan.errors import BackendError, GrammarError, OracleError, PlanParseError
 from sdtplan.planner import build_plan_prompt, filter_relevant_objects, load_examples
 from sdtplan.resolver import AdaptiveMemory, FailureContext, build_action_pairs, build_failure_query
 from sdtplan.sdt import ActionName
@@ -256,3 +256,37 @@ def test_http_timeout_raises_backend_error(stub_server):
     elapsed = time.monotonic() - started
     # never blocks longer than timeout*(retries+1) plus the backoff schedule
     assert elapsed < 0.2 * 2 + 0.25 + 1.0
+
+
+# ---------------------------------------------------------------------------
+# ask: one reformat retry on a grammar error
+
+
+class _RecordingBackend:
+    """Answers every prompt with one reply (or raises one error) and records the prompts."""
+
+    name, deterministic = "recording", True
+
+    def __init__(self, reply="", error=None):
+        self.reply, self.error, self.prompts = reply, error, []
+
+    def complete(self, prompt):
+        self.prompts.append(prompt)
+        if self.error is not None:
+            raise self.error
+        return self.reply
+
+
+def test_ask_resends_with_reminder_then_chains_the_grammar_error():
+    backend = _RecordingBackend(reply="gibberish")
+    with pytest.raises(PlanParseError) as exc:
+        ask(backend, "prompt", parse_triplets, " REMINDER")
+    assert backend.prompts == ["prompt", "prompt REMINDER"]
+    assert isinstance(exc.value.__cause__, GrammarError)
+
+
+def test_ask_does_not_retry_backend_errors():
+    backend = _RecordingBackend(error=BackendError("HTTP 400"))
+    with pytest.raises(BackendError):
+        ask(backend, "prompt", parse_triplets, " REMINDER")
+    assert backend.prompts == ["prompt"]

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import run_row, scene_for_row, suite_row
+from conftest import ScriptedBackend, run_row, scene_for_row, suite_row
 
 from sdtplan.backends import OracleConfig, ScriptedOracle
+from sdtplan.errors import PlanParseError
 from sdtplan.interpreter import ExecutionHistory, HistoryEntry, execute_plan
 from sdtplan.replanner import RunConfig, build_replan_prompt, replan, run_task
 from sdtplan.sdt import ActionName
@@ -83,6 +84,29 @@ def test_replan_rejects_satisfied_goal(sdt, suite):
     assert goal_satisfied(state, goal)[0]
     with pytest.raises(ValueError):
         replan("task", ExecutionHistory(), state, goal, sdt, ScriptedOracle())
+
+
+def _unmet_potato_goal(sdt, suite):
+    state = scene_for_row(suite_row(suite, 2), sdt)
+    goal = parse_goal("GOAL:{type=PotatoSliced; flags=isCooked; temp=-; in=Sink}")
+    assert not goal_satisfied(state, goal)[0]
+    return state, goal
+
+
+def test_replan_retry_recovers_on_second_reply(sdt, suite):
+    state, goal = _unmet_potato_goal(sdt, suite)
+    backend = ScriptedBackend(["gibberish", "Action-Triplets:[['PickupObject', 'Potato', 0]]"])
+    additions = replan("task", ExecutionHistory(), state, goal, sdt, backend)
+    assert additions == [ActionTriplet(ActionName.PICKUP, "Potato")]
+    assert backend.calls == 2
+
+
+def test_replan_retries_then_fails_on_garbage(sdt, suite):
+    state, goal = _unmet_potato_goal(sdt, suite)
+    backend = ScriptedBackend(["gibberish", "more gibberish"])
+    with pytest.raises(PlanParseError):
+        replan("task", ExecutionHistory(), state, goal, sdt, backend)
+    assert backend.calls == 2
 
 
 def test_run_task_row2_two_replans(sdt, suite):

@@ -9,12 +9,16 @@ import pytest
 from conftest import random_state, scene_for_row, suite_row
 
 from sdtplan.errors import ParseError, ValidationError
-from sdtplan.sdt import ActionName
+from sdtplan.interpreter import postcondition_satisfied
+from sdtplan.sdt import FLAG_ACTIONS, ActionName, condition_fn
+from sdtplan.triplets import ActionTriplet
 from sdtplan.world import (
     ConcreteAction,
     MSG_NO_VALID_POSITION,
     MSG_NOT_VISIBLE,
+    ObjectInstance,
     Perturbation,
+    describe,
     format_object_id,
     inject_failure,
     is_valid_object_id,
@@ -393,3 +397,57 @@ def test_random_scripts_keep_invariants(sdt):
                     seen.add(cur)
                     cur = state.objects[cur].parent_receptacle
         assert len(state.objects) == total_before + slices_spawned
+
+
+# ---------------------------------------------------------------------------
+# Flag-action table: filter, simulator and postcondition agree
+
+
+def _with_slicing_tool_in_hand(state, sdt):
+    """Copy of ``state`` whose agent holds a slicing tool (any previous load is set down)."""
+    held = state.objects.get(state.held_object or "")
+    if held is not None and sdt.entry(held.type_name).is_slicing_tool:
+        return state
+    new = state.clone()
+    tool_type = sdt.slicing_tool_types()[0]
+    tool_id = format_object_id(tool_type, new.agent_position)
+    assert tool_id not in new.objects
+    new.objects[tool_id] = ObjectInstance(
+        object_id=tool_id, type_name=tool_type, position=new.agent_position, flags={}
+    )
+    new.held_object = tool_id
+    return new
+
+
+def _flag_actions_agree(state, sdt, obj) -> dict:
+    """Run every flag action on ``obj``; return the successful successor states by action."""
+    desc = describe(state, obj)
+    successors = {}
+    for action in FLAG_ACTIONS:
+        admitted = condition_fn(sdt, desc, action)
+        new, outcome = step(state, act(action, obj.object_id), sdt)
+        where = f"{action} on {obj.object_id}"
+        assert admitted == (outcome.error_code != "NotAfforded"), where
+        if outcome.ok:
+            assert postcondition_satisfied(new, ActionTriplet(action, obj.object_id)), where
+            successors[action] = new
+    return successors
+
+
+def test_flag_actions_filter_simulator_and_postcondition_agree(sdt, suite):
+    rng = random.Random(31)
+    scenes = [random_state(rng, sdt) for _ in range(300)]
+    scenes += [scene_for_row(row, sdt) for row in suite["tasks"]]
+    objects = successes = 0
+    for scene in scenes:
+        state = _with_slicing_tool_in_hand(scene, sdt)
+        for obj in visible_objects(state):
+            if obj.type_name not in sdt:
+                continue
+            successors = _flag_actions_agree(state, sdt, obj)
+            objects += 1
+            successes += len(successors)
+            if ActionName.SLICE in successors:  # the sliced husk must refuse a second cut
+                sliced = successors[ActionName.SLICE]
+                _flag_actions_agree(sliced, sdt, sliced.objects[obj.object_id])
+    assert objects * len(FLAG_ACTIONS) > 3000 and 0 < successes < objects * len(FLAG_ACTIONS)
