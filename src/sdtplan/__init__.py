@@ -22,7 +22,6 @@ from .sdt import (
     SDT,
     ActionName,
     AffordanceTag,
-    ObjectDescription,
     ObjectTypeEntry,
     condition_fn,
     filter_actions,
@@ -53,7 +52,6 @@ from .world import (
     object_descriptions,
     state_hash,
     step,
-    visible_objects,
 )
 
 __version__ = "0.1.0"

@@ -193,7 +193,7 @@ class ScriptedOracle:
     def _plan(self, prompt: str) -> str:
         task = prompts.section(prompt, prompts.SEC_TASK).splitlines()[0].strip()
         instances = prompts.parse_state_lines(prompts.section(prompt, prompts.SEC_OBJECTS))
-        present = {d.type_name for d in instances}
+        present = {type_name for _, type_name, _ in instances}
         openable = self._openable_types(prompt)
 
         obj = lexicon.main_object(task)
@@ -333,7 +333,7 @@ class ScriptedOracle:
         step_section = prompts.section(prompt, prompts.SEC_STEP)
         action = self._grounding_action(step_section)
         state = prompts.parse_state_lines(prompts.section(prompt, prompts.SEC_STATE))
-        parent_of = {d.object_id: d.parent_receptacle for d in state}
+        parent_of = {object_id: parent for object_id, _, parent in state}
         history = prompts.section(prompt, prompts.SEC_HISTORY)
         recent_targets = re.findall(r"\((?:\w+),(\S+?)\)", history)
         candidates = self._parse_candidates(prompts.section(prompt, prompts.SEC_CANDIDATES))
@@ -530,9 +530,9 @@ class ScriptedOracle:
         state = prompts.parse_state_lines(prompts.section(prompt, prompts.SEC_STATE))
 
         def first_id(type_name: str) -> Optional[str]:
-            for desc in state:
-                if desc.type_name == type_name:
-                    return desc.object_id
+            for object_id, object_type, _ in state:
+                if object_type == type_name:
+                    return object_id
             return None
 
         subject = near if near else (first_id(goal_type) or goal_type)

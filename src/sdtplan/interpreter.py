@@ -193,8 +193,8 @@ def _build_choice_query(
     lines.extend(prompts.render_history_lines(history.tail()))
     lines.append("")
     lines.append(prompts.SEC_STATE)
-    for desc in object_descriptions(state):
-        lines.append(prompts.render_state_line(desc))
+    for obj in object_descriptions(state):
+        lines.append(prompts.render_state_line(state, obj))
     lines.append("")
     lines.append(prompts.SEC_CANDIDATES)
     for ref, ids in candidates.items():
@@ -321,19 +321,15 @@ def execute_plan(
 ) -> tuple[WorldState, ExecutionHistory, str]:
     """Run triplets in order; errors go to the resolver (or abort the run).
 
-    After a successful resolution the same triplet is re-checked against the
-    new state: recovery usually completed it, so the step records as skipped.
+    Each triplet runs at most once. A step whose postcondition already holds
+    records as skipped; so does a failed step once a successful resolution
+    made the postcondition hold. A resolution that re-executed the step
+    itself finishes the triplet.
     """
     if history is None:
         history = ExecutionHistory()
     for index, triplet in enumerate(plan):
-        while True:
-            if postcondition_satisfied(state, triplet):
-                history.append(
-                    HistoryEntry(triplet=triplet, phase=phase, skipped=True,
-                                 outcome=ActionOutcome.success("already satisfied"))
-                )
-                break
+        if not postcondition_satisfied(state, triplet):
             concrete: Optional[ConcreteAction] = None
             try:
                 concrete = resolve(triplet, state, task, history, backend)
@@ -348,7 +344,7 @@ def execute_plan(
             )
             history.append(entry)
             if outcome.ok:
-                break
+                continue
             if resolver is None:
                 return state, history, "Aborted"
             state, status, attempts = resolver.handle(
@@ -357,5 +353,10 @@ def execute_plan(
             entry.attempts.extend(attempts)
             if status != "Resolved":
                 return state, history, "Aborted"
-            # loop back: postcondition check decides whether to re-run
+            if not postcondition_satisfied(state, triplet):
+                continue
+        history.append(
+            HistoryEntry(triplet=triplet, phase=phase, skipped=True,
+                         outcome=ActionOutcome.success("already satisfied"))
+        )
     return state, history, "Completed"

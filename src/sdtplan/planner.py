@@ -14,9 +14,9 @@ from typing import Optional
 
 from . import lexicon, prompts
 from .backends import LLMBackend, ask
-from .sdt import SDT, ActionName, AffordanceTag, ObjectDescription, render_type_text
+from .sdt import SDT, ActionName, AffordanceTag, render_type_text
 from .triplets import ActionTriplet, GoalCondition, parse_goal, parse_triplets
-from .world import WorldState, object_descriptions
+from .world import ObjectInstance, WorldState, object_descriptions
 
 _RETRY_REMINDER = (
     "\n\nFORMAT REMINDER: reply with exactly one line starting with "
@@ -70,16 +70,16 @@ def relevant_types(task: str, sdt: SDT) -> set[str]:
         kept |= implied
 
 
-def filter_relevant_objects(state: WorldState, task: str, sdt: SDT) -> list[ObjectDescription]:
+def filter_relevant_objects(state: WorldState, task: str, sdt: SDT) -> list[ObjectInstance]:
     """Visible objects worth showing the model for this task, id-sorted."""
     kept_types = relevant_types(task, sdt)
     out = []
-    for desc in object_descriptions(state):
-        entry = sdt.get(desc.type_name)
+    for obj in object_descriptions(state):
+        entry = sdt.get(obj.type_name)
         if entry is None:
             continue
-        if desc.type_name in kept_types or entry.has(AffordanceTag.RECEPTACLE):
-            out.append(desc)
+        if obj.type_name in kept_types or entry.has(AffordanceTag.RECEPTACLE):
+            out.append(obj)
     return out
 
 
@@ -91,16 +91,18 @@ def load_examples() -> list[dict]:
 
 def build_plan_prompt(
     task: str,
-    objects: list[ObjectDescription],
+    state: WorldState,
     sdt: SDT,
     examples: list[dict],
 ) -> str:
     """Deterministic plan prompt with fixed section order.
 
-    Knowledge blocks cover the task-relevant types even when no instance is
-    currently in view (a hidden knife is still plannable-for), plus the
-    types of every listed object. Each rule sentence appears exactly once.
+    The objects in view are the task-relevant ones. Knowledge blocks cover
+    the task-relevant types even when no instance is currently in view (a
+    hidden knife is still plannable-for), plus the types of every listed
+    object. Each rule sentence appears exactly once.
     """
+    objects = filter_relevant_objects(state, task, sdt)
     block_types = sorted(relevant_types(task, sdt) | {o.type_name for o in objects if o.type_name in sdt})
     lines = [prompts.PLAN_HEADER, "", prompts.SEC_INSTRUCTIONS]
     lines.append(
@@ -116,8 +118,8 @@ def build_plan_prompt(
         lines.append(render_type_text(sdt.entry(type_name)))
     lines.append("")
     lines.append(prompts.SEC_OBJECTS)
-    for desc in objects:
-        lines.append(prompts.render_state_line(desc))
+    for obj in objects:
+        lines.append(prompts.render_state_line(state, obj))
     if examples:
         lines.append("")
         lines.append(prompts.SEC_EXAMPLES)
@@ -154,6 +156,5 @@ def plan(
     """One backend call (plus one reformat retry) for triplets and goal."""
     if examples is None:
         examples = load_examples()
-    objects = filter_relevant_objects(state, task, sdt)
-    prompt = build_plan_prompt(task, objects, sdt, examples)
+    prompt = build_plan_prompt(task, state, sdt, examples)
     return ask(backend, prompt, _parse_plan_reply, _RETRY_REMINDER)

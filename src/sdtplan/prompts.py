@@ -8,8 +8,9 @@ these exact formats back out of the prompt.
 from __future__ import annotations
 
 import re
+from typing import Optional
 
-from .sdt import ObjectDescription
+from .world import ObjectInstance, WorldState
 
 PLAN_HEADER = "# PLAN REQUEST"
 CHOICE_HEADER = "# OBJECT CHOICE REQUEST"
@@ -38,38 +39,28 @@ _STATE_LINE_RE = re.compile(
 )
 
 
-def render_state_line(desc: ObjectDescription) -> str:
-    true_flags = sorted(k for k, v in desc.flags.items() if v)
+def render_state_line(state: WorldState, obj: ObjectInstance) -> str:
+    true_flags = sorted(k for k, v in obj.flags.items() if v)
     flags = ",".join(true_flags) if true_flags else "-"
-    parent = desc.parent_receptacle or "-"
+    parent = obj.parent_receptacle or "-"
+    # Rounded to 4 places before formatting: 0.125049 shows as 0.12, not 0.13.
+    distance = round(state.distance_to(obj), 4)
     return (
-        f"- {desc.object_id} (type={desc.type_name}; flags={flags}; "
-        f"temp={desc.temperature}; in={parent}; dist={desc.distance:.2f})"
+        f"- {obj.object_id} (type={obj.type_name}; flags={flags}; "
+        f"temp={obj.temperature}; in={parent}; dist={distance:.2f})"
     )
 
 
-def parse_state_lines(text: str) -> list[ObjectDescription]:
+def parse_state_lines(text: str) -> list[tuple[str, str, Optional[str]]]:
+    """``(object_id, type_name, parent_receptacle)`` of every state line in ``text``."""
     out = []
     for line in text.splitlines():
         m = _STATE_LINE_RE.match(line.strip())
         if m is None:
             continue
-        flags_field = m.group("flags").strip()
-        flags = {} if flags_field in ("-", "") else {f: True for f in flags_field.split(",")}
         parent = m.group("parent").strip()
-        try:
-            dist = float(m.group("dist"))
-        except ValueError:
-            dist = 0.0
         out.append(
-            ObjectDescription(
-                object_id=m.group("id"),
-                type_name=m.group("type").strip(),
-                flags=flags,
-                temperature=m.group("temp").strip(),
-                parent_receptacle=None if parent in ("-", "") else parent,
-                distance=dist,
-            )
+            (m.group("id"), m.group("type").strip(), None if parent in ("-", "") else parent)
         )
     return out
 

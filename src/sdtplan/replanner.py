@@ -33,8 +33,8 @@ def build_replan_prompt(
     lines.extend(prompts.render_history_lines(history.entries))
     lines.append("")
     lines.append(prompts.SEC_STATE)
-    for desc in object_descriptions(state):
-        lines.append(prompts.render_state_line(desc))
+    for obj in object_descriptions(state):
+        lines.append(prompts.render_state_line(state, obj))
     lines.append("")
     lines.append(prompts.SEC_TASK)
     lines.append(task)

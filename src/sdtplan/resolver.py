@@ -10,6 +10,7 @@ for one failure point.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -21,10 +22,11 @@ from .interpreter import (
     ExecutionHistory,
     HistoryEntry,
     RecoveryAttempt,
+    _matches_ref,
     postcondition_satisfied,
     resolve,
 )
-from .sdt import SDT, ActionName, AffordanceTag, ObjectDescription, POSE_ACTIONS, filter_actions
+from .sdt import SDT, ActionName, AffordanceTag, POSE_ACTIONS, filter_actions
 from .triplets import ActionTriplet, RecoveryPair, format_recovery, parse_recovery
 from .world import (
     ActionOutcome,
@@ -32,7 +34,6 @@ from .world import (
     ObjectInstance,
     WorldState,
     container_chain_open,
-    describe,
     format_object_id,
     in_sight,
     is_closed_openable,
@@ -96,15 +97,15 @@ _OBJECT_ACTIONS = tuple(a for a in ActionName if a not in POSE_ACTIONS)
 
 def _view_descriptions(
     state: WorldState, sdt: SDT, obj: ObjectInstance
-) -> list[ObjectDescription]:
-    """Descriptions of ``obj`` across the four counterfactual views.
+) -> list[ObjectInstance]:
+    """``obj`` as it appears across the four counterfactual views.
 
     The views cross the current and the toggled pose with the doors as they
     are and every closed openable opened. A pose only selects a view band,
     so the union takes either band. Opening the doors shows what their
-    containers hide and describes each closed openable with isOpen=True; a
-    closed openable keeps its as-is description only while its own
-    container chain is open as it is.
+    containers hide and shows each closed openable with isOpen=True; a
+    closed openable keeps its as-is form only while its own container chain
+    is open as it is.
     """
     if not in_sight(state, obj, either_pose=True):
         return []
@@ -114,9 +115,9 @@ def _view_descriptions(
     if not as_is and not container_chain_open(state, obj, sdt):
         return []
     if not is_closed_openable(sdt, obj):
-        return [describe(state, obj)]
-    opened = describe(state, obj, opened=True)
-    return [describe(state, obj), opened] if as_is else [opened]
+        return [obj]
+    opened = dataclasses.replace(obj, flags={**obj.flags, "isOpen": True})
+    return [obj, opened] if as_is else [opened]
 
 
 def _pose_anchor(state: WorldState, sdt: SDT, focus: Optional[str]) -> str:
@@ -146,10 +147,10 @@ def build_action_pairs(
     visible to the model; pose pairs are appended against the focus object's
     nearest receptacle.
     """
-    descriptions = [
-        d for obj in state.objects.values() for d in _view_descriptions(state, sdt, obj)
+    views = [
+        v for obj in state.objects.values() for v in _view_descriptions(state, sdt, obj)
     ]
-    pairs = filter_actions(sdt, descriptions, _OBJECT_ACTIONS)
+    pairs = filter_actions(sdt, views, _OBJECT_ACTIONS)
     ordered = sorted(
         pairs,
         key=lambda p: (
@@ -332,13 +333,7 @@ def resolve_failure(
 def _focus_from_ref(state: WorldState, ctx: FailureContext) -> Optional[str]:
     """Nearest instance matching the failed primary reference, visible or not."""
     ref = ctx.failed_triplet.arg1
-    if ref in state.objects:
-        return ref
-    matches = [
-        o
-        for o in state.objects.values()
-        if o.type_name == ref or o.type_name == f"{ref}Sliced"
-    ]
+    matches = [o for o in state.objects.values() if _matches_ref(o, ref, include_sliced=True)]
     if not matches:
         return None
     return min(matches, key=lambda o: (state.distance_to(o), o.object_id)).object_id

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .errors import ParseError, UnknownType, ValidationError
+
+if TYPE_CHECKING:  # world imports this module
+    from .world import ObjectInstance
 
 log = logging.getLogger(__name__)
 
@@ -171,21 +174,6 @@ class ObjectTypeEntry:
             and not self.has(AffordanceTag.SLICEABLE)
             and any(r.trigger_action is ActionName.SLICE for r in self.rules)
         )
-
-
-@dataclass(frozen=True)
-class ObjectDescription:
-    """Prompt- and filter-facing view of one scene object (the O of the action filter)."""
-
-    object_id: str
-    type_name: str
-    flags: dict[str, bool] = field(default_factory=dict)
-    temperature: str = "RoomTemp"
-    parent_receptacle: Optional[str] = None
-    distance: float = 0.0
-
-    def flag(self, name: str) -> bool:
-        return bool(self.flags.get(name, False))
 
 
 class SDT:
@@ -364,15 +352,15 @@ def load_sdt(path: str | Path) -> SDT:
     return parse_sdt_data(data)
 
 
-def condition_fn(sdt: SDT, object_desc: ObjectDescription, action: ActionName) -> bool:
-    """Boolean action-validity condition over one object description.
+def condition_fn(sdt: SDT, obj: ObjectInstance, action: ActionName) -> bool:
+    """Boolean action-validity condition over one scene object.
 
     True iff the action is affordance-permitted for the object's type and
     compatible with the object's own current state. Global executability
     (reachability, hand occupancy) is deliberately out of scope here; that
     is the simulator's concern.
     """
-    entry = sdt.entry(object_desc.type_name)
+    entry = sdt.entry(obj.type_name)
     if action is ActionName.GOTO:
         return True
     if action in POSE_ACTIONS:
@@ -381,17 +369,17 @@ def condition_fn(sdt: SDT, object_desc: ObjectDescription, action: ActionName) -
         return entry.has(AffordanceTag.PICKUPABLE)
     if action is ActionName.PUT:
         # isOpen is normalized to True for non-openable receptacles at load.
-        return entry.has(AffordanceTag.RECEPTACLE) and object_desc.flag("isOpen")
+        return entry.has(AffordanceTag.RECEPTACLE) and obj.flag("isOpen")
     gate = FLAG_ACTIONS.get(action)
     if gate is None:
         return False
     tag, flag, value = gate
-    return entry.has(tag) and object_desc.flag(flag) != value
+    return entry.has(tag) and obj.flag(flag) != value
 
 
 def filter_actions(
     sdt: SDT,
-    objects: Iterable[ObjectDescription],
+    objects: Iterable[ObjectInstance],
     actions: Iterable[ActionName],
 ) -> set[tuple[ActionName, str]]:
     """All (action, object id) pairs the condition function admits.
@@ -400,13 +388,13 @@ def filter_actions(
     """
     action_list = list(actions)
     pairs: set[tuple[ActionName, str]] = set()
-    for desc in objects:
-        if desc.type_name not in sdt:
-            log.warning("skipping object of unknown type: %s", desc.object_id)
+    for obj in objects:
+        if obj.type_name not in sdt:
+            log.warning("skipping object of unknown type: %s", obj.object_id)
             continue
         for action in action_list:
-            if condition_fn(sdt, desc, action):
-                pairs.add((action, desc.object_id))
+            if condition_fn(sdt, obj, action):
+                pairs.add((action, obj.object_id))
     return pairs
 
 

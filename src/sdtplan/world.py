@@ -25,7 +25,6 @@ from .sdt import (
     AffordanceTag,
     FLAG_ACTIONS,
     FLAG_NAMES,
-    ObjectDescription,
     StateEffect,
     StatePredicate,
     TEMPERATURES,
@@ -379,7 +378,7 @@ def load_scene(path: str | Path, sdt: SDT) -> WorldState:
 
 
 # ---------------------------------------------------------------------------
-# Visibility and descriptions
+# Visibility
 
 
 def is_closed_openable(sdt: SDT, obj: ObjectInstance) -> bool:
@@ -422,7 +421,7 @@ def is_visible(state: WorldState, obj: ObjectInstance) -> bool:
     return in_sight(state, obj) and container_chain_open(state, obj)
 
 
-def visible_objects(state: WorldState) -> list[ObjectInstance]:
+def object_descriptions(state: WorldState) -> list[ObjectInstance]:
     """Scene objects the agent can currently perceive, sorted by id."""
     return sorted(
         (o for o in state.objects.values() if is_visible(state, o)),
@@ -430,28 +429,21 @@ def visible_objects(state: WorldState) -> list[ObjectInstance]:
     )
 
 
-def describe(state: WorldState, obj: ObjectInstance, opened: bool = False) -> ObjectDescription:
-    """Description of ``obj``; ``opened`` describes it with isOpen=True."""
-    flags = {k: obj.flags.get(k, False) for k in FLAG_NAMES}
-    if opened:
-        flags["isOpen"] = True
-    return ObjectDescription(
-        object_id=obj.object_id,
-        type_name=obj.type_name,
-        flags=flags,
-        temperature=obj.temperature,
-        parent_receptacle=obj.parent_receptacle,
-        distance=round(state.distance_to(obj), 4),
-    )
-
-
-def object_descriptions(state: WorldState) -> list[ObjectDescription]:
-    """One description per visible object, id-sorted (pure query)."""
-    return [describe(state, o) for o in visible_objects(state)]
-
-
 # ---------------------------------------------------------------------------
 # Rule engine
+
+
+def _nearby(state: WorldState, obj: ObjectInstance) -> list[ObjectInstance]:
+    """Other objects within NEARBY_RADIUS of ``obj``, sorted by id."""
+    return sorted(
+        (
+            o
+            for o in state.objects.values()
+            if o.object_id != obj.object_id
+            and math.dist(o.position, obj.position) <= NEARBY_RADIUS
+        ),
+        key=lambda o: o.object_id,
+    )
 
 
 def _predicate_holds(state: WorldState, owner: ObjectInstance, pred: StatePredicate) -> bool:
@@ -472,11 +464,7 @@ def _predicate_holds(state: WorldState, owner: ObjectInstance, pred: StatePredic
             return False
         return check(parent)
     # colocated: some nearby object (optionally of a named type) satisfies it
-    for other in state.objects.values():
-        if other.object_id == owner.object_id:
-            continue
-        if math.dist(other.position, owner.position) > NEARBY_RADIUS:
-            continue
+    for other in _nearby(state, owner):
         if pred.type_name is not None and other.type_name != pred.type_name:
             continue
         if check(other):
@@ -489,15 +477,7 @@ def _effect_targets(state: WorldState, owner: ObjectInstance, effect: StateEffec
         return [owner]
     if effect.scope == "contents":
         return state.contents_of(owner.object_id)
-    return sorted(
-        (
-            o
-            for o in state.objects.values()
-            if o.object_id != owner.object_id
-            and math.dist(o.position, owner.position) <= NEARBY_RADIUS
-        ),
-        key=lambda o: o.object_id,
-    )
+    return _nearby(state, owner)
 
 
 def _apply_effect(state: WorldState, sdt: SDT, owner: ObjectInstance, effect: StateEffect) -> None:
@@ -525,12 +505,7 @@ def _fire_rules(state: WorldState, sdt: SDT, action: ActionName, target: ObjectI
     owners = [target]
     owners.extend(state.contents_of(target.object_id))
     owner_ids = {o.object_id for o in owners}
-    for other in sorted(state.objects.values(), key=lambda o: o.object_id):
-        if other.object_id in owner_ids:
-            continue
-        if math.dist(other.position, target.position) <= NEARBY_RADIUS:
-            owners.append(other)
-            owner_ids.add(other.object_id)
+    owners.extend(o for o in _nearby(state, target) if o.object_id not in owner_ids)
     for owner in owners:
         entry = sdt.get(owner.type_name)
         if entry is None:
@@ -707,15 +682,16 @@ def _resolve_target(state: WorldState, ref: str) -> ObjectInstance:
 
 
 def inject_failure(state: WorldState, perturbation: Perturbation, sdt: SDT) -> WorldState:
-    """Apply one scene perturbation, returning a new state."""
+    """Apply one scene perturbation, returning a new state.
+
+    Raises ValidationError when the result would break a state invariant.
+    """
     new = state.clone()
     target = new.objects[_resolve_target(new, perturbation.target).object_id]
 
     if perturbation.kind == "dirty":
         target.flags["isDirty"] = True
-        return new
-
-    if perturbation.kind == "hide":
+    elif perturbation.kind == "hide":
         recept = new.objects[_resolve_target(new, perturbation.receptacle).object_id]
         if not _afforded(sdt, recept, AffordanceTag.RECEPTACLE):
             raise ValidationError(f"{recept.object_id} is not a receptacle")
@@ -726,9 +702,7 @@ def inject_failure(state: WorldState, perturbation: Perturbation, sdt: SDT) -> W
         target.parent_receptacle = recept.object_id
         if _afforded(sdt, recept, AffordanceTag.OPENABLE):
             recept.flags["isOpen"] = False
-        return new
-
-    if perturbation.kind == "fill":
+    elif perturbation.kind == "fill":
         if not _afforded(sdt, target, AffordanceTag.RECEPTACLE):
             raise ValidationError(f"{target.object_id} is not a receptacle")
         occupied = len(new.contents_of(target.object_id))
@@ -745,17 +719,18 @@ def inject_failure(state: WorldState, perturbation: Perturbation, sdt: SDT) -> W
                 flags={name: False for name in FLAG_NAMES},
                 parent_receptacle=target.object_id,
             )
+            if filler.object_id in new.objects:
+                raise ValidationError(f"fill would overwrite {filler.object_id!r}")
             new.objects[filler.object_id] = filler
-        return new
-
-    if perturbation.kind == "lower":
+    elif perturbation.kind == "lower":
         lo_standing = new.view_band_standing[0]
         lo_crouched = new.view_band_crouched[0]
         y = max(lo_standing - 0.30, lo_crouched + 0.01)
         target.position = (target.position[0], y, target.position[2])
-        return new
-
-    raise ValidationError(f"unknown perturbation kind: {perturbation.kind!r}")
+    else:
+        raise ValidationError(f"unknown perturbation kind: {perturbation.kind!r}")
+    validate_state(new, sdt)
+    return new
 
 
 def apply_perturbations(

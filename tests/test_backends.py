@@ -18,7 +18,7 @@ from conftest import scene_for_row, suite_row
 import sdtplan
 from sdtplan.backends import HttpBackend, HttpConfig, OracleConfig, ScriptedOracle, ask
 from sdtplan.errors import BackendError, GrammarError, OracleError, PlanParseError
-from sdtplan.planner import build_plan_prompt, filter_relevant_objects, load_examples
+from sdtplan.planner import build_plan_prompt, load_examples
 from sdtplan.resolver import AdaptiveMemory, FailureContext, build_action_pairs, build_failure_query
 from sdtplan.sdt import ActionName
 from sdtplan.triplets import ActionTriplet, parse_goal, parse_recovery, parse_triplets
@@ -32,8 +32,7 @@ from sdtplan.world import ActionOutcome, MSG_NOT_VISIBLE
 def _plan_prompt(sdt, suite, task_id):
     row = suite_row(suite, task_id)
     state = scene_for_row(row, sdt)
-    objects = filter_relevant_objects(state, row["task"], sdt)
-    return build_plan_prompt(row["task"], objects, sdt, load_examples())
+    return build_plan_prompt(row["task"], state, sdt, load_examples())
 
 
 def _failure_query(sdt, suite, task_id, triplet, memory=None):

@@ -50,6 +50,14 @@ def test_inject_without_task_is_config_error(tmp_path):
     assert run_cli("run", "--inject", "dirty:Mug", "--out", str(tmp_path)) == 2
 
 
+def test_inject_breaking_an_invariant_is_config_error(tmp_path):
+    code = run_cli(
+        "run", "--task", "14", "--inject", "fill:Drawer", "--inject", "hide:Apple:Drawer",
+        "--out", str(tmp_path),
+    )
+    assert code == 2
+
+
 def test_failing_mode_returns_one_and_lenient_zero(tmp_path):
     code = run_cli("run", "--mode", "plan", "--no-regression-check", "--out", str(tmp_path / "a"))
     assert code == 1

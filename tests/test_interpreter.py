@@ -18,7 +18,7 @@ from sdtplan.interpreter import (
 from sdtplan.resolver import FailureResolver
 from sdtplan.sdt import ActionName
 from sdtplan.triplets import ActionTriplet, parse_triplets
-from sdtplan.world import ConcreteAction, step
+from sdtplan.world import ConcreteAction, apply_perturbations, step
 
 
 def trip(action, arg1, arg2=None):
@@ -238,6 +238,31 @@ def test_execute_aborts_when_budget_exhausted(sdt, suite):
     _, history, status = execute_plan(plan, state, "fetch the plate", sdt, backend, resolver)
     assert status == "Aborted"
     assert resolver.total_iterations == 3
+
+
+def test_recovered_step_runs_once(sdt, suite):
+    # Goto's postcondition never holds, so only the step count shows a re-run.
+    state = scene_for_row(suite_row(suite, 14), sdt, injected=False)
+    state = apply_perturbations(state, ["hide:Apple:Fridge"], sdt)
+    backend = ScriptedOracle()
+    plan = [trip(ActionName.GOTO, "Apple")]
+    resolver = FailureResolver(sdt, backend)
+    _, history, status = execute_plan(plan, state, "go to the apple", sdt, backend, resolver)
+    assert status == "Completed"
+    gotos = [c for c, o in _executed(history) if c.name is ActionName.GOTO and o.ok]
+    assert len(gotos) == 1
+    assert len(history.entries) == 1
+
+
+def _executed(history):
+    """Every (concrete, outcome) the run stepped, plan steps and recoveries alike."""
+    out = []
+    for entry in history.entries:
+        if entry.concrete is not None and not entry.skipped:
+            out.append((entry.concrete, entry.outcome))
+        for attempt in entry.attempts:
+            out.extend(attempt.executed)
+    return out
 
 
 def test_history_counts_match_simulator_steps(sdt, suite, monkeypatch):

@@ -56,10 +56,9 @@ def test_relevant_types_closed_under_implication(sdt):
 def test_prompt_deterministic(sdt, suite):
     state = scene_for_row(suite_row(suite, 9), sdt)
     task = suite_row(suite, 9)["task"]
-    objects = filter_relevant_objects(state, task, sdt)
     examples = load_examples()
-    assert build_plan_prompt(task, objects, sdt, examples) == build_plan_prompt(
-        task, objects, sdt, examples
+    assert build_plan_prompt(task, state, sdt, examples) == build_plan_prompt(
+        task, state, sdt, examples
     )
 
 
@@ -68,7 +67,7 @@ def test_prompt_contains_each_rule_sentence_once(sdt, suite):
         row = suite_row(suite, task_id)
         state = scene_for_row(row, sdt)
         objects = filter_relevant_objects(state, row["task"], sdt)
-        prompt = build_plan_prompt(row["task"], objects, sdt, load_examples())
+        prompt = build_plan_prompt(row["task"], state, sdt, load_examples())
         block_types = relevant_types(row["task"], sdt) | {o.type_name for o in objects}
         for type_name in block_types:
             for rule in sdt.entry(type_name).rules:
@@ -78,7 +77,7 @@ def test_prompt_contains_each_rule_sentence_once(sdt, suite):
 def test_prompt_bottle_rules_present(sdt, suite):
     state = scene_for_row(suite_row(suite, 9), sdt)
     task = "Set a chilled bottle of wine on the table."
-    prompt = build_plan_prompt(task, filter_relevant_objects(state, task, sdt), sdt, [])
+    prompt = build_plan_prompt(task, state, sdt, [])
     assert "Pickupable" in prompt
     assert "Will fill up with water when placed under a running faucet." in prompt
 
@@ -86,10 +85,9 @@ def test_prompt_bottle_rules_present(sdt, suite):
 def test_prompt_omits_examples_section_when_empty(sdt, suite):
     state = scene_for_row(suite_row(suite, 9), sdt)
     task = suite_row(suite, 9)["task"]
-    objects = filter_relevant_objects(state, task, sdt)
-    prompt = build_plan_prompt(task, objects, sdt, [])
+    prompt = build_plan_prompt(task, state, sdt, [])
     assert "## Worked Examples" not in prompt
-    with_examples = build_plan_prompt(task, objects, sdt, load_examples())
+    with_examples = build_plan_prompt(task, state, sdt, load_examples())
     assert "## Worked Examples" in with_examples
 
 

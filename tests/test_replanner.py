@@ -6,13 +6,14 @@ import pytest
 
 from conftest import ScriptedBackend, run_row, scene_for_row, suite_row
 
+from sdtplan import prompts
 from sdtplan.backends import OracleConfig, ScriptedOracle
 from sdtplan.errors import PlanParseError
 from sdtplan.interpreter import ExecutionHistory, HistoryEntry, execute_plan
 from sdtplan.replanner import RunConfig, build_replan_prompt, replan, run_task
 from sdtplan.sdt import ActionName
 from sdtplan.triplets import ActionTriplet, goal_satisfied, parse_goal
-from sdtplan.world import ActionOutcome, ConcreteAction
+from sdtplan.world import ActionOutcome, ConcreteAction, ObjectInstance, WorldState
 
 
 def test_replan_prompt_names_unmet_clause_and_is_deterministic(sdt, suite):
@@ -21,6 +22,34 @@ def test_replan_prompt_names_unmet_clause_and_is_deterministic(sdt, suite):
     prompt = build_replan_prompt("task text", ExecutionHistory(), state, unmet)
     assert "UNMET type=PotatoSliced need=exists" in prompt
     assert prompt == build_replan_prompt("task text", ExecutionHistory(), state, unmet)
+
+
+def test_state_line_format_is_pinned():
+    fridge_id = "Fridge|-01.00|+00.90|+00.00"
+    apple_id = "Apple|+00.13|+00.90|+00.00"
+    state = WorldState(
+        objects={
+            fridge_id: ObjectInstance(
+                fridge_id, "Fridge", (-1.0, 0.9, 0.0), {"isOpen": True}, capacity=6
+            ),
+            apple_id: ObjectInstance(
+                apple_id,
+                "Apple",
+                (0.125049, 0.9, 0.0),  # dist 0.125049: 0.12 after rounding to 4 places
+                {"isCooked": True, "isDirty": False, "isSliced": True},
+                temperature="Hot",
+                parent_receptacle=fridge_id,
+            ),
+        },
+        agent_position=(0.0, 0.9, 0.0),
+    )
+    prompt = build_replan_prompt("task", ExecutionHistory(), state, [])
+    line = prompts.section(prompt, prompts.SEC_STATE).splitlines()[0]
+    assert line == (
+        "- Apple|+00.13|+00.90|+00.00 (type=Apple; flags=isCooked,isSliced; "
+        "temp=Hot; in=Fridge|-01.00|+00.90|+00.00; dist=0.12)"
+    )
+    assert prompts.parse_state_lines(line) == [(apple_id, "Apple", fridge_id)]
 
 
 def test_replan_prompt_lists_actions_newest_last(sdt, suite):

@@ -10,12 +10,12 @@ from sdtplan.errors import UnknownType, ValidationError
 from sdtplan.sdt import (
     ActionName,
     AffordanceTag,
-    ObjectDescription,
     condition_fn,
     filter_actions,
     parse_sdt_data,
     render_type_text,
 )
+from sdtplan.world import ObjectInstance
 
 ALL_ACTIONS = list(ActionName)
 
@@ -24,9 +24,10 @@ def desc(type_name, flags=None, **kw):
     merged = {"isOpen": False, "isDirty": False, "isCooked": False, "isSliced": False,
               "isToggled": False, "isFilled": False, "isBroken": False}
     merged.update(flags or {})
-    return ObjectDescription(
+    return ObjectInstance(
         object_id=kw.pop("object_id", f"{type_name}|+00.50|+00.90|+00.50"),
         type_name=type_name,
+        position=(0.5, 0.9, 0.5),
         flags=merged,
         **kw,
     )

@@ -18,7 +18,6 @@ from sdtplan.world import (
     MSG_NOT_VISIBLE,
     ObjectInstance,
     Perturbation,
-    describe,
     format_object_id,
     inject_failure,
     is_valid_object_id,
@@ -27,7 +26,6 @@ from sdtplan.world import (
     state_hash,
     step,
     type_of_id,
-    visible_objects,
 )
 
 
@@ -77,7 +75,7 @@ def test_load_empty_scene(tmp_path, sdt):
     path.write_text('{"agent": {"position": [0, 0.9, 0]}, "objects": []}')
     state = load_scene(path, sdt)
     assert state.objects == {}
-    assert visible_objects(state) == []
+    assert object_descriptions(state) == []
 
 
 def test_load_rejects_dangling_container(tmp_path, sdt):
@@ -119,7 +117,7 @@ def test_nonopenable_receptacles_load_open(sdt, suite):
 
 def test_object_in_closed_fridge_invisible(sdt, suite):
     state = scene_for_row(suite_row(suite, 9), sdt)  # bottle hidden in fridge
-    visible = {o.type_name for o in visible_objects(state)}
+    visible = {o.type_name for o in object_descriptions(state)}
     assert "WineBottle" not in visible
 
 
@@ -128,28 +126,28 @@ def test_low_object_needs_crouch(sdt, suite):
     fridge = by_type(state, "Fridge")
     state, outcome = step(state, act(ActionName.OPEN, fridge.object_id), sdt)
     assert outcome.ok
-    assert "WineBottle" not in {o.type_name for o in visible_objects(state)}
+    assert "WineBottle" not in {o.type_name for o in object_descriptions(state)}
     state, outcome = step(state, act(ActionName.CROUCH), sdt)
     assert outcome.ok
-    assert "WineBottle" in {o.type_name for o in visible_objects(state)}
+    assert "WineBottle" in {o.type_name for o in object_descriptions(state)}
 
 
 def test_object_at_agent_position_visible(sdt, suite):
     state = scene_for_row(suite_row(suite, 10), sdt, injected=False)
     mug = by_type(state, "Mug")
     mug.position = state.agent_position
-    assert mug.object_id in {o.object_id for o in visible_objects(state)}
+    assert mug.object_id in {o.object_id for o in object_descriptions(state)}
 
 
 def test_opening_never_shrinks_visibility(sdt, suite):
     for task_id in (8, 9, 14):
         state = scene_for_row(suite_row(suite, task_id), sdt)
-        before = {o.object_id for o in visible_objects(state)}
+        before = {o.object_id for o in object_descriptions(state)}
         for obj in list(state.objects.values()):
             if obj.type_name in ("Fridge", "Drawer", "Cabinet", "Microwave") and not obj.flag("isOpen"):
                 state, outcome = step(state, act(ActionName.OPEN, obj.object_id), sdt)
                 assert outcome.ok
-                after = {o.object_id for o in visible_objects(state)}
+                after = {o.object_id for o in object_descriptions(state)}
                 assert before <= after
                 before = after
 
@@ -322,9 +320,26 @@ def test_inject_fill_causes_no_valid_position(sdt, suite):
 def test_inject_lower_hides_until_crouch(sdt, suite):
     state = scene_for_row(suite_row(suite, 12), sdt, injected=False)
     state = inject_failure(state, Perturbation.parse("lower:Sponge"), sdt)
-    assert "Sponge" not in {o.type_name for o in visible_objects(state)}
+    assert "Sponge" not in {o.type_name for o in object_descriptions(state)}
     state.agent_crouched = True
-    assert "Sponge" in {o.type_name for o in visible_objects(state)}
+    assert "Sponge" in {o.type_name for o in object_descriptions(state)}
+
+
+def test_inject_hide_into_full_receptacle_is_rejected(sdt, suite):
+    state = scene_for_row(suite_row(suite, 14), sdt, injected=False)
+    state = inject_failure(state, Perturbation.parse("fill:Drawer"), sdt)
+    with pytest.raises(ValidationError):
+        inject_failure(state, Perturbation.parse("hide:Apple:Drawer"), sdt)
+
+
+def test_inject_fill_refuses_to_overwrite_an_existing_id(sdt, suite):
+    state = scene_for_row(suite_row(suite, 14), sdt, injected=False)
+    drawer = by_type(state, "Drawer")
+    pos = (round(drawer.position[0] + 0.01, 2), drawer.position[1], drawer.position[2])
+    statue_id = format_object_id("Statue", pos)
+    state.objects[statue_id] = ObjectInstance(statue_id, "Statue", pos, {})
+    with pytest.raises(ValidationError):
+        inject_failure(state, Perturbation.parse("fill:Drawer"), sdt)
 
 
 def test_inject_unknown_target(sdt, suite):
@@ -421,10 +436,9 @@ def _with_slicing_tool_in_hand(state, sdt):
 
 def _flag_actions_agree(state, sdt, obj) -> dict:
     """Run every flag action on ``obj``; return the successful successor states by action."""
-    desc = describe(state, obj)
     successors = {}
     for action in FLAG_ACTIONS:
-        admitted = condition_fn(sdt, desc, action)
+        admitted = condition_fn(sdt, obj, action)
         new, outcome = step(state, act(action, obj.object_id), sdt)
         where = f"{action} on {obj.object_id}"
         assert admitted == (outcome.error_code != "NotAfforded"), where
@@ -441,7 +455,7 @@ def test_flag_actions_filter_simulator_and_postcondition_agree(sdt, suite):
     objects = successes = 0
     for scene in scenes:
         state = _with_slicing_tool_in_hand(scene, sdt)
-        for obj in visible_objects(state):
+        for obj in object_descriptions(state):
             if obj.type_name not in sdt:
                 continue
             successors = _flag_actions_agree(state, sdt, obj)
