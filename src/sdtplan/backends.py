@@ -168,6 +168,64 @@ def _t(action: ActionName, arg1: str, arg2: Optional[str] = None) -> ActionTripl
     return ActionTriplet(action=action, arg1=arg1, arg2=arg2)
 
 
+# Treatment plans, shared by the plan (type names) and the replan (instance ids)
+# replies; each takes the references to write.
+
+
+def _slice_block(food_type: str, find: Callable[[str], Optional[str]]) -> list[ActionTriplet]:
+    """Take a knife, slice the food and park the knife.
+
+    ``find`` maps a type to the reference to use, None when none is in view;
+    the knife suited to the food is preferred, the other one is next.
+    """
+    preferred, other = (
+        ("ButterKnife", "Knife") if food_type in _BUTTER_KNIFE_FOODS else ("Knife", "ButterKnife")
+    )
+    knife = find(preferred) or find(other) or preferred
+    park = next((ref for t in _PARK_PREFERENCE if (ref := find(t))), _PARK_PREFERENCE[0])
+    return [
+        _t(ActionName.PICKUP, knife),
+        _t(ActionName.SLICE, find(food_type) or food_type),
+        _t(ActionName.PUT, knife, park),
+    ]
+
+
+def _clean_block(item: str, sink: str, faucet: str) -> list[ActionTriplet]:
+    """Rinse the held ``item`` in the sink and take it back."""
+    return [
+        _t(ActionName.PUT, item, sink),
+        _t(ActionName.TOGGLE_ON, faucet),
+        _t(ActionName.TOGGLE_OFF, faucet),
+        _t(ActionName.PICKUP, item),
+    ]
+
+
+def _heat_block(item: str, microwave: str, misorder: bool = False) -> list[ActionTriplet]:
+    """Microwave the held ``item`` and take it back; ``misorder`` runs it with the door open."""
+    door, power = _t(ActionName.CLOSE, microwave), _t(ActionName.TOGGLE_ON, microwave)
+    return [
+        _t(ActionName.OPEN, microwave),
+        _t(ActionName.PUT, item, microwave),
+        *((power, door) if misorder else (door, power)),
+        _t(ActionName.TOGGLE_OFF, microwave),
+        _t(ActionName.OPEN, microwave),
+        _t(ActionName.PICKUP, item),
+        _t(ActionName.CLOSE, microwave),
+    ]
+
+
+def _cool_block(item: str, fridge: str) -> list[ActionTriplet]:
+    """Chill the held ``item`` in the fridge and take it back."""
+    return [
+        _t(ActionName.OPEN, fridge),
+        _t(ActionName.PUT, item, fridge),
+        _t(ActionName.CLOSE, fridge),
+        _t(ActionName.OPEN, fridge),
+        _t(ActionName.PICKUP, item),
+        _t(ActionName.CLOSE, fridge),
+    ]
+
+
 class ScriptedOracle:
     """Referentially transparent surrogate model driven by prompt text alone."""
 
@@ -191,10 +249,11 @@ class ScriptedOracle:
     # -- plan ---------------------------------------------------------------
 
     def _plan(self, prompt: str) -> str:
-        task = prompts.section(prompt, prompts.SEC_TASK).splitlines()[0].strip()
-        instances = prompts.parse_state_lines(prompts.section(prompt, prompts.SEC_OBJECTS))
+        secs = prompts.sections(prompt)
+        task = secs.get(prompts.SEC_TASK, "").splitlines()[0].strip()
+        instances = prompts.parse_state_lines(secs.get(prompts.SEC_OBJECTS, ""))
         present = {type_name for _, type_name, _ in instances}
-        openable = self._openable_types(prompt)
+        openable = self._openable_types(secs.get(prompts.SEC_KNOWLEDGE, ""))
 
         obj = lexicon.main_object(task)
         if obj is None:
@@ -206,36 +265,16 @@ class ScriptedOracle:
         plan: list[ActionTriplet] = []
         work = obj
         if slicing and not self.config.omit_slice:
-            knife = self._knife_for(obj, present)
-            park = next((t for t in _PARK_PREFERENCE if t in present), _PARK_PREFERENCE[0])
-            plan += [
-                _t(ActionName.PICKUP, knife),
-                _t(ActionName.SLICE, obj),
-                _t(ActionName.PUT, knife, park),
-            ]
+            plan += _slice_block(obj, lambda t: t if t in present else None)
             work = f"{obj}Sliced"
-            plan.append(_t(ActionName.PICKUP, work))
-        else:
-            plan.append(_t(ActionName.PICKUP, obj))
+        plan.append(_t(ActionName.PICKUP, work))
 
         if cat == "clean":
-            plan += [
-                _t(ActionName.PUT, work, "Sink"),
-                _t(ActionName.TOGGLE_ON, "Faucet"),
-                _t(ActionName.TOGGLE_OFF, "Faucet"),
-                _t(ActionName.PICKUP, work),
-            ]
+            plan += _clean_block(work, "Sink", "Faucet")
         elif cat == "heat":
-            plan += self._heat_block(work)
+            plan += _heat_block(work, "Microwave", self.config.misorder_heat)
         elif cat == "cool" and not self.config.omit_cool:
-            plan += [
-                _t(ActionName.OPEN, "Fridge"),
-                _t(ActionName.PUT, work, "Fridge"),
-                _t(ActionName.CLOSE, "Fridge"),
-                _t(ActionName.OPEN, "Fridge"),
-                _t(ActionName.PICKUP, work),
-                _t(ActionName.CLOSE, "Fridge"),
-            ]
+            plan += _cool_block(work, "Fridge")
 
         staged = (slicing and self.config.omit_slice) or (cat == "cool" and self.config.omit_cool)
         target = _STAGE_TYPE if staged else recept
@@ -251,43 +290,6 @@ class ScriptedOracle:
 
         goal = self._goal_clause(task, obj, recept, cat, slicing)
         return f"Action-Triplets:{format_triplets(plan)}\n{goal.render()}"
-
-    def _heat_block(self, work: str) -> list[ActionTriplet]:
-        if self.config.misorder_heat:
-            order = [
-                (ActionName.OPEN, None),
-                (ActionName.PUT, work),
-                (ActionName.TOGGLE_ON, None),
-                (ActionName.CLOSE, None),
-                (ActionName.TOGGLE_OFF, None),
-                (ActionName.OPEN, None),
-            ]
-        else:
-            order = [
-                (ActionName.OPEN, None),
-                (ActionName.PUT, work),
-                (ActionName.CLOSE, None),
-                (ActionName.TOGGLE_ON, None),
-                (ActionName.TOGGLE_OFF, None),
-                (ActionName.OPEN, None),
-            ]
-        block = [
-            _t(action, work if carried else "Microwave", "Microwave" if carried else None)
-            for action, carried in order
-        ]
-        block.append(_t(ActionName.PICKUP, work))
-        block.append(_t(ActionName.CLOSE, "Microwave"))
-        return block
-
-    @staticmethod
-    def _knife_for(obj: str, present: set[str]) -> str:
-        preferred = "ButterKnife" if obj in _BUTTER_KNIFE_FOODS else "Knife"
-        other = "Knife" if preferred == "ButterKnife" else "ButterKnife"
-        if preferred in present:
-            return preferred
-        if other in present:
-            return other
-        return preferred  # nothing in view: plan for the expected type anyway
 
     @staticmethod
     def _goal_clause(
@@ -315,10 +317,10 @@ class ScriptedOracle:
         )
 
     @staticmethod
-    def _openable_types(prompt: str) -> set[str]:
+    def _openable_types(knowledge: str) -> set[str]:
         openable = set()
         current: Optional[str] = None
-        for line in prompts.section(prompt, prompts.SEC_KNOWLEDGE).splitlines():
+        for line in knowledge.splitlines():
             line = line.strip()
             if line.startswith("Type: "):
                 current = line[len("Type: "):]
@@ -330,13 +332,12 @@ class ScriptedOracle:
     # -- grounding choice ----------------------------------------------------
 
     def _choose(self, prompt: str) -> str:
-        step_section = prompts.section(prompt, prompts.SEC_STEP)
-        action = self._grounding_action(step_section)
-        state = prompts.parse_state_lines(prompts.section(prompt, prompts.SEC_STATE))
+        secs = prompts.sections(prompt)
+        action = self._grounding_action(secs.get(prompts.SEC_STEP, ""))
+        state = prompts.parse_state_lines(secs.get(prompts.SEC_STATE, ""))
         parent_of = {object_id: parent for object_id, _, parent in state}
-        history = prompts.section(prompt, prompts.SEC_HISTORY)
-        recent_targets = re.findall(r"\((?:\w+),(\S+?)\)", history)
-        candidates = self._parse_candidates(prompts.section(prompt, prompts.SEC_CANDIDATES))
+        recent_targets = re.findall(r"\((?:\w+),(\S+?)\)", secs.get(prompts.SEC_HISTORY, ""))
+        candidates = self._parse_candidates(secs.get(prompts.SEC_CANDIDATES, ""))
 
         receptacle_step = action in (ActionName.PUT, ActionName.OPEN, ActionName.CLOSE)
         picks = {}
@@ -398,13 +399,13 @@ class ScriptedOracle:
     # -- failure recovery ----------------------------------------------------
 
     def _recover(self, prompt: str) -> str:
-        error_line = prompts.section(prompt, prompts.SEC_ERROR).splitlines()[0]
-        code = error_line.split(":", 1)[0].strip()
+        secs = prompts.sections(prompt)
+        code = secs.get(prompts.SEC_ERROR, "").splitlines()[0].split(":", 1)[0].strip()
         failed_action, failed_ref, grounded_target = self._parse_failed(
-            prompts.section(prompt, prompts.SEC_FAILED)
+            secs.get(prompts.SEC_FAILED, "")
         )
-        pair_list = self._parse_pairs(prompts.section(prompt, prompts.SEC_PAIRS))
-        blocked = self._parse_blocked(prompts.section(prompt, prompts.SEC_NO_REPEAT))
+        pair_list = self._parse_pairs(secs.get(prompts.SEC_PAIRS, ""))
+        blocked = self._parse_blocked(secs.get(prompts.SEC_NO_REPEAT, ""))
 
         def ok(seq: list[tuple[str, str]]) -> Optional[str]:
             if tuple(seq) in blocked:
@@ -417,6 +418,10 @@ class ScriptedOracle:
                 return reply
         elif code == "NotVisible":
             reply = self._recover_visibility(pair_list, failed_action, failed_ref, ok)
+            if reply:
+                return reply
+        elif code == "ClosedReceptacle" and (ActionName.OPEN.value, grounded_target) in pair_list:
+            reply = ok([(ActionName.OPEN.value, grounded_target)])
             if reply:
                 return reply
         elif code == "HandOccupied":
@@ -522,12 +527,12 @@ class ScriptedOracle:
     # -- replanning ----------------------------------------------------------
 
     def _replan(self, prompt: str) -> str:
-        unmet_text = prompts.section(prompt, prompts.SEC_UNMET)
-        m = _UNMET_RE.search(unmet_text)
+        secs = prompts.sections(prompt)
+        m = _UNMET_RE.search(secs.get(prompts.SEC_UNMET, ""))
         if m is None:
             return "Action-Triplets:[]"
         goal_type, need, near = m.group(1), m.group(2), m.group(3)
-        state = prompts.parse_state_lines(prompts.section(prompt, prompts.SEC_STATE))
+        state = prompts.parse_state_lines(secs.get(prompts.SEC_STATE, ""))
 
         def first_id(type_name: str) -> Optional[str]:
             for object_id, object_type, _ in state:
@@ -535,68 +540,22 @@ class ScriptedOracle:
                     return object_id
             return None
 
-        subject = near if near else (first_id(goal_type) or goal_type)
-        stage = first_id(_STAGE_TYPE) or _STAGE_TYPE
+        def ref(type_name: str) -> str:
+            return first_id(type_name) or type_name
 
+        subject = near if near else ref(goal_type)
+        take = _t(ActionName.PICKUP, subject)
+        stage = _t(ActionName.PUT, subject, ref(_STAGE_TYPE))
         if need == "exists" and goal_type.endswith("Sliced"):
-            base = goal_type[: -len("Sliced")]
-            knife_type = "ButterKnife" if base in _BUTTER_KNIFE_FOODS else "Knife"
-            knife = first_id(knife_type) or first_id(
-                "Knife" if knife_type == "ButterKnife" else "ButterKnife"
-            ) or knife_type
-            base_id = first_id(base) or base
-            park = next(
-                (fid for t in _PARK_PREFERENCE if (fid := first_id(t))), _PARK_PREFERENCE[0]
-            )
-            plan = [
-                _t(ActionName.PICKUP, knife),
-                _t(ActionName.SLICE, base_id),
-                _t(ActionName.PUT, knife, park),
-            ]
+            plan = _slice_block(goal_type[: -len("Sliced")], first_id)
         elif need == "temp:Cold":
-            fridge = first_id("Fridge") or "Fridge"
-            plan = [
-                _t(ActionName.PICKUP, subject),
-                _t(ActionName.OPEN, fridge),
-                _t(ActionName.PUT, subject, fridge),
-                _t(ActionName.CLOSE, fridge),
-                _t(ActionName.OPEN, fridge),
-                _t(ActionName.PICKUP, subject),
-                _t(ActionName.CLOSE, fridge),
-                _t(ActionName.PUT, subject, stage),
-            ]
+            plan = [take, *_cool_block(subject, ref("Fridge")), stage]
         elif need in ("temp:Hot", "flag:isCooked"):
-            micro = first_id("Microwave") or "Microwave"
-            plan = [
-                _t(ActionName.PICKUP, subject),
-                _t(ActionName.OPEN, micro),
-                _t(ActionName.PUT, subject, micro),
-                _t(ActionName.CLOSE, micro),
-                _t(ActionName.TOGGLE_ON, micro),
-                _t(ActionName.TOGGLE_OFF, micro),
-                _t(ActionName.OPEN, micro),
-                _t(ActionName.PICKUP, subject),
-                _t(ActionName.CLOSE, micro),
-                _t(ActionName.PUT, subject, stage),
-            ]
+            plan = [take, *_heat_block(subject, ref("Microwave")), stage]
         elif need in ("flag:!isDirty", "flag:isFilled"):
-            sink = first_id("Sink") or "Sink"
-            faucet = first_id("Faucet") or "Faucet"
-            plan = [
-                _t(ActionName.PICKUP, subject),
-                _t(ActionName.PUT, subject, sink),
-                _t(ActionName.TOGGLE_ON, faucet),
-                _t(ActionName.TOGGLE_OFF, faucet),
-                _t(ActionName.PICKUP, subject),
-                _t(ActionName.PUT, subject, stage),
-            ]
+            plan = [take, *_clean_block(subject, ref("Sink"), ref("Faucet")), stage]
         elif need.startswith("in:"):
-            recept_type = need[len("in:"):]
-            recept = first_id(recept_type) or recept_type
-            plan = [
-                _t(ActionName.PICKUP, subject),
-                _t(ActionName.PUT, subject, recept),
-            ]
+            plan = [take, _t(ActionName.PUT, subject, ref(need[len("in:"):]))]
         else:
             plan = []
         return "Action-Triplets:" + format_triplets(plan)

@@ -127,6 +127,7 @@ class FailureHandler(Protocol):
         outcome: ActionOutcome,
         task: str,
         history: ExecutionHistory,
+        phase: str,
     ) -> tuple[WorldState, str, list[RecoveryAttempt]]: ...
 
 
@@ -185,27 +186,25 @@ def _build_choice_query(
     history: ExecutionHistory,
     candidates: dict[str, list[str]],
 ) -> str:
-    lines = [prompts.CHOICE_HEADER, "", prompts.SEC_TASK, task, "", prompts.SEC_STEP]
-    lines.append(f"Grounding: {triplet.render()}")
-    lines.append("Resolve: " + ", ".join(candidates))
-    lines.append("")
-    lines.append(prompts.SEC_HISTORY)
-    lines.extend(prompts.render_history_lines(history.tail()))
-    lines.append("")
-    lines.append(prompts.SEC_STATE)
-    for obj in object_descriptions(state):
-        lines.append(prompts.render_state_line(state, obj))
-    lines.append("")
-    lines.append(prompts.SEC_CANDIDATES)
+    listed = []
     for ref, ids in candidates.items():
-        lines.append(f"{ref}:")
-        for k, object_id in enumerate(ids, start=1):
-            dist = state.distance_to(state.objects[object_id])
-            lines.append(f"  {k}. {object_id} (dist={dist:.2f})")
-    lines.append("")
-    lines.append(prompts.SEC_OUTPUT)
-    lines.append("Reply with one line: CHOICE:{" + ", ".join(f"{r}-><id>" for r in candidates) + "}")
-    return "\n".join(lines)
+        listed.append(f"{ref}:")
+        listed += (
+            f"  {k}. {object_id} (dist={state.distance_to(state.objects[object_id]):.2f})"
+            for k, object_id in enumerate(ids, start=1)
+        )
+    return prompts.render(prompts.CHOICE_HEADER, [
+        (prompts.SEC_TASK, [task]),
+        (prompts.SEC_STEP, [f"Grounding: {triplet.render()}", "Resolve: " + ", ".join(candidates)]),
+        (prompts.SEC_HISTORY, prompts.render_history_lines(history.tail())),
+        (prompts.SEC_STATE, [
+            prompts.render_state_line(state, obj) for obj in object_descriptions(state)
+        ]),
+        (prompts.SEC_CANDIDATES, listed),
+        (prompts.SEC_OUTPUT, [
+            "Reply with one line: CHOICE:{" + ", ".join(f"{r}-><id>" for r in candidates) + "}"
+        ]),
+    ])
 
 
 def _parse_choice(text: str) -> dict[str, str]:
@@ -348,7 +347,7 @@ def execute_plan(
             if resolver is None:
                 return state, history, "Aborted"
             state, status, attempts = resolver.handle(
-                state, index, triplet, concrete, outcome, task, history
+                state, index, triplet, concrete, outcome, task, history, phase
             )
             entry.attempts.extend(attempts)
             if status != "Resolved":

@@ -104,42 +104,26 @@ def build_plan_prompt(
     """
     objects = filter_relevant_objects(state, task, sdt)
     block_types = sorted(relevant_types(task, sdt) | {o.type_name for o in objects if o.type_name in sdt})
-    lines = [prompts.PLAN_HEADER, "", prompts.SEC_INSTRUCTIONS]
-    lines.append(
-        "You control a household robot. Decompose the task into action triplets "
-        "[Action, Object1, Object2-or-0] executed in order."
+    knowledge = "\n\n".join(render_type_text(sdt.entry(type_name)) for type_name in block_types)
+    worked = "\n\n".join(
+        f"Task: {ex['task']}\nAction-Triplets:{ex['triplets']}\n{ex['goal']}" for ex in examples
     )
-    lines.append("Allowed actions: " + ", ".join(a.value for a in ActionName) + ".")
-    lines.append("")
-    lines.append(prompts.SEC_KNOWLEDGE)
-    for i, type_name in enumerate(block_types):
-        if i:
-            lines.append("")
-        lines.append(render_type_text(sdt.entry(type_name)))
-    lines.append("")
-    lines.append(prompts.SEC_OBJECTS)
-    for obj in objects:
-        lines.append(prompts.render_state_line(state, obj))
-    if examples:
-        lines.append("")
-        lines.append(prompts.SEC_EXAMPLES)
-        for ex in examples:
-            lines.append(f"Task: {ex['task']}")
-            lines.append(f"Action-Triplets:{ex['triplets']}")
-            lines.append(ex["goal"])
-            lines.append("")
-        lines.pop()
-    lines.append("")
-    lines.append(prompts.SEC_TASK)
-    lines.append(task)
-    lines.append("")
-    lines.append(prompts.SEC_OUTPUT)
-    lines.append(
-        "One line 'Action-Triplets:[[...], ...]' (third slot 0 when there is no "
-        "second object), then one GOAL:{type=<T>; flags=<f1,f2|->; temp=<Hot|Cold|->; "
-        "in=<R|->} line per goal clause."
-    )
-    return "\n".join(lines)
+    return prompts.render(prompts.PLAN_HEADER, [
+        (prompts.SEC_INSTRUCTIONS, [
+            "You control a household robot. Decompose the task into action triplets "
+            "[Action, Object1, Object2-or-0] executed in order.",
+            "Allowed actions: " + ", ".join(a.value for a in ActionName) + ".",
+        ]),
+        (prompts.SEC_KNOWLEDGE, [knowledge] if knowledge else []),
+        (prompts.SEC_OBJECTS, [prompts.render_state_line(state, obj) for obj in objects]),
+        (prompts.SEC_EXAMPLES, [worked] if examples else None),
+        (prompts.SEC_TASK, [task]),
+        (prompts.SEC_OUTPUT, [
+            "One line 'Action-Triplets:[[...], ...]' (third slot 0 when there is no "
+            "second object), then one GOAL:{type=<T>; flags=<f1,f2|->; temp=<Hot|Cold|->; "
+            "in=<R|->} line per goal clause."
+        ]),
+    ])
 
 
 def _parse_plan_reply(text: str) -> tuple[list[ActionTriplet], GoalCondition]:

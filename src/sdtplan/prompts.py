@@ -1,4 +1,4 @@
-"""Shared prompt layout: headers, section titles, state-line grammar.
+"""The prompt layout: headers, section titles, rendering and splitting, state lines.
 
 Every query type carries a fixed header token so a text-to-text backend can
 recognize the layout without a side channel. The scripted oracle parses
@@ -8,7 +8,7 @@ these exact formats back out of the prompt.
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import Iterable, Optional
 
 from .world import ObjectInstance, WorldState
 
@@ -65,20 +65,29 @@ def parse_state_lines(text: str) -> list[tuple[str, str, Optional[str]]]:
     return out
 
 
-def section(prompt: str, title: str) -> str:
-    """Body of one '## ...' section (empty string when absent)."""
-    lines = prompt.splitlines()
-    out: list[str] = []
-    inside = False
-    for line in lines:
-        if line.strip() == title:
-            inside = True
-            continue
-        if inside and line.startswith("## "):
-            break
-        if inside:
-            out.append(line)
-    return "\n".join(out).strip()
+def render(header: str, sections: Iterable[tuple[str, Optional[Iterable[str]]]]) -> str:
+    """The one prompt layout: ``header``, then per section a blank line, its title, its lines.
+
+    A section whose body is None is left out; an empty body still shows its title.
+    """
+    lines = [header]
+    for title, body in sections:
+        if body is not None:
+            lines += ("", title, *body)
+    return "\n".join(lines)
+
+
+def sections(prompt: str) -> dict[str, str]:
+    """Title -> stripped body of every '## ...' section; the first of a repeated title wins."""
+    bodies: dict[str, list[str]] = {}
+    body: Optional[list[str]] = None  # lines above the first title belong to no section
+    for line in prompt.splitlines():
+        if line.startswith("## "):
+            title = line.strip()
+            body = [] if title in bodies else bodies.setdefault(title, [])
+        elif body is not None:
+            body.append(line)
+    return {title: "\n".join(lines).strip() for title, lines in bodies.items()}
 
 
 def render_history_lines(entries) -> list[str]:

@@ -29,27 +29,19 @@ def build_replan_prompt(
     unmet: list[str],
 ) -> str:
     """Prompt carrying exactly: actions so far, object state, task, unmet clauses."""
-    lines = [prompts.REPLAN_HEADER, "", prompts.SEC_HISTORY]
-    lines.extend(prompts.render_history_lines(history.entries))
-    lines.append("")
-    lines.append(prompts.SEC_STATE)
-    for obj in object_descriptions(state):
-        lines.append(prompts.render_state_line(state, obj))
-    lines.append("")
-    lines.append(prompts.SEC_TASK)
-    lines.append(task)
-    lines.append("")
-    lines.append(prompts.SEC_UNMET)
-    for clause in unmet:
-        lines.append(f"- {clause}")
-    lines.append("")
-    lines.append(prompts.SEC_OUTPUT)
-    lines.append(
-        "Reply with one line 'Action-Triplets:[[Action, Object1, Object2-or-0], ...]' "
-        "listing only the additional steps needed to finish the task. "
-        "Objects may be full instance ids."
-    )
-    return "\n".join(lines)
+    return prompts.render(prompts.REPLAN_HEADER, [
+        (prompts.SEC_HISTORY, prompts.render_history_lines(history.entries)),
+        (prompts.SEC_STATE, [
+            prompts.render_state_line(state, obj) for obj in object_descriptions(state)
+        ]),
+        (prompts.SEC_TASK, [task]),
+        (prompts.SEC_UNMET, [f"- {clause}" for clause in unmet]),
+        (prompts.SEC_OUTPUT, [
+            "Reply with one line 'Action-Triplets:[[Action, Object1, Object2-or-0], ...]' "
+            "listing only the additional steps needed to finish the task. "
+            "Objects may be full instance ids."
+        ]),
+    ])
 
 
 def replan(

@@ -43,7 +43,8 @@ from .world import (
 
 DEFAULT_BUDGET = 5
 
-FailureKey = tuple[int, str]
+#: (phase, index of the failed triplet within that phase's plan, error code).
+FailureKey = tuple[str, int, str]
 
 
 @dataclass
@@ -54,10 +55,11 @@ class FailureContext:
     outcome: ActionOutcome
     task: str
     history_tail: list[HistoryEntry] = field(default_factory=list)
+    phase: str = "plan"
 
     @property
     def key(self) -> FailureKey:
-        return (self.failed_index, self.outcome.error_code or "Unknown")
+        return (self.phase, self.failed_index, self.outcome.error_code or "Unknown")
 
 
 class AdaptiveMemory:
@@ -79,11 +81,11 @@ class AdaptiveMemory:
 
     def dump(self) -> dict:
         return {
-            f"{idx}:{code}": [
+            f"{phase}:{idx}:{code}": [
                 {"sequence": format_recovery(seq), "feedback": fb}
                 for seq, fb in attempts
             ]
-            for (idx, code), attempts in sorted(self._attempts.items())
+            for (phase, idx, code), attempts in sorted(self._attempts.items())
         }
 
 
@@ -194,37 +196,21 @@ def build_failure_query(
     pairs: list[tuple[ActionName, str]],
     memory: AdaptiveMemory,
 ) -> str:
-    lines = [prompts.RECOVERY_HEADER, "", prompts.SEC_ERROR]
-    lines.append(f'{ctx.outcome.error_code}: "{ctx.outcome.message}"')
-    lines.append("")
-    lines.append(prompts.SEC_FAILED)
-    lines.append(f"Triplet: {ctx.failed_triplet.render()}")
     grounded = ctx.failed_concrete.render() if ctx.failed_concrete is not None else "-"
-    lines.append(f"Grounded: {grounded}")
-    lines.append("")
-    lines.append(prompts.SEC_TASK)
-    lines.append(ctx.task)
-    lines.append("")
-    lines.append(prompts.SEC_HISTORY)
-    lines.extend(prompts.render_history_lines(ctx.history_tail))
-    lines.append("")
-    lines.append(prompts.SEC_PAIRS)
-    for action, object_id in pairs:
-        lines.append(f"- ({action},{object_id})")
-    attempted = memory.entries(ctx.key)
-    if attempted:
-        lines.append("")
-        lines.append(prompts.SEC_NO_REPEAT)
-        for seq, feedback in attempted:
-            lines.append(f"- {format_recovery(seq)} => {feedback}")
-    lines.append("")
-    lines.append(prompts.SEC_OUTPUT)
-    lines.append(
-        "Reply with a recovery sequence chosen from the candidate action pairs, "
-        "e.g. [(OpenObject,Fridge|+00.00|+00.90|+00.00),(PickupObject,Apple|+00.10|+00.95|+00.20)]. "
-        "Reply [] if nothing applies."
-    )
-    return "\n".join(lines)
+    attempted = [f"- {format_recovery(seq)} => {fb}" for seq, fb in memory.entries(ctx.key)]
+    return prompts.render(prompts.RECOVERY_HEADER, [
+        (prompts.SEC_ERROR, [f'{ctx.outcome.error_code}: "{ctx.outcome.message}"']),
+        (prompts.SEC_FAILED, [f"Triplet: {ctx.failed_triplet.render()}", f"Grounded: {grounded}"]),
+        (prompts.SEC_TASK, [ctx.task]),
+        (prompts.SEC_HISTORY, prompts.render_history_lines(ctx.history_tail)),
+        (prompts.SEC_PAIRS, [f"- ({action},{object_id})" for action, object_id in pairs]),
+        (prompts.SEC_NO_REPEAT, attempted or None),
+        (prompts.SEC_OUTPUT, [
+            "Reply with a recovery sequence chosen from the candidate action pairs, "
+            "e.g. [(OpenObject,Fridge|+00.00|+00.90|+00.00),(PickupObject,Apple|+00.10|+00.95|+00.20)]. "
+            "Reply [] if nothing applies."
+        ]),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +344,7 @@ class FailureResolver:
         outcome: ActionOutcome,
         task: str,
         history: ExecutionHistory,
+        phase: str,
     ) -> tuple[WorldState, str, list[RecoveryAttempt]]:
         ctx = FailureContext(
             failed_index=triplet_index,
@@ -366,6 +353,7 @@ class FailureResolver:
             outcome=outcome,
             task=task,
             history_tail=history.tail(),
+            phase=phase,
         )
         state, status, iterations, attempts = resolve_failure(
             ctx, state, self.sdt, self.memory, self.backend, self.budget

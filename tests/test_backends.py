@@ -84,7 +84,7 @@ def test_oracle_never_repeats_blocked_sequence(sdt, suite):
     triplet = ActionTriplet(ActionName.PICKUP, "WineBottle")
     query, _ = _failure_query(sdt, suite, 9, triplet)
     first = parse_recovery(ScriptedOracle().complete(query))
-    memory.record((0, "NotVisible"), first, "failed")
+    memory.record(("plan", 0, "NotVisible"), first, "failed")
     query2, _ = _failure_query(sdt, suite, 9, triplet, memory)
     second = parse_recovery(ScriptedOracle().complete(query2))
     assert second != first

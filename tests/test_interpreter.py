@@ -254,6 +254,24 @@ def test_recovered_step_runs_once(sdt, suite):
     assert len(history.entries) == 1
 
 
+@pytest.mark.parametrize("put", [("Drawer",), ("Apple", "Drawer")])
+def test_closed_receptacle_recovered_by_opening_it(sdt, suite, put):
+    state = scene_for_row(suite_row(suite, 14), sdt, injected=False)
+    backend = ScriptedOracle()
+    plan = [trip(ActionName.PICKUP, "Apple"), trip(ActionName.PUT, *put)]
+    resolver = FailureResolver(sdt, backend)
+    final, history, status = execute_plan(
+        plan, state, "put the apple in the drawer", sdt, backend, resolver
+    )
+    assert status == "Completed"
+    assert resolver.total_iterations == 1
+    failed = history.entries[1]
+    assert failed.outcome.error_code == "ClosedReceptacle"
+    drawer = by_type(final, "Drawer").object_id
+    assert [(p.action, p.target) for p in failed.attempts[0].proposed] == [(ActionName.OPEN, drawer)]
+    assert by_type(final, "Apple").parent_receptacle == drawer
+
+
 def _executed(history):
     """Every (concrete, outcome) the run stepped, plan steps and recoveries alike."""
     out = []

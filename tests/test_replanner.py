@@ -44,7 +44,7 @@ def test_state_line_format_is_pinned():
         agent_position=(0.0, 0.9, 0.0),
     )
     prompt = build_replan_prompt("task", ExecutionHistory(), state, [])
-    line = prompts.section(prompt, prompts.SEC_STATE).splitlines()[0]
+    line = prompts.sections(prompt)[prompts.SEC_STATE].splitlines()[0]
     assert line == (
         "- Apple|+00.13|+00.90|+00.00 (type=Apple; flags=isCooked,isSliced; "
         "temp=Hot; in=Fridge|-01.00|+00.90|+00.00; dist=0.12)"

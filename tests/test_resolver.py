@@ -6,12 +6,14 @@ import random
 
 import pytest
 
-from conftest import random_state, scene_for_row, suite_row
+from conftest import ScriptedBackend, random_state, scene_for_row, suite_row
 
 from sdtplan.backends import ScriptedOracle
+from sdtplan.interpreter import execute_plan
 from sdtplan.resolver import (
     AdaptiveMemory,
     FailureContext,
+    FailureResolver,
     _pose_anchor,
     build_action_pairs,
     build_failure_query,
@@ -292,6 +294,28 @@ def test_hidden_bottle_resolved_in_four_iterations(sdt, suite):
     assert type_of_id(resolving.proposed[0].target) == "Fridge"
     assert type_of_id(resolving.proposed[1].target) == "WineBottle"
     assert state.held_object == by_type(state, "WineBottle").object_id
+
+
+def test_memory_is_keyed_by_phase(sdt, suite):
+    # One resolver serves the plan and a replan phase; both fail at index 0.
+    row = suite_row(suite, 9)
+    state = scene_for_row(row, sdt)
+    goto = next(
+        (a, t) for a, t in build_action_pairs(state, sdt)
+        if a is ActionName.GOTO and type_of_id(t) == "CounterTop"
+    )
+    backend = ScriptedBackend([f"[({goto[0].value},{goto[1]})]"])  # runs, resolves nothing
+    resolver = FailureResolver(sdt, backend, budget=1)
+    plan = [ActionTriplet(ActionName.PICKUP, "WineBottle")]
+    for phase in ("plan", "replan-1"):
+        _, history, status = execute_plan(
+            plan, state, row["task"], sdt, backend, resolver, phase=phase
+        )
+        assert status == "Aborted"
+        attempt = history.entries[-1].attempts[-1]
+        assert attempt.executed, attempt.feedback
+        assert "repeated sequence" not in attempt.feedback
+    assert sorted(resolver.memory.dump()) == ["plan:0:NotVisible", "replan-1:0:NotVisible"]
 
 
 class RepeatingBackend:
