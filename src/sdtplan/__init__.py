@@ -3,6 +3,7 @@
 from .backends import HttpBackend, HttpConfig, LLMBackend, OracleConfig, ScriptedOracle
 from .interpreter import (
     ExecutionHistory,
+    FailureContext,
     candidate_instances,
     execute_plan,
     postcondition_satisfied,
@@ -12,7 +13,6 @@ from .planner import build_plan_prompt, filter_relevant_objects, plan
 from .replanner import RunConfig, TaskReport, build_replan_prompt, replan, run_task
 from .resolver import (
     AdaptiveMemory,
-    FailureContext,
     FailureResolver,
     build_action_pairs,
     build_failure_query,

@@ -13,7 +13,7 @@ import os
 import re
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, TypeVar, runtime_checkable
+from typing import Callable, Iterator, Optional, Protocol, TypeVar
 
 from . import lexicon, prompts
 from .errors import BackendError, GrammarError, OracleError, PlanParseError
@@ -22,11 +22,7 @@ from .triplets import ActionTriplet, GoalClause, format_triplets, parse_recovery
 from .world import is_valid_object_id, type_of_id
 
 
-@runtime_checkable
 class LLMBackend(Protocol):
-    name: str
-    deterministic: bool
-
     def complete(self, prompt: str) -> str: ...
 
 
@@ -73,9 +69,6 @@ class HttpBackend:
     lengthen the wait, up to the request timeout. ``requests`` is imported
     on first use, so the offline oracle path never pays for it.
     """
-
-    name = "http"
-    deterministic = False
 
     _BACKOFF_BASE = 0.25
 
@@ -156,6 +149,7 @@ _CAND_HEAD_RE = re.compile(r"^(\S+):$")
 _CAND_ITEM_RE = re.compile(r"^\d+\. (\S+) \(dist=")
 _PAIR_LINE_RE = re.compile(r"^- \((\w+),(\S+)\)$")
 _UNMET_RE = re.compile(r"UNMET type=(\S+) need=(\S+)(?: near=(\S+))?")
+_GROUNDED_RE = re.compile(r"^Grounded: .*?\(\w+,(\S+?)\)", re.MULTILINE)
 
 #: Soft foods are cut with the butter knife, firm produce with the knife.
 _BUTTER_KNIFE_FOODS = frozenset({"Potato", "Bread"})
@@ -166,6 +160,20 @@ _STAGE_TYPE = "CounterTop"
 
 def _t(action: ActionName, arg1: str, arg2: Optional[str] = None) -> ActionTriplet:
     return ActionTriplet(action=action, arg1=arg1, arg2=arg2)
+
+
+def _labelled_triplet(text: str, label: str) -> Optional[ActionTriplet]:
+    """The triplet on the first ``<label>: `` line of ``text``; None when absent or malformed."""
+    prefix = f"{label}: "
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith(prefix):
+            try:
+                # the line carries one flat triplet; wrap it for the parser
+                return parse_triplets(f"[{line[len(prefix):].strip()}]")[0]
+            except GrammarError:
+                return None
+    return None
 
 
 # Treatment plans, shared by the plan (type names) and the replan (instance ids)
@@ -228,9 +236,6 @@ def _cool_block(item: str, fridge: str) -> list[ActionTriplet]:
 
 class ScriptedOracle:
     """Referentially transparent surrogate model driven by prompt text alone."""
-
-    name = "oracle"
-    deterministic = True
 
     def __init__(self, config: Optional[OracleConfig] = None):
         self.config = config or OracleConfig()
@@ -333,13 +338,15 @@ class ScriptedOracle:
 
     def _choose(self, prompt: str) -> str:
         secs = prompts.sections(prompt)
-        action = self._grounding_action(secs.get(prompts.SEC_STEP, ""))
+        step = _labelled_triplet(secs.get(prompts.SEC_STEP, ""), "Grounding")
         state = prompts.parse_state_lines(secs.get(prompts.SEC_STATE, ""))
         parent_of = {object_id: parent for object_id, _, parent in state}
         recent_targets = re.findall(r"\((?:\w+),(\S+?)\)", secs.get(prompts.SEC_HISTORY, ""))
         candidates = self._parse_candidates(secs.get(prompts.SEC_CANDIDATES, ""))
 
-        receptacle_step = action in (ActionName.PUT, ActionName.OPEN, ActionName.CLOSE)
+        receptacle_step = step is not None and step.action in (
+            ActionName.PUT, ActionName.OPEN, ActionName.CLOSE
+        )
         picks = {}
         for ref, ids in candidates.items():
             picks[ref] = self._pick(ids, parent_of, recent_targets, receptacle_step)
@@ -368,19 +375,6 @@ class ScriptedOracle:
         return min(ids, key=lambda i: (counts[i], ids.index(i)))
 
     @staticmethod
-    def _grounding_action(step_section: str) -> Optional[ActionName]:
-        for line in step_section.splitlines():
-            if line.startswith("Grounding: "):
-                payload = line[len("Grounding: "):].strip()
-                try:
-                    # the line carries one flat triplet; wrap it for the parser
-                    triplet = parse_triplets(f"[{payload}]")[0]
-                    return triplet.action
-                except GrammarError:
-                    return None
-        return None
-
-    @staticmethod
     def _parse_candidates(text: str) -> dict[str, list[str]]:
         out: dict[str, list[str]] = {}
         current: Optional[str] = None
@@ -401,107 +395,67 @@ class ScriptedOracle:
     def _recover(self, prompt: str) -> str:
         secs = prompts.sections(prompt)
         code = secs.get(prompts.SEC_ERROR, "").splitlines()[0].split(":", 1)[0].strip()
-        failed_action, failed_ref, grounded_target = self._parse_failed(
-            secs.get(prompts.SEC_FAILED, "")
+        failed = secs.get(prompts.SEC_FAILED, "")
+        grounded = _GROUNDED_RE.search(failed)
+        candidates = self._recovery_candidates(
+            code,
+            self._parse_pairs(secs.get(prompts.SEC_PAIRS, "")),
+            _labelled_triplet(failed, "Triplet"),
+            grounded.group(1) if grounded else None,
         )
-        pair_list = self._parse_pairs(secs.get(prompts.SEC_PAIRS, ""))
         blocked = self._parse_blocked(secs.get(prompts.SEC_NO_REPEAT, ""))
-
-        def ok(seq: list[tuple[str, str]]) -> Optional[str]:
-            if tuple(seq) in blocked:
-                return None
-            return "[" + ",".join(f"({a},{t})" for a, t in seq) + "]"
-
-        if code == "NoValidPosition":
-            reply = self._recover_placement(pair_list, grounded_target, ok)
-            if reply:
-                return reply
-        elif code == "NotVisible":
-            reply = self._recover_visibility(pair_list, failed_action, failed_ref, ok)
-            if reply:
-                return reply
-        elif code == "ClosedReceptacle" and (ActionName.OPEN.value, grounded_target) in pair_list:
-            reply = ok([(ActionName.OPEN.value, grounded_target)])
-            if reply:
-                return reply
-        elif code == "HandOccupied":
-            for action, target in pair_list:
-                if action == ActionName.PUT.value:
-                    reply = ok([(action, target)])
-                    if reply:
-                        return reply
-        # generic fallback: the first single pair not yet attempted
-        for action, target in pair_list:
-            reply = ok([(action, target)])
-            if reply:
-                return reply
-        return "[]"
-
-    def _recover_visibility(self, pair_list, failed_action, failed_ref, ok) -> Optional[str]:
-        """Escalation: open doors nearest-first, retry directly, change pose."""
-        for action, target in pair_list:
-            if action == ActionName.OPEN.value:
-                reply = ok([(action, target)])
-                if reply:
-                    return reply
-        ref_type = type_of_id(failed_ref) if is_valid_object_id(failed_ref) else failed_ref
-        direct = next(
-            (
-                (a, t)
-                for a, t in pair_list
-                if a == failed_action and type_of_id(t) in (ref_type, f"{ref_type}Sliced")
-            ),
-            None,
-        )
-        if direct:
-            reply = ok([direct])
-            if reply:
-                return reply
-        for pose in (ActionName.CROUCH.value, ActionName.STAND.value):
-            pose_pair = next(((a, t) for a, t in pair_list if a == pose), None)
-            if pose_pair and direct:
-                reply = ok([pose_pair, direct])
-                if reply:
-                    return reply
-        return None
-
-    def _recover_placement(self, pair_list, grounded_target, ok) -> Optional[str]:
-        """Suggest an alternate receptacle, same type first, opening it if closed."""
-        failed_type = type_of_id(grounded_target) if grounded_target else None
-        pair_set = {(a, t) for a, t in pair_list}
-        puts = [
-            (a, t)
-            for a, t in pair_list
-            if a == ActionName.PUT.value and t != grounded_target
-        ]
-        puts.sort(key=lambda p: (0 if failed_type and type_of_id(p[1]) == failed_type else 1))
-        for _, target in puts:
-            seq = []
-            if (ActionName.OPEN.value, target) in pair_set:
-                seq.append((ActionName.OPEN.value, target))
-            seq.append((ActionName.PUT.value, target))
-            reply = ok(seq)
-            if reply:
-                return reply
-        return None
+        sequence = next((seq for seq in candidates if seq not in blocked), ())
+        return "[" + ",".join(f"({a},{t})" for a, t in sequence) + "]"
 
     @staticmethod
-    def _parse_failed(text: str) -> tuple[str, str, Optional[str]]:
-        action, ref, grounded = "", "", None
-        for line in text.splitlines():
-            line = line.strip()
-            if line.startswith("Triplet: "):
-                payload = line[len("Triplet: "):].strip()
-                try:
-                    triplet = parse_triplets(f"[{payload}]")[0]
-                    action, ref = triplet.action.value, triplet.arg1
-                except GrammarError:
-                    pass
-            elif line.startswith("Grounded: ") and line != "Grounded: -":
-                m = re.search(r"\(\w+,(\S+?)\)", line)
-                if m:
-                    grounded = m.group(1)
-        return action, ref, grounded
+    def _recovery_candidates(
+        code: str,
+        pairs: list[tuple[str, str]],
+        failed_triplet: Optional[ActionTriplet],
+        grounded: Optional[str],
+    ) -> Iterator[tuple[tuple[str, str], ...]]:
+        """Recovery sequences for the error ``code``, most preferred first.
+
+        NoValidPosition: an alternate receptacle, same type first, opened
+        first when its open pair is listed. NotVisible: open a door (nearest
+        first), retry the failed action directly, crouch or stand and retry.
+        ClosedReceptacle: open the grounded receptacle. HandOccupied: put the
+        held object down. Every single pair follows as the fallback.
+        """
+        open_, put = ActionName.OPEN.value, ActionName.PUT.value
+        listed = set(pairs)
+        if code == "NoValidPosition":
+            failed_type = type_of_id(grounded) if grounded else None
+            targets = [t for a, t in pairs if a == put and t != grounded]
+            targets.sort(key=lambda t: type_of_id(t) != failed_type)
+            for target in targets:
+                opener = (open_, target)
+                yield (opener, (put, target)) if opener in listed else ((put, target),)
+        elif code == "NotVisible":
+            yield from ((p,) for p in pairs if p[0] == open_)
+            if failed_triplet is not None:
+                ref = failed_triplet.arg1
+                ref_type = type_of_id(ref) if is_valid_object_id(ref) else ref
+                direct = next(
+                    (
+                        p
+                        for p in pairs
+                        if p[0] == failed_triplet.action.value
+                        and type_of_id(p[1]) in (ref_type, f"{ref_type}Sliced")
+                    ),
+                    None,
+                )
+                if direct:
+                    yield (direct,)
+                    for pose in (ActionName.CROUCH.value, ActionName.STAND.value):
+                        pose_pair = next((p for p in pairs if p[0] == pose), None)
+                        if pose_pair:
+                            yield (pose_pair, direct)
+        elif code == "ClosedReceptacle" and (open_, grounded) in listed:
+            yield ((open_, grounded),)
+        elif code == "HandOccupied":
+            yield from ((p,) for p in pairs if p[0] == put)
+        yield from ((p,) for p in pairs)
 
     @staticmethod
     def _parse_pairs(text: str) -> list[tuple[str, str]]:

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .backends import HttpBackend, HttpConfig, OracleConfig, ScriptedOracle
 from .errors import SdtPlanError
-from .replanner import RunConfig, TaskReport, run_task
+from .replanner import MODES, RunConfig, TaskReport, run_task
 from .sdt import load_sdt
 from .triplets import goal_satisfied, parse_goal
 from .world import apply_perturbations, load_scene, state_from_json, state_to_json
@@ -82,9 +82,8 @@ def _run_row(row: dict, args, sdt, suite_dir: Path, extra_injections: list[str])
     injections = list(row.get("inject", [])) + extra_injections
     scene = apply_perturbations(scene, injections, sdt)
     backend = _backend_for(args, row.get("oracle_faults", {}))
-    config = RunConfig.for_mode(args.mode, budget=args.budget, replan_cap=args.replan_cap)
-    report = run_task(row["task"], scene, sdt, backend, config, task_id=row.get("id"))
-    return report
+    config = RunConfig(args.mode, args.budget, args.replan_cap)
+    return run_task(row["task"], scene, sdt, backend, config, task_id=row.get("id"))
 
 
 def _write_trace(report: TaskReport, row: dict, args, out_dir: Path) -> Path:
@@ -332,11 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KIND:ARGS",
         help="extra perturbation (dirty:X, hide:X:R, fill:R, lower:X); requires --task",
     )
-    run.add_argument("--mode", choices=("plan", "resolve", "replan"), default="replan")
+    run.add_argument("--mode", choices=MODES, default="replan")
     run.add_argument("--budget", type=int, default=5, help="resolver iterations per failure")
     run.add_argument("--replan-cap", type=int, default=3)
     run.add_argument("--report", choices=("md", "csv", "json"), default="md")
-    run.add_argument("--jobs", type=int, default=1)
+    run.add_argument("--jobs", type=int, default=1, help="tasks at once; helps --backend http")
     run.add_argument("--out", default="runs", help="directory for report and trace files")
     run.add_argument("--lenient", action="store_true", help="exit 0 even when tasks fail")
     run.add_argument("--no-regression-check", action="store_true")

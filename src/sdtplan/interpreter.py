@@ -115,22 +115,6 @@ class ExecutionHistory:
         return [e.to_json() for e in self.entries]
 
 
-class FailureHandler(Protocol):
-    """Interface the execution loop delegates errors to (the failure resolver)."""
-
-    def handle(
-        self,
-        state: WorldState,
-        triplet_index: int,
-        triplet: ActionTriplet,
-        concrete: Optional[ConcreteAction],
-        outcome: ActionOutcome,
-        task: str,
-        history: ExecutionHistory,
-        phase: str,
-    ) -> tuple[WorldState, str, list[RecoveryAttempt]]: ...
-
-
 # ---------------------------------------------------------------------------
 # Candidates and grounding
 
@@ -308,6 +292,35 @@ def postcondition_satisfied(state: WorldState, triplet: ActionTriplet) -> bool:
 # Execution loop
 
 
+#: (phase, index of the failed triplet within that phase's plan, error code).
+FailureKey = tuple[str, int, str]
+
+
+@dataclass
+class FailureContext:
+    """One failed step, as the execution loop hands it to the failure handler."""
+
+    failed_index: int
+    failed_triplet: ActionTriplet
+    failed_concrete: Optional[ConcreteAction]
+    outcome: ActionOutcome
+    task: str
+    history_tail: list[HistoryEntry] = field(default_factory=list)
+    phase: str = "plan"
+
+    @property
+    def key(self) -> FailureKey:
+        return (self.phase, self.failed_index, self.outcome.error_code or "Unknown")
+
+
+class FailureHandler(Protocol):
+    """Interface the execution loop delegates errors to (the failure resolver)."""
+
+    def handle(
+        self, state: WorldState, ctx: FailureContext
+    ) -> tuple[WorldState, str, list[RecoveryAttempt]]: ...
+
+
 def execute_plan(
     plan: list[ActionTriplet],
     state: WorldState,
@@ -347,7 +360,8 @@ def execute_plan(
             if resolver is None:
                 return state, history, "Aborted"
             state, status, attempts = resolver.handle(
-                state, index, triplet, concrete, outcome, task, history, phase
+                state,
+                FailureContext(index, triplet, concrete, outcome, task, history.tail(), phase),
             )
             entry.attempts.extend(attempts)
             if status != "Resolved":

@@ -60,22 +60,20 @@ def replan(
     return ask(backend, prompt, parse_triplets, _RETRY_REMINDER)
 
 
+#: "plan" executes the plan alone, "resolve" adds the failure resolver,
+#: "replan" adds the replanner as well.
+MODES = ("plan", "resolve", "replan")
+
+
 @dataclass
 class RunConfig:
-    resolver_enabled: bool = True
-    replanner_enabled: bool = True
+    mode: str = "replan"
     budget: int = DEFAULT_BUDGET
     replan_cap: int = 3
 
-    @staticmethod
-    def for_mode(mode: str, budget: int = DEFAULT_BUDGET, replan_cap: int = 3) -> "RunConfig":
-        if mode == "plan":
-            return RunConfig(False, False, budget, replan_cap)
-        if mode == "resolve":
-            return RunConfig(True, False, budget, replan_cap)
-        if mode == "replan":
-            return RunConfig(True, True, budget, replan_cap)
-        raise ValueError(f"unknown mode {mode!r}")
+    def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass
@@ -148,7 +146,7 @@ def run_task(
     report.plan = triplets
     report.goal = goal
 
-    resolver = FailureResolver(sdt, backend, budget=config.budget) if config.resolver_enabled else None
+    resolver = FailureResolver(sdt, backend, budget=config.budget) if config.mode != "plan" else None
     history = ExecutionHistory()  # pre-created so partial progress survives a backend crash
     try:
         state, history, status = execute_plan(
@@ -160,7 +158,7 @@ def run_task(
     report.status = status
 
     ok, unmet = goal_satisfied(state, goal)
-    if config.replanner_enabled and status == "Completed":
+    if config.mode == "replan" and status == "Completed":
         while not ok and report.replanner_invocations < config.replan_cap:
             try:
                 additions = replan(task, history, state, goal, sdt, backend)

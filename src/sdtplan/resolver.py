@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import prompts
@@ -20,16 +19,16 @@ from .backends import LLMBackend
 from .errors import GrammarError, NoCandidate
 from .interpreter import (
     ExecutionHistory,
-    HistoryEntry,
+    FailureContext,
+    FailureKey,
     RecoveryAttempt,
     _matches_ref,
     postcondition_satisfied,
     resolve,
 )
 from .sdt import SDT, ActionName, AffordanceTag, POSE_ACTIONS, filter_actions
-from .triplets import ActionTriplet, RecoveryPair, format_recovery, parse_recovery
+from .triplets import RecoveryPair, format_recovery, parse_recovery
 from .world import (
-    ActionOutcome,
     ConcreteAction,
     ObjectInstance,
     WorldState,
@@ -42,24 +41,6 @@ from .world import (
 )
 
 DEFAULT_BUDGET = 5
-
-#: (phase, index of the failed triplet within that phase's plan, error code).
-FailureKey = tuple[str, int, str]
-
-
-@dataclass
-class FailureContext:
-    failed_index: int
-    failed_triplet: ActionTriplet
-    failed_concrete: Optional[ConcreteAction]
-    outcome: ActionOutcome
-    task: str
-    history_tail: list[HistoryEntry] = field(default_factory=list)
-    phase: str = "plan"
-
-    @property
-    def key(self) -> FailureKey:
-        return (self.phase, self.failed_index, self.outcome.error_code or "Unknown")
 
 
 class AdaptiveMemory:
@@ -257,14 +238,14 @@ def resolve_failure(
     Pair validation is incremental: each pair of a sequence is checked
     against the pair map of the state it actually executes in, so enabling
     actions (open the alternate drawer, crouch) legitimize their successors.
+    Returns the state, "Resolved" or "Exhausted", the iterations run (one
+    attempt each) and the attempts.
     """
     attempts: list[RecoveryAttempt] = []
     focus = None
     if ctx.failed_concrete is not None and ctx.failed_concrete.target is not None:
         focus = ctx.failed_concrete.target
-    iterations = 0
     for _ in range(budget):
-        iterations += 1
         pairs = build_action_pairs(state, sdt, focus=focus or _focus_from_ref(state, ctx))
         query = build_failure_query(ctx, pairs, memory)
         reply = backend.complete(query)
@@ -281,7 +262,7 @@ def resolve_failure(
         if memory.seen(ctx.key, sequence):
             attempt.feedback = "repeated sequence; rejected"
             continue
-        feedback = ""
+        feedback = "executed"
         for pair in sequence:
             if not pair_admitted(
                 state, sdt, pair.action, pair.target, focus or _focus_from_ref(state, ctx)
@@ -295,25 +276,17 @@ def resolve_failure(
                 feedback = f"recovery action failed: {outcome.message}"
                 break
             state = state_after
-        if not feedback:
-            feedback = "executed"
         if postcondition_satisfied(state, ctx.failed_triplet):
             feedback += "; resolved"
             attempt.resolved = True
-            attempt.feedback = feedback
-            memory.record(ctx.key, sequence, feedback)
-            return state, "Resolved", iterations, attempts
-        if attempt.executed and all(o.ok for _, o in attempt.executed):
-            state, ok, note = _reexecute_failed(ctx, state, sdt, backend, attempt)
+        elif attempt.executed and all(o.ok for _, o in attempt.executed):
+            state, attempt.resolved, note = _reexecute_failed(ctx, state, sdt, backend, attempt)
             feedback = f"{feedback}; {note}"
-            if ok:
-                attempt.resolved = True
-                attempt.feedback = feedback
-                memory.record(ctx.key, sequence, feedback)
-                return state, "Resolved", iterations, attempts
         attempt.feedback = feedback
         memory.record(ctx.key, sequence, feedback)
-    return state, "Exhausted", iterations, attempts
+        if attempt.resolved:
+            return state, "Resolved", len(attempts), attempts
+    return state, "Exhausted", len(attempts), attempts
 
 
 def _focus_from_ref(state: WorldState, ctx: FailureContext) -> Optional[str]:
@@ -336,25 +309,8 @@ class FailureResolver:
         self.total_iterations = 0
 
     def handle(
-        self,
-        state: WorldState,
-        triplet_index: int,
-        triplet: ActionTriplet,
-        concrete: Optional[ConcreteAction],
-        outcome: ActionOutcome,
-        task: str,
-        history: ExecutionHistory,
-        phase: str,
+        self, state: WorldState, ctx: FailureContext
     ) -> tuple[WorldState, str, list[RecoveryAttempt]]:
-        ctx = FailureContext(
-            failed_index=triplet_index,
-            failed_triplet=triplet,
-            failed_concrete=concrete,
-            outcome=outcome,
-            task=task,
-            history_tail=history.tail(),
-            phase=phase,
-        )
         state, status, iterations, attempts = resolve_failure(
             ctx, state, self.sdt, self.memory, self.backend, self.budget
         )

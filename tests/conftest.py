@@ -49,7 +49,7 @@ def scene_for_row(row: dict, sdt: SDT, injected: bool = True) -> WorldState:
 def run_row(row: dict, sdt: SDT, mode: str = "replan", injected: bool = True):
     scene = scene_for_row(row, sdt, injected=injected)
     backend = ScriptedOracle(OracleConfig(**row.get("oracle_faults", {})))
-    config = RunConfig.for_mode(mode)
+    config = RunConfig(mode)
     return run_task(row["task"], scene, sdt, backend, config, task_id=row["id"])
 
 
@@ -58,8 +58,6 @@ class CountingBackend:
 
     def __init__(self, inner):
         self.inner = inner
-        self.name = inner.name
-        self.deterministic = inner.deterministic
         self.calls = 0
 
     def complete(self, prompt: str) -> str:

@@ -22,7 +22,15 @@ from sdtplan.planner import build_plan_prompt, load_examples
 from sdtplan.resolver import AdaptiveMemory, FailureContext, build_action_pairs, build_failure_query
 from sdtplan.sdt import ActionName
 from sdtplan.triplets import ActionTriplet, parse_goal, parse_recovery, parse_triplets
-from sdtplan.world import ActionOutcome, MSG_NOT_VISIBLE
+from sdtplan.world import (
+    ActionOutcome,
+    ConcreteAction,
+    MSG_CLOSED_RECEPTACLE,
+    MSG_HAND_OCCUPIED,
+    MSG_NO_VALID_POSITION,
+    MSG_NOT_AFFORDED,
+    MSG_NOT_VISIBLE,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +113,105 @@ def test_oracle_recovery_replies_parse_for_every_suite_scene(sdt, suite):
         query = build_failure_query(ctx, build_action_pairs(state, sdt), AdaptiveMemory())
         reply = ScriptedOracle().complete(query)
         parse_recovery(reply)  # grammar-valid or the parser raises
+
+
+_MESSAGES = {
+    "NoValidPosition": MSG_NO_VALID_POSITION,
+    "NotVisible": MSG_NOT_VISIBLE,
+    "ClosedReceptacle": MSG_CLOSED_RECEPTACLE,
+    "HandOccupied": MSG_HAND_OCCUPIED,
+    "NotAfforded": MSG_NOT_AFFORDED,
+}
+_DRAWER_FULL = "Drawer|+00.40|+00.82|-00.50"
+_DRAWER_SPARE = "Drawer|+01.60|+00.82|-00.80"
+_SPONGE = "Sponge|+00.70|+00.96|+00.25"
+_SPONGE_COUNTER = "CounterTop|+00.70|+00.95|+00.10"
+
+
+# The exact oracle reply for each recovery strategy, for the fallback taken by
+# a code without one, and for a do-not-repeat section that blocks a first choice.
+@pytest.mark.parametrize(
+    "task_id, code, triplet, grounded, blocked, expected",
+    [
+        pytest.param(
+            3, "NoValidPosition", ActionTriplet(ActionName.PUT, "Knife", "Drawer"), _DRAWER_FULL, (),
+            f"[(OpenObject,{_DRAWER_SPARE}),(PutObject,{_DRAWER_SPARE})]",
+            id="placement-opens-alternate-first",
+        ),
+        pytest.param(
+            8, "NoValidPosition", ActionTriplet(ActionName.PUT, "Plate", "CounterTop"),
+            "CounterTop|+00.80|+00.95|-00.30", (),
+            "[(PutObject,CounterTop|+01.70|+00.95|+00.60)]",
+            id="placement-same-type",
+        ),
+        pytest.param(
+            9, "NotVisible", ActionTriplet(ActionName.PICKUP, "WineBottle"), None, (),
+            "[(OpenObject,Drawer|+00.50|+00.82|+00.30)]",
+            id="visibility-open",
+        ),
+        pytest.param(
+            12, "NotVisible", ActionTriplet(ActionName.PICKUP, "Sponge"), None, (),
+            f"[(PickupObject,{_SPONGE})]",
+            id="visibility-direct",
+        ),
+        pytest.param(
+            12, "NotVisible", ActionTriplet(ActionName.PICKUP, "Sponge"), None,
+            (f"[(PickupObject,{_SPONGE})]",),
+            f"[(Crouch,{_SPONGE_COUNTER}),(PickupObject,{_SPONGE})]",
+            id="visibility-crouch-direct",
+        ),
+        pytest.param(
+            12, "NotVisible", ActionTriplet(ActionName.PICKUP, "Sponge"), None,
+            (f"[(PickupObject,{_SPONGE})]", f"[(Crouch,{_SPONGE_COUNTER}),(PickupObject,{_SPONGE})]"),
+            f"[(Stand,{_SPONGE_COUNTER}),(PickupObject,{_SPONGE})]",
+            id="visibility-stand-direct",
+        ),
+        pytest.param(
+            14, "ClosedReceptacle", ActionTriplet(ActionName.PUT, "Apple", "Drawer"),
+            "Drawer|+00.45|+00.82|+00.35", (),
+            "[(OpenObject,Drawer|+00.45|+00.82|+00.35)]",
+            id="closed-receptacle",
+        ),
+        pytest.param(
+            14, "HandOccupied", ActionTriplet(ActionName.PICKUP, "Knife"), "Knife|+00.95|+00.97|+00.35", (),
+            "[(PutObject,Drawer|+00.45|+00.82|+00.35)]",
+            id="hand-occupied",
+        ),
+        pytest.param(
+            14, "NotAfforded", ActionTriplet(ActionName.SLICE, "Apple"), "Apple|+00.95|+00.97|+00.05", (),
+            "[(GotoObject,Knife|+00.95|+00.97|+00.35)]",
+            id="fallback-no-strategy",
+        ),
+        pytest.param(
+            9, "NotVisible", ActionTriplet(ActionName.PICKUP, "WineBottle"), None,
+            ("[(OpenObject,Drawer|+00.50|+00.82|+00.30)]",),
+            "[(OpenObject,Fridge|-01.30|+00.90|+00.99)]",
+            id="blocked-first-choice",
+        ),
+        pytest.param(
+            3, "NoValidPosition", ActionTriplet(ActionName.PUT, "Knife", "Drawer"), _DRAWER_FULL,
+            (f"[(OpenObject,{_DRAWER_SPARE}),(PutObject,{_DRAWER_SPARE})]",),
+            "[(PutObject,CounterTop|+00.95|+00.95|+00.20)]",
+            id="blocked-placement",
+        ),
+    ],
+)
+def test_oracle_recovery_reply_per_strategy(sdt, suite, task_id, code, triplet, grounded, blocked, expected):
+    row = suite_row(suite, task_id)
+    state = scene_for_row(row, sdt)
+    ctx = FailureContext(
+        failed_index=0,
+        failed_triplet=triplet,
+        failed_concrete=None if grounded is None else ConcreteAction(name=triplet.action, target=grounded),
+        outcome=ActionOutcome.error(code, _MESSAGES[code]),
+        task=row["task"],
+        history_tail=[],
+    )
+    memory = AdaptiveMemory()
+    for sequence in blocked:
+        memory.record(ctx.key, parse_recovery(sequence), "failed")
+    query = build_failure_query(ctx, build_action_pairs(state, sdt, focus=grounded), memory)
+    assert ScriptedOracle().complete(query) == expected
 
 
 def test_oracle_rejects_unknown_prompt_layout():

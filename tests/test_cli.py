@@ -3,7 +3,13 @@
 from __future__ import annotations
 
 import json
-from sdtplan.cli import main
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+import pytest
+
+from sdtplan.cli import default_suite_path, main
 
 
 def run_cli(*argv):
@@ -81,6 +87,58 @@ def test_jobs_parallel_matches_serial(tmp_path, capsys):
     assert run_cli("run", "--jobs", "4", "--out", str(tmp_path / "parallel")) == 0
     parallel = capsys.readouterr().out
     assert serial == parallel
+
+
+class _SlowStub(BaseHTTPRequestHandler):
+    """Answers every completion after 0.1 s and tracks the requests in flight."""
+
+    lock = threading.Lock()
+    in_flight = 0
+    max_in_flight = 0
+
+    def do_POST(self):
+        cls = type(self)
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        with cls.lock:
+            cls.in_flight += 1
+            cls.max_in_flight = max(cls.max_in_flight, cls.in_flight)
+        time.sleep(0.1)
+        with cls.lock:
+            cls.in_flight -= 1
+        data = json.dumps({"choices": [{"message": {"content": "no plan"}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("jobs, overlaps", [(4, True), (1, False)])
+def test_jobs_overlap_http_waits(tmp_path, capsys, jobs, overlaps):
+    rows = json.loads(default_suite_path().read_text(encoding="utf-8"))["tasks"][:4]
+    suite = tmp_path / "four.json"
+    suite.write_text(json.dumps({"name": "four", "tasks": rows}))
+    _SlowStub.in_flight = _SlowStub.max_in_flight = 0
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _SlowStub)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        code = run_cli(
+            "run", "--suite", str(suite), "--backend", "http", "--jobs", str(jobs),
+            "--endpoint", f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions",
+            "--lenient", "--no-regression-check", "--out", str(tmp_path / "out"),
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert code == 0
+    assert len(list((tmp_path / "out").glob("trace_task*.json"))) == 4
+    if overlaps:
+        assert _SlowStub.max_in_flight >= 2
+    else:
+        assert _SlowStub.max_in_flight == 1
 
 
 def test_trace_renders_wine_story(tmp_path, capsys):

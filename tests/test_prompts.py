@@ -71,5 +71,5 @@ TRAFFIC = {
 def test_oracle_traffic_is_pinned(sdt, suite, task_id):
     row = suite_row(suite, task_id)
     oracle = RecordingOracle(OracleConfig(**row.get("oracle_faults", {})))
-    run_task(row["task"], scene_for_row(row, sdt), sdt, oracle, RunConfig.for_mode("replan"))
+    run_task(row["task"], scene_for_row(row, sdt), sdt, oracle, RunConfig("replan"))
     assert (oracle.calls, oracle.digest.hexdigest()) == TRAFFIC[task_id]
