@@ -433,8 +433,8 @@ class ScriptedOracle:
                 yield (opener, (put, target)) if opener in listed else ((put, target),)
         elif code == "NotVisible":
             yield from ((p,) for p in pairs if p[0] == open_)
-            if failed_triplet is not None:
-                ref = failed_triplet.arg1
+            if failed_triplet is not None and failed_triplet.target_ref is not None:
+                ref = failed_triplet.target_ref
                 ref_type = type_of_id(ref) if is_valid_object_id(ref) else ref
                 direct = next(
                     (

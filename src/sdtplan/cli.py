@@ -19,7 +19,7 @@ from .errors import SdtPlanError
 from .replanner import MODES, RunConfig, TaskReport, run_task
 from .sdt import load_sdt
 from .triplets import goal_satisfied, parse_goal
-from .world import apply_perturbations, load_scene, state_from_json, state_to_json
+from .world import apply_perturbations, load_scene, state_from_json, state_json_hash, state_to_json
 
 REPORT_COLUMNS = (
     "Task ID",
@@ -87,6 +87,7 @@ def _run_row(row: dict, args, sdt, suite_dir: Path, extra_injections: list[str])
 
 
 def _write_trace(report: TaskReport, row: dict, args, out_dir: Path) -> Path:
+    final_state = state_to_json(report.final_state) if report.final_state else None
     payload = {
         "schema": 1,
         "task_id": report.task_id,
@@ -96,7 +97,8 @@ def _write_trace(report: TaskReport, row: dict, args, out_dir: Path) -> Path:
         "oracle_faults": row.get("oracle_faults", {}),
         "mode": args.mode,
         **report.to_json(),
-        "final_state": state_to_json(report.final_state) if report.final_state else None,
+        "final_state_hash": state_json_hash(final_state) if final_state else None,
+        "final_state": final_state,
     }
     path = out_dir / f"trace_task{report.task_id}.json"
     path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
@@ -300,11 +302,15 @@ def cli_verify(args) -> int:
         for key, value in recomputed.items()
         if stored.get(key) != value
     ]
+    stored_hash = trace.get("final_state_hash")
+    recomputed_hash = state_json_hash(trace["final_state"]) if trace.get("final_state") else None
+    if stored_hash != recomputed_hash:
+        mismatches.append(f"final_state_hash: stored {stored_hash!r}, recomputed {recomputed_hash!r}")
     if mismatches:
         for m in mismatches:
             print(f"mismatch: {m}")
         return 1
-    print("trace verified: report row matches recomputation")
+    print("trace verified: report row and final state hash match recomputation")
     return 0
 
 

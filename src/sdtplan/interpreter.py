@@ -93,17 +93,6 @@ class ExecutionHistory:
     def tail(self, n: int = HISTORY_TAIL) -> list[HistoryEntry]:
         return self.entries[-n:]
 
-    @property
-    def total_actions(self) -> int:
-        """Simulator steps taken: plan steps plus all recovery executions."""
-        count = 0
-        for entry in self.entries:
-            if entry.concrete is not None and not entry.skipped:
-                count += 1
-            for attempt in entry.attempts:
-                count += len(attempt.executed)
-        return count
-
     def error_count(self) -> int:
         return sum(
             1
@@ -152,15 +141,6 @@ def candidate_instances(
         out.append(obj)
     out.sort(key=lambda o: (state.distance_to(o), o.object_id))
     return [o.object_id for o in out]
-
-
-def _ref_to_ground(triplet: ActionTriplet) -> Optional[str]:
-    """The one reference a triplet's concrete target is chosen for (none for poses)."""
-    if triplet.action in (ActionName.CROUCH, ActionName.STAND):
-        return None
-    if triplet.action is ActionName.PUT and triplet.arg2 is not None:
-        return triplet.arg2
-    return triplet.arg1
 
 
 def _build_choice_query(
@@ -218,7 +198,7 @@ def resolve(
     outside the candidate list is retried once, then the nearest candidate
     is used.
     """
-    ref = _ref_to_ground(triplet)
+    ref = triplet.target_ref
     if ref is None:
         return ConcreteAction(name=triplet.action, target=None)
     ids = candidate_instances(state, ref, triplet.action)

@@ -14,7 +14,7 @@ from .planner import plan as make_plan
 from .resolver import DEFAULT_BUDGET, FailureResolver
 from .sdt import SDT
 from .triplets import ActionTriplet, GoalCondition, format_triplets, goal_satisfied, parse_triplets
-from .world import WorldState, object_descriptions, state_hash
+from .world import WorldState, object_descriptions
 
 _RETRY_REMINDER = (
     "\n\nFORMAT REMINDER: reply with one line 'Action-Triplets:[[...], ...]' "
@@ -74,15 +74,17 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        for name in ("budget", "replan_cap"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
 
 
 @dataclass
 class TaskReport:
+    """One task's run; the Table 1 counts are read off its history."""
+
     task_id: object
     description: str
-    failures: int = 0
-    resolver_iterations: int = 0
-    replanner_invocations: int = 0
     success: bool = False
     status: str = "Completed"
     wall_time_s: float = 0.0
@@ -93,6 +95,18 @@ class TaskReport:
     history: ExecutionHistory = field(default_factory=ExecutionHistory)
     final_state: Optional[WorldState] = None
     memory_dump: dict = field(default_factory=dict)
+
+    @property
+    def failures(self) -> int:
+        return self.history.error_count()
+
+    @property
+    def resolver_iterations(self) -> int:
+        return sum(len(e.attempts) for e in self.history.entries)
+
+    @property
+    def replanner_invocations(self) -> int:
+        return len(self.replan_additions)
 
     def to_row(self) -> dict:
         return {
@@ -115,7 +129,6 @@ class TaskReport:
             "unmet_final": self.unmet_final,
             "history": self.history.to_json(),
             "memory": self.memory_dump,
-            "final_state_hash": state_hash(self.final_state) if self.final_state else None,
         }
 
 
@@ -127,63 +140,49 @@ def run_task(
     config: Optional[RunConfig] = None,
     task_id: object = None,
 ) -> TaskReport:
-    """Plan, execute (with recovery), check the goal, replan while unmet.
+    """Plan, then run phases: execute (with recovery), check the goal, replan.
 
-    Failures never raise: anything that prevents completion lands in the
-    report with success=False.
+    Phases are ``plan`` then ``replan-1`` ... ``replan-k``. The goal is checked
+    after every phase, aborted or not. Replanning follows only in replan mode,
+    after a phase that completed with the goal unmet, while fewer than
+    ``replan_cap`` replans ran. Failures never raise: anything that prevents
+    completion lands in the report with success=False.
     """
     config = config or RunConfig()
     report = TaskReport(task_id=task_id, description=task)
     started = time.perf_counter()
     state = scene
     try:
-        triplets, goal = make_plan(task, state, sdt, backend)
+        report.plan, report.goal = make_plan(task, state, sdt, backend)
     except SdtPlanError as exc:
         report.status = f"PlanningFailed: {exc}"
-        report.wall_time_s = time.perf_counter() - started
-        report.final_state = state
-        return report
-    report.plan = triplets
-    report.goal = goal
-
-    resolver = FailureResolver(sdt, backend, budget=config.budget) if config.mode != "plan" else None
-    history = ExecutionHistory()  # pre-created so partial progress survives a backend crash
-    try:
-        state, history, status = execute_plan(
-            triplets, state, task, sdt, backend, resolver, history=history
-        )
-    except SdtPlanError as exc:
-        status = f"ExecutionFailed: {exc}"
-    report.history = history
-    report.status = status
-
-    ok, unmet = goal_satisfied(state, goal)
-    if config.mode == "replan" and status == "Completed":
-        while not ok and report.replanner_invocations < config.replan_cap:
+    else:
+        resolver = FailureResolver(sdt, backend, budget=config.budget) if config.mode != "plan" else None
+        phase, triplets = "plan", report.plan
+        while True:
             try:
-                additions = replan(task, history, state, goal, sdt, backend)
+                state, _, report.status = execute_plan(
+                    triplets, state, task, sdt, backend, resolver,
+                    history=report.history, phase=phase,
+                )
+            except SdtPlanError as exc:  # steps taken so far stay in report.history
+                report.status = f"ExecutionFailed: {exc}"
+            report.success, report.unmet_final = goal_satisfied(state, report.goal)
+            if (
+                report.success
+                or config.mode != "replan"
+                or report.status != "Completed"
+                or len(report.replan_additions) >= config.replan_cap
+            ):
+                break
+            try:
+                triplets = replan(task, report.history, state, report.goal, sdt, backend)
             except SdtPlanError as exc:
                 report.status = f"ReplanFailed: {exc}"
                 break
-            report.replanner_invocations += 1
-            report.replan_additions.append(additions)
-            try:
-                state, history, status = execute_plan(
-                    additions, state, task, sdt, backend, resolver,
-                    history=history, phase=f"replan-{report.replanner_invocations}",
-                )
-            except SdtPlanError as exc:
-                status = f"ExecutionFailed: {exc}"
-            report.status = status
-            if status != "Completed":
-                break
-            ok, unmet = goal_satisfied(state, goal)
-
-    report.success = ok
-    report.unmet_final = unmet
-    report.failures = history.error_count()
-    report.resolver_iterations = resolver.total_iterations if resolver else 0
-    report.memory_dump = resolver.memory.dump() if resolver else {}
+            report.replan_additions.append(triplets)
+            phase = f"replan-{len(report.replan_additions)}"
+        report.memory_dump = resolver.memory.dump() if resolver else {}
     report.final_state = state
     report.wall_time_s = time.perf_counter() - started
     return report

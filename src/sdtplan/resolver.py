@@ -306,13 +306,11 @@ class FailureResolver:
         self.backend = backend
         self.budget = budget
         self.memory = AdaptiveMemory()
-        self.total_iterations = 0
 
     def handle(
         self, state: WorldState, ctx: FailureContext
     ) -> tuple[WorldState, str, list[RecoveryAttempt]]:
-        state, status, iterations, attempts = resolve_failure(
+        state, status, _, attempts = resolve_failure(
             ctx, state, self.sdt, self.memory, self.backend, self.budget
         )
-        self.total_iterations += iterations
         return state, status, attempts

@@ -31,6 +31,16 @@ class ActionTriplet:
     arg1: str
     arg2: Optional[str] = None
 
+    @property
+    def target_ref(self) -> Optional[str]:
+        """The reference naming the concrete target: a two-reference put's
+        receptacle, none for a pose, else the first reference."""
+        if self.action in (ActionName.CROUCH, ActionName.STAND):
+            return None
+        if self.action is ActionName.PUT and self.arg2 is not None:
+            return self.arg2
+        return self.arg1
+
     def render(self) -> str:
         third = "0" if self.arg2 is None else f"'{self.arg2}'"
         return f"['{self.action}', '{self.arg1}', {third}]"

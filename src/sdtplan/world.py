@@ -176,32 +176,6 @@ class WorldState:
         )
 
 
-def state_hash(state: WorldState) -> str:
-    """Stable content hash for determinism and purity checks."""
-    payload = {
-        "agent": [round(c, 6) for c in state.agent_position],
-        "crouched": state.agent_crouched,
-        "held": state.held_object,
-        "radius": state.visibility_radius,
-        "bands": [state.view_band_standing, state.view_band_crouched],
-        "objects": [
-            {
-                "id": o.object_id,
-                "type": o.type_name,
-                "pos": [round(c, 6) for c in o.position],
-                "flags": {k: o.flags.get(k, False) for k in FLAG_NAMES},
-                "temp": o.temperature,
-                "parent": o.parent_receptacle,
-                "cap": o.capacity,
-                "children": o.slice_children,
-            }
-            for o in sorted(state.objects.values(), key=lambda o: o.object_id)
-        ],
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 def state_to_json(state: WorldState) -> dict:
     return {
         "agent": {
@@ -226,6 +200,17 @@ def state_to_json(state: WorldState) -> dict:
             for o in sorted(state.objects.values(), key=lambda o: o.object_id)
         ],
     }
+
+
+def state_json_hash(data: dict) -> str:
+    """sha256 of the canonical JSON (sorted keys, compact) of a ``state_to_json`` dict."""
+    blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def state_hash(state: WorldState) -> str:
+    """Stable content hash for determinism and purity checks."""
+    return state_json_hash(state_to_json(state))
 
 
 def state_from_json(data: dict) -> WorldState:

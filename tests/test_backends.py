@@ -126,6 +126,8 @@ _DRAWER_FULL = "Drawer|+00.40|+00.82|-00.50"
 _DRAWER_SPARE = "Drawer|+01.60|+00.82|-00.80"
 _SPONGE = "Sponge|+00.70|+00.96|+00.25"
 _SPONGE_COUNTER = "CounterTop|+00.70|+00.95|+00.10"
+_FRIDGE = "Fridge|-01.30|+00.90|+00.99"
+_DRAWER_WINE = "Drawer|+00.50|+00.82|+00.30"
 
 
 # The exact oracle reply for each recovery strategy, for the fallback taken by
@@ -193,6 +195,12 @@ _SPONGE_COUNTER = "CounterTop|+00.70|+00.95|+00.10"
             (f"[(OpenObject,{_DRAWER_SPARE}),(PutObject,{_DRAWER_SPARE})]",),
             "[(PutObject,CounterTop|+00.95|+00.95|+00.20)]",
             id="blocked-placement",
+        ),
+        pytest.param(
+            9, "NotVisible", ActionTriplet(ActionName.PUT, "WineBottle", "Fridge"), _FRIDGE,
+            (f"[(OpenObject,{_DRAWER_WINE})]", f"[(OpenObject,{_FRIDGE})]"),
+            f"[(PutObject,{_FRIDGE})]",
+            id="visibility-direct-put-retries-receptacle",
         ),
     ],
 )

@@ -185,6 +185,34 @@ def test_verify_detects_tampered_report(tmp_path, capsys):
     assert run_cli("verify", str(trace_file)) == 1
 
 
+def _task9_trace(tmp_path, capsys):
+    run_cli("run", "--task", "9", "--out", str(tmp_path))
+    capsys.readouterr()
+    trace_file = tmp_path / "trace_task9.json"
+    return trace_file, json.loads(trace_file.read_text())
+
+
+def test_verify_detects_flipped_flag_in_final_state(tmp_path, capsys):
+    # The flipped object is outside the goal, so only the state hash can catch it.
+    trace_file, data = _task9_trace(tmp_path, capsys)
+    obj = next(o for o in data["final_state"]["objects"] if f"type={o['type']};" not in data["goal"])
+    obj["flags"]["isDirty"] = not obj["flags"]["isDirty"]
+    trace_file.write_text(json.dumps(data))
+    assert run_cli("verify", str(trace_file)) == 1
+    assert "mismatch: final_state_hash" in capsys.readouterr().out
+
+
+def test_verify_detects_edited_final_state_hash(tmp_path, capsys):
+    trace_file, data = _task9_trace(tmp_path, capsys)
+    data["final_state_hash"] = "0" * 64
+    trace_file.write_text(json.dumps(data))
+    assert run_cli("verify", str(trace_file)) == 1
+
+
+def test_negative_replan_cap_is_config_error(tmp_path):
+    assert run_cli("run", "--task", "1", "--replan-cap", "-1", "--out", str(tmp_path)) == 2
+
+
 def test_three_modes_are_independently_invocable(tmp_path):
     results = {}
     for mode in ("plan", "resolve", "replan"):

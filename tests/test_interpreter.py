@@ -237,7 +237,7 @@ def test_execute_aborts_when_budget_exhausted(sdt, suite):
     resolver = FailureResolver(sdt, backend, budget=3)
     _, history, status = execute_plan(plan, state, "fetch the plate", sdt, backend, resolver)
     assert status == "Aborted"
-    assert resolver.total_iterations == 3
+    assert sum(len(e.attempts) for e in history.entries) == 3
 
 
 def test_recovered_step_runs_once(sdt, suite):
@@ -264,7 +264,7 @@ def test_closed_receptacle_recovered_by_opening_it(sdt, suite, put):
         plan, state, "put the apple in the drawer", sdt, backend, resolver
     )
     assert status == "Completed"
-    assert resolver.total_iterations == 1
+    assert sum(len(e.attempts) for e in history.entries) == 1
     failed = history.entries[1]
     assert failed.outcome.error_code == "ClosedReceptacle"
     drawer = by_type(final, "Drawer").object_id
@@ -309,7 +309,7 @@ def test_history_counts_match_simulator_steps(sdt, suite, monkeypatch):
     resolver = FailureResolver(sdt, backend)
     _, history, status = execute_plan(plan, state, row["task"], sdt, backend, resolver)
     assert status == "Completed"
-    assert history.total_actions == calls["n"]
+    assert len(_executed(history)) == calls["n"]
 
 
 def test_resolved_targets_always_candidates(sdt, suite):

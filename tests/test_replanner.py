@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from conftest import ScriptedBackend, run_row, scene_for_row, suite_row
 
-from sdtplan import prompts
+from sdtplan import cli, prompts
 from sdtplan.backends import OracleConfig, ScriptedOracle
 from sdtplan.errors import PlanParseError
 from sdtplan.interpreter import ExecutionHistory, HistoryEntry, execute_plan
@@ -172,6 +174,13 @@ def test_run_task_respects_replan_cap(sdt, suite):
     assert not report.success
 
 
+@pytest.mark.parametrize("limit", ["budget", "replan_cap"])
+def test_run_config_rejects_negative_limits(limit):
+    with pytest.raises(ValueError, match=limit):
+        RunConfig(**{limit: -1})
+    assert getattr(RunConfig(**{limit: 0}), limit) == 0
+
+
 def test_run_task_reports_unplannable_task_instead_of_raising(sdt, suite):
     scene = scene_for_row(suite_row(suite, 10), sdt)
     report = run_task("Do fourteen somersaults.", scene, sdt, ScriptedOracle(), task_id="x")
@@ -250,3 +259,39 @@ def test_success_implies_goal_satisfied(sdt, suite):
         assert report.success
         ok, _ = goal_satisfied(report.final_state, report.goal)
         assert ok
+
+
+class _HeaderBackend:
+    """Answers every prompt with the reply filed under its header line."""
+
+    def __init__(self, replies: dict[str, str]):
+        self.replies = replies
+
+    def complete(self, prompt: str) -> str:
+        return self.replies[prompt.partition("\n")[0]]
+
+
+def test_goal_rechecked_after_aborted_replan_phase(sdt, suite, tmp_path):
+    # The replan phase puts the apple on the table, then aborts on a statue
+    # that is nowhere; the goal already holds, so the run succeeds.
+    row = suite_row(suite, 14)
+    scene = scene_for_row(row, sdt, injected=False)
+    backend = _HeaderBackend({
+        prompts.PLAN_HEADER: (
+            "Action-Triplets:[['GotoObject', 'Apple', 0]]\n"
+            "GOAL:{type=Apple; flags=-; temp=-; in=DiningTable}"
+        ),
+        prompts.REPLAN_HEADER: (
+            "Action-Triplets:[['PickupObject', 'Apple', 0], "
+            "['PutObject', 'Apple', 'DiningTable'], ['PickupObject', 'Statue', 0]]"
+        ),
+        prompts.RECOVERY_HEADER: "[]",
+    })
+    report = run_task(row["task"], scene, sdt, backend, RunConfig(), task_id=14)
+    assert report.status == "Aborted"
+    assert report.history.entries[-1].phase == "replan-1"
+    assert report.success
+    assert report.unmet_final == []
+    args = argparse.Namespace(mode="replan")
+    trace = cli._write_trace(report, {"scene": row["scene"]}, args, tmp_path)
+    assert cli.main(["verify", str(trace)]) == 0
