@@ -19,7 +19,12 @@ from .errors import SdtPlanError
 from .replanner import MODES, RunConfig, TaskReport, run_task
 from .sdt import load_sdt
 from .triplets import goal_satisfied, parse_goal
-from .world import apply_perturbations, load_scene, state_from_json, state_json_hash, state_to_json
+from .world import (
+    ConcreteAction, WorldState, apply_perturbations, load_scene, state_json_hash, state_to_json, step,
+)
+
+#: Version of the trace layout that ``_write_trace`` writes and ``replay`` reads.
+TRACE_SCHEMA = 2
 
 REPORT_COLUMNS = (
     "Task ID",
@@ -76,29 +81,30 @@ def _backend_for(args, faults: dict):
     )
 
 
-def _run_row(row: dict, args, sdt, suite_dir: Path, extra_injections: list[str]) -> TaskReport:
-    scene_path = _resolve_scene(row["scene"], suite_dir)
-    scene = load_scene(scene_path, sdt)
-    injections = list(row.get("inject", [])) + extra_injections
-    scene = apply_perturbations(scene, injections, sdt)
-    backend = _backend_for(args, row.get("oracle_faults", {}))
-    config = RunConfig(args.mode, args.budget, args.replan_cap)
-    return run_task(row["task"], scene, sdt, backend, config, task_id=row.get("id"))
-
-
-def _write_trace(report: TaskReport, row: dict, args, out_dir: Path) -> Path:
-    final_state = state_to_json(report.final_state) if report.final_state else None
-    payload = {
-        "schema": 1,
-        "task_id": report.task_id,
-        "task": report.description,
-        "scene": row.get("scene"),
-        "inject": list(row.get("inject", [])),
+def trace_header(row: dict, args, suite_dir: Path, extra_injections: list[str]) -> dict:
+    """A run's input as its trace records it: enough to rebuild the start state."""
+    return {
+        "schema": TRACE_SCHEMA,
+        "scene": str(_resolve_scene(row["scene"], suite_dir).resolve()),
+        "sdt": str(Path(args.sdt or default_sdt_path()).resolve()),
+        "inject": list(row.get("inject", [])) + extra_injections,
         "oracle_faults": row.get("oracle_faults", {}),
         "mode": args.mode,
+    }
+
+
+def initial_state(header: dict, sdt) -> WorldState:
+    """The state a run starts in: the header's scene with its perturbations applied."""
+    return apply_perturbations(load_scene(header["scene"], sdt), header["inject"], sdt)
+
+
+def _write_trace(report: TaskReport, header: dict, out_dir: Path) -> Path:
+    payload = {
+        **header,
+        "task_id": report.task_id,
+        "task": report.description,
         **report.to_json(),
-        "final_state_hash": state_json_hash(final_state) if final_state else None,
-        "final_state": final_state,
+        "final_state_hash": state_json_hash(state_to_json(report.final_state)),
     }
     path = out_dir / f"trace_task{report.task_id}.json"
     path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
@@ -127,18 +133,13 @@ def render_report(reports: list[TaskReport], fmt: str) -> str:
 
 def check_expected(report: TaskReport, expected: dict) -> list[str]:
     """Regression comparison against a suite row's recorded expectations."""
-    mismatches = []
-    mapping = {
+    got = {
         "failures": report.failures,
         "iterations": report.resolver_iterations,
         "replans": report.replanner_invocations,
         "success": report.success,
     }
-    for key, want in expected.items():
-        got = mapping.get(key)
-        if got != want:
-            mismatches.append(f"{key}: expected {want}, got {got}")
-    return mismatches
+    return [f"{k}: expected {v}, got {got.get(k)}" for k, v in expected.items() if got.get(k) != v]
 
 
 def cli_run(args) -> int:
@@ -146,6 +147,7 @@ def cli_run(args) -> int:
         sdt = load_sdt(args.sdt or default_sdt_path())
         suite_path = Path(args.suite) if args.suite else default_suite_path()
         suite = load_suite(suite_path)
+        config = RunConfig(args.mode, args.budget, args.replan_cap)
     except (OSError, ValueError, SdtPlanError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -159,9 +161,11 @@ def cli_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     suite_dir = suite_path.parent
 
-    def worker(row: dict) -> tuple[dict, TaskReport]:
-        return row, _run_row(row, args, sdt, suite_dir, list(args.inject or [])
-                             if args.task is not None else [])
+    def worker(row: dict) -> tuple[dict, dict, TaskReport]:
+        header = trace_header(row, args, suite_dir, list(args.inject or []))
+        backend = _backend_for(args, header["oracle_faults"])
+        scene = initial_state(header, sdt)
+        return row, header, run_task(row["task"], scene, sdt, backend, config, task_id=row.get("id"))
 
     try:
         if args.jobs > 1 and len(rows) > 1:
@@ -173,16 +177,16 @@ def cli_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    def row_key(pair):
-        row_id = pair[0].get("id")
+    def row_key(result):
+        row_id = result[0].get("id")
         return (0, int(row_id)) if str(row_id).isdigit() else (1, str(row_id))
 
     results.sort(key=row_key)
     reports = []
     regression_notes = []
-    for row, report in results:
+    for row, header, report in results:
         reports.append(report)
-        _write_trace(report, row, args, out_dir)
+        _write_trace(report, header, out_dir)
         if row.get("expected") and not args.no_regression_check:
             for note in check_expected(report, row["expected"]):
                 regression_notes.append(f"task {row.get('id')}: {note}")
@@ -222,9 +226,7 @@ def render_trace(trace: dict) -> str:
     if trace.get("inject"):
         lines.append("Injected: " + ", ".join(trace["inject"]))
     lines.append("")
-    step_no = 0
-    for entry in trace["history"]:
-        step_no += 1
+    for step_no, entry in enumerate(trace["history"], start=1):
         phase = f" ({entry['phase']})" if entry["phase"] != "plan" else ""
         outcome = entry["outcome"] or {}
         if entry["skipped"]:
@@ -244,15 +246,11 @@ def render_trace(trace: dict) -> str:
     for i, additions in enumerate(trace.get("replan_additions", []), start=1):
         lines.append(f"Replanner iteration {i} added: {additions}")
     row = trace["report"]
-    lines.append("")
-    lines.append(
-        "Result: Success={Success} No.Failure={f} IterationPerFailure={i} ReplannerIteration={r}".format(
-            Success=row["Success"],
-            f=row["No. Failure"],
-            i=row["Iteration Per Failure"],
-            r=row["Replanner Iteration"],
-        )
-    )
+    lines += ["", (
+        f"Result: Success={row['Success']} No.Failure={row['No. Failure']} "
+        f"IterationPerFailure={row['Iteration Per Failure']} "
+        f"ReplannerIteration={row['Replanner Iteration']}"
+    )]
     return "\n".join(lines)
 
 
@@ -266,51 +264,77 @@ def cli_trace(args) -> int:
     return 0
 
 
-def recompute_row(trace: dict) -> dict:
-    """Report row re-derived from the trace body alone."""
+def _recorded_steps(trace: dict):
+    """Every action the run executed, with its recorded outcome, in run order."""
+    for entry in trace["history"]:
+        if entry["concrete"] and not entry["skipped"]:
+            yield entry["concrete"], entry["outcome"]
+        for attempt in entry["attempts"]:
+            for executed in attempt["executed"]:
+                yield executed["action"], executed
+
+
+def replay(trace: dict) -> tuple[WorldState, Optional[str]]:
+    """Re-execute a trace's recorded actions from its header's start state.
+
+    Returns the state reached and the first step whose outcome (status and
+    message) differs from the recorded one, where the replay stops; or None.
+    """
+    if trace.get("schema") != TRACE_SCHEMA:
+        raise ValueError(f"unsupported trace schema {trace.get('schema')!r}")
+    sdt = load_sdt(trace["sdt"])
+    state = initial_state(trace, sdt)
+    for number, (action, recorded) in enumerate(_recorded_steps(trace), start=1):
+        state_after, outcome = step(state, ConcreteAction.parse(action), sdt)
+        want = (recorded["status"], recorded["message"])
+        got = (outcome.status, outcome.message)
+        if got != want:
+            return state, f"step {number} {action}: recorded {want!r}, replayed {got!r}"
+        if outcome.ok:
+            state = state_after
+    return state, None
+
+
+def _row_from(trace: dict, state: WorldState) -> dict:
+    """Report row from the trace's history and the goal check on ``state``."""
     history = trace["history"]
-    failures = sum(
-        1
-        for e in history
-        if e.get("outcome") and e["outcome"]["status"] == "Error" and not e.get("skipped")
-    )
-    iterations = sum(len(e.get("attempts", [])) for e in history)
-    replans = len(trace.get("replan_additions", []))
-    success = False
-    if trace.get("goal") and trace.get("final_state"):
-        goal = parse_goal(trace["goal"])
-        state = state_from_json(trace["final_state"])
-        success = goal_satisfied(state, goal)[0]
+    failures = sum(1 for e in history if (e["outcome"] or {}).get("status") == "Error" and not e["skipped"])
+    success = bool(trace.get("goal")) and goal_satisfied(state, parse_goal(trace["goal"]))[0]
     return {
         "No. Failure": failures,
-        "Iteration Per Failure": iterations,
-        "Replanner Iteration": replans,
+        "Iteration Per Failure": sum(len(e.get("attempts", [])) for e in history),
+        "Replanner Iteration": len(trace.get("replan_additions", [])),
         "Success": "Yes" if success else "No",
     }
+
+
+def recompute_row(trace: dict) -> dict:
+    """Report row re-derived by replaying the trace (see ``replay``)."""
+    return _row_from(trace, replay(trace)[0])
 
 
 def cli_verify(args) -> int:
     try:
         trace = _load_trace(args.trace_file)
-        recomputed = recompute_row(trace)
-    except (OSError, ValueError, json.JSONDecodeError, SdtPlanError) as exc:
+        state, divergence = replay(trace)
+        recomputed = _row_from(trace, state)
+    except (OSError, KeyError, ValueError, SdtPlanError) as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return 2
-    stored = trace["report"]
-    mismatches = [
-        f"{key}: stored {stored[key]!r}, recomputed {value!r}"
-        for key, value in recomputed.items()
-        if stored.get(key) != value
+    stored, stored_hash = trace["report"], trace.get("final_state_hash")
+    replayed_hash = state_json_hash(state_to_json(state))
+    mismatches = [divergence] if divergence else []
+    mismatches += [
+        f"{key}: stored {stored.get(key)!r}, recomputed {value!r}"
+        for key, value in recomputed.items() if stored.get(key) != value
     ]
-    stored_hash = trace.get("final_state_hash")
-    recomputed_hash = state_json_hash(trace["final_state"]) if trace.get("final_state") else None
-    if stored_hash != recomputed_hash:
-        mismatches.append(f"final_state_hash: stored {stored_hash!r}, recomputed {recomputed_hash!r}")
+    if stored_hash != replayed_hash:
+        mismatches.append(f"final_state_hash: stored {stored_hash!r}, replayed {replayed_hash!r}")
+    for m in mismatches:
+        print(f"mismatch: {m}")
     if mismatches:
-        for m in mismatches:
-            print(f"mismatch: {m}")
         return 1
-    print("trace verified: report row and final state hash match recomputation")
+    print("trace verified: every recorded step, the report row and the final state hash match the replay")
     return 0
 
 
@@ -351,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("trace_file")
     trace.set_defaults(func=cli_trace)
 
-    verify = sub.add_parser("verify", help="recompute a trace's report row and compare")
+    verify = sub.add_parser("verify", help="replay a trace's actions and compare")
     verify.add_argument("trace_file")
     verify.set_defaults(func=cli_verify)
     return parser

@@ -15,7 +15,7 @@ from typing import Optional, Protocol
 
 from . import prompts
 from .backends import LLMBackend, ask
-from .errors import GrammarError, NoCandidate, PlanParseError
+from .errors import GrammarError, NoCandidate, PlanParseError, SdtPlanError
 from .sdt import FLAG_ACTIONS, SDT, ActionName
 from .triplets import ActionTriplet, RecoveryPair
 from .world import (
@@ -92,13 +92,6 @@ class ExecutionHistory:
 
     def tail(self, n: int = HISTORY_TAIL) -> list[HistoryEntry]:
         return self.entries[-n:]
-
-    def error_count(self) -> int:
-        return sum(
-            1
-            for e in self.entries
-            if e.outcome is not None and not e.outcome.ok and not e.skipped
-        )
 
     def to_json(self) -> list[dict]:
         return [e.to_json() for e in self.entries]
@@ -316,40 +309,44 @@ def execute_plan(
     Each triplet runs at most once. A step whose postcondition already holds
     records as skipped; so does a failed step once a successful resolution
     made the postcondition hold. A resolution that re-executed the step
-    itself finishes the triplet.
+    itself finishes the triplet. A backend error ends the phase with status
+    "ExecutionFailed: ..." and the state its executed steps reached.
     """
     if history is None:
         history = ExecutionHistory()
-    for index, triplet in enumerate(plan):
-        if not postcondition_satisfied(state, triplet):
-            concrete: Optional[ConcreteAction] = None
-            try:
-                concrete = resolve(triplet, state, task, history, backend)
-            except NoCandidate:
-                outcome = ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE)
-            else:
-                state_after, outcome = step(state, concrete, sdt)
-                if outcome.ok:
-                    state = state_after
-            entry = HistoryEntry(
-                triplet=triplet, phase=phase, concrete=concrete, outcome=outcome
-            )
-            history.append(entry)
-            if outcome.ok:
-                continue
-            if resolver is None:
-                return state, history, "Aborted"
-            state, status, attempts = resolver.handle(
-                state,
-                FailureContext(index, triplet, concrete, outcome, task, history.tail(), phase),
-            )
-            entry.attempts.extend(attempts)
-            if status != "Resolved":
-                return state, history, "Aborted"
+    try:
+        for index, triplet in enumerate(plan):
             if not postcondition_satisfied(state, triplet):
-                continue
-        history.append(
-            HistoryEntry(triplet=triplet, phase=phase, skipped=True,
-                         outcome=ActionOutcome.success("already satisfied"))
-        )
+                concrete: Optional[ConcreteAction] = None
+                try:
+                    concrete = resolve(triplet, state, task, history, backend)
+                except NoCandidate:
+                    outcome = ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE)
+                else:
+                    state_after, outcome = step(state, concrete, sdt)
+                    if outcome.ok:
+                        state = state_after
+                entry = HistoryEntry(
+                    triplet=triplet, phase=phase, concrete=concrete, outcome=outcome
+                )
+                history.append(entry)
+                if outcome.ok:
+                    continue
+                if resolver is None:
+                    return state, history, "Aborted"
+                state, status, attempts = resolver.handle(
+                    state,
+                    FailureContext(index, triplet, concrete, outcome, task, history.tail(), phase),
+                )
+                entry.attempts.extend(attempts)
+                if status != "Resolved":
+                    return state, history, "Aborted"
+                if not postcondition_satisfied(state, triplet):
+                    continue
+            history.append(
+                HistoryEntry(triplet=triplet, phase=phase, skipped=True,
+                             outcome=ActionOutcome.success("already satisfied"))
+            )
+    except SdtPlanError as exc:  # a backend failure ends the phase; what ran so far stays
+        return state, history, f"ExecutionFailed: {exc}"
     return state, history, "Completed"

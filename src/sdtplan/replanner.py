@@ -98,7 +98,7 @@ class TaskReport:
 
     @property
     def failures(self) -> int:
-        return self.history.error_count()
+        return sum(1 for e in self.history.entries if e.outcome and not e.outcome.ok and not e.skipped)
 
     @property
     def resolver_iterations(self) -> int:
@@ -146,7 +146,7 @@ def run_task(
     after every phase, aborted or not. Replanning follows only in replan mode,
     after a phase that completed with the goal unmet, while fewer than
     ``replan_cap`` replans ran. Failures never raise: anything that prevents
-    completion lands in the report with success=False.
+    completion lands in the report's status.
     """
     config = config or RunConfig()
     report = TaskReport(task_id=task_id, description=task)
@@ -160,13 +160,10 @@ def run_task(
         resolver = FailureResolver(sdt, backend, budget=config.budget) if config.mode != "plan" else None
         phase, triplets = "plan", report.plan
         while True:
-            try:
-                state, _, report.status = execute_plan(
-                    triplets, state, task, sdt, backend, resolver,
-                    history=report.history, phase=phase,
-                )
-            except SdtPlanError as exc:  # steps taken so far stay in report.history
-                report.status = f"ExecutionFailed: {exc}"
+            state, _, report.status = execute_plan(
+                triplets, state, task, sdt, backend, resolver,
+                history=report.history, phase=phase,
+            )
             report.success, report.unmet_final = goal_satisfied(state, report.goal)
             if (
                 report.success

@@ -256,9 +256,9 @@ def resolve_failure(
             continue
         attempt = RecoveryAttempt(proposed=sequence)
         attempts.append(attempt)
-        if not sequence:
+        if not sequence:  # the backend says nothing applies; asking again would repeat it
             attempt.feedback = "empty proposal"
-            continue
+            break
         if memory.seen(ctx.key, sequence):
             attempt.feedback = "repeated sequence; rejected"
             continue

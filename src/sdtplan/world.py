@@ -94,6 +94,12 @@ class ConcreteAction:
             return f"({self.name},)"
         return f"({self.name},{self.target})"
 
+    @staticmethod
+    def parse(text: str) -> "ConcreteAction":
+        """Inverse of ``render``."""
+        name, _, target = text.strip("()").partition(",")
+        return ConcreteAction(ActionName(name), target or None)
+
 
 @dataclass
 class ActionOutcome:
@@ -211,31 +217,6 @@ def state_json_hash(data: dict) -> str:
 def state_hash(state: WorldState) -> str:
     """Stable content hash for determinism and purity checks."""
     return state_json_hash(state_to_json(state))
-
-
-def state_from_json(data: dict) -> WorldState:
-    agent = data["agent"]
-    objects = {}
-    for raw in data["objects"]:
-        objects[raw["id"]] = ObjectInstance(
-            object_id=raw["id"],
-            type_name=raw["type"],
-            position=tuple(raw["position"]),
-            flags=dict(raw["flags"]),
-            temperature=raw["temperature"],
-            parent_receptacle=raw.get("parent_receptacle"),
-            capacity=int(raw.get("capacity", 0)),
-            slice_children=list(raw.get("slice_children", [])),
-        )
-    return WorldState(
-        objects=objects,
-        agent_position=tuple(agent["position"]),
-        agent_crouched=bool(agent["crouched"]),
-        held_object=agent.get("held_object"),
-        visibility_radius=float(agent["visibility_radius"]),
-        view_band_standing=tuple(agent["view_band_standing"]),
-        view_band_crouched=tuple(agent["view_band_crouched"]),
-    )
 
 
 # ---------------------------------------------------------------------------

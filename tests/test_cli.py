@@ -192,14 +192,37 @@ def _task9_trace(tmp_path, capsys):
     return trace_file, json.loads(trace_file.read_text())
 
 
-def test_verify_detects_flipped_flag_in_final_state(tmp_path, capsys):
-    # The flipped object is outside the goal, so only the state hash can catch it.
+def _executed(data, entry, attempt):
+    return data["history"][entry]["attempts"][attempt]["executed"][0]
+
+
+def _edit_outcome_message(data):
+    data["history"][3]["outcome"]["message"] = "edited"  # the (PutObject,Fridge|...) step
+
+
+def _edit_executed_action(data):
+    # The second recovery opens the fridge; the edit re-opens the already open drawer.
+    _executed(data, 0, 1)["action"] = _executed(data, 0, 0)["action"]
+
+
+def _edit_injection(data):
+    data["inject"] = ["dirty:WineBottle"]  # every step replays alike; the bottle ends dirty
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (_edit_outcome_message, "mismatch: step 6 (PutObject,Fridge"),
+        (_edit_executed_action, "mismatch: step 2 (OpenObject,Drawer"),
+        (_edit_injection, "mismatch: final_state_hash"),
+    ],
+)
+def test_verify_names_first_divergence(tmp_path, capsys, edit, named):
     trace_file, data = _task9_trace(tmp_path, capsys)
-    obj = next(o for o in data["final_state"]["objects"] if f"type={o['type']};" not in data["goal"])
-    obj["flags"]["isDirty"] = not obj["flags"]["isDirty"]
+    edit(data)
     trace_file.write_text(json.dumps(data))
     assert run_cli("verify", str(trace_file)) == 1
-    assert "mismatch: final_state_hash" in capsys.readouterr().out
+    assert capsys.readouterr().out.startswith(named)
 
 
 def test_verify_detects_edited_final_state_hash(tmp_path, capsys):
@@ -207,6 +230,35 @@ def test_verify_detects_edited_final_state_hash(tmp_path, capsys):
     data["final_state_hash"] = "0" * 64
     trace_file.write_text(json.dumps(data))
     assert run_cli("verify", str(trace_file)) == 1
+    assert capsys.readouterr().out.startswith("mismatch: final_state_hash")
+
+
+def test_trace_replaces_final_state_with_the_run_input(tmp_path, capsys):
+    _, data = _task9_trace(tmp_path, capsys)
+    assert "final_state" not in data
+    assert data["schema"] == 2
+    assert data["scene"].endswith("kitchen_wine.json") and data["sdt"].endswith("sdt.json")
+
+
+def test_verify_rejects_schema_1_trace(tmp_path, capsys):
+    trace_file, data = _task9_trace(tmp_path, capsys)
+    data["schema"] = 1
+    trace_file.write_text(json.dumps(data))
+    assert run_cli("verify", str(trace_file)) == 2
+    assert "unsupported trace schema" in capsys.readouterr().err
+
+
+def test_trace_records_cli_injections(tmp_path, capsys):
+    code = run_cli(
+        "run", "--task", "10", "--inject", "lower:Mug", "--no-regression-check", "--out", str(tmp_path)
+    )
+    assert code == 0
+    trace_file = tmp_path / "trace_task10.json"
+    assert json.loads(trace_file.read_text())["inject"] == ["lower:Mug"]
+    capsys.readouterr()
+    assert run_cli("trace", str(trace_file)) == 0
+    assert "Injected: lower:Mug" in capsys.readouterr().out
+    assert run_cli("verify", str(trace_file)) == 0
 
 
 def test_negative_replan_cap_is_config_error(tmp_path):

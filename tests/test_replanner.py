@@ -9,8 +9,9 @@ import pytest
 from conftest import ScriptedBackend, run_row, scene_for_row, suite_row
 
 from sdtplan import cli, prompts
+from sdtplan.cli import default_suite_path
 from sdtplan.backends import OracleConfig, ScriptedOracle
-from sdtplan.errors import PlanParseError
+from sdtplan.errors import BackendError, PlanParseError
 from sdtplan.interpreter import ExecutionHistory, HistoryEntry, execute_plan
 from sdtplan.replanner import RunConfig, build_replan_prompt, replan, run_task
 from sdtplan.sdt import ActionName
@@ -262,36 +263,81 @@ def test_success_implies_goal_satisfied(sdt, suite):
 
 
 class _HeaderBackend:
-    """Answers every prompt with the reply filed under its header line."""
+    """Answers every prompt with the reply filed under its header line; a
+    filed exception is raised instead. Keeps the headers it was asked."""
 
-    def __init__(self, replies: dict[str, str]):
+    def __init__(self, replies: dict[str, object]):
         self.replies = replies
+        self.asked: list[str] = []
 
     def complete(self, prompt: str) -> str:
-        return self.replies[prompt.partition("\n")[0]]
+        header = prompt.partition("\n")[0]
+        self.asked.append(header)
+        reply = self.replies[header]
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+
+_APPLE_ON_TABLE_THEN_STATUE = (
+    "Action-Triplets:[['PickupObject', 'Apple', 0], "
+    "['PutObject', 'Apple', 'DiningTable'], ['PickupObject', 'Statue', 0]]"
+)
+
+
+def _run_and_trace(sdt, suite, backend, tmp_path):
+    """Row 14's task on its scene without perturbations; returns the report
+    and the trace file written for it."""
+    row = suite_row(suite, 14)
+    args = argparse.Namespace(mode="replan", sdt=None)
+    header = cli.trace_header(dict(row, inject=[]), args, default_suite_path().parent, [])
+    scene = cli.initial_state(header, sdt)
+    report = run_task(row["task"], scene, sdt, backend, RunConfig(), task_id=row["id"])
+    return report, cli._write_trace(report, header, tmp_path)
 
 
 def test_goal_rechecked_after_aborted_replan_phase(sdt, suite, tmp_path):
     # The replan phase puts the apple on the table, then aborts on a statue
     # that is nowhere; the goal already holds, so the run succeeds.
-    row = suite_row(suite, 14)
-    scene = scene_for_row(row, sdt, injected=False)
     backend = _HeaderBackend({
         prompts.PLAN_HEADER: (
             "Action-Triplets:[['GotoObject', 'Apple', 0]]\n"
             "GOAL:{type=Apple; flags=-; temp=-; in=DiningTable}"
         ),
-        prompts.REPLAN_HEADER: (
-            "Action-Triplets:[['PickupObject', 'Apple', 0], "
-            "['PutObject', 'Apple', 'DiningTable'], ['PickupObject', 'Statue', 0]]"
-        ),
+        prompts.REPLAN_HEADER: _APPLE_ON_TABLE_THEN_STATUE,
         prompts.RECOVERY_HEADER: "[]",
     })
-    report = run_task(row["task"], scene, sdt, backend, RunConfig(), task_id=14)
+    report, trace = _run_and_trace(sdt, suite, backend, tmp_path)
     assert report.status == "Aborted"
     assert report.history.entries[-1].phase == "replan-1"
     assert report.success
     assert report.unmet_final == []
-    args = argparse.Namespace(mode="replan")
-    trace = cli._write_trace(report, {"scene": row["scene"]}, args, tmp_path)
+    assert cli.main(["verify", str(trace)]) == 0
+
+
+def test_empty_recovery_proposal_ends_the_resolver(sdt, suite, tmp_path):
+    backend = _HeaderBackend({
+        prompts.PLAN_HEADER: (
+            "Action-Triplets:[['PickupObject', 'Statue', 0]]\n"
+            "GOAL:{type=Apple; flags=-; temp=-; in=DiningTable}"
+        ),
+        prompts.RECOVERY_HEADER: "[]",
+    })
+    report, _ = _run_and_trace(sdt, suite, backend, tmp_path)
+    assert backend.asked.count(prompts.RECOVERY_HEADER) == 1
+    assert [a.feedback for a in report.history.entries[0].attempts] == ["empty proposal"]
+    assert report.status == "Aborted"
+
+
+def test_backend_error_keeps_the_state_the_phase_reached(sdt, suite, tmp_path):
+    # The apple reaches the table before the recovery prompt for the statue fails.
+    backend = _HeaderBackend({
+        prompts.PLAN_HEADER: (
+            _APPLE_ON_TABLE_THEN_STATUE + "\nGOAL:{type=Apple; flags=-; temp=-; in=DiningTable}"
+        ),
+        prompts.RECOVERY_HEADER: BackendError("connection reset"),
+    })
+    report, trace = _run_and_trace(sdt, suite, backend, tmp_path)
+    assert report.status == "ExecutionFailed: connection reset"
+    assert report.success
     assert cli.main(["verify", str(trace)]) == 0
