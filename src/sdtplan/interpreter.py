@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Protocol
+from typing import AbstractSet, Optional, Protocol
 
 from . import prompts
 from .backends import LLMBackend, ask
 from .errors import GrammarError, NoCandidate, PlanParseError, SdtPlanError
+from .planner import filter_relevant_objects
 from .sdt import FLAG_ACTIONS, SDT, ActionName
 from .triplets import ActionTriplet, RecoveryPair
 from .world import (
@@ -25,7 +26,7 @@ from .world import (
     WorldState,
     is_valid_object_id,
     is_visible,
-    object_descriptions,
+    object_descriptions,  # noqa: F401  (not called here; bench/tracer.py wraps this binding)
     step,
 )
 
@@ -140,9 +141,17 @@ def _build_choice_query(
     triplet: ActionTriplet,
     task: str,
     state: WorldState,
+    sdt: SDT,
+    relevant: AbstractSet[str],
     history: ExecutionHistory,
     candidates: dict[str, list[str]],
 ) -> str:
+    """The state section shows the relevant objects, every candidate and
+    what each candidate holds (the model weighs a receptacle's contents)."""
+    candidate_ids = {object_id for ids in candidates.values() for object_id in ids}
+    extras = candidate_ids | {
+        o.object_id for o in state.objects.values() if o.parent_receptacle in candidate_ids
+    }
     listed = []
     for ref, ids in candidates.items():
         listed.append(f"{ref}:")
@@ -155,7 +164,8 @@ def _build_choice_query(
         (prompts.SEC_STEP, [f"Grounding: {triplet.render()}", "Resolve: " + ", ".join(candidates)]),
         (prompts.SEC_HISTORY, prompts.render_history_lines(history.tail())),
         (prompts.SEC_STATE, [
-            prompts.render_state_line(state, obj) for obj in object_descriptions(state)
+            prompts.render_state_line(state, obj)
+            for obj in filter_relevant_objects(state, sdt, relevant, extras)
         ]),
         (prompts.SEC_CANDIDATES, listed),
         (prompts.SEC_OUTPUT, [
@@ -181,6 +191,8 @@ def resolve(
     triplet: ActionTriplet,
     state: WorldState,
     task: str,
+    sdt: SDT,
+    relevant: AbstractSet[str],
     history: ExecutionHistory,
     backend: LLMBackend,
 ) -> ConcreteAction:
@@ -189,7 +201,7 @@ def resolve(
     Raises NoCandidate when the reference has no instance; the caller surfaces
     that to the failure resolver as a visibility failure. A backend choice
     outside the candidate list is retried once, then the nearest candidate
-    is used.
+    is used. The choice query lists the objects of the ``relevant`` types.
     """
     ref = triplet.target_ref
     if ref is None:
@@ -206,7 +218,7 @@ def resolve(
             raise GrammarError(f"choice outside the candidate list: {pick!r}")
         return pick
 
-    query = _build_choice_query(triplet, task, state, history, {ref: ids})
+    query = _build_choice_query(triplet, task, state, sdt, relevant, history, {ref: ids})
     try:
         target = ask(backend, query, parse_pick, _CHOICE_REMINDER)
     except PlanParseError:
@@ -299,6 +311,7 @@ def execute_plan(
     state: WorldState,
     task: str,
     sdt: SDT,
+    relevant: AbstractSet[str],
     backend: LLMBackend,
     resolver: Optional[FailureHandler],
     history: Optional[ExecutionHistory] = None,
@@ -319,7 +332,7 @@ def execute_plan(
             if not postcondition_satisfied(state, triplet):
                 concrete: Optional[ConcreteAction] = None
                 try:
-                    concrete = resolve(triplet, state, task, history, backend)
+                    concrete = resolve(triplet, state, task, sdt, relevant, history, backend)
                 except NoCandidate:
                     outcome = ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE)
                 else:

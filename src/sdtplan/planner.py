@@ -3,14 +3,15 @@
 The relevance pass is lexical plus rule-implication (keeping a sliceable
 food pulls in the knife types; anything coolable pulls in the appliance
 whose rules chill contents). Over-inclusion is harmless, so every
-receptacle in view rides along.
+receptacle in view rides along. A task's relevant types are computed once
+and bound every prompt's object listing, not only the plan prompt's.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import json
-from typing import Optional
+from typing import AbstractSet, Optional
 
 from . import lexicon, prompts
 from .backends import LLMBackend, ask
@@ -70,17 +71,28 @@ def relevant_types(task: str, sdt: SDT) -> set[str]:
         kept |= implied
 
 
-def filter_relevant_objects(state: WorldState, task: str, sdt: SDT) -> list[ObjectInstance]:
-    """Visible objects worth showing the model for this task, id-sorted."""
-    kept_types = relevant_types(task, sdt)
-    out = []
-    for obj in object_descriptions(state):
-        entry = sdt.get(obj.type_name)
-        if entry is None:
-            continue
-        if obj.type_name in kept_types or entry.has(AffordanceTag.RECEPTACLE):
-            out.append(obj)
-    return out
+def shown(
+    obj: ObjectInstance,
+    sdt: SDT,
+    relevant: AbstractSet[str],
+    extras: AbstractSet[str] = frozenset(),
+) -> bool:
+    """Whether a prompt shows ``obj``: one of the prompt's ``extras`` ids, or a
+    known object whose type is in ``relevant`` or is a receptacle."""
+    if obj.object_id in extras:
+        return True
+    entry = sdt.get(obj.type_name)
+    return entry is not None and (obj.type_name in relevant or entry.has(AffordanceTag.RECEPTACLE))
+
+
+def filter_relevant_objects(
+    state: WorldState,
+    sdt: SDT,
+    relevant: AbstractSet[str],
+    extras: AbstractSet[str] = frozenset(),
+) -> list[ObjectInstance]:
+    """Visible objects a prompt shows (see ``shown``), id-sorted."""
+    return [obj for obj in object_descriptions(state) if shown(obj, sdt, relevant, extras)]
 
 
 def load_examples() -> list[dict]:
@@ -93,17 +105,19 @@ def build_plan_prompt(
     task: str,
     state: WorldState,
     sdt: SDT,
+    relevant: AbstractSet[str],
     examples: list[dict],
 ) -> str:
     """Deterministic plan prompt with fixed section order.
 
-    The objects in view are the task-relevant ones. Knowledge blocks cover
-    the task-relevant types even when no instance is currently in view (a
-    hidden knife is still plannable-for), plus the types of every listed
-    object. Each rule sentence appears exactly once.
+    The objects in view are the ones of the ``relevant`` types plus the
+    receptacles. Knowledge blocks cover the relevant types even when no
+    instance is currently in view (a hidden knife is still plannable-for),
+    plus the types of every listed object. Each rule sentence appears
+    exactly once.
     """
-    objects = filter_relevant_objects(state, task, sdt)
-    block_types = sorted(relevant_types(task, sdt) | {o.type_name for o in objects if o.type_name in sdt})
+    objects = filter_relevant_objects(state, sdt, relevant)
+    block_types = sorted(relevant | {o.type_name for o in objects})
     knowledge = "\n\n".join(render_type_text(sdt.entry(type_name)) for type_name in block_types)
     worked = "\n\n".join(
         f"Task: {ex['task']}\nAction-Triplets:{ex['triplets']}\n{ex['goal']}" for ex in examples
@@ -134,11 +148,12 @@ def plan(
     task: str,
     state: WorldState,
     sdt: SDT,
+    relevant: AbstractSet[str],
     backend: LLMBackend,
     examples: Optional[list[dict]] = None,
 ) -> tuple[list[ActionTriplet], GoalCondition]:
     """One backend call (plus one reformat retry) for triplets and goal."""
     if examples is None:
         examples = load_examples()
-    prompt = build_plan_prompt(task, state, sdt, examples)
+    prompt = build_plan_prompt(task, state, sdt, relevant, examples)
     return ask(backend, prompt, _parse_plan_reply, _RETRY_REMINDER)

@@ -4,17 +4,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import AbstractSet, Optional
 
 from . import prompts
 from .backends import LLMBackend, ask
 from .errors import SdtPlanError
 from .interpreter import ExecutionHistory, execute_plan
+from .planner import filter_relevant_objects, relevant_types
 from .planner import plan as make_plan
 from .resolver import DEFAULT_BUDGET, FailureResolver
 from .sdt import SDT
 from .triplets import ActionTriplet, GoalCondition, format_triplets, goal_satisfied, parse_triplets
-from .world import WorldState, object_descriptions
+from .world import (
+    WorldState,
+    object_descriptions,  # noqa: F401  (not called here; bench/tracer.py wraps this binding)
+)
 
 _RETRY_REMINDER = (
     "\n\nFORMAT REMINDER: reply with one line 'Action-Triplets:[[...], ...]' "
@@ -26,13 +30,17 @@ def build_replan_prompt(
     task: str,
     history: ExecutionHistory,
     state: WorldState,
+    sdt: SDT,
+    relevant: AbstractSet[str],
     unmet: list[str],
 ) -> str:
-    """Prompt carrying exactly: actions so far, object state, task, unmet clauses."""
+    """Prompt carrying exactly: actions so far, the relevant objects' state,
+    task, unmet clauses."""
     return prompts.render(prompts.REPLAN_HEADER, [
         (prompts.SEC_HISTORY, prompts.render_history_lines(history.entries)),
         (prompts.SEC_STATE, [
-            prompts.render_state_line(state, obj) for obj in object_descriptions(state)
+            prompts.render_state_line(state, obj)
+            for obj in filter_relevant_objects(state, sdt, relevant)
         ]),
         (prompts.SEC_TASK, [task]),
         (prompts.SEC_UNMET, [f"- {clause}" for clause in unmet]),
@@ -50,13 +58,14 @@ def replan(
     state: WorldState,
     goal: GoalCondition,
     sdt: SDT,
+    relevant: AbstractSet[str],
     backend: LLMBackend,
 ) -> list[ActionTriplet]:
     """Ask the backend for corrective triplets for the remaining goal clauses."""
     ok, unmet = goal_satisfied(state, goal)
     if ok:
         raise ValueError("replan called although the goal is already satisfied")
-    prompt = build_replan_prompt(task, history, state, unmet)
+    prompt = build_replan_prompt(task, history, state, sdt, relevant, unmet)
     return ask(backend, prompt, parse_triplets, _RETRY_REMINDER)
 
 
@@ -147,21 +156,32 @@ def run_task(
     after a phase that completed with the goal unmet, while fewer than
     ``replan_cap`` replans ran. Failures never raise: anything that prevents
     completion lands in the report's status.
+
+    Every prompt shows the task's relevant objects only: the types
+    ``relevant_types`` finds in the task and, once planned, the types the
+    goal names.
     """
     config = config or RunConfig()
     report = TaskReport(task_id=task_id, description=task)
     started = time.perf_counter()
     state = scene
+    relevant = relevant_types(task, sdt)
     try:
-        report.plan, report.goal = make_plan(task, state, sdt, backend)
+        report.plan, report.goal = make_plan(task, state, sdt, relevant, backend)
     except SdtPlanError as exc:
         report.status = f"PlanningFailed: {exc}"
     else:
-        resolver = FailureResolver(sdt, backend, budget=config.budget) if config.mode != "plan" else None
+        relevant |= {
+            t for c in report.goal.clauses for t in (c.object_type, c.receptacle_type) if t
+        }
+        resolver = (
+            FailureResolver(sdt, relevant, backend, budget=config.budget)
+            if config.mode != "plan" else None
+        )
         phase, triplets = "plan", report.plan
         while True:
             state, _, report.status = execute_plan(
-                triplets, state, task, sdt, backend, resolver,
+                triplets, state, task, sdt, relevant, backend, resolver,
                 history=report.history, phase=phase,
             )
             report.success, report.unmet_final = goal_satisfied(state, report.goal)
@@ -173,7 +193,9 @@ def run_task(
             ):
                 break
             try:
-                triplets = replan(task, report.history, state, report.goal, sdt, backend)
+                triplets = replan(
+                    task, report.history, state, report.goal, sdt, relevant, backend
+                )
             except SdtPlanError as exc:
                 report.status = f"ReplanFailed: {exc}"
                 break

@@ -1,18 +1,18 @@
 """Context-aware failure resolver: action pairs, failure queries, recovery loop.
 
 On an execution error the resolver builds the action-pair map (the action
-filter over the current view, widened by pose and door counterfactuals so
-suggestions like "crouch, then pick it up" are expressible), queries the
-backend, validates and executes the suggested pair sequence, and records
-every attempt in adaptive memory so the same recovery is never tried twice
-for one failure point.
+filter over the task-relevant objects in the current view, widened by pose
+and door counterfactuals so suggestions like "crouch, then pick it up" are
+expressible), queries the backend, validates and executes the suggested
+pair sequence, and records every attempt in adaptive memory so the same
+recovery is never tried twice for one failure point.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional
+from typing import AbstractSet, Optional
 
 from . import prompts
 from .backends import LLMBackend
@@ -26,8 +26,9 @@ from .interpreter import (
     postcondition_satisfied,
     resolve,
 )
+from .planner import shown
 from .sdt import SDT, ActionName, AffordanceTag, POSE_ACTIONS, filter_actions
-from .triplets import RecoveryPair, format_recovery, parse_recovery
+from .triplets import ActionTriplet, RecoveryPair, format_recovery, parse_recovery
 from .world import (
     ConcreteAction,
     ObjectInstance,
@@ -36,8 +37,10 @@ from .world import (
     format_object_id,
     in_sight,
     is_closed_openable,
+    is_valid_object_id,
     object_descriptions,  # noqa: F401  (not called here; bench/tracer.py wraps this binding)
     step,
+    type_of_id,
 )
 
 DEFAULT_BUDGET = 5
@@ -103,6 +106,12 @@ def _view_descriptions(
     return [obj, opened] if as_is else [opened]
 
 
+def _undoes_view(state: WorldState, action: ActionName, object_id: str) -> bool:
+    """Closing a door that is open only in the doors-opened view: the view
+    offers the pair, but no state it stands for can run it."""
+    return action is ActionName.CLOSE and not state.objects[object_id].flag("isOpen")
+
+
 def _pose_anchor(state: WorldState, sdt: SDT, focus: Optional[str]) -> str:
     """Receptacle id the pose suggestions are presented against."""
     if focus is not None and focus in state.objects:
@@ -121,19 +130,27 @@ def _pose_anchor(state: WorldState, sdt: SDT, focus: Optional[str]) -> str:
 
 
 def build_action_pairs(
-    state: WorldState, sdt: SDT, focus: Optional[str] = None
+    state: WorldState, sdt: SDT, relevant: AbstractSet[str], focus: Optional[str] = None
 ) -> list[tuple[ActionName, str]]:
     """Deterministically ordered action-pair map for recovery prompts.
 
-    Object pairs come from the action filter over the union of counterfactual
-    views (pose toggled, closed doors opened) so one enabling action ahead is
-    visible to the model; pose pairs are appended against the focus object's
-    nearest receptacle.
+    The map covers the objects of the ``relevant`` types, the receptacles
+    and the focus object. Object pairs come from the action filter over the
+    union of counterfactual views (pose toggled, closed doors opened) so one
+    enabling action ahead is visible to the model, less the pairs that only
+    undo a view's own change; pose pairs are appended against the focus
+    object's nearest receptacle.
     """
+    extras = {focus}
     views = [
-        v for obj in state.objects.values() for v in _view_descriptions(state, sdt, obj)
+        v
+        for obj in state.objects.values()
+        if shown(obj, sdt, relevant, extras)
+        for v in _view_descriptions(state, sdt, obj)
     ]
-    pairs = filter_actions(sdt, views, _OBJECT_ACTIONS)
+    pairs = [
+        p for p in filter_actions(sdt, views, _OBJECT_ACTIONS) if not _undoes_view(state, *p)
+    ]
     ordered = sorted(
         pairs,
         key=lambda p: (
@@ -151,11 +168,12 @@ def build_action_pairs(
 def pair_admitted(
     state: WorldState,
     sdt: SDT,
+    relevant: AbstractSet[str],
     action: ActionName,
     target: Optional[str],
     focus: Optional[str] = None,
 ) -> bool:
-    """Whether ``(action, target)`` is in ``build_action_pairs(state, sdt, focus)``.
+    """Whether ``(action, target)`` is in ``build_action_pairs(state, sdt, relevant, focus)``.
 
     Decided from the one target object (or the pose anchor) instead of the
     whole map.
@@ -163,7 +181,7 @@ def pair_admitted(
     if action in POSE_ACTIONS:
         return target == _pose_anchor(state, sdt, focus)
     obj = state.objects.get(target)
-    if obj is None:
+    if obj is None or not shown(obj, sdt, relevant, {focus}) or _undoes_view(state, action, target):
         return False
     return (action, target) in filter_actions(sdt, _view_descriptions(state, sdt, obj), (action,))
 
@@ -208,6 +226,7 @@ def _reexecute_failed(
     ctx: FailureContext,
     state: WorldState,
     sdt: SDT,
+    relevant: AbstractSet[str],
     backend: LLMBackend,
     attempt: RecoveryAttempt,
 ) -> tuple[WorldState, bool, str]:
@@ -215,7 +234,7 @@ def _reexecute_failed(
     history = ExecutionHistory()
     history.entries = list(ctx.history_tail)
     try:
-        concrete = resolve(ctx.failed_triplet, state, ctx.task, history, backend)
+        concrete = resolve(ctx.failed_triplet, state, ctx.task, sdt, relevant, history, backend)
     except NoCandidate:
         return state, False, "target still has no candidate instance"
     new_state, outcome = step(state, concrete, sdt)
@@ -229,24 +248,27 @@ def resolve_failure(
     ctx: FailureContext,
     state: WorldState,
     sdt: SDT,
+    relevant: AbstractSet[str],
     memory: AdaptiveMemory,
     backend: LLMBackend,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[WorldState, str, int, list[RecoveryAttempt]]:
     """Iterate query -> validate -> execute -> record until resolved or spent.
 
-    Pair validation is incremental: each pair of a sequence is checked
-    against the pair map of the state it actually executes in, so enabling
-    actions (open the alternate drawer, crouch) legitimize their successors.
-    Returns the state, "Resolved" or "Exhausted", the iterations run (one
-    attempt each) and the attempts.
+    The pair map covers the ``relevant`` types, the types the failed
+    triplet names and its grounded target. Pair validation is incremental:
+    each pair of a sequence is checked against the pair map of the state it
+    actually executes in, so enabling actions (open the alternate drawer,
+    crouch) legitimize their successors. Returns the state, "Resolved" or
+    "Exhausted", the iterations run (one attempt each) and the attempts.
     """
     attempts: list[RecoveryAttempt] = []
+    mapped = relevant | _reference_types(ctx.failed_triplet)
     focus = None
     if ctx.failed_concrete is not None and ctx.failed_concrete.target is not None:
         focus = ctx.failed_concrete.target
     for _ in range(budget):
-        pairs = build_action_pairs(state, sdt, focus=focus or _focus_from_ref(state, ctx))
+        pairs = build_action_pairs(state, sdt, mapped, focus=focus or _focus_from_ref(state, ctx))
         query = build_failure_query(ctx, pairs, memory)
         reply = backend.complete(query)
         try:
@@ -265,7 +287,7 @@ def resolve_failure(
         feedback = "executed"
         for pair in sequence:
             if not pair_admitted(
-                state, sdt, pair.action, pair.target, focus or _focus_from_ref(state, ctx)
+                state, sdt, mapped, pair.action, pair.target, focus or _focus_from_ref(state, ctx)
             ):
                 feedback = f"invalid pair {pair.render()}"
                 break
@@ -280,13 +302,25 @@ def resolve_failure(
             feedback += "; resolved"
             attempt.resolved = True
         elif attempt.executed and all(o.ok for _, o in attempt.executed):
-            state, attempt.resolved, note = _reexecute_failed(ctx, state, sdt, backend, attempt)
+            state, attempt.resolved, note = _reexecute_failed(
+                ctx, state, sdt, relevant, backend, attempt
+            )
             feedback = f"{feedback}; {note}"
         attempt.feedback = feedback
         memory.record(ctx.key, sequence, feedback)
         if attempt.resolved:
             return state, "Resolved", len(attempts), attempts
     return state, "Exhausted", len(attempts), attempts
+
+
+def _reference_types(triplet: ActionTriplet) -> set[str]:
+    """Types the triplet's references name, with the sliced derivatives they also ground to."""
+    out = set()
+    for ref in (triplet.arg1, triplet.arg2):
+        if ref is not None:
+            type_name = type_of_id(ref) if is_valid_object_id(ref) else ref
+            out |= {type_name, f"{type_name}Sliced"}
+    return out
 
 
 def _focus_from_ref(state: WorldState, ctx: FailureContext) -> Optional[str]:
@@ -301,8 +335,15 @@ def _focus_from_ref(state: WorldState, ctx: FailureContext) -> Optional[str]:
 class FailureResolver:
     """Stateful per-task wrapper satisfying the execution loop's handler interface."""
 
-    def __init__(self, sdt: SDT, backend: LLMBackend, budget: int = DEFAULT_BUDGET):
+    def __init__(
+        self,
+        sdt: SDT,
+        relevant: AbstractSet[str],
+        backend: LLMBackend,
+        budget: int = DEFAULT_BUDGET,
+    ):
         self.sdt = sdt
+        self.relevant = relevant
         self.backend = backend
         self.budget = budget
         self.memory = AdaptiveMemory()
@@ -311,6 +352,6 @@ class FailureResolver:
         self, state: WorldState, ctx: FailureContext
     ) -> tuple[WorldState, str, list[RecoveryAttempt]]:
         state, status, _, attempts = resolve_failure(
-            ctx, state, self.sdt, self.memory, self.backend, self.budget
+            ctx, state, self.sdt, self.relevant, self.memory, self.backend, self.budget
         )
         return state, status, attempts

@@ -27,6 +27,12 @@ def sdt() -> SDT:
 
 
 @pytest.fixture(scope="session")
+def all_types(sdt: SDT) -> frozenset[str]:
+    """Every SDT type: the relevant set under which prompts and the pair map show everything."""
+    return frozenset(sdt.type_names())
+
+
+@pytest.fixture(scope="session")
 def suite() -> dict:
     return json.loads(Path(default_suite_path()).read_text(encoding="utf-8"))
 

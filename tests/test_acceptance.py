@@ -164,13 +164,13 @@ class _RepeatingBackend:
         return self.reply
 
 
-def test_criterion_4_memory_non_repetition(sdt):
+def test_criterion_4_memory_non_repetition(sdt, all_types):
     rng = random.Random(103)
     runs = 0
     ok = True
     while runs < 1000:
         state = random_state(rng, sdt, max_objects=5)
-        pool = build_action_pairs(state, sdt)
+        pool = build_action_pairs(state, sdt, all_types)
         if not pool:
             continue
         runs += 1
@@ -184,7 +184,8 @@ def test_criterion_4_memory_non_repetition(sdt):
         )
         budget = rng.randint(1, 5)
         _, status, iterations, attempts = resolve_failure(
-            ctx, state, sdt, AdaptiveMemory(), _RepeatingBackend(rng, pool), budget=budget
+            ctx, state, sdt, all_types, AdaptiveMemory(), _RepeatingBackend(rng, pool),
+            budget=budget,
         )
         if iterations > budget or status not in ("Resolved", "Exhausted"):
             ok = False

@@ -18,7 +18,7 @@ from conftest import scene_for_row, suite_row
 import sdtplan
 from sdtplan.backends import HttpBackend, HttpConfig, OracleConfig, ScriptedOracle, ask
 from sdtplan.errors import BackendError, GrammarError, OracleError, PlanParseError
-from sdtplan.planner import build_plan_prompt, load_examples
+from sdtplan.planner import build_plan_prompt, load_examples, relevant_types
 from sdtplan.resolver import AdaptiveMemory, FailureContext, build_action_pairs, build_failure_query
 from sdtplan.sdt import ActionName
 from sdtplan.triplets import ActionTriplet, parse_goal, parse_recovery, parse_triplets
@@ -40,7 +40,9 @@ from sdtplan.world import (
 def _plan_prompt(sdt, suite, task_id):
     row = suite_row(suite, task_id)
     state = scene_for_row(row, sdt)
-    return build_plan_prompt(row["task"], state, sdt, load_examples())
+    return build_plan_prompt(
+        row["task"], state, sdt, relevant_types(row["task"], sdt), load_examples()
+    )
 
 
 def _failure_query(sdt, suite, task_id, triplet, memory=None):
@@ -54,7 +56,7 @@ def _failure_query(sdt, suite, task_id, triplet, memory=None):
         task=row["task"],
         history_tail=[],
     )
-    pairs = build_action_pairs(state, sdt)
+    pairs = build_action_pairs(state, sdt, frozenset(sdt.type_names()))
     return build_failure_query(ctx, pairs, memory or AdaptiveMemory()), pairs
 
 
@@ -98,7 +100,7 @@ def test_oracle_never_repeats_blocked_sequence(sdt, suite):
     assert second != first
 
 
-def test_oracle_recovery_replies_parse_for_every_suite_scene(sdt, suite):
+def test_oracle_recovery_replies_parse_for_every_suite_scene(sdt, suite, all_types):
     for row in suite["tasks"]:
         state = scene_for_row(row, sdt)
         first_type = sorted({o.type_name for o in state.objects.values()})[0]
@@ -110,7 +112,8 @@ def test_oracle_recovery_replies_parse_for_every_suite_scene(sdt, suite):
             task=row["task"],
             history_tail=[],
         )
-        query = build_failure_query(ctx, build_action_pairs(state, sdt), AdaptiveMemory())
+        pairs = build_action_pairs(state, sdt, all_types)
+        query = build_failure_query(ctx, pairs, AdaptiveMemory())
         reply = ScriptedOracle().complete(query)
         parse_recovery(reply)  # grammar-valid or the parser raises
 
@@ -204,7 +207,9 @@ _DRAWER_WINE = "Drawer|+00.50|+00.82|+00.30"
         ),
     ],
 )
-def test_oracle_recovery_reply_per_strategy(sdt, suite, task_id, code, triplet, grounded, blocked, expected):
+def test_oracle_recovery_reply_per_strategy(
+    sdt, suite, all_types, task_id, code, triplet, grounded, blocked, expected
+):
     row = suite_row(suite, task_id)
     state = scene_for_row(row, sdt)
     ctx = FailureContext(
@@ -218,7 +223,7 @@ def test_oracle_recovery_reply_per_strategy(sdt, suite, task_id, code, triplet, 
     memory = AdaptiveMemory()
     for sequence in blocked:
         memory.record(ctx.key, parse_recovery(sequence), "failed")
-    query = build_failure_query(ctx, build_action_pairs(state, sdt, focus=grounded), memory)
+    query = build_failure_query(ctx, build_action_pairs(state, sdt, all_types, grounded), memory)
     assert ScriptedOracle().complete(query) == expected
 
 

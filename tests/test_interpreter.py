@@ -15,6 +15,7 @@ from sdtplan.interpreter import (
     postcondition_satisfied,
     resolve,
 )
+from sdtplan.planner import relevant_types
 from sdtplan.resolver import FailureResolver
 from sdtplan.sdt import ActionName
 from sdtplan.triplets import ActionTriplet, parse_triplets
@@ -75,21 +76,23 @@ def test_candidates_sorted_by_distance(sdt, suite):
 # Resolution
 
 
-def test_singleton_resolution_makes_no_backend_calls(sdt, suite):
+def test_singleton_resolution_makes_no_backend_calls(sdt, suite, all_types):
     state = scene_for_row(suite_row(suite, 9), sdt, injected=False)
     backend = CountingBackend(ScriptedOracle())
     concrete = resolve(
-        trip(ActionName.OPEN, "Fridge"), state, "open the fridge", ExecutionHistory(), backend
+        trip(ActionName.OPEN, "Fridge"), state, "open the fridge", sdt, all_types,
+        ExecutionHistory(), backend,
     )
     assert concrete.target == by_type(state, "Fridge").object_id
     assert backend.calls == 0
 
 
-def test_multi_candidate_resolution_queries_backend(sdt, suite):
+def test_multi_candidate_resolution_queries_backend(sdt, suite, all_types):
     state = scene_for_row(suite_row(suite, 3), sdt, injected=False)
     backend = CountingBackend(ScriptedOracle())
     concrete = resolve(
-        trip(ActionName.OPEN, "Drawer"), state, "open a drawer", ExecutionHistory(), backend
+        trip(ActionName.OPEN, "Drawer"), state, "open a drawer", sdt, all_types,
+        ExecutionHistory(), backend,
     )
     assert backend.calls == 1
     assert concrete.target in candidate_instances(state, "Drawer")
@@ -127,7 +130,8 @@ def test_oracle_prefers_drawer_with_free_space(sdt, suite):
         state.objects[filler.object_id] = filler
     backend = ScriptedOracle()
     concrete = resolve(
-        trip(ActionName.PUT, "Knife", "Drawer"), state, row["task"], ExecutionHistory(), backend
+        trip(ActionName.PUT, "Knife", "Drawer"), state, row["task"], sdt,
+        relevant_types(row["task"], sdt), ExecutionHistory(), backend,
     )
     assert concrete.target == extra.object_id
     state.held_object = by_type(state, "Knife").object_id
@@ -136,23 +140,26 @@ def test_oracle_prefers_drawer_with_free_space(sdt, suite):
     assert outcome.ok
 
 
-def test_hidden_object_raises_no_candidate(sdt, suite):
+def test_hidden_object_raises_no_candidate(sdt, suite, all_types):
     state = scene_for_row(suite_row(suite, 9), sdt)  # bottle hidden
     with pytest.raises(NoCandidate):
         resolve(
             trip(ActionName.PICKUP, "WineBottle"),
             state,
             "grab the bottle",
+            sdt,
+            all_types,
             ExecutionHistory(),
             ScriptedOracle(),
         )
 
 
-def test_bad_choice_falls_back_to_nearest(sdt, suite):
+def test_bad_choice_falls_back_to_nearest(sdt, suite, all_types):
     state = scene_for_row(suite_row(suite, 3), sdt, injected=False)
     backend = ScriptedBackend(["CHOICE:{Drawer->Drawer|+09.99|+00.82|+09.99}"])
     concrete = resolve(
-        trip(ActionName.OPEN, "Drawer"), state, "open a drawer", ExecutionHistory(), backend
+        trip(ActionName.OPEN, "Drawer"), state, "open a drawer", sdt, all_types,
+        ExecutionHistory(), backend,
     )
     assert backend.calls == 2  # one retry before the fallback
     assert concrete.target == candidate_instances(state, "Drawer")[0]
@@ -187,10 +194,10 @@ def test_postcondition_pickup_and_put(sdt, suite):
 # Execution loop
 
 
-def test_execute_empty_plan(sdt, suite):
+def test_execute_empty_plan(sdt, suite, all_types):
     state = scene_for_row(suite_row(suite, 9), sdt, injected=False)
     final, history, status = execute_plan(
-        [], state, "idle", sdt, ScriptedOracle(), resolver=None
+        [], state, "idle", sdt, all_types, ScriptedOracle(), resolver=None
     )
     assert status == "Completed"
     assert history.entries == []
@@ -207,8 +214,9 @@ def test_execute_wine_plan_with_recovery(sdt, suite):
         "['OpenObject', 'Fridge', 0], ['PickupObject', 'WineBottle', 0], "
         "['CloseObject', 'Fridge', 0], ['PutObject', 'WineBottle', 'DiningTable']]"
     )
-    resolver = FailureResolver(sdt, backend)
-    final, history, status = execute_plan(plan, state, row["task"], sdt, backend, resolver)
+    relevant = relevant_types(row["task"], sdt)
+    resolver = FailureResolver(sdt, relevant, backend)
+    final, history, status = execute_plan(plan, state, row["task"], sdt, relevant, backend, resolver)
     assert status == "Completed"
     failed = [e for e in history.entries if e.outcome and not e.outcome.ok and not e.skipped]
     assert len(failed) == 1
@@ -225,7 +233,9 @@ def test_execute_aborts_without_resolver(sdt, suite):
     row = suite_row(suite, 9)
     state = scene_for_row(row, sdt)
     plan = parse_triplets("[['PickupObject', 'WineBottle', 0]]")
-    final, history, status = execute_plan(plan, state, row["task"], sdt, ScriptedOracle(), None)
+    final, history, status = execute_plan(
+        plan, state, row["task"], sdt, relevant_types(row["task"], sdt), ScriptedOracle(), None
+    )
     assert status == "Aborted"
     assert history.entries[-1].outcome.error_code == "NotVisible"
 
@@ -234,8 +244,11 @@ def test_execute_aborts_when_budget_exhausted(sdt, suite):
     state = scene_for_row(suite_row(suite, 10), sdt, injected=False)
     backend = ScriptedOracle()
     plan = [trip(ActionName.PICKUP, "Plate")]  # no plate anywhere in this scene
-    resolver = FailureResolver(sdt, backend, budget=3)
-    _, history, status = execute_plan(plan, state, "fetch the plate", sdt, backend, resolver)
+    relevant = relevant_types("fetch the plate", sdt)
+    resolver = FailureResolver(sdt, relevant, backend, budget=3)
+    _, history, status = execute_plan(
+        plan, state, "fetch the plate", sdt, relevant, backend, resolver
+    )
     assert status == "Aborted"
     assert sum(len(e.attempts) for e in history.entries) == 3
 
@@ -246,8 +259,11 @@ def test_recovered_step_runs_once(sdt, suite):
     state = apply_perturbations(state, ["hide:Apple:Fridge"], sdt)
     backend = ScriptedOracle()
     plan = [trip(ActionName.GOTO, "Apple")]
-    resolver = FailureResolver(sdt, backend)
-    _, history, status = execute_plan(plan, state, "go to the apple", sdt, backend, resolver)
+    relevant = relevant_types("go to the apple", sdt)
+    resolver = FailureResolver(sdt, relevant, backend)
+    _, history, status = execute_plan(
+        plan, state, "go to the apple", sdt, relevant, backend, resolver
+    )
     assert status == "Completed"
     gotos = [c for c, o in _executed(history) if c.name is ActionName.GOTO and o.ok]
     assert len(gotos) == 1
@@ -259,9 +275,10 @@ def test_closed_receptacle_recovered_by_opening_it(sdt, suite, put):
     state = scene_for_row(suite_row(suite, 14), sdt, injected=False)
     backend = ScriptedOracle()
     plan = [trip(ActionName.PICKUP, "Apple"), trip(ActionName.PUT, *put)]
-    resolver = FailureResolver(sdt, backend)
+    relevant = relevant_types("put the apple in the drawer", sdt)
+    resolver = FailureResolver(sdt, relevant, backend)
     final, history, status = execute_plan(
-        plan, state, "put the apple in the drawer", sdt, backend, resolver
+        plan, state, "put the apple in the drawer", sdt, relevant, backend, resolver
     )
     assert status == "Completed"
     assert sum(len(e.attempts) for e in history.entries) == 1
@@ -306,8 +323,9 @@ def test_history_counts_match_simulator_steps(sdt, suite, monkeypatch):
         "['OpenObject', 'Fridge', 0], ['PickupObject', 'WineBottle', 0], "
         "['CloseObject', 'Fridge', 0], ['PutObject', 'WineBottle', 'DiningTable']]"
     )
-    resolver = FailureResolver(sdt, backend)
-    _, history, status = execute_plan(plan, state, row["task"], sdt, backend, resolver)
+    relevant = relevant_types(row["task"], sdt)
+    resolver = FailureResolver(sdt, relevant, backend)
+    _, history, status = execute_plan(plan, state, row["task"], sdt, relevant, backend, resolver)
     assert status == "Completed"
     assert len(_executed(history)) == calls["n"]
 
@@ -319,12 +337,13 @@ def test_resolved_targets_always_candidates(sdt, suite):
         backend = ScriptedOracle(OracleConfig(**row.get("oracle_faults", {})))
         from sdtplan.planner import plan as make_plan
 
-        triplets, _ = make_plan(row["task"], state, sdt, backend)
+        relevant = relevant_types(row["task"], sdt)
+        triplets, _ = make_plan(row["task"], state, sdt, relevant, backend)
         history = ExecutionHistory()
         for triplet in triplets[:3]:
             if postcondition_satisfied(state, triplet):
                 continue
-            concrete = resolve(triplet, state, row["task"], history, backend)
+            concrete = resolve(triplet, state, row["task"], sdt, relevant, history, backend)
             ref = triplet.arg2 if triplet.action is ActionName.PUT and triplet.arg2 else triplet.arg1
             assert concrete.target in candidate_instances(state, ref, triplet.action)
             state, outcome = step(state, concrete, sdt)

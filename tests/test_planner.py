@@ -21,7 +21,7 @@ from sdtplan.sdt import ActionName
 def test_filter_knife_task_keeps_washing_chain(sdt, suite):
     state = scene_for_row(suite_row(suite, 5), sdt, injected=False)
     task = "Place a clean knife in the drawer"
-    kept = {d.type_name for d in filter_relevant_objects(state, task, sdt)}
+    kept = {d.type_name for d in filter_relevant_objects(state, sdt, relevant_types(task, sdt))}
     assert {"Knife", "Drawer", "Sink", "Faucet"} <= kept
     assert "Lettuce" not in kept
 
@@ -32,12 +32,13 @@ def test_filter_empty_scene(tmp_path, sdt):
     path = tmp_path / "empty.json"
     path.write_text('{"agent": {"position": [0, 0.9, 0]}, "objects": []}')
     state = load_scene(path, sdt)
-    assert filter_relevant_objects(state, "Place a clean knife in the drawer", sdt) == []
+    relevant = relevant_types("Place a clean knife in the drawer", sdt)
+    assert filter_relevant_objects(state, sdt, relevant) == []
 
 
 def test_filter_unmentioned_scene_keeps_receptacles_only(sdt, suite):
     state = scene_for_row(suite_row(suite, 10), sdt, injected=False)
-    kept = filter_relevant_objects(state, "Water the plants outside", sdt)
+    kept = filter_relevant_objects(state, sdt, relevant_types("Water the plants outside", sdt))
     from sdtplan.sdt import AffordanceTag
 
     assert kept
@@ -56,9 +57,9 @@ def test_relevant_types_closed_under_implication(sdt):
 def test_prompt_deterministic(sdt, suite):
     state = scene_for_row(suite_row(suite, 9), sdt)
     task = suite_row(suite, 9)["task"]
-    examples = load_examples()
-    assert build_plan_prompt(task, state, sdt, examples) == build_plan_prompt(
-        task, state, sdt, examples
+    relevant, examples = relevant_types(task, sdt), load_examples()
+    assert build_plan_prompt(task, state, sdt, relevant, examples) == build_plan_prompt(
+        task, state, sdt, relevant, examples
     )
 
 
@@ -66,9 +67,10 @@ def test_prompt_contains_each_rule_sentence_once(sdt, suite):
     for task_id in (1, 9, 13):
         row = suite_row(suite, task_id)
         state = scene_for_row(row, sdt)
-        objects = filter_relevant_objects(state, row["task"], sdt)
-        prompt = build_plan_prompt(row["task"], state, sdt, load_examples())
-        block_types = relevant_types(row["task"], sdt) | {o.type_name for o in objects}
+        relevant = relevant_types(row["task"], sdt)
+        objects = filter_relevant_objects(state, sdt, relevant)
+        prompt = build_plan_prompt(row["task"], state, sdt, relevant, load_examples())
+        block_types = relevant | {o.type_name for o in objects}
         for type_name in block_types:
             for rule in sdt.entry(type_name).rules:
                 assert prompt.count(rule.text) == 1, (type_name, rule.text)
@@ -77,7 +79,7 @@ def test_prompt_contains_each_rule_sentence_once(sdt, suite):
 def test_prompt_bottle_rules_present(sdt, suite):
     state = scene_for_row(suite_row(suite, 9), sdt)
     task = "Set a chilled bottle of wine on the table."
-    prompt = build_plan_prompt(task, state, sdt, [])
+    prompt = build_plan_prompt(task, state, sdt, relevant_types(task, sdt), [])
     assert "Pickupable" in prompt
     assert "Will fill up with water when placed under a running faucet." in prompt
 
@@ -85,16 +87,18 @@ def test_prompt_bottle_rules_present(sdt, suite):
 def test_prompt_omits_examples_section_when_empty(sdt, suite):
     state = scene_for_row(suite_row(suite, 9), sdt)
     task = suite_row(suite, 9)["task"]
-    prompt = build_plan_prompt(task, state, sdt, [])
+    relevant = relevant_types(task, sdt)
+    prompt = build_plan_prompt(task, state, sdt, relevant, [])
     assert "## Worked Examples" not in prompt
-    with_examples = build_plan_prompt(task, state, sdt, load_examples())
+    with_examples = build_plan_prompt(task, state, sdt, relevant, load_examples())
     assert "## Worked Examples" in with_examples
 
 
 def test_plan_reproduces_eight_step_wine_plan(sdt, suite):
     row = suite_row(suite, 9)
     state = scene_for_row(row, sdt)
-    triplets, goal = plan(row["task"], state, sdt, ScriptedOracle())
+    relevant = relevant_types(row["task"], sdt)
+    triplets, goal = plan(row["task"], state, sdt, relevant, ScriptedOracle())
     rendered = [[t.action.value, t.arg1, t.arg2 or 0] for t in triplets]
     assert rendered == [
         ["PickupObject", "WineBottle", 0],
@@ -122,7 +126,7 @@ def test_plan_parses_prose_wrapped_reply(sdt, suite):
             "GOAL:{type=Mug; flags=!isDirty; temp=-; in=CoffeeMachine}\nDone!"
         ]
     )
-    triplets, goal = plan(row["task"], state, sdt, backend)
+    triplets, goal = plan(row["task"], state, sdt, relevant_types(row["task"], sdt), backend)
     assert [t.action for t in triplets] == [ActionName.PICKUP, ActionName.PUT]
     assert backend.calls == 1
 
@@ -132,7 +136,7 @@ def test_plan_retries_then_fails_on_garbage(sdt, suite):
     state = scene_for_row(row, sdt)
     backend = ScriptedBackend(["gibberish", "more gibberish"])
     with pytest.raises(PlanParseError):
-        plan(row["task"], state, sdt, backend)
+        plan(row["task"], state, sdt, relevant_types(row["task"], sdt), backend)
     assert backend.calls == 2
 
 
@@ -146,6 +150,6 @@ def test_plan_retry_recovers_on_second_reply(sdt, suite):
             "GOAL:{type=Mug; flags=-; temp=-; in=-}",
         ]
     )
-    triplets, _ = plan(row["task"], state, sdt, backend)
+    triplets, _ = plan(row["task"], state, sdt, relevant_types(row["task"], sdt), backend)
     assert len(triplets) == 1
     assert backend.calls == 2

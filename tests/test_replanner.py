@@ -13,21 +13,24 @@ from sdtplan.cli import default_suite_path
 from sdtplan.backends import OracleConfig, ScriptedOracle
 from sdtplan.errors import BackendError, PlanParseError
 from sdtplan.interpreter import ExecutionHistory, HistoryEntry, execute_plan
+from sdtplan.planner import relevant_types
 from sdtplan.replanner import RunConfig, build_replan_prompt, replan, run_task
 from sdtplan.sdt import ActionName
 from sdtplan.triplets import ActionTriplet, goal_satisfied, parse_goal
 from sdtplan.world import ActionOutcome, ConcreteAction, ObjectInstance, WorldState
 
 
-def test_replan_prompt_names_unmet_clause_and_is_deterministic(sdt, suite):
+def test_replan_prompt_names_unmet_clause_and_is_deterministic(sdt, suite, all_types):
     state = scene_for_row(suite_row(suite, 2), sdt)
     unmet = ["UNMET type=PotatoSliced need=exists"]
-    prompt = build_replan_prompt("task text", ExecutionHistory(), state, unmet)
+    prompt = build_replan_prompt("task text", ExecutionHistory(), state, sdt, all_types, unmet)
     assert "UNMET type=PotatoSliced need=exists" in prompt
-    assert prompt == build_replan_prompt("task text", ExecutionHistory(), state, unmet)
+    assert prompt == build_replan_prompt(
+        "task text", ExecutionHistory(), state, sdt, all_types, unmet
+    )
 
 
-def test_state_line_format_is_pinned():
+def test_state_line_format_is_pinned(sdt, all_types):
     fridge_id = "Fridge|-01.00|+00.90|+00.00"
     apple_id = "Apple|+00.13|+00.90|+00.00"
     state = WorldState(
@@ -46,7 +49,7 @@ def test_state_line_format_is_pinned():
         },
         agent_position=(0.0, 0.9, 0.0),
     )
-    prompt = build_replan_prompt("task", ExecutionHistory(), state, [])
+    prompt = build_replan_prompt("task", ExecutionHistory(), state, sdt, all_types, [])
     line = prompts.sections(prompt)[prompts.SEC_STATE].splitlines()[0]
     assert line == (
         "- Apple|+00.13|+00.90|+00.00 (type=Apple; flags=isCooked,isSliced; "
@@ -55,7 +58,7 @@ def test_state_line_format_is_pinned():
     assert prompts.parse_state_lines(line) == [(apple_id, "Apple", fridge_id)]
 
 
-def test_replan_prompt_lists_actions_newest_last(sdt, suite):
+def test_replan_prompt_lists_actions_newest_last(sdt, suite, all_types):
     state = scene_for_row(suite_row(suite, 2), sdt)
     history = ExecutionHistory()
     fridge_id = next(o for o in state.objects.values() if o.type_name == "Fridge").object_id
@@ -67,7 +70,9 @@ def test_replan_prompt_lists_actions_newest_last(sdt, suite):
                 outcome=ActionOutcome.success(),
             )
         )
-    prompt = build_replan_prompt("task", history, state, ["UNMET type=Mug need=exists"])
+    prompt = build_replan_prompt(
+        "task", history, state, sdt, all_types, ["UNMET type=Mug need=exists"]
+    )
     open_pos = prompt.find("(OpenObject,")
     close_pos = prompt.find("(CloseObject,")
     assert 0 < open_pos < close_pos
@@ -78,7 +83,9 @@ def test_replan_suggests_knife_and_slice_for_missing_sliced_witness(sdt, suite):
     state = scene_for_row(row, sdt)
     backend = ScriptedOracle()
     goal = parse_goal("GOAL:{type=PotatoSliced; flags=isCooked; temp=-; in=Sink}")
-    additions = replan(row["task"], ExecutionHistory(), state, goal, sdt, backend)
+    additions = replan(
+        row["task"], ExecutionHistory(), state, goal, sdt, relevant_types(row["task"], sdt), backend
+    )
     actions = [t.action for t in additions[:2]]
     assert actions == [ActionName.PICKUP, ActionName.SLICE]
     assert "ButterKnife" in additions[0].arg1
@@ -89,6 +96,7 @@ def test_replan_moves_slice_to_goal_receptacle(sdt, suite):
     row = suite_row(suite, 14)
     state = scene_for_row(row, sdt, injected=False)
     backend = ScriptedOracle()
+    relevant = relevant_types(row["task"], sdt)
     # slice the apple on the counter so the only unmet conjunct is placement
     plan_text = (
         "[['PickupObject', 'Knife', 0], ['SliceObject', 'Apple', 0], "
@@ -97,25 +105,25 @@ def test_replan_moves_slice_to_goal_receptacle(sdt, suite):
     from sdtplan.triplets import parse_triplets
 
     state, history, status = execute_plan(
-        parse_triplets(plan_text), state, row["task"], sdt, backend, None
+        parse_triplets(plan_text), state, row["task"], sdt, relevant, backend, None
     )
     assert status == "Completed"
     for obj in state.objects.values():
         if obj.type_name == "AppleSliced":
             obj.temperature = "Cold"
     goal = parse_goal("GOAL:{type=AppleSliced; flags=-; temp=Cold; in=DiningTable}")
-    additions = replan(row["task"], history, state, goal, sdt, backend)
+    additions = replan(row["task"], history, state, goal, sdt, relevant, backend)
     assert [t.action for t in additions] == [ActionName.PICKUP, ActionName.PUT]
     assert "AppleSliced" in additions[0].arg1
     assert additions[1].arg2.startswith("DiningTable|")
 
 
-def test_replan_rejects_satisfied_goal(sdt, suite):
+def test_replan_rejects_satisfied_goal(sdt, suite, all_types):
     state = scene_for_row(suite_row(suite, 10), sdt)
     goal = parse_goal("GOAL:{type=Mug; flags=-; temp=-; in=CounterTop}")
     assert goal_satisfied(state, goal)[0]
     with pytest.raises(ValueError):
-        replan("task", ExecutionHistory(), state, goal, sdt, ScriptedOracle())
+        replan("task", ExecutionHistory(), state, goal, sdt, all_types, ScriptedOracle())
 
 
 def _unmet_potato_goal(sdt, suite):
@@ -125,19 +133,19 @@ def _unmet_potato_goal(sdt, suite):
     return state, goal
 
 
-def test_replan_retry_recovers_on_second_reply(sdt, suite):
+def test_replan_retry_recovers_on_second_reply(sdt, suite, all_types):
     state, goal = _unmet_potato_goal(sdt, suite)
     backend = ScriptedBackend(["gibberish", "Action-Triplets:[['PickupObject', 'Potato', 0]]"])
-    additions = replan("task", ExecutionHistory(), state, goal, sdt, backend)
+    additions = replan("task", ExecutionHistory(), state, goal, sdt, all_types, backend)
     assert additions == [ActionTriplet(ActionName.PICKUP, "Potato")]
     assert backend.calls == 2
 
 
-def test_replan_retries_then_fails_on_garbage(sdt, suite):
+def test_replan_retries_then_fails_on_garbage(sdt, suite, all_types):
     state, goal = _unmet_potato_goal(sdt, suite)
     backend = ScriptedBackend(["gibberish", "more gibberish"])
     with pytest.raises(PlanParseError):
-        replan("task", ExecutionHistory(), state, goal, sdt, backend)
+        replan("task", ExecutionHistory(), state, goal, sdt, all_types, backend)
     assert backend.calls == 2
 
 
@@ -235,11 +243,12 @@ def test_wash_replan_template_cleans_dirty_goal_object(sdt, suite):
     backend = ScriptedOracle()
     knife = next(o for o in state.objects.values() if o.type_name == "Knife")
     goal = parse_goal("GOAL:{type=Knife; flags=!isDirty; temp=-; in=Drawer}")
-    additions = replan(row["task"], ExecutionHistory(), state, goal, sdt, backend)
+    relevant = relevant_types(row["task"], sdt)
+    additions = replan(row["task"], ExecutionHistory(), state, goal, sdt, relevant, backend)
     actions = [t.action for t in additions]
     assert ActionName.TOGGLE_ON in actions and ActionName.TOGGLE_OFF in actions
     state, history, status = execute_plan(
-        additions, state, row["task"], sdt, backend, None
+        additions, state, row["task"], sdt, relevant, backend, None
     )
     assert status == "Completed"
     assert not state.objects[knife.object_id].flag("isDirty")

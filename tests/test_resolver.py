@@ -10,6 +10,7 @@ from conftest import ScriptedBackend, random_state, scene_for_row, suite_row
 
 from sdtplan.backends import ScriptedOracle
 from sdtplan.interpreter import execute_plan
+from sdtplan.planner import relevant_types
 from sdtplan.resolver import (
     AdaptiveMemory,
     FailureContext,
@@ -54,25 +55,25 @@ def not_visible_ctx(triplet, index=0, task="task"):
 # Action pair map
 
 
-def test_pairs_hidden_bottle_scene(sdt, suite):
+def test_pairs_hidden_bottle_scene(sdt, suite, all_types):
     state = scene_for_row(suite_row(suite, 9), sdt)
     fridge = by_type(state, "Fridge")
-    pairs = build_action_pairs(state, sdt)
+    pairs = build_action_pairs(state, sdt, all_types)
     assert (ActionName.OPEN, fridge.object_id) in pairs
     # once the fridge is open, the pair map offers the crouch-gated pickup
     state, _ = step(state, ConcreteAction(ActionName.OPEN, fridge.object_id), sdt)
     bottle = by_type(state, "WineBottle")
-    pairs = build_action_pairs(state, sdt, focus=bottle.object_id)
+    pairs = build_action_pairs(state, sdt, all_types, focus=bottle.object_id)
     assert (ActionName.PICKUP, bottle.object_id) in pairs
     assert (ActionName.CROUCH, fridge.object_id) in pairs
 
 
-def test_pairs_empty_scene_pose_only(tmp_path, sdt):
+def test_pairs_empty_scene_pose_only(tmp_path, sdt, all_types):
     from sdtplan.world import load_scene
 
     path = tmp_path / "empty.json"
     path.write_text('{"agent": {"position": [0, 0.9, 0]}, "objects": []}')
-    pairs = build_action_pairs(load_scene(path, sdt), sdt)
+    pairs = build_action_pairs(load_scene(path, sdt), sdt, all_types)
     assert [p[0] for p in pairs] == [ActionName.CROUCH, ActionName.STAND]
 
 
@@ -97,17 +98,31 @@ def _counterfactual_views(state, sdt):
     return views
 
 
-def reference_pairs(state, sdt, focus=None):
-    """The pair map by brute force over cloned views, in the map's order."""
+def reference_pairs(state, sdt, relevant, focus=None):
+    """The pair map by brute force over cloned views, in the map's order.
+
+    It covers the objects of the relevant types, the receptacles and the
+    focus, and leaves out closing a door that only an opened view shows open.
+    """
     actions = [a for a in ActionName if a not in POSE_ACTIONS]
     expected = set()
     for view in _counterfactual_views(state, sdt):
         for desc in object_descriptions(view):
             if desc.type_name not in sdt:
                 continue
+            if not (
+                desc.type_name in relevant
+                or sdt.entry(desc.type_name).has(AffordanceTag.RECEPTACLE)
+                or desc.object_id == focus
+            ):
+                continue
             for action in actions:
                 if condition_fn(sdt, desc, action):
                     expected.add((action, desc.object_id))
+    expected = {
+        (a, t) for a, t in expected
+        if not (a is ActionName.CLOSE and not state.objects[t].flag("isOpen"))
+    }
     ordered = sorted(
         expected, key=lambda p: (round(state.distance_to(state.objects[p[1]]), 4), p[1], p[0].value)
     )
@@ -171,66 +186,91 @@ def padded_state(sdt, suite, count=1000):
     return state
 
 
-def test_pairs_match_brute_force_enumeration(sdt, suite):
+def test_pairs_match_brute_force_enumeration(sdt, suite, all_types):
+    rng = random.Random(47)
     for state in pair_map_states(sdt, suite):
-        assert build_action_pairs(state, sdt) == reference_pairs(state, sdt)
+        assert build_action_pairs(state, sdt, all_types) == reference_pairs(state, sdt, all_types)
+        relevant = set(rng.sample(sorted(all_types), 4))
+        focus = rng.choice(list(state.objects) + [None])
+        assert build_action_pairs(state, sdt, relevant, focus) == reference_pairs(
+            state, sdt, relevant, focus
+        )
 
 
-def test_pairs_match_brute_force_in_padded_scene(sdt, suite):
+def test_pairs_match_brute_force_in_padded_scene(sdt, suite, all_types):
     state = padded_state(sdt, suite)
-    pairs = build_action_pairs(state, sdt)
+    pairs = build_action_pairs(state, sdt, all_types)
     assert len(pairs) > 1000
-    assert pairs == reference_pairs(state, sdt)
+    assert pairs == reference_pairs(state, sdt, all_types)
+    relevant = relevant_types(suite_row(suite, 9)["task"], sdt)
+    pairs = build_action_pairs(state, sdt, relevant)
+    assert not any(type_of_id(t) == "Statue" for _, t in pairs)
+    assert pairs == reference_pairs(state, sdt, relevant)
 
 
-def test_pair_admitted_equals_map_membership(sdt, suite):
+def test_pair_admitted_equals_map_membership(sdt, suite, all_types):
     rng = random.Random(43)
     actions = [a for a in ActionName if a not in POSE_ACTIONS]
     for state in list(pair_map_states(sdt, suite)) + [padded_state(sdt, suite, count=200)]:
         ids = list(state.objects)
         focus = rng.choice(ids + [None])
-        pairs = set(build_action_pairs(state, sdt, focus=focus))
+        relevant = rng.choice([all_types, set(rng.sample(sorted(all_types), 4))])
+        pairs = set(build_action_pairs(state, sdt, relevant, focus=focus))
         for object_id in ids + ["Apple|+09.00|+00.90|+09.00", None]:
             for action in actions:
                 expected = (action, object_id) in pairs
-                assert pair_admitted(state, sdt, action, object_id, focus) == expected
+                assert pair_admitted(state, sdt, relevant, action, object_id, focus) == expected
         for object_id in ids + [next(p[1] for p in pairs if p[0] is ActionName.CROUCH)]:
             for action in POSE_ACTIONS:
                 expected = (action, object_id) in pairs
-                assert pair_admitted(state, sdt, action, object_id, focus) == expected
+                assert pair_admitted(state, sdt, relevant, action, object_id, focus) == expected
 
 
-def test_pairs_deterministic_order(sdt, suite):
+def test_closed_door_offers_no_close_pair(sdt, suite, all_types):
+    state = scene_for_row(suite_row(suite, 14), sdt, injected=False)
+    drawer = by_type(state, "Drawer").object_id
+    assert not state.objects[drawer].flag("isOpen")
+    pairs = build_action_pairs(state, sdt, all_types)
+    assert (ActionName.OPEN, drawer) in pairs
+    assert (ActionName.PUT, drawer) in pairs  # the opened view still offers what opening enables
+    assert (ActionName.CLOSE, drawer) not in pairs
+    assert not pair_admitted(state, sdt, all_types, ActionName.CLOSE, drawer)
+    state, _ = step(state, ConcreteAction(ActionName.OPEN, drawer), sdt)
+    assert (ActionName.CLOSE, drawer) in build_action_pairs(state, sdt, all_types)
+    assert pair_admitted(state, sdt, all_types, ActionName.CLOSE, drawer)
+
+
+def test_pairs_deterministic_order(sdt, suite, all_types):
     state = scene_for_row(suite_row(suite, 9), sdt)
-    assert build_action_pairs(state, sdt) == build_action_pairs(state, sdt)
+    assert build_action_pairs(state, sdt, all_types) == build_action_pairs(state, sdt, all_types)
 
 
 # ---------------------------------------------------------------------------
 # Failure query
 
 
-def test_first_query_has_no_repeat_section(sdt, suite):
+def test_first_query_has_no_repeat_section(sdt, suite, all_types):
     state = scene_for_row(suite_row(suite, 9), sdt)
     ctx = not_visible_ctx(ActionTriplet(ActionName.PICKUP, "WineBottle"))
-    query = build_failure_query(ctx, build_action_pairs(state, sdt), AdaptiveMemory())
+    query = build_failure_query(ctx, build_action_pairs(state, sdt, all_types), AdaptiveMemory())
     assert "## Do Not Repeat" not in query
     assert MSG_NOT_VISIBLE in query
 
 
-def test_second_query_lists_prior_attempt_with_feedback(sdt, suite):
+def test_second_query_lists_prior_attempt_with_feedback(sdt, suite, all_types):
     state = scene_for_row(suite_row(suite, 9), sdt)
     ctx = not_visible_ctx(ActionTriplet(ActionName.PICKUP, "WineBottle"))
     memory = AdaptiveMemory()
     fridge = by_type(state, "Fridge")
     attempted = [RecoveryPair(ActionName.OPEN, fridge.object_id)]
     memory.record(ctx.key, attempted, "step still failing")
-    query = build_failure_query(ctx, build_action_pairs(state, sdt), memory)
+    query = build_failure_query(ctx, build_action_pairs(state, sdt, all_types), memory)
     assert "## Do Not Repeat" in query
     assert f"(OpenObject,{fridge.object_id})" in query
     assert "step still failing" in query
 
 
-def test_query_contains_verbatim_error_strings(sdt, suite):
+def test_query_contains_verbatim_error_strings(sdt, suite, all_types):
     state = scene_for_row(suite_row(suite, 3), sdt)
     ctx = FailureContext(
         failed_index=6,
@@ -240,7 +280,7 @@ def test_query_contains_verbatim_error_strings(sdt, suite):
         task="Place a rinsed knife inside a drawer.",
         history_tail=[],
     )
-    query = build_failure_query(ctx, build_action_pairs(state, sdt), AdaptiveMemory())
+    query = build_failure_query(ctx, build_action_pairs(state, sdt, all_types), AdaptiveMemory())
     assert "No valid positions to place object found." in query
 
 
@@ -269,7 +309,8 @@ def test_knife_full_drawer_resolved_in_one_iteration(sdt, suite):
         history_tail=[],
     )
     state, status, iterations, attempts = resolve_failure(
-        ctx, state, sdt, AdaptiveMemory(), ScriptedOracle(), budget=5
+        ctx, state, sdt, relevant_types(row["task"], sdt), AdaptiveMemory(), ScriptedOracle(),
+        budget=5,
     )
     assert status == "Resolved"
     assert iterations == 1
@@ -285,7 +326,8 @@ def test_hidden_bottle_resolved_in_four_iterations(sdt, suite):
     state = scene_for_row(row, sdt)
     ctx = not_visible_ctx(ActionTriplet(ActionName.PICKUP, "WineBottle"), task=row["task"])
     state, status, iterations, attempts = resolve_failure(
-        ctx, state, sdt, AdaptiveMemory(), ScriptedOracle(), budget=5
+        ctx, state, sdt, relevant_types(row["task"], sdt), AdaptiveMemory(), ScriptedOracle(),
+        budget=5,
     )
     assert status == "Resolved"
     assert iterations == 4
@@ -300,16 +342,17 @@ def test_memory_is_keyed_by_phase(sdt, suite):
     # One resolver serves the plan and a replan phase; both fail at index 0.
     row = suite_row(suite, 9)
     state = scene_for_row(row, sdt)
+    relevant = relevant_types(row["task"], sdt)
     goto = next(
-        (a, t) for a, t in build_action_pairs(state, sdt)
+        (a, t) for a, t in build_action_pairs(state, sdt, relevant)
         if a is ActionName.GOTO and type_of_id(t) == "CounterTop"
     )
     backend = ScriptedBackend([f"[({goto[0].value},{goto[1]})]"])  # runs, resolves nothing
-    resolver = FailureResolver(sdt, backend, budget=1)
+    resolver = FailureResolver(sdt, relevant, backend, budget=1)
     plan = [ActionTriplet(ActionName.PICKUP, "WineBottle")]
     for phase in ("plan", "replan-1"):
         _, history, status = execute_plan(
-            plan, state, row["task"], sdt, backend, resolver, phase=phase
+            plan, state, row["task"], sdt, relevant, backend, resolver, phase=phase
         )
         assert status == "Aborted"
         attempt = history.entries[-1].attempts[-1]
@@ -336,12 +379,12 @@ class RepeatingBackend:
         return self.reply
 
 
-def test_adversarial_repeats_blocked_and_budget_respected(sdt):
+def test_adversarial_repeats_blocked_and_budget_respected(sdt, all_types):
     rng = random.Random(53)
     runs = 0
     while runs < 100:
         state = random_state(rng, sdt, max_objects=6)
-        pairs = [p for p in build_action_pairs(state, sdt)]
+        pairs = [p for p in build_action_pairs(state, sdt, all_types)]
         if not pairs:
             continue
         runs += 1
@@ -349,7 +392,7 @@ def test_adversarial_repeats_blocked_and_budget_respected(sdt):
         ctx = not_visible_ctx(ActionTriplet(ActionName.PICKUP, "Unicorn"))
         memory = AdaptiveMemory()
         _, status, iterations, attempts = resolve_failure(
-            ctx, state, sdt, memory, backend, budget=4
+            ctx, state, sdt, all_types, memory, backend, budget=4
         )
         assert iterations <= 4
         executed = [tuple(a.proposed) for a in attempts if a.executed]
@@ -367,7 +410,7 @@ def test_memory_rejects_duplicate_records():
         memory.record(key, seq, "again")
 
 
-def test_invalid_pairs_rejected_without_execution(sdt, suite):
+def test_invalid_pairs_rejected_without_execution(sdt, suite, all_types):
     state = scene_for_row(suite_row(suite, 9), sdt)
 
     class BogusBackend:
@@ -379,7 +422,7 @@ def test_invalid_pairs_rejected_without_execution(sdt, suite):
 
     ctx = not_visible_ctx(ActionTriplet(ActionName.PICKUP, "WineBottle"))
     _, status, iterations, attempts = resolve_failure(
-        ctx, state, sdt, AdaptiveMemory(), BogusBackend(), budget=2
+        ctx, state, sdt, all_types, AdaptiveMemory(), BogusBackend(), budget=2
     )
     assert status == "Exhausted"
     assert iterations == 2
