@@ -126,9 +126,9 @@ def candidate_instances(
     slicing = action is ActionName.SLICE
     out = []
     for obj in state.objects.values():
-        if not is_visible(state, obj):
-            continue
         if not _matches_ref(obj, ref, include_sliced=not slicing):
+            continue
+        if not is_visible(state, obj):
             continue
         if not slicing and obj.type_name == ref and obj.slice_children:
             continue  # inert husk; its slices are the interactable remains

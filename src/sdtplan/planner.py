@@ -17,7 +17,12 @@ from . import lexicon, prompts
 from .backends import LLMBackend, ask
 from .sdt import SDT, ActionName, AffordanceTag, render_type_text
 from .triplets import ActionTriplet, GoalCondition, parse_goal, parse_triplets
-from .world import ObjectInstance, WorldState, object_descriptions
+from .world import (
+    ObjectInstance,
+    WorldState,
+    is_visible,
+    object_descriptions,  # noqa: F401  (not called here; bench/tracer.py wraps this binding)
+)
 
 _RETRY_REMINDER = (
     "\n\nFORMAT REMINDER: reply with exactly one line starting with "
@@ -91,8 +96,19 @@ def filter_relevant_objects(
     relevant: AbstractSet[str],
     extras: AbstractSet[str] = frozenset(),
 ) -> list[ObjectInstance]:
-    """Visible objects a prompt shows (see ``shown``), id-sorted."""
-    return [obj for obj in object_descriptions(state) if shown(obj, sdt, relevant, extras)]
+    """Visible objects a prompt shows (see ``shown``), id-sorted.
+
+    ``shown`` is tested first: it reads only the record, where visibility
+    walks the container chain.
+    """
+    return sorted(
+        (
+            obj
+            for obj in state.objects.values()
+            if shown(obj, sdt, relevant, extras) and is_visible(state, obj)
+        ),
+        key=lambda o: o.object_id,
+    )
 
 
 def load_examples() -> list[dict]:

@@ -6,6 +6,14 @@ links. Transitions are pure: ``step`` returns a fresh state on success and
 the untouched input state on error. Interaction rules from the knowledge
 base fire after each successful transition (instant consequences, no
 timed processes).
+
+Transitions are copy-on-write. ``WorldState.clone`` copies the id-to-record
+map and shares the ``ObjectInstance`` records with its source; a transition
+takes a private copy of a record through ``WorldState.own`` before writing
+it, so one action costs what it touches, not the size of the scene. This
+rests on one rule: once a state has been copied, nothing writes to it or to
+its records. ``step`` and ``inject_failure`` results obey it; code that
+edits a cloned state's records must write through ``own``.
 """
 
 from __future__ import annotations
@@ -156,14 +164,19 @@ class WorldState:
     visibility_radius: float = 25.0
     view_band_standing: tuple[float, float] = (0.80, 2.20)
     view_band_crouched: tuple[float, float] = (0.00, 1.50)
+    # records of the map this state was cloned from are shared, not owned
+    _source: Optional[dict[str, ObjectInstance]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def view_band(self) -> tuple[float, float]:
         return self.view_band_crouched if self.agent_crouched else self.view_band_standing
 
     def clone(self) -> "WorldState":
-        return WorldState(
-            objects={k: v.clone() for k, v in self.objects.items()},
+        """Copy-on-write copy: a new id-to-record map over shared records."""
+        new = WorldState(
+            objects=dict(self.objects),
             agent_position=self.agent_position,
             agent_crouched=self.agent_crouched,
             held_object=self.held_object,
@@ -171,6 +184,15 @@ class WorldState:
             view_band_standing=self.view_band_standing,
             view_band_crouched=self.view_band_crouched,
         )
+        new._source = self.objects
+        return new
+
+    def own(self, object_id: str) -> ObjectInstance:
+        """The record of ``object_id``, cloned into this state on first write."""
+        obj = self.objects[object_id]
+        if self._source is not None and self._source.get(object_id) is obj:
+            obj = self.objects[object_id] = obj.clone()
+        return obj
 
     def distance_to(self, obj: ObjectInstance) -> float:
         return math.dist(self.agent_position, obj.position)
@@ -231,15 +253,17 @@ def _parse_instance(raw: dict, index: int) -> ObjectInstance:
     if len(position) != 3:
         raise ParseError(f"{where}: position must have 3 components")
     type_name = raw["type"]
-    object_id = raw.get("id") or format_object_id(type_name, position)
+    given_id = raw.get("id")
+    object_id = given_id or format_object_id(type_name, position)
     m = _ID_RE.match(object_id)
     if m is None:
         raise ValidationError(f"{where}: malformed id {object_id!r}")
-    expected = format_object_id(type_name, position) + (m.group("suffix") or "")
-    if object_id != expected:
-        raise ValidationError(
-            f"{where}: id {object_id!r} does not embed its type/position ({expected!r})"
-        )
+    if given_id:  # a formatted id embeds its type and position by construction
+        expected = format_object_id(type_name, position) + (m.group("suffix") or "")
+        if object_id != expected:
+            raise ValidationError(
+                f"{where}: id {object_id!r} does not embed its type/position ({expected!r})"
+            )
     flags = {k: False for k in FLAG_NAMES}
     for k, v in raw.get("flags", {}).items():
         if k not in FLAG_NAMES:
@@ -454,6 +478,7 @@ def _apply_effect(state: WorldState, sdt: SDT, owner: ObjectInstance, effect: St
             continue
         if gate is not None and not entry.has(gate):
             continue
+        target = state.own(target.object_id)
         if effect.field_name == "temperature":
             target.temperature = str(effect.to)
         elif effect.field_name == "parent_receptacle":
@@ -467,23 +492,26 @@ def _fire_rules(state: WorldState, sdt: SDT, action: ActionName, target: ObjectI
 
     Owners are visited in a deterministic order; rule preconditions are
     evaluated against the already-updated state (consequences are instant).
+    Owners are read by id before each rule's preconditions and effects: an
+    earlier effect may have replaced the record with an owned copy.
     """
-    owners = [target]
-    owners.extend(state.contents_of(target.object_id))
-    owner_ids = {o.object_id for o in owners}
-    owners.extend(o for o in _nearby(state, target) if o.object_id not in owner_ids)
-    for owner in owners:
-        entry = sdt.get(owner.type_name)
+    owner_ids = [target.object_id]
+    owner_ids.extend(o.object_id for o in state.contents_of(target.object_id))
+    seen = set(owner_ids)
+    owner_ids.extend(o.object_id for o in _nearby(state, target) if o.object_id not in seen)
+    for owner_id in owner_ids:
+        entry = sdt.get(state.objects[owner_id].type_name)
         if entry is None:
             continue
         for rule in entry.rules:
             if rule.trigger_action is not action:
                 continue
-            if owner.object_id != target.object_id and not rule.reactive:
+            if owner_id != target.object_id and not rule.reactive:
                 continue  # self-triggered rules only fire on the action target
+            owner = state.objects[owner_id]
             if all(_predicate_holds(state, owner, p) for p in rule.preconditions):
                 for effect in rule.effects:
-                    _apply_effect(state, sdt, owner, effect)
+                    _apply_effect(state, sdt, state.objects[owner_id], effect)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +547,7 @@ def step(state: WorldState, action: ConcreteAction, sdt: SDT) -> tuple[WorldStat
             obj.position[2],
         )
         if new.held_object is not None:
-            new.objects[new.held_object].position = new.agent_position
+            new.own(new.held_object).position = new.agent_position
         return new, ActionOutcome.success()
 
     if name is ActionName.PICKUP:
@@ -530,7 +558,7 @@ def step(state: WorldState, action: ConcreteAction, sdt: SDT) -> tuple[WorldStat
         if state.held_object is not None:
             return state, ActionOutcome.error("HandOccupied", MSG_HAND_OCCUPIED)
         new = state.clone()
-        target = new.objects[obj.object_id]
+        target = new.own(obj.object_id)
         target.parent_receptacle = None
         target.position = new.agent_position
         new.held_object = target.object_id
@@ -549,7 +577,7 @@ def step(state: WorldState, action: ConcreteAction, sdt: SDT) -> tuple[WorldStat
         if len(state.contents_of(obj.object_id)) >= obj.capacity:
             return state, ActionOutcome.error("NoValidPosition", MSG_NO_VALID_POSITION)
         new = state.clone()
-        held = new.objects[new.held_object]
+        held = new.own(new.held_object)
         held.parent_receptacle = obj.object_id
         held.position = obj.position
         new.held_object = None
@@ -571,7 +599,7 @@ def step(state: WorldState, action: ConcreteAction, sdt: SDT) -> tuple[WorldStat
         if held_entry is None or not held_entry.is_slicing_tool:
             return state, ActionOutcome.error("NotAfforded", MSG_NOT_AFFORDED)
     new = state.clone()
-    target = new.objects[obj.object_id]
+    target = new.own(obj.object_id)
     target.flags[flag] = value
     if name is ActionName.SLICE:
         target.slice_children = [c.object_id for c in _spawn_slices(new, target)]
@@ -653,21 +681,22 @@ def inject_failure(state: WorldState, perturbation: Perturbation, sdt: SDT) -> W
     Raises ValidationError when the result would break a state invariant.
     """
     new = state.clone()
-    target = new.objects[_resolve_target(new, perturbation.target).object_id]
+    target = _resolve_target(new, perturbation.target)
 
     if perturbation.kind == "dirty":
-        target.flags["isDirty"] = True
+        new.own(target.object_id).flags["isDirty"] = True
     elif perturbation.kind == "hide":
-        recept = new.objects[_resolve_target(new, perturbation.receptacle).object_id]
+        recept = _resolve_target(new, perturbation.receptacle)
         if not _afforded(sdt, recept, AffordanceTag.RECEPTACLE):
             raise ValidationError(f"{recept.object_id} is not a receptacle")
         if new.held_object == target.object_id:
             new.held_object = None
+        target = new.own(target.object_id)
         # the object keeps its own height; only x/z follow the receptacle
         target.position = (recept.position[0], target.position[1], recept.position[2])
         target.parent_receptacle = recept.object_id
         if _afforded(sdt, recept, AffordanceTag.OPENABLE):
-            recept.flags["isOpen"] = False
+            new.own(recept.object_id).flags["isOpen"] = False
     elif perturbation.kind == "fill":
         if not _afforded(sdt, target, AffordanceTag.RECEPTACLE):
             raise ValidationError(f"{target.object_id} is not a receptacle")
@@ -692,6 +721,7 @@ def inject_failure(state: WorldState, perturbation: Perturbation, sdt: SDT) -> W
         lo_standing = new.view_band_standing[0]
         lo_crouched = new.view_band_crouched[0]
         y = max(lo_standing - 0.30, lo_crouched + 0.01)
+        target = new.own(target.object_id)
         target.position = (target.position[0], y, target.position[2])
     else:
         raise ValidationError(f"unknown perturbation kind: {perturbation.kind!r}")

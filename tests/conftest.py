@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from pathlib import Path
 
@@ -134,3 +135,23 @@ def random_state(rng: random.Random, sdt: SDT, max_objects: int = 10) -> WorldSt
         agent_position=(0.0, 0.9, 0.0),
         visibility_radius=rng.choice([2.0, 25.0]),
     )
+
+
+def add_statues(state, count, seed):
+    """``count`` free-standing statues in both view bands, 2 m clear of every scene object."""
+    rng = random.Random(seed)
+    authored = [(o.position[0], o.position[2]) for o in state.objects.values()]
+    added = []
+    while len(added) < count:
+        x, z = round(rng.uniform(-12, 12), 2), round(rng.uniform(-12, 12), 2)
+        if any(math.hypot(x - ax, z - az) <= 2.0 for ax, az in authored):
+            continue
+        pos = (x, round(rng.uniform(0.85, 1.45), 2), z)
+        object_id = format_object_id("Statue", pos)
+        if object_id in state.objects:
+            continue
+        state.objects[object_id] = ObjectInstance(
+            object_id, "Statue", pos, {k: False for k in FLAG_NAMES}
+        )
+        added.append(object_id)
+    return added

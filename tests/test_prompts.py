@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import hashlib
-import math
-import random
 
 import pytest
 
-from conftest import scene_for_row, suite_row
+from conftest import add_statues, scene_for_row, suite_row
 
 from sdtplan import prompts
 from sdtplan.backends import OracleConfig, ScriptedOracle
@@ -84,26 +82,6 @@ def test_oracle_traffic_is_pinned(sdt, suite, task_id):
 
 # ---------------------------------------------------------------------------
 # Relevance-bounded prompts
-
-
-def add_statues(state, count, seed):
-    """``count`` free-standing statues in both view bands, 2 m clear of every scene object."""
-    rng = random.Random(seed)
-    authored = [(o.position[0], o.position[2]) for o in state.objects.values()]
-    added = []
-    while len(added) < count:
-        x, z = round(rng.uniform(-12, 12), 2), round(rng.uniform(-12, 12), 2)
-        if any(math.hypot(x - ax, z - az) <= 2.0 for ax, az in authored):
-            continue
-        pos = (x, round(rng.uniform(0.85, 1.45), 2), z)
-        object_id = format_object_id("Statue", pos)
-        if object_id in state.objects:
-            continue
-        state.objects[object_id] = ObjectInstance(
-            object_id, "Statue", pos, {k: False for k in FLAG_NAMES}
-        )
-        added.append(object_id)
-    return added
 
 
 class PromptLog(ScriptedOracle):

@@ -110,7 +110,7 @@ def test_replan_moves_slice_to_goal_receptacle(sdt, suite):
     assert status == "Completed"
     for obj in state.objects.values():
         if obj.type_name == "AppleSliced":
-            obj.temperature = "Cold"
+            state.own(obj.object_id).temperature = "Cold"
     goal = parse_goal("GOAL:{type=AppleSliced; flags=-; temp=Cold; in=DiningTable}")
     additions = replan(row["task"], history, state, goal, sdt, relevant, backend)
     assert [t.action for t in additions] == [ActionName.PICKUP, ActionName.PUT]

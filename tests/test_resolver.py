@@ -88,7 +88,7 @@ def _counterfactual_views(state, sdt):
     for obj in opened.objects.values():
         entry = sdt.get(obj.type_name)
         if entry is not None and entry.has(AffordanceTag.OPENABLE) and not obj.flag("isOpen"):
-            obj.flags["isOpen"] = True
+            opened.own(obj.object_id).flags["isOpen"] = True
             changed = True
     if changed:
         views.append(opened)

@@ -6,11 +6,11 @@ import random
 
 import pytest
 
-from conftest import random_state, scene_for_row, suite_row
+from conftest import add_statues, random_state, scene_for_row, suite_row
 
 from sdtplan.errors import ParseError, ValidationError
 from sdtplan.interpreter import postcondition_satisfied
-from sdtplan.sdt import FLAG_ACTIONS, ActionName, condition_fn
+from sdtplan.sdt import FLAG_ACTIONS, ActionName, condition_fn, parse_sdt_data
 from sdtplan.triplets import ActionTriplet
 from sdtplan.world import (
     ConcreteAction,
@@ -18,6 +18,7 @@ from sdtplan.world import (
     MSG_NOT_VISIBLE,
     ObjectInstance,
     Perturbation,
+    WorldState,
     format_object_id,
     inject_failure,
     is_valid_object_id,
@@ -26,6 +27,7 @@ from sdtplan.world import (
     state_hash,
     step,
     type_of_id,
+    validate_state,
 )
 
 
@@ -386,32 +388,145 @@ def _random_action(rng, state):
     return ConcreteAction(name=name, target=target)
 
 
+def _random_perturbation(rng, state):
+    ids = sorted(state.objects)
+    kind = rng.choice(("dirty", "hide", "fill", "lower"))
+    return Perturbation(kind, rng.choice(ids), rng.choice(ids) if kind == "hide" else None)
+
+
 def test_random_scripts_keep_invariants(sdt):
+    """No step or injection writes its input; every result passes validate_state.
+
+    A successful step adds objects only by slicing, two pieces per cut.
+    """
     rng = random.Random(23)
-    for _ in range(40):
+    successes = injected = 0
+    for _ in range(3000):
         state = random_state(rng, sdt)
-        total_before = len(state.objects)
-        slices_spawned = 0
-        for _ in range(25):
-            action = _random_action(rng, state)
+        for _ in range(rng.randint(3, 15)):
             before = state_hash(state)
-            new_state, outcome = step(state, action, sdt)
-            if not outcome.ok:
-                assert state_hash(new_state) == before  # pure failure
+            if rng.random() < 0.1:
+                try:
+                    new_state = inject_failure(state, _random_perturbation(rng, state), sdt)
+                except ValidationError:
+                    new_state = state
+                else:
+                    validate_state(new_state, sdt)
+                    injected += 1
             else:
-                if action.name is ActionName.SLICE:
-                    slices_spawned += 2
-                state = new_state
-            # capacity and acyclicity after every step of the script
-            for obj in state.objects.values():
-                if obj.capacity:
-                    assert len(state.contents_of(obj.object_id)) <= obj.capacity
-                seen, cur = set(), obj.parent_receptacle
-                while cur is not None:
-                    assert cur not in seen
-                    seen.add(cur)
-                    cur = state.objects[cur].parent_receptacle
-        assert len(state.objects) == total_before + slices_spawned
+                action = _random_action(rng, state)
+                new_state, outcome = step(state, action, sdt)
+                if outcome.ok:
+                    validate_state(new_state, sdt)
+                    spawned = 2 if action.name is ActionName.SLICE else 0
+                    assert len(new_state.objects) == len(state.objects) + spawned
+                    successes += 1
+                else:
+                    assert state_hash(new_state) == before  # pure failure
+            assert state_hash(state) == before
+            state = new_state
+    assert successes > 5000 and injected > 100
+
+
+# ---------------------------------------------------------------------------
+# Copy-on-write transitions
+
+
+def _assert_shares_unwritten(old, new, written):
+    """``new`` holds the input's very records except for the ``written`` ids."""
+    for object_id, record in old.objects.items():
+        if object_id in written:
+            assert new.objects[object_id] is not record, object_id
+        else:
+            assert new.objects[object_id] is record, object_id
+
+
+def test_steps_share_every_record_they_do_not_write(sdt, suite):
+    state = scene_for_row(suite_row(suite, 9), sdt, injected=False)
+    add_statues(state, 1000, seed=11)
+    fridge = by_type(state, "Fridge").object_id
+    bottle = by_type(state, "WineBottle").object_id
+
+    opened, outcome = step(state, act(ActionName.OPEN, fridge), sdt)
+    assert outcome.ok
+    _assert_shares_unwritten(state, opened, {fridge})
+    assert not state.objects[fridge].flag("isOpen")
+
+    went, outcome = step(opened, act(ActionName.GOTO, fridge), sdt)
+    assert outcome.ok
+    _assert_shares_unwritten(opened, went, set())
+
+    crouched, _ = step(went, act(ActionName.CROUCH), sdt)
+    held, outcome = step(crouched, act(ActionName.PICKUP, bottle), sdt)
+    assert outcome.ok
+    _assert_shares_unwritten(crouched, held, {bottle})
+
+    drawer = by_type(state, "Drawer").object_id
+    carried, outcome = step(held, act(ActionName.GOTO, drawer), sdt)
+    assert outcome.ok
+    _assert_shares_unwritten(held, carried, {bottle})
+    assert carried.objects[bottle].position == carried.agent_position
+    assert held.objects[bottle].position == held.agent_position != carried.agent_position
+
+
+def test_rule_effects_write_the_new_state_only(sdt, suite):
+    """The fridge chills its contents on close; the state before the close stays warm."""
+    state = scene_for_row(suite_row(suite, 9), sdt, injected=False)
+    add_statues(state, 1000, seed=12)
+    fridge = by_type(state, "Fridge").object_id
+    bottle = by_type(state, "WineBottle").object_id
+    for action in (
+        act(ActionName.OPEN, fridge), act(ActionName.CROUCH), act(ActionName.PICKUP, bottle)
+    ):
+        state, outcome = step(state, action, sdt)
+        assert outcome.ok
+    stored, outcome = step(state, act(ActionName.PUT, fridge), sdt)
+    assert outcome.ok
+    assert stored.objects[bottle].parent_receptacle == fridge
+    closed, outcome = step(stored, act(ActionName.CLOSE, fridge), sdt)
+    assert outcome.ok
+    assert closed.objects[bottle].temperature == "Cold"
+    assert stored.objects[bottle].temperature == "RoomTemp"
+    assert state.objects[bottle].parent_receptacle is None
+    _assert_shares_unwritten(stored, closed, {fridge, bottle})
+
+
+def test_later_rules_read_the_owner_earlier_effects_wrote(sdt):
+    """A neighbour's second rule sees the flag its first rule set in the same step."""
+    machine_on = {"scope": "colocated", "type": "CoffeeMachine", "flag": "isToggled", "is": True}
+    gadget = {
+        "type": "Gadget",
+        "affordances": ["Dirtyable", "Fillable"],
+        "rules": [
+            {
+                "action": "ToggleOnObject",
+                "pre": [machine_on],
+                "effect": [{"set": "isDirty", "to": True}],
+                "text": "Gets dirty while the machine runs.",
+            },
+            {
+                "action": "ToggleOnObject",
+                "pre": [machine_on, {"flag": "isDirty", "is": True}],
+                "effect": [{"set": "isFilled", "to": True}],
+                "text": "Once dirty, it fills up.",
+            },
+        ],
+    }
+    kb = parse_sdt_data([{"type": "CoffeeMachine", "affordances": ["Toggleable"]}, gadget])
+    machine_pos, gadget_pos = (1.0, 1.0, 0.0), (1.5, 1.0, 0.0)
+    machine_id = format_object_id("CoffeeMachine", machine_pos)
+    gadget_id = format_object_id("Gadget", gadget_pos)
+    state = WorldState(
+        {
+            machine_id: ObjectInstance(machine_id, "CoffeeMachine", machine_pos, {}),
+            gadget_id: ObjectInstance(gadget_id, "Gadget", gadget_pos, {}),
+        },
+        agent_position=(0.0, 0.9, 0.0),
+    )
+    new, outcome = step(state, act(ActionName.TOGGLE_ON, machine_id), kb)
+    assert outcome.ok
+    assert new.objects[gadget_id].flag("isDirty") and new.objects[gadget_id].flag("isFilled")
+    assert not state.objects[gadget_id].flag("isDirty")
 
 
 # ---------------------------------------------------------------------------
