@@ -12,7 +12,6 @@ from .interpreter import (
 from .planner import build_plan_prompt, filter_relevant_objects, plan
 from .replanner import RunConfig, TaskReport, build_replan_prompt, replan, run_task
 from .resolver import (
-    AdaptiveMemory,
     FailureResolver,
     build_action_pairs,
     build_failure_query,
@@ -32,7 +31,6 @@ from .triplets import (
     ActionTriplet,
     GoalClause,
     GoalCondition,
-    RecoveryPair,
     format_recovery,
     format_triplets,
     goal_satisfied,

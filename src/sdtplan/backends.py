@@ -475,7 +475,7 @@ class ScriptedOracle:
                 seq = parse_recovery(payload)
             except GrammarError:
                 continue
-            blocked.add(tuple((p.action.value, p.target) for p in seq))
+            blocked.add(tuple((p.name.value, p.target) for p in seq))
         return blocked
 
     # -- replanning ----------------------------------------------------------

@@ -18,7 +18,7 @@ from .backends import LLMBackend, ask
 from .errors import GrammarError, NoCandidate, PlanParseError, SdtPlanError
 from .planner import filter_relevant_objects
 from .sdt import FLAG_ACTIONS, SDT, ActionName
-from .triplets import ActionTriplet, RecoveryPair
+from .triplets import ActionTriplet
 from .world import (
     ActionOutcome,
     ConcreteAction,
@@ -39,7 +39,7 @@ _CHOICE_REMINDER = "\n\nFORMAT REMINDER: choose ids from the candidate lists onl
 class RecoveryAttempt:
     """One resolver iteration: proposal, what actually ran, and its feedback."""
 
-    proposed: list[RecoveryPair]
+    proposed: list[ConcreteAction]
     executed: list[tuple[ConcreteAction, ActionOutcome]] = field(default_factory=list)
     feedback: str = ""
     resolved: bool = False
@@ -277,25 +277,15 @@ def postcondition_satisfied(state: WorldState, triplet: ActionTriplet) -> bool:
 # Execution loop
 
 
-#: (phase, index of the failed triplet within that phase's plan, error code).
-FailureKey = tuple[str, int, str]
-
-
 @dataclass
 class FailureContext:
     """One failed step, as the execution loop hands it to the failure handler."""
 
-    failed_index: int
     failed_triplet: ActionTriplet
     failed_concrete: Optional[ConcreteAction]
     outcome: ActionOutcome
     task: str
     history_tail: list[HistoryEntry] = field(default_factory=list)
-    phase: str = "plan"
-
-    @property
-    def key(self) -> FailureKey:
-        return (self.phase, self.failed_index, self.outcome.error_code or "Unknown")
 
 
 class FailureHandler(Protocol):
@@ -328,7 +318,7 @@ def execute_plan(
     if history is None:
         history = ExecutionHistory()
     try:
-        for index, triplet in enumerate(plan):
+        for triplet in plan:
             if not postcondition_satisfied(state, triplet):
                 concrete: Optional[ConcreteAction] = None
                 try:
@@ -347,10 +337,8 @@ def execute_plan(
                     continue
                 if resolver is None:
                     return state, history, "Aborted"
-                state, status, attempts = resolver.handle(
-                    state,
-                    FailureContext(index, triplet, concrete, outcome, task, history.tail(), phase),
-                )
+                ctx = FailureContext(triplet, concrete, outcome, task, history.tail())
+                state, status, attempts = resolver.handle(state, ctx)
                 entry.attempts.extend(attempts)
                 if status != "Resolved":
                     return state, history, "Aborted"

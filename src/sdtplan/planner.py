@@ -9,9 +9,10 @@ and bound every prompt's object listing, not only the plan prompt's.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
-from typing import AbstractSet, Optional
+from typing import AbstractSet, Sequence
 
 from . import lexicon, prompts
 from .backends import LLMBackend, ask
@@ -111,10 +112,11 @@ def filter_relevant_objects(
     )
 
 
-def load_examples() -> list[dict]:
-    """Worked task/plan examples shipped as package data."""
+@functools.cache
+def load_examples() -> tuple[dict, ...]:
+    """Worked task/plan examples shipped as package data, read once."""
     ref = importlib.resources.files("sdtplan.data").joinpath("examples.json")
-    return json.loads(ref.read_text(encoding="utf-8"))
+    return tuple(json.loads(ref.read_text(encoding="utf-8")))
 
 
 def build_plan_prompt(
@@ -122,7 +124,7 @@ def build_plan_prompt(
     state: WorldState,
     sdt: SDT,
     relevant: AbstractSet[str],
-    examples: list[dict],
+    examples: Sequence[dict],
 ) -> str:
     """Deterministic plan prompt with fixed section order.
 
@@ -166,10 +168,7 @@ def plan(
     sdt: SDT,
     relevant: AbstractSet[str],
     backend: LLMBackend,
-    examples: Optional[list[dict]] = None,
 ) -> tuple[list[ActionTriplet], GoalCondition]:
     """One backend call (plus one reformat retry) for triplets and goal."""
-    if examples is None:
-        examples = load_examples()
-    prompt = build_plan_prompt(task, state, sdt, relevant, examples)
+    prompt = build_plan_prompt(task, state, sdt, relevant, load_examples())
     return ask(backend, prompt, _parse_plan_reply, _RETRY_REMINDER)

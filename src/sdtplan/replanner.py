@@ -103,7 +103,6 @@ class TaskReport:
     unmet_final: list[str] = field(default_factory=list)
     history: ExecutionHistory = field(default_factory=ExecutionHistory)
     final_state: Optional[WorldState] = None
-    memory_dump: dict = field(default_factory=dict)
 
     @property
     def failures(self) -> int:
@@ -137,7 +136,6 @@ class TaskReport:
             "goal": self.goal.render() if self.goal else None,
             "unmet_final": self.unmet_final,
             "history": self.history.to_json(),
-            "memory": self.memory_dump,
         }
 
 
@@ -201,7 +199,6 @@ def run_task(
                 break
             report.replan_additions.append(triplets)
             phase = f"replan-{len(report.replan_additions)}"
-        report.memory_dump = resolver.memory.dump() if resolver else {}
     report.final_state = state
     report.wall_time_s = time.perf_counter() - started
     return report

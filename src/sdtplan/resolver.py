@@ -4,8 +4,9 @@ On an execution error the resolver builds the action-pair map (the action
 filter over the task-relevant objects in the current view, widened by pose
 and door counterfactuals so suggestions like "crouch, then pick it up" are
 expressible), queries the backend, validates and executes the suggested
-pair sequence, and records every attempt in adaptive memory so the same
-recovery is never tried twice for one failure point.
+pair sequence. The attempts of one call are the failure point's adaptive
+memory: every recovery query lists the sequences tried so far with their
+feedback, and a sequence proposed again is rejected without running.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .errors import GrammarError, NoCandidate
 from .interpreter import (
     ExecutionHistory,
     FailureContext,
-    FailureKey,
     RecoveryAttempt,
     _matches_ref,
     postcondition_satisfied,
@@ -28,7 +28,7 @@ from .interpreter import (
 )
 from .planner import shown
 from .sdt import SDT, ActionName, AffordanceTag, POSE_ACTIONS, filter_actions
-from .triplets import ActionTriplet, RecoveryPair, format_recovery, parse_recovery
+from .triplets import ActionTriplet, format_recovery, parse_recovery
 from .world import (
     ConcreteAction,
     ObjectInstance,
@@ -44,33 +44,6 @@ from .world import (
 )
 
 DEFAULT_BUDGET = 5
-
-
-class AdaptiveMemory:
-    """Per-failure-point log of attempted recovery sequences and feedback."""
-
-    def __init__(self) -> None:
-        self._attempts: dict[FailureKey, list[tuple[tuple[RecoveryPair, ...], str]]] = {}
-
-    def seen(self, key: FailureKey, sequence: list[RecoveryPair]) -> bool:
-        return any(seq == tuple(sequence) for seq, _ in self._attempts.get(key, []))
-
-    def record(self, key: FailureKey, sequence: list[RecoveryPair], feedback: str) -> None:
-        if self.seen(key, sequence):
-            raise ValueError("duplicate recovery sequence for failure point")
-        self._attempts.setdefault(key, []).append((tuple(sequence), feedback))
-
-    def entries(self, key: FailureKey) -> list[tuple[tuple[RecoveryPair, ...], str]]:
-        return list(self._attempts.get(key, []))
-
-    def dump(self) -> dict:
-        return {
-            f"{phase}:{idx}:{code}": [
-                {"sequence": format_recovery(seq), "feedback": fb}
-                for seq, fb in attempts
-            ]
-            for (phase, idx, code), attempts in sorted(self._attempts.items())
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +166,12 @@ def pair_admitted(
 def build_failure_query(
     ctx: FailureContext,
     pairs: list[tuple[ActionName, str]],
-    memory: AdaptiveMemory,
+    tried: dict[tuple[ConcreteAction, ...], str],
 ) -> str:
+    """Recovery prompt; ``tried`` maps each sequence proposed so far for this
+    failure to its feedback, listed in proposal order."""
     grounded = ctx.failed_concrete.render() if ctx.failed_concrete is not None else "-"
-    attempted = [f"- {format_recovery(seq)} => {fb}" for seq, fb in memory.entries(ctx.key)]
+    attempted = [f"- {format_recovery(seq)} => {fb}" for seq, fb in tried.items()]
     return prompts.render(prompts.RECOVERY_HEADER, [
         (prompts.SEC_ERROR, [f'{ctx.outcome.error_code}: "{ctx.outcome.message}"']),
         (prompts.SEC_FAILED, [f"Triplet: {ctx.failed_triplet.render()}", f"Grounded: {grounded}"]),
@@ -214,12 +189,6 @@ def build_failure_query(
 
 # ---------------------------------------------------------------------------
 # Recovery loop
-
-
-def _pair_to_concrete(pair: RecoveryPair) -> ConcreteAction:
-    if pair.action in POSE_ACTIONS:
-        return ConcreteAction(name=pair.action, target=None)
-    return ConcreteAction(name=pair.action, target=pair.target)
 
 
 def _reexecute_failed(
@@ -249,7 +218,6 @@ def resolve_failure(
     state: WorldState,
     sdt: SDT,
     relevant: AbstractSet[str],
-    memory: AdaptiveMemory,
     backend: LLMBackend,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[WorldState, str, int, list[RecoveryAttempt]]:
@@ -259,17 +227,19 @@ def resolve_failure(
     triplet names and its grounded target. Pair validation is incremental:
     each pair of a sequence is checked against the pair map of the state it
     actually executes in, so enabling actions (open the alternate drawer,
-    crouch) legitimize their successors. Returns the state, "Resolved" or
-    "Exhausted", the iterations run (one attempt each) and the attempts.
+    crouch) legitimize their successors. A sequence already tried for this
+    failure is rejected unrun. Returns the state, "Resolved" or "Exhausted",
+    the iterations run (one attempt each) and the attempts.
     """
     attempts: list[RecoveryAttempt] = []
+    tried: dict[tuple[ConcreteAction, ...], str] = {}
     mapped = relevant | _reference_types(ctx.failed_triplet)
     focus = None
     if ctx.failed_concrete is not None and ctx.failed_concrete.target is not None:
         focus = ctx.failed_concrete.target
     for _ in range(budget):
         pairs = build_action_pairs(state, sdt, mapped, focus=focus or _focus_from_ref(state, ctx))
-        query = build_failure_query(ctx, pairs, memory)
+        query = build_failure_query(ctx, pairs, tried)
         reply = backend.complete(query)
         try:
             sequence = parse_recovery(reply)
@@ -281,17 +251,18 @@ def resolve_failure(
         if not sequence:  # the backend says nothing applies; asking again would repeat it
             attempt.feedback = "empty proposal"
             break
-        if memory.seen(ctx.key, sequence):
+        if tuple(sequence) in tried:
             attempt.feedback = "repeated sequence; rejected"
             continue
         feedback = "executed"
         for pair in sequence:
             if not pair_admitted(
-                state, sdt, mapped, pair.action, pair.target, focus or _focus_from_ref(state, ctx)
+                state, sdt, mapped, pair.name, pair.target, focus or _focus_from_ref(state, ctx)
             ):
                 feedback = f"invalid pair {pair.render()}"
                 break
-            concrete = _pair_to_concrete(pair)
+            # a pose pair names its anchor only for the prompt; the pose targets nothing
+            concrete = ConcreteAction(pair.name) if pair.name in POSE_ACTIONS else pair
             state_after, outcome = step(state, concrete, sdt)
             attempt.executed.append((concrete, outcome))
             if not outcome.ok:
@@ -307,7 +278,7 @@ def resolve_failure(
             )
             feedback = f"{feedback}; {note}"
         attempt.feedback = feedback
-        memory.record(ctx.key, sequence, feedback)
+        tried[tuple(sequence)] = feedback
         if attempt.resolved:
             return state, "Resolved", len(attempts), attempts
     return state, "Exhausted", len(attempts), attempts
@@ -333,7 +304,7 @@ def _focus_from_ref(state: WorldState, ctx: FailureContext) -> Optional[str]:
 
 
 class FailureResolver:
-    """Stateful per-task wrapper satisfying the execution loop's handler interface."""
+    """Per-task wrapper satisfying the execution loop's handler interface."""
 
     def __init__(
         self,
@@ -346,12 +317,11 @@ class FailureResolver:
         self.relevant = relevant
         self.backend = backend
         self.budget = budget
-        self.memory = AdaptiveMemory()
 
     def handle(
         self, state: WorldState, ctx: FailureContext
     ) -> tuple[WorldState, str, list[RecoveryAttempt]]:
         state, status, _, attempts = resolve_failure(
-            ctx, state, self.sdt, self.relevant, self.memory, self.backend, self.budget
+            ctx, state, self.sdt, self.relevant, self.backend, self.budget
         )
         return state, status, attempts

@@ -85,17 +85,15 @@ FLAG_NAMES = (
 
 TEMPERATURES = ("Hot", "Cold", "RoomTemp")
 
-#: Affordances that permit a type to own a rule triggered by an action on itself.
+#: Affordances that permit a type to own a rule triggered by an action on
+#: itself: the action's own gate (the flag actions' from ``FLAG_ACTIONS``),
+#: and for a cut also Pickupable, the held instrument's.
 _TRIGGER_AFFORDANCES: dict[ActionName, frozenset[AffordanceTag]] = {
     ActionName.PICKUP: frozenset({AffordanceTag.PICKUPABLE}),
     ActionName.PUT: frozenset({AffordanceTag.RECEPTACLE}),
-    ActionName.OPEN: frozenset({AffordanceTag.OPENABLE}),
-    ActionName.CLOSE: frozenset({AffordanceTag.OPENABLE}),
-    ActionName.TOGGLE_ON: frozenset({AffordanceTag.TOGGLEABLE}),
-    ActionName.TOGGLE_OFF: frozenset({AffordanceTag.TOGGLEABLE}),
-    # Sliceable = patient of the cut; Pickupable = held instrument.
-    ActionName.SLICE: frozenset({AffordanceTag.SLICEABLE, AffordanceTag.PICKUPABLE}),
+    **{action: frozenset({tag}) for action, (tag, _, _) in FLAG_ACTIONS.items()},
 }
+_TRIGGER_AFFORDANCES[ActionName.SLICE] |= {AffordanceTag.PICKUPABLE}
 
 #: Affordance an instance's type must carry for an effect on the field to apply.
 _FLAG_EFFECT_AFFORDANCES: dict[str, AffordanceTag] = {

@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 
 from .errors import BadAction, GoalParseError, MalformedEntry, NoTripletsFound
 from .sdt import ActionName, FLAG_NAMES, TEMPERATURES
-from .world import WorldState, is_valid_object_id
+from .world import ConcreteAction, WorldState, is_valid_object_id
 
 _ACTION_NAMES = {a.value for a in ActionName}
 
@@ -44,15 +44,6 @@ class ActionTriplet:
     def render(self) -> str:
         third = "0" if self.arg2 is None else f"'{self.arg2}'"
         return f"['{self.action}', '{self.arg1}', {third}]"
-
-
-@dataclass(frozen=True)
-class RecoveryPair:
-    action: ActionName
-    target: str
-
-    def render(self) -> str:
-        return f"({self.action},{self.target})"
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +159,7 @@ def format_triplets(plan: list[ActionTriplet]) -> str:
 _PAIR_RE = re.compile(r"\(\s*([A-Za-z_][A-Za-z0-9_]*)\s*,\s*([^(),]+?)\s*\)")
 
 
-def parse_recovery(text: str) -> list[RecoveryPair]:
+def parse_recovery(text: str) -> list[ConcreteAction]:
     """Extract ``(Action,Type|x|y|z)`` pairs from free text."""
     pairs = []
     for i, m in enumerate(_PAIR_RE.finditer(text)):
@@ -177,7 +168,7 @@ def parse_recovery(text: str) -> list[RecoveryPair]:
             raise BadAction(name)
         if not is_valid_object_id(target):
             raise MalformedEntry(f"malformed target id {target!r}", i)
-        pairs.append(RecoveryPair(action=ActionName(name), target=target))
+        pairs.append(ConcreteAction(ActionName(name), target))
     if pairs:
         return pairs
     if re.search(r"\[\s*\]", text):
@@ -185,7 +176,7 @@ def parse_recovery(text: str) -> list[RecoveryPair]:
     raise NoTripletsFound("no recovery pairs found in text")
 
 
-def format_recovery(pairs: Iterable[RecoveryPair]) -> str:
+def format_recovery(pairs: Iterable[ConcreteAction]) -> str:
     return "[" + ",".join(p.render() for p in pairs) + "]"
 
 

@@ -86,12 +86,14 @@ def type_of_id(object_id: str) -> str:
     return m.group("type")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConcreteAction:
     """Fully grounded action: name plus the instance id it operates on.
 
     PutObject targets the receptacle (the placed object is whatever the
-    agent holds); pose actions carry no target.
+    agent holds); pose actions carry no target. Recovery pairs parse to
+    this type too; a proposed pose pair names the receptacle it was offered
+    against, which the resolver drops before the step.
     """
 
     name: ActionName

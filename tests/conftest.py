@@ -73,7 +73,8 @@ class CountingBackend:
 
 
 class ScriptedBackend:
-    """Replays canned replies (last one repeats); for parser/loop edge cases."""
+    """Replays canned replies (last one repeats) and keeps the prompts it was sent;
+    for parser/loop edge cases."""
 
     name = "scripted"
     deterministic = True
@@ -81,8 +82,10 @@ class ScriptedBackend:
     def __init__(self, replies):
         self.replies = list(replies)
         self.calls = 0
+        self.prompts: list[str] = []
 
     def complete(self, prompt: str) -> str:
+        self.prompts.append(prompt)
         reply = self.replies[min(self.calls, len(self.replies) - 1)]
         self.calls += 1
         return reply

@@ -19,7 +19,7 @@ import sdtplan
 from sdtplan.backends import HttpBackend, HttpConfig, OracleConfig, ScriptedOracle, ask
 from sdtplan.errors import BackendError, GrammarError, OracleError, PlanParseError
 from sdtplan.planner import build_plan_prompt, load_examples, relevant_types
-from sdtplan.resolver import AdaptiveMemory, FailureContext, build_action_pairs, build_failure_query
+from sdtplan.resolver import FailureContext, build_action_pairs, build_failure_query
 from sdtplan.sdt import ActionName
 from sdtplan.triplets import ActionTriplet, parse_goal, parse_recovery, parse_triplets
 from sdtplan.world import (
@@ -45,11 +45,10 @@ def _plan_prompt(sdt, suite, task_id):
     )
 
 
-def _failure_query(sdt, suite, task_id, triplet, memory=None):
+def _failure_query(sdt, suite, task_id, triplet, tried=None):
     row = suite_row(suite, task_id)
     state = scene_for_row(row, sdt)
     ctx = FailureContext(
-        failed_index=0,
         failed_triplet=triplet,
         failed_concrete=None,
         outcome=ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE),
@@ -57,7 +56,7 @@ def _failure_query(sdt, suite, task_id, triplet, memory=None):
         history_tail=[],
     )
     pairs = build_action_pairs(state, sdt, frozenset(sdt.type_names()))
-    return build_failure_query(ctx, pairs, memory or AdaptiveMemory()), pairs
+    return build_failure_query(ctx, pairs, tried or {}), pairs
 
 
 def test_oracle_is_deterministic(sdt, suite):
@@ -86,16 +85,14 @@ def test_oracle_recovery_replies_parse_and_avoid_candidates_outside_prompt(sdt, 
     assert sequence
     pair_set = {(p[0], p[1]) for p in pairs}
     for pair in sequence:
-        assert (pair.action, pair.target) in pair_set
+        assert (pair.name, pair.target) in pair_set
 
 
 def test_oracle_never_repeats_blocked_sequence(sdt, suite):
-    memory = AdaptiveMemory()
     triplet = ActionTriplet(ActionName.PICKUP, "WineBottle")
     query, _ = _failure_query(sdt, suite, 9, triplet)
     first = parse_recovery(ScriptedOracle().complete(query))
-    memory.record(("plan", 0, "NotVisible"), first, "failed")
-    query2, _ = _failure_query(sdt, suite, 9, triplet, memory)
+    query2, _ = _failure_query(sdt, suite, 9, triplet, {tuple(first): "failed"})
     second = parse_recovery(ScriptedOracle().complete(query2))
     assert second != first
 
@@ -105,7 +102,6 @@ def test_oracle_recovery_replies_parse_for_every_suite_scene(sdt, suite, all_typ
         state = scene_for_row(row, sdt)
         first_type = sorted({o.type_name for o in state.objects.values()})[0]
         ctx = FailureContext(
-            failed_index=0,
             failed_triplet=ActionTriplet(ActionName.PICKUP, first_type),
             failed_concrete=None,
             outcome=ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE),
@@ -113,7 +109,7 @@ def test_oracle_recovery_replies_parse_for_every_suite_scene(sdt, suite, all_typ
             history_tail=[],
         )
         pairs = build_action_pairs(state, sdt, all_types)
-        query = build_failure_query(ctx, pairs, AdaptiveMemory())
+        query = build_failure_query(ctx, pairs, {})
         reply = ScriptedOracle().complete(query)
         parse_recovery(reply)  # grammar-valid or the parser raises
 
@@ -213,17 +209,14 @@ def test_oracle_recovery_reply_per_strategy(
     row = suite_row(suite, task_id)
     state = scene_for_row(row, sdt)
     ctx = FailureContext(
-        failed_index=0,
         failed_triplet=triplet,
         failed_concrete=None if grounded is None else ConcreteAction(name=triplet.action, target=grounded),
         outcome=ActionOutcome.error(code, _MESSAGES[code]),
         task=row["task"],
         history_tail=[],
     )
-    memory = AdaptiveMemory()
-    for sequence in blocked:
-        memory.record(ctx.key, parse_recovery(sequence), "failed")
-    query = build_failure_query(ctx, build_action_pairs(state, sdt, all_types, grounded), memory)
+    tried = {tuple(parse_recovery(sequence)): "failed" for sequence in blocked}
+    query = build_failure_query(ctx, build_action_pairs(state, sdt, all_types, grounded), tried)
     assert ScriptedOracle().complete(query) == expected
 
 

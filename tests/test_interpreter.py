@@ -222,7 +222,7 @@ def test_execute_wine_plan_with_recovery(sdt, suite):
     assert len(failed) == 1
     resolving = failed[0].attempts[-1]
     assert resolving.resolved
-    assert [p.action for p in resolving.proposed] == [ActionName.CROUCH, ActionName.PICKUP]
+    assert [p.name for p in resolving.proposed] == [ActionName.CROUCH, ActionName.PICKUP]
     bottle = by_type(final, "WineBottle")
     table = by_type(final, "DiningTable")
     assert bottle.parent_receptacle == table.object_id
@@ -285,7 +285,7 @@ def test_closed_receptacle_recovered_by_opening_it(sdt, suite, put):
     failed = history.entries[1]
     assert failed.outcome.error_code == "ClosedReceptacle"
     drawer = by_type(final, "Drawer").object_id
-    assert [(p.action, p.target) for p in failed.attempts[0].proposed] == [(ActionName.OPEN, drawer)]
+    assert [(p.name, p.target) for p in failed.attempts[0].proposed] == [(ActionName.OPEN, drawer)]
     assert by_type(final, "Apple").parent_receptacle == drawer
 
 

@@ -1,4 +1,4 @@
-"""Failure resolver: pair map, failure queries, recovery loop, memory."""
+"""Failure resolver: pair map, failure queries, recovery loop, attempt log."""
 
 from __future__ import annotations
 
@@ -6,13 +6,13 @@ import random
 
 import pytest
 
-from conftest import ScriptedBackend, random_state, scene_for_row, suite_row
+from conftest import ScriptedBackend, random_state, run_row, scene_for_row, suite_row
 
 from sdtplan.backends import ScriptedOracle
 from sdtplan.interpreter import execute_plan
 from sdtplan.planner import relevant_types
+from sdtplan import prompts, replanner
 from sdtplan.resolver import (
-    AdaptiveMemory,
     FailureContext,
     FailureResolver,
     _pose_anchor,
@@ -22,7 +22,7 @@ from sdtplan.resolver import (
     resolve_failure,
 )
 from sdtplan.sdt import FLAG_NAMES, ActionName, AffordanceTag, POSE_ACTIONS, condition_fn
-from sdtplan.triplets import ActionTriplet, RecoveryPair
+from sdtplan.triplets import ActionTriplet
 from sdtplan.world import (
     ActionOutcome,
     ConcreteAction,
@@ -40,9 +40,8 @@ def by_type(state, type_name):
     return next(o for o in state.objects.values() if o.type_name == type_name)
 
 
-def not_visible_ctx(triplet, index=0, task="task"):
+def not_visible_ctx(triplet, task="task"):
     return FailureContext(
-        failed_index=index,
         failed_triplet=triplet,
         failed_concrete=None,
         outcome=ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE),
@@ -252,7 +251,7 @@ def test_pairs_deterministic_order(sdt, suite, all_types):
 def test_first_query_has_no_repeat_section(sdt, suite, all_types):
     state = scene_for_row(suite_row(suite, 9), sdt)
     ctx = not_visible_ctx(ActionTriplet(ActionName.PICKUP, "WineBottle"))
-    query = build_failure_query(ctx, build_action_pairs(state, sdt, all_types), AdaptiveMemory())
+    query = build_failure_query(ctx, build_action_pairs(state, sdt, all_types), {})
     assert "## Do Not Repeat" not in query
     assert MSG_NOT_VISIBLE in query
 
@@ -260,11 +259,9 @@ def test_first_query_has_no_repeat_section(sdt, suite, all_types):
 def test_second_query_lists_prior_attempt_with_feedback(sdt, suite, all_types):
     state = scene_for_row(suite_row(suite, 9), sdt)
     ctx = not_visible_ctx(ActionTriplet(ActionName.PICKUP, "WineBottle"))
-    memory = AdaptiveMemory()
     fridge = by_type(state, "Fridge")
-    attempted = [RecoveryPair(ActionName.OPEN, fridge.object_id)]
-    memory.record(ctx.key, attempted, "step still failing")
-    query = build_failure_query(ctx, build_action_pairs(state, sdt, all_types), memory)
+    tried = {(ConcreteAction(ActionName.OPEN, fridge.object_id),): "step still failing"}
+    query = build_failure_query(ctx, build_action_pairs(state, sdt, all_types), tried)
     assert "## Do Not Repeat" in query
     assert f"(OpenObject,{fridge.object_id})" in query
     assert "step still failing" in query
@@ -273,14 +270,13 @@ def test_second_query_lists_prior_attempt_with_feedback(sdt, suite, all_types):
 def test_query_contains_verbatim_error_strings(sdt, suite, all_types):
     state = scene_for_row(suite_row(suite, 3), sdt)
     ctx = FailureContext(
-        failed_index=6,
         failed_triplet=ActionTriplet(ActionName.PUT, "Knife", "Drawer"),
         failed_concrete=ConcreteAction(ActionName.PUT, by_type(state, "Drawer").object_id),
         outcome=ActionOutcome.error("NoValidPosition", MSG_NO_VALID_POSITION),
         task="Place a rinsed knife inside a drawer.",
         history_tail=[],
     )
-    query = build_failure_query(ctx, build_action_pairs(state, sdt, all_types), AdaptiveMemory())
+    query = build_failure_query(ctx, build_action_pairs(state, sdt, all_types), {})
     assert "No valid positions to place object found." in query
 
 
@@ -301,7 +297,6 @@ def test_knife_full_drawer_resolved_in_one_iteration(sdt, suite):
     state, outcome = step(state, ConcreteAction(ActionName.PUT, small.object_id), sdt)
     assert outcome.error_code == "NoValidPosition"
     ctx = FailureContext(
-        failed_index=6,
         failed_triplet=ActionTriplet(ActionName.PUT, "Knife", "Drawer"),
         failed_concrete=ConcreteAction(ActionName.PUT, small.object_id),
         outcome=outcome,
@@ -309,13 +304,12 @@ def test_knife_full_drawer_resolved_in_one_iteration(sdt, suite):
         history_tail=[],
     )
     state, status, iterations, attempts = resolve_failure(
-        ctx, state, sdt, relevant_types(row["task"], sdt), AdaptiveMemory(), ScriptedOracle(),
-        budget=5,
+        ctx, state, sdt, relevant_types(row["task"], sdt), ScriptedOracle(), budget=5
     )
     assert status == "Resolved"
     assert iterations == 1
     resolving = attempts[-1]
-    assert [p.action for p in resolving.proposed] == [ActionName.OPEN, ActionName.PUT]
+    assert [p.name for p in resolving.proposed] == [ActionName.OPEN, ActionName.PUT]
     alt = resolving.proposed[0].target
     assert type_of_id(alt) == "Drawer" and alt != small.object_id
     assert state.objects[knife.object_id].parent_receptacle == alt
@@ -326,13 +320,12 @@ def test_hidden_bottle_resolved_in_four_iterations(sdt, suite):
     state = scene_for_row(row, sdt)
     ctx = not_visible_ctx(ActionTriplet(ActionName.PICKUP, "WineBottle"), task=row["task"])
     state, status, iterations, attempts = resolve_failure(
-        ctx, state, sdt, relevant_types(row["task"], sdt), AdaptiveMemory(), ScriptedOracle(),
-        budget=5,
+        ctx, state, sdt, relevant_types(row["task"], sdt), ScriptedOracle(), budget=5
     )
     assert status == "Resolved"
     assert iterations == 4
     resolving = attempts[-1]
-    assert [p.action for p in resolving.proposed] == [ActionName.CROUCH, ActionName.PICKUP]
+    assert [p.name for p in resolving.proposed] == [ActionName.CROUCH, ActionName.PICKUP]
     assert type_of_id(resolving.proposed[0].target) == "Fridge"
     assert type_of_id(resolving.proposed[1].target) == "WineBottle"
     assert state.held_object == by_type(state, "WineBottle").object_id
@@ -358,7 +351,33 @@ def test_memory_is_keyed_by_phase(sdt, suite):
         attempt = history.entries[-1].attempts[-1]
         assert attempt.executed, attempt.feedback
         assert "repeated sequence" not in attempt.feedback
-    assert sorted(resolver.memory.dump()) == ["plan:0:NotVisible", "replan-1:0:NotVisible"]
+
+
+@pytest.mark.parametrize("mode", ["resolve", "replan"])
+def test_no_failure_point_reaches_the_resolver_twice(sdt, suite, monkeypatch, mode):
+    # Each triplet of a phase's plan runs at most once, so one resolve_failure
+    # call sees every attempt ever made at its failure point.
+    seen = []
+
+    class RecordingResolver(FailureResolver):
+        def handle(self, state, ctx):
+            seen.append((ctx.history_tail[-1].phase, ctx.failed_triplet))
+            return super().handle(state, ctx)
+
+    monkeypatch.setattr(replanner, "FailureResolver", RecordingResolver)
+    handled = 0
+    for row in suite["tasks"]:
+        seen.clear()
+        report = run_row(row, sdt, mode=mode)
+        plans = {"plan": report.plan}
+        plans.update((f"replan-{k}", p) for k, p in enumerate(report.replan_additions, start=1))
+        points = [
+            (phase, next(i for i, t in enumerate(plans[phase]) if t is triplet))
+            for phase, triplet in seen
+        ]
+        assert len(points) == len(set(points)), (row["id"], points)
+        handled += len(points)
+    assert handled >= len(suite["tasks"]) // 2
 
 
 class RepeatingBackend:
@@ -390,9 +409,8 @@ def test_adversarial_repeats_blocked_and_budget_respected(sdt, all_types):
         runs += 1
         backend = RepeatingBackend(rng, pairs)
         ctx = not_visible_ctx(ActionTriplet(ActionName.PICKUP, "Unicorn"))
-        memory = AdaptiveMemory()
         _, status, iterations, attempts = resolve_failure(
-            ctx, state, sdt, all_types, memory, backend, budget=4
+            ctx, state, sdt, all_types, backend, budget=4
         )
         assert iterations <= 4
         executed = [tuple(a.proposed) for a in attempts if a.executed]
@@ -400,14 +418,27 @@ def test_adversarial_repeats_blocked_and_budget_respected(sdt, all_types):
         assert status in ("Resolved", "Exhausted")
 
 
-def test_memory_rejects_duplicate_records():
-    memory = AdaptiveMemory()
-    key = (0, "NotVisible")
-    seq = [RecoveryPair(ActionName.CROUCH, "Fridge|-01.30|+00.90|+00.99")]
-    memory.record(key, seq, "failed")
-    assert memory.seen(key, seq)
-    with pytest.raises(ValueError):
-        memory.record(key, seq, "again")
+def test_repeated_sequence_rejected_and_listed_once(sdt, suite):
+    # The goto runs and resolves nothing; the second proposal repeats it.
+    row = suite_row(suite, 9)
+    state = scene_for_row(row, sdt)
+    relevant = relevant_types(row["task"], sdt)
+    goto = next(
+        (a, t) for a, t in build_action_pairs(state, sdt, relevant)
+        if a is ActionName.GOTO and type_of_id(t) == "CounterTop"
+    )
+    sequence = f"[({goto[0].value},{goto[1]})]"
+    backend = ScriptedBackend([sequence, sequence, "[]"])
+    ctx = not_visible_ctx(ActionTriplet(ActionName.PICKUP, "WineBottle"), task=row["task"])
+    _, status, iterations, attempts = resolve_failure(ctx, state, sdt, relevant, backend, budget=3)
+    assert (status, iterations) == ("Exhausted", 3)
+    first, repeat, _ = attempts
+    assert first.executed and all(o.ok for _, o in first.executed)
+    assert not first.resolved
+    assert repeat.feedback == "repeated sequence; rejected"
+    assert repeat.executed == []
+    listed = prompts.sections(backend.prompts[2])[prompts.SEC_NO_REPEAT].splitlines()
+    assert listed == [f"- {sequence} => {first.feedback}"]
 
 
 def test_invalid_pairs_rejected_without_execution(sdt, suite, all_types):
@@ -422,7 +453,7 @@ def test_invalid_pairs_rejected_without_execution(sdt, suite, all_types):
 
     ctx = not_visible_ctx(ActionTriplet(ActionName.PICKUP, "WineBottle"))
     _, status, iterations, attempts = resolve_failure(
-        ctx, state, sdt, all_types, AdaptiveMemory(), BogusBackend(), budget=2
+        ctx, state, sdt, all_types, BogusBackend(), budget=2
     )
     assert status == "Exhausted"
     assert iterations == 2

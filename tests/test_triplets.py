@@ -147,7 +147,7 @@ def test_parse_recovery_pairs():
     pairs = parse_recovery(
         "[(OpenObject,Drawer|-00.86|+00.58|+01.43),(PutObject,Drawer|-00.86|+00.58|+01.43)]"
     )
-    assert [p.action for p in pairs] == [ActionName.OPEN, ActionName.PUT]
+    assert [p.name for p in pairs] == [ActionName.OPEN, ActionName.PUT]
     assert pairs[0].target == "Drawer|-00.86|+00.58|+01.43"
 
 
