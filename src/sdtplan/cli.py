@@ -24,7 +24,7 @@ from .world import (
 )
 
 #: Version of the trace layout that ``_write_trace`` writes and ``replay`` reads.
-TRACE_SCHEMA = 2
+TRACE_SCHEMA = 3
 
 REPORT_COLUMNS = (
     "Task ID",
@@ -81,9 +81,15 @@ def _backend_for(args, faults: dict):
     )
 
 
-def trace_header(row: dict, args, suite_dir: Path, extra_injections: list[str]) -> dict:
-    """A run's input as its trace records it: enough to rebuild the start state."""
-    return {
+def trace_header(
+    row: dict, args, suite_dir: Path, extra_injections: list[str], sdt
+) -> tuple[dict, WorldState]:
+    """A run's input as its trace records it, and the start state it builds.
+
+    The input is enough to rebuild the start state; ``scene_sha256`` and
+    ``start_state_hash`` pin the scene file and the state built from it.
+    """
+    header = {
         "schema": TRACE_SCHEMA,
         "scene": str(_resolve_scene(row["scene"], suite_dir).resolve()),
         "sdt": str(Path(args.sdt or default_sdt_path()).resolve()),
@@ -91,6 +97,10 @@ def trace_header(row: dict, args, suite_dir: Path, extra_injections: list[str]) 
         "oracle_faults": row.get("oracle_faults", {}),
         "mode": args.mode,
     }
+    state = initial_state(header, sdt)
+    header["scene_sha256"] = state.scene.sha256
+    header["start_state_hash"] = state_json_hash(state_to_json(state))
+    return header, state
 
 
 def initial_state(header: dict, sdt) -> WorldState:
@@ -162,9 +172,8 @@ def cli_run(args) -> int:
     suite_dir = suite_path.parent
 
     def worker(row: dict) -> tuple[dict, dict, TaskReport]:
-        header = trace_header(row, args, suite_dir, list(args.inject or []))
+        header, scene = trace_header(row, args, suite_dir, list(args.inject or []), sdt)
         backend = _backend_for(args, header["oracle_faults"])
-        scene = initial_state(header, sdt)
         return row, header, run_task(row["task"], scene, sdt, backend, config, task_id=row.get("id"))
 
     try:
@@ -277,13 +286,26 @@ def _recorded_steps(trace: dict):
 def replay(trace: dict) -> tuple[WorldState, Optional[str]]:
     """Re-execute a trace's recorded actions from its header's start state.
 
-    Returns the state reached and the first step whose outcome (status and
-    message) differs from the recorded one, where the replay stops; or None.
+    Returns the state reached and the first divergence, where the replay
+    stops, or None. It checks, in order: the scene file's sha256, the start
+    state's hash, then each step's outcome (status and message).
     """
-    if trace.get("schema") != TRACE_SCHEMA:
-        raise ValueError(f"unsupported trace schema {trace.get('schema')!r}")
+    schema = trace.get("schema")
+    if schema == 2:
+        raise ValueError(
+            "unsupported trace schema 2: its final_state_hash covers the whole scene; "
+            "re-record the trace with `sdtplan run`"
+        )
+    if schema != TRACE_SCHEMA:
+        raise ValueError(f"unsupported trace schema {schema!r}")
     sdt = load_sdt(trace["sdt"])
-    state = initial_state(trace, sdt)
+    state = load_scene(trace["scene"], sdt)
+    if state.scene.sha256 != trace["scene_sha256"]:
+        return state, f"scene_sha256: stored {trace['scene_sha256']!r}, file {state.scene.sha256!r}"
+    state = apply_perturbations(state, trace["inject"], sdt)
+    start_hash = state_json_hash(state_to_json(state))
+    if start_hash != trace["start_state_hash"]:
+        return state, f"start_state_hash: stored {trace['start_state_hash']!r}, replayed {start_hash!r}"
     for number, (action, recorded) in enumerate(_recorded_steps(trace), start=1):
         state_after, outcome = step(state, ConcreteAction.parse(action), sdt)
         want = (recorded["status"], recorded["message"])
@@ -334,7 +356,10 @@ def cli_verify(args) -> int:
         print(f"mismatch: {m}")
     if mismatches:
         return 1
-    print("trace verified: every recorded step, the report row and the final state hash match the replay")
+    print(
+        "trace verified: the scene file, the start state, every recorded step, "
+        "the report row and the final state hash match the replay"
+    )
     return 0
 
 

@@ -14,6 +14,12 @@ it, so one action costs what it touches, not the size of the scene. This
 rests on one rule: once a state has been copied, nothing writes to it or to
 its records. ``step`` and ``inject_failure`` results obey it; code that
 edits a cloned state's records must write through ``own``.
+
+A loaded state is itself copy-on-write over its ``Scene``: the records
+parsed from the file, kept with the sha256 of the file's bytes and shared by
+every state that descends from the load. ``state_hash`` is relative to that
+scene: it covers the records that differ from the scene's, found by identity
+first, so hashing a state costs what the run changed.
 """
 
 from __future__ import annotations
@@ -64,11 +70,11 @@ _ID_RE = re.compile(
 
 
 def format_object_id(type_name: str, position: tuple[float, float, float]) -> str:
-    for c in position:
-        if abs(c) >= 100:
-            raise ValidationError(f"coordinate out of id range: {c}")
-    x, y, z = (f"{c:+06.2f}" for c in position)
-    return f"{type_name}|{x}|{y}|{z}"
+    x, y, z = position
+    if abs(x) >= 100 or abs(y) >= 100 or abs(z) >= 100:
+        bad = next(c for c in position if abs(c) >= 100)
+        raise ValidationError(f"coordinate out of id range: {bad}")
+    return "%s|%+06.2f|%+06.2f|%+06.2f" % (type_name, x, y, z)
 
 
 def is_valid_object_id(object_id: str) -> bool:
@@ -157,6 +163,15 @@ class ObjectInstance:
         return self.flags.get(name, False)
 
 
+@dataclass(frozen=True, eq=False)
+class Scene:
+    """A loaded scene file: the sha256 of its bytes and the records parsed
+    from them. Nothing writes to these records; states own copies."""
+
+    sha256: str
+    objects: dict[str, ObjectInstance]
+
+
 @dataclass
 class WorldState:
     objects: dict[str, ObjectInstance]
@@ -166,6 +181,8 @@ class WorldState:
     visibility_radius: float = 25.0
     view_band_standing: tuple[float, float] = (0.80, 2.20)
     view_band_crouched: tuple[float, float] = (0.00, 1.50)
+    #: the scene file this state descends from; None for a state built in code
+    scene: Optional[Scene] = field(default=None, repr=False, compare=False)
     # records of the map this state was cloned from are shared, not owned
     _source: Optional[dict[str, ObjectInstance]] = field(
         default=None, init=False, repr=False, compare=False
@@ -185,6 +202,7 @@ class WorldState:
             visibility_radius=self.visibility_radius,
             view_band_standing=self.view_band_standing,
             view_band_crouched=self.view_band_crouched,
+            scene=self.scene,
         )
         new._source = self.objects
         return new
@@ -206,8 +224,42 @@ class WorldState:
         )
 
 
-def state_to_json(state: WorldState) -> dict:
+def _record_json(o: ObjectInstance) -> dict:
     return {
+        "id": o.object_id,
+        "type": o.type_name,
+        "position": list(o.position),
+        "flags": {k: o.flags.get(k, False) for k in FLAG_NAMES},
+        "temperature": o.temperature,
+        "parent_receptacle": o.parent_receptacle,
+        "capacity": o.capacity,
+        "slice_children": list(o.slice_children),
+    }
+
+
+def state_to_json(state: WorldState) -> dict:
+    """The state relative to the scene it was loaded from, as ``state_hash`` hashes it.
+
+    The document holds the scene file's sha256, the agent block, every record
+    whose content differs from the scene's record (id-sorted) and the scene
+    ids the state no longer has. A record that is the scene's own is skipped
+    by identity. A state built without a scene file has a null scene and all
+    its records count as changed.
+    """
+    scene = state.scene
+    base = scene.objects if scene is not None else {}
+    objects = state.objects
+    changed = []
+    for object_id, obj in objects.items():
+        original = base.get(object_id)
+        if original is obj:
+            continue
+        record = _record_json(obj)
+        if original is None or record != _record_json(original):
+            changed.append(record)
+    changed.sort(key=lambda r: r["id"])
+    return {
+        "scene": scene.sha256 if scene is not None else None,
         "agent": {
             "position": list(state.agent_position),
             "crouched": state.agent_crouched,
@@ -216,19 +268,8 @@ def state_to_json(state: WorldState) -> dict:
             "view_band_standing": list(state.view_band_standing),
             "view_band_crouched": list(state.view_band_crouched),
         },
-        "objects": [
-            {
-                "id": o.object_id,
-                "type": o.type_name,
-                "position": list(o.position),
-                "flags": {k: o.flags.get(k, False) for k in FLAG_NAMES},
-                "temperature": o.temperature,
-                "parent_receptacle": o.parent_receptacle,
-                "capacity": o.capacity,
-                "slice_children": list(o.slice_children),
-            }
-            for o in sorted(state.objects.values(), key=lambda o: o.object_id)
-        ],
+        "objects": changed,
+        "removed": sorted(i for i in base if i not in objects),
     }
 
 
@@ -239,7 +280,7 @@ def state_json_hash(data: dict) -> str:
 
 
 def state_hash(state: WorldState) -> str:
-    """Stable content hash for determinism and purity checks."""
+    """Content hash of the state relative to its scene (see ``state_to_json``)."""
     return state_json_hash(state_to_json(state))
 
 
@@ -247,53 +288,82 @@ def state_hash(state: WorldState) -> str:
 # Scene loading
 
 
+def _vector(value: object, count: int, where: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ParseError(f"{where} must be a list of {count} numbers")
+    if len(value) != count:
+        raise ParseError(f"{where} must have {count} components")
+    try:
+        return tuple(map(float, value))
+    except (TypeError, ValueError):
+        raise ParseError(f"{where} must be a list of {count} numbers") from None
+
+
+_NO_FLAGS = dict.fromkeys(FLAG_NAMES, False)
+
+
 def _parse_instance(raw: dict, index: int) -> ObjectInstance:
     where = f"object {index}"
     if not isinstance(raw, dict) or "type" not in raw or "position" not in raw:
         raise ParseError(f"{where}: needs 'type' and 'position'")
-    position = tuple(float(c) for c in raw["position"])
-    if len(position) != 3:
-        raise ParseError(f"{where}: position must have 3 components")
+    position = _vector(raw["position"], 3, f"{where}: position")
     type_name = raw["type"]
     given_id = raw.get("id")
-    object_id = given_id or format_object_id(type_name, position)
-    m = _ID_RE.match(object_id)
-    if m is None:
-        raise ValidationError(f"{where}: malformed id {object_id!r}")
     if given_id:  # a formatted id embeds its type and position by construction
+        m = _ID_RE.match(given_id) if isinstance(given_id, str) else None
+        if m is None:
+            raise ValidationError(f"{where}: malformed id {given_id!r}")
         expected = format_object_id(type_name, position) + (m.group("suffix") or "")
-        if object_id != expected:
+        if given_id != expected:
             raise ValidationError(
-                f"{where}: id {object_id!r} does not embed its type/position ({expected!r})"
+                f"{where}: id {given_id!r} does not embed its type/position ({expected!r})"
             )
-    flags = {k: False for k in FLAG_NAMES}
-    for k, v in raw.get("flags", {}).items():
-        if k not in FLAG_NAMES:
-            raise ValidationError(f"{where}: unknown flag {k!r}")
-        flags[k] = bool(v)
+        object_id = given_id
+    else:
+        object_id = format_object_id(type_name, position)
+        if _ID_RE.match(object_id) is None:
+            raise ValidationError(f"{where}: malformed id {object_id!r}")
+    flags = _NO_FLAGS.copy()
+    if "flags" in raw:
+        given_flags = raw["flags"]
+        if not isinstance(given_flags, dict):
+            raise ParseError(f"{where}: flags must be an object")
+        for k, v in given_flags.items():
+            if k not in FLAG_NAMES:
+                raise ValidationError(f"{where}: unknown flag {k!r}")
+            flags[k] = bool(v)
     temperature = raw.get("temperature", "RoomTemp")
     if temperature not in TEMPERATURES:
         raise ValidationError(f"{where}: unknown temperature {temperature!r}")
+    parent = raw.get("parent_receptacle")
+    if parent is not None and not isinstance(parent, str):
+        raise ParseError(f"{where}: parent_receptacle must be an object id")
+    try:
+        capacity = int(raw.get("capacity", 0))
+    except (TypeError, ValueError):
+        raise ParseError(f"{where}: capacity must be an integer") from None
     return ObjectInstance(
         object_id=object_id,
         type_name=type_name,
         position=position,
         flags=flags,
         temperature=temperature,
-        parent_receptacle=raw.get("parent_receptacle"),
-        capacity=int(raw.get("capacity", 0)),
+        parent_receptacle=parent,
+        capacity=capacity,
     )
 
 
 def validate_state(state: WorldState, sdt: SDT) -> None:
     """Containment, capacity and id invariants; raises ValidationError."""
-    for obj in state.objects.values():
+    objects = state.objects
+    counts: dict[str, int] = {}  # receptacle id -> objects it holds
+    for obj in objects.values():
         if obj.capacity < 0:
             raise ValidationError(f"{obj.object_id}: negative capacity")
         parent_id = obj.parent_receptacle
         if parent_id is None:
             continue
-        parent = state.objects.get(parent_id)
+        parent = objects.get(parent_id)
         if parent is None:
             raise ValidationError(f"{obj.object_id}: dangling container {parent_id!r}")
         entry = sdt.get(parent.type_name)
@@ -301,70 +371,91 @@ def validate_state(state: WorldState, sdt: SDT) -> None:
             raise ValidationError(
                 f"{obj.object_id}: container {parent_id!r} is not a receptacle type"
             )
-    for obj in state.objects.values():
-        entry = sdt.get(obj.type_name)
-        if entry is not None and entry.has(AffordanceTag.RECEPTACLE):
-            count = len(state.contents_of(obj.object_id))
-            if count > obj.capacity:
-                raise ValidationError(
-                    f"{obj.object_id}: holds {count} objects, capacity {obj.capacity}"
-                )
+        counts[parent_id] = counts.get(parent_id, 0) + 1
+    for obj in objects.values():  # in map order, so the first overfull receptacle is named
+        count = counts.get(obj.object_id, 0)
+        if count > obj.capacity:
+            raise ValidationError(
+                f"{obj.object_id}: holds {count} objects, capacity {obj.capacity}"
+            )
     # containment must be acyclic
-    for obj in state.objects.values():
+    for obj in objects.values():
         seen = set()
         cur: Optional[str] = obj.parent_receptacle
         while cur is not None:
             if cur in seen or cur == obj.object_id:
                 raise ValidationError(f"{obj.object_id}: containment cycle via {cur!r}")
             seen.add(cur)
-            cur = state.objects[cur].parent_receptacle
+            cur = objects[cur].parent_receptacle
     if state.held_object is not None:
-        held = state.objects.get(state.held_object)
+        held = objects.get(state.held_object)
         if held is None:
             raise ValidationError(f"held object {state.held_object!r} does not exist")
         if held.parent_receptacle is not None:
             raise ValidationError("held object cannot sit inside a receptacle")
 
 
+def _parse_agent(agent: object) -> dict:
+    """WorldState keyword arguments from a scene's agent block."""
+    if not isinstance(agent, dict):
+        raise ParseError("scene file's 'agent' must be an object")
+    held = agent.get("held_object")
+    if held is not None and not isinstance(held, str):
+        raise ParseError("agent: held_object must be an object id")
+    try:
+        radius = float(agent.get("visibility_radius", 25.0))
+    except (TypeError, ValueError):
+        raise ParseError("agent: visibility_radius must be a number") from None
+    return {
+        "agent_position": _vector(agent.get("position", (0.0, 0.9, 0.0)), 3, "agent: position"),
+        "agent_crouched": bool(agent.get("crouched", False)),
+        "held_object": held,
+        "visibility_radius": radius,
+        "view_band_standing": _vector(
+            agent.get("view_band_standing", (0.80, 2.20)), 2, "agent: view_band_standing"
+        ),
+        "view_band_crouched": _vector(
+            agent.get("view_band_crouched", (0.00, 1.50)), 2, "agent: view_band_crouched"
+        ),
+    }
+
+
 def load_scene(path: str | Path, sdt: SDT) -> WorldState:
     """Load a scene file and normalize/validate it against the knowledge base.
 
+    The file is read once; its sha256 and the parsed records become the
+    returned state's ``scene``, which the state is copy-on-write over.
     Non-openable receptacles get isOpen=True so visibility and the action
     filter can read openness off the instance flag alone.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        blob = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read scene file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:
+        data = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"malformed scene file: {exc}") from exc
     if not isinstance(data, dict) or "agent" not in data or "objects" not in data:
         raise ParseError("scene file must be an object with 'agent' and 'objects'")
-    agent = data["agent"]
+    if not isinstance(data["objects"], list):
+        raise ParseError("scene file's 'objects' must be a list")
     objects: dict[str, ObjectInstance] = {}
     for i, raw in enumerate(data["objects"]):
         inst = _parse_instance(raw, i)
         if inst.object_id in objects:
             raise ValidationError(f"duplicate object id {inst.object_id!r}")
         objects[inst.object_id] = inst
-    state = WorldState(
-        objects=objects,
-        agent_position=tuple(float(c) for c in agent.get("position", (0.0, 0.9, 0.0))),
-        agent_crouched=bool(agent.get("crouched", False)),
-        held_object=agent.get("held_object"),
-        visibility_radius=float(agent.get("visibility_radius", 25.0)),
-        view_band_standing=tuple(agent.get("view_band_standing", (0.80, 2.20))),
-        view_band_crouched=tuple(agent.get("view_band_crouched", (0.00, 1.50))),
-    )
-    for obj in state.objects.values():
-        entry = sdt.get(obj.type_name)
+        entry = sdt.get(inst.type_name)
         if (
             entry is not None
             and entry.has(AffordanceTag.RECEPTACLE)
             and not entry.has(AffordanceTag.OPENABLE)
         ):
-            obj.flags["isOpen"] = True
+            inst.flags["isOpen"] = True
+    scene = Scene(hashlib.sha256(blob).hexdigest(), objects)
+    state = WorldState(objects=dict(objects), **_parse_agent(data["agent"]), scene=scene)
+    state._source = objects
     validate_state(state, sdt)
     return state
 

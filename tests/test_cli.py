@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
 from sdtplan.cli import default_suite_path, main
+from sdtplan.errors import ParseError
+from sdtplan.world import load_scene
 
 
 def run_cli(*argv):
@@ -54,6 +58,37 @@ def test_run_unknown_task_id_is_config_error(tmp_path):
 
 def test_inject_without_task_is_config_error(tmp_path):
     assert run_cli("run", "--inject", "dirty:Mug", "--out", str(tmp_path)) == 2
+
+
+_GOOD_AGENT = {"position": [0, 0.9, 0]}
+_MUG = {"type": "Mug", "position": [0.5, 0.94, 0.2]}
+
+
+@pytest.mark.parametrize(
+    "scene, message",
+    [
+        ({"agent": [], "objects": [_MUG]}, "scene file's 'agent' must be an object"),
+        ({"agent": _GOOD_AGENT, "objects": [_MUG, dict(_MUG, position=[1, 0.94, 0], flags=["isDirty"])]},
+         "object 1: flags must be an object"),
+        ({"agent": _GOOD_AGENT, "objects": [dict(_MUG, position=5)]},
+         "object 0: position must be a list of 3 numbers"),
+        ({"agent": _GOOD_AGENT, "objects": [dict(_MUG, position=["a", 1, 2])]},
+         "object 0: position must be a list of 3 numbers"),
+        ({"agent": _GOOD_AGENT, "objects": [dict(_MUG, capacity="x")]},
+         "object 0: capacity must be an integer"),
+        ({"agent": {"position": [1, 2]}, "objects": [_MUG]}, "agent: position must have 3 components"),
+    ],
+)
+def test_malformed_scene_is_config_error(tmp_path, capsys, sdt, scene, message):
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    row = {"id": 1, "task": "Pick up the mug", "scene": "scene.json", "inject": []}
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"name": "bad", "tasks": [row]}))
+    with pytest.raises(ParseError) as info:
+        load_scene(tmp_path / "scene.json", sdt)
+    assert str(info.value) == message
+    assert run_cli("run", "--suite", str(suite), "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_inject_breaking_an_invariant_is_config_error(tmp_path):
@@ -209,12 +244,28 @@ def _edit_injection(data):
     data["inject"] = ["dirty:WineBottle"]  # every step replays alike; the bottle ends dirty
 
 
+def _drop_injection(data):
+    data["inject"] = []  # the row's failure comes from the scene, so every step replays alike
+
+
+def _edit_scene_sha256(data):
+    data["scene_sha256"] = "0" * 64
+
+
+def _edit_scene_sha256_and_injection(data):
+    _edit_scene_sha256(data)
+    _drop_injection(data)
+
+
 @pytest.mark.parametrize(
     "edit, named",
     [
         (_edit_outcome_message, "mismatch: step 6 (PutObject,Fridge"),
         (_edit_executed_action, "mismatch: step 2 (OpenObject,Drawer"),
-        (_edit_injection, "mismatch: final_state_hash"),
+        (_edit_injection, "mismatch: start_state_hash"),
+        (_drop_injection, "mismatch: start_state_hash"),
+        (_edit_scene_sha256, "mismatch: scene_sha256"),
+        (_edit_scene_sha256_and_injection, "mismatch: scene_sha256"),
     ],
 )
 def test_verify_names_first_divergence(tmp_path, capsys, edit, named):
@@ -236,8 +287,11 @@ def test_verify_detects_edited_final_state_hash(tmp_path, capsys):
 def test_trace_replaces_final_state_with_the_run_input(tmp_path, capsys):
     _, data = _task9_trace(tmp_path, capsys)
     assert "final_state" not in data
-    assert data["schema"] == 2
+    assert data["schema"] == 3
     assert data["scene"].endswith("kitchen_wine.json") and data["sdt"].endswith("sdt.json")
+    scene_bytes = Path(data["scene"]).read_bytes()
+    assert data["scene_sha256"] == hashlib.sha256(scene_bytes).hexdigest()
+    assert len(data["start_state_hash"]) == len(data["final_state_hash"]) == 64
 
 
 def test_verify_rejects_schema_1_trace(tmp_path, capsys):
@@ -246,6 +300,17 @@ def test_verify_rejects_schema_1_trace(tmp_path, capsys):
     trace_file.write_text(json.dumps(data))
     assert run_cli("verify", str(trace_file)) == 2
     assert "unsupported trace schema" in capsys.readouterr().err
+
+
+def test_verify_rejects_schema_2_trace(tmp_path, capsys):
+    trace_file, data = _task9_trace(tmp_path, capsys)
+    data["schema"] = 2
+    for key in ("scene_sha256", "start_state_hash"):
+        del data[key]
+    trace_file.write_text(json.dumps(data))
+    assert run_cli("verify", str(trace_file)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trace error: unsupported trace schema 2") and "re-record" in err
 
 
 def test_trace_records_cli_injections(tmp_path, capsys):

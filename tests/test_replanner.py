@@ -299,8 +299,7 @@ def _run_and_trace(sdt, suite, backend, tmp_path):
     and the trace file written for it."""
     row = suite_row(suite, 14)
     args = argparse.Namespace(mode="replan", sdt=None)
-    header = cli.trace_header(dict(row, inject=[]), args, default_suite_path().parent, [])
-    scene = cli.initial_state(header, sdt)
+    header, scene = cli.trace_header(dict(row, inject=[]), args, default_suite_path().parent, [], sdt)
     report = run_task(row["task"], scene, sdt, backend, RunConfig(), task_id=row["id"])
     return report, cli._write_trace(report, header, tmp_path)
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import json
 import random
 
 import pytest
 
 from conftest import add_statues, random_state, scene_for_row, suite_row
 
+from sdtplan.cli import _resolve_scene, default_suite_path
 from sdtplan.errors import ParseError, ValidationError
 from sdtplan.interpreter import postcondition_satisfied
 from sdtplan.sdt import FLAG_ACTIONS, ActionName, condition_fn, parse_sdt_data
@@ -18,6 +21,7 @@ from sdtplan.world import (
     MSG_NOT_VISIBLE,
     ObjectInstance,
     Perturbation,
+    Scene,
     WorldState,
     format_object_id,
     inject_failure,
@@ -111,6 +115,74 @@ def test_nonopenable_receptacles_load_open(sdt, suite):
     state = scene_for_row(suite_row(suite, 10), sdt, injected=False)
     assert by_type(state, "Sink").flag("isOpen")
     assert by_type(state, "CounterTop").flag("isOpen")
+
+
+_APPLE = {"type": "Apple", "position": [0, 0.9, 0]}
+_TABLE = {"type": "CounterTop", "position": [1, 0.95, 0], "capacity": 1}
+_TABLE_ID = "CounterTop|+01.00|+00.95|+00.00"
+
+
+def _apple_at(x, **extra):
+    return {"type": "Apple", "position": [x, 0.9, 0], **extra}
+
+
+@pytest.mark.parametrize(
+    "objects, error, message",
+    [
+        ([_TABLE, {"position": [0, 0.9, 0]}], ParseError, "object 1: needs 'type' and 'position'"),
+        ([{"type": "Apple", "position": [0, 0.9]}], ParseError,
+         "object 0: position must have 3 components"),
+        ([_TABLE, dict(_APPLE, flags={"isOpen": True, "isShiny": True})], ValidationError,
+         "object 1: unknown flag 'isShiny'"),
+        ([dict(_APPLE, temperature="Warm")], ValidationError, "object 0: unknown temperature 'Warm'"),
+        ([_apple_at(100.0)], ValidationError, "coordinate out of id range: 100.0"),
+        ([_TABLE, _apple_at(99.996)], ValidationError,
+         "object 1: malformed id 'Apple|+100.00|+00.90|+00.00'"),
+        ([dict(_APPLE, id="Apple|+09.99|+00.90|+00.00")], ValidationError,
+         "object 0: id 'Apple|+09.99|+00.90|+00.00' does not embed its type/position"
+         " ('Apple|+00.00|+00.90|+00.00')"),
+        ([_APPLE, _TABLE, _APPLE], ValidationError, "duplicate object id 'Apple|+00.00|+00.90|+00.00'"),
+        ([dict(_APPLE, parent_receptacle="Fridge|+00.00|+00.90|+00.00")], ValidationError,
+         "Apple|+00.00|+00.90|+00.00: dangling container 'Fridge|+00.00|+00.90|+00.00'"),
+        (
+            # two overfull receptacles: the first in file order is named
+            [
+                {"type": "CounterTop", "position": [2, 0.95, 0], "capacity": 1},
+                _TABLE,
+                _apple_at(0.1, parent_receptacle=_TABLE_ID),
+                _apple_at(0.2, parent_receptacle=_TABLE_ID),
+                _apple_at(0.3, parent_receptacle="CounterTop|+02.00|+00.95|+00.00"),
+                _apple_at(0.4, parent_receptacle="CounterTop|+02.00|+00.95|+00.00"),
+            ],
+            ValidationError,
+            "CounterTop|+02.00|+00.95|+00.00: holds 2 objects, capacity 1",
+        ),
+    ],
+)
+def test_load_error_messages(tmp_path, sdt, objects, error, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"agent": {}, "objects": objects}))
+    with pytest.raises(error) as info:
+        load_scene(path, sdt)
+    assert str(info.value) == message
+
+
+def test_load_path_ids_match_format_object_id(tmp_path, sdt):
+    rng = random.Random(5)
+    positions = [(-0.0, 0.0, -0.0), (99.99, -99.99, 0.005), (-99.99, 99.99, -0.004)]
+    positions += [tuple(rng.uniform(-99.99, 99.99) for _ in range(3)) for _ in range(500)]
+    path = tmp_path / "statues.json"
+    path.write_text(json.dumps({
+        "agent": {}, "objects": [{"type": "Statue", "position": list(p)} for p in positions],
+    }))
+    ids = list(load_scene(path, sdt).objects)
+    assert ids == [format_object_id("Statue", p) for p in positions]
+    assert ids == ["Statue|" + "|".join(f"{c:+06.2f}" for c in p) for p in positions]
+    assert ids[:3] == [
+        "Statue|-00.00|+00.00|-00.00",
+        "Statue|+99.99|-99.99|+00.01",
+        "Statue|-99.99|+99.99|-00.00",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +599,77 @@ def test_later_rules_read_the_owner_earlier_effects_wrote(sdt):
     assert outcome.ok
     assert new.objects[gadget_id].flag("isDirty") and new.objects[gadget_id].flag("isFilled")
     assert not state.objects[gadget_id].flag("isDirty")
+
+
+# ---------------------------------------------------------------------------
+# Copy-on-write over the loaded scene; the scene-relative state hash
+
+
+def _statue_scene(tmp_path, sdt, suite, seed):
+    """Row 9's scene file with 1000 statues from ``add_statues`` written into it, loaded."""
+    path = _resolve_scene(suite_row(suite, 9)["scene"], default_suite_path().parent)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    state = load_scene(path, sdt)
+    data["objects"] += [
+        {"type": "Statue", "position": list(state.objects[i].position)}
+        for i in add_statues(state, 1000, seed)
+    ]
+    padded = tmp_path / "statues.json"
+    padded.write_text(json.dumps(data), encoding="utf-8")
+    return load_scene(padded, sdt)
+
+
+def test_loaded_state_is_copy_on_write_over_its_scene(tmp_path, sdt, suite):
+    state = _statue_scene(tmp_path, sdt, suite, seed=13)
+    assert len(state.objects) >= 1000
+    assert all(state.scene.objects[i] is record for i, record in state.objects.items())
+    fridge = by_type(state, "Fridge").object_id
+    before = copy.deepcopy(state.objects)
+
+    opened, outcome = step(state, act(ActionName.OPEN, fridge), sdt)
+    assert outcome.ok
+    _assert_shares_unwritten(state, opened, {fridge})
+    assert opened.scene is state.scene
+    # by value: an in-place write to a shared record would not move the hash
+    assert state.objects == before
+
+
+def test_state_hash_is_relative_to_the_scene(tmp_path, sdt, suite):
+    state = _statue_scene(tmp_path, sdt, suite, seed=14)
+    loaded = state_hash(state)
+    fridge = by_type(state, "Fridge").object_id
+
+    opened, _ = step(state, act(ActionName.OPEN, fridge), sdt)
+    closed, outcome = step(opened, act(ActionName.CLOSE, fridge), sdt)
+    assert outcome.ok
+    assert closed.objects[fridge] is not state.objects[fridge]  # an owned, equal copy
+    assert state_hash(opened) != loaded
+    assert state_hash(closed) == loaded
+
+    edited = state.clone()
+    statue = by_type(edited, "Statue").object_id
+    edited.own(statue).flags["isBroken"] = True
+    assert state_hash(edited) != loaded
+    assert state_hash(state) == loaded
+
+    removed = state.clone()
+    del removed.objects[statue]
+    assert state_hash(removed) != loaded
+
+    elsewhere = state.clone()
+    elsewhere.scene = Scene("0" * 64, state.scene.objects)
+    assert state_hash(elsewhere) != loaded
+    elsewhere.scene = None  # no scene: every record counts as changed
+    assert state_hash(elsewhere) not in (loaded, state_hash(removed))
+
+
+def test_own_on_a_loaded_state_copies_the_scene_record(tmp_path, sdt, suite):
+    state = _statue_scene(tmp_path, sdt, suite, seed=15)
+    statue = by_type(state, "Statue").object_id
+    scene_record = state.scene.objects[statue]
+    state.own(statue).flags["isBroken"] = True
+    assert not scene_record.flag("isBroken")
+    assert state.objects[statue] is state.own(statue) is not scene_record
 
 
 # ---------------------------------------------------------------------------
