@@ -633,6 +633,11 @@ def test_loaded_state_is_copy_on_write_over_its_scene(tmp_path, sdt, suite):
     # by value: an in-place write to a shared record would not move the hash
     assert state.objects == before
 
+    statue = by_type(state, "Statue").object_id
+    state.own(statue).flags["isBroken"] = True
+    assert not state.scene.objects[statue].flag("isBroken")
+    assert state.objects[statue] is state.own(statue) is not state.scene.objects[statue]
+
 
 def test_state_hash_is_relative_to_the_scene(tmp_path, sdt, suite):
     state = _statue_scene(tmp_path, sdt, suite, seed=14)
@@ -661,15 +666,6 @@ def test_state_hash_is_relative_to_the_scene(tmp_path, sdt, suite):
     assert state_hash(elsewhere) != loaded
     elsewhere.scene = None  # no scene: every record counts as changed
     assert state_hash(elsewhere) not in (loaded, state_hash(removed))
-
-
-def test_own_on_a_loaded_state_copies_the_scene_record(tmp_path, sdt, suite):
-    state = _statue_scene(tmp_path, sdt, suite, seed=15)
-    statue = by_type(state, "Statue").object_id
-    scene_record = state.scene.objects[statue]
-    state.own(statue).flags["isBroken"] = True
-    assert not scene_record.flag("isBroken")
-    assert state.objects[statue] is state.own(statue) is not scene_record
 
 
 # ---------------------------------------------------------------------------
