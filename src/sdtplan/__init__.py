@@ -2,7 +2,6 @@
 
 from .backends import HttpBackend, HttpConfig, LLMBackend, OracleConfig, ScriptedOracle
 from .interpreter import (
-    ExecutionHistory,
     FailureContext,
     candidate_instances,
     execute_plan,

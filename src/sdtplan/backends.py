@@ -50,6 +50,9 @@ def ask(backend: LLMBackend, prompt: str, parse: Callable[[str], T], reminder: s
 # ---------------------------------------------------------------------------
 # HTTP client
 
+#: Environment variable whose value, when set, is sent as the Bearer token.
+API_KEY_ENV = "SDT_AGENT_API_KEY"
+
 
 @dataclass
 class HttpConfig:
@@ -57,7 +60,6 @@ class HttpConfig:
     model: str
     timeout: float = 30.0
     max_retries: int = 2
-    api_key_env: str = "SDT_AGENT_API_KEY"
 
 
 class HttpBackend:
@@ -83,7 +85,7 @@ class HttpBackend:
 
         cfg = self.config
         headers = {"Content-Type": "application/json"}
-        token = os.environ.get(cfg.api_key_env)
+        token = os.environ.get(API_KEY_ENV)
         if token:
             headers["Authorization"] = f"Bearer {token}"
         body = {"model": cfg.model, "messages": [{"role": "user", "content": prompt}]}

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import importlib.resources
 import json
 import sys
@@ -58,11 +59,37 @@ def _resolve_scene(scene: str, suite_dir: Path) -> Path:
     raise FileNotFoundError(f"scene file not found: {scene}")
 
 
+_FAULT_NAMES = frozenset(f.name for f in dataclasses.fields(OracleConfig))
+
+
+def _check_row(row: object, where: str) -> None:
+    """Raise ValueError unless ``row`` has the shape a suite row needs."""
+    if not isinstance(row, dict):
+        raise ValueError(f"{where}: must be an object")
+    for key in ("task", "scene"):
+        if not isinstance(row.get(key), str):
+            raise ValueError(f"{where}: '{key}' must be a string")
+    inject = row.get("inject", [])
+    if not isinstance(inject, list) or not all(isinstance(spec, str) for spec in inject):
+        raise ValueError(f"{where}: 'inject' must be a list of strings")
+    faults = row.get("oracle_faults", {})
+    if not isinstance(faults, dict) or not all(
+        name in _FAULT_NAMES and isinstance(on, bool) for name, on in faults.items()
+    ):
+        raise ValueError(
+            f"{where}: 'oracle_faults' must map fault names {sorted(_FAULT_NAMES)} to booleans"
+        )
+    if not isinstance(row.get("expected", {}), dict):
+        raise ValueError(f"{where}: 'expected' must be an object")
+
+
 def load_suite(path: Path) -> dict:
     with open(path, encoding="utf-8") as fh:
         suite = json.load(fh)
-    if "tasks" not in suite or not isinstance(suite["tasks"], list):
+    if not isinstance(suite, dict) or not isinstance(suite.get("tasks"), list):
         raise ValueError("suite file needs a 'tasks' array")
+    for index, row in enumerate(suite["tasks"]):
+        _check_row(row, f"suite row {index}")
     return suite
 
 

@@ -82,22 +82,6 @@ class HistoryEntry:
         }
 
 
-class ExecutionHistory:
-    """Append-only record of every grounded step and recovery taken in a run."""
-
-    def __init__(self) -> None:
-        self.entries: list[HistoryEntry] = []
-
-    def append(self, entry: HistoryEntry) -> None:
-        self.entries.append(entry)
-
-    def tail(self, n: int = HISTORY_TAIL) -> list[HistoryEntry]:
-        return self.entries[-n:]
-
-    def to_json(self) -> list[dict]:
-        return [e.to_json() for e in self.entries]
-
-
 # ---------------------------------------------------------------------------
 # Candidates and grounding
 
@@ -143,7 +127,7 @@ def _build_choice_query(
     state: WorldState,
     sdt: SDT,
     relevant: AbstractSet[str],
-    history: ExecutionHistory,
+    history: list[HistoryEntry],
     candidates: dict[str, list[str]],
 ) -> str:
     """The state section shows the relevant objects, every candidate and
@@ -162,7 +146,7 @@ def _build_choice_query(
     return prompts.render(prompts.CHOICE_HEADER, [
         (prompts.SEC_TASK, [task]),
         (prompts.SEC_STEP, [f"Grounding: {triplet.render()}", "Resolve: " + ", ".join(candidates)]),
-        (prompts.SEC_HISTORY, prompts.render_history_lines(history.tail())),
+        (prompts.SEC_HISTORY, prompts.render_history_lines(history[-HISTORY_TAIL:])),
         (prompts.SEC_STATE, [
             prompts.render_state_line(state, obj)
             for obj in filter_relevant_objects(state, sdt, relevant, extras)
@@ -193,7 +177,7 @@ def resolve(
     task: str,
     sdt: SDT,
     relevant: AbstractSet[str],
-    history: ExecutionHistory,
+    history: list[HistoryEntry],
     backend: LLMBackend,
 ) -> ConcreteAction:
     """Ground one triplet to a concrete action.
@@ -304,9 +288,9 @@ def execute_plan(
     relevant: AbstractSet[str],
     backend: LLMBackend,
     resolver: Optional[FailureHandler],
-    history: Optional[ExecutionHistory] = None,
+    history: Optional[list[HistoryEntry]] = None,
     phase: str = "plan",
-) -> tuple[WorldState, ExecutionHistory, str]:
+) -> tuple[WorldState, list[HistoryEntry], str]:
     """Run triplets in order; errors go to the resolver (or abort the run).
 
     Each triplet runs at most once. A step whose postcondition already holds
@@ -316,7 +300,7 @@ def execute_plan(
     "ExecutionFailed: ..." and the state its executed steps reached.
     """
     if history is None:
-        history = ExecutionHistory()
+        history = []
     try:
         for triplet in plan:
             if not postcondition_satisfied(state, triplet):
@@ -337,7 +321,7 @@ def execute_plan(
                     continue
                 if resolver is None:
                     return state, history, "Aborted"
-                ctx = FailureContext(triplet, concrete, outcome, task, history.tail())
+                ctx = FailureContext(triplet, concrete, outcome, task, history[-HISTORY_TAIL:])
                 state, status, attempts = resolver.handle(state, ctx)
                 entry.attempts.extend(attempts)
                 if status != "Resolved":

@@ -9,7 +9,7 @@ from typing import AbstractSet, Optional
 from . import prompts
 from .backends import LLMBackend, ask
 from .errors import SdtPlanError
-from .interpreter import ExecutionHistory, execute_plan
+from .interpreter import HistoryEntry, execute_plan
 from .planner import filter_relevant_objects, relevant_types
 from .planner import plan as make_plan
 from .resolver import DEFAULT_BUDGET, FailureResolver
@@ -28,7 +28,7 @@ _RETRY_REMINDER = (
 
 def build_replan_prompt(
     task: str,
-    history: ExecutionHistory,
+    history: list[HistoryEntry],
     state: WorldState,
     sdt: SDT,
     relevant: AbstractSet[str],
@@ -37,7 +37,7 @@ def build_replan_prompt(
     """Prompt carrying exactly: actions so far, the relevant objects' state,
     task, unmet clauses."""
     return prompts.render(prompts.REPLAN_HEADER, [
-        (prompts.SEC_HISTORY, prompts.render_history_lines(history.entries)),
+        (prompts.SEC_HISTORY, prompts.render_history_lines(history)),
         (prompts.SEC_STATE, [
             prompts.render_state_line(state, obj)
             for obj in filter_relevant_objects(state, sdt, relevant)
@@ -54,7 +54,7 @@ def build_replan_prompt(
 
 def replan(
     task: str,
-    history: ExecutionHistory,
+    history: list[HistoryEntry],
     state: WorldState,
     goal: GoalCondition,
     sdt: SDT,
@@ -101,16 +101,16 @@ class TaskReport:
     replan_additions: list[list[ActionTriplet]] = field(default_factory=list)
     goal: Optional[GoalCondition] = None
     unmet_final: list[str] = field(default_factory=list)
-    history: ExecutionHistory = field(default_factory=ExecutionHistory)
+    history: list[HistoryEntry] = field(default_factory=list)
     final_state: Optional[WorldState] = None
 
     @property
     def failures(self) -> int:
-        return sum(1 for e in self.history.entries if e.outcome and not e.outcome.ok and not e.skipped)
+        return sum(1 for e in self.history if e.outcome and not e.outcome.ok and not e.skipped)
 
     @property
     def resolver_iterations(self) -> int:
-        return sum(len(e.attempts) for e in self.history.entries)
+        return sum(len(e.attempts) for e in self.history)
 
     @property
     def replanner_invocations(self) -> int:
@@ -135,7 +135,7 @@ class TaskReport:
             "replan_additions": [format_triplets(p) for p in self.replan_additions],
             "goal": self.goal.render() if self.goal else None,
             "unmet_final": self.unmet_final,
-            "history": self.history.to_json(),
+            "history": [e.to_json() for e in self.history],
         }
 
 

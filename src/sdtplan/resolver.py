@@ -19,7 +19,6 @@ from . import prompts
 from .backends import LLMBackend
 from .errors import GrammarError, NoCandidate
 from .interpreter import (
-    ExecutionHistory,
     FailureContext,
     RecoveryAttempt,
     _matches_ref,
@@ -200,10 +199,10 @@ def _reexecute_failed(
     attempt: RecoveryAttempt,
 ) -> tuple[WorldState, bool, str]:
     """Retry the failed triplet against the recovered state."""
-    history = ExecutionHistory()
-    history.entries = list(ctx.history_tail)
     try:
-        concrete = resolve(ctx.failed_triplet, state, ctx.task, sdt, relevant, history, backend)
+        concrete = resolve(
+            ctx.failed_triplet, state, ctx.task, sdt, relevant, ctx.history_tail, backend
+        )
     except NoCandidate:
         return state, False, "target still has no candidate instance"
     new_state, outcome = step(state, concrete, sdt)

@@ -3,7 +3,9 @@
 The twin is the single source of truth for both prompting (rendered rule
 sentences) and simulation (machine-readable preconditions/effects). Loading
 validates the closed affordance and action vocabularies and the coupling
-between a type's rules and its affordance tags.
+between a type's rules and its affordance tags. ``ACTION_AFFORDANCES`` is the
+one table of the affordance each object action needs; the action filter, the
+simulator and rule validation all read it.
 """
 
 from __future__ import annotations
@@ -85,44 +87,47 @@ FLAG_NAMES = (
 
 TEMPERATURES = ("Hot", "Cold", "RoomTemp")
 
+#: The affordance an object action needs on its target's type. The flag
+#: actions take theirs from ``FLAG_ACTIONS``.
+ACTION_AFFORDANCES: dict[ActionName, AffordanceTag] = {
+    ActionName.PICKUP: AffordanceTag.PICKUPABLE,
+    ActionName.PUT: AffordanceTag.RECEPTACLE,
+    **{action: tag for action, (tag, _, _) in FLAG_ACTIONS.items()},
+}
+
 #: Affordances that permit a type to own a rule triggered by an action on
-#: itself: the action's own gate (the flag actions' from ``FLAG_ACTIONS``),
-#: and for a cut also Pickupable, the held instrument's.
+#: itself: the action's own gate, and for a cut also Pickupable, the held
+#: instrument's.
 _TRIGGER_AFFORDANCES: dict[ActionName, frozenset[AffordanceTag]] = {
-    ActionName.PICKUP: frozenset({AffordanceTag.PICKUPABLE}),
-    ActionName.PUT: frozenset({AffordanceTag.RECEPTACLE}),
-    **{action: frozenset({tag}) for action, (tag, _, _) in FLAG_ACTIONS.items()},
+    action: frozenset({tag}) for action, tag in ACTION_AFFORDANCES.items()
 }
 _TRIGGER_AFFORDANCES[ActionName.SLICE] |= {AffordanceTag.PICKUPABLE}
 
-#: Affordance an instance's type must carry for an effect on the field to apply.
-_FLAG_EFFECT_AFFORDANCES: dict[str, AffordanceTag] = {
+#: Affordance a target's type needs before a rule effect applies to it, by
+#: the flag the effect sets or, for a temperature effect, the temperature.
+_EFFECT_AFFORDANCES: dict[str, AffordanceTag] = {
+    **{flag: tag for tag, flag, _ in FLAG_ACTIONS.values()},
     "isFilled": AffordanceTag.FILLABLE,
     "isDirty": AffordanceTag.DIRTYABLE,
     "isCooked": AffordanceTag.COOKABLE,
-    "isSliced": AffordanceTag.SLICEABLE,
-    "isOpen": AffordanceTag.OPENABLE,
-    "isToggled": AffordanceTag.TOGGLEABLE,
     "isBroken": AffordanceTag.BREAKABLE,
+    "Hot": AffordanceTag.HEATABLE,
+    "Cold": AffordanceTag.COOLABLE,
 }
 
-_PREDICATE_SCOPES = ("self", "container", "colocated")
+_PREDICATE_SCOPES = ("self", "colocated")
+_PREDICATE_FIELDS = frozenset({"scope", "flag", "is", "type"})
 _EFFECT_SCOPES = ("self", "contents", "nearby")
 
 
 @dataclass(frozen=True)
 class StatePredicate:
-    """Condition over the rule owner, its container, or co-located objects.
+    """A flag value on the rule owner (``self``) or on some co-located object
+    (``colocated``), optionally of the type ``type_name``."""
 
-    ``scope`` selects whose state is inspected. ``type_name`` (colocated
-    only) restricts which neighbour may satisfy the predicate. Exactly one
-    of ``flag``/``temperature`` is set.
-    """
-
-    scope: str = "self"
-    flag: Optional[str] = None
-    value: bool = True
-    temperature: Optional[str] = None
+    scope: str
+    flag: str
+    value: bool
     type_name: Optional[str] = None
 
 
@@ -131,14 +136,18 @@ class StateEffect:
     """State mutation applied when a rule fires.
 
     ``scope`` picks the targets relative to the rule owner: itself, its
-    direct contents, or objects nearby. Application is affordance-gated:
-    an effect only touches instances whose type carries the affordance
-    matching the mutated field.
+    direct contents, or objects nearby. ``field_name`` is a flag, set to a
+    boolean, or ``temperature``, set to Hot or Cold. An effect only touches
+    instances whose type carries its ``gate``.
     """
 
     field_name: str
     to: object
     scope: str = "self"
+
+    @property
+    def gate(self) -> AffordanceTag:
+        return _EFFECT_AFFORDANCES[self.to if self.field_name == "temperature" else self.field_name]
 
 
 @dataclass(frozen=True)
@@ -151,7 +160,7 @@ class InteractionRule:
     @property
     def reactive(self) -> bool:
         """True when the rule reacts to an action performed on another object."""
-        return any(p.scope in ("container", "colocated") for p in self.preconditions)
+        return any(p.scope == "colocated" for p in self.preconditions)
 
 
 @dataclass(frozen=True)
@@ -208,39 +217,18 @@ class SDT:
     def slicing_tool_types(self) -> list[str]:
         return sorted(t for t, e in self._entries.items() if e.is_slicing_tool)
 
-    @staticmethod
-    def effect_affordance(field_name: str, to: object) -> Optional[AffordanceTag]:
-        """Affordance an instance needs before an effect on ``field_name`` applies."""
-        if field_name == "temperature":
-            if to == "Hot":
-                return AffordanceTag.HEATABLE
-            if to == "Cold":
-                return AffordanceTag.COOLABLE
-            return None  # RoomTemp relaxation applies to anything
-        if field_name == "parent_receptacle":
-            return None
-        return _FLAG_EFFECT_AFFORDANCES.get(field_name)
-
 
 def _parse_predicate(raw: dict, where: str) -> StatePredicate:
     scope = raw.get("scope", "self")
     if scope not in _PREDICATE_SCOPES:
         raise ValidationError(f"{where}: unknown predicate scope {scope!r}")
     flag = raw.get("flag")
-    temperature = raw.get("temperature")
-    if flag is None and temperature is None and "type" not in raw:
-        raise ValidationError(f"{where}: predicate must name a flag, temperature or type")
-    if flag is not None and flag not in FLAG_NAMES:
-        raise ValidationError(f"{where}: unknown flag {flag!r}")
-    if temperature is not None and temperature not in TEMPERATURES:
-        raise ValidationError(f"{where}: unknown temperature {temperature!r}")
-    return StatePredicate(
-        scope=scope,
-        flag=flag,
-        value=bool(raw.get("is", True)),
-        temperature=temperature,
-        type_name=raw.get("type"),
-    )
+    if flag not in FLAG_NAMES or not raw.keys() <= _PREDICATE_FIELDS:
+        raise ValidationError(f"{where}: a predicate tests one known flag: {raw!r}")
+    value = raw.get("is", True)
+    if not isinstance(value, bool):
+        raise ValidationError(f"{where}: predicate 'is' must be a boolean")
+    return StatePredicate(scope=scope, flag=flag, value=value, type_name=raw.get("type"))
 
 
 def _parse_effect(raw: dict, where: str) -> StateEffect:
@@ -255,11 +243,8 @@ def _parse_effect(raw: dict, where: str) -> StateEffect:
         if not isinstance(to, bool):
             raise ValidationError(f"{where}: flag effect {field_name} needs a boolean")
     elif field_name == "temperature":
-        if to not in TEMPERATURES:
+        if to not in ("Hot", "Cold"):
             raise ValidationError(f"{where}: bad temperature value {to!r}")
-    elif field_name == "parent_receptacle":
-        if to is not None and not isinstance(to, str):
-            raise ValidationError(f"{where}: parent_receptacle effect needs id or null")
     else:
         raise ValidationError(f"{where}: effect field {field_name!r} does not exist on instances")
     return StateEffect(field_name=field_name, to=to, scope=scope)
@@ -270,7 +255,7 @@ def _validate_rule(entry_name: str, affordances: frozenset[AffordanceTag], rule:
     if not rule.text.strip():
         raise ValidationError(f"{where}: rule text must be non-empty")
     # Self-triggered rules answer to the trigger action's affordance;
-    # reactive rules (conditioned on container/colocated state) do not,
+    # reactive rules (conditioned on colocated state) do not,
     # their legitimacy comes from the effect gates below.
     if not rule.reactive:
         needed = _TRIGGER_AFFORDANCES.get(rule.trigger_action, frozenset())
@@ -279,12 +264,9 @@ def _validate_rule(entry_name: str, affordances: frozenset[AffordanceTag], rule:
                 f"{where}: trigger requires one of {sorted(str(a) for a in needed)}"
             )
     for eff in rule.effects:
-        if eff.scope != "self":
-            continue
-        gate = SDT.effect_affordance(eff.field_name, eff.to)
-        if gate is not None and gate not in affordances:
+        if eff.scope == "self" and eff.gate not in affordances:
             raise ValidationError(
-                f"{where}: effect on {eff.field_name} requires affordance {gate}"
+                f"{where}: effect on {eff.field_name} requires affordance {eff.gate}"
             )
 
 
@@ -361,18 +343,16 @@ def condition_fn(sdt: SDT, obj: ObjectInstance, action: ActionName) -> bool:
     entry = sdt.entry(obj.type_name)
     if action is ActionName.GOTO:
         return True
-    if action in POSE_ACTIONS:
+    tag = ACTION_AFFORDANCES.get(action)
+    if tag is None or not entry.has(tag):
         return False
-    if action is ActionName.PICKUP:
-        return entry.has(AffordanceTag.PICKUPABLE)
     if action is ActionName.PUT:
         # isOpen is normalized to True for non-openable receptacles at load.
-        return entry.has(AffordanceTag.RECEPTACLE) and obj.flag("isOpen")
-    gate = FLAG_ACTIONS.get(action)
-    if gate is None:
-        return False
-    tag, flag, value = gate
-    return entry.has(tag) and obj.flag(flag) != value
+        return obj.flag("isOpen")
+    if action in FLAG_ACTIONS:
+        _, flag, value = FLAG_ACTIONS[action]
+        return obj.flag(flag) != value
+    return True
 
 
 def filter_actions(

@@ -34,6 +34,7 @@ from typing import Iterable, Optional
 
 from .errors import ParseError, ValidationError
 from .sdt import (
+    ACTION_AFFORDANCES,
     SDT,
     ActionName,
     AffordanceTag,
@@ -288,15 +289,18 @@ def state_hash(state: WorldState) -> str:
 # Scene loading
 
 
+#: Python types of a JSON number; a bool is not one.
+_NUMBER_TYPES = frozenset({int, float})
+
+
 def _vector(value: object, count: int, where: str) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)):
         raise ParseError(f"{where} must be a list of {count} numbers")
     if len(value) != count:
         raise ParseError(f"{where} must have {count} components")
-    try:
-        return tuple(map(float, value))
-    except (TypeError, ValueError):
-        raise ParseError(f"{where} must be a list of {count} numbers") from None
+    if not _NUMBER_TYPES.issuperset(map(type, value)):
+        raise ParseError(f"{where} must be a list of {count} numbers")
+    return tuple(map(float, value))
 
 
 _NO_FLAGS = dict.fromkeys(FLAG_NAMES, False)
@@ -331,17 +335,18 @@ def _parse_instance(raw: dict, index: int) -> ObjectInstance:
         for k, v in given_flags.items():
             if k not in FLAG_NAMES:
                 raise ValidationError(f"{where}: unknown flag {k!r}")
-            flags[k] = bool(v)
+            if not isinstance(v, bool):
+                raise ParseError(f"{where}: flag {k} must be a boolean")
+            flags[k] = v
     temperature = raw.get("temperature", "RoomTemp")
     if temperature not in TEMPERATURES:
         raise ValidationError(f"{where}: unknown temperature {temperature!r}")
     parent = raw.get("parent_receptacle")
     if parent is not None and not isinstance(parent, str):
         raise ParseError(f"{where}: parent_receptacle must be an object id")
-    try:
-        capacity = int(raw.get("capacity", 0))
-    except (TypeError, ValueError):
-        raise ParseError(f"{where}: capacity must be an integer") from None
+    capacity = raw.get("capacity", 0)
+    if type(capacity) is not int:
+        raise ParseError(f"{where}: capacity must be an integer")
     return ObjectInstance(
         object_id=object_id,
         type_name=type_name,
@@ -402,15 +407,17 @@ def _parse_agent(agent: object) -> dict:
     held = agent.get("held_object")
     if held is not None and not isinstance(held, str):
         raise ParseError("agent: held_object must be an object id")
-    try:
-        radius = float(agent.get("visibility_radius", 25.0))
-    except (TypeError, ValueError):
-        raise ParseError("agent: visibility_radius must be a number") from None
+    radius = agent.get("visibility_radius", 25.0)
+    if type(radius) not in _NUMBER_TYPES:
+        raise ParseError("agent: visibility_radius must be a number")
+    crouched = agent.get("crouched", False)
+    if not isinstance(crouched, bool):
+        raise ParseError("agent: crouched must be a boolean")
     return {
         "agent_position": _vector(agent.get("position", (0.0, 0.9, 0.0)), 3, "agent: position"),
-        "agent_crouched": bool(agent.get("crouched", False)),
+        "agent_crouched": crouched,
         "held_object": held,
-        "visibility_radius": radius,
+        "visibility_radius": float(radius),
         "view_band_standing": _vector(
             agent.get("view_band_standing", (0.80, 2.20)), 2, "agent: view_band_standing"
         ),
@@ -530,27 +537,13 @@ def _nearby(state: WorldState, obj: ObjectInstance) -> list[ObjectInstance]:
 
 
 def _predicate_holds(state: WorldState, owner: ObjectInstance, pred: StatePredicate) -> bool:
-    def check(obj: ObjectInstance) -> bool:
-        if pred.flag is not None and obj.flag(pred.flag) != pred.value:
-            return False
-        if pred.temperature is not None and obj.temperature != pred.temperature:
-            return False
-        return True
-
     if pred.scope == "self":
-        return check(owner)
-    if pred.scope == "container":
-        parent = state.objects.get(owner.parent_receptacle or "")
-        if parent is None:
-            return False
-        if pred.type_name is not None and parent.type_name != pred.type_name:
-            return False
-        return check(parent)
-    # colocated: some nearby object (optionally of a named type) satisfies it
+        return owner.flag(pred.flag) == pred.value
+    # colocated: some nearby object (optionally of a named type) holds the flag value
     for other in _nearby(state, owner):
         if pred.type_name is not None and other.type_name != pred.type_name:
             continue
-        if check(other):
+        if other.flag(pred.flag) == pred.value:
             return True
     return False
 
@@ -564,20 +557,15 @@ def _effect_targets(state: WorldState, owner: ObjectInstance, effect: StateEffec
 
 
 def _apply_effect(state: WorldState, sdt: SDT, owner: ObjectInstance, effect: StateEffect) -> None:
-    gate = sdt.effect_affordance(effect.field_name, effect.to)
+    gate = effect.gate
     for target in _effect_targets(state, owner, effect):
-        entry = sdt.get(target.type_name)
-        if entry is None:
-            continue
-        if gate is not None and not entry.has(gate):
+        if not _afforded(sdt, target, gate):
             continue
         target = state.own(target.object_id)
         if effect.field_name == "temperature":
-            target.temperature = str(effect.to)
-        elif effect.field_name == "parent_receptacle":
-            target.parent_receptacle = effect.to if effect.to is None else str(effect.to)
+            target.temperature = effect.to
         else:
-            target.flags[effect.field_name] = bool(effect.to)
+            target.flags[effect.field_name] = effect.to
 
 
 def _fire_rules(state: WorldState, sdt: SDT, action: ActionName, target: ObjectInstance) -> None:
@@ -646,7 +634,7 @@ def step(state: WorldState, action: ConcreteAction, sdt: SDT) -> tuple[WorldStat
     if name is ActionName.PICKUP:
         if not is_visible(state, obj):
             return state, ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE)
-        if not _afforded(sdt, obj, AffordanceTag.PICKUPABLE):
+        if not _afforded(sdt, obj, ACTION_AFFORDANCES[name]):
             return state, ActionOutcome.error("NotAfforded", MSG_NOT_AFFORDED)
         if state.held_object is not None:
             return state, ActionOutcome.error("HandOccupied", MSG_HAND_OCCUPIED)
@@ -663,7 +651,7 @@ def step(state: WorldState, action: ConcreteAction, sdt: SDT) -> tuple[WorldStat
             return state, ActionOutcome.error("HandEmpty", MSG_HAND_EMPTY)
         if not is_visible(state, obj):
             return state, ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE)
-        if not _afforded(sdt, obj, AffordanceTag.RECEPTACLE) or obj.object_id == state.held_object:
+        if not _afforded(sdt, obj, ACTION_AFFORDANCES[name]) or obj.object_id == state.held_object:
             return state, ActionOutcome.error("NotAfforded", MSG_NOT_AFFORDED)
         if is_closed_openable(sdt, obj):
             return state, ActionOutcome.error("ClosedReceptacle", MSG_CLOSED_RECEPTACLE)

@@ -77,6 +77,28 @@ _MUG = {"type": "Mug", "position": [0.5, 0.94, 0.2]}
         ({"agent": _GOOD_AGENT, "objects": [dict(_MUG, capacity="x")]},
          "object 0: capacity must be an integer"),
         ({"agent": {"position": [1, 2]}, "objects": [_MUG]}, "agent: position must have 3 components"),
+        ({"agent": dict(_GOOD_AGENT, crouched="no"), "objects": [_MUG]},
+         "agent: crouched must be a boolean"),
+        ({"agent": dict(_GOOD_AGENT, visibility_radius="25"), "objects": [_MUG]},
+         "agent: visibility_radius must be a number"),
+        ({"agent": dict(_GOOD_AGENT, visibility_radius=True), "objects": [_MUG]},
+         "agent: visibility_radius must be a number"),
+        ({"agent": dict(_GOOD_AGENT, view_band_standing=[0.8, "2.2"]), "objects": [_MUG]},
+         "agent: view_band_standing must be a list of 2 numbers"),
+        ({"agent": {"position": [0, 0.9, False]}, "objects": [_MUG]},
+         "agent: position must be a list of 3 numbers"),
+        ({"agent": _GOOD_AGENT, "objects": [dict(_MUG, position=["0.5", 0.94, 0.2])]},
+         "object 0: position must be a list of 3 numbers"),
+        ({"agent": _GOOD_AGENT, "objects": [dict(_MUG, position=[0.5, 0.94, True])]},
+         "object 0: position must be a list of 3 numbers"),
+        ({"agent": _GOOD_AGENT, "objects": [dict(_MUG, flags={"isDirty": "false"})]},
+         "object 0: flag isDirty must be a boolean"),
+        ({"agent": _GOOD_AGENT, "objects": [dict(_MUG, capacity="2")]},
+         "object 0: capacity must be an integer"),
+        ({"agent": _GOOD_AGENT, "objects": [dict(_MUG, capacity=2.0)]},
+         "object 0: capacity must be an integer"),
+        ({"agent": _GOOD_AGENT, "objects": [dict(_MUG, capacity=True)]},
+         "object 0: capacity must be an integer"),
     ],
 )
 def test_malformed_scene_is_config_error(tmp_path, capsys, sdt, scene, message):
@@ -89,6 +111,29 @@ def test_malformed_scene_is_config_error(tmp_path, capsys, sdt, scene, message):
     assert str(info.value) == message
     assert run_cli("run", "--suite", str(suite), "--out", str(tmp_path / "out")) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+_ROW = {"id": 1, "task": "Pick up the mug", "scene": "scenes/kitchen_mug.json"}
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("dirty:Mug", "must be an object"),
+        ({"id": 2, "scene": _ROW["scene"]}, "'task' must be a string"),
+        ({"id": 2, "task": _ROW["task"]}, "'scene' must be a string"),
+        (dict(_ROW, id=2, inject="dirty:Mug"), "'inject' must be a list of strings"),
+        (dict(_ROW, id=2, oracle_faults={"bogus": True}), "'oracle_faults' must map fault names"),
+        (dict(_ROW, id=2, oracle_faults=["omit_slice"]), "'oracle_faults' must map fault names"),
+        (dict(_ROW, id=2, oracle_faults={"omit_slice": "no"}), "'oracle_faults' must map fault names"),
+        (dict(_ROW, id=2, expected=[1]), "'expected' must be an object"),
+    ],
+)
+def test_malformed_suite_row_is_config_error(tmp_path, capsys, row, message):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"name": "bad", "tasks": [_ROW, row]}))
+    assert run_cli("run", "--suite", str(suite), "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith(f"config error: suite row 1: {message}")
 
 
 def test_inject_breaking_an_invariant_is_config_error(tmp_path):

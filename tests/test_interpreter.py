@@ -9,7 +9,6 @@ from conftest import CountingBackend, ScriptedBackend, scene_for_row, suite_row
 from sdtplan.backends import OracleConfig, ScriptedOracle
 from sdtplan.errors import NoCandidate
 from sdtplan.interpreter import (
-    ExecutionHistory,
     candidate_instances,
     execute_plan,
     postcondition_satisfied,
@@ -81,7 +80,7 @@ def test_singleton_resolution_makes_no_backend_calls(sdt, suite, all_types):
     backend = CountingBackend(ScriptedOracle())
     concrete = resolve(
         trip(ActionName.OPEN, "Fridge"), state, "open the fridge", sdt, all_types,
-        ExecutionHistory(), backend,
+        [], backend,
     )
     assert concrete.target == by_type(state, "Fridge").object_id
     assert backend.calls == 0
@@ -92,7 +91,7 @@ def test_multi_candidate_resolution_queries_backend(sdt, suite, all_types):
     backend = CountingBackend(ScriptedOracle())
     concrete = resolve(
         trip(ActionName.OPEN, "Drawer"), state, "open a drawer", sdt, all_types,
-        ExecutionHistory(), backend,
+        [], backend,
     )
     assert backend.calls == 1
     assert concrete.target in candidate_instances(state, "Drawer")
@@ -131,7 +130,7 @@ def test_oracle_prefers_drawer_with_free_space(sdt, suite):
     backend = ScriptedOracle()
     concrete = resolve(
         trip(ActionName.PUT, "Knife", "Drawer"), state, row["task"], sdt,
-        relevant_types(row["task"], sdt), ExecutionHistory(), backend,
+        relevant_types(row["task"], sdt), [], backend,
     )
     assert concrete.target == extra.object_id
     state.held_object = by_type(state, "Knife").object_id
@@ -149,7 +148,7 @@ def test_hidden_object_raises_no_candidate(sdt, suite, all_types):
             "grab the bottle",
             sdt,
             all_types,
-            ExecutionHistory(),
+            [],
             ScriptedOracle(),
         )
 
@@ -159,7 +158,7 @@ def test_bad_choice_falls_back_to_nearest(sdt, suite, all_types):
     backend = ScriptedBackend(["CHOICE:{Drawer->Drawer|+09.99|+00.82|+09.99}"])
     concrete = resolve(
         trip(ActionName.OPEN, "Drawer"), state, "open a drawer", sdt, all_types,
-        ExecutionHistory(), backend,
+        [], backend,
     )
     assert backend.calls == 2  # one retry before the fallback
     assert concrete.target == candidate_instances(state, "Drawer")[0]
@@ -200,7 +199,7 @@ def test_execute_empty_plan(sdt, suite, all_types):
         [], state, "idle", sdt, all_types, ScriptedOracle(), resolver=None
     )
     assert status == "Completed"
-    assert history.entries == []
+    assert history == []
     assert final is state
 
 
@@ -218,7 +217,7 @@ def test_execute_wine_plan_with_recovery(sdt, suite):
     resolver = FailureResolver(sdt, relevant, backend)
     final, history, status = execute_plan(plan, state, row["task"], sdt, relevant, backend, resolver)
     assert status == "Completed"
-    failed = [e for e in history.entries if e.outcome and not e.outcome.ok and not e.skipped]
+    failed = [e for e in history if e.outcome and not e.outcome.ok and not e.skipped]
     assert len(failed) == 1
     resolving = failed[0].attempts[-1]
     assert resolving.resolved
@@ -237,7 +236,7 @@ def test_execute_aborts_without_resolver(sdt, suite):
         plan, state, row["task"], sdt, relevant_types(row["task"], sdt), ScriptedOracle(), None
     )
     assert status == "Aborted"
-    assert history.entries[-1].outcome.error_code == "NotVisible"
+    assert history[-1].outcome.error_code == "NotVisible"
 
 
 def test_execute_aborts_when_budget_exhausted(sdt, suite):
@@ -250,7 +249,7 @@ def test_execute_aborts_when_budget_exhausted(sdt, suite):
         plan, state, "fetch the plate", sdt, relevant, backend, resolver
     )
     assert status == "Aborted"
-    assert sum(len(e.attempts) for e in history.entries) == 3
+    assert sum(len(e.attempts) for e in history) == 3
 
 
 def test_recovered_step_runs_once(sdt, suite):
@@ -267,7 +266,7 @@ def test_recovered_step_runs_once(sdt, suite):
     assert status == "Completed"
     gotos = [c for c, o in _executed(history) if c.name is ActionName.GOTO and o.ok]
     assert len(gotos) == 1
-    assert len(history.entries) == 1
+    assert len(history) == 1
 
 
 @pytest.mark.parametrize("put", [("Drawer",), ("Apple", "Drawer")])
@@ -281,8 +280,8 @@ def test_closed_receptacle_recovered_by_opening_it(sdt, suite, put):
         plan, state, "put the apple in the drawer", sdt, relevant, backend, resolver
     )
     assert status == "Completed"
-    assert sum(len(e.attempts) for e in history.entries) == 1
-    failed = history.entries[1]
+    assert sum(len(e.attempts) for e in history) == 1
+    failed = history[1]
     assert failed.outcome.error_code == "ClosedReceptacle"
     drawer = by_type(final, "Drawer").object_id
     assert [(p.name, p.target) for p in failed.attempts[0].proposed] == [(ActionName.OPEN, drawer)]
@@ -292,7 +291,7 @@ def test_closed_receptacle_recovered_by_opening_it(sdt, suite, put):
 def _executed(history):
     """Every (concrete, outcome) the run stepped, plan steps and recoveries alike."""
     out = []
-    for entry in history.entries:
+    for entry in history:
         if entry.concrete is not None and not entry.skipped:
             out.append((entry.concrete, entry.outcome))
         for attempt in entry.attempts:
@@ -339,7 +338,7 @@ def test_resolved_targets_always_candidates(sdt, suite):
 
         relevant = relevant_types(row["task"], sdt)
         triplets, _ = make_plan(row["task"], state, sdt, relevant, backend)
-        history = ExecutionHistory()
+        history = []
         for triplet in triplets[:3]:
             if postcondition_satisfied(state, triplet):
                 continue

@@ -10,7 +10,7 @@ from conftest import add_statues, scene_for_row, suite_row
 
 from sdtplan import prompts
 from sdtplan.backends import OracleConfig, ScriptedOracle
-from sdtplan.interpreter import ExecutionHistory, candidate_instances, resolve
+from sdtplan.interpreter import candidate_instances, resolve
 from sdtplan.planner import relevant_types
 from sdtplan.replanner import RunConfig, run_task
 from sdtplan.sdt import FLAG_NAMES, ActionName
@@ -131,7 +131,7 @@ def test_choice_prompt_lists_each_candidate_receptacles_contents(sdt, suite):
     oracle = PromptLog()
     resolve(
         ActionTriplet(ActionName.PUT, "Knife", "Drawer"), state, row["task"], sdt,
-        relevant_types(row["task"], sdt), ExecutionHistory(), oracle,
+        relevant_types(row["task"], sdt), [], oracle,
     )
     (choice,) = oracle.prompts
     listed = prompts.parse_state_lines(prompts.sections(choice)[prompts.SEC_STATE])

@@ -12,7 +12,7 @@ from sdtplan import cli, prompts
 from sdtplan.cli import default_suite_path
 from sdtplan.backends import OracleConfig, ScriptedOracle
 from sdtplan.errors import BackendError, PlanParseError
-from sdtplan.interpreter import ExecutionHistory, HistoryEntry, execute_plan
+from sdtplan.interpreter import HistoryEntry, execute_plan
 from sdtplan.planner import relevant_types
 from sdtplan.replanner import RunConfig, build_replan_prompt, replan, run_task
 from sdtplan.sdt import ActionName
@@ -23,10 +23,10 @@ from sdtplan.world import ActionOutcome, ConcreteAction, ObjectInstance, WorldSt
 def test_replan_prompt_names_unmet_clause_and_is_deterministic(sdt, suite, all_types):
     state = scene_for_row(suite_row(suite, 2), sdt)
     unmet = ["UNMET type=PotatoSliced need=exists"]
-    prompt = build_replan_prompt("task text", ExecutionHistory(), state, sdt, all_types, unmet)
+    prompt = build_replan_prompt("task text", [], state, sdt, all_types, unmet)
     assert "UNMET type=PotatoSliced need=exists" in prompt
     assert prompt == build_replan_prompt(
-        "task text", ExecutionHistory(), state, sdt, all_types, unmet
+        "task text", [], state, sdt, all_types, unmet
     )
 
 
@@ -49,7 +49,7 @@ def test_state_line_format_is_pinned(sdt, all_types):
         },
         agent_position=(0.0, 0.9, 0.0),
     )
-    prompt = build_replan_prompt("task", ExecutionHistory(), state, sdt, all_types, [])
+    prompt = build_replan_prompt("task", [], state, sdt, all_types, [])
     line = prompts.sections(prompt)[prompts.SEC_STATE].splitlines()[0]
     assert line == (
         "- Apple|+00.13|+00.90|+00.00 (type=Apple; flags=isCooked,isSliced; "
@@ -60,7 +60,7 @@ def test_state_line_format_is_pinned(sdt, all_types):
 
 def test_replan_prompt_lists_actions_newest_last(sdt, suite, all_types):
     state = scene_for_row(suite_row(suite, 2), sdt)
-    history = ExecutionHistory()
+    history = []
     fridge_id = next(o for o in state.objects.values() if o.type_name == "Fridge").object_id
     for i, action in enumerate((ActionName.OPEN, ActionName.CLOSE)):
         history.append(
@@ -84,7 +84,7 @@ def test_replan_suggests_knife_and_slice_for_missing_sliced_witness(sdt, suite):
     backend = ScriptedOracle()
     goal = parse_goal("GOAL:{type=PotatoSliced; flags=isCooked; temp=-; in=Sink}")
     additions = replan(
-        row["task"], ExecutionHistory(), state, goal, sdt, relevant_types(row["task"], sdt), backend
+        row["task"], [], state, goal, sdt, relevant_types(row["task"], sdt), backend
     )
     actions = [t.action for t in additions[:2]]
     assert actions == [ActionName.PICKUP, ActionName.SLICE]
@@ -123,7 +123,7 @@ def test_replan_rejects_satisfied_goal(sdt, suite, all_types):
     goal = parse_goal("GOAL:{type=Mug; flags=-; temp=-; in=CounterTop}")
     assert goal_satisfied(state, goal)[0]
     with pytest.raises(ValueError):
-        replan("task", ExecutionHistory(), state, goal, sdt, all_types, ScriptedOracle())
+        replan("task", [], state, goal, sdt, all_types, ScriptedOracle())
 
 
 def _unmet_potato_goal(sdt, suite):
@@ -136,7 +136,7 @@ def _unmet_potato_goal(sdt, suite):
 def test_replan_retry_recovers_on_second_reply(sdt, suite, all_types):
     state, goal = _unmet_potato_goal(sdt, suite)
     backend = ScriptedBackend(["gibberish", "Action-Triplets:[['PickupObject', 'Potato', 0]]"])
-    additions = replan("task", ExecutionHistory(), state, goal, sdt, all_types, backend)
+    additions = replan("task", [], state, goal, sdt, all_types, backend)
     assert additions == [ActionTriplet(ActionName.PICKUP, "Potato")]
     assert backend.calls == 2
 
@@ -145,7 +145,7 @@ def test_replan_retries_then_fails_on_garbage(sdt, suite, all_types):
     state, goal = _unmet_potato_goal(sdt, suite)
     backend = ScriptedBackend(["gibberish", "more gibberish"])
     with pytest.raises(PlanParseError):
-        replan("task", ExecutionHistory(), state, goal, sdt, all_types, backend)
+        replan("task", [], state, goal, sdt, all_types, backend)
     assert backend.calls == 2
 
 
@@ -220,7 +220,7 @@ def test_run_task_survives_backend_crash_mid_execution(sdt, suite):
     report = run_task(row["task"], scene, sdt, FlakyBackend(), RunConfig(), task_id=3)
     assert not report.success
     assert report.status.startswith("ExecutionFailed")
-    assert report.history.entries  # partial progress retained
+    assert report.history  # partial progress retained
 
 
 def test_misorder_heat_fault_fixed_by_replanner(sdt, suite):
@@ -244,7 +244,7 @@ def test_wash_replan_template_cleans_dirty_goal_object(sdt, suite):
     knife = next(o for o in state.objects.values() if o.type_name == "Knife")
     goal = parse_goal("GOAL:{type=Knife; flags=!isDirty; temp=-; in=Drawer}")
     relevant = relevant_types(row["task"], sdt)
-    additions = replan(row["task"], ExecutionHistory(), state, goal, sdt, relevant, backend)
+    additions = replan(row["task"], [], state, goal, sdt, relevant, backend)
     actions = [t.action for t in additions]
     assert ActionName.TOGGLE_ON in actions and ActionName.TOGGLE_OFF in actions
     state, history, status = execute_plan(
@@ -317,7 +317,7 @@ def test_goal_rechecked_after_aborted_replan_phase(sdt, suite, tmp_path):
     })
     report, trace = _run_and_trace(sdt, suite, backend, tmp_path)
     assert report.status == "Aborted"
-    assert report.history.entries[-1].phase == "replan-1"
+    assert report.history[-1].phase == "replan-1"
     assert report.success
     assert report.unmet_final == []
     assert cli.main(["verify", str(trace)]) == 0
@@ -333,7 +333,7 @@ def test_empty_recovery_proposal_ends_the_resolver(sdt, suite, tmp_path):
     })
     report, _ = _run_and_trace(sdt, suite, backend, tmp_path)
     assert backend.asked.count(prompts.RECOVERY_HEADER) == 1
-    assert [a.feedback for a in report.history.entries[0].attempts] == ["empty proposal"]
+    assert [a.feedback for a in report.history[0].attempts] == ["empty proposal"]
     assert report.status == "Aborted"
 
 

@@ -348,7 +348,7 @@ def test_memory_is_keyed_by_phase(sdt, suite):
             plan, state, row["task"], sdt, relevant, backend, resolver, phase=phase
         )
         assert status == "Aborted"
-        attempt = history.entries[-1].attempts[-1]
+        attempt = history[-1].attempts[-1]
         assert attempt.executed, attempt.feedback
         assert "repeated sequence" not in attempt.feedback
 
@@ -479,7 +479,7 @@ def test_executed_recovery_actions_are_affordance_valid(sdt, suite):
 
         report = run_row(row, sdt)
         assert report.success
-        for entry in report.history.entries:
+        for entry in report.history:
             for attempt in entry.attempts:
                 for concrete, outcome in attempt.executed:
                     if concrete.name in POSE_ACTIONS or not outcome.ok:

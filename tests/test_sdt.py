@@ -8,6 +8,7 @@ import pytest
 
 from sdtplan.errors import UnknownType, ValidationError
 from sdtplan.sdt import (
+    FLAG_NAMES,
     ActionName,
     AffordanceTag,
     condition_fn,
@@ -113,6 +114,60 @@ def test_self_trigger_needs_matching_affordance():
              "rules": [{"action": "OpenObject", "pre": [], "effect": [], "text": "t"}]}]
     with pytest.raises(ValidationError):
         parse_sdt_data(data)
+
+
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        ({"pre": [{"scope": "container", "flag": "isOpen"}]}, "unknown predicate scope 'container'"),
+        ({"pre": [{"temperature": "Hot"}]}, "a predicate tests one known flag"),
+        ({"pre": [{"flag": "isDirty", "temperature": "Hot"}]}, "a predicate tests one known flag"),
+        ({"pre": [{"scope": "colocated", "type": "Faucet"}]}, "a predicate tests one known flag"),
+        ({"pre": [{"flag": "isDirty", "is": "false"}]}, "predicate 'is' must be a boolean"),
+        ({"effect": [{"set": "parent_receptacle", "to": None}]},
+         "effect field 'parent_receptacle' does not exist on instances"),
+        ({"effect": [{"scope": "nearby", "set": "temperature", "to": "RoomTemp"}]},
+         "bad temperature value 'RoomTemp'"),
+    ],
+)
+def test_rule_forms_outside_the_language_rejected(rule, message):
+    """A rule tests flags on its owner or on co-located objects and sets flags or Hot/Cold."""
+    fine = {"action": "PickupObject", "pre": [], "effect": [], "text": "t"}
+    data = [{"type": "X", "affordances": ["Pickupable"], "rules": [fine, dict(fine, **rule)]}]
+    with pytest.raises(ValidationError) as info:
+        parse_sdt_data(data)
+    assert str(info.value).startswith(f"X/rule 1: {message}")
+
+
+#: action -> (affordance its target's type needs, flag it reads, flag value
+#: under which it is afforded); Goto is always afforded, pose actions never.
+_CONDITION_REFERENCE = {
+    ActionName.PICKUP: (AffordanceTag.PICKUPABLE, None, None),
+    ActionName.PUT: (AffordanceTag.RECEPTACLE, "isOpen", True),
+    ActionName.OPEN: (AffordanceTag.OPENABLE, "isOpen", False),
+    ActionName.CLOSE: (AffordanceTag.OPENABLE, "isOpen", True),
+    ActionName.TOGGLE_ON: (AffordanceTag.TOGGLEABLE, "isToggled", False),
+    ActionName.TOGGLE_OFF: (AffordanceTag.TOGGLEABLE, "isToggled", True),
+    ActionName.SLICE: (AffordanceTag.SLICEABLE, "isSliced", False),
+}
+
+
+def test_condition_matches_reference_for_every_type_action_and_flag_value(sdt):
+    for type_name in sdt.type_names():
+        for action in ActionName:
+            tag, flag, afforded_at = _CONDITION_REFERENCE.get(action, (None, None, None))
+            for value in (False, True):
+                flags = {flag: value} if flag else dict.fromkeys(FLAG_NAMES, value)
+                if action is ActionName.GOTO:
+                    expected = True
+                elif tag is None:
+                    expected = False
+                else:
+                    expected = tag in sdt.affordances(type_name) and (
+                        flag is None or value == afforded_at
+                    )
+                got = condition_fn(sdt, desc(type_name, flags), action)
+                assert got is expected, (type_name, str(action), value)
 
 
 def test_condition_bottle_pickup(sdt):
