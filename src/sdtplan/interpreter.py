@@ -23,6 +23,7 @@ from .world import (
     ActionOutcome,
     ConcreteAction,
     MSG_NOT_VISIBLE,
+    ObjectInstance,
     WorldState,
     is_valid_object_id,
     is_visible,
@@ -94,6 +95,16 @@ def _matches_ref(obj, ref: str, include_sliced: bool) -> bool:
     return include_sliced and obj.type_name == f"{ref}Sliced"
 
 
+def ref_instances(state: WorldState, ref: str, include_sliced: bool) -> list[ObjectInstance]:
+    """The records ``_matches_ref`` accepts, in no particular order."""
+    types = {ref, f"{ref}Sliced"} if include_sliced else {ref}
+    found = state.of_types(types)
+    obj = state.objects.get(ref)
+    if obj is not None and obj.type_name not in types:
+        found.append(obj)
+    return found
+
+
 def candidate_instances(
     state: WorldState, ref: str, action: Optional[ActionName] = None
 ) -> list[str]:
@@ -109,9 +120,7 @@ def candidate_instances(
         return []
     slicing = action is ActionName.SLICE
     out = []
-    for obj in state.objects.values():
-        if not _matches_ref(obj, ref, include_sliced=not slicing):
-            continue
+    for obj in ref_instances(state, ref, include_sliced=not slicing):
         if not is_visible(state, obj):
             continue
         if not slicing and obj.type_name == ref and obj.slice_children:
@@ -134,7 +143,7 @@ def _build_choice_query(
     what each candidate holds (the model weighs a receptacle's contents)."""
     candidate_ids = {object_id for ids in candidates.values() for object_id in ids}
     extras = candidate_ids | {
-        o.object_id for o in state.objects.values() if o.parent_receptacle in candidate_ids
+        o.object_id for object_id in candidate_ids for o in state.contents_of(object_id)
     }
     listed = []
     for ref, ids in candidates.items():
@@ -215,10 +224,7 @@ def resolve(
 
 
 def _any_instance(state: WorldState, ref: str, include_sliced: bool, predicate) -> bool:
-    for obj in state.objects.values():
-        if _matches_ref(obj, ref, include_sliced) and predicate(obj):
-            return True
-    return False
+    return any(predicate(obj) for obj in ref_instances(state, ref, include_sliced))
 
 
 def postcondition_satisfied(state: WorldState, triplet: ActionTriplet) -> bool:

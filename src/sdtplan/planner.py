@@ -91,23 +91,35 @@ def shown(
     return entry is not None and (obj.type_name in relevant or entry.has(AffordanceTag.RECEPTACLE))
 
 
+def shown_objects(
+    state: WorldState,
+    sdt: SDT,
+    relevant: AbstractSet[str],
+    extras: AbstractSet[str] = frozenset(),
+) -> list[ObjectInstance]:
+    """The objects ``shown`` accepts, visible or not, in no particular order:
+    the relevant and receptacle types from the scene index, then the extras."""
+    found = {
+        obj.object_id: obj
+        for obj in state.of_types(relevant | sdt.receptacle_types)
+        if shown(obj, sdt, relevant)
+    }
+    for object_id in extras:
+        obj = state.objects.get(object_id)
+        if obj is not None:
+            found[object_id] = obj
+    return list(found.values())
+
+
 def filter_relevant_objects(
     state: WorldState,
     sdt: SDT,
     relevant: AbstractSet[str],
     extras: AbstractSet[str] = frozenset(),
 ) -> list[ObjectInstance]:
-    """Visible objects a prompt shows (see ``shown``), id-sorted.
-
-    ``shown`` is tested first: it reads only the record, where visibility
-    walks the container chain.
-    """
+    """Visible objects a prompt shows (see ``shown``), id-sorted."""
     return sorted(
-        (
-            obj
-            for obj in state.objects.values()
-            if shown(obj, sdt, relevant, extras) and is_visible(state, obj)
-        ),
+        (obj for obj in shown_objects(state, sdt, relevant, extras) if is_visible(state, obj)),
         key=lambda o: o.object_id,
     )
 

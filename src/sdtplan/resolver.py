@@ -21,12 +21,12 @@ from .errors import GrammarError, NoCandidate
 from .interpreter import (
     FailureContext,
     RecoveryAttempt,
-    _matches_ref,
     postcondition_satisfied,
+    ref_instances,
     resolve,
 )
-from .planner import shown
-from .sdt import SDT, ActionName, AffordanceTag, POSE_ACTIONS, filter_actions
+from .planner import shown, shown_objects
+from .sdt import SDT, ActionName, POSE_ACTIONS, filter_actions
 from .triplets import ActionTriplet, format_recovery, parse_recovery
 from .world import (
     ConcreteAction,
@@ -90,11 +90,7 @@ def _pose_anchor(state: WorldState, sdt: SDT, focus: Optional[str]) -> str:
         origin = state.objects[focus].position
     else:
         origin = state.agent_position
-    receptacles = [
-        o
-        for o in state.objects.values()
-        if (e := sdt.get(o.type_name)) is not None and e.has(AffordanceTag.RECEPTACLE)
-    ]
+    receptacles = state.of_types(sdt.receptacle_types)
     if not receptacles:
         return format_object_id("Agent", state.agent_position)
     best = min(receptacles, key=lambda o: (math.dist(origin, o.position), o.object_id))
@@ -113,11 +109,9 @@ def build_action_pairs(
     undo a view's own change; pose pairs are appended against the focus
     object's nearest receptacle.
     """
-    extras = {focus}
     views = [
         v
-        for obj in state.objects.values()
-        if shown(obj, sdt, relevant, extras)
+        for obj in shown_objects(state, sdt, relevant, {focus})
         for v in _view_descriptions(state, sdt, obj)
     ]
     pairs = [
@@ -296,7 +290,7 @@ def _reference_types(triplet: ActionTriplet) -> set[str]:
 def _focus_from_ref(state: WorldState, ctx: FailureContext) -> Optional[str]:
     """Nearest instance matching the failed primary reference, visible or not."""
     ref = ctx.failed_triplet.arg1
-    matches = [o for o in state.objects.values() if _matches_ref(o, ref, include_sliced=True)]
+    matches = ref_instances(state, ref, include_sliced=True)
     if not matches:
         return None
     return min(matches, key=lambda o: (state.distance_to(o), o.object_id)).object_id

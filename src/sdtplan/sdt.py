@@ -192,6 +192,10 @@ class SDT:
             if entry.type_name in self._entries:
                 raise ValidationError(f"duplicate type entry: {entry.type_name}")
             self._entries[entry.type_name] = entry
+        #: the types a ``PutObject`` can target; every prompt lists their instances
+        self.receptacle_types = frozenset(
+            t for t, e in self._entries.items() if e.has(AffordanceTag.RECEPTACLE)
+        )
 
     def __contains__(self, type_name: str) -> bool:
         return type_name in self._entries
@@ -228,7 +232,10 @@ def _parse_predicate(raw: dict, where: str) -> StatePredicate:
     value = raw.get("is", True)
     if not isinstance(value, bool):
         raise ValidationError(f"{where}: predicate 'is' must be a boolean")
-    return StatePredicate(scope=scope, flag=flag, value=value, type_name=raw.get("type"))
+    type_name = raw.get("type")
+    if type_name is not None and not isinstance(type_name, str):
+        raise ParseError(f"{where}: predicate 'type' must be a string")
+    return StatePredicate(scope=scope, flag=flag, value=value, type_name=type_name)
 
 
 def _parse_effect(raw: dict, where: str) -> StateEffect:
@@ -270,6 +277,14 @@ def _validate_rule(entry_name: str, affordances: frozenset[AffordanceTag], rule:
             )
 
 
+def _objects(raw: dict, key: str, where: str) -> list[dict]:
+    """``raw[key]`` (absent: empty), which must be a list of JSON objects."""
+    value = raw.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
+        raise ParseError(f"{where}: '{key}' must be a list of objects")
+    return value
+
+
 def parse_sdt_data(data: object) -> SDT:
     """Build a validated SDT from already-decoded JSON data."""
     if not isinstance(data, list):
@@ -280,6 +295,8 @@ def parse_sdt_data(data: object) -> SDT:
         if not isinstance(raw, dict) or "type" not in raw:
             raise ParseError(f"{where}: each entry needs a 'type' field")
         type_name = raw["type"]
+        if not isinstance(type_name, str):
+            raise ParseError(f"{where}: 'type' must be a string")
         where = type_name
         tags = set()
         for tag in raw.get("affordances", []):
@@ -288,8 +305,11 @@ def parse_sdt_data(data: object) -> SDT:
             except ValueError:
                 raise ValidationError(f"{where}: unknown affordance tag {tag!r}") from None
         rules = []
-        for j, raw_rule in enumerate(raw.get("rules", [])):
+        for j, raw_rule in enumerate(_objects(raw, "rules", where)):
             rwhere = f"{where}/rule {j}"
+            text = raw_rule.get("text", "")
+            if not isinstance(text, str):
+                raise ParseError(f"{rwhere}: rule text must be a string")
             try:
                 action = ActionName(raw_rule.get("action"))
             except ValueError:
@@ -300,12 +320,12 @@ def parse_sdt_data(data: object) -> SDT:
                 InteractionRule(
                     trigger_action=action,
                     preconditions=tuple(
-                        _parse_predicate(p, rwhere) for p in raw_rule.get("pre", [])
+                        _parse_predicate(p, rwhere) for p in _objects(raw_rule, "pre", rwhere)
                     ),
                     effects=tuple(
-                        _parse_effect(e, rwhere) for e in raw_rule.get("effect", [])
+                        _parse_effect(e, rwhere) for e in _objects(raw_rule, "effect", rwhere)
                     ),
-                    text=raw_rule.get("text", ""),
+                    text=text,
                 )
             )
         entry = ObjectTypeEntry(

@@ -295,21 +295,16 @@ def _clause_conjuncts(state: WorldState, clause: GoalClause, obj) -> list[tuple[
 
 def clause_witnesses(state: WorldState, clause: GoalClause) -> list[str]:
     """Ids of all objects satisfying the clause."""
-    out = []
-    for obj in sorted(state.objects.values(), key=lambda o: o.object_id):
-        if obj.type_name != clause.object_type:
-            continue
-        if all(ok for _, ok in _clause_conjuncts(state, clause, obj)):
-            out.append(obj.object_id)
-    return out
+    return sorted(
+        obj.object_id
+        for obj in state.of_types({clause.object_type})
+        if all(ok for _, ok in _clause_conjuncts(state, clause, obj))
+    )
 
 
 def _closest_miss(state: WorldState, clause: GoalClause) -> str:
     """Unmet description naming the first failing conjunct of the best candidate."""
-    candidates = sorted(
-        (o for o in state.objects.values() if o.type_name == clause.object_type),
-        key=lambda o: o.object_id,
-    )
+    candidates = sorted(state.of_types({clause.object_type}), key=lambda o: o.object_id)
     if not candidates:
         return f"UNMET type={clause.object_type} need=exists"
     best = max(

@@ -20,6 +20,21 @@ parsed from the file, kept with the sha256 of the file's bytes and shared by
 every state that descends from the load. ``state_hash`` is relative to that
 scene: it covers the records that differ from the scene's, found by identity
 first, so hashing a state costs what the run changed.
+
+Reads are indexed the same way. A ``Scene`` indexes its records' ids by
+type, by parent receptacle and by floor-plan cell of side ``NEARBY_RADIUS``.
+A state's ``objects`` is an ``ObjectMap``, which remembers every id assigned
+or deleted through it: ``own``, slicing, ``fill``, or a direct assignment or
+``del``. Every other id still holds the scene's record, which the index
+describes. ``WorldState.of_types``, ``contents_of`` and ``near`` read the
+index's ids plus the written ids and test each record's current fields, so
+a query costs what the task touches, not the size of the scene. A state
+built in code has no scene and every id written. The index rests on one
+rule: records are written only through ``own`` or by assigning into
+``state.objects``. Editing a shared record's type, position or parent in
+place is outside the contract, as it is for copy-on-write. A state's scene
+is fixed when the state is made. ``validate_state`` still reads every
+record, because it is the check.
 """
 
 from __future__ import annotations
@@ -28,9 +43,10 @@ import hashlib
 import json
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from .errors import ParseError, ValidationError
 from .sdt import (
@@ -164,13 +180,63 @@ class ObjectInstance:
         return self.flags.get(name, False)
 
 
+def _cell(position: tuple[float, float, float]) -> tuple[int, int]:
+    """Floor-plan cell of side NEARBY_RADIUS holding ``position``."""
+    return math.floor(position[0] / NEARBY_RADIUS), math.floor(position[2] / NEARBY_RADIUS)
+
+
+#: Offsets of the cells that hold every point within NEARBY_RADIUS of a cell.
+_NEIGHBOUR_CELLS = tuple((dx, dz) for dx in (-1, 0, 1) for dz in (-1, 0, 1))
+
+
 @dataclass(frozen=True, eq=False)
 class Scene:
-    """A loaded scene file: the sha256 of its bytes and the records parsed
-    from them. Nothing writes to these records; states own copies."""
+    """A loaded scene file: the sha256 of its bytes, the records parsed from
+    them, and their ids by type, by parent receptacle and by floor-plan cell.
+    Nothing writes to these records; states own copies."""
 
     sha256: str
     objects: dict[str, ObjectInstance]
+    by_type: dict[str, list[str]] = field(init=False, repr=False)
+    by_parent: dict[str, list[str]] = field(init=False, repr=False)
+    by_cell: dict[tuple[int, int], list[str]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        by_type, by_parent, by_cell = defaultdict(list), defaultdict(list), defaultdict(list)
+        for object_id, obj in self.objects.items():
+            by_type[obj.type_name].append(object_id)
+            if obj.parent_receptacle is not None:
+                by_parent[obj.parent_receptacle].append(object_id)
+            by_cell[_cell(obj.position)].append(object_id)
+        object.__setattr__(self, "by_type", dict(by_type))
+        object.__setattr__(self, "by_parent", dict(by_parent))
+        object.__setattr__(self, "by_cell", dict(by_cell))
+
+
+class ObjectMap(dict):
+    """Id-to-record map that remembers every id assigned (``m[i] = r``) or
+    deleted (``del m[i]``) through it; states write their maps no other way.
+
+    ``written`` holds those ids in first-write order. The scene index does
+    not describe them, so the state queries read their records instead.
+    """
+
+    __slots__ = ("written",)
+
+    @staticmethod
+    def over(records: dict[str, ObjectInstance], written: Iterable[str]) -> "ObjectMap":
+        """A map of ``records`` that counts the ``written`` ids as written."""
+        new = ObjectMap(records)  # dict's own constructor: every step clones a map
+        new.written = dict.fromkeys(written)
+        return new
+
+    def __setitem__(self, object_id, record) -> None:
+        self.written[object_id] = None
+        super().__setitem__(object_id, record)
+
+    def __delitem__(self, object_id) -> None:
+        super().__delitem__(object_id)
+        self.written[object_id] = None
 
 
 @dataclass
@@ -189,6 +255,16 @@ class WorldState:
         default=None, init=False, repr=False, compare=False
     )
 
+    def __post_init__(self) -> None:
+        # a plain map is written wherever its record is not the scene's:
+        # everywhere when there is no scene
+        objects = self.objects
+        if not isinstance(objects, ObjectMap):
+            base = self.scene.objects if self.scene is not None else {}
+            written = [i for i, o in objects.items() if base.get(i) is not o]
+            written += [i for i in base if i not in objects]
+            self.objects = ObjectMap.over(objects, written)
+
     @property
     def view_band(self) -> tuple[float, float]:
         return self.view_band_crouched if self.agent_crouched else self.view_band_standing
@@ -196,7 +272,7 @@ class WorldState:
     def clone(self) -> "WorldState":
         """Copy-on-write copy: a new id-to-record map over shared records."""
         new = WorldState(
-            objects=dict(self.objects),
+            objects=ObjectMap.over(self.objects, self.objects.written),
             agent_position=self.agent_position,
             agent_crouched=self.agent_crouched,
             held_object=self.held_object,
@@ -218,11 +294,66 @@ class WorldState:
     def distance_to(self, obj: ObjectInstance) -> float:
         return math.dist(self.agent_position, obj.position)
 
+    # Each query reads the scene index's unwritten ids, then every written id,
+    # and tests the record each id holds now.
+
+    def of_types(self, types: Collection[str]) -> list[ObjectInstance]:
+        """Records whose type is in ``types``, in no particular order."""
+        objects = self.objects
+        written = objects.written
+        found = []
+        if self.scene is not None:
+            by_type = self.scene.by_type
+            for type_name in types:
+                for i in by_type.get(type_name, ()):
+                    if i not in written and (obj := objects[i]).type_name in types:
+                        found.append(obj)
+        for i in written:
+            obj = objects.get(i)
+            if obj is not None and obj.type_name in types:
+                found.append(obj)
+        return found
+
     def contents_of(self, receptacle_id: str) -> list[ObjectInstance]:
-        return sorted(
-            (o for o in self.objects.values() if o.parent_receptacle == receptacle_id),
-            key=lambda o: o.object_id,
-        )
+        """Records directly inside ``receptacle_id``, id-sorted."""
+        objects = self.objects
+        written = objects.written
+        found = []
+        if self.scene is not None:
+            for i in self.scene.by_parent.get(receptacle_id, ()):
+                if i not in written and (obj := objects[i]).parent_receptacle == receptacle_id:
+                    found.append(obj)
+        for i in written:
+            obj = objects.get(i)
+            if obj is not None and obj.parent_receptacle == receptacle_id:
+                found.append(obj)
+        found.sort(key=lambda o: o.object_id)
+        return found
+
+    def near(self, obj: ObjectInstance) -> list[ObjectInstance]:
+        """Other records within NEARBY_RADIUS of ``obj``, in no particular order."""
+        objects = self.objects
+        written = objects.written
+        object_id, position = obj.object_id, obj.position
+        found = []
+        if self.scene is not None:
+            by_cell = self.scene.by_cell
+            cx, cz = _cell(position)
+            for dx, dz in _NEIGHBOUR_CELLS:
+                for i in by_cell.get((cx + dx, cz + dz), ()):
+                    if i not in written and i != object_id:
+                        other = objects[i]
+                        if math.dist(other.position, position) <= NEARBY_RADIUS:
+                            found.append(other)
+        for i in written:
+            other = objects.get(i)
+            if (
+                other is not None
+                and i != object_id
+                and math.dist(other.position, position) <= NEARBY_RADIUS
+            ):
+                found.append(other)
+        return found
 
 
 def _record_json(o: ObjectInstance) -> dict:
@@ -251,9 +382,10 @@ def state_to_json(state: WorldState) -> dict:
     base = scene.objects if scene is not None else {}
     objects = state.objects
     changed = []
-    for object_id, obj in objects.items():
+    for object_id in objects.written:  # every other id still holds the scene's record
+        obj = objects.get(object_id)
         original = base.get(object_id)
-        if original is obj:
+        if obj is None or original is obj:
             continue
         record = _record_json(obj)
         if original is None or record != _record_json(original):
@@ -270,7 +402,7 @@ def state_to_json(state: WorldState) -> dict:
             "view_band_crouched": list(state.view_band_crouched),
         },
         "objects": changed,
-        "removed": sorted(i for i in base if i not in objects),
+        "removed": sorted(i for i in objects.written if i in base and i not in objects),
     }
 
 
@@ -461,7 +593,7 @@ def load_scene(path: str | Path, sdt: SDT) -> WorldState:
         ):
             inst.flags["isOpen"] = True
     scene = Scene(hashlib.sha256(blob).hexdigest(), objects)
-    state = WorldState(objects=dict(objects), **_parse_agent(data["agent"]), scene=scene)
+    state = WorldState(objects=ObjectMap.over(objects, ()), **_parse_agent(data["agent"]), scene=scene)
     state._source = objects
     validate_state(state, sdt)
     return state
@@ -525,15 +657,7 @@ def object_descriptions(state: WorldState) -> list[ObjectInstance]:
 
 def _nearby(state: WorldState, obj: ObjectInstance) -> list[ObjectInstance]:
     """Other objects within NEARBY_RADIUS of ``obj``, sorted by id."""
-    return sorted(
-        (
-            o
-            for o in state.objects.values()
-            if o.object_id != obj.object_id
-            and math.dist(o.position, obj.position) <= NEARBY_RADIUS
-        ),
-        key=lambda o: o.object_id,
-    )
+    return sorted(state.near(obj), key=lambda o: o.object_id)
 
 
 def _predicate_holds(state: WorldState, owner: ObjectInstance, pred: StatePredicate) -> bool:
@@ -747,13 +871,10 @@ class Perturbation:
 def _resolve_target(state: WorldState, ref: str) -> ObjectInstance:
     if ref in state.objects:
         return state.objects[ref]
-    matches = sorted(
-        (o for o in state.objects.values() if o.type_name == ref),
-        key=lambda o: o.object_id,
-    )
+    matches = state.of_types({ref})
     if not matches:
         raise ValidationError(f"perturbation target not in scene: {ref!r}")
-    return matches[0]
+    return min(matches, key=lambda o: o.object_id)
 
 
 def inject_failure(state: WorldState, perturbation: Perturbation, sdt: SDT) -> WorldState:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -40,7 +41,11 @@ def test_load_bottle_entry_affordances(sdt):
     )
 
 
-def test_load_missing_or_malformed_file(tmp_path):
+_RULE = {"action": "PickupObject", "pre": [], "effect": [], "text": "t"}
+
+
+def test_load_missing_or_malformed_file(tmp_path, capsys):
+    from sdtplan.cli import main
     from sdtplan.errors import ParseError
     from sdtplan.sdt import load_sdt
 
@@ -54,6 +59,28 @@ def test_load_missing_or_malformed_file(tmp_path):
     not_array.write_text('{"type": "X"}')
     with pytest.raises(ParseError):
         load_sdt(not_array)
+    # entries of the wrong JSON shape are config errors, not loader crashes
+    for entry, message in [
+        ({"type": 5}, "entry 0: 'type' must be a string"),
+        ({"type": "X", "rules": "none"}, "X: 'rules' must be a list of objects"),
+        ({"type": "X", "rules": ["none"]}, "X: 'rules' must be a list of objects"),
+        ({"type": "X", "rules": [dict(_RULE, pre=["isOpen"])]},
+         "X/rule 0: 'pre' must be a list of objects"),
+        ({"type": "X", "rules": [dict(_RULE, effect="isOpen")]},
+         "X/rule 0: 'effect' must be a list of objects"),
+        ({"type": "X", "rules": [dict(_RULE, text=["t"])]}, "X/rule 0: rule text must be a string"),
+        ({"type": "X", "rules": [dict(_RULE, pre=[{"scope": "colocated", "flag": "isOpen",
+                                                   "type": 1}])]},
+         "X/rule 0: predicate 'type' must be a string"),
+    ]:
+        shaped = tmp_path / "shaped.json"
+        shaped.write_text(json.dumps([{"affordances": ["Pickupable"], **entry}]))
+        with pytest.raises(ParseError) as info:
+            load_sdt(shaped)
+        assert str(info.value) == message
+        out = str(tmp_path / "out")
+        assert main(["run", "--task", "1", "--sdt", str(shaped), "--out", out]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_empty_knowledge_base():

@@ -3,19 +3,26 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import add_statues, random_state, scene_for_row, suite_row
 
 from sdtplan.cli import _resolve_scene, default_suite_path
 from sdtplan.errors import ParseError, ValidationError
-from sdtplan.interpreter import postcondition_satisfied
-from sdtplan.sdt import FLAG_ACTIONS, ActionName, condition_fn, parse_sdt_data
-from sdtplan.triplets import ActionTriplet
+from sdtplan import interpreter, planner, resolver
+from sdtplan.interpreter import _matches_ref, candidate_instances, postcondition_satisfied
+from sdtplan.planner import filter_relevant_objects, shown
+from sdtplan.resolver import build_action_pairs
+from sdtplan.sdt import FLAG_ACTIONS, ActionName, AffordanceTag, condition_fn, parse_sdt_data
+from sdtplan.triplets import ActionTriplet, GoalClause, clause_witnesses
 from sdtplan.world import (
+    NEARBY_RADIUS,
     ConcreteAction,
     MSG_NO_VALID_POSITION,
     MSG_NOT_VISIBLE,
@@ -23,12 +30,15 @@ from sdtplan.world import (
     Perturbation,
     Scene,
     WorldState,
+    _nearby,
+    _record_json,
     format_object_id,
     inject_failure,
     is_valid_object_id,
     load_scene,
     object_descriptions,
     state_hash,
+    state_to_json,
     step,
     type_of_id,
     validate_state,
@@ -661,11 +671,14 @@ def test_state_hash_is_relative_to_the_scene(tmp_path, sdt, suite):
     del removed.objects[statue]
     assert state_hash(removed) != loaded
 
-    elsewhere = state.clone()
-    elsewhere.scene = Scene("0" * 64, state.scene.objects)
+    elsewhere = dataclasses.replace(
+        state, objects=dict(state.objects), scene=Scene("0" * 64, state.scene.objects)
+    )
     assert state_hash(elsewhere) != loaded
-    elsewhere.scene = None  # no scene: every record counts as changed
-    assert state_hash(elsewhere) not in (loaded, state_hash(removed))
+    unloaded = dataclasses.replace(state, objects=dict(state.objects), scene=None)
+    # no scene: every record counts as changed
+    assert len(state_to_json(unloaded)["objects"]) == len(state.objects)
+    assert state_hash(unloaded) not in (loaded, state_hash(removed))
 
 
 # ---------------------------------------------------------------------------
@@ -719,3 +732,203 @@ def test_flag_actions_filter_simulator_and_postcondition_agree(sdt, suite):
                 sliced = successors[ActionName.SLICE]
                 _flag_actions_agree(sliced, sdt, sliced.objects[obj.object_id])
     assert objects * len(FLAG_ACTIONS) > 3000 and 0 < successes < objects * len(FLAG_ACTIONS)
+
+
+# ---------------------------------------------------------------------------
+# The scene index answers every query as a scan of all records would
+
+
+def _scan_of_types(state, types):
+    return [o for o in state.objects.values() if o.type_name in types]
+
+
+def _scan_contents_of(state, receptacle_id):
+    return sorted(
+        (o for o in state.objects.values() if o.parent_receptacle == receptacle_id),
+        key=lambda o: o.object_id,
+    )
+
+
+def _scan_near(state, obj):
+    return [
+        o for o in state.objects.values()
+        if o.object_id != obj.object_id and math.dist(o.position, obj.position) <= NEARBY_RADIUS
+    ]
+
+
+def _scan_ref_instances(state, ref, include_sliced):
+    return [o for o in state.objects.values() if _matches_ref(o, ref, include_sliced)]
+
+
+def _scan_shown_objects(state, sdt, relevant, extras=frozenset()):
+    return [o for o in state.objects.values() if shown(o, sdt, relevant, extras)]
+
+
+def _scan_state_json(state):
+    """``state_to_json`` as a scan: every record compared with the scene's by content."""
+    base = state.scene.objects if state.scene is not None else {}
+    changed = [
+        _record_json(o) for i, o in sorted(state.objects.items())
+        if i not in base or _record_json(o) != _record_json(base[i])
+    ]
+    removed = sorted(i for i in base if i not in state.objects)
+    return changed, removed
+
+
+#: Relevant-type sets for the prompt listings and the pair map; the
+#: receptacle types always join in.
+_INDEX_RELEVANT = (
+    frozenset({"Apple", "AppleSliced", "Knife", "Fridge"}),
+    frozenset({"Tomato", "TomatoSliced", "Bread", "Faucet", "Unicorn"}),
+)
+
+
+def _index_queries(state, sdt, rng_seed):
+    """Every query that reads the scene index, on a few seeded arguments."""
+    rng = random.Random(rng_seed)
+    ids = sorted(state.objects)
+    some = rng.sample(ids, 8)
+    refs = ["Apple", "AppleSliced", "Tomato", "Knife", "Fridge", "CounterTop", "Statue",
+            rng.choice(ids), "Ghost|+00.00|+00.90|+00.00"]
+    clauses = [
+        GoalClause("AppleSliced"), GoalClause("Statue", receptacle_type="Fridge"),
+        GoalClause("Tomato", ("isDirty",), None, "CounterTop"), GoalClause("Bread", ("isSliced",)),
+    ]
+    out = {
+        "candidates": [
+            candidate_instances(state, ref, action)
+            for ref in refs for action in (None, ActionName.SLICE)
+        ],
+        "contents": [
+            state.contents_of(i) for i in ids + ["Ghost|+00.00|+00.90|+00.00"]
+            if i not in state.objects or state.objects[i].type_name in sdt.receptacle_types
+        ],
+        "nearby": [
+            _nearby(state, state.objects[i])
+            for i in some + [i for i in ids if not i.startswith("Statue|")]
+        ],
+        "witnesses": [clause_witnesses(state, c) for c in clauses],
+        "postconditions": [
+            postcondition_satisfied(state, ActionTriplet(action, ref, arg2))
+            for ref in refs
+            for action, arg2 in ((ActionName.PUT, "Fridge"), (ActionName.SLICE, None))
+        ],
+    }
+    for relevant in _INDEX_RELEVANT:
+        out[f"shown {sorted(relevant)}"] = [
+            filter_relevant_objects(state, sdt, relevant),
+            filter_relevant_objects(state, sdt, relevant, {some[0]}),
+            build_action_pairs(state, sdt, relevant),
+            build_action_pairs(state, sdt, relevant, focus=some[1]),
+        ]
+    return out
+
+
+def _assert_index_matches_scan(state, sdt, seed):
+    indexed = _index_queries(state, sdt, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(WorldState, "of_types", _scan_of_types)
+        mp.setattr(WorldState, "contents_of", _scan_contents_of)
+        mp.setattr(WorldState, "near", _scan_near)
+        for module in (interpreter, resolver):
+            mp.setattr(module, "ref_instances", _scan_ref_instances)
+        for module in (planner, resolver):
+            mp.setattr(module, "shown_objects", _scan_shown_objects)
+        scanned = _index_queries(state, sdt, seed)
+    assert indexed == scanned
+    data = state_to_json(state)
+    assert (data["objects"], data["removed"]) == _scan_state_json(state)
+
+
+@pytest.fixture(scope="module")
+def indexed_scene(tmp_path_factory, sdt):
+    """kitchen_fruit.json padded with 300 statues: most spread over the house,
+    40 within 2 m of its objects and one inside a counter top."""
+    path = _resolve_scene("scenes/kitchen_fruit.json", default_suite_path().parent)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    authored = [o["position"] for o in data["objects"]]
+    counter = next(o for o in data["objects"] if o["type"] == "CounterTop")
+    rng = random.Random(17)
+    taken = set()
+    while len(taken) < 300:
+        if len(taken) < 40:
+            x, y, z = rng.choice(authored)
+            pos = (round(x + rng.uniform(-2, 2), 2), y, round(z + rng.uniform(-2, 2), 2))
+        else:
+            pos = (round(rng.uniform(-12, 12), 2), round(rng.uniform(0.85, 1.45), 2),
+                   round(rng.uniform(-12, 12), 2))
+        taken.add(pos)
+    statues = [{"type": "Statue", "position": list(p)} for p in sorted(taken)]
+    statues.append({"type": "Statue", "position": counter["position"],
+                    "parent_receptacle": format_object_id("CounterTop", counter["position"])})
+    data["objects"] += statues
+    padded = tmp_path_factory.mktemp("indexed") / "fruit.json"
+    padded.write_text(json.dumps(data), encoding="utf-8")
+    return load_scene(padded, sdt)
+
+
+_INDEX_OPS = ("goto", "pickup", "put", "slice", "open", "close", "pose",
+              "hide", "fill", "lower", "dirty", "assign", "delete")
+
+
+def _index_op(rng, state, sdt, kind):
+    """One random operation of ``kind``: a step, a perturbation or a direct map write."""
+    objects = state.objects
+    ids = sorted(objects)
+    authored = [i for i in ids if not i.startswith("Statue|")]
+    pick = lambda pool: rng.choice(pool if pool and rng.random() < 0.9 else ids)  # noqa: E731
+    typed = lambda tag: [i for i in authored if sdt.entry(objects[i].type_name).has(tag)]  # noqa: E731
+    if kind in ("goto", "pickup", "put", "open", "close", "slice", "pose"):
+        if kind == "pose":
+            action = act(rng.choice((ActionName.CROUCH, ActionName.STAND)))
+        elif kind == "goto":
+            action = act(ActionName.GOTO, pick(ids))
+        elif kind == "slice":
+            knives = [i for i in authored if objects[i].type_name == "Knife"]
+            if state.held_object is None and knives:  # take up the knife first
+                state, _ = step(state, act(ActionName.PICKUP, knives[0]), sdt)
+            action = act(ActionName.SLICE, pick(typed(AffordanceTag.SLICEABLE)))
+        else:
+            name, tag = {
+                "pickup": (ActionName.PICKUP, AffordanceTag.PICKUPABLE),
+                "put": (ActionName.PUT, AffordanceTag.RECEPTACLE),
+                "open": (ActionName.OPEN, AffordanceTag.OPENABLE),
+                "close": (ActionName.CLOSE, AffordanceTag.OPENABLE),
+            }[kind]
+            action = act(name, pick(typed(tag)))
+        return step(state, action, sdt)[0]
+    if kind in ("hide", "fill", "lower", "dirty"):
+        receptacle = pick(typed(AffordanceTag.RECEPTACLE))
+        target = receptacle if kind == "fill" else pick(typed(AffordanceTag.PICKUPABLE))
+        perturbation = Perturbation(kind, target, receptacle if kind == "hide" else None)
+        try:
+            return inject_failure(state, perturbation, sdt)
+        except ValidationError:
+            return state
+    new = state.clone()
+    if kind == "assign":  # move a record, or add a statue beside one
+        old = objects[pick(authored)]
+        pos = (round(old.position[0] + rng.uniform(-1.5, 1.5), 2), old.position[1],
+               round(old.position[2] + rng.uniform(-1.5, 1.5), 2))
+        if rng.random() < 0.5:
+            new.objects[old.object_id] = dataclasses.replace(old, position=pos)
+        else:
+            statue = ObjectInstance(format_object_id("Statue", pos), "Statue", pos, {})
+            new.objects[statue.object_id] = statue
+    else:  # delete a record nothing holds or contains
+        parents = {o.parent_receptacle for o in objects.values()}
+        free = [i for i in ids if i != state.held_object and i not in parents]
+        del new.objects[pick([i for i in free if i in authored] or free)]
+    return new
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_scene_index_matches_a_scan_of_every_record(indexed_scene, sdt, rng):
+    """After every step, perturbation and direct write, each indexed query
+    answers what a scan over every record answers."""
+    state = indexed_scene
+    _assert_index_matches_scan(state, sdt, 0)
+    for k, kind in enumerate(rng.sample(_INDEX_OPS, len(_INDEX_OPS)) * 2):
+        state = _index_op(rng, state, sdt, kind)
+        _assert_index_matches_scan(state, sdt, k)
