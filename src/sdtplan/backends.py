@@ -19,7 +19,7 @@ from . import lexicon, prompts
 from .errors import BackendError, GrammarError, OracleError, PlanParseError
 from .sdt import ActionName
 from .triplets import ActionTriplet, GoalClause, format_triplets, parse_recovery, parse_triplets
-from .world import is_valid_object_id, type_of_id
+from .world import type_of_id
 
 
 class LLMBackend(Protocol):
@@ -257,7 +257,7 @@ class ScriptedOracle:
 
     def _plan(self, prompt: str) -> str:
         secs = prompts.sections(prompt)
-        task = secs.get(prompts.SEC_TASK, "").splitlines()[0].strip()
+        task = next(iter(secs.get(prompts.SEC_TASK, "").splitlines()), "").strip()
         instances = prompts.parse_state_lines(secs.get(prompts.SEC_OBJECTS, ""))
         present = {type_name for _, type_name, _ in instances}
         openable = self._openable_types(secs.get(prompts.SEC_KNOWLEDGE, ""))
@@ -437,7 +437,7 @@ class ScriptedOracle:
             yield from ((p,) for p in pairs if p[0] == open_)
             if failed_triplet is not None and failed_triplet.target_ref is not None:
                 ref = failed_triplet.target_ref
-                ref_type = type_of_id(ref) if is_valid_object_id(ref) else ref
+                ref_type = type_of_id(ref)
                 direct = next(
                     (
                         p

@@ -62,6 +62,10 @@ def _resolve_scene(scene: str, suite_dir: Path) -> Path:
 _FAULT_NAMES = frozenset(f.name for f in dataclasses.fields(OracleConfig))
 
 
+def _is_strings(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
 def _check_row(row: object, where: str) -> None:
     """Raise ValueError unless ``row`` has the shape a suite row needs."""
     if not isinstance(row, dict):
@@ -69,8 +73,7 @@ def _check_row(row: object, where: str) -> None:
     for key in ("task", "scene"):
         if not isinstance(row.get(key), str):
             raise ValueError(f"{where}: '{key}' must be a string")
-    inject = row.get("inject", [])
-    if not isinstance(inject, list) or not all(isinstance(spec, str) for spec in inject):
+    if not _is_strings(row.get("inject", [])):
         raise ValueError(f"{where}: 'inject' must be a list of strings")
     faults = row.get("oracle_faults", {})
     if not isinstance(faults, dict) or not all(
@@ -246,11 +249,74 @@ def cli_run(args) -> int:
 # Trace rendering and verification
 
 
+def _check_schema(schema: object) -> None:
+    """Raise ValueError unless ``schema`` is the layout ``replay`` reads."""
+    if schema == 2:
+        raise ValueError(
+            "unsupported trace schema 2: its final_state_hash covers the whole scene; "
+            "re-record the trace with `sdtplan run`"
+        )
+    if schema != TRACE_SCHEMA:
+        raise ValueError(f"unsupported trace schema {schema!r}")
+
+
+def _require(ok: bool, field: str, shape: str) -> None:
+    if not ok:
+        raise ValueError(f"{field} must be {shape}")
+
+
+def _is_record(value: object, keys: set[str]) -> bool:
+    return isinstance(value, dict) and keys <= value.keys()
+
+
+def _check_trace(trace: object) -> None:
+    """Raise ValueError unless ``trace`` has the shape that ``render_trace``,
+    ``replay`` and ``_row_from`` read, naming the first field that is wrong."""
+    _require(isinstance(trace, dict), "a trace file", "a JSON object")
+    _check_schema(trace.get("schema"))
+    for key in ("task", "plan", "scene", "sdt", "scene_sha256", "start_state_hash"):
+        _require(isinstance(trace.get(key), str), f"'{key}'", "a string")
+    _require(isinstance(trace.get("goal"), (str, type(None))), "'goal'", "a string or null")
+    for key in ("inject", "replan_additions"):
+        _require(_is_strings(trace.get(key)), f"'{key}'", "a list of strings")
+    columns = set(REPORT_COLUMNS[2:])  # the counted columns, which verify re-derives
+    _require(_is_record(trace.get("report"), columns), "'report'", f"an object with {sorted(columns)}")
+    _require(isinstance(trace.get("history"), list), "'history'", "a list")
+    for number, entry in enumerate(trace["history"]):
+        where = f"history[{number}]"
+        _require(isinstance(entry, dict), where, "an object")
+        for key in ("triplet", "phase"):
+            _require(isinstance(entry.get(key), str), f"{where}.{key}", "a string")
+        concrete, outcome = entry.get("concrete"), entry.get("outcome")
+        _require(isinstance(concrete, (str, type(None))), f"{where}.concrete", "a string or null")
+        _require(isinstance(entry.get("skipped"), bool), f"{where}.skipped", "a boolean")
+        _require(
+            outcome is None or _is_record(outcome, {"status", "message"}),
+            f"{where}.outcome", "null or an object with status and message",
+        )
+        _require(
+            outcome is not None or entry["skipped"] or not concrete,
+            f"{where}.outcome", "recorded for an executed step",
+        )
+        _require(isinstance(entry.get("attempts"), list), f"{where}.attempts", "a list")
+        for index, attempt in enumerate(entry["attempts"]):
+            at = f"{where}.attempts[{index}]"
+            _require(_is_record(attempt, {"feedback"}), at, "an object with feedback")
+            _require(_is_strings(attempt.get("proposed")), f"{at}.proposed", "a list of strings")
+            executed = attempt.get("executed")
+            _require(
+                isinstance(executed, list) and all(
+                    _is_record(e, {"status", "message"}) and isinstance(e.get("action"), str)
+                    for e in executed
+                ),
+                f"{at}.executed", "a list of objects with action, status and message",
+            )
+
+
 def _load_trace(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, dict) or "history" not in data or "report" not in data:
-        raise ValueError("not a trace file")
+    _check_trace(data)
     return data
 
 
@@ -317,14 +383,7 @@ def replay(trace: dict) -> tuple[WorldState, Optional[str]]:
     stops, or None. It checks, in order: the scene file's sha256, the start
     state's hash, then each step's outcome (status and message).
     """
-    schema = trace.get("schema")
-    if schema == 2:
-        raise ValueError(
-            "unsupported trace schema 2: its final_state_hash covers the whole scene; "
-            "re-record the trace with `sdtplan run`"
-        )
-    if schema != TRACE_SCHEMA:
-        raise ValueError(f"unsupported trace schema {schema!r}")
+    _check_schema(trace.get("schema"))
     sdt = load_sdt(trace["sdt"])
     state = load_scene(trace["scene"], sdt)
     if state.scene.sha256 != trace["scene_sha256"]:

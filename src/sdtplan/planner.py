@@ -77,32 +77,19 @@ def relevant_types(task: str, sdt: SDT) -> set[str]:
         kept |= implied
 
 
-def shown(
-    obj: ObjectInstance,
-    sdt: SDT,
-    relevant: AbstractSet[str],
-    extras: AbstractSet[str] = frozenset(),
-) -> bool:
-    """Whether a prompt shows ``obj``: one of the prompt's ``extras`` ids, or a
-    known object whose type is in ``relevant`` or is a receptacle."""
-    if obj.object_id in extras:
-        return True
-    entry = sdt.get(obj.type_name)
-    return entry is not None and (obj.type_name in relevant or entry.has(AffordanceTag.RECEPTACLE))
-
-
 def shown_objects(
     state: WorldState,
     sdt: SDT,
     relevant: AbstractSet[str],
     extras: AbstractSet[str] = frozenset(),
 ) -> list[ObjectInstance]:
-    """The objects ``shown`` accepts, visible or not, in no particular order:
-    the relevant and receptacle types from the scene index, then the extras."""
+    """The objects a prompt shows, visible or not, in no particular order: the
+    known objects of the ``relevant`` and receptacle types from the scene index
+    (relevant types may lie outside the knowledge base), then the ``extras`` ids."""
     found = {
         obj.object_id: obj
         for obj in state.of_types(relevant | sdt.receptacle_types)
-        if shown(obj, sdt, relevant)
+        if obj.type_name in sdt
     }
     for object_id in extras:
         obj = state.objects.get(object_id)
@@ -117,7 +104,7 @@ def filter_relevant_objects(
     relevant: AbstractSet[str],
     extras: AbstractSet[str] = frozenset(),
 ) -> list[ObjectInstance]:
-    """Visible objects a prompt shows (see ``shown``), id-sorted."""
+    """Visible objects a prompt shows (see ``shown_objects``), id-sorted."""
     return sorted(
         (obj for obj in shown_objects(state, sdt, relevant, extras) if is_visible(state, obj)),
         key=lambda o: o.object_id,

@@ -25,7 +25,7 @@ from .interpreter import (
     ref_instances,
     resolve,
 )
-from .planner import shown, shown_objects
+from .planner import shown_objects
 from .sdt import SDT, ActionName, POSE_ACTIONS, filter_actions
 from .triplets import ActionTriplet, format_recovery, parse_recovery
 from .world import (
@@ -36,7 +36,6 @@ from .world import (
     format_object_id,
     in_sight,
     is_closed_openable,
-    is_valid_object_id,
     object_descriptions,  # noqa: F401  (not called here; bench/tracer.py wraps this binding)
     step,
     type_of_id,
@@ -131,27 +130,6 @@ def build_action_pairs(
     return ordered
 
 
-def pair_admitted(
-    state: WorldState,
-    sdt: SDT,
-    relevant: AbstractSet[str],
-    action: ActionName,
-    target: Optional[str],
-    focus: Optional[str] = None,
-) -> bool:
-    """Whether ``(action, target)`` is in ``build_action_pairs(state, sdt, relevant, focus)``.
-
-    Decided from the one target object (or the pose anchor) instead of the
-    whole map.
-    """
-    if action in POSE_ACTIONS:
-        return target == _pose_anchor(state, sdt, focus)
-    obj = state.objects.get(target)
-    if obj is None or not shown(obj, sdt, relevant, {focus}) or _undoes_view(state, action, target):
-        return False
-    return (action, target) in filter_actions(sdt, _view_descriptions(state, sdt, obj), (action,))
-
-
 # ---------------------------------------------------------------------------
 # Failure query
 
@@ -217,12 +195,13 @@ def resolve_failure(
     """Iterate query -> validate -> execute -> record until resolved or spent.
 
     The pair map covers the ``relevant`` types, the types the failed
-    triplet names and its grounded target. Pair validation is incremental:
-    each pair of a sequence is checked against the pair map of the state it
-    actually executes in, so enabling actions (open the alternate drawer,
-    crouch) legitimize their successors. A sequence already tried for this
-    failure is rejected unrun. Returns the state, "Resolved" or "Exhausted",
-    the iterations run (one attempt each) and the attempts.
+    triplet names and its grounded target. A pair runs only if it is in the
+    pair map of the state it runs in: the first pair's is the map its prompt
+    listed, and each later pair's is rebuilt after its predecessor, so
+    enabling actions (open the alternate drawer, crouch) legitimize their
+    successors. A sequence already tried for this failure is rejected unrun.
+    Returns the state, "Resolved" or "Exhausted", the iterations run (one
+    attempt each) and the attempts.
     """
     attempts: list[RecoveryAttempt] = []
     tried: dict[tuple[ConcreteAction, ...], str] = {}
@@ -230,8 +209,12 @@ def resolve_failure(
     focus = None
     if ctx.failed_concrete is not None and ctx.failed_concrete.target is not None:
         focus = ctx.failed_concrete.target
+
+    def pair_map(state: WorldState) -> list[tuple[ActionName, str]]:
+        return build_action_pairs(state, sdt, mapped, focus=focus or _focus_from_ref(state, ctx))
+
     for _ in range(budget):
-        pairs = build_action_pairs(state, sdt, mapped, focus=focus or _focus_from_ref(state, ctx))
+        pairs = pair_map(state)
         query = build_failure_query(ctx, pairs, tried)
         reply = backend.complete(query)
         try:
@@ -248,10 +231,10 @@ def resolve_failure(
             attempt.feedback = "repeated sequence; rejected"
             continue
         feedback = "executed"
-        for pair in sequence:
-            if not pair_admitted(
-                state, sdt, mapped, pair.name, pair.target, focus or _focus_from_ref(state, ctx)
-            ):
+        for index, pair in enumerate(sequence):
+            if index:
+                pairs = pair_map(state)
+            if (pair.name, pair.target) not in pairs:
                 feedback = f"invalid pair {pair.render()}"
                 break
             # a pose pair names its anchor only for the prompt; the pose targets nothing
@@ -282,7 +265,7 @@ def _reference_types(triplet: ActionTriplet) -> set[str]:
     out = set()
     for ref in (triplet.arg1, triplet.arg2):
         if ref is not None:
-            type_name = type_of_id(ref) if is_valid_object_id(ref) else ref
+            type_name = type_of_id(ref)
             out |= {type_name, f"{type_name}Sliced"}
     return out
 

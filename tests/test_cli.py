@@ -136,6 +136,15 @@ def test_malformed_suite_row_is_config_error(tmp_path, capsys, row, message):
     assert capsys.readouterr().err.startswith(f"config error: suite row 1: {message}")
 
 
+def test_empty_task_fails_planning_and_writes_its_trace(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"name": "empty task", "tasks": [dict(_ROW, task="")]}))
+    assert run_cli("run", "--suite", str(suite), "--out", str(tmp_path / "out")) == 1
+    data = json.loads((tmp_path / "out" / "trace_task1.json").read_text())
+    assert data["status"].startswith("PlanningFailed")
+    assert data["report"]["Success"] == "No"
+
+
 def test_inject_breaking_an_invariant_is_config_error(tmp_path):
     code = run_cli(
         "run", "--task", "14", "--inject", "fill:Drawer", "--inject", "hide:Apple:Drawer",
@@ -337,6 +346,27 @@ def test_trace_replaces_final_state_with_the_run_input(tmp_path, capsys):
     scene_bytes = Path(data["scene"]).read_bytes()
     assert data["scene_sha256"] == hashlib.sha256(scene_bytes).hexdigest()
     assert len(data["start_state_hash"]) == len(data["final_state_hash"]) == 64
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("verify", lambda d: d.update(history=5), "'history' must be a list"),
+        ("verify", lambda d: d.update(report=[]), "'report' must be an object"),
+        ("verify", lambda d: d.update(scene=5), "'scene' must be a string"),
+        ("verify", lambda d: d.update(history=["x"]), "history[0] must be an object"),
+        ("trace", lambda d: d.pop("task"), "'task' must be a string"),
+        ("verify", lambda d: d.update(inject="dirty:Mug"), "'inject' must be a list of strings"),
+    ],
+    ids=["history-int", "report-list", "scene-int", "history-entry-string", "no-task",
+         "inject-string"],
+)
+def test_malformed_trace_is_trace_error(tmp_path, capsys, command, edit, message):
+    trace_file, data = _task9_trace(tmp_path, capsys)
+    edit(data)
+    trace_file.write_text(json.dumps(data))
+    assert run_cli(command, str(trace_file)) == 2
+    assert capsys.readouterr().err.startswith(f"trace error: {message}")
 
 
 def test_verify_rejects_schema_1_trace(tmp_path, capsys):

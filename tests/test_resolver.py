@@ -18,7 +18,6 @@ from sdtplan.resolver import (
     _pose_anchor,
     build_action_pairs,
     build_failure_query,
-    pair_admitted,
     resolve_failure,
 )
 from sdtplan.sdt import FLAG_NAMES, ActionName, AffordanceTag, POSE_ACTIONS, condition_fn
@@ -207,24 +206,6 @@ def test_pairs_match_brute_force_in_padded_scene(sdt, suite, all_types):
     assert pairs == reference_pairs(state, sdt, relevant)
 
 
-def test_pair_admitted_equals_map_membership(sdt, suite, all_types):
-    rng = random.Random(43)
-    actions = [a for a in ActionName if a not in POSE_ACTIONS]
-    for state in list(pair_map_states(sdt, suite)) + [padded_state(sdt, suite, count=200)]:
-        ids = list(state.objects)
-        focus = rng.choice(ids + [None])
-        relevant = rng.choice([all_types, set(rng.sample(sorted(all_types), 4))])
-        pairs = set(build_action_pairs(state, sdt, relevant, focus=focus))
-        for object_id in ids + ["Apple|+09.00|+00.90|+09.00", None]:
-            for action in actions:
-                expected = (action, object_id) in pairs
-                assert pair_admitted(state, sdt, relevant, action, object_id, focus) == expected
-        for object_id in ids + [next(p[1] for p in pairs if p[0] is ActionName.CROUCH)]:
-            for action in POSE_ACTIONS:
-                expected = (action, object_id) in pairs
-                assert pair_admitted(state, sdt, relevant, action, object_id, focus) == expected
-
-
 def test_closed_door_offers_no_close_pair(sdt, suite, all_types):
     state = scene_for_row(suite_row(suite, 14), sdt, injected=False)
     drawer = by_type(state, "Drawer").object_id
@@ -233,10 +214,8 @@ def test_closed_door_offers_no_close_pair(sdt, suite, all_types):
     assert (ActionName.OPEN, drawer) in pairs
     assert (ActionName.PUT, drawer) in pairs  # the opened view still offers what opening enables
     assert (ActionName.CLOSE, drawer) not in pairs
-    assert not pair_admitted(state, sdt, all_types, ActionName.CLOSE, drawer)
     state, _ = step(state, ConcreteAction(ActionName.OPEN, drawer), sdt)
     assert (ActionName.CLOSE, drawer) in build_action_pairs(state, sdt, all_types)
-    assert pair_admitted(state, sdt, all_types, ActionName.CLOSE, drawer)
 
 
 def test_pairs_deterministic_order(sdt, suite, all_types):
@@ -459,6 +438,22 @@ def test_invalid_pairs_rejected_without_execution(sdt, suite, all_types):
     assert iterations == 2
     assert attempts[0].feedback.startswith("invalid pair")
     assert attempts[0].executed == []
+
+
+@pytest.mark.parametrize("second, admitted", [(ActionName.CLOSE, True), (ActionName.OPEN, False)])
+def test_later_pairs_admitted_against_the_state_they_run_in(sdt, suite, all_types, second, admitted):
+    # Opening the closed fridge admits closing it and no longer admits opening it.
+    state = scene_for_row(suite_row(suite, 9), sdt)
+    fridge = by_type(state, "Fridge").object_id
+    assert not state.objects[fridge].flag("isOpen")
+    backend = ScriptedBackend([f"[(OpenObject,{fridge}),({second.value},{fridge})]"])
+    ctx = not_visible_ctx(ActionTriplet(ActionName.PICKUP, "WineBottle"))
+    _, _, _, attempts = resolve_failure(ctx, state, sdt, all_types, backend, budget=1)
+    on_fridge = [(c, o) for c, o in attempts[0].executed if c.target == fridge]
+    expected = [ConcreteAction(ActionName.OPEN, fridge)] + admitted * [ConcreteAction(second, fridge)]
+    assert [c for c, _ in on_fridge] == expected
+    assert all(o.ok for _, o in on_fridge)
+    assert attempts[0].feedback.startswith("executed" if admitted else "invalid pair")
 
 
 def test_executed_recovery_actions_are_affordance_valid(sdt, suite):

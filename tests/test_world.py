@@ -17,7 +17,7 @@ from sdtplan.cli import _resolve_scene, default_suite_path
 from sdtplan.errors import ParseError, ValidationError
 from sdtplan import interpreter, planner, resolver
 from sdtplan.interpreter import _matches_ref, candidate_instances, postcondition_satisfied
-from sdtplan.planner import filter_relevant_objects, shown
+from sdtplan.planner import filter_relevant_objects
 from sdtplan.resolver import build_action_pairs
 from sdtplan.sdt import FLAG_ACTIONS, ActionName, AffordanceTag, condition_fn, parse_sdt_data
 from sdtplan.triplets import ActionTriplet, GoalClause, clause_witnesses
@@ -761,7 +761,13 @@ def _scan_ref_instances(state, ref, include_sliced):
 
 
 def _scan_shown_objects(state, sdt, relevant, extras=frozenset()):
-    return [o for o in state.objects.values() if shown(o, sdt, relevant, extras)]
+    """Every extra id, and every known object of a relevant or receptacle type."""
+    return [
+        o for o in state.objects.values()
+        if o.object_id in extras
+        or (o.type_name in sdt
+            and (o.type_name in relevant or sdt.entry(o.type_name).has(AffordanceTag.RECEPTACLE)))
+    ]
 
 
 def _scan_state_json(state):
