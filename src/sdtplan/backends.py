@@ -29,18 +29,27 @@ class LLMBackend(Protocol):
 T = TypeVar("T")
 
 
+def complete_text(backend: LLMBackend, prompt: str) -> str:
+    """The backend's reply to ``prompt``; GrammarError when it is not a string."""
+    reply = backend.complete(prompt)
+    if not isinstance(reply, str):
+        raise GrammarError(f"reply is {type(reply).__name__}, not text")
+    return reply
+
+
 def ask(backend: LLMBackend, prompt: str, parse: Callable[[str], T], reminder: str) -> T:
     """Query the backend and parse the reply, asking once more on a grammar error.
 
-    The retry sends ``prompt`` with ``reminder`` appended. When that reply
-    does not parse either, PlanParseError is raised, chained to its grammar
-    error. Backend errors are never retried here.
+    A reply that is not a string is a grammar error too. The retry sends
+    ``prompt`` with ``reminder`` appended. When that reply does not parse
+    either, PlanParseError is raised, chained to its grammar error. Backend
+    errors are never retried here.
     """
     try:
-        return parse(backend.complete(prompt))
+        return parse(complete_text(backend, prompt))
     except GrammarError as first_err:
         try:
-            return parse(backend.complete(prompt + reminder))
+            return parse(complete_text(backend, prompt + reminder))
         except GrammarError as exc:
             raise PlanParseError(
                 f"unparseable reply after retry: {exc} (first error: {first_err})"
@@ -112,10 +121,12 @@ class HttpBackend:
             if response.status_code >= 400:
                 raise BackendError(f"HTTP {response.status_code}: {response.text[:200]}")
             try:
-                data = response.json()
-                return data["choices"][0]["message"]["content"]
+                content = response.json()["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise BackendError(f"malformed completion response: {exc}") from exc
+            if not isinstance(content, str):
+                raise BackendError(f"completion content is {type(content).__name__}, not text")
+            return content
         raise BackendError(f"backend unreachable after {cfg.max_retries + 1} attempts ({last_error})")
 
 

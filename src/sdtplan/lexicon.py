@@ -74,6 +74,8 @@ def _phrase_positions(task: str) -> list[tuple[int, str]]:
     hits: list[tuple[int, str]] = []
     claimed: list[tuple[int, int]] = []
     for phrase, type_name in SYNONYMS:
+        if phrase not in text:  # a whole-word match needs the substring; most phrases are absent
+            continue
         for m in re.finditer(rf"\b{re.escape(phrase)}\b", text):
             span = (m.start(), m.end())
             if any(span[0] < c_end and c_start < span[1] for c_start, c_end in claimed):

@@ -4,7 +4,8 @@ The relevance pass is lexical plus rule-implication (keeping a sliceable
 food pulls in the knife types; anything coolable pulls in the appliance
 whose rules chill contents). Over-inclusion is harmless, so every
 receptacle in view rides along. A task's relevant types are computed once
-and bound every prompt's object listing, not only the plan prompt's.
+and bound every prompt's object listing, not only the plan prompt's. A plan
+prompt shows the ``EXAMPLES_SHOWN`` worked examples nearest its task.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import functools
 import importlib.resources
 import json
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, Optional, Sequence
 
 from . import lexicon, prompts
 from .backends import LLMBackend, ask
@@ -111,11 +112,43 @@ def filter_relevant_objects(
     )
 
 
+#: Worked examples a plan prompt shows, the nearest to its task first.
+EXAMPLES_SHOWN = 2
+
+_ExampleKey = tuple[Optional[str], bool, frozenset[str]]
+
+
 @functools.cache
 def load_examples() -> tuple[dict, ...]:
     """Worked task/plan examples shipped as package data, read once."""
     ref = importlib.resources.files("sdtplan.data").joinpath("examples.json")
     return tuple(json.loads(ref.read_text(encoding="utf-8")))
+
+
+def _example_key(task: str) -> _ExampleKey:
+    return lexicon.category(task), lexicon.wants_slice(task), frozenset(lexicon.type_mentions(task))
+
+
+@functools.cache
+def _example_keys() -> tuple[_ExampleKey, ...]:
+    """Each worked example's retrieval key, in file order, computed once."""
+    return tuple(_example_key(ex["task"]) for ex in load_examples())
+
+
+def nearest_examples(task: str) -> list[dict]:
+    """The ``EXAMPLES_SHOWN`` worked examples nearest ``task``, nearest first.
+
+    Ranked by: the same treatment category, then the same wish for a slice,
+    then more shared type mentions, then file order.
+    """
+    category, slicing, types = _example_key(task)
+    keys = _example_keys()
+    order = sorted(
+        range(len(keys)),
+        key=lambda i: (keys[i][0] != category, keys[i][1] != slicing, -len(keys[i][2] & types), i),
+    )
+    examples = load_examples()
+    return [examples[i] for i in order[:EXAMPLES_SHOWN]]
 
 
 def build_plan_prompt(
@@ -169,5 +202,5 @@ def plan(
     backend: LLMBackend,
 ) -> tuple[list[ActionTriplet], GoalCondition]:
     """One backend call (plus one reformat retry) for triplets and goal."""
-    prompt = build_plan_prompt(task, state, sdt, relevant, load_examples())
+    prompt = build_plan_prompt(task, state, sdt, relevant, nearest_examples(task))
     return ask(backend, prompt, _parse_plan_reply, _RETRY_REMINDER)

@@ -16,7 +16,7 @@ import math
 from typing import AbstractSet, Optional
 
 from . import prompts
-from .backends import LLMBackend
+from .backends import LLMBackend, complete_text
 from .errors import GrammarError, NoCandidate
 from .interpreter import (
     FailureContext,
@@ -216,9 +216,8 @@ def resolve_failure(
     for _ in range(budget):
         pairs = pair_map(state)
         query = build_failure_query(ctx, pairs, tried)
-        reply = backend.complete(query)
         try:
-            sequence = parse_recovery(reply)
+            sequence = parse_recovery(complete_text(backend, query))
         except GrammarError as exc:
             attempts.append(RecoveryAttempt(proposed=[], feedback=f"unparseable proposal: {exc}"))
             continue

@@ -18,7 +18,7 @@ from conftest import scene_for_row, suite_row
 import sdtplan
 from sdtplan.backends import HttpBackend, HttpConfig, OracleConfig, ScriptedOracle, ask
 from sdtplan.errors import BackendError, GrammarError, OracleError, PlanParseError
-from sdtplan.planner import build_plan_prompt, load_examples, relevant_types
+from sdtplan.planner import build_plan_prompt, load_examples, nearest_examples, relevant_types
 from sdtplan.resolver import FailureContext, build_action_pairs, build_failure_query
 from sdtplan.sdt import ActionName
 from sdtplan.triplets import ActionTriplet, parse_goal, parse_recovery, parse_triplets
@@ -74,6 +74,20 @@ def test_oracle_outputs_parse_for_all_suite_plans(sdt, suite):
         assert triplets, row["id"]
         goal = parse_goal(reply)
         assert goal.clauses
+
+
+def test_oracle_plan_reply_ignores_the_worked_examples(sdt, suite):
+    """The oracle's plan reply does not read ``## Worked Examples``, so which
+    examples a prompt shows leaves every reply, row and final state as is."""
+    for row in suite["tasks"]:
+        state = scene_for_row(row, sdt)
+        relevant = relevant_types(row["task"], sdt)
+        oracle = ScriptedOracle(OracleConfig(**row.get("oracle_faults", {})))
+        replies = {
+            oracle.complete(build_plan_prompt(row["task"], state, sdt, relevant, examples))
+            for examples in (load_examples(), nearest_examples(row["task"]), [])
+        }
+        assert len(replies) == 1, row["id"]
 
 
 def test_oracle_recovery_replies_parse_and_avoid_candidates_outside_prompt(sdt, suite):
@@ -247,7 +261,11 @@ def test_oracle_misorder_heat_toggles_with_door_open(sdt, suite):
 # HTTP client
 
 
-_STUB_DEFAULTS = {"failures_left": 0, "delay": 0.0, "requests": 0, "status": 500, "retry_after": None}
+#: ``echo`` False sends ``content`` as the completion's content verbatim.
+_STUB_DEFAULTS = {
+    "failures_left": 0, "delay": 0.0, "requests": 0, "status": 500, "retry_after": None,
+    "echo": True, "content": None,
+}
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -268,7 +286,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.end_headers()
             return
         prompt = body["messages"][0]["content"]
-        payload = {"choices": [{"message": {"role": "assistant", "content": f"echo:{prompt}"}}]}
+        content = f"echo:{prompt}" if cls.behavior["echo"] else cls.behavior["content"]
+        payload = {"choices": [{"message": {"role": "assistant", "content": content}}]}
         data = json.dumps(payload).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -280,14 +299,22 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _StubServer(ThreadingHTTPServer):
+    # server_close() joins the handler threads, so a handler still writing to a
+    # client that timed out reports its broken pipe before the test ends, not
+    # into a later test's captured stderr
+    daemon_threads = False
+
+
 @pytest.fixture()
 def stub_server():
     _StubHandler.behavior = dict(_STUB_DEFAULTS)
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+    server = _StubServer(("127.0.0.1", 0), _StubHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions", _StubHandler.behavior
     server.shutdown()
+    server.server_close()
 
 
 def test_cli_import_does_not_load_requests():
@@ -358,6 +385,17 @@ def test_http_429_sleeps_for_capped_retry_after(stub_server, monkeypatch, retry_
     assert sleeps == [expected_sleep]  # larger of backoff and Retry-After, capped at timeout
 
 
+@pytest.mark.parametrize("content", [None, 42, ["text"]])
+def test_http_non_string_content_is_backend_error(stub_server, content):
+    # OpenAI-compatible servers send "content": null on refusals and tool calls
+    url, behavior = stub_server
+    behavior.update(echo=False, content=content)
+    backend = HttpBackend(HttpConfig(endpoint=url, model="m", timeout=5, max_retries=2))
+    with pytest.raises(BackendError, match="content"):
+        backend.complete("x")
+    assert behavior["requests"] == 1
+
+
 def test_http_timeout_raises_backend_error(stub_server):
     url, behavior = stub_server
     behavior["delay"] = 1.0
@@ -391,6 +429,15 @@ class _RecordingBackend:
 
 def test_ask_resends_with_reminder_then_chains_the_grammar_error():
     backend = _RecordingBackend(reply="gibberish")
+    with pytest.raises(PlanParseError) as exc:
+        ask(backend, "prompt", parse_triplets, " REMINDER")
+    assert backend.prompts == ["prompt", "prompt REMINDER"]
+    assert isinstance(exc.value.__cause__, GrammarError)
+
+
+@pytest.mark.parametrize("reply", [None, 42, b"Action-Triplets:[]"])
+def test_ask_treats_a_non_string_reply_as_a_grammar_error(reply):
+    backend = _RecordingBackend(reply=reply)
     with pytest.raises(PlanParseError) as exc:
         ask(backend, "prompt", parse_triplets, " REMINDER")
     assert backend.prompts == ["prompt", "prompt REMINDER"]

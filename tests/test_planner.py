@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from conftest import ScriptedBackend, scene_for_row, suite_row
 
+from sdtplan import lexicon
 from sdtplan.backends import ScriptedOracle
 from sdtplan.errors import PlanParseError
 from sdtplan.planner import (
+    EXAMPLES_SHOWN,
     build_plan_prompt,
     filter_relevant_objects,
     load_examples,
+    nearest_examples,
     plan,
     relevant_types,
 )
@@ -92,6 +97,81 @@ def test_prompt_omits_examples_section_when_empty(sdt, suite):
     assert "## Worked Examples" not in prompt
     with_examples = build_plan_prompt(task, state, sdt, relevant, load_examples())
     assert "## Worked Examples" in with_examples
+
+
+def test_every_table1_task_gets_examples_of_its_own_category(suite):
+    for row in suite["tasks"]:
+        chosen = nearest_examples(row["task"])
+        assert len(chosen) == EXAMPLES_SHOWN, row["id"]
+        category = lexicon.category(row["task"])
+        assert category is not None, row["id"]
+        assert [lexicon.category(ex["task"]) for ex in chosen] == [category] * EXAMPLES_SHOWN
+
+
+def test_wine_task_gets_the_cooling_examples_not_the_table_ones(suite):
+    task = suite_row(suite, 9)["task"]
+    assert task == "Set a chilled bottle of wine on the table."
+    assert [ex["task"] for ex in nearest_examples(task)] == [
+        "Chill a tomato and put it in the sink.",
+        "Put a cold slice of lettuce in the garbage can.",
+    ]
+    # type overlap alone would pick the two examples that name the table
+    by_overlap = sorted(
+        load_examples(),
+        key=lambda ex: -len(set(lexicon.type_mentions(ex["task"])) & set(lexicon.type_mentions(task))),
+    )
+    assert [lexicon.category(ex["task"]) for ex in by_overlap[:2]] == ["clean", "heat"]
+
+
+def test_untreated_task_still_gets_examples():
+    task = "Put the apple in the fridge."
+    assert lexicon.category(task) is None
+    chosen = nearest_examples(task)
+    assert len(chosen) == EXAMPLES_SHOWN
+    assert all(ex in load_examples() for ex in chosen)
+
+
+def test_nearest_examples_is_deterministic(suite):
+    for row in suite["tasks"]:
+        assert nearest_examples(row["task"]) == nearest_examples(row["task"])
+
+
+def test_plan_prompt_shows_the_nearest_examples_only(sdt, suite):
+    row = suite_row(suite, 9)
+    backend = ScriptedBackend([
+        "Action-Triplets:[['PickupObject', 'WineBottle', 0]]\n"
+        "GOAL:{type=WineBottle; flags=-; temp=Cold; in=-}"
+    ])
+    plan(row["task"], scene_for_row(row, sdt), sdt, relevant_types(row["task"], sdt), backend)
+    (prompt,) = backend.prompts
+    for ex in load_examples():
+        assert (f"Task: {ex['task']}" in prompt) == (ex in nearest_examples(row["task"]))
+
+
+def _phrase_positions_reference(task):
+    """``lexicon._phrase_positions`` without its substring pre-check: every
+    synonym's pattern runs on every text."""
+    text = task.lower()
+    hits, claimed = [], []
+    for phrase, type_name in lexicon.SYNONYMS:
+        for m in re.finditer(rf"\b{re.escape(phrase)}\b", text):
+            if any(m.start() < end and start < m.end() for start, end in claimed):
+                continue
+            claimed.append((m.start(), m.end()))
+            hits.append((m.start(), type_name))
+    return sorted(hits)
+
+
+def test_phrase_positions_match_the_plain_reference(suite):
+    texts = [row["task"] for row in suite["tasks"]] + [ex["task"] for ex in load_examples()]
+    texts += [
+        "Put the bottle of wine bottle by the winebottle.",
+        "Trash can trash, garbage can garbage; TABLE dining table.",
+        "cupboard cups cup, mugs mug",
+        "",
+    ]
+    for text in texts:
+        assert lexicon._phrase_positions(text) == _phrase_positions_reference(text), text
 
 
 def test_plan_reproduces_eight_step_wine_plan(sdt, suite):

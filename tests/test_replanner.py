@@ -197,6 +197,37 @@ def test_run_task_reports_unplannable_task_instead_of_raising(sdt, suite):
     assert report.status.startswith("PlanningFailed")
 
 
+@pytest.mark.parametrize("reply", [None, 42])
+def test_run_task_reports_a_non_string_reply_as_planning_failed(sdt, suite, reply):
+    row = suite_row(suite, 1)
+    backend = ScriptedBackend([reply])
+    report = run_task(row["task"], scene_for_row(row, sdt), sdt, backend, task_id=1)
+    assert report.status.startswith("PlanningFailed")
+    assert backend.calls == 2  # the reply and the reformat retry
+
+
+class _NonStringRecovery(ScriptedOracle):
+    """The oracle, answering every failure-recovery prompt with ``reply``."""
+
+    def __init__(self, reply):
+        super().__init__()
+        self.reply = reply
+
+    def complete(self, prompt):
+        if prompt.startswith(prompts.RECOVERY_HEADER):
+            return self.reply
+        return super().complete(prompt)
+
+
+@pytest.mark.parametrize("reply", [None, 42])
+def test_run_task_survives_a_non_string_recovery_reply(sdt, suite, reply):
+    row = suite_row(suite, 9)  # its first plan fails a step, so the resolver asks for recovery
+    report = run_task(row["task"], scene_for_row(row, sdt), sdt, _NonStringRecovery(reply), task_id=9)
+    attempts = [a for entry in report.history for a in entry.attempts]
+    assert attempts
+    assert all(a.feedback.startswith("unparseable proposal") for a in attempts)
+
+
 def test_run_task_survives_backend_crash_mid_execution(sdt, suite):
     row = suite_row(suite, 3)  # needs grounding queries (two drawers)
     scene = scene_for_row(row, sdt)
