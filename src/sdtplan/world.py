@@ -84,6 +84,7 @@ _ID_RE = re.compile(
     r"\|(?P<x>[+-]\d{2}\.\d{2})\|(?P<y>[+-]\d{2}\.\d{2})\|(?P<z>[+-]\d{2}\.\d{2})"
     r"(?P<suffix>\|[A-Za-z][A-Za-z0-9_]*Sliced-\d+)?$"
 )
+_ID_FORMAT = "%s|%+06.2f|%+06.2f|%+06.2f"
 
 
 def format_object_id(type_name: str, position: tuple[float, float, float]) -> str:
@@ -91,7 +92,7 @@ def format_object_id(type_name: str, position: tuple[float, float, float]) -> st
     if abs(x) >= 100 or abs(y) >= 100 or abs(z) >= 100:
         bad = next(c for c in position if abs(c) >= 100)
         raise ValidationError(f"coordinate out of id range: {bad}")
-    return "%s|%+06.2f|%+06.2f|%+06.2f" % (type_name, x, y, z)
+    return _ID_FORMAT % (type_name, x, y, z)
 
 
 def is_valid_object_id(object_id: str) -> bool:
@@ -166,14 +167,8 @@ class ObjectInstance:
 
     def clone(self) -> "ObjectInstance":
         return ObjectInstance(
-            object_id=self.object_id,
-            type_name=self.type_name,
-            position=self.position,
-            flags=dict(self.flags),
-            temperature=self.temperature,
-            parent_receptacle=self.parent_receptacle,
-            capacity=self.capacity,
-            slice_children=list(self.slice_children),
+            self.object_id, self.type_name, self.position, dict(self.flags), self.temperature,
+            self.parent_receptacle, self.capacity, list(self.slice_children),
         )
 
     def flag(self, name: str) -> bool:
@@ -432,62 +427,65 @@ def _vector(value: object, count: int, where: str) -> tuple[float, ...]:
         raise ParseError(f"{where} must have {count} components")
     if not _NUMBER_TYPES.issuperset(map(type, value)):
         raise ParseError(f"{where} must be a list of {count} numbers")
+    if not all(map(math.isfinite, value)):
+        raise ParseError(f"{where} must be a list of {count} finite numbers")
     return tuple(map(float, value))
 
 
 _NO_FLAGS = dict.fromkeys(FLAG_NAMES, False)
 
 
-def _parse_instance(raw: dict, index: int) -> ObjectInstance:
-    where = f"object {index}"
+def _parse_instance(raw: dict, index: int, id_types: Collection[str]) -> ObjectInstance:
+    """Scene record ``index``. A type in ``id_types`` has formed a valid id, so with
+    every coordinate within ±99.99 this record's id is valid too: no regex."""
     if not isinstance(raw, dict) or "type" not in raw or "position" not in raw:
-        raise ParseError(f"{where}: needs 'type' and 'position'")
-    position = _vector(raw["position"], 3, f"{where}: position")
+        raise ParseError(f"object {index}: needs 'type' and 'position'")
+    p = raw["position"]
+    if (type(p) is list and len(p) == 3 and type(p[0]) in _NUMBER_TYPES
+            and type(p[1]) in _NUMBER_TYPES and type(p[2]) in _NUMBER_TYPES):
+        position = (float(p[0]), float(p[1]), float(p[2]))
+    else:  # not a list of 3 numbers: _vector names the fault
+        position = _vector(p, 3, f"object {index}: position")
     type_name = raw["type"]
     given_id = raw.get("id")
     if given_id:  # a formatted id embeds its type and position by construction
         m = _ID_RE.match(given_id) if isinstance(given_id, str) else None
         if m is None:
-            raise ValidationError(f"{where}: malformed id {given_id!r}")
+            raise ValidationError(f"object {index}: malformed id {given_id!r}")
         expected = format_object_id(type_name, position) + (m.group("suffix") or "")
         if given_id != expected:
             raise ValidationError(
-                f"{where}: id {given_id!r} does not embed its type/position ({expected!r})"
+                f"object {index}: id {given_id!r} does not embed its type/position ({expected!r})"
             )
         object_id = given_id
+    elif (type(type_name) is str and type_name in id_types and -99.99 <= position[0] <= 99.99
+            and -99.99 <= position[1] <= 99.99 and -99.99 <= position[2] <= 99.99):
+        object_id = _ID_FORMAT % (type_name, *position)
     else:
         object_id = format_object_id(type_name, position)
         if _ID_RE.match(object_id) is None:
-            raise ValidationError(f"{where}: malformed id {object_id!r}")
+            raise ValidationError(f"object {index}: malformed id {object_id!r}")
     flags = _NO_FLAGS.copy()
     if "flags" in raw:
         given_flags = raw["flags"]
         if not isinstance(given_flags, dict):
-            raise ParseError(f"{where}: flags must be an object")
+            raise ParseError(f"object {index}: flags must be an object")
         for k, v in given_flags.items():
             if k not in FLAG_NAMES:
-                raise ValidationError(f"{where}: unknown flag {k!r}")
+                raise ValidationError(f"object {index}: unknown flag {k!r}")
             if not isinstance(v, bool):
-                raise ParseError(f"{where}: flag {k} must be a boolean")
+                raise ParseError(f"object {index}: flag {k} must be a boolean")
             flags[k] = v
     temperature = raw.get("temperature", "RoomTemp")
     if temperature not in TEMPERATURES:
-        raise ValidationError(f"{where}: unknown temperature {temperature!r}")
+        raise ValidationError(f"object {index}: unknown temperature {temperature!r}")
     parent = raw.get("parent_receptacle")
     if parent is not None and not isinstance(parent, str):
-        raise ParseError(f"{where}: parent_receptacle must be an object id")
+        raise ParseError(f"object {index}: parent_receptacle must be an object id")
     capacity = raw.get("capacity", 0)
     if type(capacity) is not int:
-        raise ParseError(f"{where}: capacity must be an integer")
-    return ObjectInstance(
-        object_id=object_id,
-        type_name=type_name,
-        position=position,
-        flags=flags,
-        temperature=temperature,
-        parent_receptacle=parent,
-        capacity=capacity,
-    )
+        raise ParseError(f"object {index}: capacity must be an integer")
+    return ObjectInstance(object_id, type_name, position, flags, temperature, parent, capacity)
 
 
 def validate_state(state: WorldState, sdt: SDT) -> None:
@@ -542,6 +540,8 @@ def _parse_agent(agent: object) -> dict:
     radius = agent.get("visibility_radius", 25.0)
     if type(radius) not in _NUMBER_TYPES:
         raise ParseError("agent: visibility_radius must be a number")
+    if not math.isfinite(radius):
+        raise ParseError("agent: visibility_radius must be a finite number")
     crouched = agent.get("crouched", False)
     if not isinstance(crouched, bool):
         raise ParseError("agent: crouched must be a boolean")
@@ -564,8 +564,12 @@ def load_scene(path: str | Path, sdt: SDT) -> WorldState:
 
     The file is read once; its sha256 and the parsed records become the
     returned state's ``scene``, which the state is copy-on-write over.
-    Non-openable receptacles get isOpen=True so visibility and the action
-    filter can read openness off the instance flag alone.
+    One pass reads each record: its shape and JSON types, flags, temperature
+    and id, then duplicate ids. Receptacles with no door get isOpen=True, so
+    visibility and the action filter can read openness off the instance flag
+    alone; that is decided once per type, in a memo that lives for this call
+    only. The agent block's numbers must be finite. ``validate_state`` then
+    checks containment, capacity and the held object.
     """
     try:
         blob = Path(path).read_bytes()
@@ -580,17 +584,17 @@ def load_scene(path: str | Path, sdt: SDT) -> WorldState:
     if not isinstance(data["objects"], list):
         raise ParseError("scene file's 'objects' must be a list")
     objects: dict[str, ObjectInstance] = {}
+    opens: dict[str, bool] = {}  # type -> a receptacle with no door; each key has formed a valid id
     for i, raw in enumerate(data["objects"]):
-        inst = _parse_instance(raw, i)
+        inst = _parse_instance(raw, i, opens)
         if inst.object_id in objects:
             raise ValidationError(f"duplicate object id {inst.object_id!r}")
         objects[inst.object_id] = inst
-        entry = sdt.get(inst.type_name)
-        if (
-            entry is not None
-            and entry.has(AffordanceTag.RECEPTACLE)
-            and not entry.has(AffordanceTag.OPENABLE)
-        ):
+        if inst.type_name not in opens:
+            entry = sdt.get(inst.type_name)
+            tags = entry.affordances if entry is not None else ()
+            opens[inst.type_name] = AffordanceTag.RECEPTACLE in tags and AffordanceTag.OPENABLE not in tags
+        if opens[inst.type_name]:
             inst.flags["isOpen"] = True
     scene = Scene(hashlib.sha256(blob).hexdigest(), objects)
     state = WorldState(objects=ObjectMap.over(objects, ()), **_parse_agent(data["agent"]), scene=scene)
@@ -829,12 +833,7 @@ def _spawn_slices(state: WorldState, parent: ObjectInstance) -> list[ObjectInsta
             if len(state.contents_of(parent_recept)) < recept.capacity:
                 container = parent_recept
         child = ObjectInstance(
-            object_id=child_id,
-            type_name=sliced_type,
-            position=parent.position,
-            flags=dict(parent.flags),
-            temperature=parent.temperature,
-            parent_receptacle=container,
+            child_id, sliced_type, parent.position, dict(parent.flags), parent.temperature, container
         )
         state.objects[child_id] = child
         children.append(child)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -99,6 +100,17 @@ _MUG = {"type": "Mug", "position": [0.5, 0.94, 0.2]}
          "object 0: capacity must be an integer"),
         ({"agent": _GOOD_AGENT, "objects": [dict(_MUG, capacity=True)]},
          "object 0: capacity must be an integer"),
+        # json.loads reads NaN and Infinity; with either, every distance test passes
+        ({"agent": dict(_GOOD_AGENT, visibility_radius=math.nan), "objects": [_MUG]},
+         "agent: visibility_radius must be a finite number"),
+        ({"agent": dict(_GOOD_AGENT, visibility_radius=math.inf), "objects": [_MUG]},
+         "agent: visibility_radius must be a finite number"),
+        ({"agent": {"position": [math.nan, 0.9, 0]}, "objects": [_MUG]},
+         "agent: position must be a list of 3 finite numbers"),
+        ({"agent": dict(_GOOD_AGENT, view_band_standing=[0.8, math.inf]), "objects": [_MUG]},
+         "agent: view_band_standing must be a list of 2 finite numbers"),
+        ({"agent": dict(_GOOD_AGENT, view_band_crouched=[-math.inf, 1.5]), "objects": [_MUG]},
+         "agent: view_band_crouched must be a list of 2 finite numbers"),
     ],
 )
 def test_malformed_scene_is_config_error(tmp_path, capsys, sdt, scene, message):

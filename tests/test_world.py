@@ -167,11 +167,37 @@ def _apple_at(x, **extra):
             ValidationError,
             "CounterTop|+02.00|+00.95|+00.00: holds 2 objects, capacity 1",
         ),
+        ([_TABLE, "Apple"], ParseError, "object 1: needs 'type' and 'position'"),
+        ([dict(_APPLE, position="0, 0.9, 0")], ParseError,
+         "object 0: position must be a list of 3 numbers"),
+        ([dict(_APPLE, position=[0, True, 0])], ParseError,
+         "object 0: position must be a list of 3 numbers"),
+        ([dict(_APPLE, id="Apple|0|0.9|0")], ValidationError, "object 0: malformed id 'Apple|0|0.9|0'"),
+        ([dict(_APPLE, flags=["isDirty"])], ParseError, "object 0: flags must be an object"),
+        ([dict(_APPLE, flags={"isDirty": 1})], ParseError, "object 0: flag isDirty must be a boolean"),
+        ([dict(_APPLE, parent_receptacle=5)], ParseError,
+         "object 0: parent_receptacle must be an object id"),
+        ([dict(_TABLE, capacity=1.0)], ParseError, "object 0: capacity must be an integer"),
+        ([dict(_TABLE, capacity=True)], ParseError, "object 0: capacity must be an integer"),
+        # a dict is the whole scene file: faults in the agent block
+        ({"agent": [0, 0.9, 0], "objects": []}, ParseError, "scene file's 'agent' must be an object"),
+        ({"agent": {"held_object": 3}, "objects": []}, ParseError,
+         "agent: held_object must be an object id"),
+        ({"agent": {"visibility_radius": "far"}, "objects": []}, ParseError,
+         "agent: visibility_radius must be a number"),
+        ({"agent": {"crouched": 1}, "objects": []}, ParseError, "agent: crouched must be a boolean"),
+        # two faults in one record: the first check in the record's order names it
+        ([_apple_at(100.0, id="Apple|x")], ValidationError, "object 0: malformed id 'Apple|x'"),
+        ([dict(_APPLE, temperature="Warm", capacity="2")], ValidationError,
+         "object 0: unknown temperature 'Warm'"),
+        # the type has already formed a valid id
+        ([_APPLE, _apple_at(-99.996)], ValidationError,
+         "object 1: malformed id 'Apple|-100.00|+00.90|+00.00'"),
     ],
 )
 def test_load_error_messages(tmp_path, sdt, objects, error, message):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"agent": {}, "objects": objects}))
+    path.write_text(json.dumps(objects if isinstance(objects, dict) else {"agent": {}, "objects": objects}))
     with pytest.raises(error) as info:
         load_scene(path, sdt)
     assert str(info.value) == message
@@ -193,6 +219,60 @@ def test_load_path_ids_match_format_object_id(tmp_path, sdt):
         "Statue|+99.99|-99.99|+00.01",
         "Statue|-99.99|+99.99|-00.00",
     ]
+
+
+_SHIPPED_SCENES = sorted((default_suite_path().parent.parent / "scenes").glob("*.json"))
+
+#: One value of each JSON type, swapped in for a value of another type.
+_JSON_VALUES = (None, True, 0, 1.5, "Mug", [0, 0.9, 0], {"isOpen": True})
+
+
+def _mutate_scene(rng, data):
+    """Drop a key, swap a value's JSON type, push a coordinate past ±99.995 or
+    duplicate a record, one to three times; half the time every id is derived."""
+    objects = data["objects"]
+    if rng.random() < 0.5:
+        for record in objects:
+            record.pop("id", None)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("drop", "retype", "edge", "duplicate"))
+        record = rng.choice(objects)
+        if kind == "duplicate":
+            objects.insert(rng.randrange(len(objects) + 1), copy.deepcopy(record))
+        elif not isinstance(record, dict) or not record:
+            continue
+        elif kind == "drop":
+            del record[rng.choice(sorted(record))]
+        elif kind == "retype":
+            owner = data["agent"] if rng.random() < 0.2 and data["agent"] else record
+            key = rng.choice(sorted(owner))
+            owner[key] = rng.choice([v for v in _JSON_VALUES if type(v) is not type(owner[key])])
+        elif isinstance(record.get("position"), list) and record["position"]:
+            edge = rng.choice((99.99, 99.994, 99.995, 99.996, 100.0, rng.uniform(99.98, 100.01)))
+            record["position"][rng.randrange(len(record["position"]))] = rng.choice((1, -1)) * edge
+
+
+@pytest.fixture(scope="module")
+def mutated_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "scene.json"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(_SHIPPED_SCENES))
+def test_loader_loads_a_valid_state_or_raises_a_load_error(mutated_path, sdt, rng, scene):
+    """A mutated shipped scene loads to a state whose ids are formatted from its
+    records, or fails with ParseError or ValidationError; nothing else escapes."""
+    data = json.loads(scene.read_text(encoding="utf-8"))
+    _mutate_scene(rng, data)
+    mutated_path.write_text(json.dumps(data), encoding="utf-8")
+    try:
+        state = load_scene(mutated_path, sdt)
+    except (ParseError, ValidationError):
+        return
+    validate_state(state, sdt)
+    for object_id, obj in state.objects.items():
+        assert object_id == obj.object_id == format_object_id(obj.type_name, obj.position)
+        assert is_valid_object_id(object_id)
 
 
 # ---------------------------------------------------------------------------
