@@ -1,7 +1,8 @@
 """Action interpretation engine: grounds abstract triplets and executes them.
 
-Grounding is local when unambiguous (exactly one candidate per reference,
-zero backend calls) and otherwise asks the backend with a context query.
+Grounding is local (zero backend calls) when the reference is unambiguous
+(one candidate) or its candidates are interchangeable, and otherwise asks the
+backend with a context query.
 Every triplet's postcondition is checked before execution, so a step whose
 outcome already holds (typically because a recovery sequence produced it)
 is skipped rather than re-run.
@@ -10,13 +11,12 @@ is skipped rather than re-run.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import AbstractSet, Optional, Protocol
+from dataclasses import dataclass, field, replace
+from typing import Optional, Protocol
 
 from . import prompts
 from .backends import LLMBackend, ask
 from .errors import GrammarError, NoCandidate, PlanParseError, SdtPlanError
-from .planner import filter_relevant_objects
 from .sdt import FLAG_ACTIONS, SDT, ActionName
 from .triplets import ActionTriplet
 from .world import (
@@ -131,39 +131,28 @@ def candidate_instances(
 
 
 def _build_choice_query(
-    triplet: ActionTriplet,
-    task: str,
-    state: WorldState,
-    sdt: SDT,
-    relevant: AbstractSet[str],
-    history: list[HistoryEntry],
-    candidates: dict[str, list[str]],
+    triplet: ActionTriplet, task: str, state: WorldState, history: list[HistoryEntry],
+    ref: str, ids: list[str],
 ) -> str:
-    """The state section shows the relevant objects, every candidate and
-    what each candidate holds (the model weighs a receptacle's contents)."""
-    candidate_ids = {object_id for ids in candidates.values() for object_id in ids}
-    extras = candidate_ids | {
-        o.object_id for object_id in candidate_ids for o in state.contents_of(object_id)
+    """The state section shows what a choice weighs, where visible: every
+    candidate, what each holds and the receptacle each sits in."""
+    shown = {*ids, *(state.objects[i].parent_receptacle for i in ids)} | {
+        o.object_id for i in ids for o in state.contents_of(i)
     }
-    listed = []
-    for ref, ids in candidates.items():
-        listed.append(f"{ref}:")
-        listed += (
-            f"  {k}. {object_id} (dist={state.distance_to(state.objects[object_id]):.2f})"
-            for k, object_id in enumerate(ids, start=1)
-        )
+    shown.discard(None)
     return prompts.render(prompts.CHOICE_HEADER, [
         (prompts.SEC_TASK, [task]),
-        (prompts.SEC_STEP, [f"Grounding: {triplet.render()}", "Resolve: " + ", ".join(candidates)]),
+        (prompts.SEC_STEP, [f"Grounding: {triplet.render()}", f"Resolve: {ref}"]),
         (prompts.SEC_HISTORY, prompts.render_history_lines(history[-HISTORY_TAIL:])),
         (prompts.SEC_STATE, [
             prompts.render_state_line(state, obj)
-            for obj in filter_relevant_objects(state, sdt, relevant, extras)
+            for obj in (state.objects[i] for i in sorted(shown)) if is_visible(state, obj)
         ]),
-        (prompts.SEC_CANDIDATES, listed),
-        (prompts.SEC_OUTPUT, [
-            "Reply with one line: CHOICE:{" + ", ".join(f"{r}-><id>" for r in candidates) + "}"
-        ]),
+        (prompts.SEC_CANDIDATES, [f"{ref}:", *(
+            f"  {k}. {object_id} (dist={state.distance_to(state.objects[object_id]):.2f})"
+            for k, object_id in enumerate(ids, start=1)
+        )]),
+        (prompts.SEC_OUTPUT, ["Reply with one line: CHOICE:{" + ref + "-><id>}"]),
     ])
 
 
@@ -180,21 +169,30 @@ def _parse_choice(text: str) -> dict[str, str]:
     return out
 
 
+def _interchangeable(state: WorldState, ids: list[str]) -> bool:
+    """True when the candidates differ in their ids alone and hold nothing
+    (in practice, fresh sibling slices), so every pick is the same pick."""
+    first = state.objects[ids[0]]
+    return all(
+        replace(state.objects[i], object_id=first.object_id) == first and not state.contents_of(i)
+        for i in ids
+    )
+
+
 def resolve(
     triplet: ActionTriplet,
     state: WorldState,
     task: str,
-    sdt: SDT,
-    relevant: AbstractSet[str],
     history: list[HistoryEntry],
     backend: LLMBackend,
 ) -> ConcreteAction:
     """Ground one triplet to a concrete action.
 
     Raises NoCandidate when the reference has no instance; the caller surfaces
-    that to the failure resolver as a visibility failure. A backend choice
-    outside the candidate list is retried once, then the nearest candidate
-    is used. The choice query lists the objects of the ``relevant`` types.
+    that to the failure resolver as a visibility failure. One candidate, or
+    interchangeable ones, ground to the nearest with no backend call. A
+    backend choice outside the candidate list is retried once, then the
+    nearest candidate is used.
     """
     ref = triplet.target_ref
     if ref is None:
@@ -202,7 +200,7 @@ def resolve(
     ids = candidate_instances(state, ref, triplet.action)
     if not ids:
         raise NoCandidate(ref)
-    if len(ids) == 1:
+    if len(ids) == 1 or _interchangeable(state, ids):
         return ConcreteAction(name=triplet.action, target=ids[0])
 
     def parse_pick(reply: str) -> str:
@@ -211,7 +209,7 @@ def resolve(
             raise GrammarError(f"choice outside the candidate list: {pick!r}")
         return pick
 
-    query = _build_choice_query(triplet, task, state, sdt, relevant, history, {ref: ids})
+    query = _build_choice_query(triplet, task, state, history, ref, ids)
     try:
         target = ask(backend, query, parse_pick, _CHOICE_REMINDER)
     except PlanParseError:
@@ -291,7 +289,6 @@ def execute_plan(
     state: WorldState,
     task: str,
     sdt: SDT,
-    relevant: AbstractSet[str],
     backend: LLMBackend,
     resolver: Optional[FailureHandler],
     history: Optional[list[HistoryEntry]] = None,
@@ -312,7 +309,7 @@ def execute_plan(
             if not postcondition_satisfied(state, triplet):
                 concrete: Optional[ConcreteAction] = None
                 try:
-                    concrete = resolve(triplet, state, task, sdt, relevant, history, backend)
+                    concrete = resolve(triplet, state, task, history, backend)
                 except NoCandidate:
                     outcome = ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE)
                 else:

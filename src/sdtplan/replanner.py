@@ -179,7 +179,7 @@ def run_task(
         phase, triplets = "plan", report.plan
         while True:
             state, _, report.status = execute_plan(
-                triplets, state, task, sdt, relevant, backend, resolver,
+                triplets, state, task, sdt, backend, resolver,
                 history=report.history, phase=phase,
             )
             report.success, report.unmet_final = goal_satisfied(state, report.goal)

@@ -166,15 +166,12 @@ def _reexecute_failed(
     ctx: FailureContext,
     state: WorldState,
     sdt: SDT,
-    relevant: AbstractSet[str],
     backend: LLMBackend,
     attempt: RecoveryAttempt,
 ) -> tuple[WorldState, bool, str]:
     """Retry the failed triplet against the recovered state."""
     try:
-        concrete = resolve(
-            ctx.failed_triplet, state, ctx.task, sdt, relevant, ctx.history_tail, backend
-        )
+        concrete = resolve(ctx.failed_triplet, state, ctx.task, ctx.history_tail, backend)
     except NoCandidate:
         return state, False, "target still has no candidate instance"
     new_state, outcome = step(state, concrete, sdt)
@@ -248,9 +245,7 @@ def resolve_failure(
             feedback += "; resolved"
             attempt.resolved = True
         elif attempt.executed and all(o.ok for _, o in attempt.executed):
-            state, attempt.resolved, note = _reexecute_failed(
-                ctx, state, sdt, relevant, backend, attempt
-            )
+            state, attempt.resolved, note = _reexecute_failed(ctx, state, sdt, backend, attempt)
             feedback = f"{feedback}; {note}"
         attempt.feedback = feedback
         tried[tuple(sequence)] = feedback

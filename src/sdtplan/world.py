@@ -447,8 +447,10 @@ def _parse_instance(raw: dict, index: int, id_types: Collection[str]) -> ObjectI
     else:  # not a list of 3 numbers: _vector names the fault
         position = _vector(p, 3, f"object {index}: position")
     type_name = raw["type"]
+    if type(type_name) is not str:
+        raise ParseError(f"object {index}: type must be a string")
     given_id = raw.get("id")
-    if given_id:  # a formatted id embeds its type and position by construction
+    if given_id is not None:  # a formatted id embeds its type and position by construction
         m = _ID_RE.match(given_id) if isinstance(given_id, str) else None
         if m is None:
             raise ValidationError(f"object {index}: malformed id {given_id!r}")
@@ -458,7 +460,7 @@ def _parse_instance(raw: dict, index: int, id_types: Collection[str]) -> ObjectI
                 f"object {index}: id {given_id!r} does not embed its type/position ({expected!r})"
             )
         object_id = given_id
-    elif (type(type_name) is str and type_name in id_types and -99.99 <= position[0] <= 99.99
+    elif (type_name in id_types and -99.99 <= position[0] <= 99.99
             and -99.99 <= position[1] <= 99.99 and -99.99 <= position[2] <= 99.99):
         object_id = _ID_FORMAT % (type_name, *position)
     else:

@@ -111,6 +111,8 @@ _MUG = {"type": "Mug", "position": [0.5, 0.94, 0.2]}
          "agent: view_band_standing must be a list of 2 finite numbers"),
         ({"agent": dict(_GOOD_AGENT, view_band_crouched=[-math.inf, 1.5]), "objects": [_MUG]},
          "agent: view_band_crouched must be a list of 2 finite numbers"),
+        ({"agent": _GOOD_AGENT, "objects": [_MUG, dict(_MUG, type=None)]},
+         "object 1: type must be a string"),
     ],
 )
 def test_malformed_scene_is_config_error(tmp_path, capsys, sdt, scene, message):

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import CountingBackend, ScriptedBackend, scene_for_row, suite_row
+from conftest import CountingBackend, ScriptedBackend, run_row, scene_for_row, suite_row
 
+import sdtplan.interpreter as interp_mod
+from sdtplan import prompts
 from sdtplan.backends import OracleConfig, ScriptedOracle
 from sdtplan.errors import NoCandidate
 from sdtplan.interpreter import (
@@ -18,7 +20,7 @@ from sdtplan.planner import relevant_types
 from sdtplan.resolver import FailureResolver
 from sdtplan.sdt import ActionName
 from sdtplan.triplets import ActionTriplet, parse_triplets
-from sdtplan.world import ConcreteAction, apply_perturbations, step
+from sdtplan.world import ConcreteAction, apply_perturbations, state_hash, step
 
 
 def trip(action, arg1, arg2=None):
@@ -75,23 +77,21 @@ def test_candidates_sorted_by_distance(sdt, suite):
 # Resolution
 
 
-def test_singleton_resolution_makes_no_backend_calls(sdt, suite, all_types):
+def test_singleton_resolution_makes_no_backend_calls(sdt, suite):
     state = scene_for_row(suite_row(suite, 9), sdt, injected=False)
     backend = CountingBackend(ScriptedOracle())
     concrete = resolve(
-        trip(ActionName.OPEN, "Fridge"), state, "open the fridge", sdt, all_types,
-        [], backend,
+        trip(ActionName.OPEN, "Fridge"), state, "open the fridge", [], backend,
     )
     assert concrete.target == by_type(state, "Fridge").object_id
     assert backend.calls == 0
 
 
-def test_multi_candidate_resolution_queries_backend(sdt, suite, all_types):
+def test_multi_candidate_resolution_queries_backend(sdt, suite):
     state = scene_for_row(suite_row(suite, 3), sdt, injected=False)
     backend = CountingBackend(ScriptedOracle())
     concrete = resolve(
-        trip(ActionName.OPEN, "Drawer"), state, "open a drawer", sdt, all_types,
-        [], backend,
+        trip(ActionName.OPEN, "Drawer"), state, "open a drawer", [], backend,
     )
     assert backend.calls == 1
     assert concrete.target in candidate_instances(state, "Drawer")
@@ -129,8 +129,7 @@ def test_oracle_prefers_drawer_with_free_space(sdt, suite):
         state.objects[filler.object_id] = filler
     backend = ScriptedOracle()
     concrete = resolve(
-        trip(ActionName.PUT, "Knife", "Drawer"), state, row["task"], sdt,
-        relevant_types(row["task"], sdt), [], backend,
+        trip(ActionName.PUT, "Knife", "Drawer"), state, row["task"], [], backend,
     )
     assert concrete.target == extra.object_id
     state.held_object = by_type(state, "Knife").object_id
@@ -139,29 +138,117 @@ def test_oracle_prefers_drawer_with_free_space(sdt, suite):
     assert outcome.ok
 
 
-def test_hidden_object_raises_no_candidate(sdt, suite, all_types):
+def test_hidden_object_raises_no_candidate(sdt, suite):
     state = scene_for_row(suite_row(suite, 9), sdt)  # bottle hidden
     with pytest.raises(NoCandidate):
         resolve(
             trip(ActionName.PICKUP, "WineBottle"),
             state,
             "grab the bottle",
-            sdt,
-            all_types,
             [],
             ScriptedOracle(),
         )
 
 
-def test_bad_choice_falls_back_to_nearest(sdt, suite, all_types):
+def test_bad_choice_falls_back_to_nearest(sdt, suite):
     state = scene_for_row(suite_row(suite, 3), sdt, injected=False)
     backend = ScriptedBackend(["CHOICE:{Drawer->Drawer|+09.99|+00.82|+09.99}"])
     concrete = resolve(
-        trip(ActionName.OPEN, "Drawer"), state, "open a drawer", sdt, all_types,
-        [], backend,
+        trip(ActionName.OPEN, "Drawer"), state, "open a drawer", [], backend,
     )
     assert backend.calls == 2  # one retry before the fallback
     assert concrete.target == candidate_instances(state, "Drawer")[0]
+
+
+def _apple_slices(sdt, suite):
+    """Row 4's kitchen with its apple cut: two fresh sibling slices on the counter."""
+    state = scene_for_row(suite_row(suite, 4), sdt, injected=False)
+    state, _ = step(state, ConcreteAction(ActionName.PICKUP, by_type(state, "Knife").object_id), sdt)
+    state, _ = step(state, ConcreteAction(ActionName.SLICE, by_type(state, "Apple").object_id), sdt)
+    slices = candidate_instances(state, "Apple")
+    assert len(slices) == 2
+    return state, slices
+
+
+def test_fresh_sibling_slices_ground_locally(sdt, suite):
+    state, slices = _apple_slices(sdt, suite)
+    backend = CountingBackend(ScriptedOracle())
+    concrete = resolve(trip(ActionName.PICKUP, "Apple"), state, "take a slice", [], backend)
+    assert backend.calls == 0
+    assert concrete.target == slices[0]
+
+
+def _differ_in_flag(state, slices):
+    state.own(slices[1]).flags["isCooked"] = True
+
+
+def _differ_in_parent(state, slices):
+    state.own(slices[1]).parent_receptacle = "CounterTop|+00.70|+00.95|+00.10"
+
+
+def _holds_an_object(state, slices):
+    state.own(by_type(state, "Bread").object_id).parent_receptacle = slices[1]
+
+
+@pytest.mark.parametrize("differ", [_differ_in_flag, _differ_in_parent, _holds_an_object])
+def test_slices_that_differ_are_still_a_choice(sdt, suite, differ):
+    state, slices = _apple_slices(sdt, suite)
+    differ(state, slices)
+    backend = CountingBackend(ScriptedOracle())
+    concrete = resolve(trip(ActionName.PICKUP, "Apple"), state, "take a slice", [], backend)
+    assert backend.calls == 1
+    assert concrete.target in slices
+
+
+def test_choice_prompt_lists_what_the_choice_weighs_and_nothing_else(sdt, suite):
+    """The state section lists, where visible, every candidate, what each holds
+    and the receptacle each sits in: here two slices and their two counters."""
+    state, slices = _apple_slices(sdt, suite)
+    _differ_in_parent(state, slices)
+    backend = ScriptedBackend([f"CHOICE:{{Apple->{slices[0]}}}"])
+    resolve(trip(ActionName.PICKUP, "Apple"), state, "take a slice", [], backend)
+    (choice,) = backend.prompts
+    listed = prompts.parse_state_lines(prompts.sections(choice)[prompts.SEC_STATE])
+    assert [object_id for object_id, _, _ in listed] == sorted(
+        slices + ["CounterTop|+00.70|+00.95|+00.10", "CounterTop|+01.60|+00.95|-00.30"]
+    )
+
+
+@pytest.mark.parametrize("mode", ["plan", "resolve", "replan"])
+def test_skipped_choices_are_the_ones_the_oracle_answered_nearest(sdt, suite, mode, monkeypatch):
+    """Asking between interchangeable candidates anyway changes no run, and the
+    oracle answers every such query with the nearest: each query the program
+    skips is one whose reply it now makes itself."""
+    skipped = {}
+    for row in suite["tasks"]:
+        report = run_row(row, sdt, mode)
+        skipped[row["id"]] = (report.to_json(), state_hash(report.final_state))
+
+    interchangeable, complete = interp_mod._interchangeable, ScriptedOracle.complete
+    pending: list[list[str]] = []
+    forced = []
+
+    def never(state, ids):
+        pending[:] = [ids] if interchangeable(state, ids) else []
+        return False
+
+    def checked(self, prompt):
+        reply = complete(self, prompt)
+        if pending:
+            (ids,) = pending
+            pending.clear()
+            assert prompt.startswith(prompts.CHOICE_HEADER)
+            assert list(interp_mod._parse_choice(reply).values()) == [ids[0]]
+            forced.append(ids)
+        return reply
+
+    monkeypatch.setattr(interp_mod, "_interchangeable", never)
+    monkeypatch.setattr(ScriptedOracle, "complete", checked)
+    for row in suite["tasks"]:
+        report = run_row(row, sdt, mode)
+        report.wall_time_s = skipped[row["id"]][0]["wall_time_s"]
+        assert (report.to_json(), state_hash(report.final_state)) == skipped[row["id"]], row["id"]
+    assert forced  # sliced rows ask between sibling slices in every mode
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +280,10 @@ def test_postcondition_pickup_and_put(sdt, suite):
 # Execution loop
 
 
-def test_execute_empty_plan(sdt, suite, all_types):
+def test_execute_empty_plan(sdt, suite):
     state = scene_for_row(suite_row(suite, 9), sdt, injected=False)
     final, history, status = execute_plan(
-        [], state, "idle", sdt, all_types, ScriptedOracle(), resolver=None
+        [], state, "idle", sdt, ScriptedOracle(), resolver=None
     )
     assert status == "Completed"
     assert history == []
@@ -215,7 +302,7 @@ def test_execute_wine_plan_with_recovery(sdt, suite):
     )
     relevant = relevant_types(row["task"], sdt)
     resolver = FailureResolver(sdt, relevant, backend)
-    final, history, status = execute_plan(plan, state, row["task"], sdt, relevant, backend, resolver)
+    final, history, status = execute_plan(plan, state, row["task"], sdt, backend, resolver)
     assert status == "Completed"
     failed = [e for e in history if e.outcome and not e.outcome.ok and not e.skipped]
     assert len(failed) == 1
@@ -233,7 +320,7 @@ def test_execute_aborts_without_resolver(sdt, suite):
     state = scene_for_row(row, sdt)
     plan = parse_triplets("[['PickupObject', 'WineBottle', 0]]")
     final, history, status = execute_plan(
-        plan, state, row["task"], sdt, relevant_types(row["task"], sdt), ScriptedOracle(), None
+        plan, state, row["task"], sdt, ScriptedOracle(), None
     )
     assert status == "Aborted"
     assert history[-1].outcome.error_code == "NotVisible"
@@ -246,7 +333,7 @@ def test_execute_aborts_when_budget_exhausted(sdt, suite):
     relevant = relevant_types("fetch the plate", sdt)
     resolver = FailureResolver(sdt, relevant, backend, budget=3)
     _, history, status = execute_plan(
-        plan, state, "fetch the plate", sdt, relevant, backend, resolver
+        plan, state, "fetch the plate", sdt, backend, resolver
     )
     assert status == "Aborted"
     assert sum(len(e.attempts) for e in history) == 3
@@ -261,7 +348,7 @@ def test_recovered_step_runs_once(sdt, suite):
     relevant = relevant_types("go to the apple", sdt)
     resolver = FailureResolver(sdt, relevant, backend)
     _, history, status = execute_plan(
-        plan, state, "go to the apple", sdt, relevant, backend, resolver
+        plan, state, "go to the apple", sdt, backend, resolver
     )
     assert status == "Completed"
     gotos = [c for c, o in _executed(history) if c.name is ActionName.GOTO and o.ok]
@@ -277,7 +364,7 @@ def test_closed_receptacle_recovered_by_opening_it(sdt, suite, put):
     relevant = relevant_types("put the apple in the drawer", sdt)
     resolver = FailureResolver(sdt, relevant, backend)
     final, history, status = execute_plan(
-        plan, state, "put the apple in the drawer", sdt, relevant, backend, resolver
+        plan, state, "put the apple in the drawer", sdt, backend, resolver
     )
     assert status == "Completed"
     assert sum(len(e.attempts) for e in history) == 1
@@ -324,7 +411,7 @@ def test_history_counts_match_simulator_steps(sdt, suite, monkeypatch):
     )
     relevant = relevant_types(row["task"], sdt)
     resolver = FailureResolver(sdt, relevant, backend)
-    _, history, status = execute_plan(plan, state, row["task"], sdt, relevant, backend, resolver)
+    _, history, status = execute_plan(plan, state, row["task"], sdt, backend, resolver)
     assert status == "Completed"
     assert len(_executed(history)) == calls["n"]
 
@@ -342,7 +429,7 @@ def test_resolved_targets_always_candidates(sdt, suite):
         for triplet in triplets[:3]:
             if postcondition_satisfied(state, triplet):
                 continue
-            concrete = resolve(triplet, state, row["task"], sdt, relevant, history, backend)
+            concrete = resolve(triplet, state, row["task"], history, backend)
             ref = triplet.arg2 if triplet.action is ActionName.PUT and triplet.arg2 else triplet.arg1
             assert concrete.target in candidate_instances(state, ref, triplet.action)
             state, outcome = step(state, concrete, sdt)

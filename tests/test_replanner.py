@@ -105,7 +105,7 @@ def test_replan_moves_slice_to_goal_receptacle(sdt, suite):
     from sdtplan.triplets import parse_triplets
 
     state, history, status = execute_plan(
-        parse_triplets(plan_text), state, row["task"], sdt, relevant, backend, None
+        parse_triplets(plan_text), state, row["task"], sdt, backend, None
     )
     assert status == "Completed"
     for obj in state.objects.values():
@@ -279,7 +279,7 @@ def test_wash_replan_template_cleans_dirty_goal_object(sdt, suite):
     actions = [t.action for t in additions]
     assert ActionName.TOGGLE_ON in actions and ActionName.TOGGLE_OFF in actions
     state, history, status = execute_plan(
-        additions, state, row["task"], sdt, relevant, backend, None
+        additions, state, row["task"], sdt, backend, None
     )
     assert status == "Completed"
     assert not state.objects[knife.object_id].flag("isDirty")

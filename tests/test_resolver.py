@@ -324,7 +324,7 @@ def test_memory_is_keyed_by_phase(sdt, suite):
     plan = [ActionTriplet(ActionName.PICKUP, "WineBottle")]
     for phase in ("plan", "replan-1"):
         _, history, status = execute_plan(
-            plan, state, row["task"], sdt, relevant, backend, resolver, phase=phase
+            plan, state, row["task"], sdt, backend, resolver, phase=phase
         )
         assert status == "Aborted"
         attempt = history[-1].attempts[-1]

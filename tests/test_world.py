@@ -193,6 +193,14 @@ def _apple_at(x, **extra):
         # the type has already formed a valid id
         ([_APPLE, _apple_at(-99.996)], ValidationError,
          "object 1: malformed id 'Apple|-100.00|+00.90|+00.00'"),
+        # a type that is not a string forms no id
+        ([dict(_APPLE, type=True)], ParseError, "object 0: type must be a string"),
+        ([_TABLE, dict(_APPLE, type=None, id="x")], ParseError, "object 1: type must be a string"),
+        # only an absent or null id is derived; any other given id is checked
+        ([dict(_APPLE, id=0)], ValidationError, "object 0: malformed id 0"),
+        ([dict(_APPLE, id="")], ValidationError, "object 0: malformed id ''"),
+        ([dict(_APPLE, id=False)], ValidationError, "object 0: malformed id False"),
+        ([dict(_APPLE, id=[])], ValidationError, "object 0: malformed id []"),
     ],
 )
 def test_load_error_messages(tmp_path, sdt, objects, error, message):
@@ -201,6 +209,12 @@ def test_load_error_messages(tmp_path, sdt, objects, error, message):
     with pytest.raises(error) as info:
         load_scene(path, sdt)
     assert str(info.value) == message
+
+
+def test_null_id_is_derived(tmp_path, sdt):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"agent": {}, "objects": [dict(_APPLE, id=None)]}))
+    assert list(load_scene(path, sdt).objects) == ["Apple|+00.00|+00.90|+00.00"]
 
 
 def test_load_path_ids_match_format_object_id(tmp_path, sdt):
