@@ -160,7 +160,7 @@ class OracleConfig:
 
 _CAND_HEAD_RE = re.compile(r"^(\S+):$")
 _CAND_ITEM_RE = re.compile(r"^\d+\. (\S+) \(dist=")
-_PAIR_LINE_RE = re.compile(r"^- \((\w+),(\S+)\)$")
+_PAIR_LINE_RE = re.compile(r"^- (\S+): (\w+(?:, \w+)*)$")
 _UNMET_RE = re.compile(r"UNMET type=(\S+) need=(\S+)(?: near=(\S+))?")
 _GROUNDED_RE = re.compile(r"^Grounded: .*?\(\w+,(\S+?)\)", re.MULTILINE)
 
@@ -472,11 +472,12 @@ class ScriptedOracle:
 
     @staticmethod
     def _parse_pairs(text: str) -> list[tuple[str, str]]:
+        """``(action, id)`` pairs, in order, from lines ``- <id>: <action>, ...``."""
         out = []
         for line in text.splitlines():
             m = _PAIR_LINE_RE.match(line.strip())
             if m:
-                out.append((m.group(1), m.group(2)))
+                out += ((action, m.group(1)) for action in m.group(2).split(", "))
         return out
 
     @staticmethod

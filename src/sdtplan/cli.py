@@ -11,6 +11,7 @@ import concurrent.futures
 import dataclasses
 import importlib.resources
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -70,6 +71,11 @@ def _check_row(row: object, where: str) -> None:
     """Raise ValueError unless ``row`` has the shape a suite row needs."""
     if not isinstance(row, dict):
         raise ValueError(f"{where}: must be an object")
+    row_id = row.get("id")  # names the trace file; --task matches it as text
+    if isinstance(row_id, bool) or not isinstance(row_id, (int, str)) or (
+        isinstance(row_id, str) and not re.fullmatch(r"[\w-]+", row_id, re.ASCII)
+    ):
+        raise ValueError(f"{where}: 'id' must be an integer or a string of letters, digits, - and _")
     for key in ("task", "scene"):
         if not isinstance(row.get(key), str):
             raise ValueError(f"{where}: '{key}' must be a string")
@@ -91,8 +97,12 @@ def load_suite(path: Path) -> dict:
         suite = json.load(fh)
     if not isinstance(suite, dict) or not isinstance(suite.get("tasks"), list):
         raise ValueError("suite file needs a 'tasks' array")
+    first_of: dict[str, int] = {}
     for index, row in enumerate(suite["tasks"]):
         _check_row(row, f"suite row {index}")
+        first = first_of.setdefault(str(row["id"]), index)
+        if first != index:
+            raise ValueError(f"suite row {index}: 'id' {row['id']!r} repeats suite row {first}")
     return suite
 
 

@@ -273,6 +273,7 @@ class FailureContext:
     failed_concrete: Optional[ConcreteAction]
     outcome: ActionOutcome
     task: str
+    #: the failed step's entry, last, after up to HISTORY_TAIL entries before it
     history_tail: list[HistoryEntry] = field(default_factory=list)
 
 
@@ -324,7 +325,7 @@ def execute_plan(
                     continue
                 if resolver is None:
                     return state, history, "Aborted"
-                ctx = FailureContext(triplet, concrete, outcome, task, history[-HISTORY_TAIL:])
+                ctx = FailureContext(triplet, concrete, outcome, task, history[-HISTORY_TAIL - 1:])
                 state, status, attempts = resolver.handle(state, ctx)
                 entry.attempts.extend(attempts)
                 if status != "Resolved":

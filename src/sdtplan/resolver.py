@@ -12,6 +12,7 @@ feedback, and a sequence proposed again is rejected without running.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from typing import AbstractSet, Optional
 
@@ -140,15 +141,21 @@ def build_failure_query(
     tried: dict[tuple[ConcreteAction, ...], str],
 ) -> str:
     """Recovery prompt; ``tried`` maps each sequence proposed so far for this
-    failure to its feedback, listed in proposal order."""
+    failure to its feedback, listed in proposal order. Each run of pairs with
+    one target is one line, ``- <id>: <action>, ...``; Recent Actions lists
+    only the steps before the failed one, and is left out when there are none.
+    """
     grounded = ctx.failed_concrete.render() if ctx.failed_concrete is not None else "-"
     attempted = [f"- {format_recovery(seq)} => {fb}" for seq, fb in tried.items()]
     return prompts.render(prompts.RECOVERY_HEADER, [
         (prompts.SEC_ERROR, [f'{ctx.outcome.error_code}: "{ctx.outcome.message}"']),
         (prompts.SEC_FAILED, [f"Triplet: {ctx.failed_triplet.render()}", f"Grounded: {grounded}"]),
         (prompts.SEC_TASK, [ctx.task]),
-        (prompts.SEC_HISTORY, prompts.render_history_lines(ctx.history_tail)),
-        (prompts.SEC_PAIRS, [f"- ({action},{object_id})" for action, object_id in pairs]),
+        (prompts.SEC_HISTORY, prompts.render_history_lines(ctx.history_tail[:-1]) or None),
+        (prompts.SEC_PAIRS, [
+            f"- {object_id}: {', '.join(action.value for action, _ in run)}"
+            for object_id, run in itertools.groupby(pairs, key=lambda pair: pair[1])
+        ]),
         (prompts.SEC_NO_REPEAT, attempted or None),
         (prompts.SEC_OUTPUT, [
             "Reply with a recovery sequence chosen from the candidate action pairs, "

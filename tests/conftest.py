@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,19 @@ def run_row(row: dict, sdt: SDT, mode: str = "replan", injected: bool = True):
     backend = ScriptedOracle(OracleConfig(**row.get("oracle_faults", {})))
     config = RunConfig(mode)
     return run_task(row["task"], scene, sdt, backend, config, task_id=row["id"])
+
+
+#: A recovery prompt's pair line: one target, then the actions offered on it.
+PAIR_LINE = re.compile(r"^- \S+: \w+(, \w+)*$")
+
+
+def pair_section_lines(body: str, pairs) -> list[str]:
+    """The lines of the pair section ``body``, after checking that each has the
+    pair-line form and that the oracle reads back exactly ``pairs``, in order."""
+    assert ScriptedOracle._parse_pairs(body) == [(a.value, t) for a, t in pairs]
+    lines = body.splitlines()
+    assert all(PAIR_LINE.match(line) for line in lines), lines
+    return lines
 
 
 class CountingBackend:

@@ -141,6 +141,16 @@ _ROW = {"id": 1, "task": "Pick up the mug", "scene": "scenes/kitchen_mug.json"}
         (dict(_ROW, id=2, oracle_faults=["omit_slice"]), "'oracle_faults' must map fault names"),
         (dict(_ROW, id=2, oracle_faults={"omit_slice": "no"}), "'oracle_faults' must map fault names"),
         (dict(_ROW, id=2, expected=[1]), "'expected' must be an object"),
+        # the id names the row's trace file and is what --task matches as text
+        ({"task": _ROW["task"], "scene": _ROW["scene"]}, "'id' must be an integer or a string"),
+        (dict(_ROW, id=True), "'id' must be an integer or a string"),
+        (dict(_ROW, id=2.0), "'id' must be an integer or a string"),
+        (dict(_ROW, id=[2]), "'id' must be an integer or a string"),
+        (dict(_ROW, id="a/b"), "'id' must be an integer or a string"),
+        (dict(_ROW, id=""), "'id' must be an integer or a string"),
+        (dict(_ROW, id="2 "), "'id' must be an integer or a string"),
+        (dict(_ROW), "'id' 1 repeats suite row 0"),
+        (dict(_ROW, id="1"), "'id' '1' repeats suite row 0"),
     ],
 )
 def test_malformed_suite_row_is_config_error(tmp_path, capsys, row, message):

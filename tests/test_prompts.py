@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import pytest
 
-from conftest import add_statues, scene_for_row, suite_row
+from conftest import add_statues, pair_section_lines, scene_for_row, suite_row
 
-from sdtplan import prompts
+from sdtplan import prompts, replanner, resolver
 from sdtplan.backends import OracleConfig, ScriptedOracle
-from sdtplan.interpreter import candidate_instances, resolve
+from sdtplan.interpreter import HISTORY_TAIL, candidate_instances, resolve
 from sdtplan.replanner import RunConfig, run_task
 from sdtplan.sdt import FLAG_NAMES, ActionName
 from sdtplan.triplets import ActionTriplet
@@ -57,20 +58,20 @@ class RecordingOracle(ScriptedOracle):
 
 #: Table-1 row id -> (oracle calls, sha256 over its prompts and replies), replan mode.
 TRAFFIC = {
-    1: (4, "32d33f671a2dae99f4489c8788a5bbd102a18c40d1f4d99b8efb85a35b9ee457"),
+    1: (4, "5c1657f398f19a2b60d9aa72ded06068ba3f76e2cf5c991f2fe091772a02d545"),
     2: (3, "0fc5bbdea15e48bf2bfb8417cce22b5cf419d2f7e8b185e0781016088c7bf56b"),
-    3: (5, "520409a7fba40ea06c054f87ce5095924892acf42db32ac3f502033598539b4b"),
-    4: (4, "bcc2051458a79ca2152073f59027866795ed99728ca464a0597ad5756afcfc6a"),
+    3: (5, "c1cc7e21b07dff97766cb0c081be0a824823c50abae9f6bd151cee87e42d65b3"),
+    4: (4, "3cc73835cb49c292969bc022974061bd46befefdff84491edb9a980b030eaa68"),
     5: (3, "66a84c7acb14ddbf7ed645047cc02a939f967ef32948b4d783780aabe738ede7"),
-    6: (5, "5ccbfbdd720d6bc7fc8c0ba3bc06e7b4f9229dd2d97d111b00ea9ec1309c06e0"),
-    7: (3, "e9cf29c8e69f04ba6a29dff76ede47bd8a3b8e3dd6be2ebdb9bd17875e711c8a"),
-    8: (4, "2370872fea899e3ac6f65047a6a51d34981fc8a7a72c7133afc877c49ff87384"),
-    9: (5, "4e09944b0840c5d2593efb38e46d3b2958960139ef6ca6818b625e410a2febcf"),
+    6: (5, "f8ee212640faef696ead4872f249b58afd7066a86cf5cfa586cb4b931f5dd08c"),
+    7: (3, "bedcc88f8f8c41b4bb39f9e61eee563c414be167b3ef3ac096cd6a0ead863037"),
+    8: (4, "587a73049beb439a1f4da1e209ce2ea69f880c3e7f3944a2637a2b83c6bfcd31"),
+    9: (5, "04fa49f84574ad8d6360331eca783f3f53d294a245336253ad78bdae24564b1a"),
     10: (1, "af857c12ad4a96089c2a55bd7e318c44045c0d98df1ccec7ffcf17faa4d2f0cd"),
     11: (1, "6081d6665d8f07d9f050617c5a4fe6d05eadff5d21996da155762bf8fdd673fa"),
-    12: (3, "7a93af7429bb68e754c4367003dbb5842c4a6da11e68cd32ea434f294782eed7"),
+    12: (3, "1f46682a66308a5a56c97f51d50bf8b4320424f16b8a35d792ba0be78b5e486c"),
     13: (2, "fa9943bab80134201f76aff569f454efd0d5ce6d96e9c92c55ffa0996d7394ab"),
-    14: (4, "7cda496274ba60a877cea92b38923ce03db0f1d98c3a116ef2318e1f6df82bf6"),
+    14: (4, "4279d518b9a0c45de9efeea06dba0e1bc79cf77fca24ad302f763e182edd86f8"),
 }
 
 
@@ -189,3 +190,74 @@ def test_choice_prompt_lists_each_candidate_receptacles_contents(sdt, suite):
         state.objects[d].parent_receptacle for d in drawers
     }
     assert {object_id for object_id, _, _ in listed} == weighed - {None}
+
+
+# ---------------------------------------------------------------------------
+# Recovery prompts
+
+
+#: Mode -> (choice prompts, sha256 over them in order) across the 14 table-1 rows.
+CHOICE_PROMPTS = {
+    "plan": (7, "c62c46db31e7b34b823e7b0b4a915f5f5bfe620281fbf9c3c4bc68cdb4c1248f"),
+    "resolve": (13, "e0ccad29eb2037f7e04426100074b61c81e438ac6238883abaab609739e68e4e"),
+    "replan": (13, "e0ccad29eb2037f7e04426100074b61c81e438ac6238883abaab609739e68e4e"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(CHOICE_PROMPTS))
+def test_choice_prompts_are_pinned(sdt, suite, mode):
+    oracle = PromptLog()
+    for row in suite["tasks"]:
+        oracle.config = OracleConfig(**row.get("oracle_faults", {}))
+        run_task(row["task"], scene_for_row(row, sdt), sdt, oracle, RunConfig(mode))
+    digest = hashlib.sha256()
+    choices = [p for p in oracle.prompts if p.startswith(prompts.CHOICE_HEADER)]
+    for prompt in choices:
+        digest.update(prompt.encode("utf-8") + b"\0")
+    assert (len(choices), digest.hexdigest()) == CHOICE_PROMPTS[mode]
+
+
+def _recovery_queries(sdt, suite, monkeypatch, case):
+    """(failure context, pair map, prompt, history so far) of every recovery
+    prompt the table-1 rows send: in ``case`` mode, or among 300 statues in
+    replan mode when ``case`` is "padded"."""
+    queries, histories = [], []
+    execute, build = replanner.execute_plan, resolver.build_failure_query
+
+    def recording_execute(*args, **kwargs):
+        histories.append(kwargs["history"])
+        return execute(*args, **kwargs)
+
+    def recording_build(ctx, pairs, tried):
+        prompt = build(ctx, pairs, tried)
+        queries.append((ctx, pairs, prompt, list(histories[-1])))
+        return prompt
+
+    monkeypatch.setattr(replanner, "execute_plan", recording_execute)
+    monkeypatch.setattr(resolver, "build_failure_query", recording_build)
+    for row in suite["tasks"]:
+        state = scene_for_row(row, sdt)
+        if case == "padded":
+            add_statues(state, 300, seed=5)
+        oracle = ScriptedOracle(OracleConfig(**row.get("oracle_faults", {})))
+        run_task(row["task"], state, sdt, oracle, RunConfig("replan" if case == "padded" else case))
+    assert len(queries) >= 16
+    return queries
+
+
+@pytest.mark.parametrize("case", ["resolve", "replan", "padded"])
+def test_recovery_prompts_name_each_target_once_per_run_of_its_pairs(sdt, suite, monkeypatch, case):
+    for _, pairs, prompt, _ in _recovery_queries(sdt, suite, monkeypatch, case):
+        lines = pair_section_lines(prompts.sections(prompt)[prompts.SEC_PAIRS], pairs)
+        assert len(lines) == len(list(itertools.groupby(t for _, t in pairs)))
+
+
+@pytest.mark.parametrize("case", ["resolve", "replan", "padded"])
+def test_recovery_prompts_state_the_failed_step_once(sdt, suite, monkeypatch, case):
+    for ctx, _, prompt, history in _recovery_queries(sdt, suite, monkeypatch, case):
+        failed = history[-1]
+        assert (failed.triplet, failed.outcome) == (ctx.failed_triplet, ctx.outcome)
+        earlier = prompts.render_history_lines(history[:-1][-HISTORY_TAIL:])
+        shown = prompts.sections(prompt).get(prompts.SEC_HISTORY)
+        assert shown == ("\n".join(earlier) if earlier else None)
+        assert prompts.render_history_lines([failed])[0] not in (shown or "")

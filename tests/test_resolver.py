@@ -6,7 +6,9 @@ import random
 
 import pytest
 
-from conftest import ScriptedBackend, random_state, run_row, scene_for_row, suite_row
+from conftest import (
+    ScriptedBackend, pair_section_lines, random_state, run_row, scene_for_row, suite_row,
+)
 
 from sdtplan.backends import ScriptedOracle
 from sdtplan.interpreter import execute_plan
@@ -28,6 +30,7 @@ from sdtplan.world import (
     MSG_NOT_VISIBLE,
     MSG_NO_VALID_POSITION,
     ObjectInstance,
+    WorldState,
     format_object_id,
     object_descriptions,
     step,
@@ -257,6 +260,82 @@ def test_query_contains_verbatim_error_strings(sdt, suite, all_types):
     )
     query = build_failure_query(ctx, build_action_pairs(state, sdt, all_types), {})
     assert "No valid positions to place object found." in query
+
+
+def pair_lines(ctx, pairs):
+    body = prompts.sections(build_failure_query(ctx, pairs, {}))[prompts.SEC_PAIRS]
+    return pair_section_lines(body, pairs)
+
+
+def _free(type_name, pos):
+    return ObjectInstance(format_object_id(type_name, pos), type_name, pos,
+                          {k: False for k in FLAG_NAMES})
+
+
+def test_pose_pairs_join_the_line_of_an_anchor_listed_last(sdt, all_types):
+    mug, counter = _free("Mug", (0.5, 0.9, 0.0)), _free("CounterTop", (3.0, 0.9, 0.0))
+    state = WorldState({o.object_id: o for o in (mug, counter)}, (0.0, 0.9, 0.0))
+    pairs = build_action_pairs(state, sdt, all_types, focus=mug.object_id)
+    assert pairs[-1] == (ActionName.STAND, counter.object_id)
+    first, last = pair_lines(not_visible_ctx(ActionTriplet(ActionName.PICKUP, "Mug")), pairs)
+    assert first.startswith(f"- {mug.object_id}: GotoObject, ")
+    assert last.startswith(f"- {counter.object_id}: GotoObject, ")
+    assert last.endswith(", Crouch, Stand")
+
+
+def test_pose_pairs_keep_their_own_line_when_the_anchor_is_listed_earlier(sdt, all_types):
+    counter, mug = _free("CounterTop", (0.5, 0.9, 0.0)), _free("Mug", (3.0, 0.9, 0.0))
+    state = WorldState({o.object_id: o for o in (mug, counter)}, (0.0, 0.9, 0.0))
+    pairs = build_action_pairs(state, sdt, all_types, focus=mug.object_id)
+    lines = pair_lines(not_visible_ctx(ActionTriplet(ActionName.PICKUP, "Mug")), pairs)
+    assert [line.split(":")[0] for line in lines] == [
+        f"- {counter.object_id}", f"- {mug.object_id}", f"- {counter.object_id}"
+    ]
+    assert lines[-1] == f"- {counter.object_id}: Crouch, Stand"
+
+
+def test_pose_pairs_against_the_agent_when_no_receptacle_is_shown(sdt, all_types):
+    mug = _free("Mug", (0.5, 0.9, 0.0))
+    state = WorldState({mug.object_id: mug}, (0.0, 0.9, 0.0))
+    pairs = build_action_pairs(state, sdt, all_types)
+    lines = pair_lines(not_visible_ctx(ActionTriplet(ActionName.PICKUP, "Mug")), pairs)
+    assert lines[-1] == "- Agent|+00.00|+00.90|+00.00: Crouch, Stand"
+    assert len(lines) == 2
+
+
+def test_a_single_pair_is_a_single_line():
+    fridge = "Fridge|-01.30|+00.90|+00.99"
+    ctx = not_visible_ctx(ActionTriplet(ActionName.PICKUP, "WineBottle"))
+    assert pair_lines(ctx, [(ActionName.OPEN, fridge)]) == [f"- {fridge}: OpenObject"]
+
+
+def _first_recovery_prompt(sdt, suite, before):
+    """Row 9's scene: ``before`` steps run, then the hidden bottle's pickup fails;
+    returns the first recovery prompt and the history."""
+    state = scene_for_row(suite_row(suite, 9), sdt)
+    plan = [ActionTriplet(a, ref) for a, ref in before]
+    plan.append(ActionTriplet(ActionName.PICKUP, "WineBottle"))
+    backend = ScriptedBackend(["[]"])
+    resolver = FailureResolver(sdt, relevant_types("wine", sdt), backend, budget=1)
+    _, history, _ = execute_plan(plan, state, "task", sdt, backend, resolver)
+    assert history[len(before)].outcome.error_code == "NotVisible"
+    (prompt,) = [p for p in backend.prompts if p.startswith(prompts.RECOVERY_HEADER)]
+    return prompt, history
+
+
+def test_recovery_prompt_without_earlier_steps_has_no_recent_actions(sdt, suite):
+    prompt, _ = _first_recovery_prompt(sdt, suite, [])
+    assert prompts.SEC_HISTORY not in prompt
+    assert prompts.SEC_FAILED in prompt
+
+
+def test_recovery_prompt_lists_the_five_steps_before_the_failure(sdt, suite):
+    before = [(ActionName.GOTO, t) for t in ("Drawer", "Fridge", "DiningTable", "CounterTop")]
+    before += [(ActionName.OPEN, "Drawer"), (ActionName.CLOSE, "Drawer")]
+    prompt, history = _first_recovery_prompt(sdt, suite, before)
+    shown = prompts.sections(prompt)[prompts.SEC_HISTORY].splitlines()
+    assert shown == prompts.render_history_lines(history[1:6])
+    assert prompts.render_history_lines(history[6:7])[0] not in shown
 
 
 # ---------------------------------------------------------------------------
