@@ -336,16 +336,10 @@ class ScriptedOracle:
 
     @staticmethod
     def _openable_types(knowledge: str) -> set[str]:
-        openable = set()
-        current: Optional[str] = None
-        for line in knowledge.splitlines():
-            line = line.strip()
-            if line.startswith("Type: "):
-                current = line[len("Type: "):]
-            elif line.startswith("Affordances: ") and current is not None:
-                if "Openable" in line:
-                    openable.add(current)
-        return openable
+        return {
+            m.group(1) for m in re.finditer(r"^- (\S+) \[([^\]]*)\]", knowledge, re.MULTILINE)
+            if "Openable" in m.group(2)
+        }
 
     # -- grounding choice ----------------------------------------------------
 

@@ -61,6 +61,7 @@ def _resolve_scene(scene: str, suite_dir: Path) -> Path:
 
 
 _FAULT_NAMES = frozenset(f.name for f in dataclasses.fields(OracleConfig))
+_COUNTS = ("failures", "iterations", "replans")  # a row's "expected" pins these and "success"
 
 
 def _is_strings(value: object) -> bool:
@@ -88,8 +89,15 @@ def _check_row(row: object, where: str) -> None:
         raise ValueError(
             f"{where}: 'oracle_faults' must map fault names {sorted(_FAULT_NAMES)} to booleans"
         )
-    if not isinstance(row.get("expected", {}), dict):
-        raise ValueError(f"{where}: 'expected' must be an object")
+    expected = row.get("expected", {})
+    if not isinstance(expected, dict) or not all(
+        isinstance(v, bool) if k == "success" else k in _COUNTS and type(v) is int and v >= 0
+        for k, v in expected.items()
+    ):
+        raise ValueError(
+            f"{where}: 'expected' must be an object mapping {', '.join(_COUNTS)} "
+            "to counts of 0 or more and success to a boolean"
+        )
 
 
 def load_suite(path: Path) -> dict:

@@ -161,14 +161,13 @@ def build_plan_prompt(
     """Deterministic plan prompt with fixed section order.
 
     The objects in view are the ones of the ``relevant`` types plus the
-    receptacles. Knowledge blocks cover the relevant types even when no
-    instance is currently in view (a hidden knife is still plannable-for),
-    plus the types of every listed object. Each rule sentence appears
-    exactly once.
+    receptacles. Knowledge lines, one per type, cover the relevant types even
+    when no instance is currently in view (a hidden knife is still
+    plannable-for), plus the types of every listed object. Each rule
+    sentence appears exactly once.
     """
     objects = filter_relevant_objects(state, sdt, relevant)
     block_types = sorted(relevant | {o.type_name for o in objects})
-    knowledge = "\n\n".join(render_type_text(sdt.entry(type_name)) for type_name in block_types)
     worked = "\n\n".join(
         f"Task: {ex['task']}\nAction-Triplets:{ex['triplets']}\n{ex['goal']}" for ex in examples
     )
@@ -178,7 +177,7 @@ def build_plan_prompt(
             "[Action, Object1, Object2-or-0] executed in order.",
             "Allowed actions: " + ", ".join(a.value for a in ActionName) + ".",
         ]),
-        (prompts.SEC_KNOWLEDGE, [knowledge] if knowledge else []),
+        (prompts.SEC_KNOWLEDGE, [render_type_text(sdt.entry(t)) for t in block_types]),
         (prompts.SEC_OBJECTS, [prompts.render_state_line(state, obj) for obj in objects]),
         (prompts.SEC_EXAMPLES, [worked] if examples else None),
         (prompts.SEC_TASK, [task]),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Optional
 
-from .world import ObjectInstance, WorldState
+from .world import ObjectInstance, WorldState, type_of_id
 
 PLAN_HEADER = "# PLAN REQUEST"
 CHOICE_HEADER = "# OBJECT CHOICE REQUEST"
@@ -34,19 +34,22 @@ SEC_NO_REPEAT = "## Do Not Repeat"
 SEC_UNMET = "## Unmet Goal Conditions"
 
 _STATE_LINE_RE = re.compile(
-    r"^- (?P<id>\S+) \(type=(?P<type>[^;]+); flags=(?P<flags>[^;]*); "
+    r"^- (?P<id>\S+) \((?:type=(?P<type>[^;]+); )?flags=(?P<flags>[^;]*); "
     r"temp=(?P<temp>[^;]+); in=(?P<parent>[^;]*); dist=(?P<dist>[^)]+)\)$"
 )
 
 
 def render_state_line(state: WorldState, obj: ObjectInstance) -> str:
+    """``- <id> (type=<T>; flags=..; temp=..; in=..; dist=..)``, where ``type=<T>; ``
+    is left out when the id names the type (``world.type_of_id``)."""
     true_flags = sorted(k for k, v in obj.flags.items() if v)
     flags = ",".join(true_flags) if true_flags else "-"
     parent = obj.parent_receptacle or "-"
     # Rounded to 4 places before formatting: 0.125049 shows as 0.12, not 0.13.
     distance = round(state.distance_to(obj), 4)
+    type_field = "" if type_of_id(obj.object_id) == obj.type_name else f"type={obj.type_name}; "
     return (
-        f"- {obj.object_id} (type={obj.type_name}; flags={flags}; "
+        f"- {obj.object_id} ({type_field}flags={flags}; "
         f"temp={obj.temperature}; in={parent}; dist={distance:.2f})"
     )
 
@@ -58,10 +61,9 @@ def parse_state_lines(text: str) -> list[tuple[str, str, Optional[str]]]:
         m = _STATE_LINE_RE.match(line.strip())
         if m is None:
             continue
-        parent = m.group("parent").strip()
-        out.append(
-            (m.group("id"), m.group("type").strip(), None if parent in ("-", "") else parent)
-        )
+        object_id, parent = m.group("id"), m.group("parent").strip()
+        type_name = m.group("type") or type_of_id(object_id)
+        out.append((object_id, type_name, None if parent in ("-", "") else parent))
     return out
 
 

@@ -158,9 +158,7 @@ def build_failure_query(
         ]),
         (prompts.SEC_NO_REPEAT, attempted or None),
         (prompts.SEC_OUTPUT, [
-            "Reply with a recovery sequence chosen from the candidate action pairs, "
-            "e.g. [(OpenObject,Fridge|+00.00|+00.90|+00.00),(PickupObject,Apple|+00.10|+00.95|+00.20)]. "
-            "Reply [] if nothing applies."
+            "Reply with candidate pairs in order as [(Action,id),...], or [] if nothing applies."
         ]),
     ])
 

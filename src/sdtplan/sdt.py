@@ -397,13 +397,10 @@ def filter_actions(
 
 
 def render_type_text(entry: ObjectTypeEntry) -> str:
-    """Deterministic prompt block for one type: name, affordances, rules, description."""
-    lines = [f"Type: {entry.type_name}"]
-    lines.append("Affordances: " + ", ".join(sorted(str(a) for a in entry.affordances)))
-    if entry.rules:
-        lines.append("Rules:")
-        for rule in entry.rules:
-            lines.append(f"  - {rule.text}")
-    if entry.description:
-        lines.append(f"Description: {entry.description}")
-    return "\n".join(lines)
+    """One prompt line for a type: ``- <Type> [<affordances, sorted>] <description>
+    Rules: <rule texts>``, the rule part left out when the type has none."""
+    rules = " ".join(rule.text for rule in entry.rules)
+    affordances = ", ".join(sorted(str(a) for a in entry.affordances))
+    return " ".join(filter(None, (
+        f"- {entry.type_name} [{affordances}]", entry.description, rules and f"Rules: {rules}"
+    )))

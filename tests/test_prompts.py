@@ -4,18 +4,19 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import re
 
 import pytest
 
 from conftest import add_statues, pair_section_lines, scene_for_row, suite_row
 
-from sdtplan import prompts, replanner, resolver
+from sdtplan import planner, prompts, replanner, resolver
 from sdtplan.backends import OracleConfig, ScriptedOracle
 from sdtplan.interpreter import HISTORY_TAIL, candidate_instances, resolve
 from sdtplan.replanner import RunConfig, run_task
-from sdtplan.sdt import FLAG_NAMES, ActionName
+from sdtplan.sdt import FLAG_NAMES, ActionName, AffordanceTag
 from sdtplan.triplets import ActionTriplet
-from sdtplan.world import ObjectInstance, format_object_id
+from sdtplan.world import ObjectInstance, format_object_id, type_of_id
 
 
 def test_sections_inverts_render():
@@ -58,20 +59,20 @@ class RecordingOracle(ScriptedOracle):
 
 #: Table-1 row id -> (oracle calls, sha256 over its prompts and replies), replan mode.
 TRAFFIC = {
-    1: (4, "5c1657f398f19a2b60d9aa72ded06068ba3f76e2cf5c991f2fe091772a02d545"),
-    2: (3, "0fc5bbdea15e48bf2bfb8417cce22b5cf419d2f7e8b185e0781016088c7bf56b"),
-    3: (5, "c1cc7e21b07dff97766cb0c081be0a824823c50abae9f6bd151cee87e42d65b3"),
-    4: (4, "3cc73835cb49c292969bc022974061bd46befefdff84491edb9a980b030eaa68"),
-    5: (3, "66a84c7acb14ddbf7ed645047cc02a939f967ef32948b4d783780aabe738ede7"),
-    6: (5, "f8ee212640faef696ead4872f249b58afd7066a86cf5cfa586cb4b931f5dd08c"),
-    7: (3, "bedcc88f8f8c41b4bb39f9e61eee563c414be167b3ef3ac096cd6a0ead863037"),
-    8: (4, "587a73049beb439a1f4da1e209ce2ea69f880c3e7f3944a2637a2b83c6bfcd31"),
-    9: (5, "04fa49f84574ad8d6360331eca783f3f53d294a245336253ad78bdae24564b1a"),
-    10: (1, "af857c12ad4a96089c2a55bd7e318c44045c0d98df1ccec7ffcf17faa4d2f0cd"),
-    11: (1, "6081d6665d8f07d9f050617c5a4fe6d05eadff5d21996da155762bf8fdd673fa"),
-    12: (3, "1f46682a66308a5a56c97f51d50bf8b4320424f16b8a35d792ba0be78b5e486c"),
-    13: (2, "fa9943bab80134201f76aff569f454efd0d5ce6d96e9c92c55ffa0996d7394ab"),
-    14: (4, "4279d518b9a0c45de9efeea06dba0e1bc79cf77fca24ad302f763e182edd86f8"),
+    1: (4, "3d1d483be13298f77d6ba36e192488edb19f779e3b61424c989d20086cd19af6"),
+    2: (3, "6ea3bf9e2dfcbb06b81def07c48db998899d9decc0843e2910b30e27aea6cd31"),
+    3: (5, "42b792c8081dee9ef8dc7f5f4e8b666686b49439ceb1b02c0a518b35d9db50f3"),
+    4: (4, "b24655a077a653b95aca39e99806d9ca63197ca58d98666f30e78f54c6f98f76"),
+    5: (3, "e7da8177c6c4bd4ae43ec5b4c7ec199ae13ccd2d0ca5fa0356f138e95255f79b"),
+    6: (5, "33ea6414dc68736f66514779c400d845bc6ff0abd3e47302178ec7147cb49b51"),
+    7: (3, "b3e1afb0553bbd56e8adc8d473c6fbf6938debb87a131a5593f8c4d5da89f6f0"),
+    8: (4, "ad19a4f151bdcd1624062145561325585fffcf8aae6e7da8494a6725228fbd04"),
+    9: (5, "1212328ec11e4adc1b5f2a7e58fd3a1db41b43c496c090996cffa2a13c5c3b1c"),
+    10: (1, "2b45e74062d8bf5720f97e2d9d17dc5d130a6ffa4888dbcc9d00b8ee48e6ceaa"),
+    11: (1, "b5b60524802db460b315478a5f52c1e39d0ee4268cbcadce2f6f6a22c53563fc"),
+    12: (3, "01314fd7a7c9e32462d378672d6dbe3594d5e652ed8d360f6b28efc1f2486bc9"),
+    13: (2, "4ad3cb9797d3bb60604bc632931bbefad5d7541a397da696dd40021aa2bd0120"),
+    14: (4, "d8c76552cfe8f582cc5c00d1bb9c955bc58c853815788ffcb049bd43c66023c9"),
 }
 
 
@@ -198,9 +199,9 @@ def test_choice_prompt_lists_each_candidate_receptacles_contents(sdt, suite):
 
 #: Mode -> (choice prompts, sha256 over them in order) across the 14 table-1 rows.
 CHOICE_PROMPTS = {
-    "plan": (7, "c62c46db31e7b34b823e7b0b4a915f5f5bfe620281fbf9c3c4bc68cdb4c1248f"),
-    "resolve": (13, "e0ccad29eb2037f7e04426100074b61c81e438ac6238883abaab609739e68e4e"),
-    "replan": (13, "e0ccad29eb2037f7e04426100074b61c81e438ac6238883abaab609739e68e4e"),
+    "plan": (7, "a199d1b40d81487fcff9591e339042cc34e700cca976b9f519ee74d42612f335"),
+    "resolve": (13, "98ee9b2c78bf037f4de9e658c4b4d2068424832c0c07be8e780b8727ec01ebb3"),
+    "replan": (13, "98ee9b2c78bf037f4de9e658c4b4d2068424832c0c07be8e780b8727ec01ebb3"),
 }
 
 
@@ -261,3 +262,95 @@ def test_recovery_prompts_state_the_failed_step_once(sdt, suite, monkeypatch, ca
         shown = prompts.sections(prompt).get(prompts.SEC_HISTORY)
         assert shown == ("\n".join(earlier) if earlier else None)
         assert prompts.render_history_lines([failed])[0] not in (shown or "")
+
+
+# ---------------------------------------------------------------------------
+# Knowledge and state lines
+
+
+class ShownLog(ScriptedOracle):
+    """The oracle, keeping each prompt with the knowledge types and the state
+    records rendered while it was built."""
+
+    def __init__(self, config=None):
+        super().__init__(config)
+        self.sent, self.types, self.records = [], [], []
+
+    def complete(self, prompt):
+        self.sent.append((prompt, self.types, self.records))
+        self.types, self.records = [], []
+        return super().complete(prompt)
+
+
+def _shown_per_prompt(sdt, suite, monkeypatch, case):
+    """(prompt, knowledge types, state records) of every prompt the 14 table-1
+    rows send in ``case`` mode, or among 300 statues in replan mode when
+    ``case`` is "padded"."""
+    oracle = ShownLog()
+    render_type, render_line = planner.render_type_text, prompts.render_state_line
+
+    def recording_type(entry):
+        oracle.types.append(entry.type_name)
+        return render_type(entry)
+
+    def recording_line(state, obj):
+        oracle.records.append((obj.object_id, obj.type_name, obj.parent_receptacle))
+        return render_line(state, obj)
+
+    monkeypatch.setattr(planner, "render_type_text", recording_type)
+    monkeypatch.setattr(prompts, "render_state_line", recording_line)
+    for row in suite["tasks"]:
+        state = scene_for_row(row, sdt)
+        if case == "padded":
+            add_statues(state, 300, seed=5)
+        oracle.config = OracleConfig(**row.get("oracle_faults", {}))
+        run_task(row["task"], state, sdt, oracle, RunConfig("replan" if case == "padded" else case))
+    return oracle.sent
+
+
+_STATE_SECTION = {
+    prompts.PLAN_HEADER: prompts.SEC_OBJECTS,
+    prompts.CHOICE_HEADER: prompts.SEC_STATE,
+    prompts.REPLAN_HEADER: prompts.SEC_STATE,
+}
+
+
+@pytest.mark.parametrize("case", ["plan", "resolve", "replan", "padded"])
+def test_knowledge_section_gives_each_type_one_line(sdt, suite, monkeypatch, case):
+    plans = [
+        (prompt, types) for prompt, types, _ in _shown_per_prompt(sdt, suite, monkeypatch, case)
+        if prompt.startswith(prompts.PLAN_HEADER)
+    ]
+    assert len(plans) >= 14
+    for prompt, types in plans:
+        knowledge = prompts.sections(prompt)[prompts.SEC_KNOWLEDGE]
+        lines = knowledge.splitlines()
+        assert all(re.match(r"^- \S+ \[[A-Za-z, ]*\]", line) for line in lines), lines
+        assert [line.split()[1] for line in lines] == types
+        assert ScriptedOracle._openable_types(knowledge) == {
+            t for t in types if sdt.entry(t).has(AffordanceTag.OPENABLE)
+        }
+
+
+@pytest.mark.parametrize("case", ["plan", "resolve", "replan", "padded"])
+def test_state_lines_parse_back_and_leave_out_the_type_their_id_names(
+    sdt, suite, monkeypatch, case
+):
+    checked = set()
+    for prompt, _, records in _shown_per_prompt(sdt, suite, monkeypatch, case):
+        header = prompt.split("\n", 1)[0]
+        if header not in _STATE_SECTION:
+            continue
+        body = prompts.sections(prompt)[_STATE_SECTION[header]]
+        assert prompts.parse_state_lines(body) == records
+        assert all(type_of_id(object_id) == type_name for object_id, type_name, _ in records)
+        assert "type=" not in body
+        checked.add(header)
+    replans = case in ("replan", "padded")
+    assert checked == set(_STATE_SECTION) - (set() if replans else {prompts.REPLAN_HEADER})
+
+
+@pytest.mark.parametrize("case", ["resolve", "replan", "padded"])
+def test_recovery_output_format_names_no_object(sdt, suite, monkeypatch, case):
+    for _, _, prompt, _ in _recovery_queries(sdt, suite, monkeypatch, case):
+        assert "|" not in prompts.sections(prompt)[prompts.SEC_OUTPUT]

@@ -46,16 +46,22 @@ def test_state_line_format_is_pinned(sdt, all_types):
                 temperature="Hot",
                 parent_receptacle=fridge_id,
             ),
+            # built in code with a free-form id, which names no type
+            "my-mug": ObjectInstance("my-mug", "Mug", (0.5, 0.9, 0.0), {}),
         },
         agent_position=(0.0, 0.9, 0.0),
     )
     prompt = build_replan_prompt("task", [], state, sdt, all_types, [])
-    line = prompts.sections(prompt)[prompts.SEC_STATE].splitlines()[0]
-    assert line == (
-        "- Apple|+00.13|+00.90|+00.00 (type=Apple; flags=isCooked,isSliced; "
-        "temp=Hot; in=Fridge|-01.00|+00.90|+00.00; dist=0.12)"
-    )
-    assert prompts.parse_state_lines(line) == [(apple_id, "Apple", fridge_id)]
+    body = prompts.sections(prompt)[prompts.SEC_STATE]
+    assert body.splitlines() == [
+        "- Apple|+00.13|+00.90|+00.00 (flags=isCooked,isSliced; "
+        "temp=Hot; in=Fridge|-01.00|+00.90|+00.00; dist=0.12)",
+        "- Fridge|-01.00|+00.90|+00.00 (flags=isOpen; temp=RoomTemp; in=-; dist=1.00)",
+        "- my-mug (type=Mug; flags=-; temp=RoomTemp; in=-; dist=0.50)",
+    ]
+    assert prompts.parse_state_lines(body) == [
+        (apple_id, "Apple", fridge_id), (fridge_id, "Fridge", None), ("my-mug", "Mug", None),
+    ]
 
 
 def test_replan_prompt_lists_actions_newest_last(sdt, suite, all_types):

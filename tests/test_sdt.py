@@ -296,7 +296,14 @@ def test_render_bottle_text(sdt):
 def test_render_no_rules_section_when_ruleless(sdt):
     text = render_type_text(sdt.entry("Sink"))
     assert "Rules:" not in text
-    assert "Affordances:" in text
+    assert text.startswith("- Sink [Receptacle] ")
+
+
+def test_render_is_one_line_per_type(sdt):
+    assert render_type_text(sdt.entry("Fridge")) == (
+        "- Fridge [Openable, Receptacle] A refrigerator with a single door compartment. "
+        "Rules: Chills its contents: anything inside becomes cold once the door closes."
+    )
 
 
 def test_render_deterministic(sdt):
