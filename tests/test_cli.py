@@ -141,14 +141,6 @@ _ROW = {"id": 1, "task": "Pick up the mug", "scene": "scenes/kitchen_mug.json"}
         (dict(_ROW, id=2, oracle_faults=["omit_slice"]), "'oracle_faults' must map fault names"),
         (dict(_ROW, id=2, oracle_faults={"omit_slice": "no"}), "'oracle_faults' must map fault names"),
         (dict(_ROW, id=2, expected=[1]), "'expected' must be an object"),
-        # a misspelled key used to run and then fail the row, and False == 0, 1 == True matched
-        (dict(_ROW, id=2, expected={"failure": 0}), "'expected' must be an object mapping"),
-        (dict(_ROW, id=2, expected={"replans": False}), "'expected' must be an object mapping"),
-        (dict(_ROW, id=2, expected={"success": 1}), "'expected' must be an object mapping"),
-        (dict(_ROW, id=2, expected={"success": "yes"}), "'expected' must be an object mapping"),
-        (dict(_ROW, id=2, expected={"failures": -1}), "'expected' must be an object mapping"),
-        (dict(_ROW, id=2, expected={"iterations": 1.0}), "'expected' must be an object mapping"),
-        (dict(_ROW, id=2, expected={"failures": "0"}), "'expected' must be an object mapping"),
         # the id names the row's trace file and is what --task matches as text
         ({"task": _ROW["task"], "scene": _ROW["scene"]}, "'id' must be an integer or a string"),
         (dict(_ROW, id=True), "'id' must be an integer or a string"),
@@ -159,6 +151,14 @@ _ROW = {"id": 1, "task": "Pick up the mug", "scene": "scenes/kitchen_mug.json"}
         (dict(_ROW, id="2 "), "'id' must be an integer or a string"),
         (dict(_ROW), "'id' 1 repeats suite row 0"),
         (dict(_ROW, id="1"), "'id' '1' repeats suite row 0"),
+        # a misspelled key used to run and then fail the row, and False == 0, 1 == True matched
+        (dict(_ROW, id=2, expected={"failure": 0}), "'expected' must be an object mapping"),
+        (dict(_ROW, id=2, expected={"replans": False}), "'expected' must be an object mapping"),
+        (dict(_ROW, id=2, expected={"success": 1}), "'expected' must be an object mapping"),
+        (dict(_ROW, id=2, expected={"success": "yes"}), "'expected' must be an object mapping"),
+        (dict(_ROW, id=2, expected={"failures": -1}), "'expected' must be an object mapping"),
+        (dict(_ROW, id=2, expected={"iterations": 1.0}), "'expected' must be an object mapping"),
+        (dict(_ROW, id=2, expected={"failures": "0"}), "'expected' must be an object mapping"),
     ],
 )
 def test_malformed_suite_row_is_config_error(tmp_path, capsys, row, message):
