@@ -159,7 +159,7 @@ class OracleConfig:
 
 
 _CAND_HEAD_RE = re.compile(r"^(\S+):$")
-_CAND_ITEM_RE = re.compile(r"^\d+\. (\S+) \(dist=")
+_CAND_ITEM_RE = re.compile(r"^\d+\. (\S+) \(")
 _PAIR_LINE_RE = re.compile(r"^- (\S+): (\w+(?:, \w+)*)$")
 _UNMET_RE = re.compile(r"UNMET type=(\S+) need=(\S+)(?: near=(\S+))?")
 _GROUNDED_RE = re.compile(r"^Grounded: .*?\(\w+,(\S+?)\)", re.MULTILINE)
@@ -346,10 +346,11 @@ class ScriptedOracle:
     def _choose(self, prompt: str) -> str:
         secs = prompts.sections(prompt)
         step = _labelled_triplet(secs.get(prompts.SEC_STEP, ""), "Grounding")
-        state = prompts.parse_state_lines(secs.get(prompts.SEC_STATE, ""))
+        listed = secs.get(prompts.SEC_CANDIDATES, "")
+        state = prompts.parse_state_lines(listed + "\n" + secs.get(prompts.SEC_STATE, ""))
         parent_of = {object_id: parent for object_id, _, parent in state}
         recent_targets = re.findall(r"\((?:\w+),(\S+?)\)", secs.get(prompts.SEC_HISTORY, ""))
-        candidates = self._parse_candidates(secs.get(prompts.SEC_CANDIDATES, ""))
+        candidates = self._parse_candidates(listed)
 
         receptacle_step = step is not None and step.action in (
             ActionName.PUT, ActionName.OPEN, ActionName.CLOSE

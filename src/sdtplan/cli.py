@@ -129,18 +129,26 @@ def _backend_for(args, faults: dict):
     )
 
 
+def _sdt_file(args) -> str:
+    """The knowledge base file ``args`` names, as an absolute path."""
+    return str(Path(args.sdt or default_sdt_path()).resolve())
+
+
 def trace_header(
-    row: dict, args, suite_dir: Path, extra_injections: list[str], sdt
+    row: dict, args, suite_dir: Path, extra_injections: list[str], sdt,
+    sdt_file: Optional[str] = None,
 ) -> tuple[dict, WorldState]:
     """A run's input as its trace records it, and the start state it builds.
 
     The input is enough to rebuild the start state; ``scene_sha256`` and
     ``start_state_hash`` pin the scene file and the state built from it.
+    ``sdt_file`` is ``_sdt_file(args)``, which a caller running many rows
+    resolves once.
     """
     header = {
         "schema": TRACE_SCHEMA,
         "scene": str(_resolve_scene(row["scene"], suite_dir).resolve()),
-        "sdt": str(Path(args.sdt or default_sdt_path()).resolve()),
+        "sdt": sdt_file or _sdt_file(args),
         "inject": list(row.get("inject", [])) + extra_injections,
         "oracle_faults": row.get("oracle_faults", {}),
         "mode": args.mode,
@@ -218,9 +226,10 @@ def cli_run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     suite_dir = suite_path.parent
+    sdt_file = _sdt_file(args)
 
     def worker(row: dict) -> tuple[dict, dict, TaskReport]:
-        header, scene = trace_header(row, args, suite_dir, list(args.inject or []), sdt)
+        header, scene = trace_header(row, args, suite_dir, list(args.inject or []), sdt, sdt_file)
         backend = _backend_for(args, header["oracle_faults"])
         return row, header, run_task(row["task"], scene, sdt, backend, config, task_id=row.get("id"))
 

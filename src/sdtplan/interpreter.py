@@ -134,24 +134,25 @@ def _build_choice_query(
     triplet: ActionTriplet, task: str, state: WorldState, history: list[HistoryEntry],
     ref: str, ids: list[str],
 ) -> str:
-    """The state section shows what a choice weighs, where visible: every
-    candidate, what each holds and the receptacle each sits in."""
-    shown = {*ids, *(state.objects[i].parent_receptacle for i in ids)} | {
+    """The candidates carry their state; the state section adds what a choice
+    also weighs, where visible: what each candidate holds and the receptacle
+    each sits in. It is left out when there is nothing to add."""
+    around = {state.objects[i].parent_receptacle for i in ids} | {
         o.object_id for i in ids for o in state.contents_of(i)
     }
-    shown.discard(None)
+    around -= {None, *ids}
     return prompts.render(prompts.CHOICE_HEADER, [
         (prompts.SEC_TASK, [task]),
         (prompts.SEC_STEP, [f"Grounding: {triplet.render()}", f"Resolve: {ref}"]),
         (prompts.SEC_HISTORY, prompts.render_history_lines(history[-HISTORY_TAIL:])),
-        (prompts.SEC_STATE, [
-            prompts.render_state_line(state, obj)
-            for obj in (state.objects[i] for i in sorted(shown)) if is_visible(state, obj)
-        ]),
-        (prompts.SEC_CANDIDATES, [f"{ref}:", *(
-            f"  {k}. {object_id} (dist={state.distance_to(state.objects[object_id]):.2f})"
+        (prompts.SEC_CANDIDATES, [prompts.STATE_LEGEND, f"{ref}:", *(
+            prompts.render_state_line(state, state.objects[object_id], f"  {k}.")
             for k, object_id in enumerate(ids, start=1)
         )]),
+        (prompts.SEC_STATE, [
+            prompts.render_state_line(state, obj)
+            for obj in (state.objects[i] for i in sorted(around)) if is_visible(state, obj)
+        ] or None),
         (prompts.SEC_OUTPUT, ["Reply with one line: CHOICE:{" + ref + "-><id>}"]),
     ])
 

@@ -178,7 +178,7 @@ def build_plan_prompt(
             "Allowed actions: " + ", ".join(a.value for a in ActionName) + ".",
         ]),
         (prompts.SEC_KNOWLEDGE, [render_type_text(sdt.entry(t)) for t in block_types]),
-        (prompts.SEC_OBJECTS, [prompts.render_state_line(state, obj) for obj in objects]),
+        (prompts.SEC_OBJECTS, prompts.state_lines(state, objects)),
         (prompts.SEC_EXAMPLES, [worked] if examples else None),
         (prompts.SEC_TASK, [task]),
         (prompts.SEC_OUTPUT, [

@@ -33,37 +33,51 @@ SEC_PAIRS = "## Candidate Action Pairs"
 SEC_NO_REPEAT = "## Do Not Repeat"
 SEC_UNMET = "## Unmet Goal Conditions"
 
+#: A state line leaves out a field at its default; each prompt with state lines says so once.
+_ROOM_TEMP = "RoomTemp"
+STATE_LEGEND = f"Fields left out: flags=-; temp={_ROOM_TEMP}; in=-"
+
 _STATE_LINE_RE = re.compile(
-    r"^- (?P<id>\S+) \((?:type=(?P<type>[^;]+); )?flags=(?P<flags>[^;]*); "
-    r"temp=(?P<temp>[^;]+); in=(?P<parent>[^;]*); dist=(?P<dist>[^)]+)\)$"
+    r"^(?:-|\d+\.) (?P<id>\S+) \((?:type=(?P<type>[^;]+); )?(?:flags=(?P<flags>[^;]*); )?"
+    r"(?:temp=(?P<temp>[^;]+); )?(?:in=(?P<parent>[^;]+); )?dist=(?P<dist>[^)]+)\)$"
 )
 
 
-def render_state_line(state: WorldState, obj: ObjectInstance) -> str:
-    """``- <id> (type=<T>; flags=..; temp=..; in=..; dist=..)``, where ``type=<T>; ``
-    is left out when the id names the type (``world.type_of_id``)."""
+def render_state_line(state: WorldState, obj: ObjectInstance, bullet: str = "-") -> str:
+    """``<bullet> <id> (type=<T>; flags=<f,..>; temp=<T>; in=<id>; dist=<d>)``.
+
+    ``type=`` is left out when the id names the type (``world.type_of_id``);
+    ``flags=``, ``temp=`` and ``in=`` when at their default (``STATE_LEGEND``).
+    """
+    fields = [] if type_of_id(obj.object_id) == obj.type_name else [f"type={obj.type_name}"]
     true_flags = sorted(k for k, v in obj.flags.items() if v)
-    flags = ",".join(true_flags) if true_flags else "-"
-    parent = obj.parent_receptacle or "-"
+    if true_flags:
+        fields.append("flags=" + ",".join(true_flags))
+    if obj.temperature != _ROOM_TEMP:
+        fields.append(f"temp={obj.temperature}")
+    if obj.parent_receptacle:
+        fields.append(f"in={obj.parent_receptacle}")
     # Rounded to 4 places before formatting: 0.125049 shows as 0.12, not 0.13.
-    distance = round(state.distance_to(obj), 4)
-    type_field = "" if type_of_id(obj.object_id) == obj.type_name else f"type={obj.type_name}; "
-    return (
-        f"- {obj.object_id} ({type_field}flags={flags}; "
-        f"temp={obj.temperature}; in={parent}; dist={distance:.2f})"
-    )
+    fields.append(f"dist={round(state.distance_to(obj), 4):.2f}")
+    return f"{bullet} {obj.object_id} ({'; '.join(fields)})"
+
+
+def state_lines(state: WorldState, objects: Iterable[ObjectInstance]) -> list[str]:
+    """``STATE_LEGEND``, then one state line per object; empty when there is none."""
+    lines = [render_state_line(state, obj) for obj in objects]
+    return [STATE_LEGEND, *lines] if lines else []
 
 
 def parse_state_lines(text: str) -> list[tuple[str, str, Optional[str]]]:
-    """``(object_id, type_name, parent_receptacle)`` of every state line in ``text``."""
+    """``(object_id, type_name, parent_receptacle)`` of every state line in
+    ``text``, ``-`` or numbered."""
     out = []
     for line in text.splitlines():
         m = _STATE_LINE_RE.match(line.strip())
         if m is None:
             continue
-        object_id, parent = m.group("id"), m.group("parent").strip()
-        type_name = m.group("type") or type_of_id(object_id)
-        out.append((object_id, type_name, None if parent in ("-", "") else parent))
+        object_id = m.group("id")
+        out.append((object_id, m.group("type") or type_of_id(object_id), m.group("parent")))
     return out
 
 

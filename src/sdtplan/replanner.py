@@ -9,7 +9,7 @@ from typing import AbstractSet, Optional
 from . import prompts
 from .backends import LLMBackend, ask
 from .errors import SdtPlanError
-from .interpreter import HistoryEntry, execute_plan
+from .interpreter import HISTORY_TAIL, HistoryEntry, execute_plan
 from .planner import filter_relevant_objects, relevant_types
 from .planner import plan as make_plan
 from .resolver import DEFAULT_BUDGET, FailureResolver
@@ -34,14 +34,13 @@ def build_replan_prompt(
     relevant: AbstractSet[str],
     unmet: list[str],
 ) -> str:
-    """Prompt carrying exactly: actions so far, the relevant objects' state,
-    task, unmet clauses."""
+    """Prompt carrying exactly: the last ``HISTORY_TAIL`` actions, the relevant
+    objects' state, task, unmet clauses."""
     return prompts.render(prompts.REPLAN_HEADER, [
-        (prompts.SEC_HISTORY, prompts.render_history_lines(history)),
-        (prompts.SEC_STATE, [
-            prompts.render_state_line(state, obj)
-            for obj in filter_relevant_objects(state, sdt, relevant)
-        ]),
+        (prompts.SEC_HISTORY, prompts.render_history_lines(history[-HISTORY_TAIL:])),
+        (prompts.SEC_STATE, prompts.state_lines(
+            state, filter_relevant_objects(state, sdt, relevant)
+        )),
         (prompts.SEC_TASK, [task]),
         (prompts.SEC_UNMET, [f"- {clause}" for clause in unmet]),
         (prompts.SEC_OUTPUT, [

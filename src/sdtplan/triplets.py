@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import AbstractSet, Iterable, Optional
 
 from .errors import BadAction, GoalParseError, MalformedEntry, NoTripletsFound
 from .sdt import ActionName, FLAG_NAMES, TEMPERATURES
@@ -186,7 +186,8 @@ def format_recovery(pairs: Iterable[ConcreteAction]) -> str:
 
 @dataclass(frozen=True)
 class GoalClause:
-    """Existential conjunct: some object of the type satisfies all parts.
+    """Existential conjunct: some object of the type, witnessing no other
+    clause, satisfies all parts.
 
     Flags may be prefixed with ``!`` to require False (e.g. a clean knife
     needs ``!isDirty``).
@@ -302,9 +303,13 @@ def clause_witnesses(state: WorldState, clause: GoalClause) -> list[str]:
     )
 
 
-def _closest_miss(state: WorldState, clause: GoalClause) -> str:
-    """Unmet description naming the first failing conjunct of the best candidate."""
-    candidates = sorted(state.of_types({clause.object_type}), key=lambda o: o.object_id)
+def _closest_miss(state: WorldState, clause: GoalClause, taken: AbstractSet[str]) -> str:
+    """Unmet description naming the first failing conjunct of the best
+    candidate that is not in ``taken`` (other clauses' witnesses)."""
+    candidates = sorted(
+        (o for o in state.of_types({clause.object_type}) if o.object_id not in taken),
+        key=lambda o: o.object_id,
+    )
     if not candidates:
         return f"UNMET type={clause.object_type} need=exists"
     best = max(
@@ -317,14 +322,36 @@ def _closest_miss(state: WorldState, clause: GoalClause) -> str:
     return f"UNMET type={clause.object_type} need=exists"
 
 
-def goal_satisfied(state: WorldState, goal: GoalCondition) -> tuple[bool, list[str]]:
-    """Check every clause has a witness; list closest-miss lines for the rest.
+def _witness_owners(options: list[list[str]]) -> dict[str, int]:
+    """Witness id -> clause index of a maximum matching of clauses to distinct
+    witnesses, ``options[k]`` being clause k's (augmenting paths, clause order)."""
+    owner: dict[str, int] = {}
 
-    Witnesses are per-clause existential; the same object may witness more
-    than one clause.
+    def place(k: int, seen: set[str]) -> bool:
+        for object_id in options[k]:
+            if object_id not in seen:
+                seen.add(object_id)
+                if object_id not in owner or place(owner[object_id], seen):
+                    owner[object_id] = k
+                    return True
+        return False
+
+    for k in range(len(options)):
+        place(k, set())
+    return owner
+
+
+def goal_satisfied(state: WorldState, goal: GoalCondition) -> tuple[bool, list[str]]:
+    """Check every clause has a witness of its own; list closest-miss lines for the rest.
+
+    No object witnesses two clauses, so two clauses asking for an apple in
+    the fridge need two apples there. A clause left without a witness gets
+    its line from the objects no other clause took.
     """
-    unmet = []
-    for clause in goal.clauses:
-        if not clause_witnesses(state, clause):
-            unmet.append(_closest_miss(state, clause))
+    owner = _witness_owners([clause_witnesses(state, clause) for clause in goal.clauses])
+    matched = set(owner.values())
+    unmet = [
+        _closest_miss(state, clause, owner.keys())
+        for k, clause in enumerate(goal.clauses) if k not in matched
+    ]
     return (not unmet, unmet)

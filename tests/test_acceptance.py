@@ -6,6 +6,7 @@ lines; every tolerance is pinned here.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 
@@ -250,7 +251,9 @@ def _brute_goal(state, goal):
                 return False
         return True
 
-    return all(any(matches(o, c) for o in state.objects.values()) for c in goal.clauses)
+    # each clause needs a witness of its own
+    fits = [[o.object_id for o in state.objects.values() if matches(o, c)] for c in goal.clauses]
+    return any(len(set(pick)) == len(pick) for pick in itertools.product(*fits))
 
 
 def test_criterion_6_goal_checker_equivalence(sdt, suite):

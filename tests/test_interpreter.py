@@ -201,17 +201,21 @@ def test_slices_that_differ_are_still_a_choice(sdt, suite, differ):
 
 
 def test_choice_prompt_lists_what_the_choice_weighs_and_nothing_else(sdt, suite):
-    """The state section lists, where visible, every candidate, what each holds
-    and the receptacle each sits in: here two slices and their two counters."""
+    """The candidates section gives every candidate's state, and the state
+    section what each holds and the receptacle each sits in, where visible:
+    here two slices, then their two counters."""
     state, slices = _apple_slices(sdt, suite)
     _differ_in_parent(state, slices)
     backend = ScriptedBackend([f"CHOICE:{{Apple->{slices[0]}}}"])
     resolve(trip(ActionName.PICKUP, "Apple"), state, "take a slice", [], backend)
     (choice,) = backend.prompts
-    listed = prompts.parse_state_lines(prompts.sections(choice)[prompts.SEC_STATE])
-    assert [object_id for object_id, _, _ in listed] == sorted(
-        slices + ["CounterTop|+00.70|+00.95|+00.10", "CounterTop|+01.60|+00.95|-00.30"]
-    )
+    secs = prompts.sections(choice)
+    candidates = prompts.parse_state_lines(secs[prompts.SEC_CANDIDATES])
+    assert sorted(object_id for object_id, _, _ in candidates) == sorted(slices)
+    around = prompts.parse_state_lines(secs[prompts.SEC_STATE])
+    assert [object_id for object_id, _, _ in around] == [
+        "CounterTop|+00.70|+00.95|+00.10", "CounterTop|+01.60|+00.95|-00.30"
+    ]
 
 
 @pytest.mark.parametrize("mode", ["plan", "resolve", "replan"])

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import operator
 import re
+import string
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import add_statues, pair_section_lines, scene_for_row, suite_row
 
@@ -14,9 +17,9 @@ from sdtplan import planner, prompts, replanner, resolver
 from sdtplan.backends import OracleConfig, ScriptedOracle
 from sdtplan.interpreter import HISTORY_TAIL, candidate_instances, resolve
 from sdtplan.replanner import RunConfig, run_task
-from sdtplan.sdt import FLAG_NAMES, ActionName, AffordanceTag
+from sdtplan.sdt import FLAG_NAMES, TEMPERATURES, ActionName, AffordanceTag
 from sdtplan.triplets import ActionTriplet
-from sdtplan.world import ObjectInstance, format_object_id, type_of_id
+from sdtplan.world import ObjectInstance, WorldState, format_object_id, type_of_id
 
 
 def test_sections_inverts_render():
@@ -59,20 +62,20 @@ class RecordingOracle(ScriptedOracle):
 
 #: Table-1 row id -> (oracle calls, sha256 over its prompts and replies), replan mode.
 TRAFFIC = {
-    1: (4, "3d1d483be13298f77d6ba36e192488edb19f779e3b61424c989d20086cd19af6"),
-    2: (3, "6ea3bf9e2dfcbb06b81def07c48db998899d9decc0843e2910b30e27aea6cd31"),
-    3: (5, "42b792c8081dee9ef8dc7f5f4e8b666686b49439ceb1b02c0a518b35d9db50f3"),
-    4: (4, "b24655a077a653b95aca39e99806d9ca63197ca58d98666f30e78f54c6f98f76"),
-    5: (3, "e7da8177c6c4bd4ae43ec5b4c7ec199ae13ccd2d0ca5fa0356f138e95255f79b"),
-    6: (5, "33ea6414dc68736f66514779c400d845bc6ff0abd3e47302178ec7147cb49b51"),
-    7: (3, "b3e1afb0553bbd56e8adc8d473c6fbf6938debb87a131a5593f8c4d5da89f6f0"),
-    8: (4, "ad19a4f151bdcd1624062145561325585fffcf8aae6e7da8494a6725228fbd04"),
-    9: (5, "1212328ec11e4adc1b5f2a7e58fd3a1db41b43c496c090996cffa2a13c5c3b1c"),
-    10: (1, "2b45e74062d8bf5720f97e2d9d17dc5d130a6ffa4888dbcc9d00b8ee48e6ceaa"),
-    11: (1, "b5b60524802db460b315478a5f52c1e39d0ee4268cbcadce2f6f6a22c53563fc"),
-    12: (3, "01314fd7a7c9e32462d378672d6dbe3594d5e652ed8d360f6b28efc1f2486bc9"),
-    13: (2, "4ad3cb9797d3bb60604bc632931bbefad5d7541a397da696dd40021aa2bd0120"),
-    14: (4, "d8c76552cfe8f582cc5c00d1bb9c955bc58c853815788ffcb049bd43c66023c9"),
+    1: (4, "2e104d0cf1713b5c53aff7ce136a034d830f96f6b84d77b1be60abe5d381f3c0"),
+    2: (3, "4a25e8c5a9abf8e1b5e88fa52143ebf9c1a3a38cd413f526964f3b1ce3329073"),
+    3: (5, "a96eb5e7a7560a30450250013de2d90bcb3ee421486a6a91915032c272e9a06c"),
+    4: (4, "8d8461c44d76d2c391b56381f22402745f0ffd8e4ca608661e1328f1ee6fcbac"),
+    5: (3, "7cf29b9188a390d23836e552421af6cb41b3f44a21207fdd8a4cf9f94d3c2ab3"),
+    6: (5, "e7d0fdae4e5f5e18e4d097443594f9b569bad331eb530a10a4e1ff5db8010b7a"),
+    7: (3, "9d28c1a4195b8e029e3c38fd32a2edc8e400d219f00e1aaff8066785c90a49ff"),
+    8: (4, "75f653df4e5f7edf0b2e727afb95f25f695bf1945569d5b811e3d4438d802742"),
+    9: (5, "f064a95ae333e77398cdd25b17a48daed2d72b8fe49e2ff238845a409aa35ee6"),
+    10: (1, "9619b015b5bd07dad160c908f90b594165f45dd6b78fe9826a3b74587876e703"),
+    11: (1, "de43afe4e9c4e270383f35a146602eb8490fe1a0efba8bb365361929e0af2ff2"),
+    12: (3, "5882a267e78395dcf4b34af493b8bedad655d466064a9153d7661c950f733e80"),
+    13: (2, "20d812e06cc5dcdb4f7cdcbf370da034319e61a0347de4327a4e5209e859eb8e"),
+    14: (4, "6768243e92421f32f5ddf0b1ac40da93287041cba458ecfb64fe652849fcaf3f"),
 }
 
 
@@ -183,7 +186,10 @@ def test_choice_prompt_lists_each_candidate_receptacles_contents(sdt, suite):
         ActionTriplet(ActionName.PUT, "Knife", "Drawer"), state, row["task"], [], oracle,
     )
     (choice,) = oracle.prompts
-    listed = prompts.parse_state_lines(prompts.sections(choice)[prompts.SEC_STATE])
+    secs = prompts.sections(choice)
+    listed = prompts.parse_state_lines(
+        secs[prompts.SEC_CANDIDATES] + "\n" + secs[prompts.SEC_STATE]
+    )
     for statue in stored:
         assert (statue.object_id, "Statue", statue.parent_receptacle) in listed
     assert not set(free) & {object_id for object_id, _, _ in listed}
@@ -199,9 +205,9 @@ def test_choice_prompt_lists_each_candidate_receptacles_contents(sdt, suite):
 
 #: Mode -> (choice prompts, sha256 over them in order) across the 14 table-1 rows.
 CHOICE_PROMPTS = {
-    "plan": (7, "a199d1b40d81487fcff9591e339042cc34e700cca976b9f519ee74d42612f335"),
-    "resolve": (13, "98ee9b2c78bf037f4de9e658c4b4d2068424832c0c07be8e780b8727ec01ebb3"),
-    "replan": (13, "98ee9b2c78bf037f4de9e658c4b4d2068424832c0c07be8e780b8727ec01ebb3"),
+    "plan": (7, "470d873dae5113e54c18533c23edd59f4f9b18887507de61cbd08f46955a341c"),
+    "resolve": (13, "5befebe45602796af058d79f85a554b6f2c1f5b12fe486edd37cedb96fbda060"),
+    "replan": (13, "5befebe45602796af058d79f85a554b6f2c1f5b12fe486edd37cedb96fbda060"),
 }
 
 
@@ -293,9 +299,9 @@ def _shown_per_prompt(sdt, suite, monkeypatch, case):
         oracle.types.append(entry.type_name)
         return render_type(entry)
 
-    def recording_line(state, obj):
+    def recording_line(state, obj, *bullet):
         oracle.records.append((obj.object_id, obj.type_name, obj.parent_receptacle))
-        return render_line(state, obj)
+        return render_line(state, obj, *bullet)
 
     monkeypatch.setattr(planner, "render_type_text", recording_type)
     monkeypatch.setattr(prompts, "render_state_line", recording_line)
@@ -308,10 +314,11 @@ def _shown_per_prompt(sdt, suite, monkeypatch, case):
     return oracle.sent
 
 
-_STATE_SECTION = {
-    prompts.PLAN_HEADER: prompts.SEC_OBJECTS,
-    prompts.CHOICE_HEADER: prompts.SEC_STATE,
-    prompts.REPLAN_HEADER: prompts.SEC_STATE,
+#: Prompt header -> the sections that carry its state lines, in prompt order.
+_STATE_SECTIONS = {
+    prompts.PLAN_HEADER: (prompts.SEC_OBJECTS,),
+    prompts.CHOICE_HEADER: (prompts.SEC_CANDIDATES, prompts.SEC_STATE),
+    prompts.REPLAN_HEADER: (prompts.SEC_STATE,),
 }
 
 
@@ -339,15 +346,65 @@ def test_state_lines_parse_back_and_leave_out_the_type_their_id_names(
     checked = set()
     for prompt, _, records in _shown_per_prompt(sdt, suite, monkeypatch, case):
         header = prompt.split("\n", 1)[0]
-        if header not in _STATE_SECTION:
+        if header not in _STATE_SECTIONS:
             continue
-        body = prompts.sections(prompt)[_STATE_SECTION[header]]
+        secs = prompts.sections(prompt)
+        body = "\n".join(secs.get(title, "") for title in _STATE_SECTIONS[header])
         assert prompts.parse_state_lines(body) == records
         assert all(type_of_id(object_id) == type_name for object_id, type_name, _ in records)
         assert "type=" not in body
         checked.add(header)
     replans = case in ("replan", "padded")
-    assert checked == set(_STATE_SECTION) - (set() if replans else {prompts.REPLAN_HEADER})
+    assert checked == set(_STATE_SECTIONS) - (set() if replans else {prompts.REPLAN_HEADER})
+
+
+def _words(first: str, rest: str):
+    return st.builds(operator.add, st.sampled_from(first), st.text(rest, max_size=8))
+
+
+_TYPE_NAMES = _words(string.ascii_uppercase, string.ascii_letters + string.digits + "_")
+_FREE_IDS = _words(string.ascii_lowercase, string.ascii_lowercase + string.digits + "-_.")
+_POSITIONS = st.tuples(*[st.floats(-50, 50, allow_nan=False)] * 3)
+
+
+@given(
+    kind=st.sampled_from(["loader", "slice", "free", "other type"]),
+    type_name=_TYPE_NAMES,
+    position=_POSITIONS,
+    agent=_POSITIONS,
+    flags=st.dictionaries(st.sampled_from(FLAG_NAMES), st.booleans()),
+    temperature=st.sampled_from(TEMPERATURES),
+    parent=st.none() | _FREE_IDS | st.builds(format_object_id, _TYPE_NAMES, _POSITIONS),
+    free_id=_FREE_IDS,
+)
+@settings(max_examples=200, deadline=None)
+def test_state_line_round_trips_and_carries_only_fields_off_their_default(
+    kind, type_name, position, agent, flags, temperature, parent, free_id
+):
+    # ids that name their type, as loading and slicing form them, and ids that do not
+    object_id = {
+        "loader": format_object_id(type_name, position),
+        "slice": format_object_id(type_name, position) + f"|{type_name}Sliced-3",
+        "free": free_id,
+        "other type": format_object_id(type_name + "X", position),
+    }[kind]
+    if kind == "slice":
+        type_name += "Sliced"
+    obj = ObjectInstance(object_id, type_name, position, flags, temperature, parent)
+    state = WorldState(objects={object_id: obj}, agent_position=agent)
+    for bullet in ("-", "  3."):
+        line = prompts.render_state_line(state, obj, bullet)
+        assert prompts.parse_state_lines(line) == [(object_id, type_name, parent)]
+        fields = line[line.index(" (") + 2:-1].split("; ")
+        assert [field.split("=", 1)[0] for field in fields] == [
+            name for name, off_default in (
+                ("type", kind in ("free", "other type")),
+                ("flags", any(flags.values())),
+                ("temp", temperature != "RoomTemp"),
+                ("in", parent is not None),
+                ("dist", True),
+            ) if off_default
+        ]
 
 
 @pytest.mark.parametrize("case", ["resolve", "replan", "padded"])

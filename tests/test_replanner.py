@@ -12,7 +12,7 @@ from sdtplan import cli, prompts
 from sdtplan.cli import default_suite_path
 from sdtplan.backends import OracleConfig, ScriptedOracle
 from sdtplan.errors import BackendError, PlanParseError
-from sdtplan.interpreter import HistoryEntry, execute_plan
+from sdtplan.interpreter import HISTORY_TAIL, HistoryEntry, execute_plan
 from sdtplan.planner import relevant_types
 from sdtplan.replanner import RunConfig, build_replan_prompt, replan, run_task
 from sdtplan.sdt import ActionName
@@ -54,10 +54,11 @@ def test_state_line_format_is_pinned(sdt, all_types):
     prompt = build_replan_prompt("task", [], state, sdt, all_types, [])
     body = prompts.sections(prompt)[prompts.SEC_STATE]
     assert body.splitlines() == [
+        "Fields left out: flags=-; temp=RoomTemp; in=-",
         "- Apple|+00.13|+00.90|+00.00 (flags=isCooked,isSliced; "
         "temp=Hot; in=Fridge|-01.00|+00.90|+00.00; dist=0.12)",
-        "- Fridge|-01.00|+00.90|+00.00 (flags=isOpen; temp=RoomTemp; in=-; dist=1.00)",
-        "- my-mug (type=Mug; flags=-; temp=RoomTemp; in=-; dist=0.50)",
+        "- Fridge|-01.00|+00.90|+00.00 (flags=isOpen; dist=1.00)",
+        "- my-mug (type=Mug; dist=0.50)",
     ]
     assert prompts.parse_state_lines(body) == [
         (apple_id, "Apple", fridge_id), (fridge_id, "Fridge", None), ("my-mug", "Mug", None),
@@ -82,6 +83,27 @@ def test_replan_prompt_lists_actions_newest_last(sdt, suite, all_types):
     open_pos = prompt.find("(OpenObject,")
     close_pos = prompt.find("(CloseObject,")
     assert 0 < open_pos < close_pos
+
+
+@pytest.mark.parametrize("length", [0, 3, HISTORY_TAIL, HISTORY_TAIL + 1, 3 * HISTORY_TAIL])
+def test_replan_prompt_sends_the_last_history_tail_steps(sdt, suite, all_types, length):
+    state = scene_for_row(suite_row(suite, 2), sdt)
+    fridge_id = next(o for o in state.objects.values() if o.type_name == "Fridge").object_id
+    failed = ActionOutcome.error("NotVisible", "gone")
+    history = [
+        HistoryEntry(
+            triplet=ActionTriplet(action, "Fridge"),
+            concrete=ConcreteAction(action, fridge_id),
+            outcome=failed if k % 3 == 0 else ActionOutcome.success(),
+        )
+        for k in range(length)
+        for action in [(ActionName.OPEN, ActionName.CLOSE)[k % 2]]
+    ]
+    unmet = ["UNMET type=Mug need=exists"]
+    prompt = build_replan_prompt("task", history, state, sdt, all_types, unmet)
+    shown = prompts.sections(prompt)[prompts.SEC_HISTORY]
+    assert shown == "\n".join(prompts.render_history_lines(history[-HISTORY_TAIL:]))
+    assert len(shown.splitlines()) == min(length, HISTORY_TAIL)
 
 
 def test_replan_suggests_knife_and_slice_for_missing_sliced_witness(sdt, suite):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from sdtplan.triplets import (
     ActionTriplet,
     GoalClause,
     GoalCondition,
+    clause_witnesses,
     format_recovery,
     format_triplets,
     goal_satisfied,
@@ -267,8 +269,50 @@ def test_goal_closest_miss_names_failing_conjunct():
     assert unmet == [f"UNMET type=AppleSliced need=temp:Cold near={slice_.object_id}"]
 
 
+_TWO_APPLES_IN_FRIDGE = "GOAL:{type=Apple; flags=-; temp=-; in=Fridge}\n" * 2
+
+
+def test_goal_one_object_witnesses_one_clause():
+    fridge = _obj("Fridge", 1.0, capacity=4)
+    apple = _obj("Apple", 0.5, parent=fridge.object_id)
+    goal = parse_goal(_TWO_APPLES_IN_FRIDGE)
+    assert goal_satisfied(_mini_state([fridge, apple]), goal) == (
+        False, ["UNMET type=Apple need=exists"]
+    )
+    second = _obj("Apple", 0.6, parent=fridge.object_id)
+    assert goal_satisfied(_mini_state([fridge, apple, second]), goal) == (True, [])
+
+
+def test_goal_unmet_line_names_the_clause_left_without_a_witness():
+    # one cold apple in the fridge meets both clauses; the counter apple meets neither
+    fridge = _obj("Fridge", 1.0, capacity=4)
+    counter = _obj("CounterTop", 2.0, capacity=4)
+    chilled = _obj("Apple", 0.5, temp="Cold", parent=fridge.object_id)
+    warm = _obj("Apple", 0.6, parent=counter.object_id)
+    goal = parse_goal(
+        "GOAL:{type=Apple; flags=-; temp=-; in=Fridge}\n"
+        "GOAL:{type=Apple; flags=-; temp=Cold; in=-}"
+    )
+    assert goal_satisfied(_mini_state([fridge, counter, chilled, warm]), goal) == (
+        False, [f"UNMET type=Apple need=temp:Cold near={warm.object_id}"]
+    )
+
+
+def test_goal_witnesses_are_matched_not_taken_greedily():
+    # the first clause's first witness is the second clause's only one
+    fridge = _obj("Fridge", 1.0, capacity=4)
+    inside = _obj("Apple", 0.5, parent=fridge.object_id)
+    outside = _obj("Apple", 0.6)
+    assert inside.object_id < outside.object_id
+    goal = parse_goal(
+        "GOAL:{type=Apple; flags=-; temp=-; in=-}\nGOAL:{type=Apple; flags=-; temp=-; in=Fridge}"
+    )
+    assert goal_satisfied(_mini_state([fridge, inside, outside]), goal) == (True, [])
+
+
 def _brute_force_goal(state, goal):
-    """Independent witness check: direct conjunct evaluation per clause."""
+    """Independent witness check: direct conjunct evaluation per clause, then
+    every way of giving each clause a distinct witness."""
 
     def matches(obj, clause):
         if obj.type_name != clause.object_type:
@@ -287,9 +331,8 @@ def _brute_force_goal(state, goal):
                 return False
         return True
 
-    return all(
-        any(matches(o, clause) for o in state.objects.values()) for clause in goal.clauses
-    )
+    fits = [[o.object_id for o in state.objects.values() if matches(o, c)] for c in goal.clauses]
+    return any(len(set(pick)) == len(pick) for pick in itertools.product(*fits))
 
 
 def test_goal_checker_matches_brute_force_on_random_pairs():
@@ -327,6 +370,34 @@ def test_goal_checker_matches_brute_force_on_random_pairs():
         )
         goal = GoalCondition(clauses=clauses)
         assert goal_satisfied(state, goal)[0] == _brute_force_goal(state, goal)
+
+
+def test_goal_checker_matches_brute_force_when_clauses_compete():
+    # few types and loose clauses, so clauses often share candidate witnesses
+    rng = random.Random(37)
+    contested = 0
+    for _ in range(300):
+        sink = _obj("Sink", 3.0, capacity=4)
+        objs = [sink] + [
+            _obj(
+                rng.choice(("Apple", "Mug")), round(rng.uniform(-2, 2), 2),
+                {"isDirty": rng.random() < 0.5}, temp=rng.choice(("Cold", "RoomTemp")),
+                parent=rng.choice((None, sink.object_id)),
+            )
+            for _ in range(rng.randint(1, 4))
+        ]
+        state = _mini_state(objs)
+        goal = GoalCondition(clauses=tuple(
+            GoalClause(
+                rng.choice(("Apple", "Mug")), rng.choice(((), ("!isDirty",))),
+                rng.choice((None, "Cold")), rng.choice((None, "Sink")),
+            )
+            for _ in range(rng.randint(2, 3))
+        ))
+        ok, unmet = goal_satisfied(state, goal)
+        assert ok == _brute_force_goal(state, goal) == (not unmet)
+        contested += not ok and all(clause_witnesses(state, c) for c in goal.clauses)
+    assert contested >= 10  # goals that shared witnesses would have met
 
 
 def test_goal_checker_on_suite_scenes(sdt, suite):
