@@ -135,20 +135,18 @@ def _sdt_file(args) -> str:
 
 
 def trace_header(
-    row: dict, args, suite_dir: Path, extra_injections: list[str], sdt,
-    sdt_file: Optional[str] = None,
+    row: dict, args, suite_dir: Path, extra_injections: list[str], sdt, sdt_file: str
 ) -> tuple[dict, WorldState]:
     """A run's input as its trace records it, and the start state it builds.
 
     The input is enough to rebuild the start state; ``scene_sha256`` and
     ``start_state_hash`` pin the scene file and the state built from it.
-    ``sdt_file`` is ``_sdt_file(args)``, which a caller running many rows
-    resolves once.
+    ``sdt_file`` is ``_sdt_file(args)``, resolved once per run.
     """
     header = {
         "schema": TRACE_SCHEMA,
         "scene": str(_resolve_scene(row["scene"], suite_dir).resolve()),
-        "sdt": sdt_file or _sdt_file(args),
+        "sdt": sdt_file,
         "inject": list(row.get("inject", [])) + extra_injections,
         "oracle_faults": row.get("oracle_faults", {}),
         "mode": args.mode,

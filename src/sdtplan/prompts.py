@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Optional
 
-from .world import ObjectInstance, WorldState, type_of_id
+from .world import ROOM_TEMP, ObjectInstance, WorldState, type_of_id
 
 PLAN_HEADER = "# PLAN REQUEST"
 CHOICE_HEADER = "# OBJECT CHOICE REQUEST"
@@ -34,8 +34,7 @@ SEC_NO_REPEAT = "## Do Not Repeat"
 SEC_UNMET = "## Unmet Goal Conditions"
 
 #: A state line leaves out a field at its default; each prompt with state lines says so once.
-_ROOM_TEMP = "RoomTemp"
-STATE_LEGEND = f"Fields left out: flags=-; temp={_ROOM_TEMP}; in=-"
+STATE_LEGEND = f"Fields left out: flags=-; temp={ROOM_TEMP}; in=-"
 
 _STATE_LINE_RE = re.compile(
     r"^(?:-|\d+\.) (?P<id>\S+) \((?:type=(?P<type>[^;]+); )?(?:flags=(?P<flags>[^;]*); )?"
@@ -53,7 +52,7 @@ def render_state_line(state: WorldState, obj: ObjectInstance, bullet: str = "-")
     true_flags = sorted(k for k, v in obj.flags.items() if v)
     if true_flags:
         fields.append("flags=" + ",".join(true_flags))
-    if obj.temperature != _ROOM_TEMP:
+    if obj.temperature != ROOM_TEMP:
         fields.append(f"temp={obj.temperature}")
     if obj.parent_receptacle:
         fields.append(f"in={obj.parent_receptacle}")

@@ -79,6 +79,9 @@ GOTO_STANDOFF = 0.5
 #: Pieces produced by one slice action.
 SLICE_CHILD_COUNT = 2
 
+#: Temperature of an object whose scene entry gives none.
+ROOM_TEMP = "RoomTemp"
+
 _ID_RE = re.compile(
     r"^(?P<type>[A-Za-z][A-Za-z0-9_]*)"
     r"\|(?P<x>[+-]\d{2}\.\d{2})\|(?P<y>[+-]\d{2}\.\d{2})\|(?P<z>[+-]\d{2}\.\d{2})"
@@ -160,7 +163,7 @@ class ObjectInstance:
     type_name: str
     position: tuple[float, float, float]
     flags: dict[str, bool]
-    temperature: str = "RoomTemp"
+    temperature: str = ROOM_TEMP
     parent_receptacle: Optional[str] = None
     capacity: int = 0
     slice_children: list[str] = field(default_factory=list)
@@ -478,7 +481,7 @@ def _parse_instance(raw: dict, index: int, id_types: Collection[str]) -> ObjectI
             if not isinstance(v, bool):
                 raise ParseError(f"object {index}: flag {k} must be a boolean")
             flags[k] = v
-    temperature = raw.get("temperature", "RoomTemp")
+    temperature = raw.get("temperature", ROOM_TEMP)
     if temperature not in TEMPERATURES:
         raise ValidationError(f"object {index}: unknown temperature {temperature!r}")
     parent = raw.get("parent_receptacle")

@@ -358,7 +358,9 @@ def _run_and_trace(sdt, suite, backend, tmp_path):
     and the trace file written for it."""
     row = suite_row(suite, 14)
     args = argparse.Namespace(mode="replan", sdt=None)
-    header, scene = cli.trace_header(dict(row, inject=[]), args, default_suite_path().parent, [], sdt)
+    header, scene = cli.trace_header(
+        dict(row, inject=[]), args, default_suite_path().parent, [], sdt, cli._sdt_file(args)
+    )
     report = run_task(row["task"], scene, sdt, backend, RunConfig(), task_id=row["id"])
     return report, cli._write_trace(report, header, tmp_path)
 
