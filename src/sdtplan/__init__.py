@@ -10,19 +10,12 @@ from .interpreter import (
 )
 from .planner import build_plan_prompt, filter_relevant_objects, plan
 from .replanner import RunConfig, TaskReport, build_replan_prompt, replan, run_task
-from .resolver import (
-    FailureResolver,
-    build_action_pairs,
-    build_failure_query,
-    resolve_failure,
-)
+from .resolver import build_action_pairs, build_failure_query, resolve_failure
 from .sdt import (
     SDT,
     ActionName,
     AffordanceTag,
     ObjectTypeEntry,
-    condition_fn,
-    filter_actions,
     load_sdt,
     render_type_text,
 )
@@ -44,6 +37,8 @@ from .world import (
     Perturbation,
     WorldState,
     apply_perturbations,
+    condition_fn,
+    filter_actions,
     inject_failure,
     load_scene,
     object_descriptions,

@@ -489,17 +489,19 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--backend", choices=("oracle", "http"), default="oracle")
     run.add_argument("--endpoint", help="chat-completion URL for --backend http")
     run.add_argument("--model", default="", help="model name for --backend http")
-    run.add_argument("--timeout", type=float, default=30.0)
-    run.add_argument("--max-retries", type=int, default=2)
+    run.add_argument("--timeout", type=float, default=HttpConfig.timeout)
+    run.add_argument("--max-retries", type=int, default=HttpConfig.max_retries)
     run.add_argument(
         "--inject",
         action="append",
         metavar="KIND:ARGS",
         help="extra perturbation (dirty:X, hide:X:R, fill:R, lower:X); requires --task",
     )
-    run.add_argument("--mode", choices=MODES, default="replan")
-    run.add_argument("--budget", type=int, default=5, help="resolver iterations per failure")
-    run.add_argument("--replan-cap", type=int, default=3)
+    run.add_argument("--mode", choices=MODES, default=RunConfig.mode)
+    run.add_argument(
+        "--budget", type=int, default=RunConfig.budget, help="resolver iterations per failure"
+    )
+    run.add_argument("--replan-cap", type=int, default=RunConfig.replan_cap)
     run.add_argument("--report", choices=("md", "csv", "json"), default="md")
     run.add_argument("--jobs", type=int, default=1, help="tasks at once; helps --backend http")
     run.add_argument("--out", default="runs", help="directory for report and trace files")

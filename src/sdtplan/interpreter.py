@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Optional, Protocol
+from typing import Callable, Optional
 
 from . import prompts
 from .backends import LLMBackend, ask
@@ -268,7 +268,7 @@ def postcondition_satisfied(state: WorldState, triplet: ActionTriplet) -> bool:
 
 @dataclass
 class FailureContext:
-    """One failed step, as the execution loop hands it to the failure handler."""
+    """One failed step, as the execution loop hands it to ``recover``."""
 
     failed_triplet: ActionTriplet
     failed_concrete: Optional[ConcreteAction]
@@ -278,26 +278,20 @@ class FailureContext:
     history_tail: list[HistoryEntry] = field(default_factory=list)
 
 
-class FailureHandler(Protocol):
-    """Interface the execution loop delegates errors to (the failure resolver)."""
-
-    def handle(
-        self, state: WorldState, ctx: FailureContext
-    ) -> tuple[WorldState, str, list[RecoveryAttempt]]: ...
-
-
 def execute_plan(
     plan: list[ActionTriplet],
     state: WorldState,
     task: str,
     sdt: SDT,
     backend: LLMBackend,
-    resolver: Optional[FailureHandler],
+    recover: Optional[Callable[[FailureContext, WorldState], tuple]],
     history: Optional[list[HistoryEntry]] = None,
     phase: str = "plan",
 ) -> tuple[WorldState, list[HistoryEntry], str]:
-    """Run triplets in order; errors go to the resolver (or abort the run).
+    """Run triplets in order; errors go to ``recover`` (or abort the run).
 
+    ``recover(ctx, state)`` returns what ``resolver.resolve_failure`` does:
+    the state, "Resolved" or another status, the iterations and the attempts.
     Each triplet runs at most once. A step whose postcondition already holds
     records as skipped; so does a failed step once a successful resolution
     made the postcondition hold. A resolution that re-executed the step
@@ -324,10 +318,10 @@ def execute_plan(
                 history.append(entry)
                 if outcome.ok:
                     continue
-                if resolver is None:
+                if recover is None:
                     return state, history, "Aborted"
                 ctx = FailureContext(triplet, concrete, outcome, task, history[-HISTORY_TAIL - 1:])
-                state, status, attempts = resolver.handle(state, ctx)
+                state, status, _, attempts = recover(ctx, state)
                 entry.attempts.extend(attempts)
                 if status != "Resolved":
                     return state, history, "Aborted"

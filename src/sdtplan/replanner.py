@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import AbstractSet, Optional
 
-from . import prompts
+from . import prompts, resolver
 from .backends import LLMBackend, ask
 from .errors import SdtPlanError
 from .interpreter import HISTORY_TAIL, HistoryEntry, execute_plan
 from .planner import filter_relevant_objects, relevant_types
 from .planner import plan as make_plan
-from .resolver import DEFAULT_BUDGET, FailureResolver
 from .sdt import SDT
 from .triplets import ActionTriplet, GoalCondition, format_triplets, goal_satisfied, parse_triplets
 from .world import (
@@ -76,7 +76,7 @@ MODES = ("plan", "resolve", "replan")
 @dataclass
 class RunConfig:
     mode: str = "replan"
-    budget: int = DEFAULT_BUDGET
+    budget: int = resolver.DEFAULT_BUDGET
     replan_cap: int = 3
 
     def __post_init__(self) -> None:
@@ -171,14 +171,15 @@ def run_task(
         relevant |= {
             t for c in report.goal.clauses for t in (c.object_type, c.receptacle_type) if t
         }
-        resolver = (
-            FailureResolver(sdt, relevant, backend, budget=config.budget)
-            if config.mode != "plan" else None
+        # read through the module now, so a wrapper installed on it sees every call
+        recover = None if config.mode == "plan" else partial(
+            resolver.resolve_failure, sdt=sdt, relevant=relevant, backend=backend,
+            budget=config.budget,
         )
         phase, triplets = "plan", report.plan
         while True:
             state, _, report.status = execute_plan(
-                triplets, state, task, sdt, backend, resolver,
+                triplets, state, task, sdt, backend, recover,
                 history=report.history, phase=phase,
             )
             report.success, report.unmet_final = goal_satisfied(state, report.goal)

@@ -27,13 +27,14 @@ from .interpreter import (
     resolve,
 )
 from .planner import shown_objects
-from .sdt import SDT, ActionName, POSE_ACTIONS, filter_actions
+from .sdt import SDT, ActionName, POSE_ACTIONS
 from .triplets import ActionTriplet, format_recovery, parse_recovery
 from .world import (
     ConcreteAction,
     ObjectInstance,
     WorldState,
     container_chain_open,
+    filter_actions,
     format_object_id,
     in_sight,
     is_closed_openable,
@@ -276,27 +277,3 @@ def _focus_from_ref(state: WorldState, ctx: FailureContext) -> Optional[str]:
     if not matches:
         return None
     return min(matches, key=lambda o: (state.distance_to(o), o.object_id)).object_id
-
-
-class FailureResolver:
-    """Per-task wrapper satisfying the execution loop's handler interface."""
-
-    def __init__(
-        self,
-        sdt: SDT,
-        relevant: AbstractSet[str],
-        backend: LLMBackend,
-        budget: int = DEFAULT_BUDGET,
-    ):
-        self.sdt = sdt
-        self.relevant = relevant
-        self.backend = backend
-        self.budget = budget
-
-    def handle(
-        self, state: WorldState, ctx: FailureContext
-    ) -> tuple[WorldState, str, list[RecoveryAttempt]]:
-        state, status, _, attempts = resolve_failure(
-            ctx, state, self.sdt, self.relevant, self.backend, self.budget
-        )
-        return state, status, attempts

@@ -1,28 +1,23 @@
-"""Semantic digital twin: object affordances, interaction rules and the action filter.
+"""Semantic digital twin: object affordances and interaction rules.
 
 The twin is the single source of truth for both prompting (rendered rule
 sentences) and simulation (machine-readable preconditions/effects). Loading
 validates the closed affordance and action vocabularies and the coupling
 between a type's rules and its affordance tags. ``ACTION_AFFORDANCES`` is the
-one table of the affordance each object action needs; the action filter, the
-simulator and rule validation all read it.
+one table of the affordance each object action needs; the simulator's gate
+table (``world.ACTION_GATES``, which the action filter reads too) and rule
+validation both read it.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional
 
 from .errors import ParseError, UnknownType, ValidationError
-
-if TYPE_CHECKING:  # world imports this module
-    from .world import ObjectInstance
-
-log = logging.getLogger(__name__)
 
 
 class ActionName(str, Enum):
@@ -350,50 +345,6 @@ def load_sdt(path: str | Path) -> SDT:
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed knowledge base file: {exc}") from exc
     return parse_sdt_data(data)
-
-
-def condition_fn(sdt: SDT, obj: ObjectInstance, action: ActionName) -> bool:
-    """Boolean action-validity condition over one scene object.
-
-    True iff the action is affordance-permitted for the object's type and
-    compatible with the object's own current state. Global executability
-    (reachability, hand occupancy) is deliberately out of scope here; that
-    is the simulator's concern.
-    """
-    entry = sdt.entry(obj.type_name)
-    if action is ActionName.GOTO:
-        return True
-    tag = ACTION_AFFORDANCES.get(action)
-    if tag is None or not entry.has(tag):
-        return False
-    if action is ActionName.PUT:
-        # isOpen is normalized to True for non-openable receptacles at load.
-        return obj.flag("isOpen")
-    if action in FLAG_ACTIONS:
-        _, flag, value = FLAG_ACTIONS[action]
-        return obj.flag(flag) != value
-    return True
-
-
-def filter_actions(
-    sdt: SDT,
-    objects: Iterable[ObjectInstance],
-    actions: Iterable[ActionName],
-) -> set[tuple[ActionName, str]]:
-    """All (action, object id) pairs the condition function admits.
-
-    Objects of unknown type contribute no pairs and are logged, not raised.
-    """
-    action_list = list(actions)
-    pairs: set[tuple[ActionName, str]] = set()
-    for obj in objects:
-        if obj.type_name not in sdt:
-            log.warning("skipping object of unknown type: %s", obj.object_id)
-            continue
-        for action in action_list:
-            if condition_fn(sdt, obj, action):
-                pairs.add((action, obj.object_id))
-    return pairs
 
 
 def render_type_text(entry: ObjectTypeEntry) -> str:

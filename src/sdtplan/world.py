@@ -41,12 +41,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Collection, Iterable, Optional
+from typing import Callable, Collection, Iterable, NamedTuple, Optional
 
 from .errors import ParseError, ValidationError
 from .sdt import (
@@ -60,6 +61,8 @@ from .sdt import (
     StatePredicate,
     TEMPERATURES,
 )
+
+log = logging.getLogger(__name__)
 
 # Verbatim simulator error strings; recovery prompts must carry these bit-exact.
 MSG_NOT_VISIBLE = "Target object not found within the specified visibility..."
@@ -542,7 +545,7 @@ def _parse_agent(agent: object) -> dict:
     held = agent.get("held_object")
     if held is not None and not isinstance(held, str):
         raise ParseError("agent: held_object must be an object id")
-    radius = agent.get("visibility_radius", 25.0)
+    radius = agent.get("visibility_radius", WorldState.visibility_radius)
     if type(radius) not in _NUMBER_TYPES:
         raise ParseError("agent: visibility_radius must be a number")
     if not math.isfinite(radius):
@@ -555,12 +558,10 @@ def _parse_agent(agent: object) -> dict:
         "agent_crouched": crouched,
         "held_object": held,
         "visibility_radius": float(radius),
-        "view_band_standing": _vector(
-            agent.get("view_band_standing", (0.80, 2.20)), 2, "agent: view_band_standing"
-        ),
-        "view_band_crouched": _vector(
-            agent.get("view_band_crouched", (0.00, 1.50)), 2, "agent: view_band_crouched"
-        ),
+        **{
+            band: _vector(agent.get(band, getattr(WorldState, band)), 2, f"agent: {band}")
+            for band in ("view_band_standing", "view_band_crouched")
+        },
     }
 
 
@@ -737,8 +738,107 @@ def _afforded(sdt: SDT, obj: ObjectInstance, tag: AffordanceTag) -> bool:
     return entry is not None and entry.has(tag)
 
 
+class Gate(NamedTuple):
+    """One precondition of an action on its target: the error code ``step``
+    refuses with, whether the test reads the target alone (the action filter
+    checks exactly those), and the test. An object-local test gets no state."""
+
+    code: str
+    local: bool
+    test: Callable[[Optional[WorldState], SDT, ObjectInstance], bool]
+
+
+def _slicing_tool_held(state: WorldState, sdt: SDT, obj: ObjectInstance) -> bool:
+    entry = sdt.get(state.objects[state.held_object].type_name)
+    return entry is not None and entry.is_slicing_tool
+
+
+def _afforded_gate(action: ActionName) -> Gate:
+    tag = ACTION_AFFORDANCES[action]
+    return Gate("NotAfforded", True, lambda state, sdt, obj: _afforded(sdt, obj, tag))
+
+
+_VISIBLE = Gate("NotVisible", False, lambda state, sdt, obj: is_visible(state, obj))
+_HOLDING = Gate("HandEmpty", False, lambda state, sdt, obj: state.held_object is not None)
+_HAND_FREE = Gate("HandOccupied", False, lambda state, sdt, obj: state.held_object is None)
+_NOT_HELD = Gate("NotAfforded", False, lambda state, sdt, obj: obj.object_id != state.held_object)
+# a receptacle with no door has isOpen=True from the loader
+_DOOR_OPEN = Gate("ClosedReceptacle", True, lambda state, sdt, obj: obj.flag("isOpen"))
+_ROOM = Gate(
+    "NoValidPosition", False,
+    lambda state, sdt, obj: len(state.contents_of(obj.object_id)) < obj.capacity,
+)
+_TOOL_HELD = Gate("NotAfforded", False, _slicing_tool_held)
+
+
+def _flag_gates(action: ActionName) -> tuple[Gate, ...]:
+    _, flag, value = FLAG_ACTIONS[action]
+    unset = Gate("NotAfforded", True, lambda state, sdt, obj: obj.flag(flag) != value)
+    return (_VISIBLE, _afforded_gate(action), unset)
+
+
+#: The gates ``step`` tries, in order, before an object action's effect; the
+#: first that fails names the refusal. Pose actions have none.
+ACTION_GATES: dict[ActionName, tuple[Gate, ...]] = {
+    ActionName.GOTO: (),
+    ActionName.PICKUP: (_VISIBLE, _afforded_gate(ActionName.PICKUP), _HAND_FREE),
+    ActionName.PUT: (_HOLDING, _VISIBLE, _afforded_gate(ActionName.PUT), _NOT_HELD, _DOOR_OPEN, _ROOM),
+    **{action: _flag_gates(action) for action in FLAG_ACTIONS},
+}
+ACTION_GATES[ActionName.SLICE] += (_HOLDING, _TOOL_HELD)
+
+#: The message each refusal carries.
+_MESSAGES = {
+    "NotVisible": MSG_NOT_VISIBLE,
+    "NoValidPosition": MSG_NO_VALID_POSITION,
+    "HandOccupied": MSG_HAND_OCCUPIED,
+    "HandEmpty": MSG_HAND_EMPTY,
+    "NotAfforded": MSG_NOT_AFFORDED,
+    "ClosedReceptacle": MSG_CLOSED_RECEPTACLE,
+}
+
+
+def condition_fn(sdt: SDT, obj: ObjectInstance, action: ActionName) -> bool:
+    """Boolean action-validity condition over one scene object.
+
+    True iff every object-local gate of the action passes: the type's
+    affordance and the object's own state. The other gates (visibility, the
+    hand, room) are the simulator's concern. Raises UnknownType for a type
+    the knowledge base lacks; a pose action is never admitted.
+    """
+    sdt.entry(obj.type_name)
+    gates = ACTION_GATES.get(action)
+    return gates is not None and all(g.test(None, sdt, obj) for g in gates if g.local)
+
+
+def filter_actions(
+    sdt: SDT,
+    objects: Iterable[ObjectInstance],
+    actions: Iterable[ActionName],
+) -> set[tuple[ActionName, str]]:
+    """All (action, object id) pairs the condition function admits.
+
+    Objects of unknown type contribute no pairs and are logged, not raised.
+    """
+    action_list = list(actions)
+    pairs: set[tuple[ActionName, str]] = set()
+    for obj in objects:
+        if obj.type_name not in sdt:
+            log.warning("skipping object of unknown type: %s", obj.object_id)
+            continue
+        for action in action_list:
+            if condition_fn(sdt, obj, action):
+                pairs.add((action, obj.object_id))
+    return pairs
+
+
 def step(state: WorldState, action: ConcreteAction, sdt: SDT) -> tuple[WorldState, ActionOutcome]:
-    """Execute one grounded action. Errors leave the input state untouched."""
+    """Execute one grounded action. Errors leave the input state untouched.
+
+    A pose action only sets the pose. An object action's target must exist;
+    then the action's ``ACTION_GATES`` are tried in order, the first failing
+    gate's code is the refusal, and the effect runs only when all pass.
+    """
     name = action.name
 
     if name is ActionName.CROUCH or name is ActionName.STAND:
@@ -752,9 +852,12 @@ def step(state: WorldState, action: ConcreteAction, sdt: SDT) -> tuple[WorldStat
     if action.target is None or action.target not in state.objects:
         return state, ActionOutcome.error("UnknownObject", MSG_UNKNOWN_OBJECT)
     obj = state.objects[action.target]
+    for code, _, test in ACTION_GATES[name]:
+        if not test(state, sdt, obj):
+            return state, ActionOutcome.error(code, _MESSAGES[code])
 
+    new = state.clone()
     if name is ActionName.GOTO:
-        new = state.clone()
         new.agent_position = (
             obj.position[0] + GOTO_STANDOFF,
             state.agent_position[1],
@@ -763,60 +866,23 @@ def step(state: WorldState, action: ConcreteAction, sdt: SDT) -> tuple[WorldStat
         if new.held_object is not None:
             new.own(new.held_object).position = new.agent_position
         return new, ActionOutcome.success()
-
     if name is ActionName.PICKUP:
-        if not is_visible(state, obj):
-            return state, ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE)
-        if not _afforded(sdt, obj, ACTION_AFFORDANCES[name]):
-            return state, ActionOutcome.error("NotAfforded", MSG_NOT_AFFORDED)
-        if state.held_object is not None:
-            return state, ActionOutcome.error("HandOccupied", MSG_HAND_OCCUPIED)
-        new = state.clone()
         target = new.own(obj.object_id)
         target.parent_receptacle = None
         target.position = new.agent_position
         new.held_object = target.object_id
-        _fire_rules(new, sdt, name, target)
-        return new, ActionOutcome.success()
-
-    if name is ActionName.PUT:
-        if state.held_object is None:
-            return state, ActionOutcome.error("HandEmpty", MSG_HAND_EMPTY)
-        if not is_visible(state, obj):
-            return state, ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE)
-        if not _afforded(sdt, obj, ACTION_AFFORDANCES[name]) or obj.object_id == state.held_object:
-            return state, ActionOutcome.error("NotAfforded", MSG_NOT_AFFORDED)
-        if is_closed_openable(sdt, obj):
-            return state, ActionOutcome.error("ClosedReceptacle", MSG_CLOSED_RECEPTACLE)
-        if len(state.contents_of(obj.object_id)) >= obj.capacity:
-            return state, ActionOutcome.error("NoValidPosition", MSG_NO_VALID_POSITION)
-        new = state.clone()
+    elif name is ActionName.PUT:
         held = new.own(new.held_object)
         held.parent_receptacle = obj.object_id
         held.position = obj.position
         new.held_object = None
-        _fire_rules(new, sdt, name, new.objects[obj.object_id])
-        return new, ActionOutcome.success()
-
-    gate = FLAG_ACTIONS.get(name)
-    if gate is None:
-        return state, ActionOutcome.error("NotAfforded", MSG_NOT_AFFORDED)
-    tag, flag, value = gate
-    if not is_visible(state, obj):
-        return state, ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE)
-    if not _afforded(sdt, obj, tag) or obj.flag(flag) == value:
-        return state, ActionOutcome.error("NotAfforded", MSG_NOT_AFFORDED)
-    if name is ActionName.SLICE:
-        if state.held_object is None:
-            return state, ActionOutcome.error("HandEmpty", MSG_HAND_EMPTY)
-        held_entry = sdt.get(state.objects[state.held_object].type_name)
-        if held_entry is None or not held_entry.is_slicing_tool:
-            return state, ActionOutcome.error("NotAfforded", MSG_NOT_AFFORDED)
-    new = state.clone()
-    target = new.own(obj.object_id)
-    target.flags[flag] = value
-    if name is ActionName.SLICE:
-        target.slice_children = [c.object_id for c in _spawn_slices(new, target)]
+        target = new.objects[obj.object_id]
+    else:
+        _, flag, value = FLAG_ACTIONS[name]
+        target = new.own(obj.object_id)
+        target.flags[flag] = value
+        if name is ActionName.SLICE:
+            target.slice_children = [c.object_id for c in _spawn_slices(new, target)]
     _fire_rules(new, sdt, name, target)
     return new, ActionOutcome.success()
 

@@ -14,7 +14,7 @@ from conftest import random_state, run_row, scene_for_row, suite_row
 
 from sdtplan.errors import SdtPlanError
 from sdtplan.resolver import FailureContext, build_action_pairs, resolve_failure
-from sdtplan.sdt import ActionName, condition_fn, filter_actions, POSE_ACTIONS
+from sdtplan.sdt import ActionName, POSE_ACTIONS
 from sdtplan.triplets import (
     ActionTriplet,
     GoalClause,
@@ -29,6 +29,8 @@ from sdtplan.world import (
     ActionOutcome,
     ConcreteAction,
     MSG_NOT_VISIBLE,
+    condition_fn,
+    filter_actions,
     format_object_id,
     object_descriptions,
     state_hash,

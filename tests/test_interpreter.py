@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from conftest import CountingBackend, ScriptedBackend, run_row, scene_for_row, suite_row
@@ -17,7 +19,7 @@ from sdtplan.interpreter import (
     resolve,
 )
 from sdtplan.planner import relevant_types
-from sdtplan.resolver import FailureResolver
+from sdtplan.resolver import resolve_failure
 from sdtplan.sdt import ActionName
 from sdtplan.triplets import ActionTriplet, parse_triplets
 from sdtplan.world import ConcreteAction, apply_perturbations, state_hash, step
@@ -287,7 +289,7 @@ def test_postcondition_pickup_and_put(sdt, suite):
 def test_execute_empty_plan(sdt, suite):
     state = scene_for_row(suite_row(suite, 9), sdt, injected=False)
     final, history, status = execute_plan(
-        [], state, "idle", sdt, ScriptedOracle(), resolver=None
+        [], state, "idle", sdt, ScriptedOracle(), recover=None
     )
     assert status == "Completed"
     assert history == []
@@ -305,8 +307,8 @@ def test_execute_wine_plan_with_recovery(sdt, suite):
         "['CloseObject', 'Fridge', 0], ['PutObject', 'WineBottle', 'DiningTable']]"
     )
     relevant = relevant_types(row["task"], sdt)
-    resolver = FailureResolver(sdt, relevant, backend)
-    final, history, status = execute_plan(plan, state, row["task"], sdt, backend, resolver)
+    recover = partial(resolve_failure, sdt=sdt, relevant=relevant, backend=backend)
+    final, history, status = execute_plan(plan, state, row["task"], sdt, backend, recover)
     assert status == "Completed"
     failed = [e for e in history if e.outcome and not e.outcome.ok and not e.skipped]
     assert len(failed) == 1
@@ -335,9 +337,9 @@ def test_execute_aborts_when_budget_exhausted(sdt, suite):
     backend = ScriptedOracle()
     plan = [trip(ActionName.PICKUP, "Plate")]  # no plate anywhere in this scene
     relevant = relevant_types("fetch the plate", sdt)
-    resolver = FailureResolver(sdt, relevant, backend, budget=3)
+    recover = partial(resolve_failure, sdt=sdt, relevant=relevant, backend=backend, budget=3)
     _, history, status = execute_plan(
-        plan, state, "fetch the plate", sdt, backend, resolver
+        plan, state, "fetch the plate", sdt, backend, recover
     )
     assert status == "Aborted"
     assert sum(len(e.attempts) for e in history) == 3
@@ -350,9 +352,9 @@ def test_recovered_step_runs_once(sdt, suite):
     backend = ScriptedOracle()
     plan = [trip(ActionName.GOTO, "Apple")]
     relevant = relevant_types("go to the apple", sdt)
-    resolver = FailureResolver(sdt, relevant, backend)
+    recover = partial(resolve_failure, sdt=sdt, relevant=relevant, backend=backend)
     _, history, status = execute_plan(
-        plan, state, "go to the apple", sdt, backend, resolver
+        plan, state, "go to the apple", sdt, backend, recover
     )
     assert status == "Completed"
     gotos = [c for c, o in _executed(history) if c.name is ActionName.GOTO and o.ok]
@@ -366,9 +368,9 @@ def test_closed_receptacle_recovered_by_opening_it(sdt, suite, put):
     backend = ScriptedOracle()
     plan = [trip(ActionName.PICKUP, "Apple"), trip(ActionName.PUT, *put)]
     relevant = relevant_types("put the apple in the drawer", sdt)
-    resolver = FailureResolver(sdt, relevant, backend)
+    recover = partial(resolve_failure, sdt=sdt, relevant=relevant, backend=backend)
     final, history, status = execute_plan(
-        plan, state, "put the apple in the drawer", sdt, backend, resolver
+        plan, state, "put the apple in the drawer", sdt, backend, recover
     )
     assert status == "Completed"
     assert sum(len(e.attempts) for e in history) == 1
@@ -414,8 +416,8 @@ def test_history_counts_match_simulator_steps(sdt, suite, monkeypatch):
         "['CloseObject', 'Fridge', 0], ['PutObject', 'WineBottle', 'DiningTable']]"
     )
     relevant = relevant_types(row["task"], sdt)
-    resolver = FailureResolver(sdt, relevant, backend)
-    _, history, status = execute_plan(plan, state, row["task"], sdt, backend, resolver)
+    recover = partial(resolve_failure, sdt=sdt, relevant=relevant, backend=backend)
+    _, history, status = execute_plan(plan, state, row["task"], sdt, backend, recover)
     assert status == "Completed"
     assert len(_executed(history)) == calls["n"]
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 
@@ -13,16 +14,15 @@ from conftest import (
 from sdtplan.backends import ScriptedOracle
 from sdtplan.interpreter import execute_plan
 from sdtplan.planner import relevant_types
-from sdtplan import prompts, replanner
+from sdtplan import prompts, resolver
 from sdtplan.resolver import (
     FailureContext,
-    FailureResolver,
     _pose_anchor,
     build_action_pairs,
     build_failure_query,
     resolve_failure,
 )
-from sdtplan.sdt import FLAG_NAMES, ActionName, AffordanceTag, POSE_ACTIONS, condition_fn
+from sdtplan.sdt import FLAG_NAMES, ActionName, AffordanceTag, POSE_ACTIONS
 from sdtplan.triplets import ActionTriplet
 from sdtplan.world import (
     ActionOutcome,
@@ -31,6 +31,7 @@ from sdtplan.world import (
     MSG_NO_VALID_POSITION,
     ObjectInstance,
     WorldState,
+    condition_fn,
     format_object_id,
     object_descriptions,
     step,
@@ -316,8 +317,10 @@ def _first_recovery_prompt(sdt, suite, before):
     plan = [ActionTriplet(a, ref) for a, ref in before]
     plan.append(ActionTriplet(ActionName.PICKUP, "WineBottle"))
     backend = ScriptedBackend(["[]"])
-    resolver = FailureResolver(sdt, relevant_types("wine", sdt), backend, budget=1)
-    _, history, _ = execute_plan(plan, state, "task", sdt, backend, resolver)
+    recover = partial(
+        resolve_failure, sdt=sdt, relevant=relevant_types("wine", sdt), backend=backend, budget=1
+    )
+    _, history, _ = execute_plan(plan, state, "task", sdt, backend, recover)
     assert history[len(before)].outcome.error_code == "NotVisible"
     (prompt,) = [p for p in backend.prompts if p.startswith(prompts.RECOVERY_HEADER)]
     return prompt, history
@@ -399,11 +402,11 @@ def test_memory_is_keyed_by_phase(sdt, suite):
         if a is ActionName.GOTO and type_of_id(t) == "CounterTop"
     )
     backend = ScriptedBackend([f"[({goto[0].value},{goto[1]})]"])  # runs, resolves nothing
-    resolver = FailureResolver(sdt, relevant, backend, budget=1)
+    recover = partial(resolve_failure, sdt=sdt, relevant=relevant, backend=backend, budget=1)
     plan = [ActionTriplet(ActionName.PICKUP, "WineBottle")]
     for phase in ("plan", "replan-1"):
         _, history, status = execute_plan(
-            plan, state, row["task"], sdt, backend, resolver, phase=phase
+            plan, state, row["task"], sdt, backend, recover, phase=phase
         )
         assert status == "Aborted"
         attempt = history[-1].attempts[-1]
@@ -417,12 +420,13 @@ def test_no_failure_point_reaches_the_resolver_twice(sdt, suite, monkeypatch, mo
     # call sees every attempt ever made at its failure point.
     seen = []
 
-    class RecordingResolver(FailureResolver):
-        def handle(self, state, ctx):
-            seen.append((ctx.history_tail[-1].phase, ctx.failed_triplet))
-            return super().handle(state, ctx)
+    real = resolver.resolve_failure
 
-    monkeypatch.setattr(replanner, "FailureResolver", RecordingResolver)
+    def recording_resolve_failure(ctx, state, *args, **kwargs):
+        seen.append((ctx.history_tail[-1].phase, ctx.failed_triplet))
+        return real(ctx, state, *args, **kwargs)
+
+    monkeypatch.setattr(resolver, "resolve_failure", recording_resolve_failure)
     handled = 0
     for row in suite["tasks"]:
         seen.clear()

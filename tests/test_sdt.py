@@ -12,12 +12,10 @@ from sdtplan.sdt import (
     FLAG_NAMES,
     ActionName,
     AffordanceTag,
-    condition_fn,
-    filter_actions,
     parse_sdt_data,
     render_type_text,
 )
-from sdtplan.world import ObjectInstance
+from sdtplan.world import ObjectInstance, condition_fn, filter_actions
 
 ALL_ACTIONS = list(ActionName)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -19,9 +20,12 @@ from sdtplan import interpreter, planner, resolver
 from sdtplan.interpreter import _matches_ref, candidate_instances, postcondition_satisfied
 from sdtplan.planner import filter_relevant_objects
 from sdtplan.resolver import build_action_pairs
-from sdtplan.sdt import FLAG_ACTIONS, ActionName, AffordanceTag, condition_fn, parse_sdt_data
+from sdtplan.sdt import (
+    FLAG_ACTIONS, FLAG_NAMES, POSE_ACTIONS, ActionName, AffordanceTag, parse_sdt_data,
+)
 from sdtplan.triplets import ActionTriplet, GoalClause, clause_witnesses
 from sdtplan.world import (
+    ACTION_GATES,
     NEARBY_RADIUS,
     ConcreteAction,
     MSG_NO_VALID_POSITION,
@@ -32,6 +36,7 @@ from sdtplan.world import (
     WorldState,
     _nearby,
     _record_json,
+    condition_fn,
     format_object_id,
     inject_failure,
     is_valid_object_id,
@@ -795,21 +800,62 @@ def _with_slicing_tool_in_hand(state, sdt):
     return new
 
 
-def _flag_actions_agree(state, sdt, obj) -> dict:
-    """Run every flag action on ``obj``; return the successful successor states by action."""
+def _flag_actions_agree(state, sdt, obj, actions=ACTION_GATES) -> dict:
+    """Run each of ``actions`` on ``obj``; return the successful successor states by action.
+
+    The action filter must admit exactly the actions ``step`` refuses for no
+    object-local reason: with neither NotAfforded nor ClosedReceptacle. That
+    holds wherever no gate that reads more than ``obj`` refuses ahead of an
+    object-local one, as when ``obj`` is visible and a slicing tool is in
+    hand (Pickup checks the hand last).
+    """
     successors = {}
-    for action in FLAG_ACTIONS:
+    for action in actions:
         admitted = condition_fn(sdt, obj, action)
         new, outcome = step(state, act(action, obj.object_id), sdt)
-        where = f"{action} on {obj.object_id}"
-        assert admitted == (outcome.error_code != "NotAfforded"), where
+        where = f"{action} on {obj.object_id} with {obj.flags}"
+        assert admitted == (outcome.error_code not in ("NotAfforded", "ClosedReceptacle")), where
         if outcome.ok:
-            assert postcondition_satisfied(new, ActionTriplet(action, obj.object_id)), where
+            if action is ActionName.PUT:
+                triplet = ActionTriplet(action, state.held_object, obj.object_id)
+            else:
+                triplet = ActionTriplet(action, obj.object_id)
+            if action is not ActionName.GOTO:  # navigation has no postcondition
+                assert postcondition_satisfied(new, triplet), where
             successors[action] = new
     return successors
 
 
+def _every_type_and_flag_assignment(sdt):
+    """(target, state with the hand empty, state holding a slicing tool) for
+    every known type and every assignment of the boolean flags. The target is
+    visible, not held and has room for one object."""
+    agent, at = (0.0, 0.9, 0.0), (1.0, 1.0, 0.0)
+    tool_type = sdt.slicing_tool_types()[0]
+    tool = ObjectInstance(format_object_id(tool_type, agent), tool_type, agent, {})
+    for type_name in sdt.type_names():
+        for values in itertools.product((False, True), repeat=len(FLAG_NAMES)):
+            target = ObjectInstance(
+                format_object_id(type_name, at), type_name, at,
+                dict(zip(FLAG_NAMES, values)), capacity=1,
+            )
+            objects = {target.object_id: target}
+            empty = WorldState(objects=dict(objects), agent_position=agent)
+            objects[tool.object_id] = tool
+            holding = WorldState(objects=objects, agent_position=agent, held_object=tool.object_id)
+            yield target, empty, holding
+
+
 def test_flag_actions_filter_simulator_and_postcondition_agree(sdt, suite):
+    assert set(ActionName) == {*POSE_ACTIONS, *ACTION_GATES}
+    assert not POSE_ACTIONS & ACTION_GATES.keys()
+    others = [a for a in ACTION_GATES if a is not ActionName.PICKUP]
+    swept = 0
+    for target, empty, holding in _every_type_and_flag_assignment(sdt):
+        swept += len(_flag_actions_agree(empty, sdt, target, [ActionName.PICKUP]))
+        swept += len(_flag_actions_agree(holding, sdt, target, others))
+    assert 0 < swept < len(sdt) * 2 ** len(FLAG_NAMES) * len(ACTION_GATES)
+
     rng = random.Random(31)
     scenes = [random_state(rng, sdt) for _ in range(300)]
     scenes += [scene_for_row(row, sdt) for row in suite["tasks"]]
@@ -825,7 +871,7 @@ def test_flag_actions_filter_simulator_and_postcondition_agree(sdt, suite):
             if ActionName.SLICE in successors:  # the sliced husk must refuse a second cut
                 sliced = successors[ActionName.SLICE]
                 _flag_actions_agree(sliced, sdt, sliced.objects[obj.object_id])
-    assert objects * len(FLAG_ACTIONS) > 3000 and 0 < successes < objects * len(FLAG_ACTIONS)
+    assert objects * len(FLAG_ACTIONS) > 3000 and 0 < successes < objects * len(ACTION_GATES)
 
 
 # ---------------------------------------------------------------------------
