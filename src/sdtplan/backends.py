@@ -9,6 +9,7 @@ exercise recovery and replanning.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import time
@@ -69,6 +70,12 @@ class HttpConfig:
     model: str
     timeout: float = 30.0
     max_retries: int = 2
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError(f"timeout must be a finite number above 0, got {self.timeout}")
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must not be negative, got {self.max_retries}")
 
 
 class HttpBackend:

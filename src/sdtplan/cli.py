@@ -114,18 +114,17 @@ def load_suite(path: Path) -> dict:
     return suite
 
 
-def _backend_for(args, faults: dict):
+def _http_config(args) -> Optional[HttpConfig]:
+    """The checked settings of ``--backend http``, or None for the oracle."""
     if args.backend == "oracle":
-        return ScriptedOracle(OracleConfig(**faults))
+        return None
     if not args.endpoint:
         raise ValueError("--backend http requires --endpoint")
-    return HttpBackend(
-        HttpConfig(
-            endpoint=args.endpoint,
-            model=args.model,
-            timeout=args.timeout,
-            max_retries=args.max_retries,
-        )
+    return HttpConfig(
+        endpoint=args.endpoint,
+        model=args.model,
+        timeout=args.timeout,
+        max_retries=args.max_retries,
     )
 
 
@@ -212,6 +211,9 @@ def cli_run(args) -> int:
         suite_path = Path(args.suite) if args.suite else default_suite_path()
         suite = load_suite(suite_path)
         config = RunConfig(args.mode, args.budget, args.replan_cap)
+        http = _http_config(args)
+        if args.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {args.jobs}")
     except (OSError, ValueError, SdtPlanError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -228,7 +230,10 @@ def cli_run(args) -> int:
 
     def worker(row: dict) -> tuple[dict, dict, TaskReport]:
         header, scene = trace_header(row, args, suite_dir, list(args.inject or []), sdt, sdt_file)
-        backend = _backend_for(args, header["oracle_faults"])
+        if http is None:
+            backend = ScriptedOracle(OracleConfig(**header["oracle_faults"]))
+        else:
+            backend = HttpBackend(http)
         return row, header, run_task(row["task"], scene, sdt, backend, config, task_id=row.get("id"))
 
     try:

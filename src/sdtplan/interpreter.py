@@ -1,8 +1,10 @@
 """Action interpretation engine: grounds abstract triplets and executes them.
 
-Grounding is local (zero backend calls) when the reference is unambiguous
-(one candidate) or its candidates are interchangeable, and otherwise asks the
-backend with a context query.
+Grounding first keeps the candidates the SDT admits for the action: those
+that pass every object-local gate of ``world.ACTION_GATES`` (the affordance
+and the object's own flags). It is local (zero backend calls) when that
+leaves one candidate or interchangeable ones, and otherwise asks the
+backend with a context query over the admitted candidates.
 Every triplet's postcondition is checked before execution, so a step whose
 outcome already holds (typically because a recovery sequence produced it)
 is skipped rather than re-run.
@@ -25,6 +27,7 @@ from .world import (
     MSG_NOT_VISIBLE,
     ObjectInstance,
     WorldState,
+    condition_fn,
     is_valid_object_id,
     is_visible,
     object_descriptions,  # noqa: F401  (not called here; bench/tracer.py wraps this binding)
@@ -185,15 +188,20 @@ def resolve(
     state: WorldState,
     task: str,
     history: list[HistoryEntry],
+    sdt: SDT,
     backend: LLMBackend,
 ) -> ConcreteAction:
     """Ground one triplet to a concrete action.
 
     Raises NoCandidate when the reference has no instance; the caller surfaces
-    that to the failure resolver as a visibility failure. One candidate, or
-    interchangeable ones, ground to the nearest with no backend call. A
-    backend choice outside the candidate list is retried once, then the
-    nearest candidate is used.
+    that to the failure resolver as a visibility failure. The candidates
+    narrow to those ``condition_fn`` admits (a type the knowledge base lacks
+    is not admitted); when it admits none they all stay, so the step fails
+    with the simulator's refusal. The gates that read the state (visibility,
+    the hand, room) are left to ``step``. One candidate, or interchangeable
+    ones, ground to the nearest with no backend call. A backend choice
+    outside the candidate list is retried once, then the nearest candidate
+    is used.
     """
     ref = triplet.target_ref
     if ref is None:
@@ -201,6 +209,10 @@ def resolve(
     ids = candidate_instances(state, ref, triplet.action)
     if not ids:
         raise NoCandidate(ref)
+    ids = [
+        i for i in ids
+        if state.objects[i].type_name in sdt and condition_fn(sdt, state.objects[i], triplet.action)
+    ] or ids
     if len(ids) == 1 or _interchangeable(state, ids):
         return ConcreteAction(name=triplet.action, target=ids[0])
 
@@ -305,7 +317,7 @@ def execute_plan(
             if not postcondition_satisfied(state, triplet):
                 concrete: Optional[ConcreteAction] = None
                 try:
-                    concrete = resolve(triplet, state, task, history, backend)
+                    concrete = resolve(triplet, state, task, history, sdt, backend)
                 except NoCandidate:
                     outcome = ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE)
                 else:

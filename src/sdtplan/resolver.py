@@ -177,7 +177,7 @@ def _reexecute_failed(
 ) -> tuple[WorldState, bool, str]:
     """Retry the failed triplet against the recovered state."""
     try:
-        concrete = resolve(ctx.failed_triplet, state, ctx.task, ctx.history_tail, backend)
+        concrete = resolve(ctx.failed_triplet, state, ctx.task, ctx.history_tail, sdt, backend)
     except NoCandidate:
         return state, False, "target still has no candidate instance"
     new_state, outcome = step(state, concrete, sdt)

@@ -804,7 +804,9 @@ def condition_fn(sdt: SDT, obj: ObjectInstance, action: ActionName) -> bool:
     True iff every object-local gate of the action passes: the type's
     affordance and the object's own state. The other gates (visibility, the
     hand, room) are the simulator's concern. Raises UnknownType for a type
-    the knowledge base lacks; a pose action is never admitted.
+    the knowledge base lacks; a pose action is never admitted. It builds the
+    resolver's pair map (``filter_actions``) and narrows grounding's
+    candidates (``interpreter.resolve``).
     """
     sdt.entry(obj.type_name)
     gates = ACTION_GATES.get(action)

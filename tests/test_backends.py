@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -406,6 +407,21 @@ def test_http_timeout_raises_backend_error(stub_server):
     elapsed = time.monotonic() - started
     # never blocks longer than timeout*(retries+1) plus the backoff schedule
     assert elapsed < 0.2 * 2 + 0.25 + 1.0
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ({"timeout": math.inf}, "timeout"),
+        ({"timeout": math.nan}, "timeout"),
+        ({"timeout": 0.0}, "timeout"),
+        ({"timeout": -5.0}, "timeout"),
+        ({"max_retries": -1}, "max_retries"),
+    ],
+)
+def test_http_config_out_of_range_raises(fields, name):
+    with pytest.raises(ValueError, match=name):
+        HttpConfig(endpoint="http://127.0.0.1:9/", model="m", **fields)
 
 
 # ---------------------------------------------------------------------------

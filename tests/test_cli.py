@@ -202,6 +202,39 @@ def test_csv_report_shape(tmp_path, capsys):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize(
+    "options, name",
+    [
+        # inf used to raise OverflowError from the first request; NaN and 0 reached requests
+        (["--timeout", "inf"], "timeout"),
+        (["--timeout", "nan"], "timeout"),
+        (["--timeout", "0"], "timeout"),
+        (["--timeout=-1"], "timeout"),
+        # -1 used to send no request and fail every task
+        (["--max-retries=-1"], "max_retries"),
+    ],
+)
+def test_http_option_out_of_range_is_config_error(tmp_path, capsys, options, name):
+    # nothing listens on the endpoint: the check must come before any task runs
+    code = run_cli(
+        "run", "--backend", "http", "--endpoint", "http://127.0.0.1:9/v1/chat/completions",
+        *options, "--out", str(tmp_path / "out"),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and name in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_config_error(tmp_path, capsys, jobs):
+    # used to run serially without a word
+    assert run_cli("run", f"--jobs={jobs}", "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "jobs" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_jobs_parallel_matches_serial(tmp_path, capsys):
     assert run_cli("run", "--out", str(tmp_path / "serial")) == 0
     serial = capsys.readouterr().out

@@ -19,10 +19,18 @@ from sdtplan.interpreter import (
     resolve,
 )
 from sdtplan.planner import relevant_types
+from sdtplan.replanner import RunConfig, run_task
 from sdtplan.resolver import resolve_failure
 from sdtplan.sdt import ActionName
 from sdtplan.triplets import ActionTriplet, parse_triplets
-from sdtplan.world import ConcreteAction, apply_perturbations, state_hash, step
+from sdtplan.world import (
+    ConcreteAction,
+    ObjectInstance,
+    apply_perturbations,
+    format_object_id,
+    state_hash,
+    step,
+)
 
 
 def trip(action, arg1, arg2=None):
@@ -83,7 +91,7 @@ def test_singleton_resolution_makes_no_backend_calls(sdt, suite):
     state = scene_for_row(suite_row(suite, 9), sdt, injected=False)
     backend = CountingBackend(ScriptedOracle())
     concrete = resolve(
-        trip(ActionName.OPEN, "Fridge"), state, "open the fridge", [], backend,
+        trip(ActionName.OPEN, "Fridge"), state, "open the fridge", [], sdt, backend,
     )
     assert concrete.target == by_type(state, "Fridge").object_id
     assert backend.calls == 0
@@ -93,7 +101,7 @@ def test_multi_candidate_resolution_queries_backend(sdt, suite):
     state = scene_for_row(suite_row(suite, 3), sdt, injected=False)
     backend = CountingBackend(ScriptedOracle())
     concrete = resolve(
-        trip(ActionName.OPEN, "Drawer"), state, "open a drawer", [], backend,
+        trip(ActionName.OPEN, "Drawer"), state, "open a drawer", [], sdt, backend,
     )
     assert backend.calls == 1
     assert concrete.target in candidate_instances(state, "Drawer")
@@ -104,8 +112,6 @@ def test_oracle_prefers_drawer_with_free_space(sdt, suite):
     row = suite_row(suite, 3)
     state = scene_for_row(row, sdt, injected=False)
     import copy
-
-    from sdtplan.world import ObjectInstance, format_object_id
 
     extra_pos = (2.2, 0.82, -0.9)
     extra = ObjectInstance(
@@ -131,7 +137,7 @@ def test_oracle_prefers_drawer_with_free_space(sdt, suite):
         state.objects[filler.object_id] = filler
     backend = ScriptedOracle()
     concrete = resolve(
-        trip(ActionName.PUT, "Knife", "Drawer"), state, row["task"], [], backend,
+        trip(ActionName.PUT, "Knife", "Drawer"), state, row["task"], [], sdt, backend,
     )
     assert concrete.target == extra.object_id
     state.held_object = by_type(state, "Knife").object_id
@@ -148,6 +154,7 @@ def test_hidden_object_raises_no_candidate(sdt, suite):
             state,
             "grab the bottle",
             [],
+            sdt,
             ScriptedOracle(),
         )
 
@@ -156,10 +163,81 @@ def test_bad_choice_falls_back_to_nearest(sdt, suite):
     state = scene_for_row(suite_row(suite, 3), sdt, injected=False)
     backend = ScriptedBackend(["CHOICE:{Drawer->Drawer|+09.99|+00.82|+09.99}"])
     concrete = resolve(
-        trip(ActionName.OPEN, "Drawer"), state, "open a drawer", [], backend,
+        trip(ActionName.OPEN, "Drawer"), state, "open a drawer", [], sdt, backend,
     )
     assert backend.calls == 2  # one retry before the fallback
     assert concrete.target == candidate_instances(state, "Drawer")[0]
+
+
+def test_one_admitted_candidate_grounds_without_asking(sdt, suite):
+    # row 5's drawers, the farther one open: only it can take the knife
+    state = scene_for_row(suite_row(suite, 5), sdt)
+    near, far = candidate_instances(state, "Drawer")
+    state.own(far).flags["isOpen"] = True
+    backend = CountingBackend(ScriptedOracle())
+    concrete = resolve(
+        trip(ActionName.PUT, "Knife", "Drawer"), state, "put the knife away", [], sdt, backend,
+    )
+    assert backend.calls == 0
+    assert concrete.target == far
+
+
+def test_no_admitted_candidate_keeps_the_full_choice(sdt, suite):
+    # both drawers already open: neither admits OpenObject, so the choice stays as it was
+    state = scene_for_row(suite_row(suite, 5), sdt)
+    drawers = candidate_instances(state, "Drawer")
+    for drawer_id in drawers:
+        state.own(drawer_id).flags["isOpen"] = True
+    backend = ScriptedBackend([f"CHOICE:{{Drawer->{drawers[1]}}}"])
+    concrete = resolve(trip(ActionName.OPEN, "Drawer"), state, "open a drawer", [], sdt, backend)
+    assert backend.calls == 1
+    assert concrete.target == drawers[1]
+    (choice,) = backend.prompts
+    listed = prompts.parse_state_lines(prompts.sections(choice)[prompts.SEC_CANDIDATES])
+    assert [object_id for object_id, _, _ in listed] == drawers
+
+
+def test_choice_prompt_lists_only_the_admitted_candidates(sdt, suite):
+    state = scene_for_row(suite_row(suite, 5), sdt)
+    extra_pos = (2.2, 0.82, -0.9)
+    extra = ObjectInstance(
+        format_object_id("Drawer", extra_pos), "Drawer", extra_pos, {"isOpen": False}, capacity=3,
+    )
+    state.objects[extra.object_id] = extra
+    drawers = candidate_instances(state, "Drawer")
+    assert len(drawers) == 3
+    admitted = [drawers[0], drawers[2]]
+    for drawer_id in admitted:
+        state.own(drawer_id).flags["isOpen"] = True
+    backend = ScriptedBackend([f"CHOICE:{{Drawer->{admitted[1]}}}"])
+    concrete = resolve(
+        trip(ActionName.PUT, "Knife", "Drawer"), state, "put the knife away", [], sdt, backend,
+    )
+    assert concrete.target == admitted[1]
+    (choice,) = backend.prompts
+    listed = prompts.parse_state_lines(prompts.sections(choice)[prompts.SEC_CANDIDATES])
+    assert [object_id for object_id, _, _ in listed] == admitted
+
+
+def test_candidates_of_an_unknown_type_are_a_choice_not_an_error(sdt, suite):
+    # the action filter raises UnknownType for them; grounding must not, or the run
+    # would end in ExecutionFailed
+    state = scene_for_row(suite_row(suite, 5), sdt)
+    assert "Gizmo" not in sdt
+    gizmos = []
+    for pos in ((0.3, 0.95, 0.3), (0.6, 0.95, -0.3)):
+        gizmo = ObjectInstance(format_object_id("Gizmo", pos), "Gizmo", pos, {})
+        state.objects[gizmo.object_id] = gizmo
+        gizmos.append(gizmo.object_id)
+    backend = ScriptedBackend([
+        "Action-Triplets:[['GotoObject', 'Gizmo', 0]]\nGOAL:{type=Gizmo; flags=-; temp=-; in=-}",
+        f"CHOICE:{{Gizmo->{gizmos[1]}}}",
+    ])
+    report = run_task("go to the gizmo", state, sdt, backend, RunConfig("plan"))
+    assert not report.status.startswith("ExecutionFailed"), report.status
+    assert report.history[0].concrete == ConcreteAction(ActionName.GOTO, gizmos[1])
+    listed = prompts.parse_state_lines(prompts.sections(backend.prompts[1])[prompts.SEC_CANDIDATES])
+    assert sorted(object_id for object_id, _, _ in listed) == sorted(gizmos)
 
 
 def _apple_slices(sdt, suite):
@@ -175,7 +253,7 @@ def _apple_slices(sdt, suite):
 def test_fresh_sibling_slices_ground_locally(sdt, suite):
     state, slices = _apple_slices(sdt, suite)
     backend = CountingBackend(ScriptedOracle())
-    concrete = resolve(trip(ActionName.PICKUP, "Apple"), state, "take a slice", [], backend)
+    concrete = resolve(trip(ActionName.PICKUP, "Apple"), state, "take a slice", [], sdt, backend)
     assert backend.calls == 0
     assert concrete.target == slices[0]
 
@@ -197,7 +275,7 @@ def test_slices_that_differ_are_still_a_choice(sdt, suite, differ):
     state, slices = _apple_slices(sdt, suite)
     differ(state, slices)
     backend = CountingBackend(ScriptedOracle())
-    concrete = resolve(trip(ActionName.PICKUP, "Apple"), state, "take a slice", [], backend)
+    concrete = resolve(trip(ActionName.PICKUP, "Apple"), state, "take a slice", [], sdt, backend)
     assert backend.calls == 1
     assert concrete.target in slices
 
@@ -209,7 +287,7 @@ def test_choice_prompt_lists_what_the_choice_weighs_and_nothing_else(sdt, suite)
     state, slices = _apple_slices(sdt, suite)
     _differ_in_parent(state, slices)
     backend = ScriptedBackend([f"CHOICE:{{Apple->{slices[0]}}}"])
-    resolve(trip(ActionName.PICKUP, "Apple"), state, "take a slice", [], backend)
+    resolve(trip(ActionName.PICKUP, "Apple"), state, "take a slice", [], sdt, backend)
     (choice,) = backend.prompts
     secs = prompts.sections(choice)
     candidates = prompts.parse_state_lines(secs[prompts.SEC_CANDIDATES])
@@ -255,6 +333,57 @@ def test_skipped_choices_are_the_ones_the_oracle_answered_nearest(sdt, suite, mo
         report.wall_time_s = skipped[row["id"]][0]["wall_time_s"]
         assert (report.to_json(), state_hash(report.final_state)) == skipped[row["id"]], row["id"]
     assert forced  # sliced rows ask between sibling slices in every mode
+
+
+class ExchangeLog(ScriptedOracle):
+    """The oracle, keeping every (prompt, reply) in order."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.exchanges = []
+
+    def complete(self, prompt):
+        reply = super().complete(prompt)
+        self.exchanges.append((prompt, reply))
+        return reply
+
+
+def _runs_with_exchanges(sdt, suite, mode):
+    out = {}
+    for row in suite["tasks"]:
+        oracle = ExchangeLog(OracleConfig(**row.get("oracle_faults", {})))
+        report = run_task(row["task"], scene_for_row(row, sdt), sdt, oracle, RunConfig(mode))
+        report.wall_time_s = 0.0
+        out[row["id"]] = (report.to_json(), state_hash(report.final_state), oracle.exchanges)
+    return out
+
+
+@pytest.mark.parametrize("mode", ["plan", "resolve", "replan"])
+def test_affordance_narrowing_only_drops_choices_the_oracle_answered_alike(
+    sdt, suite, mode, monkeypatch
+):
+    """Listing every candidate anyway changes no run: with the gates admitting
+    everything, the same reports come back, and the exchanges are the narrowed
+    run's with choice queries added: row 3's and row 5's put into a drawer."""
+    narrowed = _runs_with_exchanges(sdt, suite, mode)
+    monkeypatch.setattr(interp_mod, "condition_fn", lambda sdt, obj, action: True)
+    full = _runs_with_exchanges(sdt, suite, mode)
+    dropped = []
+    for task_id, (report, final_hash, exchanges) in full.items():
+        assert (report, final_hash) == narrowed[task_id][:2], task_id
+        kept = iter(narrowed[task_id][2])
+        pending = next(kept, None)
+        for exchange in exchanges:
+            if exchange == pending:
+                pending = next(kept, None)
+            else:
+                dropped.append((task_id, exchange[0]))
+        assert pending is None, task_id  # the narrowed run's exchanges, in order
+    assert [task_id for task_id, _ in dropped] == [3, 5]
+    for _, prompt in dropped:
+        step_lines = prompts.sections(prompt)[prompts.SEC_STEP].splitlines()
+        assert prompt.startswith(prompts.CHOICE_HEADER)
+        assert step_lines == ["Grounding: ['PutObject', 'Knife', 'Drawer']", "Resolve: Drawer"]
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +564,7 @@ def test_resolved_targets_always_candidates(sdt, suite):
         for triplet in triplets[:3]:
             if postcondition_satisfied(state, triplet):
                 continue
-            concrete = resolve(triplet, state, row["task"], history, backend)
+            concrete = resolve(triplet, state, row["task"], history, sdt, backend)
             ref = triplet.arg2 if triplet.action is ActionName.PUT and triplet.arg2 else triplet.arg1
             assert concrete.target in candidate_instances(state, ref, triplet.action)
             state, outcome = step(state, concrete, sdt)

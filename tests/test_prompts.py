@@ -64,9 +64,9 @@ class RecordingOracle(ScriptedOracle):
 TRAFFIC = {
     1: (4, "2e104d0cf1713b5c53aff7ce136a034d830f96f6b84d77b1be60abe5d381f3c0"),
     2: (3, "4a25e8c5a9abf8e1b5e88fa52143ebf9c1a3a38cd413f526964f3b1ce3329073"),
-    3: (5, "a96eb5e7a7560a30450250013de2d90bcb3ee421486a6a91915032c272e9a06c"),
+    3: (4, "5c4c5647c84fc1530555acbb5d9caa2b75e0e04541dff35a300d72b6ef7e043c"),
     4: (4, "8d8461c44d76d2c391b56381f22402745f0ffd8e4ca608661e1328f1ee6fcbac"),
-    5: (3, "7cf29b9188a390d23836e552421af6cb41b3f44a21207fdd8a4cf9f94d3c2ab3"),
+    5: (2, "3b47b2ed208df551ff2fb2a47972dc9ed343b92fc5627335b9cbff8ae93f7917"),
     6: (5, "e7d0fdae4e5f5e18e4d097443594f9b569bad331eb530a10a4e1ff5db8010b7a"),
     7: (3, "9d28c1a4195b8e029e3c38fd32a2edc8e400d219f00e1aaff8066785c90a49ff"),
     8: (4, "75f653df4e5f7edf0b2e727afb95f25f695bf1945569d5b811e3d4438d802742"),
@@ -84,9 +84,9 @@ TRAFFIC = {
 REPLIES = {
     1: (4, "60cc4f81e4ae513485b111a8731846e9dfa0a4038dc8fd57849d52ced4840e30"),
     2: (3, "a81478df27275b9d8164c98413f166011fb71921cac909ecf842050c93e85154"),
-    3: (5, "e5cc16abbcf936d4f61447206136b00c9bfef16cdd90c30562cd4a45ad75c4d6"),
+    3: (4, "aa86ef66cb4901d39dd20e34128366bab04062574fca9ade1849c762bfd1d163"),
     4: (4, "a595142a53ef1a4273123d41b5061c23f42f6812b1f5c97a5497e71b03659af2"),
-    5: (3, "b35c412643a253606c5d1bcfa020fbe70b61cb790a627e0c1f839d4ba1143932"),
+    5: (2, "e57cededf5e9a7438a55e026f5e82c22fd52904552c88d0dc911dcfd24f3e1db"),
     6: (5, "6b3183ce77351c38dfc8823a73926491d6a9bcbb8db3afc2e172e58aade89798"),
     7: (3, "f2f6269ccfb8eac80a42457c0d89d2544c62ebd8122d46a7fcfcb379f729da73"),
     8: (4, "6105d22b711484a7fcfc14b6adb5bf7358547686056b765963a34ee6ac5f79b2"),
@@ -183,7 +183,7 @@ def test_choice_prompt_lists_each_candidate_receptacles_contents(sdt, suite):
     free = add_statues(state, 50, seed=6)
     oracle = PromptLog()
     resolve(
-        ActionTriplet(ActionName.PUT, "Knife", "Drawer"), state, row["task"], [], oracle,
+        ActionTriplet(ActionName.PUT, "Knife", "Drawer"), state, row["task"], [], sdt, oracle,
     )
     (choice,) = oracle.prompts
     secs = prompts.sections(choice)
@@ -205,9 +205,9 @@ def test_choice_prompt_lists_each_candidate_receptacles_contents(sdt, suite):
 
 #: Mode -> (choice prompts, sha256 over them in order) across the 14 table-1 rows.
 CHOICE_PROMPTS = {
-    "plan": (7, "470d873dae5113e54c18533c23edd59f4f9b18887507de61cbd08f46955a341c"),
-    "resolve": (13, "5befebe45602796af058d79f85a554b6f2c1f5b12fe486edd37cedb96fbda060"),
-    "replan": (13, "5befebe45602796af058d79f85a554b6f2c1f5b12fe486edd37cedb96fbda060"),
+    "plan": (5, "ad688b15aa54288f40cb88e471198d748508266cb91d83c47e8a7cb5296d5b00"),
+    "resolve": (11, "0f0780522c9abe0266b9ec60b081c2a913a26652d45ae976411190eeecf42e44"),
+    "replan": (11, "0f0780522c9abe0266b9ec60b081c2a913a26652d45ae976411190eeecf42e44"),
 }
 
 
