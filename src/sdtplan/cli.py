@@ -128,6 +128,13 @@ def _http_config(args) -> Optional[HttpConfig]:
     )
 
 
+def _backend_for(http: Optional[HttpConfig], faults: dict):
+    """One task's backend: ``HttpBackend`` over ``http``, or the oracle with ``faults``."""
+    if http is None:
+        return ScriptedOracle(OracleConfig(**faults))
+    return HttpBackend(http)
+
+
 def _sdt_file(args) -> str:
     """The knowledge base file ``args`` names, as an absolute path."""
     return str(Path(args.sdt or default_sdt_path()).resolve())
@@ -230,10 +237,7 @@ def cli_run(args) -> int:
 
     def worker(row: dict) -> tuple[dict, dict, TaskReport]:
         header, scene = trace_header(row, args, suite_dir, list(args.inject or []), sdt, sdt_file)
-        if http is None:
-            backend = ScriptedOracle(OracleConfig(**header["oracle_faults"]))
-        else:
-            backend = HttpBackend(http)
+        backend = _backend_for(http, header["oracle_faults"])
         return row, header, run_task(row["task"], scene, sdt, backend, config, task_id=row.get("id"))
 
     try:
