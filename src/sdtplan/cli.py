@@ -221,34 +221,33 @@ def cli_run(args) -> int:
         http = _http_config(args)
         if args.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {args.jobs}")
+        rows = suite["tasks"]
+        if args.task is not None:
+            rows = [r for r in rows if str(r.get("id")) == str(args.task)]
+            if not rows:
+                raise ValueError(f"no task with id {args.task}")
+        # every row's start state, before any task runs and pays for backend calls
+        sdt_file = _sdt_file(args)
+        starts = [
+            (row, *trace_header(row, args, suite_path.parent, list(args.inject or []), sdt, sdt_file))
+            for row in rows
+        ]
     except (OSError, ValueError, SdtPlanError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    rows = suite["tasks"]
-    if args.task is not None:
-        rows = [r for r in rows if str(r.get("id")) == str(args.task)]
-        if not rows:
-            print(f"config error: no task with id {args.task}", file=sys.stderr)
-            return 2
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    suite_dir = suite_path.parent
-    sdt_file = _sdt_file(args)
 
-    def worker(row: dict) -> tuple[dict, dict, TaskReport]:
-        header, scene = trace_header(row, args, suite_dir, list(args.inject or []), sdt, sdt_file)
+    def worker(start: tuple[dict, dict, WorldState]) -> tuple[dict, dict, TaskReport]:
+        row, header, scene = start
         backend = _backend_for(http, header["oracle_faults"])
         return row, header, run_task(row["task"], scene, sdt, backend, config, task_id=row.get("id"))
 
-    try:
-        if args.jobs > 1 and len(rows) > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(worker, rows))
-        else:
-            results = [worker(row) for row in rows]
-    except (OSError, ValueError, SdtPlanError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    if args.jobs > 1 and len(rows) > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(worker, starts))
+    else:
+        results = [worker(start) for start in starts]
 
     def row_key(result):
         row_id = result[0].get("id")

@@ -195,8 +195,8 @@ def resolve(
 
     Raises NoCandidate when the reference has no instance; the caller surfaces
     that to the failure resolver as a visibility failure. The candidates
-    narrow to those ``condition_fn`` admits (a type the knowledge base lacks
-    is not admitted); when it admits none they all stay, so the step fails
+    narrow to those ``condition_fn`` admits, which is none of a type the
+    knowledge base lacks; when it admits none they all stay, so the step fails
     with the simulator's refusal. The gates that read the state (visibility,
     the hand, room) are left to ``step``. One candidate, or interchangeable
     ones, ground to the nearest with no backend call. A backend choice
@@ -209,10 +209,7 @@ def resolve(
     ids = candidate_instances(state, ref, triplet.action)
     if not ids:
         raise NoCandidate(ref)
-    ids = [
-        i for i in ids
-        if state.objects[i].type_name in sdt and condition_fn(sdt, state.objects[i], triplet.action)
-    ] or ids
+    ids = [i for i in ids if condition_fn(sdt, state.objects[i], triplet.action)] or ids
     if len(ids) == 1 or _interchangeable(state, ids):
         return ConcreteAction(name=triplet.action, target=ids[0])
 

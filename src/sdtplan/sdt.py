@@ -204,11 +204,13 @@ class SDT:
         except KeyError:
             raise UnknownType(f"type not in knowledge base: {type_name!r}") from None
 
-    def get(self, type_name: str) -> Optional[ObjectTypeEntry]:
-        return self._entries.get(type_name)
-
-    def affordances(self, type_name: str) -> frozenset[AffordanceTag]:
-        return self.entry(type_name).affordances
+    def get(self, type_name: str) -> ObjectTypeEntry:
+        """The entry of ``type_name``; a type the knowledge base lacks gets an
+        entry with no affordances and no rules, so it affords nothing."""
+        entry = self._entries.get(type_name)
+        if entry is None:
+            return ObjectTypeEntry(type_name, frozenset(), "", ())
+        return entry
 
     def type_names(self) -> list[str]:
         return sorted(self._entries)

@@ -5,7 +5,8 @@ embed the spawn type and position, boolean state flags and containment
 links. Transitions are pure: ``step`` returns a fresh state on success and
 the untouched input state on error. Interaction rules from the knowledge
 base fire after each successful transition (instant consequences, no
-timed processes).
+timed processes). A type the knowledge base lacks affords nothing:
+``SDT.get`` gives it an empty entry and ``condition_fn`` admits no action on it.
 
 Transitions are copy-on-write. ``WorldState.clone`` copies the id-to-record
 map and shares the ``ObjectInstance`` records with its source; a transition
@@ -26,9 +27,10 @@ type, by parent receptacle and by floor-plan cell of side ``NEARBY_RADIUS``.
 A state's ``objects`` is an ``ObjectMap``, which remembers every id assigned
 or deleted through it: ``own``, slicing, ``fill``, or a direct assignment or
 ``del``. Every other id still holds the scene's record, which the index
-describes. ``WorldState.of_types``, ``contents_of`` and ``near`` read the
-index's ids plus the written ids and test each record's current fields, so
-a query costs what the task touches, not the size of the scene. A state
+describes. ``WorldState.of_types``, ``contents_of`` and ``near`` share one
+scan: the index's unwritten ids, then the written ids, each record tested on
+its current fields, so a query costs what the task touches, not the size of
+the scene. A state
 built in code has no scene and every id written. The index rests on one
 rule: records are written only through ``own`` or by assigning into
 ``state.objects``. Editing a shared record's type, position or parent in
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import math
 import re
 from collections import defaultdict
@@ -61,8 +62,6 @@ from .sdt import (
     StatePredicate,
     TEMPERATURES,
 )
-
-log = logging.getLogger(__name__)
 
 # Verbatim simulator error strings; recovery prompts must carry these bit-exact.
 MSG_NOT_VISIBLE = "Target object not found within the specified visibility..."
@@ -295,66 +294,48 @@ class WorldState:
     def distance_to(self, obj: ObjectInstance) -> float:
         return math.dist(self.agent_position, obj.position)
 
-    # Each query reads the scene index's unwritten ids, then every written id,
-    # and tests the record each id holds now.
-
-    def of_types(self, types: Collection[str]) -> list[ObjectInstance]:
-        """Records whose type is in ``types``, in no particular order."""
+    def _scan(
+        self, index: str, keys: Iterable, test: Callable[[ObjectInstance], bool]
+    ) -> list[ObjectInstance]:
+        """Records that pass ``test``: first those of the unwritten ids that the
+        scene's ``index`` (``by_type``, ``by_parent`` or ``by_cell``) lists
+        under ``keys``, then those of the written ids."""
         objects = self.objects
         written = objects.written
         found = []
         if self.scene is not None:
-            by_type = self.scene.by_type
-            for type_name in types:
-                for i in by_type.get(type_name, ()):
-                    if i not in written and (obj := objects[i]).type_name in types:
+            ids = getattr(self.scene, index)
+            for key in keys:
+                for i in ids.get(key, ()):
+                    if i not in written and test(obj := objects[i]):
                         found.append(obj)
         for i in written:
             obj = objects.get(i)
-            if obj is not None and obj.type_name in types:
+            if obj is not None and test(obj):
                 found.append(obj)
         return found
 
+    def of_types(self, types: Collection[str]) -> list[ObjectInstance]:
+        """Records whose type is in ``types``, in no particular order."""
+        return self._scan("by_type", types, lambda o: o.type_name in types)
+
     def contents_of(self, receptacle_id: str) -> list[ObjectInstance]:
         """Records directly inside ``receptacle_id``, id-sorted."""
-        objects = self.objects
-        written = objects.written
-        found = []
-        if self.scene is not None:
-            for i in self.scene.by_parent.get(receptacle_id, ()):
-                if i not in written and (obj := objects[i]).parent_receptacle == receptacle_id:
-                    found.append(obj)
-        for i in written:
-            obj = objects.get(i)
-            if obj is not None and obj.parent_receptacle == receptacle_id:
-                found.append(obj)
+        found = self._scan(
+            "by_parent", (receptacle_id,), lambda o: o.parent_receptacle == receptacle_id
+        )
         found.sort(key=lambda o: o.object_id)
         return found
 
     def near(self, obj: ObjectInstance) -> list[ObjectInstance]:
         """Other records within NEARBY_RADIUS of ``obj``, in no particular order."""
-        objects = self.objects
-        written = objects.written
         object_id, position = obj.object_id, obj.position
-        found = []
-        if self.scene is not None:
-            by_cell = self.scene.by_cell
-            cx, cz = _cell(position)
-            for dx, dz in _NEIGHBOUR_CELLS:
-                for i in by_cell.get((cx + dx, cz + dz), ()):
-                    if i not in written and i != object_id:
-                        other = objects[i]
-                        if math.dist(other.position, position) <= NEARBY_RADIUS:
-                            found.append(other)
-        for i in written:
-            other = objects.get(i)
-            if (
-                other is not None
-                and i != object_id
-                and math.dist(other.position, position) <= NEARBY_RADIUS
-            ):
-                found.append(other)
-        return found
+        cx, cz = _cell(position)
+        return self._scan(
+            "by_cell",
+            [(cx + dx, cz + dz) for dx, dz in _NEIGHBOUR_CELLS],
+            lambda o: o.object_id != object_id and math.dist(o.position, position) <= NEARBY_RADIUS,
+        )
 
 
 def _record_json(o: ObjectInstance) -> dict:
@@ -509,8 +490,7 @@ def validate_state(state: WorldState, sdt: SDT) -> None:
         parent = objects.get(parent_id)
         if parent is None:
             raise ValidationError(f"{obj.object_id}: dangling container {parent_id!r}")
-        entry = sdt.get(parent.type_name)
-        if entry is None or not entry.has(AffordanceTag.RECEPTACLE):
+        if not _afforded(sdt, parent, AffordanceTag.RECEPTACLE):
             raise ValidationError(
                 f"{obj.object_id}: container {parent_id!r} is not a receptacle type"
             )
@@ -597,8 +577,7 @@ def load_scene(path: str | Path, sdt: SDT) -> WorldState:
             raise ValidationError(f"duplicate object id {inst.object_id!r}")
         objects[inst.object_id] = inst
         if inst.type_name not in opens:
-            entry = sdt.get(inst.type_name)
-            tags = entry.affordances if entry is not None else ()
+            tags = sdt.get(inst.type_name).affordances
             opens[inst.type_name] = AffordanceTag.RECEPTACLE in tags and AffordanceTag.OPENABLE not in tags
         if opens[inst.type_name]:
             inst.flags["isOpen"] = True
@@ -614,8 +593,7 @@ def load_scene(path: str | Path, sdt: SDT) -> WorldState:
 
 
 def is_closed_openable(sdt: SDT, obj: ObjectInstance) -> bool:
-    entry = sdt.get(obj.type_name)
-    return entry is not None and entry.has(AffordanceTag.OPENABLE) and not obj.flag("isOpen")
+    return _afforded(sdt, obj, AffordanceTag.OPENABLE) and not obj.flag("isOpen")
 
 
 def container_chain_open(
@@ -715,10 +693,7 @@ def _fire_rules(state: WorldState, sdt: SDT, action: ActionName, target: ObjectI
     seen = set(owner_ids)
     owner_ids.extend(o.object_id for o in _nearby(state, target) if o.object_id not in seen)
     for owner_id in owner_ids:
-        entry = sdt.get(state.objects[owner_id].type_name)
-        if entry is None:
-            continue
-        for rule in entry.rules:
+        for rule in sdt.get(state.objects[owner_id].type_name).rules:
             if rule.trigger_action is not action:
                 continue
             if owner_id != target.object_id and not rule.reactive:
@@ -734,8 +709,7 @@ def _fire_rules(state: WorldState, sdt: SDT, action: ActionName, target: ObjectI
 
 
 def _afforded(sdt: SDT, obj: ObjectInstance, tag: AffordanceTag) -> bool:
-    entry = sdt.get(obj.type_name)
-    return entry is not None and entry.has(tag)
+    return sdt.get(obj.type_name).has(tag)
 
 
 class Gate(NamedTuple):
@@ -749,8 +723,7 @@ class Gate(NamedTuple):
 
 
 def _slicing_tool_held(state: WorldState, sdt: SDT, obj: ObjectInstance) -> bool:
-    entry = sdt.get(state.objects[state.held_object].type_name)
-    return entry is not None and entry.is_slicing_tool
+    return sdt.get(state.objects[state.held_object].type_name).is_slicing_tool
 
 
 def _afforded_gate(action: ActionName) -> Gate:
@@ -801,16 +774,18 @@ _MESSAGES = {
 def condition_fn(sdt: SDT, obj: ObjectInstance, action: ActionName) -> bool:
     """Boolean action-validity condition over one scene object.
 
-    True iff every object-local gate of the action passes: the type's
-    affordance and the object's own state. The other gates (visibility, the
-    hand, room) are the simulator's concern. Raises UnknownType for a type
-    the knowledge base lacks; a pose action is never admitted. It builds the
-    resolver's pair map (``filter_actions``) and narrows grounding's
-    candidates (``interpreter.resolve``).
+    True iff the knowledge base knows the object's type and every
+    object-local gate of the action passes: the type's affordance and the
+    object's own state. The other gates (visibility, the hand, room) are the
+    simulator's concern. A type the knowledge base lacks admits nothing, not
+    even ``GotoObject``, whose gate list is empty; a pose action is never
+    admitted. It builds the resolver's pair map (``filter_actions``) and
+    narrows grounding's candidates (``interpreter.resolve``).
     """
-    sdt.entry(obj.type_name)
     gates = ACTION_GATES.get(action)
-    return gates is not None and all(g.test(None, sdt, obj) for g in gates if g.local)
+    if gates is None or obj.type_name not in sdt:
+        return False
+    return all(g.test(None, sdt, obj) for g in gates if g.local)
 
 
 def filter_actions(
@@ -818,16 +793,11 @@ def filter_actions(
     objects: Iterable[ObjectInstance],
     actions: Iterable[ActionName],
 ) -> set[tuple[ActionName, str]]:
-    """All (action, object id) pairs the condition function admits.
-
-    Objects of unknown type contribute no pairs and are logged, not raised.
-    """
+    """All (action, object id) pairs the condition function admits; an object
+    of a type the knowledge base lacks contributes none."""
     action_list = list(actions)
     pairs: set[tuple[ActionName, str]] = set()
     for obj in objects:
-        if obj.type_name not in sdt:
-            log.warning("skipping object of unknown type: %s", obj.object_id)
-            continue
         for action in action_list:
             if condition_fn(sdt, obj, action):
                 pairs.add((action, obj.object_id))

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from sdtplan import cli
 from sdtplan.cli import default_suite_path, main
 from sdtplan.errors import ParseError
 from sdtplan.world import load_scene
@@ -166,6 +167,29 @@ def test_malformed_suite_row_is_config_error(tmp_path, capsys, row, message):
     suite.write_text(json.dumps({"name": "bad", "tasks": [_ROW, row]}))
     assert run_cli("run", "--suite", str(suite), "--out", str(tmp_path / "out")) == 2
     assert capsys.readouterr().err.startswith(f"config error: suite row 1: {message}")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"inject": ["hide:Apple"]}, "hide needs target and receptacle"),
+        ({"scene": "scenes/no_such_scene.json"}, "scene file not found"),
+        ({"inject": ["dirty:Unicorn"]}, "perturbation target not in scene"),
+    ],
+)
+def test_bad_start_state_in_a_later_row_runs_no_task(tmp_path, capsys, monkeypatch, jobs, edit, message):
+    # every row's start state is built before any task runs, so a bad row 2 is refused
+    # before row 1 makes a backend call, which --backend http pays for
+    calls = []
+    monkeypatch.setattr(cli, "run_task", lambda *args, **kwargs: calls.append(args))
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"name": "bad", "tasks": [_ROW, dict(_ROW, id=2, **edit)]}))
+    code = run_cli("run", "--suite", str(suite), "--jobs", jobs, "--out", str(tmp_path / "out"))
+    assert (code, calls) == (2, [])
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_empty_task_fails_planning_and_writes_its_trace(tmp_path, capsys):

@@ -220,8 +220,9 @@ def test_choice_prompt_lists_only_the_admitted_candidates(sdt, suite):
 
 
 def test_candidates_of_an_unknown_type_are_a_choice_not_an_error(sdt, suite):
-    # the action filter raises UnknownType for them; grounding must not, or the run
-    # would end in ExecutionFailed
+    # the condition function admits none of them, not even GotoObject, so none
+    # is narrowed away: all stay candidates and the backend chooses, and the
+    # run does not end in ExecutionFailed
     state = scene_for_row(suite_row(suite, 5), sdt)
     assert "Gizmo" not in sdt
     gizmos = []

@@ -88,8 +88,7 @@ def _counterfactual_views(state, sdt):
     opened = state.clone()
     changed = False
     for obj in opened.objects.values():
-        entry = sdt.get(obj.type_name)
-        if entry is not None and entry.has(AffordanceTag.OPENABLE) and not obj.flag("isOpen"):
+        if sdt.get(obj.type_name).has(AffordanceTag.OPENABLE) and not obj.flag("isOpen"):
             opened.own(obj.object_id).flags["isOpen"] = True
             changed = True
     if changed:
@@ -566,4 +565,4 @@ def test_executed_recovery_actions_are_affordance_valid(sdt, suite):
                     if tag is None or concrete.target is None:
                         continue
                     type_name = type_of_id(concrete.target)
-                    assert tag in sdt.affordances(type_name), (concrete.render(), tag)
+                    assert tag in sdt.get(type_name).affordances, (concrete.render(), tag)

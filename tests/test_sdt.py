@@ -15,7 +15,15 @@ from sdtplan.sdt import (
     parse_sdt_data,
     render_type_text,
 )
-from sdtplan.world import ObjectInstance, condition_fn, filter_actions
+from sdtplan.world import (
+    ConcreteAction,
+    ObjectInstance,
+    WorldState,
+    condition_fn,
+    filter_actions,
+    step,
+    validate_state,
+)
 
 ALL_ACTIONS = list(ActionName)
 
@@ -34,7 +42,7 @@ def desc(type_name, flags=None, **kw):
 
 
 def test_load_bottle_entry_affordances(sdt):
-    assert sdt.affordances("Bottle") == frozenset(
+    assert sdt.get("Bottle").affordances == frozenset(
         {AffordanceTag.PICKUPABLE, AffordanceTag.FILLABLE, AffordanceTag.BREAKABLE}
     )
 
@@ -188,7 +196,7 @@ def test_condition_matches_reference_for_every_type_action_and_flag_value(sdt):
                 elif tag is None:
                     expected = False
                 else:
-                    expected = tag in sdt.affordances(type_name) and (
+                    expected = tag in sdt.get(type_name).affordances and (
                         flag is None or value == afforded_at
                     )
                 got = condition_fn(sdt, desc(type_name, flags), action)
@@ -205,13 +213,28 @@ def test_condition_closed_fridge_close_is_false(sdt):
 
 def test_condition_knife_toggle_is_false(sdt):
     # brute confirmation: no toggle-permitting affordance on the type
-    assert AffordanceTag.TOGGLEABLE not in sdt.affordances("Knife")
+    assert AffordanceTag.TOGGLEABLE not in sdt.get("Knife").affordances
     assert condition_fn(sdt, desc("Knife"), ActionName.TOGGLE_ON) is False
 
 
-def test_condition_unknown_type(sdt):
-    with pytest.raises(UnknownType):
-        condition_fn(sdt, desc("Unicorn"), ActionName.PICKUP)
+def test_unknown_type_affords_nothing(sdt):
+    # a type the knowledge base lacks gets an empty entry: no action is
+    # admitted on it, the simulator refuses it as not afforded, and it holds
+    # nothing
+    assert "Unicorn" not in sdt
+    unicorn = desc("Unicorn", capacity=1)
+    assert not any(condition_fn(sdt, unicorn, action) for action in ActionName)
+    entry = sdt.get("Unicorn")
+    assert entry.affordances == frozenset() and entry.rules == ()
+    with pytest.raises(UnknownType):  # the planner looks up known types only
+        sdt.entry("Unicorn")
+    state = WorldState(objects={unicorn.object_id: unicorn}, agent_position=(0.5, 0.9, 0.0))
+    after, outcome = step(state, ConcreteAction(ActionName.PICKUP, unicorn.object_id), sdt)
+    assert after is state and outcome.error_code == "NotAfforded"
+    apple = desc("Apple", parent_receptacle=unicorn.object_id)
+    state.objects[apple.object_id] = apple
+    with pytest.raises(ValidationError, match="container 'Unicorn.*' is not a receptacle type"):
+        validate_state(state, sdt)
 
 
 def test_filter_empty_domain(sdt):
@@ -281,7 +304,7 @@ def test_condition_never_true_without_affordance(sdt):
     for obj in _random_descriptions(rng, sdt, 60):
         for action, tag in required.items():
             if condition_fn(sdt, obj, action):
-                assert tag in sdt.affordances(obj.type_name)
+                assert tag in sdt.get(obj.type_name).affordances
 
 
 def test_render_bottle_text(sdt):
