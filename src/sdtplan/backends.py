@@ -330,8 +330,6 @@ class ScriptedOracle:
                 flags.append("isCooked")
             if toks & lexicon.HOT_TEMP_TOKENS:
                 temp = "Hot"
-            if not flags and temp is None:
-                flags = ["isCooked"]
         elif cat == "cool":
             temp = "Cold"
         return GoalClause(

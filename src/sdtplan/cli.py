@@ -320,16 +320,12 @@ def _check_trace(trace: object) -> None:
         _require(isinstance(entry, dict), where, "an object")
         for key in ("triplet", "phase"):
             _require(isinstance(entry.get(key), str), f"{where}.{key}", "a string")
-        concrete, outcome = entry.get("concrete"), entry.get("outcome")
+        concrete = entry.get("concrete")
         _require(isinstance(concrete, (str, type(None))), f"{where}.concrete", "a string or null")
         _require(isinstance(entry.get("skipped"), bool), f"{where}.skipped", "a boolean")
         _require(
-            outcome is None or _is_record(outcome, {"status", "message"}),
-            f"{where}.outcome", "null or an object with status and message",
-        )
-        _require(
-            outcome is not None or entry["skipped"] or not concrete,
-            f"{where}.outcome", "recorded for an executed step",
+            _is_record(entry.get("outcome"), {"status", "message"}),
+            f"{where}.outcome", "an object with status and message",
         )
         _require(isinstance(entry.get("attempts"), list), f"{where}.attempts", "a list")
         for index, attempt in enumerate(entry["attempts"]):
@@ -363,16 +359,16 @@ def render_trace(trace: dict) -> str:
     lines.append("")
     for step_no, entry in enumerate(trace["history"], start=1):
         phase = f" ({entry['phase']})" if entry["phase"] != "plan" else ""
-        outcome = entry["outcome"] or {}
+        outcome = entry["outcome"]
         if entry["skipped"]:
             lines.append(f"Step {step_no}{phase}: {entry['triplet']} -> skipped (already satisfied)")
             continue
         shown = entry["concrete"] or entry["triplet"]
-        if outcome.get("status") == "Success":
+        if outcome["status"] == "Success":
             lines.append(f"Step {step_no}{phase}: {entry['triplet']} -> Success {shown}")
         else:
             lines.append(
-                f"Step {step_no}{phase}: {entry['triplet']} -> Error: \"{outcome.get('message', '')}\""
+                f"Step {step_no}{phase}: {entry['triplet']} -> Error: \"{outcome['message']}\""
             )
         for attempt in entry.get("attempts", []):
             rendered = "[" + ",".join(attempt["proposed"]) + "]"
@@ -439,7 +435,7 @@ def replay(trace: dict) -> tuple[WorldState, Optional[str]]:
 def _row_from(trace: dict, state: WorldState) -> dict:
     """Report row from the trace's history and the goal check on ``state``."""
     history = trace["history"]
-    failures = sum(1 for e in history if (e["outcome"] or {}).get("status") == "Error" and not e["skipped"])
+    failures = sum(1 for e in history if e["outcome"]["status"] == "Error" and not e["skipped"])
     success = bool(trace.get("goal")) and goal_satisfied(state, parse_goal(trace["goal"]))[0]
     return {
         "No. Failure": failures,

@@ -62,10 +62,12 @@ class RecoveryAttempt:
 
 @dataclass
 class HistoryEntry:
+    """One step of a run and its outcome; a skipped step's is a success, "already satisfied"."""
+
     triplet: ActionTriplet
+    outcome: ActionOutcome
     phase: str = "plan"
     concrete: Optional[ConcreteAction] = None
-    outcome: Optional[ActionOutcome] = None
     skipped: bool = False
     attempts: list[RecoveryAttempt] = field(default_factory=list)
 
@@ -74,9 +76,7 @@ class HistoryEntry:
             "triplet": self.triplet.render(),
             "phase": self.phase,
             "concrete": self.concrete.render() if self.concrete else None,
-            "outcome": None
-            if self.outcome is None
-            else {
+            "outcome": {
                 "status": self.outcome.status,
                 "error_code": self.outcome.error_code,
                 "message": self.outcome.message,
@@ -262,10 +262,7 @@ def postcondition_satisfied(state: WorldState, triplet: ActionTriplet) -> bool:
             return parent is not None and _matches_ref(parent, triplet.arg2, include_sliced=False)
 
         return _any_instance(state, ref, True, placed)
-    gate = FLAG_ACTIONS.get(action)
-    if gate is None:
-        return False
-    _, flag, value = gate
+    _, flag, value = FLAG_ACTIONS[action]
     if _any_instance(state, ref, False, lambda o: o.flag(flag) == value):
         return True
     return action is ActionName.SLICE and _any_instance(state, f"{ref}Sliced", False, lambda o: True)

@@ -52,10 +52,11 @@ SYNONYMS: tuple[tuple[str, str], ...] = (
 
 SLICE_TOKENS = frozenset({"slice", "sliced", "slices", "cut", "piece", "pieces"})
 CLEAN_TOKENS = frozenset({"clean", "cleaned", "rinse", "rinsed", "wash", "washed", "wet"})
-HEAT_TOKENS = frozenset({"cook", "cooked", "cooking", "heat", "heated", "warm", "warmed", "hot"})
-COOL_TOKENS = frozenset({"cool", "cooled", "chill", "chilled", "cold"})
 COOK_FLAG_TOKENS = frozenset({"cook", "cooked", "cooking"})
 HOT_TEMP_TOKENS = frozenset({"warm", "warmed", "hot", "heat", "heated"})
+#: A heat task names a cooked flag, a hot temperature or both.
+HEAT_TOKENS = COOK_FLAG_TOKENS | HOT_TEMP_TOKENS
+COOL_TOKENS = frozenset({"cool", "cooled", "chill", "chilled", "cold"})
 WET_TOKENS = frozenset({"wet"})
 
 _PREP_RE = re.compile(r"\b(?:on|in|into|inside|under|onto|to)\b")

@@ -100,14 +100,11 @@ def shown_objects(
 
 
 def filter_relevant_objects(
-    state: WorldState,
-    sdt: SDT,
-    relevant: AbstractSet[str],
-    extras: AbstractSet[str] = frozenset(),
+    state: WorldState, sdt: SDT, relevant: AbstractSet[str]
 ) -> list[ObjectInstance]:
     """Visible objects a prompt shows (see ``shown_objects``), id-sorted."""
     return sorted(
-        (obj for obj in shown_objects(state, sdt, relevant, extras) if is_visible(state, obj)),
+        (obj for obj in shown_objects(state, sdt, relevant) if is_visible(state, obj)),
         key=lambda o: o.object_id,
     )
 

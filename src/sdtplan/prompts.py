@@ -113,9 +113,7 @@ def render_history_lines(entries) -> list[str]:
             out.append(f"- {entry.triplet.render()} -> Skipped (already satisfied)")
             continue
         shown = entry.concrete.render() if entry.concrete is not None else entry.triplet.render()
-        if entry.outcome is None:
-            out.append(f"- {shown} -> (not executed)")
-        elif entry.outcome.ok:
+        if entry.outcome.ok:
             out.append(f"- {shown} -> Success")
         else:
             out.append(f'- {shown} -> Error: "{entry.outcome.message}"')

@@ -55,15 +55,15 @@ def replan(
     task: str,
     history: list[HistoryEntry],
     state: WorldState,
-    goal: GoalCondition,
+    unmet: list[str],
     sdt: SDT,
     relevant: AbstractSet[str],
     backend: LLMBackend,
 ) -> list[ActionTriplet]:
-    """Ask the backend for corrective triplets for the remaining goal clauses."""
-    ok, unmet = goal_satisfied(state, goal)
-    if ok:
-        raise ValueError("replan called although the goal is already satisfied")
+    """Ask the backend for corrective triplets for the ``unmet`` goal clauses,
+    as ``goal_satisfied`` renders them for ``state``."""
+    if not unmet:
+        raise ValueError("replan called with no unmet goal clause")
     prompt = build_replan_prompt(task, history, state, sdt, relevant, unmet)
     return ask(backend, prompt, parse_triplets, _RETRY_REMINDER)
 
@@ -105,7 +105,7 @@ class TaskReport:
 
     @property
     def failures(self) -> int:
-        return sum(1 for e in self.history if e.outcome and not e.outcome.ok and not e.skipped)
+        return sum(1 for e in self.history if not e.outcome.ok and not e.skipped)
 
     @property
     def resolver_iterations(self) -> int:
@@ -192,7 +192,7 @@ def run_task(
                 break
             try:
                 triplets = replan(
-                    task, report.history, state, report.goal, sdt, relevant, backend
+                    task, report.history, state, report.unmet_final, sdt, relevant, backend
                 )
             except SdtPlanError as exc:
                 report.status = f"ReplanFailed: {exc}"

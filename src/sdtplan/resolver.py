@@ -121,7 +121,7 @@ def build_action_pairs(
     ordered = sorted(
         pairs,
         key=lambda p: (
-            round(state.distance_to(state.objects[p[1]]), 4) if p[1] in state.objects else 1e9,
+            round(state.distance_to(state.objects[p[1]]), 4),
             p[1],
             p[0].value,
         ),

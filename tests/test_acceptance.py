@@ -91,7 +91,7 @@ def test_criterion_2a_wine_bottle_golden_trace(sdt, suite):
         ["CloseObject", "Fridge", 0],
         ["PutObject", "WineBottle", "DiningTable"],
     ]
-    failed = [e for e in report.history if e.outcome and not e.outcome.ok and not e.skipped]
+    failed = [e for e in report.history if not e.outcome.ok and not e.skipped]
     ok = ok and len(failed) == 1
     # byte-exact error string
     ok = ok and failed[0].outcome.message == "Target object not found within the specified visibility..."
@@ -106,7 +106,7 @@ def test_criterion_2a_wine_bottle_golden_trace(sdt, suite):
 
 def test_criterion_2b_knife_drawer_golden_trace(sdt, suite):
     report = run_row(suite_row(suite, 3), sdt)
-    failed = [e for e in report.history if e.outcome and not e.outcome.ok and not e.skipped]
+    failed = [e for e in report.history if not e.outcome.ok and not e.skipped]
     ok = len(failed) == 1
     ok = ok and failed[0].outcome.message == "No valid positions to place object found."
     failed_target = failed[0].concrete.target

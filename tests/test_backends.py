@@ -311,7 +311,8 @@ class _StubServer(ThreadingHTTPServer):
 def stub_server():
     _StubHandler.behavior = dict(_STUB_DEFAULTS)
     server = _StubServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll, so shutdown() returns within 10 ms rather than the default 0.5 s
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions", _StubHandler.behavior
     server.shutdown()

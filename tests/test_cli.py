@@ -62,6 +62,15 @@ def test_inject_without_task_is_config_error(tmp_path):
     assert run_cli("run", "--inject", "dirty:Mug", "--out", str(tmp_path)) == 2
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [("dirty", "dirty needs exactly one target"), ("melt:Mug", "unknown perturbation kind")],
+)
+def test_malformed_inject_spec_is_config_error(tmp_path, capsys, spec, message):
+    assert run_cli("run", "--task", "10", "--inject", spec, "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
 _GOOD_AGENT = {"position": [0, 0.9, 0]}
 _MUG = {"type": "Mug", "position": [0.5, 0.94, 0.2]}
 
@@ -192,6 +201,15 @@ def test_bad_start_state_in_a_later_row_runs_no_task(tmp_path, capsys, monkeypat
     assert not (tmp_path / "out").exists()
 
 
+def test_wrong_expected_pin_is_a_regression(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    row = dict(_ROW, expected={"failures": 3, "success": True})
+    suite.write_text(json.dumps({"name": "wrong pin", "tasks": [row]}))
+    assert run_cli("run", "--suite", str(suite), "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err == "regression: task 1: failures: expected 3, got 0\n"
+
+
 def test_empty_task_fails_planning_and_writes_its_trace(tmp_path, capsys):
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps({"name": "empty task", "tasks": [dict(_ROW, task="")]}))
@@ -301,7 +319,7 @@ def test_jobs_overlap_http_waits(tmp_path, capsys, jobs, overlaps):
     suite.write_text(json.dumps({"name": "four", "tasks": rows}))
     _SlowStub.in_flight = _SlowStub.max_in_flight = 0
     server = ThreadingHTTPServer(("127.0.0.1", 0), _SlowStub)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()
     try:
         code = run_cli(
             "run", "--suite", str(suite), "--backend", "http", "--jobs", str(jobs),
@@ -328,6 +346,16 @@ def test_trace_renders_wine_story(tmp_path, capsys):
     assert "Target object not found within the specified visibility..." in out
     assert "Failure Resolver suggested solution actions are:" in out
     assert "(Crouch,Fridge" in out and "(PickupObject,WineBottle" in out
+
+
+def test_trace_shows_each_replanner_iteration(tmp_path, capsys):
+    run_cli("run", "--task", "2", "--out", str(tmp_path))  # row 2 replans twice
+    capsys.readouterr()
+    assert run_cli("trace", str(tmp_path / "trace_task2.json")) == 0
+    out = capsys.readouterr().out
+    assert "Replanner iteration 1 added: [" in out
+    assert "Replanner iteration 2 added: [" in out
+    assert "Replanner iteration 3" not in out
 
 
 def test_trace_of_clean_task_has_no_recovery_sections(tmp_path, capsys):
@@ -446,9 +474,12 @@ def test_trace_replaces_final_state_with_the_run_input(tmp_path, capsys):
         ("verify", lambda d: d.update(history=["x"]), "history[0] must be an object"),
         ("trace", lambda d: d.pop("task"), "'task' must be a string"),
         ("verify", lambda d: d.update(inject="dirty:Mug"), "'inject' must be a list of strings"),
+        # history[1] is a skipped step: every entry records its outcome, a skipped one too
+        ("verify", lambda d: d["history"][1].update(outcome=None),
+         "history[1].outcome must be an object with status and message"),
     ],
     ids=["history-int", "report-list", "scene-int", "history-entry-string", "no-task",
-         "inject-string"],
+         "inject-string", "skipped-outcome-null"],
 )
 def test_malformed_trace_is_trace_error(tmp_path, capsys, command, edit, message):
     trace_file, data = _task9_trace(tmp_path, capsys)

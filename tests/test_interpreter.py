@@ -24,6 +24,7 @@ from sdtplan.resolver import resolve_failure
 from sdtplan.sdt import ActionName
 from sdtplan.triplets import ActionTriplet, parse_triplets
 from sdtplan.world import (
+    ActionOutcome,
     ConcreteAction,
     ObjectInstance,
     apply_perturbations,
@@ -426,6 +427,25 @@ def test_execute_empty_plan(sdt, suite):
     assert final is state
 
 
+def test_pose_triplets_ground_with_no_target(sdt, suite):
+    row = suite_row(suite, 9)
+    reply = (
+        "Action-Triplets:[['Crouch', 'Fridge', 0], ['Crouch', 'Fridge', 0], ['Stand', 'Fridge', 0]]\n"
+        "GOAL:{type=Fridge; flags=-; temp=-; in=-}"
+    )
+    backend = ScriptedBackend([reply])
+    state = scene_for_row(row, sdt, injected=False)
+    report = run_task(row["task"], state, sdt, backend, RunConfig(mode="plan"))
+    assert report.status == "Completed" and report.success
+    assert backend.calls == 1  # the plan; a pose grounds with no choice query
+    assert [(e.concrete, e.skipped, e.outcome) for e in report.history] == [
+        (ConcreteAction(ActionName.CROUCH, None), False, ActionOutcome.success()),
+        (None, True, ActionOutcome.success("already satisfied")),  # already crouched
+        (ConcreteAction(ActionName.STAND, None), False, ActionOutcome.success()),
+    ]
+    assert not report.final_state.agent_crouched
+
+
 def test_execute_wine_plan_with_recovery(sdt, suite):
     row = suite_row(suite, 9)
     state = scene_for_row(row, sdt)
@@ -440,7 +460,7 @@ def test_execute_wine_plan_with_recovery(sdt, suite):
     recover = partial(resolve_failure, sdt=sdt, relevant=relevant, backend=backend)
     final, history, status = execute_plan(plan, state, row["task"], sdt, backend, recover)
     assert status == "Completed"
-    failed = [e for e in history if e.outcome and not e.outcome.ok and not e.skipped]
+    failed = [e for e in history if not e.outcome.ok and not e.skipped]
     assert len(failed) == 1
     resolving = failed[0].attempts[-1]
     assert resolving.resolved

@@ -111,8 +111,9 @@ def test_replan_suggests_knife_and_slice_for_missing_sliced_witness(sdt, suite):
     state = scene_for_row(row, sdt)
     backend = ScriptedOracle()
     goal = parse_goal("GOAL:{type=PotatoSliced; flags=isCooked; temp=-; in=Sink}")
+    unmet = goal_satisfied(state, goal)[1]
     additions = replan(
-        row["task"], [], state, goal, sdt, relevant_types(row["task"], sdt), backend
+        row["task"], [], state, unmet, sdt, relevant_types(row["task"], sdt), backend
     )
     actions = [t.action for t in additions[:2]]
     assert actions == [ActionName.PICKUP, ActionName.SLICE]
@@ -140,7 +141,8 @@ def test_replan_moves_slice_to_goal_receptacle(sdt, suite):
         if obj.type_name == "AppleSliced":
             state.own(obj.object_id).temperature = "Cold"
     goal = parse_goal("GOAL:{type=AppleSliced; flags=-; temp=Cold; in=DiningTable}")
-    additions = replan(row["task"], history, state, goal, sdt, relevant, backend)
+    unmet = goal_satisfied(state, goal)[1]
+    additions = replan(row["task"], history, state, unmet, sdt, relevant, backend)
     assert [t.action for t in additions] == [ActionName.PICKUP, ActionName.PUT]
     assert "AppleSliced" in additions[0].arg1
     assert additions[1].arg2.startswith("DiningTable|")
@@ -149,31 +151,34 @@ def test_replan_moves_slice_to_goal_receptacle(sdt, suite):
 def test_replan_rejects_satisfied_goal(sdt, suite, all_types):
     state = scene_for_row(suite_row(suite, 10), sdt)
     goal = parse_goal("GOAL:{type=Mug; flags=-; temp=-; in=CounterTop}")
-    assert goal_satisfied(state, goal)[0]
-    with pytest.raises(ValueError):
-        replan("task", [], state, goal, sdt, all_types, ScriptedOracle())
+    ok, unmet = goal_satisfied(state, goal)
+    assert ok and unmet == []
+    with pytest.raises(ValueError, match="no unmet goal clause"):
+        replan("task", [], state, unmet, sdt, all_types, ScriptedOracle())
 
 
 def _unmet_potato_goal(sdt, suite):
+    """Row 2's start state and the clauses of a sliced-potato goal it leaves unmet."""
     state = scene_for_row(suite_row(suite, 2), sdt)
     goal = parse_goal("GOAL:{type=PotatoSliced; flags=isCooked; temp=-; in=Sink}")
-    assert not goal_satisfied(state, goal)[0]
-    return state, goal
+    ok, unmet = goal_satisfied(state, goal)
+    assert not ok
+    return state, unmet
 
 
 def test_replan_retry_recovers_on_second_reply(sdt, suite, all_types):
-    state, goal = _unmet_potato_goal(sdt, suite)
+    state, unmet = _unmet_potato_goal(sdt, suite)
     backend = ScriptedBackend(["gibberish", "Action-Triplets:[['PickupObject', 'Potato', 0]]"])
-    additions = replan("task", [], state, goal, sdt, all_types, backend)
+    additions = replan("task", [], state, unmet, sdt, all_types, backend)
     assert additions == [ActionTriplet(ActionName.PICKUP, "Potato")]
     assert backend.calls == 2
 
 
 def test_replan_retries_then_fails_on_garbage(sdt, suite, all_types):
-    state, goal = _unmet_potato_goal(sdt, suite)
+    state, unmet = _unmet_potato_goal(sdt, suite)
     backend = ScriptedBackend(["gibberish", "more gibberish"])
     with pytest.raises(PlanParseError):
-        replan("task", [], state, goal, sdt, all_types, backend)
+        replan("task", [], state, unmet, sdt, all_types, backend)
     assert backend.calls == 2
 
 
@@ -185,6 +190,30 @@ def test_run_task_row2_two_replans(sdt, suite):
     assert report.replanner_invocations == 2
     # replanner work is re-verified against the goal oracle
     assert goal_satisfied(report.final_state, report.goal)[0]
+
+
+class _GarbageReplans(ScriptedOracle):
+    """The scripted oracle, except that every replan reply is garbage."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.replan_calls = 0
+
+    def complete(self, prompt: str) -> str:
+        if prompt.startswith(prompts.REPLAN_HEADER):
+            self.replan_calls += 1
+            return "gibberish"
+        return super().complete(prompt)
+
+
+def test_run_task_ends_replan_failed_when_both_replan_replies_are_garbage(sdt, suite):
+    row = suite_row(suite, 2)  # its plan completes with the goal unmet, so it replans
+    backend = _GarbageReplans(OracleConfig(**row["oracle_faults"]))
+    report = run_task(row["task"], scene_for_row(row, sdt), sdt, backend, RunConfig(), task_id=2)
+    assert report.status.startswith("ReplanFailed: unparseable reply after retry")
+    assert not report.success and report.unmet_final
+    assert report.replan_additions == []
+    assert backend.replan_calls == 2  # the replan query and its one retry
 
 
 def test_run_task_row10_clean_run(sdt, suite):
@@ -303,7 +332,8 @@ def test_wash_replan_template_cleans_dirty_goal_object(sdt, suite):
     knife = next(o for o in state.objects.values() if o.type_name == "Knife")
     goal = parse_goal("GOAL:{type=Knife; flags=!isDirty; temp=-; in=Drawer}")
     relevant = relevant_types(row["task"], sdt)
-    additions = replan(row["task"], [], state, goal, sdt, relevant, backend)
+    unmet = goal_satisfied(state, goal)[1]
+    additions = replan(row["task"], [], state, unmet, sdt, relevant, backend)
     actions = [t.action for t in additions]
     assert ActionName.TOGGLE_ON in actions and ActionName.TOGGLE_OFF in actions
     state, history, status = execute_plan(

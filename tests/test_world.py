@@ -963,7 +963,7 @@ def _index_queries(state, sdt, rng_seed):
     for relevant in _INDEX_RELEVANT:
         out[f"shown {sorted(relevant)}"] = [
             filter_relevant_objects(state, sdt, relevant),
-            filter_relevant_objects(state, sdt, relevant, {some[0]}),
+            sorted(planner.shown_objects(state, sdt, relevant, {some[0]}), key=lambda o: o.object_id),
             build_action_pairs(state, sdt, relevant),
             build_action_pairs(state, sdt, relevant, focus=some[1]),
         ]
