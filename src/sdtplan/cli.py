@@ -209,11 +209,13 @@ def check_expected(report: TaskReport, expected: dict) -> list[str]:
         "replans": report.replanner_invocations,
         "success": report.success,
     }
-    return [f"{k}: expected {v}, got {got.get(k)}" for k, v in expected.items() if got.get(k) != v]
+    return [f"{k}: expected {v}, got {got[k]}" for k, v in expected.items() if got[k] != v]
 
 
 def cli_run(args) -> int:
     try:
+        if args.inject and args.task is None:
+            raise ValueError("--inject requires --task")
         sdt = load_sdt(args.sdt or default_sdt_path())
         suite_path = Path(args.suite) if args.suite else default_suite_path()
         suite = load_suite(suite_path)
@@ -223,7 +225,7 @@ def cli_run(args) -> int:
             raise ValueError(f"jobs must be at least 1, got {args.jobs}")
         rows = suite["tasks"]
         if args.task is not None:
-            rows = [r for r in rows if str(r.get("id")) == str(args.task)]
+            rows = [r for r in rows if str(r["id"]) == str(args.task)]
             if not rows:
                 raise ValueError(f"no task with id {args.task}")
         # every row's start state, before any task runs and pays for backend calls
@@ -241,7 +243,7 @@ def cli_run(args) -> int:
     def worker(start: tuple[dict, dict, WorldState]) -> tuple[dict, dict, TaskReport]:
         row, header, scene = start
         backend = _backend_for(http, header["oracle_faults"])
-        return row, header, run_task(row["task"], scene, sdt, backend, config, task_id=row.get("id"))
+        return row, header, run_task(row["task"], scene, sdt, backend, config, task_id=row["id"])
 
     if args.jobs > 1 and len(rows) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -250,7 +252,7 @@ def cli_run(args) -> int:
         results = [worker(start) for start in starts]
 
     def row_key(result):
-        row_id = result[0].get("id")
+        row_id = result[0]["id"]
         return (0, int(row_id)) if str(row_id).isdigit() else (1, str(row_id))
 
     results.sort(key=row_key)
@@ -261,7 +263,7 @@ def cli_run(args) -> int:
         _write_trace(report, header, out_dir)
         if row.get("expected") and not args.no_regression_check:
             for note in check_expected(report, row["expected"]):
-                regression_notes.append(f"task {row.get('id')}: {note}")
+                regression_notes.append(f"task {row['id']}: {note}")
 
     text = render_report(reports, args.report)
     print(text)
@@ -282,17 +284,6 @@ def cli_run(args) -> int:
 # Trace rendering and verification
 
 
-def _check_schema(schema: object) -> None:
-    """Raise ValueError unless ``schema`` is the layout ``replay`` reads."""
-    if schema == 2:
-        raise ValueError(
-            "unsupported trace schema 2: its final_state_hash covers the whole scene; "
-            "re-record the trace with `sdtplan run`"
-        )
-    if schema != TRACE_SCHEMA:
-        raise ValueError(f"unsupported trace schema {schema!r}")
-
-
 def _require(ok: bool, field: str, shape: str) -> None:
     if not ok:
         raise ValueError(f"{field} must be {shape}")
@@ -303,13 +294,21 @@ def _is_record(value: object, keys: set[str]) -> bool:
 
 
 def _check_trace(trace: object) -> None:
-    """Raise ValueError unless ``trace`` has the shape that ``render_trace``,
-    ``replay`` and ``_row_from`` read, naming the first field that is wrong."""
+    """Raise ValueError unless ``trace`` has the shape that every reader of a
+    trace reads, naming the first field that is wrong; each reader runs it first."""
     _require(isinstance(trace, dict), "a trace file", "a JSON object")
-    _check_schema(trace.get("schema"))
-    for key in ("task", "plan", "scene", "sdt", "scene_sha256", "start_state_hash"):
+    schema = trace.get("schema")
+    if schema == 2:
+        raise ValueError(
+            "unsupported trace schema 2: its final_state_hash covers the whole scene; "
+            "re-record the trace with `sdtplan run`"
+        )
+    if schema != TRACE_SCHEMA:
+        raise ValueError(f"unsupported trace schema {schema!r}")
+    for key in ("task", "plan", "scene", "sdt", "scene_sha256", "start_state_hash", "final_state_hash"):
         _require(isinstance(trace.get(key), str), f"'{key}'", "a string")
-    _require(isinstance(trace.get("goal"), (str, type(None))), "'goal'", "a string or null")
+    null_or_string = (str, type(None))  # .get(key, 0) reads a missing key as 0: neither
+    _require(isinstance(trace.get("goal", 0), null_or_string), "'goal'", "a string or null")
     for key in ("inject", "replan_additions"):
         _require(_is_strings(trace.get(key)), f"'{key}'", "a list of strings")
     columns = set(REPORT_COLUMNS[2:])  # the counted columns, which verify re-derives
@@ -320,8 +319,8 @@ def _check_trace(trace: object) -> None:
         _require(isinstance(entry, dict), where, "an object")
         for key in ("triplet", "phase"):
             _require(isinstance(entry.get(key), str), f"{where}.{key}", "a string")
-        concrete = entry.get("concrete")
-        _require(isinstance(concrete, (str, type(None))), f"{where}.concrete", "a string or null")
+        concrete = entry.get("concrete", 0)
+        _require(isinstance(concrete, null_or_string), f"{where}.concrete", "a string or null")
         _require(isinstance(entry.get("skipped"), bool), f"{where}.skipped", "a boolean")
         _require(
             _is_record(entry.get("outcome"), {"status", "message"}),
@@ -352,9 +351,9 @@ def _load_trace(path: str) -> dict:
 def render_trace(trace: dict) -> str:
     lines = [f"Task: {trace['task']}"]
     lines.append(f"Action-Triplets:{trace['plan']}")
-    if trace.get("goal"):
+    if trace["goal"]:
         lines.append(trace["goal"])
-    if trace.get("inject"):
+    if trace["inject"]:
         lines.append("Injected: " + ", ".join(trace["inject"]))
     lines.append("")
     for step_no, entry in enumerate(trace["history"], start=1):
@@ -370,11 +369,11 @@ def render_trace(trace: dict) -> str:
             lines.append(
                 f"Step {step_no}{phase}: {entry['triplet']} -> Error: \"{outcome['message']}\""
             )
-        for attempt in entry.get("attempts", []):
+        for attempt in entry["attempts"]:
             rendered = "[" + ",".join(attempt["proposed"]) + "]"
             lines.append(f"  Failure Resolver suggested solution actions are: {rendered}")
             lines.append(f"    => {attempt['feedback']}")
-    for i, additions in enumerate(trace.get("replan_additions", []), start=1):
+    for i, additions in enumerate(trace["replan_additions"], start=1):
         lines.append(f"Replanner iteration {i} added: {additions}")
     row = trace["report"]
     lines += ["", (
@@ -388,7 +387,7 @@ def render_trace(trace: dict) -> str:
 def cli_trace(args) -> int:
     try:
         trace = _load_trace(args.trace_file)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return 2
     print(render_trace(trace))
@@ -412,7 +411,6 @@ def replay(trace: dict) -> tuple[WorldState, Optional[str]]:
     stops, or None. It checks, in order: the scene file's sha256, the start
     state's hash, then each step's outcome (status and message).
     """
-    _check_schema(trace.get("schema"))
     sdt = load_sdt(trace["sdt"])
     state = load_scene(trace["scene"], sdt)
     if state.scene.sha256 != trace["scene_sha256"]:
@@ -436,17 +434,18 @@ def _row_from(trace: dict, state: WorldState) -> dict:
     """Report row from the trace's history and the goal check on ``state``."""
     history = trace["history"]
     failures = sum(1 for e in history if e["outcome"]["status"] == "Error" and not e["skipped"])
-    success = bool(trace.get("goal")) and goal_satisfied(state, parse_goal(trace["goal"]))[0]
+    success = bool(trace["goal"]) and goal_satisfied(state, parse_goal(trace["goal"]))[0]
     return {
         "No. Failure": failures,
-        "Iteration Per Failure": sum(len(e.get("attempts", [])) for e in history),
-        "Replanner Iteration": len(trace.get("replan_additions", [])),
+        "Iteration Per Failure": sum(len(e["attempts"]) for e in history),
+        "Replanner Iteration": len(trace["replan_additions"]),
         "Success": "Yes" if success else "No",
     }
 
 
 def recompute_row(trace: dict) -> dict:
-    """Report row re-derived by replaying the trace (see ``replay``)."""
+    """Report row re-derived by replaying the trace (see ``replay``), once it passes ``_check_trace``."""
+    _check_trace(trace)
     return _row_from(trace, replay(trace)[0])
 
 
@@ -458,12 +457,12 @@ def cli_verify(args) -> int:
     except (OSError, KeyError, ValueError, SdtPlanError) as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return 2
-    stored, stored_hash = trace["report"], trace.get("final_state_hash")
+    stored, stored_hash = trace["report"], trace["final_state_hash"]
     replayed_hash = state_json_hash(state_to_json(state))
     mismatches = [divergence] if divergence else []
     mismatches += [
-        f"{key}: stored {stored.get(key)!r}, recomputed {value!r}"
-        for key, value in recomputed.items() if stored.get(key) != value
+        f"{key}: stored {stored[key]!r}, recomputed {value!r}"
+        for key, value in recomputed.items() if stored[key] != value
     ]
     if stored_hash != replayed_hash:
         mismatches.append(f"final_state_hash: stored {stored_hash!r}, replayed {replayed_hash!r}")
@@ -524,11 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "inject", None) and args.command == "run" and args.task is None:
-        print("config error: --inject requires --task", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -15,10 +15,6 @@ class ValidationError(SdtPlanError):
     """Parsed data violates a structural invariant."""
 
 
-class UnknownType(SdtPlanError):
-    """An object type is absent from the loaded knowledge base."""
-
-
 class GrammarError(SdtPlanError):
     """Model output does not match the reply grammar; a reformat retry may help."""
 

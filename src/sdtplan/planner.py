@@ -37,7 +37,7 @@ _RETRY_REMINDER = (
 def _types_with_treatment_effect(sdt: SDT, field_name: str, to: object) -> set[str]:
     out = set()
     for type_name in sdt.type_names():
-        for rule in sdt.entry(type_name).rules:
+        for rule in sdt.get(type_name).rules:
             for eff in rule.effects:
                 if eff.scope == "self":
                     continue
@@ -64,7 +64,7 @@ def relevant_types(task: str, sdt: SDT) -> set[str]:
     while True:
         implied: set[str] = set()
         for type_name in kept:
-            entry = sdt.entry(type_name)
+            entry = sdt.get(type_name)
             if entry.has(AffordanceTag.SLICEABLE):
                 implied |= tools
             if entry.has(AffordanceTag.COOKABLE) or entry.has(AffordanceTag.HEATABLE):
@@ -174,7 +174,7 @@ def build_plan_prompt(
             "[Action, Object1, Object2-or-0] executed in order.",
             "Allowed actions: " + ", ".join(a.value for a in ActionName) + ".",
         ]),
-        (prompts.SEC_KNOWLEDGE, [render_type_text(sdt.entry(t)) for t in block_types]),
+        (prompts.SEC_KNOWLEDGE, [render_type_text(sdt.get(t)) for t in block_types]),
         (prompts.SEC_OBJECTS, prompts.state_lines(state, objects)),
         (prompts.SEC_EXAMPLES, [worked] if examples else None),
         (prompts.SEC_TASK, [task]),

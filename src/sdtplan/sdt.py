@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .errors import ParseError, UnknownType, ValidationError
+from .errors import ParseError, ValidationError
 
 
 class ActionName(str, Enum):
@@ -197,12 +197,6 @@ class SDT:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def entry(self, type_name: str) -> ObjectTypeEntry:
-        try:
-            return self._entries[type_name]
-        except KeyError:
-            raise UnknownType(f"type not in knowledge base: {type_name!r}") from None
 
     def get(self, type_name: str) -> ObjectTypeEntry:
         """The entry of ``type_name``; a type the knowledge base lacks gets an

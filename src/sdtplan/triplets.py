@@ -50,8 +50,14 @@ class ActionTriplet:
 # Triplet parsing
 
 
-def _scan_nested_list(text: str, start: int) -> Optional[tuple[list, int]]:
-    """Parse a bracketed list of strings/lists starting at ``start``; None if broken."""
+#: A plan nests 2 deep, and a 3rd level lets ``_to_triplet`` name a list in a
+#: triplet. A deeper ``[`` breaks the scan, which then restarts at the next
+#: ``[``; so no reply costs more recursion or rescanning than that.
+_MAX_LIST_DEPTH = 3
+
+
+def _scan_nested_list(text: str, start: int, depth: int = 1) -> Optional[tuple[list, int]]:
+    """Parse a bracketed list of strings/lists starting at ``start``; None if broken or too deep."""
     assert text[start] == "["
     items: list = []
     buf: list[str] = []
@@ -73,7 +79,9 @@ def _scan_nested_list(text: str, start: int) -> Optional[tuple[list, int]]:
     while i < n:
         ch = text[i]
         if ch == "[":
-            inner = _scan_nested_list(text, i)
+            if depth == _MAX_LIST_DEPTH:
+                return None
+            inner = _scan_nested_list(text, i, depth + 1)
             if inner is None:
                 return None
             items.append(inner[0])

@@ -119,7 +119,7 @@ def random_state(rng: random.Random, sdt: SDT, max_objects: int = 10) -> WorldSt
         object_id = format_object_id(type_name, pos)
         if object_id in objects:
             continue
-        entry = sdt.entry(type_name)
+        entry = sdt.get(type_name)
         flags = {k: False for k in FLAG_NAMES}
         for k in FLAG_NAMES:
             if rng.random() < 0.2:
@@ -138,7 +138,7 @@ def random_state(rng: random.Random, sdt: SDT, max_objects: int = 10) -> WorldSt
         )
     instances = list(objects.values())
     receptacles = [
-        o for o in instances if sdt.entry(o.type_name).has(AffordanceTag.RECEPTACLE)
+        o for o in instances if sdt.get(o.type_name).has(AffordanceTag.RECEPTACLE)
     ]
     for obj in instances:
         if receptacles and obj not in receptacles and rng.random() < 0.3:

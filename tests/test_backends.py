@@ -277,8 +277,8 @@ class _StubHandler(BaseHTTPRequestHandler):
         cls.behavior["requests"] += 1
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length) or b"{}")
-        if cls.behavior["delay"]:
-            time.sleep(cls.behavior["delay"])
+        if cls.behavior["delay"] and self.server.stopping.wait(cls.behavior["delay"]):
+            return  # the fixture is shutting down: end the delay early, with no reply
         if cls.behavior["failures_left"] > 0:
             cls.behavior["failures_left"] -= 1
             self.send_response(cls.behavior["status"])
@@ -306,6 +306,11 @@ class _StubServer(ThreadingHTTPServer):
     # into a later test's captured stderr
     daemon_threads = False
 
+    def __init__(self, *args):
+        super().__init__(*args)
+        #: set by the fixture before shutdown(), so server_close() does not wait out a delay
+        self.stopping = threading.Event()
+
 
 @pytest.fixture()
 def stub_server():
@@ -315,6 +320,7 @@ def stub_server():
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions", _StubHandler.behavior
+    server.stopping.set()
     server.shutdown()
     server.server_close()
 

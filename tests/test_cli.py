@@ -58,8 +58,9 @@ def test_run_unknown_task_id_is_config_error(tmp_path):
     assert run_cli("run", "--task", "99", "--out", str(tmp_path)) == 2
 
 
-def test_inject_without_task_is_config_error(tmp_path):
+def test_inject_without_task_is_config_error(tmp_path, capsys):
     assert run_cli("run", "--inject", "dirty:Mug", "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == "config error: --inject requires --task\n"
 
 
 @pytest.mark.parametrize(
@@ -477,9 +478,13 @@ def test_trace_replaces_final_state_with_the_run_input(tmp_path, capsys):
         # history[1] is a skipped step: every entry records its outcome, a skipped one too
         ("verify", lambda d: d["history"][1].update(outcome=None),
          "history[1].outcome must be an object with status and message"),
+        ("verify", lambda d: d.pop("final_state_hash"), "'final_state_hash' must be a string"),
+        ("verify", lambda d: d.pop("goal"), "'goal' must be a string or null"),
+        ("trace", lambda d: d["history"][0].pop("concrete"),
+         "history[0].concrete must be a string or null"),
     ],
     ids=["history-int", "report-list", "scene-int", "history-entry-string", "no-task",
-         "inject-string", "skipped-outcome-null"],
+         "inject-string", "skipped-outcome-null", "no-final-state-hash", "no-goal", "no-concrete"],
 )
 def test_malformed_trace_is_trace_error(tmp_path, capsys, command, edit, message):
     trace_file, data = _task9_trace(tmp_path, capsys)
@@ -487,6 +492,13 @@ def test_malformed_trace_is_trace_error(tmp_path, capsys, command, edit, message
     trace_file.write_text(json.dumps(data))
     assert run_cli(command, str(trace_file)) == 2
     assert capsys.readouterr().err.startswith(f"trace error: {message}")
+
+
+def test_recompute_row_checks_the_trace_first(tmp_path, capsys):
+    _, data = _task9_trace(tmp_path, capsys)
+    data["history"] = 5
+    with pytest.raises(ValueError, match="^'history' must be a list$"):
+        cli.recompute_row(data)
 
 
 def test_verify_rejects_schema_1_trace(tmp_path, capsys):

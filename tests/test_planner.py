@@ -47,7 +47,7 @@ def test_filter_unmentioned_scene_keeps_receptacles_only(sdt, suite):
     from sdtplan.sdt import AffordanceTag
 
     assert kept
-    assert all(sdt.entry(d.type_name).has(AffordanceTag.RECEPTACLE) for d in kept)
+    assert all(sdt.get(d.type_name).has(AffordanceTag.RECEPTACLE) for d in kept)
 
 
 def test_relevant_types_closed_under_implication(sdt):
@@ -77,7 +77,7 @@ def test_prompt_contains_each_rule_sentence_once(sdt, suite):
         prompt = build_plan_prompt(row["task"], state, sdt, relevant, load_examples())
         block_types = relevant | {o.type_name for o in objects}
         for type_name in block_types:
-            for rule in sdt.entry(type_name).rules:
+            for rule in sdt.get(type_name).rules:
                 assert prompt.count(rule.text) == 1, (type_name, rule.text)
 
 

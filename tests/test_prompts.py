@@ -335,7 +335,7 @@ def test_knowledge_section_gives_each_type_one_line(sdt, suite, monkeypatch, cas
         assert all(re.match(r"^- \S+ \[[A-Za-z, ]*\]", line) for line in lines), lines
         assert [line.split()[1] for line in lines] == types
         assert ScriptedOracle._openable_types(knowledge) == {
-            t for t in types if sdt.entry(t).has(AffordanceTag.OPENABLE)
+            t for t in types if sdt.get(t).has(AffordanceTag.OPENABLE)
         }
 
 

@@ -216,6 +216,15 @@ def test_run_task_ends_replan_failed_when_both_replan_replies_are_garbage(sdt, s
     assert backend.replan_calls == 2  # the replan query and its one retry
 
 
+def test_run_task_ends_planning_failed_on_deeply_nested_reply(sdt, suite):
+    row = suite_row(suite, 10)
+    backend = ScriptedBackend(["[" * 1500])  # deeper than Python's default recursion limit
+    report = run_task(row["task"], scene_for_row(row, sdt), sdt, backend, RunConfig(), task_id=10)
+    assert report.status.startswith("PlanningFailed: ")
+    assert not report.success
+    assert backend.calls == 2  # the plan query and its one retry
+
+
 def test_run_task_row10_clean_run(sdt, suite):
     report = run_row(suite_row(suite, 10), sdt)
     assert (report.failures, report.resolver_iterations, report.replanner_invocations) == (0, 0, 0)

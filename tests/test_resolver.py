@@ -113,7 +113,7 @@ def reference_pairs(state, sdt, relevant, focus=None):
                 continue
             if not (
                 desc.type_name in relevant
-                or sdt.entry(desc.type_name).has(AffordanceTag.RECEPTACLE)
+                or sdt.get(desc.type_name).has(AffordanceTag.RECEPTACLE)
                 or desc.object_id == focus
             ):
                 continue
@@ -135,7 +135,7 @@ def nested_random_state(rng, sdt):
     """Random scene with receptacles nested in closed openables and an unknown type."""
     state = random_state(rng, sdt, max_objects=10)
     objects = list(state.objects.values())
-    openables = [o for o in objects if sdt.entry(o.type_name).has(AffordanceTag.OPENABLE)]
+    openables = [o for o in objects if sdt.get(o.type_name).has(AffordanceTag.OPENABLE)]
     # nest only into receptacles later in the list, so no containment cycle forms
     for i, obj in enumerate(objects):
         later = [o for o in openables if objects.index(o) > i]

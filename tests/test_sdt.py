@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from sdtplan.errors import UnknownType, ValidationError
+from sdtplan.errors import ValidationError
 from sdtplan.sdt import (
     FLAG_NAMES,
     ActionName,
@@ -226,8 +226,6 @@ def test_unknown_type_affords_nothing(sdt):
     assert not any(condition_fn(sdt, unicorn, action) for action in ActionName)
     entry = sdt.get("Unicorn")
     assert entry.affordances == frozenset() and entry.rules == ()
-    with pytest.raises(UnknownType):  # the planner looks up known types only
-        sdt.entry("Unicorn")
     state = WorldState(objects={unicorn.object_id: unicorn}, agent_position=(0.5, 0.9, 0.0))
     after, outcome = step(state, ConcreteAction(ActionName.PICKUP, unicorn.object_id), sdt)
     assert after is state and outcome.error_code == "NotAfforded"
@@ -308,25 +306,25 @@ def test_condition_never_true_without_affordance(sdt):
 
 
 def test_render_bottle_text(sdt):
-    text = render_type_text(sdt.entry("Bottle"))
+    text = render_type_text(sdt.get("Bottle"))
     for word in ("Pickupable", "Fillable", "Breakable"):
         assert word in text
     assert "Will fill up with water if placed under a running water source." in text
 
 
 def test_render_no_rules_section_when_ruleless(sdt):
-    text = render_type_text(sdt.entry("Sink"))
+    text = render_type_text(sdt.get("Sink"))
     assert "Rules:" not in text
     assert text.startswith("- Sink [Receptacle] ")
 
 
 def test_render_is_one_line_per_type(sdt):
-    assert render_type_text(sdt.entry("Fridge")) == (
+    assert render_type_text(sdt.get("Fridge")) == (
         "- Fridge [Openable, Receptacle] A refrigerator with a single door compartment. "
         "Rules: Chills its contents: anything inside becomes cold once the door closes."
     )
 
 
 def test_render_deterministic(sdt):
-    entry = sdt.entry("Microwave")
+    entry = sdt.get("Microwave")
     assert render_type_text(entry) == render_type_text(entry)

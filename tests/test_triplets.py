@@ -64,6 +64,13 @@ def test_parse_no_plan():
         parse_triplets("no plan here")
 
 
+def test_parse_rejects_deep_brackets_without_recursing():
+    # the scan from each '[' gives up past 3 levels: no RecursionError, and
+    # no rescan that grows with the nesting
+    with pytest.raises(NoTripletsFound):
+        parse_triplets("[" * 100_000)
+
+
 def test_parse_bad_action():
     with pytest.raises(BadAction) as exc:
         parse_triplets("[['FlyObject','Broom',0]]")

@@ -787,7 +787,7 @@ def test_state_hash_is_relative_to_the_scene(tmp_path, sdt, suite):
 def _with_slicing_tool_in_hand(state, sdt):
     """Copy of ``state`` whose agent holds a slicing tool (any previous load is set down)."""
     held = state.objects.get(state.held_object or "")
-    if held is not None and sdt.entry(held.type_name).is_slicing_tool:
+    if held is not None and sdt.get(held.type_name).is_slicing_tool:
         return state
     new = state.clone()
     tool_type = sdt.slicing_tool_types()[0]
@@ -906,7 +906,7 @@ def _scan_shown_objects(state, sdt, relevant, extras=frozenset()):
         o for o in state.objects.values()
         if o.object_id in extras
         or (o.type_name in sdt
-            and (o.type_name in relevant or sdt.entry(o.type_name).has(AffordanceTag.RECEPTACLE)))
+            and (o.type_name in relevant or sdt.get(o.type_name).has(AffordanceTag.RECEPTACLE)))
     ]
 
 
@@ -1023,7 +1023,7 @@ def _index_op(rng, state, sdt, kind):
     ids = sorted(objects)
     authored = [i for i in ids if not i.startswith("Statue|")]
     pick = lambda pool: rng.choice(pool if pool and rng.random() < 0.9 else ids)  # noqa: E731
-    typed = lambda tag: [i for i in authored if sdt.entry(objects[i].type_name).has(tag)]  # noqa: E731
+    typed = lambda tag: [i for i in authored if sdt.get(objects[i].type_name).has(tag)]  # noqa: E731
     if kind in ("goto", "pickup", "put", "open", "close", "slice", "pose"):
         if kind == "pose":
             action = act(rng.choice((ActionName.CROUCH, ActionName.STAND)))
