@@ -2,9 +2,11 @@
 
 Grounding first keeps the candidates the SDT admits for the action: those
 that pass every object-local gate of ``world.ACTION_GATES`` (the affordance
-and the object's own flags). It is local (zero backend calls) when that
-leaves one candidate or interchangeable ones, and otherwise asks the
-backend with a context query over the admitted candidates.
+and the object's own flags). It is local (zero backend calls) in three
+cases: that leaves one candidate; the candidates are interchangeable; or
+the plan's goal settles the choice, one candidate meeting more of its goal
+clause than any other. Otherwise it asks the backend with a context query
+over the admitted candidates.
 Every triplet's postcondition is checked before execution, so a step whose
 outcome already holds (typically because a recovery sequence produced it)
 is skipped rather than re-run.
@@ -20,7 +22,7 @@ from . import prompts
 from .backends import LLMBackend, ask
 from .errors import GrammarError, NoCandidate, PlanParseError, SdtPlanError
 from .sdt import FLAG_ACTIONS, SDT, ActionName
-from .triplets import ActionTriplet
+from .triplets import ActionTriplet, GoalCondition, clause_conjuncts
 from .world import (
     ActionOutcome,
     ConcreteAction,
@@ -183,6 +185,32 @@ def _interchangeable(state: WorldState, ids: list[str]) -> bool:
     )
 
 
+def _goal_best(state: WorldState, goal: Optional[GoalCondition], ids: list[str]) -> Optional[str]:
+    """The one candidate that meets the most of its goal clause's treatment
+    conjuncts (flags and temperature), then the most conjuncts in all, the
+    receptacle included; None when the goal does not single one out.
+
+    Nothing is ranked when a candidate's type is not the type of exactly one
+    goal clause: a type the goal does not name (a receptacle, the unsliced
+    type a slicing step names) says nothing, and with two clauses of a type
+    the step may serve either.
+    """
+    if goal is None:
+        return None
+    scores = []
+    for object_id in ids:
+        obj = state.objects[object_id]
+        clauses = [c for c in goal.clauses if c.object_type == obj.type_name]
+        if len(clauses) != 1:
+            return None
+        met = [need for need, ok in clause_conjuncts(state, clauses[0], obj) if ok]
+        treated = sum(not need.startswith("in:") for need in met)
+        scores.append(((treated, len(met)), object_id))
+    scores.sort(reverse=True)
+    (best, object_id), (runner_up, _) = scores[:2]
+    return object_id if best > runner_up else None
+
+
 def resolve(
     triplet: ActionTriplet,
     state: WorldState,
@@ -190,6 +218,7 @@ def resolve(
     history: list[HistoryEntry],
     sdt: SDT,
     backend: LLMBackend,
+    goal: Optional[GoalCondition] = None,
 ) -> ConcreteAction:
     """Ground one triplet to a concrete action.
 
@@ -198,8 +227,10 @@ def resolve(
     narrow to those ``condition_fn`` admits, which is none of a type the
     knowledge base lacks; when it admits none they all stay, so the step fails
     with the simulator's refusal. The gates that read the state (visibility,
-    the hand, room) are left to ``step``. One candidate, or interchangeable
-    ones, ground to the nearest with no backend call. A backend choice
+    the hand, room) are left to ``step``. Three cases ground with no backend
+    call: one candidate, or interchangeable ones, ground to the nearest; and
+    a candidate that meets more of the ``goal`` than every other (see
+    ``_goal_best``) is taken. Otherwise the backend chooses; a choice
     outside the candidate list is retried once, then the nearest candidate
     is used.
     """
@@ -212,6 +243,9 @@ def resolve(
     ids = [i for i in ids if condition_fn(sdt, state.objects[i], triplet.action)] or ids
     if len(ids) == 1 or _interchangeable(state, ids):
         return ConcreteAction(name=triplet.action, target=ids[0])
+    best = _goal_best(state, goal, ids)
+    if best is not None:
+        return ConcreteAction(name=triplet.action, target=best)
 
     def parse_pick(reply: str) -> str:
         pick = _parse_choice(reply).get(ref)
@@ -293,8 +327,10 @@ def execute_plan(
     recover: Optional[Callable[[FailureContext, WorldState], tuple]],
     history: Optional[list[HistoryEntry]] = None,
     phase: str = "plan",
+    goal: Optional[GoalCondition] = None,
 ) -> tuple[WorldState, list[HistoryEntry], str]:
-    """Run triplets in order; errors go to ``recover`` (or abort the run).
+    """Run triplets in order, grounding each against the run's ``goal``;
+    errors go to ``recover`` (or abort the run).
 
     ``recover(ctx, state)`` returns what ``resolver.resolve_failure`` does:
     the state, "Resolved" or another status, the iterations and the attempts.
@@ -311,7 +347,7 @@ def execute_plan(
             if not postcondition_satisfied(state, triplet):
                 concrete: Optional[ConcreteAction] = None
                 try:
-                    concrete = resolve(triplet, state, task, history, sdt, backend)
+                    concrete = resolve(triplet, state, task, history, sdt, backend, goal)
                 except NoCandidate:
                     outcome = ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE)
                 else:

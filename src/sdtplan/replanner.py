@@ -180,7 +180,7 @@ def run_task(
         while True:
             state, _, report.status = execute_plan(
                 triplets, state, task, sdt, backend, recover,
-                history=report.history, phase=phase,
+                history=report.history, phase=phase, goal=report.goal,
             )
             report.success, report.unmet_final = goal_satisfied(state, report.goal)
             if (

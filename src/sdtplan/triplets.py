@@ -285,7 +285,7 @@ def _flag_satisfied(flags: dict[str, bool], token: str) -> bool:
     return flags.get(token, False)
 
 
-def _clause_conjuncts(state: WorldState, clause: GoalClause, obj) -> list[tuple[str, bool]]:
+def clause_conjuncts(state: WorldState, clause: GoalClause, obj) -> list[tuple[str, bool]]:
     """(need-token, satisfied) per conjunct, in canonical report order."""
     out = []
     for token in clause.required_flags:
@@ -307,7 +307,7 @@ def clause_witnesses(state: WorldState, clause: GoalClause) -> list[str]:
     return sorted(
         obj.object_id
         for obj in state.of_types({clause.object_type})
-        if all(ok for _, ok in _clause_conjuncts(state, clause, obj))
+        if all(ok for _, ok in clause_conjuncts(state, clause, obj))
     )
 
 
@@ -322,9 +322,9 @@ def _closest_miss(state: WorldState, clause: GoalClause, taken: AbstractSet[str]
         return f"UNMET type={clause.object_type} need=exists"
     best = max(
         candidates,
-        key=lambda o: sum(ok for _, ok in _clause_conjuncts(state, clause, o)),
+        key=lambda o: sum(ok for _, ok in clause_conjuncts(state, clause, o)),
     )
-    for need, ok in _clause_conjuncts(state, clause, best):
+    for need, ok in clause_conjuncts(state, clause, best):
         if not ok:
             return f"UNMET type={clause.object_type} need={need} near={best.object_id}"
     return f"UNMET type={clause.object_type} need=exists"

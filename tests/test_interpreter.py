@@ -22,12 +22,13 @@ from sdtplan.planner import relevant_types
 from sdtplan.replanner import RunConfig, run_task
 from sdtplan.resolver import resolve_failure
 from sdtplan.sdt import ActionName
-from sdtplan.triplets import ActionTriplet, parse_triplets
+from sdtplan.triplets import ActionTriplet, parse_goal, parse_triplets
 from sdtplan.world import (
     ActionOutcome,
     ConcreteAction,
     ObjectInstance,
     apply_perturbations,
+    condition_fn,
     format_object_id,
     state_hash,
     step,
@@ -300,6 +301,99 @@ def test_choice_prompt_lists_what_the_choice_weighs_and_nothing_else(sdt, suite)
     ]
 
 
+class NoCalls:
+    """A backend that fails the test on any call."""
+
+    def complete(self, prompt):
+        pytest.fail(f"unexpected backend call: {prompt.splitlines()[0]}")
+
+
+def _cooked_and_raw_slices(sdt, suite):
+    """Row 4's kitchen with its apple cut: one slice cooked in the open
+    microwave, the other raw on the nearer counter."""
+    state, slices = _apple_slices(sdt, suite)
+    microwave = by_type(state, "Microwave")
+    state.own(microwave.object_id).flags["isOpen"] = True
+    cooked, raw = state.own(slices[0]), state.own(slices[1])
+    cooked.flags["isCooked"] = True
+    cooked.temperature = "Hot"
+    cooked.parent_receptacle, cooked.position = microwave.object_id, microwave.position
+    raw.parent_receptacle, raw.position = "CounterTop|+00.70|+00.95|+00.10", (0.7, 0.97, 0.1)
+    return state, cooked.object_id, raw.object_id
+
+
+@pytest.mark.parametrize("goal_text", [
+    "GOAL:{type=AppleSliced; flags=isCooked; temp=-; in=-}",
+    # one conjunct each, the cooked slice's flag and the raw slice's counter: the treatment wins
+    "GOAL:{type=AppleSliced; flags=isCooked; temp=-; in=CounterTop}",
+], ids=["treatment", "treatment-over-receptacle"])
+def test_the_goal_grounds_to_the_slice_it_asks_for_with_no_call(sdt, suite, goal_text):
+    state, cooked, raw = _cooked_and_raw_slices(sdt, suite)
+    assert candidate_instances(state, "AppleSliced")[0] == raw  # the raw slice is nearer
+    concrete = resolve(
+        trip(ActionName.PICKUP, "AppleSliced"), state, "take a cooked slice", [], sdt, NoCalls(),
+        parse_goal(goal_text),
+    )
+    assert concrete == ConcreteAction(ActionName.PICKUP, cooked)
+
+
+def _two_whole_apples(state):
+    for pos, counter in (((0.7, 0.97, 0.1), "CounterTop|+00.70|+00.95|+00.10"),
+                         ((1.6, 0.97, 0.0), "CounterTop|+01.60|+00.95|-00.30")):
+        apple = ObjectInstance(format_object_id("Apple", pos), "Apple", pos, {},
+                               parent_receptacle=counter)
+        state.objects[apple.object_id] = apple
+
+
+@pytest.mark.parametrize("goal_text, triplet", [
+    pytest.param(
+        "GOAL:{type=AppleSliced; flags=isCooked; temp=-; in=-}\n"
+        "GOAL:{type=AppleSliced; flags=-; temp=-; in=CounterTop}",
+        trip(ActionName.PICKUP, "AppleSliced"), id="two-clauses-of-the-type",
+    ),
+    pytest.param(None, trip(ActionName.PICKUP, "AppleSliced"), id="no-goal"),
+    pytest.param(
+        "GOAL:{type=AppleSliced; flags=isSliced; temp=-; in=Fridge}",
+        trip(ActionName.PICKUP, "AppleSliced"), id="tied",
+    ),
+    pytest.param(
+        "GOAL:{type=AppleSliced; flags=isCooked; temp=-; in=-}",
+        trip(ActionName.SLICE, "Apple"), id="slicing-the-unsliced-type",
+    ),
+])
+def test_a_goal_that_does_not_settle_the_choice_leaves_it_to_the_backend(
+    sdt, suite, goal_text, triplet
+):
+    state, _, _ = _cooked_and_raw_slices(sdt, suite)
+    _two_whole_apples(state)
+    admitted = [
+        object_id for object_id in candidate_instances(state, triplet.arg1, triplet.action)
+        if condition_fn(sdt, state.objects[object_id], triplet.action)
+    ]
+    assert len(admitted) == 2
+    backend = ScriptedBackend([f"CHOICE:{{{triplet.arg1}->{admitted[1]}}}"])
+    goal = parse_goal(goal_text) if goal_text else None
+    concrete = resolve(triplet, state, "a task", [], sdt, backend, goal)
+    assert backend.calls == 1
+    assert concrete.target == admitted[1]
+
+
+def test_a_receptacle_choice_is_left_to_the_backend(sdt, suite):
+    # row 3's put into one of two open drawers: the goal names the knife, not the drawer
+    row = suite_row(suite, 3)
+    state = scene_for_row(row, sdt)
+    drawers = candidate_instances(state, "Drawer")
+    for drawer_id in drawers:
+        state.own(drawer_id).flags["isOpen"] = True
+    goal = parse_goal("GOAL:{type=Knife; flags=!isDirty; temp=-; in=Drawer}")
+    backend = ScriptedBackend([f"CHOICE:{{Drawer->{drawers[1]}}}"])
+    concrete = resolve(
+        trip(ActionName.PUT, "Knife", "Drawer"), state, row["task"], [], sdt, backend, goal,
+    )
+    assert backend.calls == 1
+    assert concrete.target == drawers[1]
+
+
 @pytest.mark.parametrize("mode", ["plan", "resolve", "replan"])
 def test_skipped_choices_are_the_ones_the_oracle_answered_nearest(sdt, suite, mode, monkeypatch):
     """Asking between interchangeable candidates anyway changes no run, and the
@@ -360,6 +454,24 @@ def _runs_with_exchanges(sdt, suite, mode):
     return out
 
 
+def _dropped_exchanges(full, kept):
+    """The exchanges of ``full``'s runs that ``kept``'s runs leave out, as
+    (row id, prompt, reply), after checking that each row's report and final
+    state are the same in both and its kept exchanges are ``full``'s in order."""
+    dropped = []
+    for task_id, (report, final_hash, exchanges) in full.items():
+        assert (report, final_hash) == kept[task_id][:2], task_id
+        remaining = iter(kept[task_id][2])
+        pending = next(remaining, None)
+        for exchange in exchanges:
+            if exchange == pending:
+                pending = next(remaining, None)
+            else:
+                dropped.append((task_id, *exchange))
+        assert pending is None, task_id
+    return dropped
+
+
 @pytest.mark.parametrize("mode", ["plan", "resolve", "replan"])
 def test_affordance_narrowing_only_drops_choices_the_oracle_answered_alike(
     sdt, suite, mode, monkeypatch
@@ -369,23 +481,45 @@ def test_affordance_narrowing_only_drops_choices_the_oracle_answered_alike(
     run's with choice queries added: row 3's and row 5's put into a drawer."""
     narrowed = _runs_with_exchanges(sdt, suite, mode)
     monkeypatch.setattr(interp_mod, "condition_fn", lambda sdt, obj, action: True)
-    full = _runs_with_exchanges(sdt, suite, mode)
-    dropped = []
-    for task_id, (report, final_hash, exchanges) in full.items():
-        assert (report, final_hash) == narrowed[task_id][:2], task_id
-        kept = iter(narrowed[task_id][2])
-        pending = next(kept, None)
-        for exchange in exchanges:
-            if exchange == pending:
-                pending = next(kept, None)
-            else:
-                dropped.append((task_id, exchange[0]))
-        assert pending is None, task_id  # the narrowed run's exchanges, in order
-    assert [task_id for task_id, _ in dropped] == [3, 5]
-    for _, prompt in dropped:
+    dropped = _dropped_exchanges(_runs_with_exchanges(sdt, suite, mode), narrowed)
+    assert [task_id for task_id, _, _ in dropped] == [3, 5]
+    for _, prompt, _ in dropped:
         step_lines = prompts.sections(prompt)[prompts.SEC_STEP].splitlines()
         assert prompt.startswith(prompts.CHOICE_HEADER)
         assert step_lines == ["Grounding: ['PutObject', 'Knife', 'Drawer']", "Resolve: Drawer"]
+
+
+@pytest.mark.parametrize("mode, settled_rows", [
+    ("plan", [4, 13]), ("resolve", [1, 4, 6, 7, 13]), ("replan", [1, 4, 6, 7, 13]),
+])
+def test_goal_rank_only_drops_choices_the_oracle_answered_with_its_pick(
+    sdt, suite, mode, settled_rows, monkeypatch
+):
+    """Asking where the goal settles the choice changes no run: with the rank
+    switched off, the same reports come back, and the exchanges are the ranked
+    run's with choice queries added, each answered with the rank's pick."""
+    ranked = _runs_with_exchanges(sdt, suite, mode)
+    goal_best, build_query = interp_mod._goal_best, interp_mod._build_choice_query
+    pick = [None]
+    settled = {}  # choice prompt -> the candidate the rank would have grounded to
+
+    def unranked(state, goal, ids):
+        pick[0] = goal_best(state, goal, ids)
+        return None
+
+    def recording_query(*args):
+        query = build_query(*args)
+        settled[query] = pick[0]
+        return query
+
+    monkeypatch.setattr(interp_mod, "_goal_best", unranked)
+    monkeypatch.setattr(interp_mod, "_build_choice_query", recording_query)
+    dropped = _dropped_exchanges(_runs_with_exchanges(sdt, suite, mode), ranked)
+    assert [task_id for task_id, _, _ in dropped] == settled_rows
+    for _, prompt, reply in dropped:
+        assert prompt.startswith(prompts.CHOICE_HEADER)
+        assert list(interp_mod._parse_choice(reply).values()) == [settled[prompt]]
+    assert sum(object_id is not None for object_id in settled.values()) == len(dropped)
 
 
 # ---------------------------------------------------------------------------

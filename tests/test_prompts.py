@@ -62,19 +62,19 @@ class RecordingOracle(ScriptedOracle):
 
 #: Table-1 row id -> (oracle calls, sha256 over its prompts and replies), replan mode.
 TRAFFIC = {
-    1: (4, "2e104d0cf1713b5c53aff7ce136a034d830f96f6b84d77b1be60abe5d381f3c0"),
+    1: (3, "cc2dec85617db6a4b1e6305a2ab07fc1aa2b66f71ba1ad770da7d47bf2e81d46"),
     2: (3, "4a25e8c5a9abf8e1b5e88fa52143ebf9c1a3a38cd413f526964f3b1ce3329073"),
     3: (4, "5c4c5647c84fc1530555acbb5d9caa2b75e0e04541dff35a300d72b6ef7e043c"),
-    4: (4, "8d8461c44d76d2c391b56381f22402745f0ffd8e4ca608661e1328f1ee6fcbac"),
+    4: (3, "5372c8817dd747df066e32fb1795124b3f2f377f71e28ac5adcaefb4ddf85b27"),
     5: (2, "3b47b2ed208df551ff2fb2a47972dc9ed343b92fc5627335b9cbff8ae93f7917"),
-    6: (5, "e7d0fdae4e5f5e18e4d097443594f9b569bad331eb530a10a4e1ff5db8010b7a"),
-    7: (3, "9d28c1a4195b8e029e3c38fd32a2edc8e400d219f00e1aaff8066785c90a49ff"),
+    6: (4, "0a0c89fc4faaba03bd765fd30973710c0c1a1a4ff6426c4dab53570efe248db2"),
+    7: (2, "b13a7f85eb36b4fa37f0c60f6bc76882781ddff95f2d8737d3a2d7fd12b03751"),
     8: (4, "75f653df4e5f7edf0b2e727afb95f25f695bf1945569d5b811e3d4438d802742"),
     9: (5, "f064a95ae333e77398cdd25b17a48daed2d72b8fe49e2ff238845a409aa35ee6"),
     10: (1, "9619b015b5bd07dad160c908f90b594165f45dd6b78fe9826a3b74587876e703"),
     11: (1, "de43afe4e9c4e270383f35a146602eb8490fe1a0efba8bb365361929e0af2ff2"),
     12: (3, "5882a267e78395dcf4b34af493b8bedad655d466064a9153d7661c950f733e80"),
-    13: (2, "20d812e06cc5dcdb4f7cdcbf370da034319e61a0347de4327a4e5209e859eb8e"),
+    13: (1, "5e0bf75d32da0cb20a0deff412e826233fc0bc6bf67aec5f0f9c9aacef17c282"),
     14: (4, "6768243e92421f32f5ddf0b1ac40da93287041cba458ecfb64fe652849fcaf3f"),
 }
 
@@ -82,19 +82,19 @@ TRAFFIC = {
 #: Table-1 row id -> (oracle calls, sha256 over its replies alone), replan mode.
 #: Prompt wording may change without moving these; a moved reply moves them.
 REPLIES = {
-    1: (4, "60cc4f81e4ae513485b111a8731846e9dfa0a4038dc8fd57849d52ced4840e30"),
+    1: (3, "469e78a3ab140c0b78a6737901172d698c31894b8b43ad9fec275c9fcdfd39fd"),
     2: (3, "a81478df27275b9d8164c98413f166011fb71921cac909ecf842050c93e85154"),
     3: (4, "aa86ef66cb4901d39dd20e34128366bab04062574fca9ade1849c762bfd1d163"),
-    4: (4, "a595142a53ef1a4273123d41b5061c23f42f6812b1f5c97a5497e71b03659af2"),
+    4: (3, "d3ea173cd5d5170da94a37d83db9b74c8566c8aed4327a8f91ce323da3557af2"),
     5: (2, "e57cededf5e9a7438a55e026f5e82c22fd52904552c88d0dc911dcfd24f3e1db"),
-    6: (5, "6b3183ce77351c38dfc8823a73926491d6a9bcbb8db3afc2e172e58aade89798"),
-    7: (3, "f2f6269ccfb8eac80a42457c0d89d2544c62ebd8122d46a7fcfcb379f729da73"),
+    6: (4, "8d211c7ea0c96e18440ed8d06777558cad28325cc5b809f8fafcefecb319acca"),
+    7: (2, "adb9c9017d4e3e78186cee80dab8386b3dd96aa794a1e5f34925be5d65f897a1"),
     8: (4, "6105d22b711484a7fcfc14b6adb5bf7358547686056b765963a34ee6ac5f79b2"),
     9: (5, "d6ce753c893b1a075927c6cc4e437d7d810fae6210484be5996641b610e85c3e"),
     10: (1, "4a6a21145d8ff826644a2afaf5665f62aae44d5e2f68170cd674032e6fce4e29"),
     11: (1, "e0d16625e96ca31479e45f831d71852fd92d9725365cc47b07d66e6af4e1c919"),
     12: (3, "e88001057407cd71000ae5711a00d1c5cf0897ea7a6f1e9904890d7b88bdd925"),
-    13: (2, "10696833c0485195f11217d6c1f51d7c49ad056ce8828ec2270049380860fc1d"),
+    13: (1, "89f1837f89181da4b3c294e22114fc1f852541b196693c1e81fdb924d40df5f9"),
     14: (4, "61ce5cb5924d543466533237e4ecbce10b15356b0eaee8126e5018b95c2d9404"),
 }
 
@@ -205,9 +205,9 @@ def test_choice_prompt_lists_each_candidate_receptacles_contents(sdt, suite):
 
 #: Mode -> (choice prompts, sha256 over them in order) across the 14 table-1 rows.
 CHOICE_PROMPTS = {
-    "plan": (5, "ad688b15aa54288f40cb88e471198d748508266cb91d83c47e8a7cb5296d5b00"),
-    "resolve": (11, "0f0780522c9abe0266b9ec60b081c2a913a26652d45ae976411190eeecf42e44"),
-    "replan": (11, "0f0780522c9abe0266b9ec60b081c2a913a26652d45ae976411190eeecf42e44"),
+    "plan": (3, "4570b2096d37651fe4a0b63a2771bab992e638947ced39d40f87c6eb207f7eca"),
+    "resolve": (6, "0db813da50ef6661259ce4e9c944d5558b0a0f4ad271ef0951fd5244e07d12e1"),
+    "replan": (6, "0db813da50ef6661259ce4e9c944d5558b0a0f4ad271ef0951fd5244e07d12e1"),
 }
 
 
