@@ -7,7 +7,6 @@ mismatch), 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import importlib.resources
 import json
@@ -246,6 +245,8 @@ def cli_run(args) -> int:
         return row, header, run_task(row["task"], scene, sdt, backend, config, task_id=row["id"])
 
     if args.jobs > 1 and len(rows) > 1:
+        import concurrent.futures  # only here, so a serial run does not pay for the import
+
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(worker, starts))
     else:

@@ -1,11 +1,14 @@
 """Adaptive planner: relevance filtering, plan prompt assembly, plan queries.
 
-The relevance pass is lexical plus rule-implication (keeping a sliceable
-food pulls in the knife types; anything coolable pulls in the appliance
-whose rules chill contents). Over-inclusion is harmless, so every
-receptacle in view rides along. A task's relevant types are computed once
-and bound every prompt's object listing, not only the plan prompt's. A plan
-prompt shows the ``EXAMPLES_SHOWN`` worked examples nearest its task.
+The relevance pass keeps the types the task names and their sliced
+derivatives, then the types that perform each treatment the task asks for:
+the slicing tools for a slice, the heaters for heat, the coolers for cool
+and the water sources for clean. What an object could undergo pulls in
+nothing, since every prompt line is context a model can be distracted by.
+Every receptacle in view rides along, as a place to put things. A task's
+relevant types are computed once and bound every prompt's object listing,
+not only the plan prompt's. A plan prompt shows the ``EXAMPLES_SHOWN``
+worked examples nearest its task.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import AbstractSet, Optional, Sequence
 
 from . import lexicon, prompts
 from .backends import LLMBackend, ask
-from .sdt import SDT, ActionName, AffordanceTag, render_type_text
+from .sdt import SDT, ActionName, render_type_text
 from .triplets import ActionTriplet, GoalCondition, parse_goal, parse_triplets
 from .world import (
     ObjectInstance,
@@ -34,48 +37,72 @@ _RETRY_REMINDER = (
 )
 
 
-def _types_with_treatment_effect(sdt: SDT, field_name: str, to: object) -> set[str]:
+#: Task words per treatment, each set tested on its own, so a "cooked, chilled"
+#: task asks for both heat and cool.
+_TREATMENT_WORDS = {
+    "slice": lexicon.SLICE_TOKENS,
+    "heat": lexicon.HEAT_TOKENS,
+    "cool": lexicon.COOL_TOKENS,
+    "clean": lexicon.CLEAN_TOKENS,
+}
+
+#: Treatment -> the (field, value) a rule sets on other objects to perform it.
+_TREATMENT_EFFECTS = {
+    "heat": {("temperature", "Hot")},
+    "cool": {("temperature", "Cold")},
+    "clean": {("isDirty", False), ("isFilled", True)},
+}
+
+
+def _goal_treatments(goal: GoalCondition) -> set[str]:
+    """The treatments the goal's clauses need: a sliced type needs a slice,
+    ``isCooked`` or Hot heat, Cold cool, ``!isDirty`` or ``isFilled`` clean."""
     out = set()
+    for clause in goal.clauses:
+        flags = set(clause.required_flags)
+        if clause.object_type.endswith("Sliced"):
+            out.add("slice")
+        if "isCooked" in flags or clause.required_temperature == "Hot":
+            out.add("heat")
+        if clause.required_temperature == "Cold":
+            out.add("cool")
+        if flags & {"!isDirty", "isFilled"}:
+            out.add("clean")
+    return out
+
+
+def _treatment_types(sdt: SDT, treatments: AbstractSet[str]) -> set[str]:
+    """The types that perform ``treatments``: the slicing tools for a slice,
+    else the types with a rule that sets the treatment's effect on other
+    objects (heaters, coolers, water sources)."""
+    out = set(sdt.slicing_tool_types()) if "slice" in treatments else set()
+    wanted = set().union(*(_TREATMENT_EFFECTS.get(t, ()) for t in treatments))
     for type_name in sdt.type_names():
         for rule in sdt.get(type_name).rules:
-            for eff in rule.effects:
-                if eff.scope == "self":
-                    continue
-                if eff.field_name == field_name and eff.to == to:
-                    out.add(type_name)
+            if any(e.scope != "self" and (e.field_name, e.to) in wanted for e in rule.effects):
+                out.add(type_name)
     return out
 
 
 def relevant_types(task: str, sdt: SDT) -> set[str]:
-    """Task-mentioned types plus their sliced derivatives and implied tools.
+    """Task-mentioned types, their sliced derivatives, and the types that
+    perform each treatment the task's words ask for.
 
-    Closed under the implication step: sliceable food implies the knife
-    types, cookable/heatable implies the heating appliances, coolable the
-    chilling ones, dirtyable/fillable the water source.
+    A type's affordances pull in nothing: an apple to put on the table needs
+    no knife, fridge or faucet, though it could be sliced, chilled or rinsed.
     """
     kept = {t for t in lexicon.type_mentions(task) if t in sdt}
     kept |= {f"{t}Sliced" for t in list(kept) if f"{t}Sliced" in sdt}
-    heaters = _types_with_treatment_effect(sdt, "temperature", "Hot")
-    coolers = _types_with_treatment_effect(sdt, "temperature", "Cold")
-    washers = _types_with_treatment_effect(sdt, "isDirty", False) | _types_with_treatment_effect(
-        sdt, "isFilled", True
-    )
-    tools = set(sdt.slicing_tool_types())
-    while True:
-        implied: set[str] = set()
-        for type_name in kept:
-            entry = sdt.get(type_name)
-            if entry.has(AffordanceTag.SLICEABLE):
-                implied |= tools
-            if entry.has(AffordanceTag.COOKABLE) or entry.has(AffordanceTag.HEATABLE):
-                implied |= heaters
-            if entry.has(AffordanceTag.COOLABLE):
-                implied |= coolers
-            if entry.has(AffordanceTag.DIRTYABLE) or entry.has(AffordanceTag.FILLABLE):
-                implied |= washers
-        if implied <= kept:
-            return kept
-        kept |= implied
+    words = set(lexicon.tokens(task))
+    asked = {name for name, treatment_words in _TREATMENT_WORDS.items() if words & treatment_words}
+    return kept | _treatment_types(sdt, asked)
+
+
+def goal_types(goal: GoalCondition, sdt: SDT) -> set[str]:
+    """The object and receptacle types the goal names, and the types that
+    perform each treatment its clauses need, by ``relevant_types``' rule."""
+    named = {t for c in goal.clauses for t in (c.object_type, c.receptacle_type) if t}
+    return named | _treatment_types(sdt, _goal_treatments(goal))
 
 
 def shown_objects(
@@ -158,13 +185,16 @@ def build_plan_prompt(
     """Deterministic plan prompt with fixed section order.
 
     The objects in view are the ones of the ``relevant`` types plus the
-    receptacles. Knowledge lines, one per type, cover the relevant types even
-    when no instance is currently in view (a hidden knife is still
-    plannable-for), plus the types of every listed object. Each rule
-    sentence appears exactly once.
+    receptacles. Knowledge lines, one per type, cover the types of every
+    listed object, and each relevant type that some object in the state is
+    or slices into, in view or not: a hidden bottle is still plannable-for,
+    a knife the scene lacks is not. Each rule sentence appears exactly once.
     """
     objects = filter_relevant_objects(state, sdt, relevant)
-    block_types = sorted(relevant | {o.type_name for o in objects})
+    listed = {o.type_name for o in objects}
+    block_types = sorted(listed | {
+        t for t in relevant - listed if state.of_types({t, t.removesuffix("Sliced")})
+    })
     worked = "\n\n".join(
         f"Task: {ex['task']}\nAction-Triplets:{ex['triplets']}\n{ex['goal']}" for ex in examples
     )

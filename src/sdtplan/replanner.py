@@ -11,7 +11,7 @@ from . import prompts, resolver
 from .backends import LLMBackend, ask
 from .errors import SdtPlanError
 from .interpreter import HISTORY_TAIL, HistoryEntry, execute_plan
-from .planner import filter_relevant_objects, relevant_types
+from .planner import filter_relevant_objects, goal_types, relevant_types
 from .planner import plan as make_plan
 from .sdt import SDT
 from .triplets import ActionTriplet, GoalCondition, format_triplets, goal_satisfied, parse_triplets
@@ -155,8 +155,9 @@ def run_task(
     completion lands in the report's status.
 
     Every prompt shows the task's relevant objects only: the types
-    ``relevant_types`` finds in the task and, once planned, the types the
-    goal names.
+    ``relevant_types`` finds in the task and, once planned, the types
+    ``goal_types`` finds in the goal, so the choice, recovery and replan
+    prompts keep the tools and appliances the plan committed to.
     """
     config = config or RunConfig()
     report = TaskReport(task_id=task_id, description=task)
@@ -168,13 +169,11 @@ def run_task(
     except SdtPlanError as exc:
         report.status = f"PlanningFailed: {exc}"
     else:
-        relevant |= {
-            t for c in report.goal.clauses for t in (c.object_type, c.receptacle_type) if t
-        }
+        relevant |= goal_types(report.goal, sdt)
         # read through the module now, so a wrapper installed on it sees every call
         recover = None if config.mode == "plan" else partial(
             resolver.resolve_failure, sdt=sdt, relevant=relevant, backend=backend,
-            budget=config.budget,
+            budget=config.budget, goal=report.goal,
         )
         phase, triplets = "plan", report.plan
         while True:

@@ -28,7 +28,7 @@ from .interpreter import (
 )
 from .planner import shown_objects
 from .sdt import SDT, ActionName, POSE_ACTIONS
-from .triplets import ActionTriplet, format_recovery, parse_recovery
+from .triplets import ActionTriplet, GoalCondition, format_recovery, parse_recovery
 from .world import (
     ConcreteAction,
     ObjectInstance,
@@ -174,10 +174,14 @@ def _reexecute_failed(
     sdt: SDT,
     backend: LLMBackend,
     attempt: RecoveryAttempt,
+    goal: Optional[GoalCondition],
 ) -> tuple[WorldState, bool, str]:
-    """Retry the failed triplet against the recovered state."""
+    """Retry the failed triplet against the recovered state, grounding it
+    against the run's ``goal`` as ``execute_plan`` does."""
     try:
-        concrete = resolve(ctx.failed_triplet, state, ctx.task, ctx.history_tail, sdt, backend)
+        concrete = resolve(
+            ctx.failed_triplet, state, ctx.task, ctx.history_tail, sdt, backend, goal
+        )
     except NoCandidate:
         return state, False, "target still has no candidate instance"
     new_state, outcome = step(state, concrete, sdt)
@@ -194,6 +198,7 @@ def resolve_failure(
     relevant: AbstractSet[str],
     backend: LLMBackend,
     budget: int = DEFAULT_BUDGET,
+    goal: Optional[GoalCondition] = None,
 ) -> tuple[WorldState, str, int, list[RecoveryAttempt]]:
     """Iterate query -> validate -> execute -> record until resolved or spent.
 
@@ -203,8 +208,10 @@ def resolve_failure(
     listed, and each later pair's is rebuilt after its predecessor, so
     enabling actions (open the alternate drawer, crouch) legitimize their
     successors. A sequence already tried for this failure is rejected unrun.
-    Returns the state, "Resolved" or "Exhausted", the iterations run (one
-    attempt each) and the attempts.
+    A proposal that runs without resolving the failure re-executes the failed
+    triplet, grounded against the run's ``goal``. Returns the state,
+    "Resolved" or "Exhausted", the iterations run (one attempt each) and the
+    attempts.
     """
     attempts: list[RecoveryAttempt] = []
     tried: dict[tuple[ConcreteAction, ...], str] = {}
@@ -251,7 +258,9 @@ def resolve_failure(
             feedback += "; resolved"
             attempt.resolved = True
         elif attempt.executed and all(o.ok for _, o in attempt.executed):
-            state, attempt.resolved, note = _reexecute_failed(ctx, state, sdt, backend, attempt)
+            state, attempt.resolved, note = _reexecute_failed(
+                ctx, state, sdt, backend, attempt, goal
+            )
             feedback = f"{feedback}; {note}"
         attempt.feedback = feedback
         tried[tuple(sequence)] = feedback

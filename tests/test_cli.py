@@ -5,6 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -20,6 +23,17 @@ from sdtplan.world import load_scene
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def test_importing_the_cli_leaves_the_thread_pool_module_unloaded():
+    # only `run --jobs N` with N > 1 uses concurrent.futures, so no other start pays for it
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    probe = "import sys, sdtplan.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": package_root},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_run_default_suite_all_green(tmp_path, capsys):

@@ -337,6 +337,28 @@ def test_the_goal_grounds_to_the_slice_it_asks_for_with_no_call(sdt, suite, goal
     assert concrete == ConcreteAction(ActionName.PICKUP, cooked)
 
 
+def test_the_resolver_re_executes_the_failed_step_against_the_goal(sdt, suite):
+    # the knife that cut the apple is still held, so the pickup of the cooked slice fails;
+    # recovery puts the knife down and re-executes the pickup, which the goal settles
+    state, cooked, _ = _cooked_and_raw_slices(sdt, suite)
+
+    class Backend(NoCalls):
+        def complete(self, prompt):
+            if prompt.startswith(prompts.PLAN_HEADER):
+                return (
+                    "Action-Triplets:[['PickupObject', 'AppleSliced', 0]]\n"
+                    "GOAL:{type=AppleSliced; flags=isCooked; temp=-; in=-}"
+                )
+            if prompt.startswith(prompts.RECOVERY_HEADER):
+                return "[(PutObject,CounterTop|+00.70|+00.95|+00.10)]"
+            return super().complete(prompt)
+
+    report = run_task("Pick up a cooked apple slice.", state, sdt, Backend(), RunConfig("resolve"))
+    (attempt,) = report.history[0].attempts
+    assert attempt.executed[-1][0] == ConcreteAction(ActionName.PICKUP, cooked)
+    assert attempt.resolved and report.success
+
+
 def _two_whole_apples(state):
     for pos, counter in (((0.7, 0.97, 0.1), "CounterTop|+00.70|+00.95|+00.10"),
                          ((1.6, 0.97, 0.0), "CounterTop|+01.60|+00.95|-00.30")):

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import ScriptedBackend, scene_for_row, suite_row
 
-from sdtplan import lexicon
+from sdtplan import lexicon, prompts
 from sdtplan.backends import ScriptedOracle
 from sdtplan.errors import PlanParseError
 from sdtplan.planner import (
@@ -50,13 +50,48 @@ def test_filter_unmentioned_scene_keeps_receptacles_only(sdt, suite):
     assert all(sdt.get(d.type_name).has(AffordanceTag.RECEPTACLE) for d in kept)
 
 
-def test_relevant_types_closed_under_implication(sdt):
+def test_relevant_types_add_the_helpers_of_the_treatments_asked_for(sdt):
     kept = relevant_types("Place a cooked potato slice in the sink", sdt)
     assert {"Potato", "PotatoSliced", "Sink"} <= kept
-    # sliceable food implies knives, heatable food implies the microwave
+    # a slice asks for the knives, a cooked potato for the microwave
     assert {"Knife", "ButterKnife", "Microwave"} <= kept
     again = relevant_types("Place a cooked potato slice in the sink", sdt)
     assert kept == again
+
+
+def test_an_untreated_task_implies_no_helper_type(sdt):
+    # an apple could be sliced, heated, chilled or rinsed, but this task asks for none of it
+    assert relevant_types("Put the apple on the table.", sdt) == {"Apple", "AppleSliced", "DiningTable"}
+
+
+def test_each_treatment_word_implies_its_own_helpers(sdt):
+    task = "Put a cooked, chilled potato in the sink."
+    assert lexicon.category(task) == "heat"  # the one category a task gets names only the first
+    assert relevant_types(task, sdt) == {"Potato", "PotatoSliced", "Sink", "Microwave", "Fridge"}
+
+
+def _knowledge_types(prompt: str) -> set[str]:
+    return {
+        line.removeprefix("- ").split(" [")[0]
+        for line in prompts.sections(prompt)[prompts.SEC_KNOWLEDGE].splitlines()
+    }
+
+
+@pytest.mark.parametrize("task_id, knowledge", [
+    # the butter knife hidden in the microwave and the slices the potato cuts into keep their
+    # lines; the Knife a slice asks for has none, as the scene holds no Knife
+    (1, {"ButterKnife", "CounterTop", "Fridge", "Microwave", "Potato", "PotatoSliced", "Sink"}),
+    # the task names the sink, but the scene holds none
+    (8, {"Cabinet", "CounterTop", "Fridge", "Plate"}),
+    # the wine bottle hidden in the fridge keeps its line
+    (9, {"CounterTop", "DiningTable", "Drawer", "Fridge", "WineBottle"}),
+])
+def test_knowledge_lines_cover_the_relevant_types_the_state_holds(sdt, suite, task_id, knowledge):
+    row = suite_row(suite, task_id)
+    prompt = build_plan_prompt(
+        row["task"], scene_for_row(row, sdt), sdt, relevant_types(row["task"], sdt), []
+    )
+    assert _knowledge_types(prompt) == knowledge
 
 
 def test_prompt_deterministic(sdt, suite):
@@ -75,7 +110,8 @@ def test_prompt_contains_each_rule_sentence_once(sdt, suite):
         relevant = relevant_types(row["task"], sdt)
         objects = filter_relevant_objects(state, sdt, relevant)
         prompt = build_plan_prompt(row["task"], state, sdt, relevant, load_examples())
-        block_types = relevant | {o.type_name for o in objects}
+        present = {t for t in relevant if state.of_types({t, t.removesuffix("Sliced")})}
+        block_types = present | {o.type_name for o in objects}
         for type_name in block_types:
             for rule in sdt.get(type_name).rules:
                 assert prompt.count(rule.text) == 1, (type_name, rule.text)

@@ -62,20 +62,20 @@ class RecordingOracle(ScriptedOracle):
 
 #: Table-1 row id -> (oracle calls, sha256 over its prompts and replies), replan mode.
 TRAFFIC = {
-    1: (3, "cc2dec85617db6a4b1e6305a2ab07fc1aa2b66f71ba1ad770da7d47bf2e81d46"),
-    2: (3, "4a25e8c5a9abf8e1b5e88fa52143ebf9c1a3a38cd413f526964f3b1ce3329073"),
+    1: (3, "68e315c22793b5e15b359404f5cc9b34f1e731190fc940461d20ceaf66b7466e"),
+    2: (3, "9a5c1b0bb33164cef3ac8d8925e34d12bd3b71fcb1bf1fdbc1e877993e4d4802"),
     3: (4, "5c4c5647c84fc1530555acbb5d9caa2b75e0e04541dff35a300d72b6ef7e043c"),
-    4: (3, "5372c8817dd747df066e32fb1795124b3f2f377f71e28ac5adcaefb4ddf85b27"),
+    4: (3, "a0f24d4bb9640950309872c35015b00f53e25dd409debc51fd1a247063278f29"),
     5: (2, "3b47b2ed208df551ff2fb2a47972dc9ed343b92fc5627335b9cbff8ae93f7917"),
-    6: (4, "0a0c89fc4faaba03bd765fd30973710c0c1a1a4ff6426c4dab53570efe248db2"),
-    7: (2, "b13a7f85eb36b4fa37f0c60f6bc76882781ddff95f2d8737d3a2d7fd12b03751"),
-    8: (4, "75f653df4e5f7edf0b2e727afb95f25f695bf1945569d5b811e3d4438d802742"),
-    9: (5, "f064a95ae333e77398cdd25b17a48daed2d72b8fe49e2ff238845a409aa35ee6"),
-    10: (1, "9619b015b5bd07dad160c908f90b594165f45dd6b78fe9826a3b74587876e703"),
+    6: (4, "32fcd997dbc44178305d610dfd2142689830fdd63239ef5ab18b4adf7423c9ee"),
+    7: (2, "28c2ceb3a55b901a21465d65246676ede833eba7217288dd9e50ad54a3e4561c"),
+    8: (4, "66d622164e091d35fb5b066279cd09694e18025db1b50f56c133bc541138d27b"),
+    9: (5, "f9f7093c7706b2885d234e5821dcd9f64b578741094ce9175061932c0622a83b"),
+    10: (1, "4010312dce6327443e8f460980056755b03c9082e275b00948a295e862a28c7d"),
     11: (1, "de43afe4e9c4e270383f35a146602eb8490fe1a0efba8bb365361929e0af2ff2"),
     12: (3, "5882a267e78395dcf4b34af493b8bedad655d466064a9153d7661c950f733e80"),
-    13: (1, "5e0bf75d32da0cb20a0deff412e826233fc0bc6bf67aec5f0f9c9aacef17c282"),
-    14: (4, "6768243e92421f32f5ddf0b1ac40da93287041cba458ecfb64fe652849fcaf3f"),
+    13: (1, "467d78ced640ed33a7c1a9f84746b76dbc5214a670862b5654eac5c32505dd3d"),
+    14: (4, "7c1c48cfb69ba937707d5bafa60b476e9f8bda2aceedaa6ec4207b6b48f26ba1"),
 }
 
 

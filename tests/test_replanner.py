@@ -17,7 +17,7 @@ from sdtplan.planner import relevant_types
 from sdtplan.replanner import RunConfig, build_replan_prompt, replan, run_task
 from sdtplan.sdt import ActionName
 from sdtplan.triplets import ActionTriplet, goal_satisfied, parse_goal
-from sdtplan.world import ActionOutcome, ConcreteAction, ObjectInstance, WorldState
+from sdtplan.world import ActionOutcome, ConcreteAction, ObjectInstance, WorldState, type_of_id
 
 
 def test_replan_prompt_names_unmet_clause_and_is_deterministic(sdt, suite, all_types):
@@ -292,6 +292,23 @@ def test_run_task_survives_a_non_string_recovery_reply(sdt, suite, reply):
     attempts = [a for entry in report.history for a in entry.attempts]
     assert attempts
     assert all(a.feedback.startswith("unparseable proposal") for a in attempts)
+
+
+def test_the_goal_keeps_the_water_source_a_task_without_a_clean_word_leaves_out(sdt, suite):
+    task = "Put it in the drawer."  # names no clean word and no object to clean
+    assert "Faucet" not in relevant_types(task, sdt)
+    backend = ScriptedBackend([
+        "Action-Triplets:[['PutObject', 'Knife', 'Drawer']]\n"  # fails: nothing is held
+        "GOAL:{type=Knife; flags=!isDirty; temp=-; in=Drawer}",
+        "[]",
+    ])
+    run_task(task, scene_for_row(suite_row(suite, 5), sdt), sdt, backend, RunConfig("resolve"))
+    (recovery,) = [p for p in backend.prompts if p.startswith(prompts.RECOVERY_HEADER)]
+    pair_types = {
+        type_of_id(line.removeprefix("- ").split(": ")[0])
+        for line in prompts.sections(recovery)[prompts.SEC_PAIRS].splitlines()
+    }
+    assert "Faucet" in pair_types
 
 
 def test_run_task_survives_backend_crash_mid_execution(sdt, suite):
