@@ -141,15 +141,19 @@ def _build_choice_query(
 ) -> str:
     """The candidates carry their state; the state section adds what a choice
     also weighs, where visible: what each candidate holds and the receptacle
-    each sits in. It is left out when there is nothing to add."""
+    each sits in. Of the last ``HISTORY_TAIL`` steps, the recent actions keep
+    those whose target is a candidate or one of these. Each section is left
+    out when it has nothing to show."""
     around = {state.objects[i].parent_receptacle for i in ids} | {
         o.object_id for i in ids for o in state.contents_of(i)
     }
     around -= {None, *ids}
+    shown = around | set(ids)
+    recent = [e for e in history[-HISTORY_TAIL:] if e.concrete and e.concrete.target in shown]
     return prompts.render(prompts.CHOICE_HEADER, [
         (prompts.SEC_TASK, [task]),
         (prompts.SEC_STEP, [f"Grounding: {triplet.render()}", f"Resolve: {ref}"]),
-        (prompts.SEC_HISTORY, prompts.render_history_lines(history[-HISTORY_TAIL:])),
+        (prompts.SEC_HISTORY, prompts.render_history_lines(recent) or None),
         (prompts.SEC_CANDIDATES, [prompts.STATE_LEGEND, f"{ref}:", *(
             prompts.render_state_line(state, state.objects[object_id], f"  {k}.")
             for k, object_id in enumerate(ids, start=1)

@@ -5,10 +5,11 @@ derivatives, then the types that perform each treatment the task asks for:
 the slicing tools for a slice, the heaters for heat, the coolers for cool
 and the water sources for clean. What an object could undergo pulls in
 nothing, since every prompt line is context a model can be distracted by.
-Every receptacle in view rides along, as a place to put things. A task's
-relevant types are computed once and bound every prompt's object listing,
-not only the plan prompt's. A plan prompt shows the ``EXAMPLES_SHOWN``
-worked examples nearest its task.
+Every receptacle in view rides along as an object line, a place to put
+things, but a plan prompt writes knowledge lines for the relevant types
+alone. A task's relevant types are computed once and bound every prompt's
+object listing, not only the plan prompt's. A plan prompt shows the
+``EXAMPLES_SHOWN`` worked examples nearest its task.
 """
 
 from __future__ import annotations
@@ -185,16 +186,15 @@ def build_plan_prompt(
     """Deterministic plan prompt with fixed section order.
 
     The objects in view are the ones of the ``relevant`` types plus the
-    receptacles. Knowledge lines, one per type, cover the types of every
-    listed object, and each relevant type that some object in the state is
-    or slices into, in view or not: a hidden bottle is still plannable-for,
-    a knife the scene lacks is not. Each rule sentence appears exactly once.
+    receptacles. Knowledge lines, one per type, cover each relevant type
+    that some object in the state is or slices into, in view or not: a
+    hidden bottle is still plannable-for, a knife the scene lacks is not,
+    and a receptacle the task does not need is listed but not described.
+    The knowledge section is left out when no type qualifies. Each rule
+    sentence appears exactly once.
     """
     objects = filter_relevant_objects(state, sdt, relevant)
-    listed = {o.type_name for o in objects}
-    block_types = sorted(listed | {
-        t for t in relevant - listed if state.of_types({t, t.removesuffix("Sliced")})
-    })
+    known = sorted(t for t in relevant if state.of_types({t, t.removesuffix("Sliced")}))
     worked = "\n\n".join(
         f"Task: {ex['task']}\nAction-Triplets:{ex['triplets']}\n{ex['goal']}" for ex in examples
     )
@@ -204,7 +204,7 @@ def build_plan_prompt(
             "[Action, Object1, Object2-or-0] executed in order.",
             "Allowed actions: " + ", ".join(a.value for a in ActionName) + ".",
         ]),
-        (prompts.SEC_KNOWLEDGE, [render_type_text(sdt.get(t)) for t in block_types]),
+        (prompts.SEC_KNOWLEDGE, [render_type_text(sdt.get(t)) for t in known] or None),
         (prompts.SEC_OBJECTS, prompts.state_lines(state, objects)),
         (prompts.SEC_EXAMPLES, [worked] if examples else None),
         (prompts.SEC_TASK, [task]),

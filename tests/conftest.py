@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from sdtplan import interpreter
 from sdtplan.backends import OracleConfig, ScriptedOracle
 from sdtplan.cli import default_sdt_path, default_suite_path, _resolve_scene
 from sdtplan.replanner import RunConfig, run_task
@@ -59,6 +60,22 @@ def run_row(row: dict, sdt: SDT, mode: str = "replan", injected: bool = True):
     backend = ScriptedOracle(OracleConfig(**row.get("oracle_faults", {})))
     config = RunConfig(mode)
     return run_task(row["task"], scene, sdt, backend, config, task_id=row["id"])
+
+
+def record_choice_queries(monkeypatch) -> dict:
+    """Patch ``interpreter._build_choice_query`` so that the returned dict maps
+    each choice prompt it builds, in order, to the history's last
+    ``HISTORY_TAIL`` entries at that point."""
+    queries = {}
+    build = interpreter._build_choice_query
+
+    def recording_build(triplet, task, state, history, ref, ids):
+        prompt = build(triplet, task, state, history, ref, ids)
+        queries[prompt] = history[-interpreter.HISTORY_TAIL:]
+        return prompt
+
+    monkeypatch.setattr(interpreter, "_build_choice_query", recording_build)
+    return queries
 
 
 #: A recovery prompt's pair line: one target, then the actions offered on it.

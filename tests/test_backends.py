@@ -14,14 +14,16 @@ from pathlib import Path
 
 import pytest
 
-from conftest import scene_for_row, suite_row
+from conftest import record_choice_queries, scene_for_row, suite_row
 
 import sdtplan
+from sdtplan import prompts
 from sdtplan.backends import HttpBackend, HttpConfig, OracleConfig, ScriptedOracle, ask
 from sdtplan.errors import BackendError, GrammarError, OracleError, PlanParseError
 from sdtplan.planner import build_plan_prompt, load_examples, nearest_examples, relevant_types
+from sdtplan.replanner import RunConfig, run_task
 from sdtplan.resolver import FailureContext, build_action_pairs, build_failure_query
-from sdtplan.sdt import ActionName
+from sdtplan.sdt import ActionName, render_type_text
 from sdtplan.triplets import ActionTriplet, parse_goal, parse_recovery, parse_triplets
 from sdtplan.world import (
     ActionOutcome,
@@ -89,6 +91,64 @@ def test_oracle_plan_reply_ignores_the_worked_examples(sdt, suite):
             for examples in (load_examples(), nearest_examples(row["task"]), [])
         }
         assert len(replies) == 1, row["id"]
+
+
+def _with_section(prompt: str, title: str, lines: list[str], before: str) -> str:
+    """``prompt`` with section ``title`` holding ``lines``, placed just before
+    section ``before``; an empty ``lines`` still shows the title."""
+    head, sep, rest = prompt.partition(f"\n\n{before}\n")
+    head = head.partition(f"\n\n{title}\n")[0]
+    return "\n\n".join([head, "\n".join([title, *lines])]) + sep + rest
+
+
+class _FullContextOracle(ScriptedOracle):
+    """The oracle, checking that each plan and choice prompt gets the reply it
+    would get with the context these prompts leave out put back: a knowledge
+    line for the type of every object in view, and a choice's whole history tail.
+    ``tails`` maps each choice prompt to that tail."""
+
+    def __init__(self, config, sdt, tails):
+        super().__init__(config)
+        self.sdt, self.tails, self.checked = sdt, tails, []
+
+    def complete(self, prompt):
+        reply = super().complete(prompt)
+        if prompt.startswith(prompts.PLAN_HEADER):
+            secs = prompts.sections(prompt)
+            known = {line.split()[1] for line in secs[prompts.SEC_KNOWLEDGE].splitlines()}
+            listed = {t for _, t, _ in prompts.parse_state_lines(secs[prompts.SEC_OBJECTS])}
+            assert not listed <= known
+            lines = [render_type_text(self.sdt.get(t)) for t in sorted(known | listed)]
+            full = _with_section(prompt, prompts.SEC_KNOWLEDGE, lines, prompts.SEC_OBJECTS)
+        elif prompt.startswith(prompts.CHOICE_HEADER):
+            lines = prompts.render_history_lines(self.tails[prompt])
+            full = _with_section(prompt, prompts.SEC_HISTORY, lines, prompts.SEC_CANDIDATES)
+        else:
+            return reply
+        header = prompt.split("\n", 1)[0]
+        assert super().complete(full) == reply, header
+        self.checked.append((header, full != prompt))
+        return reply
+
+
+@pytest.mark.parametrize("mode", ["plan", "resolve", "replan"])
+def test_oracle_replies_ignore_the_knowledge_and_history_the_prompts_leave_out(
+    sdt, suite, mode, monkeypatch
+):
+    """A plan prompt describes only the relevant types, and a choice prompt
+    recalls only the recent steps on the objects it shows; the oracle reads
+    neither what is left out, so every reply, row and final state stays as is."""
+    tails = record_choice_queries(monkeypatch)
+    checked = []
+    for row in suite["tasks"]:
+        state = scene_for_row(row, sdt)
+        oracle = _FullContextOracle(OracleConfig(**row.get("oracle_faults", {})), sdt, tails)
+        run_task(row["task"], state, sdt, oracle, RunConfig(mode))
+        checked += oracle.checked
+    choices = [narrowed for header, narrowed in checked if header == prompts.CHOICE_HEADER]
+    assert len(checked) - len(choices) == 14
+    assert len(choices) == {"plan": 3, "resolve": 6, "replan": 6}[mode]
+    assert all(choices)  # every choice prompt left some step out
 
 
 def test_oracle_recovery_replies_parse_and_avoid_candidates_outside_prompt(sdt, suite):

@@ -77,21 +77,56 @@ def _knowledge_types(prompt: str) -> set[str]:
     }
 
 
+def _row_plan_prompt(sdt, suite, task_id, task=None):
+    """Row ``task_id``'s plan prompt, with no worked examples, for its own task or ``task``."""
+    row = suite_row(suite, task_id)
+    task = task or row["task"]
+    return build_plan_prompt(task, scene_for_row(row, sdt), sdt, relevant_types(task, sdt), [])
+
+
+def _listed_types(prompt: str) -> set[str]:
+    objects = prompts.sections(prompt)[prompts.SEC_OBJECTS]
+    return {type_name for _, type_name, _ in prompts.parse_state_lines(objects)}
+
+
 @pytest.mark.parametrize("task_id, knowledge", [
     # the butter knife hidden in the microwave and the slices the potato cuts into keep their
-    # lines; the Knife a slice asks for has none, as the scene holds no Knife
-    (1, {"ButterKnife", "CounterTop", "Fridge", "Microwave", "Potato", "PotatoSliced", "Sink"}),
+    # lines; the Knife a slice asks for has none, as the scene holds no Knife, and the counter
+    # tops and the fridge in view have none, as the task needs neither
+    (1, {"ButterKnife", "Microwave", "Potato", "PotatoSliced", "Sink"}),
     # the task names the sink, but the scene holds none
-    (8, {"Cabinet", "CounterTop", "Fridge", "Plate"}),
+    (8, {"CounterTop", "Fridge", "Plate"}),
     # the wine bottle hidden in the fridge keeps its line
-    (9, {"CounterTop", "DiningTable", "Drawer", "Fridge", "WineBottle"}),
+    (9, {"DiningTable", "Fridge", "WineBottle"}),
 ])
 def test_knowledge_lines_cover_the_relevant_types_the_state_holds(sdt, suite, task_id, knowledge):
-    row = suite_row(suite, task_id)
-    prompt = build_plan_prompt(
-        row["task"], scene_for_row(row, sdt), sdt, relevant_types(row["task"], sdt), []
-    )
-    assert _knowledge_types(prompt) == knowledge
+    assert _knowledge_types(_row_plan_prompt(sdt, suite, task_id)) == knowledge
+
+
+def test_knowledge_types_are_the_relevant_types_the_state_holds_on_every_row(sdt, suite):
+    for row in suite["tasks"]:
+        state = scene_for_row(row, sdt)
+        held = {obj.type_name for obj in state.objects.values()}
+        expected = {
+            t for t in relevant_types(row["task"], sdt)
+            if t in held or t.removesuffix("Sliced") in held
+        }
+        assert _knowledge_types(_row_plan_prompt(sdt, suite, row["id"])) == expected, row["id"]
+
+
+@pytest.mark.parametrize("task_id, container", [(8, "Cabinet"), (14, "Drawer")])
+def test_a_hiding_container_keeps_its_object_line_and_loses_its_knowledge_line(
+    sdt, suite, task_id, container
+):
+    prompt = _row_plan_prompt(sdt, suite, task_id)
+    assert container in _listed_types(prompt)
+    assert container not in _knowledge_types(prompt)
+
+
+def test_a_task_naming_no_known_type_gets_no_knowledge_section(sdt, suite):
+    prompt = _row_plan_prompt(sdt, suite, 1, task="Do a little dance")
+    assert prompts.SEC_KNOWLEDGE not in prompt
+    assert {"CounterTop", "Fridge", "Microwave", "Sink"} <= _listed_types(prompt)
 
 
 def test_prompt_deterministic(sdt, suite):
@@ -111,10 +146,9 @@ def test_prompt_contains_each_rule_sentence_once(sdt, suite):
         objects = filter_relevant_objects(state, sdt, relevant)
         prompt = build_plan_prompt(row["task"], state, sdt, relevant, load_examples())
         present = {t for t in relevant if state.of_types({t, t.removesuffix("Sliced")})}
-        block_types = present | {o.type_name for o in objects}
-        for type_name in block_types:
+        for type_name in present | {o.type_name for o in objects}:
             for rule in sdt.get(type_name).rules:
-                assert prompt.count(rule.text) == 1, (type_name, rule.text)
+                assert prompt.count(rule.text) == int(type_name in present), (type_name, rule.text)
 
 
 def test_prompt_bottle_rules_present(sdt, suite):

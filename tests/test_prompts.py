@@ -11,7 +11,9 @@ import string
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import add_statues, pair_section_lines, scene_for_row, suite_row
+from conftest import (
+    add_statues, pair_section_lines, record_choice_queries, run_row, scene_for_row, suite_row,
+)
 
 from sdtplan import planner, prompts, replanner, resolver
 from sdtplan.backends import OracleConfig, ScriptedOracle
@@ -62,20 +64,20 @@ class RecordingOracle(ScriptedOracle):
 
 #: Table-1 row id -> (oracle calls, sha256 over its prompts and replies), replan mode.
 TRAFFIC = {
-    1: (3, "68e315c22793b5e15b359404f5cc9b34f1e731190fc940461d20ceaf66b7466e"),
-    2: (3, "9a5c1b0bb33164cef3ac8d8925e34d12bd3b71fcb1bf1fdbc1e877993e4d4802"),
-    3: (4, "5c4c5647c84fc1530555acbb5d9caa2b75e0e04541dff35a300d72b6ef7e043c"),
-    4: (3, "a0f24d4bb9640950309872c35015b00f53e25dd409debc51fd1a247063278f29"),
-    5: (2, "3b47b2ed208df551ff2fb2a47972dc9ed343b92fc5627335b9cbff8ae93f7917"),
-    6: (4, "32fcd997dbc44178305d610dfd2142689830fdd63239ef5ab18b4adf7423c9ee"),
-    7: (2, "28c2ceb3a55b901a21465d65246676ede833eba7217288dd9e50ad54a3e4561c"),
-    8: (4, "66d622164e091d35fb5b066279cd09694e18025db1b50f56c133bc541138d27b"),
-    9: (5, "f9f7093c7706b2885d234e5821dcd9f64b578741094ce9175061932c0622a83b"),
-    10: (1, "4010312dce6327443e8f460980056755b03c9082e275b00948a295e862a28c7d"),
-    11: (1, "de43afe4e9c4e270383f35a146602eb8490fe1a0efba8bb365361929e0af2ff2"),
-    12: (3, "5882a267e78395dcf4b34af493b8bedad655d466064a9153d7661c950f733e80"),
-    13: (1, "467d78ced640ed33a7c1a9f84746b76dbc5214a670862b5654eac5c32505dd3d"),
-    14: (4, "7c1c48cfb69ba937707d5bafa60b476e9f8bda2aceedaa6ec4207b6b48f26ba1"),
+    1: (3, "b456e777a9944b5437f308fa3314a0d7424861ca6227cb399108f1b3c23769df"),
+    2: (3, "451ef0c6b4ca929bffd9744cb5f7940a1a46ff1ffcd9f30cc0fdd86fa08747b6"),
+    3: (4, "28715f0d9245fc73e4e49756c64deacb935fd4cd454c172d4979b65cea0861fc"),
+    4: (3, "7692ae286e320979aa061362b991cfb462013c0fe050bfab3e5a9ca5763c3dd5"),
+    5: (2, "37bff160fdeaf09866b49c4f48dc50f96d1ff926e13c950bf574997e992848fe"),
+    6: (4, "64c24f33fb58cd096a7e388f20b5bb29bd34b982f65341cbd40087572772262f"),
+    7: (2, "ffc570c08c0ad3a32b3515ac6c7f80494d6933111b289fcab88ae7bff3e1f27a"),
+    8: (4, "ce0abc40123d97e175c8a302dff09e5cac0b9988b938d507d3964eab2a35ad79"),
+    9: (5, "eff6bd047821f3589aa774521bbef1206b5ed722b32d3f6819d1d24f1a843d41"),
+    10: (1, "a0364f70025703aa7df7a639c3eea8ac217bfeb5b9c8cc7148f0a100adffca35"),
+    11: (1, "d623b8b83257bb8c7c149a968b9db974b591d0ca0ca54af18532a174f62530ad"),
+    12: (3, "23410d5cba4d57bdaa0f568417852dc650230dc2db98f0d2c2f86e5ce4b4a251"),
+    13: (1, "98d6eeb6c4559b324cc2089a3fcdcaf855b98cc49d482e1625afeb859c93bd4e"),
+    14: (4, "8b9af8eb650f98cd8ce6f4763c3f36f3345aeda22bb6b403fa4f1b0bedb43c11"),
 }
 
 
@@ -199,15 +201,52 @@ def test_choice_prompt_lists_each_candidate_receptacles_contents(sdt, suite):
     assert {object_id for object_id, _, _ in listed} == weighed - {None}
 
 
+def _choice_queries(sdt, suite, monkeypatch, task_id):
+    """(prompt, the history's last ``HISTORY_TAIL`` entries) of every choice
+    query row ``task_id`` builds in resolve mode."""
+    queries = record_choice_queries(monkeypatch)
+    run_row(suite_row(suite, task_id), sdt, "resolve")
+    return list(queries.items())
+
+
+def test_a_choice_prompt_recalls_only_the_steps_on_the_objects_it_shows(sdt, suite, monkeypatch):
+    _, (prompt, tail) = _choice_queries(sdt, suite, monkeypatch, 3)
+    secs = prompts.sections(prompt)
+    assert secs[prompts.SEC_STEP].startswith("Grounding: ['CloseObject', 'Drawer', 0]")
+    # the knife now lies in the second drawer, and the put failed on the first
+    assert secs[prompts.SEC_HISTORY].splitlines() == [
+        "- (PickupObject,Knife|+00.95|+00.97|+00.35) -> Success",
+        "- (OpenObject,Drawer|+00.40|+00.82|-00.50) -> Success",
+        '- (PutObject,Drawer|+00.40|+00.82|-00.50) -> Error: "No valid positions to place '
+        'object found."',
+    ]
+    toggles = [e for e in tail if e.triplet.action in (ActionName.TOGGLE_ON, ActionName.TOGGLE_OFF)]
+    assert toggles and all(e.triplet.arg1 == "Faucet" for e in toggles)
+    assert "Faucet" not in prompt
+
+
+@pytest.mark.parametrize("task_id, step", [
+    (3, "Grounding: ['OpenObject', 'Drawer', 0]"),
+    (4, "Grounding: ['PutObject', 'AppleSliced', 'CounterTop']"),
+])
+def test_a_choice_prompt_with_no_recent_step_on_its_objects_has_no_history_section(
+    sdt, suite, monkeypatch, task_id, step
+):
+    (prompt, tail), *_ = _choice_queries(sdt, suite, monkeypatch, task_id)
+    assert prompts.sections(prompt)[prompts.SEC_STEP].startswith(step)
+    assert len(tail) == HISTORY_TAIL
+    assert prompts.SEC_HISTORY not in prompt
+
+
 # ---------------------------------------------------------------------------
 # Recovery prompts
 
 
 #: Mode -> (choice prompts, sha256 over them in order) across the 14 table-1 rows.
 CHOICE_PROMPTS = {
-    "plan": (3, "4570b2096d37651fe4a0b63a2771bab992e638947ced39d40f87c6eb207f7eca"),
-    "resolve": (6, "0db813da50ef6661259ce4e9c944d5558b0a0f4ad271ef0951fd5244e07d12e1"),
-    "replan": (6, "0db813da50ef6661259ce4e9c944d5558b0a0f4ad271ef0951fd5244e07d12e1"),
+    "plan": (3, "546453cc8a308eb683176a2dbc7a362c9d36cf034cd74dc286b9b68fa6dd4a5b"),
+    "resolve": (6, "d3cd8717a45c0f216e88a638db4cea26bd23675f9860b1f91c720efc36932c3e"),
+    "replan": (6, "d3cd8717a45c0f216e88a638db4cea26bd23675f9860b1f91c720efc36932c3e"),
 }
 
 
