@@ -5,7 +5,7 @@ Usage: python3 scripts/check_traffic.py WORKLOAD < bench-output
 Reads the last line of the bench's output, its JSON summary. Exits 1 when
 the run failed the benchmark's gate (``correct`` is false), or when
 ``backend_calls_per_task`` or ``prompt_chars_per_task`` is above the value
-the change in ``BENCH_prompt_scope.json`` recorded for WORKLOAD.
+the change in ``BENCH_slice_consumes.json`` recorded for WORKLOAD.
 Both are counts that repeat exactly on every seed, so a ceiling at the
 recorded value fails any change that sends more calls or prompt chars.
 """
@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-RECORD = Path(__file__).resolve().parents[1] / "BENCH_prompt_scope.json"
+RECORD = Path(__file__).resolve().parents[1] / "BENCH_slice_consumes.json"
 TRAFFIC = ("backend_calls_per_task", "prompt_chars_per_task")
 
 

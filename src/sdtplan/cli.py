@@ -25,7 +25,7 @@ from .world import (
 )
 
 #: Version of the trace layout that ``_write_trace`` writes and ``replay`` reads.
-TRACE_SCHEMA = 3
+TRACE_SCHEMA = 4
 
 REPORT_COLUMNS = (
     "Task ID",
@@ -299,10 +299,9 @@ def _check_trace(trace: object) -> None:
     trace reads, naming the first field that is wrong; each reader runs it first."""
     _require(isinstance(trace, dict), "a trace file", "a JSON object")
     schema = trace.get("schema")
-    if schema == 2:
+    if type(schema) is int and 0 < schema < TRACE_SCHEMA:
         raise ValueError(
-            "unsupported trace schema 2: its final_state_hash covers the whole scene; "
-            "re-record the trace with `sdtplan run`"
+            f"unsupported trace schema {schema}, an older layout: re-record the trace with `sdtplan run`"
         )
     if schema != TRACE_SCHEMA:
         raise ValueError(f"unsupported trace schema {schema!r}")

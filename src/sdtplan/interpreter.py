@@ -34,6 +34,7 @@ from .world import (
     is_visible,
     object_descriptions,  # noqa: F401  (not called here; bench/tracer.py wraps this binding)
     step,
+    type_of_id,
 )
 
 HISTORY_TAIL = 5
@@ -117,20 +118,12 @@ def candidate_instances(
 
     A full id is a singleton (when present). A type name matches visible
     instances of the type; outside slicing contexts the sliced-derivative
-    type joins in and inert sliced husks drop out.
+    type joins in.
     """
-    if is_valid_object_id(ref) and ref in state.objects:
-        return [ref]
     if is_valid_object_id(ref):
-        return []
-    slicing = action is ActionName.SLICE
-    out = []
-    for obj in ref_instances(state, ref, include_sliced=not slicing):
-        if not is_visible(state, obj):
-            continue
-        if not slicing and obj.type_name == ref and obj.slice_children:
-            continue  # inert husk; its slices are the interactable remains
-        out.append(obj)
+        return [ref] if ref in state.objects else []
+    include_sliced = action is not ActionName.SLICE
+    out = [o for o in ref_instances(state, ref, include_sliced) if is_visible(state, o)]
     out.sort(key=lambda o: (state.distance_to(o), o.object_id))
     return [o.object_id for o in out]
 
@@ -303,7 +296,8 @@ def postcondition_satisfied(state: WorldState, triplet: ActionTriplet) -> bool:
     _, flag, value = FLAG_ACTIONS[action]
     if _any_instance(state, ref, False, lambda o: o.flag(flag) == value):
         return True
-    return action is ActionName.SLICE and _any_instance(state, f"{ref}Sliced", False, lambda o: True)
+    # slicing consumes the object: slices of the type the reference names are what is left
+    return action is ActionName.SLICE and bool(state.of_types({f"{type_of_id(ref)}Sliced"}))
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,9 @@ def parse_sdt_data(data: object) -> SDT:
                 tags.add(AffordanceTag(tag))
             except ValueError:
                 raise ValidationError(f"{where}: unknown affordance tag {tag!r}") from None
+        if {AffordanceTag.SLICEABLE, AffordanceTag.RECEPTACLE} <= tags:
+            # slicing deletes the object, which would leave its contents without a container
+            raise ValidationError(f"{where}: a Sliceable type cannot be a Receptacle")
         rules = []
         for j, raw_rule in enumerate(_objects(raw, "rules", where)):
             rwhere = f"{where}/rule {j}"

@@ -5,7 +5,8 @@ embed the spawn type and position, boolean state flags and containment
 links. Transitions are pure: ``step`` returns a fresh state on success and
 the untouched input state on error. Interaction rules from the knowledge
 base fire after each successful transition (instant consequences, no
-timed processes). A type the knowledge base lacks affords nothing:
+timed processes). Slicing consumes the object: its slices replace it, a net
+gain of one record. A type the knowledge base lacks affords nothing:
 ``SDT.get`` gives it an empty entry and ``condition_fn`` admits no action on it.
 
 Transitions are copy-on-write. ``WorldState.clone`` copies the id-to-record
@@ -168,12 +169,11 @@ class ObjectInstance:
     temperature: str = ROOM_TEMP
     parent_receptacle: Optional[str] = None
     capacity: int = 0
-    slice_children: list[str] = field(default_factory=list)
 
     def clone(self) -> "ObjectInstance":
         return ObjectInstance(
             self.object_id, self.type_name, self.position, dict(self.flags), self.temperature,
-            self.parent_receptacle, self.capacity, list(self.slice_children),
+            self.parent_receptacle, self.capacity,
         )
 
     def flag(self, name: str) -> bool:
@@ -347,7 +347,6 @@ def _record_json(o: ObjectInstance) -> dict:
         "temperature": o.temperature,
         "parent_receptacle": o.parent_receptacle,
         "capacity": o.capacity,
-        "slice_children": list(o.slice_children),
     }
 
 
@@ -809,7 +808,9 @@ def step(state: WorldState, action: ConcreteAction, sdt: SDT) -> tuple[WorldStat
 
     A pose action only sets the pose. An object action's target must exist;
     then the action's ``ACTION_GATES`` are tried in order, the first failing
-    gate's code is the refusal, and the effect runs only when all pass.
+    gate's code is the refusal, and the effect runs only when all pass. A
+    slice fires its rules, then replaces the object with its slices (net +1
+    record; see ``_spawn_slices``).
     """
     name = action.name
 
@@ -853,20 +854,23 @@ def step(state: WorldState, action: ConcreteAction, sdt: SDT) -> tuple[WorldStat
         _, flag, value = FLAG_ACTIONS[name]
         target = new.own(obj.object_id)
         target.flags[flag] = value
-        if name is ActionName.SLICE:
-            target.slice_children = [c.object_id for c in _spawn_slices(new, target)]
     _fire_rules(new, sdt, name, target)
+    if name is ActionName.SLICE:
+        _spawn_slices(new, obj.object_id)
     return new, ActionOutcome.success()
 
 
-def _spawn_slices(state: WorldState, parent: ObjectInstance) -> list[ObjectInstance]:
-    """Create slice children inheriting the parent's flags and temperature.
+def _spawn_slices(state: WorldState, object_id: str) -> None:
+    """Replace the sliced object with SLICE_CHILD_COUNT slices, as AI2-THOR
+    does (conservation: net +1 record).
 
-    Children stay in the parent's receptacle while capacity allows, else
-    they spill out beside it (conservation: exactly +SLICE_CHILD_COUNT).
+    The slices inherit its flags and temperature as its rules left them. They
+    take its receptacle slot and stay in that receptacle while capacity
+    allows, else they spill out beside it.
     """
+    parent = state.objects[object_id]
+    del state.objects[object_id]
     sliced_type = f"{parent.type_name}Sliced"
-    children = []
     parent_recept = parent.parent_receptacle
     for k in range(SLICE_CHILD_COUNT):
         child_id = f"{parent.object_id}|{sliced_type}-{k}"
@@ -875,12 +879,9 @@ def _spawn_slices(state: WorldState, parent: ObjectInstance) -> list[ObjectInsta
             recept = state.objects[parent_recept]
             if len(state.contents_of(parent_recept)) < recept.capacity:
                 container = parent_recept
-        child = ObjectInstance(
+        state.objects[child_id] = ObjectInstance(
             child_id, sliced_type, parent.position, dict(parent.flags), parent.temperature, container
         )
-        state.objects[child_id] = child
-        children.append(child)
-    return children
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,15 @@ def test_malformed_scene_is_config_error(tmp_path, capsys, sdt, scene, message):
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+def test_a_sliceable_receptacle_in_the_knowledge_base_is_config_error(tmp_path, capsys):
+    data = json.loads(Path(cli.default_sdt_path()).read_text(encoding="utf-8"))
+    next(e for e in data if e["type"] == "Apple")["affordances"].append("Receptacle")
+    (tmp_path / "sdt.json").write_text(json.dumps(data))
+    code = run_cli("run", "--task", "4", "--sdt", str(tmp_path / "sdt.json"), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert capsys.readouterr().err == "config error: Apple: a Sliceable type cannot be a Receptacle\n"
+
+
 _ROW = {"id": 1, "task": "Pick up the mug", "scene": "scenes/kitchen_mug.json"}
 
 
@@ -473,7 +482,7 @@ def test_verify_detects_edited_final_state_hash(tmp_path, capsys):
 def test_trace_replaces_final_state_with_the_run_input(tmp_path, capsys):
     _, data = _task9_trace(tmp_path, capsys)
     assert "final_state" not in data
-    assert data["schema"] == 3
+    assert data["schema"] == 4
     assert data["scene"].endswith("kitchen_wine.json") and data["sdt"].endswith("sdt.json")
     scene_bytes = Path(data["scene"]).read_bytes()
     assert data["scene_sha256"] == hashlib.sha256(scene_bytes).hexdigest()
@@ -532,6 +541,18 @@ def test_verify_rejects_schema_2_trace(tmp_path, capsys):
     assert run_cli("verify", str(trace_file)) == 2
     err = capsys.readouterr().err
     assert err.startswith("trace error: unsupported trace schema 2") and "re-record" in err
+
+
+@pytest.mark.parametrize("schema", [3, 5])
+def test_verify_asks_to_re_record_only_an_older_schema(tmp_path, capsys, schema):
+    # schema 3 hashed each record with the slice_children key that slicing no longer needs
+    trace_file, data = _task9_trace(tmp_path, capsys)
+    data["schema"] = schema
+    trace_file.write_text(json.dumps(data))
+    assert run_cli("verify", str(trace_file)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"trace error: unsupported trace schema {schema}")
+    assert ("re-record the trace with `sdtplan run`" in err) == (schema < cli.TRACE_SCHEMA)
 
 
 def test_trace_records_cli_injections(tmp_path, capsys):

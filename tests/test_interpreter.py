@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from functools import partial
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from conftest import CountingBackend, ScriptedBackend, run_row, scene_for_row, suite_row
 
 import sdtplan.interpreter as interp_mod
+import sdtplan.resolver as resolver_mod
 from sdtplan import prompts
 from sdtplan.backends import OracleConfig, ScriptedOracle
 from sdtplan.errors import NoCandidate
@@ -60,17 +62,64 @@ def test_instance_id_is_singleton(sdt, suite):
     assert candidate_instances(state, "Fridge|+09.99|+00.90|+00.00") == []
 
 
-def test_base_ref_matches_slice_children_after_slicing(sdt, suite):
+def test_base_ref_grounds_to_the_slices_that_replace_the_object(sdt, suite):
     state = scene_for_row(suite_row(suite, 1), sdt, injected=False)
     knife = by_type(state, "ButterKnife")
     potato = by_type(state, "Potato")
     state, _ = step(state, ConcreteAction(ActionName.PICKUP, knife.object_id), sdt)
     state, _ = step(state, ConcreteAction(ActionName.SLICE, potato.object_id), sdt)
-    candidates = candidate_instances(state, "Potato")
-    assert len(candidates) == 2
-    assert all("PotatoSliced" in c for c in candidates)
-    # slicing context still targets the base object
-    assert candidate_instances(state, "Potato", ActionName.SLICE) == [potato.object_id]
+    slices = [f"{potato.object_id}|PotatoSliced-{k}" for k in range(2)]
+    assert sorted(candidate_instances(state, "Potato")) == slices
+    # the cut consumed the potato: neither its id nor a slicing context finds it
+    assert candidate_instances(state, potato.object_id) == []
+    assert candidate_instances(state, "Potato", ActionName.SLICE) == []
+
+
+def test_row_4_cut_consumes_the_apple(sdt, suite, monkeypatch):
+    whole = "Apple|+01.60|+00.97|-00.30"
+    named = re.compile(re.escape(whole) + r"(?!\|)")  # the whole apple, not a slice's id
+    events = []  # ("step", action, outcome, state after) and ("prompt", text), in run order
+
+    def recording_step(state, concrete, sdt):
+        new, outcome = step(state, concrete, sdt)
+        events.append(("step", concrete, outcome, new))
+        return new, outcome
+
+    class PromptLog(ScriptedOracle):
+        def complete(self, prompt):
+            events.append(("prompt", prompt))
+            return super().complete(prompt)
+
+    monkeypatch.setattr(interp_mod, "step", recording_step)
+    monkeypatch.setattr(resolver_mod, "step", recording_step)
+    row = suite_row(suite, 4)
+    run_task(row["task"], scene_for_row(row, sdt), sdt, PromptLog(), RunConfig("replan"))
+    cut = next(
+        i for i, (kind, *rest) in enumerate(events)
+        if kind == "step" and rest[0] == ConcreteAction(ActionName.SLICE, whole) and rest[1].ok
+    )
+    after = events[cut][3]
+    _, outcome = step(after, ConcreteAction(ActionName.PICKUP, whole), sdt)
+    assert outcome.error_code == "UnknownObject"
+    later = [text for kind, text, *_ in events[cut:] if kind == "prompt"]
+    assert later and not any(named.search(text) for text in later)
+
+
+def test_a_slice_step_on_the_consumed_object_records_as_skipped(sdt, suite):
+    row = suite_row(suite, 4)
+    state = scene_for_row(row, sdt, injected=False)
+    apple = by_type(state, "Apple").object_id
+    state, _ = step(state, ConcreteAction(ActionName.PICKUP, by_type(state, "Knife").object_id), sdt)
+    state, outcome = step(state, ConcreteAction(ActionName.SLICE, apple), sdt)
+    assert outcome.ok and apple not in state.objects
+    backend = CountingBackend(ScriptedOracle())
+    final, history, status = execute_plan(
+        [trip(ActionName.SLICE, apple)], state, row["task"], sdt, backend, None
+    )
+    assert status == "Completed" and final is state and backend.calls == 0
+    assert [(e.concrete, e.skipped, e.outcome) for e in history] == [
+        (None, True, ActionOutcome.success("already satisfied")),
+    ]
 
 
 def test_unknown_ref_has_no_candidates(sdt, suite):

@@ -65,11 +65,11 @@ class RecordingOracle(ScriptedOracle):
 #: Table-1 row id -> (oracle calls, sha256 over its prompts and replies), replan mode.
 TRAFFIC = {
     1: (3, "b456e777a9944b5437f308fa3314a0d7424861ca6227cb399108f1b3c23769df"),
-    2: (3, "451ef0c6b4ca929bffd9744cb5f7940a1a46ff1ffcd9f30cc0fdd86fa08747b6"),
+    2: (3, "8fa8013c30011232df7a82c550d708ed85385989ec4ce4dce9219a6e3df82101"),
     3: (4, "28715f0d9245fc73e4e49756c64deacb935fd4cd454c172d4979b65cea0861fc"),
-    4: (3, "7692ae286e320979aa061362b991cfb462013c0fe050bfab3e5a9ca5763c3dd5"),
+    4: (3, "e17b674fbc28b687c34789459126a00aa6ac9fa23b577c59fdd8d8cdd795903c"),
     5: (2, "37bff160fdeaf09866b49c4f48dc50f96d1ff926e13c950bf574997e992848fe"),
-    6: (4, "64c24f33fb58cd096a7e388f20b5bb29bd34b982f65341cbd40087572772262f"),
+    6: (4, "c52d44b57cf96f07e59fba21a126568823ee9e43154ec3db55bfd73675119245"),
     7: (2, "ffc570c08c0ad3a32b3515ac6c7f80494d6933111b289fcab88ae7bff3e1f27a"),
     8: (4, "ce0abc40123d97e175c8a302dff09e5cac0b9988b938d507d3964eab2a35ad79"),
     9: (5, "eff6bd047821f3589aa774521bbef1206b5ed722b32d3f6819d1d24f1a843d41"),
@@ -77,7 +77,7 @@ TRAFFIC = {
     11: (1, "d623b8b83257bb8c7c149a968b9db974b591d0ca0ca54af18532a174f62530ad"),
     12: (3, "23410d5cba4d57bdaa0f568417852dc650230dc2db98f0d2c2f86e5ce4b4a251"),
     13: (1, "98d6eeb6c4559b324cc2089a3fcdcaf855b98cc49d482e1625afeb859c93bd4e"),
-    14: (4, "8b9af8eb650f98cd8ce6f4763c3f36f3345aeda22bb6b403fa4f1b0bedb43c11"),
+    14: (4, "7cfb9e593123c94fff7be94634a6026e25e55e1c5d76c10666f4ec3603eb5c50"),
 }
 
 
@@ -244,9 +244,9 @@ def test_a_choice_prompt_with_no_recent_step_on_its_objects_has_no_history_secti
 
 #: Mode -> (choice prompts, sha256 over them in order) across the 14 table-1 rows.
 CHOICE_PROMPTS = {
-    "plan": (3, "546453cc8a308eb683176a2dbc7a362c9d36cf034cd74dc286b9b68fa6dd4a5b"),
-    "resolve": (6, "d3cd8717a45c0f216e88a638db4cea26bd23675f9860b1f91c720efc36932c3e"),
-    "replan": (6, "d3cd8717a45c0f216e88a638db4cea26bd23675f9860b1f91c720efc36932c3e"),
+    "plan": (3, "a3801ea5ec8dfec1dc39209b7c773f8a63553d2154de9db09f00b1d776f6bac3"),
+    "resolve": (6, "f4b22f22e1001a8f975abf53de6a2109dd972e24f93b4df57e6e3e015a26105d"),
+    "replan": (6, "f4b22f22e1001a8f975abf53de6a2109dd972e24f93b4df57e6e3e015a26105d"),
 }
 
 

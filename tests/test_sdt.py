@@ -141,6 +141,13 @@ def test_empty_rule_text_rejected():
         parse_sdt_data(data)
 
 
+def test_a_sliceable_type_cannot_be_a_receptacle():
+    # slicing deletes the object, so a sliced receptacle would strand what it holds
+    data = [{"type": "Pie", "affordances": ["Sliceable", "Receptacle"], "rules": []}]
+    with pytest.raises(ValidationError, match="^Pie: a Sliceable type cannot be a Receptacle$"):
+        parse_sdt_data(data)
+
+
 def test_self_trigger_needs_matching_affordance():
     # an OpenObject rule on a type that is not Openable
     data = [{"type": "X", "affordances": ["Pickupable"],

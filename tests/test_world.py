@@ -418,9 +418,9 @@ def test_slice_requires_held_tool(sdt, suite):
     state, _ = step(state, act(ActionName.PICKUP, knife.object_id), sdt)
     state, outcome = step(state, act(ActionName.SLICE, potato.object_id), sdt)
     assert outcome.ok
-    children = [o for o in state.objects.values() if o.type_name == "PotatoSliced"]
-    assert len(children) == 2
-    assert state.objects[potato.object_id].slice_children == [c.object_id for c in children]
+    children = [o.object_id for o in state.objects.values() if o.type_name == "PotatoSliced"]
+    assert children == [f"{potato.object_id}|PotatoSliced-{k}" for k in range(2)]
+    assert potato.object_id not in state.objects  # the slices replace the potato
 
 
 def test_slice_children_inherit_cooked_state(sdt, suite):
@@ -442,7 +442,23 @@ def test_sliced_object_is_inert(sdt, suite):
     state, _ = step(state, act(ActionName.PICKUP, knife.object_id), sdt)
     state, _ = step(state, act(ActionName.SLICE, potato.object_id), sdt)
     state, outcome = step(state, act(ActionName.SLICE, potato.object_id), sdt)
-    assert outcome.error_code == "NotAfforded"
+    assert outcome.error_code == "UnknownObject"  # the first cut consumed it
+
+
+def test_slices_take_the_object_s_slot_in_a_full_receptacle(sdt, suite):
+    # no table-1 row slices in a full receptacle: fill the apple's counter with the knife in hand
+    state = scene_for_row(suite_row(suite, 4), sdt, injected=False)
+    knife, apple = by_type(state, "Knife"), by_type(state, "Apple")
+    counter = apple.parent_receptacle
+    state, _ = step(state, act(ActionName.PICKUP, knife.object_id), sdt)
+    state = inject_failure(state, Perturbation.parse(f"fill:{counter}"), sdt)
+    assert len(state.contents_of(counter)) == state.objects[counter].capacity
+    state, outcome = step(state, act(ActionName.SLICE, apple.object_id), sdt)
+    assert outcome.ok and apple.object_id not in state.objects
+    first, second = (state.objects[f"{apple.object_id}|AppleSliced-{k}"] for k in range(2))
+    assert first.parent_receptacle == counter  # the slot the apple freed
+    assert second.parent_receptacle is None and second.position == apple.position  # beside it
+    validate_state(state, sdt)
 
 
 def test_goto_moves_agent_with_standoff(sdt, suite):
@@ -868,9 +884,8 @@ def test_flag_actions_filter_simulator_and_postcondition_agree(sdt, suite):
             successors = _flag_actions_agree(state, sdt, obj)
             objects += 1
             successes += len(successors)
-            if ActionName.SLICE in successors:  # the sliced husk must refuse a second cut
-                sliced = successors[ActionName.SLICE]
-                _flag_actions_agree(sliced, sdt, sliced.objects[obj.object_id])
+            if ActionName.SLICE in successors:  # the cut consumed the object
+                assert obj.object_id not in successors[ActionName.SLICE].objects
     assert objects * len(FLAG_ACTIONS) > 3000 and 0 < successes < objects * len(ACTION_GATES)
 
 
