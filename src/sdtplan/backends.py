@@ -1,4 +1,4 @@
-"""Language-model backends: a live chat-completion client and a scripted oracle.
+"""Language-model backends: a chat-completion client, a scripted oracle, a recorder and a replayer.
 
 Both sides of the interface are a single text-to-text ``complete`` call.
 The oracle recognizes the four prompt layouts by their header token and
@@ -9,6 +9,7 @@ exercise recovery and replanning.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import re
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Protocol, TypeVar
 
 from . import lexicon, prompts
-from .errors import BackendError, GrammarError, OracleError, PlanParseError
+from .errors import BackendError, GrammarError, OracleError, PlanParseError, SdtPlanError
 from .sdt import ActionName
 from .triplets import ActionTriplet, GoalClause, format_triplets, parse_recovery, parse_triplets
 from .world import type_of_id
@@ -25,6 +26,39 @@ from .world import type_of_id
 
 class LLMBackend(Protocol):
     def complete(self, prompt: str) -> str: ...
+
+
+class Recorder:
+    """Passes each prompt to ``backend`` once and appends ``{"prompt_sha256", "reply"}``
+    to ``exchanges``; a package error it raises is kept as ``error``, with a null reply."""
+
+    def __init__(self, backend: LLMBackend):
+        self.backend = backend
+        self.exchanges: list[dict] = []
+
+    def complete(self, prompt: str) -> str:
+        digest = hashlib.sha256(prompt.encode("utf-8", "surrogatepass")).hexdigest()
+        self.exchanges.append(exchange := {"prompt_sha256": digest, "reply": None})
+        try:
+            exchange["reply"] = self.backend.complete(prompt)
+        except SdtPlanError as exc:
+            exchange["error"] = str(exc)
+            raise
+        return exchange["reply"]
+
+
+class ReplayBackend:
+    """Serves recorded exchanges' replies in order, whatever it is asked; a recorded
+    error, or a call past the last exchange, raises BackendError."""
+
+    def __init__(self, exchanges: list[dict]):
+        self._exchanges = iter(exchanges)
+
+    def complete(self, prompt: str) -> str:
+        exchange = next(self._exchanges, {"error": "no recorded reply left"})
+        if "error" in exchange:
+            raise BackendError(exchange["error"])
+        return exchange["reply"]
 
 
 T = TypeVar("T")

@@ -10,22 +10,20 @@ import argparse
 import dataclasses
 import importlib.resources
 import json
+import math
 import re
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
-from .backends import HttpBackend, HttpConfig, OracleConfig, ScriptedOracle
+from .backends import HttpBackend, HttpConfig, OracleConfig, Recorder, ReplayBackend, ScriptedOracle
 from .errors import SdtPlanError
 from .replanner import MODES, RunConfig, TaskReport, run_task
 from .sdt import load_sdt
-from .triplets import goal_satisfied, parse_goal
-from .world import (
-    ConcreteAction, WorldState, apply_perturbations, load_scene, state_json_hash, state_to_json, step,
-)
+from .world import WorldState, apply_perturbations, load_scene, state_json_hash, state_to_json
 
-#: Version of the trace layout that ``_write_trace`` writes and ``replay`` reads.
-TRACE_SCHEMA = 4
+#: Version of the trace layout that ``_write_trace`` writes and ``rerun`` reads.
+TRACE_SCHEMA = 5
 
 REPORT_COLUMNS = (
     "Task ID",
@@ -155,28 +153,29 @@ def trace_header(
         "inject": list(row.get("inject", [])) + extra_injections,
         "oracle_faults": row.get("oracle_faults", {}),
         "mode": args.mode,
+        "budget": args.budget,
+        "replan_cap": args.replan_cap,
     }
-    state = initial_state(header, sdt)
+    state = apply_perturbations(load_scene(header["scene"], sdt), header["inject"], sdt)
     header["scene_sha256"] = state.scene.sha256
     header["start_state_hash"] = state_json_hash(state_to_json(state))
     return header, state
 
 
-def initial_state(header: dict, sdt) -> WorldState:
-    """The state a run starts in: the header's scene with its perturbations applied."""
-    return apply_perturbations(load_scene(header["scene"], sdt), header["inject"], sdt)
-
-
-def _write_trace(report: TaskReport, header: dict, out_dir: Path) -> Path:
-    payload = {
-        **header,
+def _run_record(report: TaskReport, exchanges: list[dict]) -> dict:
+    """What a trace holds after its header: the run's report, final state hash and exchanges."""
+    return {
         "task_id": report.task_id,
         "task": report.description,
         **report.to_json(),
         "final_state_hash": state_json_hash(state_to_json(report.final_state)),
+        "exchanges": exchanges,
     }
+
+
+def _write_trace(report: TaskReport, header: dict, exchanges: list[dict], out_dir: Path) -> Path:
     path = out_dir / f"trace_task{report.task_id}.json"
-    path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    path.write_text(json.dumps({**header, **_run_record(report, exchanges)}, indent=2), encoding="utf-8")
     return path
 
 
@@ -233,16 +232,18 @@ def cli_run(args) -> int:
             (row, *trace_header(row, args, suite_path.parent, list(args.inject or []), sdt, sdt_file))
             for row in rows
         ]
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError, SdtPlanError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
-    def worker(start: tuple[dict, dict, WorldState]) -> tuple[dict, dict, TaskReport]:
+    def worker(start: tuple[dict, dict, WorldState]) -> tuple[dict, TaskReport]:
         row, header, scene = start
-        backend = _backend_for(http, header["oracle_faults"])
-        return row, header, run_task(row["task"], scene, sdt, backend, config, task_id=row["id"])
+        recorder = Recorder(_backend_for(http, header["oracle_faults"]))
+        report = run_task(row["task"], scene, sdt, recorder, config, task_id=row["id"])
+        _write_trace(report, header, recorder.exchanges, out_dir)
+        return row, report
 
     if args.jobs > 1 and len(rows) > 1:
         import concurrent.futures  # only here, so a serial run does not pay for the import
@@ -259,26 +260,20 @@ def cli_run(args) -> int:
     results.sort(key=row_key)
     reports = []
     regression_notes = []
-    for row, header, report in results:
+    for row, report in results:
         reports.append(report)
-        _write_trace(report, header, out_dir)
         if row.get("expected") and not args.no_regression_check:
             for note in check_expected(report, row["expected"]):
                 regression_notes.append(f"task {row['id']}: {note}")
 
     text = render_report(reports, args.report)
     print(text)
-    report_path = out_dir / f"report.{args.report}"
-    report_path.write_text(text + "\n", encoding="utf-8")
+    (out_dir / f"report.{args.report}").write_text(text + "\n", encoding="utf-8")
     for note in regression_notes:
         print(f"regression: {note}", file=sys.stderr)
 
-    failed = [r for r in reports if not r.success]
-    if args.lenient:
-        return 0
-    if failed or regression_notes:
-        return 1
-    return 0
+    failed = any(not r.success for r in reports) or regression_notes
+    return 1 if failed and not args.lenient else 0
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +304,13 @@ def _check_trace(trace: object) -> None:
         _require(isinstance(trace.get(key), str), f"'{key}'", "a string")
     null_or_string = (str, type(None))  # .get(key, 0) reads a missing key as 0: neither
     _require(isinstance(trace.get("goal", 0), null_or_string), "'goal'", "a string or null")
+    _require(type(trace.get("task_id")) in (int, str), "'task_id'", "an integer or a string")
+    _require(trace.get("mode") in MODES, "'mode'", f"one of {', '.join(MODES)}")
+    for key in ("budget", "replan_cap"):
+        _require(type(trace.get(key)) is int and trace[key] >= 0, f"'{key}'", "an integer of 0 or more")
+    _require(isinstance(trace.get("exchanges"), list), "'exchanges'", "a list")
+    for index, exchange in enumerate(trace["exchanges"]):
+        _require(_is_record(exchange, {"reply"}), f"exchanges[{index}]", "an object with a reply")
     for key in ("inject", "replan_additions"):
         _require(_is_strings(trace.get(key)), f"'{key}'", "a list of strings")
     columns = set(REPORT_COLUMNS[2:])  # the counted columns, which verify re-derives
@@ -394,87 +396,56 @@ def cli_trace(args) -> int:
     return 0
 
 
-def _recorded_steps(trace: dict):
-    """Every action the run executed, with its recorded outcome, in run order."""
-    for entry in trace["history"]:
-        if entry["concrete"] and not entry["skipped"]:
-            yield entry["concrete"], entry["outcome"]
-        for attempt in entry["attempts"]:
-            for executed in attempt["executed"]:
-                yield executed["action"], executed
-
-
-def replay(trace: dict) -> tuple[WorldState, Optional[str]]:
-    """Re-execute a trace's recorded actions from its header's start state.
-
-    Returns the state reached and the first divergence, where the replay
-    stops, or None. It checks, in order: the scene file's sha256, the start
-    state's hash, then each step's outcome (status and message).
-    """
+def rerun(trace: dict) -> dict:
+    """Re-run a checked trace's task from its header, answering each prompt
+    with the next recorded reply, and return its ``_run_record``. When the
+    scene file's sha256, then the start state's hash, differs from the
+    header's, the task does not run and that digest alone is returned."""
     sdt = load_sdt(trace["sdt"])
     state = load_scene(trace["scene"], sdt)
     if state.scene.sha256 != trace["scene_sha256"]:
-        return state, f"scene_sha256: stored {trace['scene_sha256']!r}, file {state.scene.sha256!r}"
+        return {"scene_sha256": state.scene.sha256}
     state = apply_perturbations(state, trace["inject"], sdt)
-    start_hash = state_json_hash(state_to_json(state))
-    if start_hash != trace["start_state_hash"]:
-        return state, f"start_state_hash: stored {trace['start_state_hash']!r}, replayed {start_hash!r}"
-    for number, (action, recorded) in enumerate(_recorded_steps(trace), start=1):
-        state_after, outcome = step(state, ConcreteAction.parse(action), sdt)
-        want = (recorded["status"], recorded["message"])
-        got = (outcome.status, outcome.message)
-        if got != want:
-            return state, f"step {number} {action}: recorded {want!r}, replayed {got!r}"
-        if outcome.ok:
-            state = state_after
-    return state, None
+    if (start_hash := state_json_hash(state_to_json(state))) != trace["start_state_hash"]:
+        return {"start_state_hash": start_hash}
+    recorder = Recorder(ReplayBackend(trace["exchanges"]))
+    config = RunConfig(trace["mode"], trace["budget"], trace["replan_cap"])
+    report = run_task(trace["task"], state, sdt, recorder, config, task_id=trace["task_id"])
+    return _run_record(report, recorder.exchanges)
 
 
-def _row_from(trace: dict, state: WorldState) -> dict:
-    """Report row from the trace's history and the goal check on ``state``."""
-    history = trace["history"]
-    failures = sum(1 for e in history if e["outcome"]["status"] == "Error" and not e["skipped"])
-    success = bool(trace["goal"]) and goal_satisfied(state, parse_goal(trace["goal"]))[0]
-    return {
-        "No. Failure": failures,
-        "Iteration Per Failure": sum(len(e["attempts"]) for e in history),
-        "Replanner Iteration": len(trace["replan_additions"]),
-        "Success": "Yes" if success else "No",
-    }
+def _divergences(trace: dict, record: dict) -> Iterator[str]:
+    """Each key of a re-run's ``record`` whose value differs from the trace's,
+    ``wall_time_s`` aside; a list names its first differing entry."""
+    for key, value in record.items():
+        stored = trace.get(key)
+        if key != "wall_time_s" and stored != value:
+            if isinstance(stored, list) and isinstance(value, list):
+                pairs = enumerate(zip(stored, value))
+                n = next((i for i, (a, b) in pairs if a != b), min(len(stored), len(value)))
+                key, stored, value = f"{key}[{n}]", stored[n:n + 1], value[n:n + 1]
+            yield f"{key}: stored {stored!r}, re-run {value!r}"
 
 
 def recompute_row(trace: dict) -> dict:
-    """Report row re-derived by replaying the trace (see ``replay``), once it passes ``_check_trace``."""
+    """The counted report columns of a re-run of the trace (see ``rerun``), once it
+    passes ``_check_trace``; NaN, which equals no stored value, when it did not run."""
     _check_trace(trace)
-    return _row_from(trace, replay(trace)[0])
+    report = rerun(trace).get("report")
+    return {column: report[column] if report else math.nan for column in REPORT_COLUMNS[2:]}
 
 
 def cli_verify(args) -> int:
     try:
         trace = _load_trace(args.trace_file)
-        state, divergence = replay(trace)
-        recomputed = _row_from(trace, state)
+        mismatches = list(_divergences(trace, rerun(trace)))
     except (OSError, KeyError, ValueError, SdtPlanError) as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return 2
-    stored, stored_hash = trace["report"], trace["final_state_hash"]
-    replayed_hash = state_json_hash(state_to_json(state))
-    mismatches = [divergence] if divergence else []
-    mismatches += [
-        f"{key}: stored {stored[key]!r}, recomputed {value!r}"
-        for key, value in recomputed.items() if stored[key] != value
-    ]
-    if stored_hash != replayed_hash:
-        mismatches.append(f"final_state_hash: stored {stored_hash!r}, replayed {replayed_hash!r}")
-    for m in mismatches:
-        print(f"mismatch: {m}")
-    if mismatches:
-        return 1
-    print(
-        "trace verified: the scene file, the start state, every recorded step, "
-        "the report row and the final state hash match the replay"
-    )
-    return 0
+    print("\n".join(f"mismatch: {m}" for m in mismatches) or (
+        "trace verified: a re-run of the task from its recorded replies writes every recorded field"
+    ))
+    return 1 if mismatches else 0
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("trace_file")
     trace.set_defaults(func=cli_trace)
 
-    verify = sub.add_parser("verify", help="replay a trace's actions and compare")
+    verify = sub.add_parser("verify", help="re-run a trace's task from its recorded replies and compare")
     verify.add_argument("trace_file")
     verify.set_defaults(func=cli_verify)
     return parser

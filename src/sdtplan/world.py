@@ -134,12 +134,6 @@ class ConcreteAction:
             return f"({self.name},)"
         return f"({self.name},{self.target})"
 
-    @staticmethod
-    def parse(text: str) -> "ConcreteAction":
-        """Inverse of ``render``."""
-        name, _, target = text.strip("()").partition(",")
-        return ConcreteAction(ActionName(name), target or None)
-
 
 @dataclass
 class ActionOutcome:

@@ -17,7 +17,7 @@ import pytest
 from conftest import record_choice_queries, scene_for_row, suite_row
 
 import sdtplan
-from sdtplan import prompts
+from sdtplan import cli, prompts
 from sdtplan.backends import HttpBackend, HttpConfig, OracleConfig, ScriptedOracle, ask
 from sdtplan.errors import BackendError, GrammarError, OracleError, PlanParseError
 from sdtplan.planner import build_plan_prompt, load_examples, nearest_examples, relevant_types
@@ -322,7 +322,8 @@ def test_oracle_misorder_heat_toggles_with_door_open(sdt, suite):
 # HTTP client
 
 
-#: ``echo`` False sends ``content`` as the completion's content verbatim.
+#: ``echo`` False sends ``content`` as the completion's content verbatim, or
+#: ``content(prompt)`` when it is callable.
 _STUB_DEFAULTS = {
     "failures_left": 0, "delay": 0.0, "requests": 0, "status": 500, "retry_after": None,
     "echo": True, "content": None,
@@ -348,6 +349,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             return
         prompt = body["messages"][0]["content"]
         content = f"echo:{prompt}" if cls.behavior["echo"] else cls.behavior["content"]
+        if callable(content):
+            content = content(prompt)
         payload = {"choices": [{"message": {"role": "assistant", "content": content}}]}
         data = json.dumps(payload).encode()
         self.send_response(200)
@@ -391,6 +394,24 @@ def test_cli_import_does_not_load_requests():
     code = "import sys, sdtplan.cli; print('requests' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("failing", [False, True], ids=["oracle-replies", "http-500"])
+def test_an_http_run_verifies_offline(stub_server, tmp_path, capsys, failing):
+    # the stub answers as the oracle would, or fails every request; verify asks it nothing
+    url, behavior = stub_server
+    behavior.update(echo=False, content=ScriptedOracle().complete)
+    behavior["failures_left"] = 99 if failing else 0
+    out = str(tmp_path / "out")
+    cli.main(["run", "--task", "9", "--backend", "http", "--endpoint", url, "--max-retries", "0",
+              "--lenient", "--out", out])
+    trace = json.loads((tmp_path / "out" / "trace_task9.json").read_text())
+    assert trace["report"]["Success"] == ("No" if failing else "Yes")
+    assert ("error" in trace["exchanges"][0]) == failing
+    asked = behavior["requests"]
+    capsys.readouterr()
+    assert cli.main(["verify", str(tmp_path / "out" / "trace_task9.json")]) == 0
+    assert behavior["requests"] == asked
 
 
 def test_http_echo(stub_server):

@@ -77,6 +77,16 @@ def test_inject_without_task_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: --inject requires --task\n"
 
 
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])
+def test_out_that_cannot_be_a_directory_is_config_error(tmp_path, capsys, monkeypatch, sub):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    monkeypatch.setattr(cli, "run_task", lambda *a, **k: pytest.fail("a task ran"))
+    assert run_cli("run", "--task", "1", "--out", str(taken / sub)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error: ")
+
+
 @pytest.mark.parametrize(
     "spec, message",
     [("dirty", "dirty needs exactly one target"), ("melt:Mug", "unknown perturbation kind")],
@@ -452,11 +462,18 @@ def _edit_scene_sha256_and_injection(data):
     _drop_injection(data)
 
 
+def _edit_first_reply(data):
+    # the plan reply loses its first fridge opening, so the re-run runs another plan
+    plan = data["exchanges"][0]
+    plan["reply"] = plan["reply"].replace("['OpenObject', 'Fridge', 0], ", "", 1)
+
+
 @pytest.mark.parametrize(
     "edit, named",
     [
-        (_edit_outcome_message, "mismatch: step 6 (PutObject,Fridge"),
-        (_edit_executed_action, "mismatch: step 2 (OpenObject,Drawer"),
+        (_edit_outcome_message, "mismatch: history[3]:"),
+        (_edit_executed_action, "mismatch: history[0]:"),
+        (_edit_first_reply, "mismatch: plan:"),
         (_edit_injection, "mismatch: start_state_hash"),
         (_drop_injection, "mismatch: start_state_hash"),
         (_edit_scene_sha256, "mismatch: scene_sha256"),
@@ -471,6 +488,36 @@ def test_verify_names_first_divergence(tmp_path, capsys, edit, named):
     assert capsys.readouterr().out.startswith(named)
 
 
+@pytest.mark.parametrize("mode", ["plan", "resolve", "replan"])
+def test_rerun_writes_every_recorded_field_again(tmp_path, capsys, mode):
+    run_cli("run", "--mode", mode, "--lenient", "--out", str(tmp_path))
+    capsys.readouterr()
+    traces = sorted(tmp_path.glob("trace_task*.json"))
+    assert len(traces) == 14
+    for trace_file in traces:
+        stored = json.loads(trace_file.read_text())
+        record = cli.rerun(stored)
+        assert record.keys() <= stored.keys() and "exchanges" in record, trace_file
+        for key in record.keys() - {"wall_time_s"}:
+            assert record[key] == stored[key], (trace_file, key)
+
+
+def test_a_budget_1_trace_verifies_and_fails_under_an_edited_budget(tmp_path, capsys):
+    run_cli("run", "--task", "9", "--mode", "resolve", "--budget", "1", "--lenient",
+            "--out", str(tmp_path))
+    capsys.readouterr()
+    trace_file = tmp_path / "trace_task9.json"
+    assert run_cli("verify", str(trace_file)) == 0
+    data = json.loads(trace_file.read_text())
+    assert (data["budget"], data["report"]["Iteration Per Failure"]) == (1, 1)
+    data["budget"] = 5  # a second recovery is asked for, and the recorded replies have none
+    trace_file.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("verify", str(trace_file)) == 1
+    named = [line.split(":")[1].strip() for line in capsys.readouterr().out.splitlines()]
+    assert "history[0]" in named
+
+
 def test_verify_detects_edited_final_state_hash(tmp_path, capsys):
     trace_file, data = _task9_trace(tmp_path, capsys)
     data["final_state_hash"] = "0" * 64
@@ -482,7 +529,11 @@ def test_verify_detects_edited_final_state_hash(tmp_path, capsys):
 def test_trace_replaces_final_state_with_the_run_input(tmp_path, capsys):
     _, data = _task9_trace(tmp_path, capsys)
     assert "final_state" not in data
-    assert data["schema"] == 4
+    assert data["schema"] == 5
+    assert (data["mode"], data["budget"], data["replan_cap"]) == ("replan", 5, 3)
+    # the plan, then one recovery per resolver iteration
+    assert [sorted(exchange) for exchange in data["exchanges"]] == [["prompt_sha256", "reply"]] * 5
+    assert data["exchanges"][0]["reply"].startswith("Action-Triplets:")
     assert data["scene"].endswith("kitchen_wine.json") and data["sdt"].endswith("sdt.json")
     scene_bytes = Path(data["scene"]).read_bytes()
     assert data["scene_sha256"] == hashlib.sha256(scene_bytes).hexdigest()
@@ -505,9 +556,25 @@ def test_trace_replaces_final_state_with_the_run_input(tmp_path, capsys):
         ("verify", lambda d: d.pop("goal"), "'goal' must be a string or null"),
         ("trace", lambda d: d["history"][0].pop("concrete"),
          "history[0].concrete must be a string or null"),
+        ("verify", lambda d: d.pop("task_id"), "'task_id' must be an integer or a string"),
+        ("verify", lambda d: d.update(task_id=True), "'task_id' must be an integer or a string"),
+        ("verify", lambda d: d.update(mode="rerun"), "'mode' must be one of plan, resolve, replan"),
+        ("verify", lambda d: d.update(budget="5"), "'budget' must be an integer of 0 or more"),
+        ("verify", lambda d: d.update(budget=-1), "'budget' must be an integer of 0 or more"),
+        ("verify", lambda d: d.pop("replan_cap"), "'replan_cap' must be an integer of 0 or more"),
+        ("verify", lambda d: d.update(replan_cap=3.0),
+         "'replan_cap' must be an integer of 0 or more"),
+        ("verify", lambda d: d.pop("exchanges"), "'exchanges' must be a list"),
+        ("verify", lambda d: d["exchanges"][1].pop("reply"),
+         "exchanges[1] must be an object with a reply"),
+        ("verify", lambda d: d["exchanges"].__setitem__(0, "[]"),
+         "exchanges[0] must be an object with a reply"),
     ],
     ids=["history-int", "report-list", "scene-int", "history-entry-string", "no-task",
-         "inject-string", "skipped-outcome-null", "no-final-state-hash", "no-goal", "no-concrete"],
+         "inject-string", "skipped-outcome-null", "no-final-state-hash", "no-goal", "no-concrete",
+         "no-task-id", "task-id-bool", "mode-unknown", "budget-string", "budget-negative",
+         "no-replan-cap", "replan-cap-float", "no-exchanges", "exchange-without-reply",
+         "exchange-string"],
 )
 def test_malformed_trace_is_trace_error(tmp_path, capsys, command, edit, message):
     trace_file, data = _task9_trace(tmp_path, capsys)
@@ -522,6 +589,21 @@ def test_recompute_row_checks_the_trace_first(tmp_path, capsys):
     data["history"] = 5
     with pytest.raises(ValueError, match="^'history' must be a list$"):
         cli.recompute_row(data)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda d: d.update(exchanges=d["exchanges"][:1]), _drop_injection, _edit_scene_sha256],
+    ids=["recovery-replies-dropped", "injection-dropped", "scene-sha256-edited"],
+)
+def test_recompute_row_of_an_edited_trace_differs_from_the_stored_row(tmp_path, capsys, edit):
+    _, data = _task9_trace(tmp_path, capsys)
+    stored = dict(data["report"])
+    assert cli.recompute_row(data) == {k: stored[k] for k in cli.REPORT_COLUMNS[2:]}
+    edit(data)
+    recomputed = cli.recompute_row(data)
+    assert recomputed.keys() == set(cli.REPORT_COLUMNS[2:])
+    assert any(stored[k] != v for k, v in recomputed.items())
 
 
 def test_verify_rejects_schema_1_trace(tmp_path, capsys):
@@ -543,9 +625,10 @@ def test_verify_rejects_schema_2_trace(tmp_path, capsys):
     assert err.startswith("trace error: unsupported trace schema 2") and "re-record" in err
 
 
-@pytest.mark.parametrize("schema", [3, 5])
+@pytest.mark.parametrize("schema", [3, 4, 6])
 def test_verify_asks_to_re_record_only_an_older_schema(tmp_path, capsys, schema):
-    # schema 3 hashed each record with the slice_children key that slicing no longer needs
+    # schema 3 hashed each record with the slice_children key that slicing no longer needs;
+    # schema 4 recorded no replies, so its task cannot be re-run
     trace_file, data = _task9_trace(tmp_path, capsys)
     data["schema"] = schema
     trace_file.write_text(json.dumps(data))

@@ -10,7 +10,7 @@ from conftest import ScriptedBackend, run_row, scene_for_row, suite_row
 
 from sdtplan import cli, prompts
 from sdtplan.cli import default_suite_path
-from sdtplan.backends import OracleConfig, ScriptedOracle
+from sdtplan.backends import OracleConfig, Recorder, ScriptedOracle
 from sdtplan.errors import BackendError, PlanParseError
 from sdtplan.interpreter import HISTORY_TAIL, HistoryEntry, execute_plan
 from sdtplan.planner import relevant_types
@@ -413,12 +413,16 @@ def _run_and_trace(sdt, suite, backend, tmp_path):
     """Row 14's task on its scene without perturbations; returns the report
     and the trace file written for it."""
     row = suite_row(suite, 14)
-    args = argparse.Namespace(mode="replan", sdt=None)
+    config = RunConfig()
+    args = argparse.Namespace(
+        mode=config.mode, budget=config.budget, replan_cap=config.replan_cap, sdt=None
+    )
     header, scene = cli.trace_header(
         dict(row, inject=[]), args, default_suite_path().parent, [], sdt, cli._sdt_file(args)
     )
-    report = run_task(row["task"], scene, sdt, backend, RunConfig(), task_id=row["id"])
-    return report, cli._write_trace(report, header, tmp_path)
+    recorder = Recorder(backend)
+    report = run_task(row["task"], scene, sdt, recorder, config, task_id=row["id"])
+    return report, cli._write_trace(report, header, recorder.exchanges, tmp_path)
 
 
 def test_goal_rechecked_after_aborted_replan_phase(sdt, suite, tmp_path):
