@@ -199,8 +199,6 @@ class OracleConfig:
     misorder_heat: bool = False
 
 
-_CAND_HEAD_RE = re.compile(r"^(\S+):$")
-_CAND_ITEM_RE = re.compile(r"^\d+\. (\S+) \(")
 _PAIR_LINE_RE = re.compile(r"^- (\S+): (\w+(?:, \w+)*)$")
 _UNMET_RE = re.compile(r"UNMET type=(\S+) need=(\S+)(?: near=(\S+))?")
 _GROUNDED_RE = re.compile(r"^Grounded: .*?\(\w+,(\S+?)\)", re.MULTILINE)
@@ -216,18 +214,24 @@ def _t(action: ActionName, arg1: str, arg2: Optional[str] = None) -> ActionTripl
     return ActionTriplet(action=action, arg1=arg1, arg2=arg2)
 
 
-def _labelled_triplet(text: str, label: str) -> Optional[ActionTriplet]:
-    """The triplet on the first ``<label>: `` line of ``text``; None when absent or malformed."""
+def _labelled(text: str, label: str) -> Optional[str]:
+    """The rest of the first line of ``text`` that starts ``<label>: ``; None when absent."""
     prefix = f"{label}: "
     for line in text.splitlines():
         line = line.strip()
         if line.startswith(prefix):
-            try:
-                # the line carries one flat triplet; wrap it for the parser
-                return parse_triplets(f"[{line[len(prefix):].strip()}]")[0]
-            except GrammarError:
-                return None
+            return line[len(prefix):].strip()
     return None
+
+
+def _labelled_triplet(text: str, label: str) -> Optional[ActionTriplet]:
+    """The triplet on the first ``<label>: `` line of ``text``; None when absent or malformed."""
+    body = _labelled(text, label)
+    try:
+        # the line carries one flat triplet; wrap it for the parser
+        return None if body is None else parse_triplets(f"[{body}]")[0]
+    except GrammarError:
+        return None
 
 
 # Treatment plans, shared by the plan (type names) and the replan (instance ids)
@@ -384,21 +388,20 @@ class ScriptedOracle:
 
     def _choose(self, prompt: str) -> str:
         secs = prompts.sections(prompt)
-        step = _labelled_triplet(secs.get(prompts.SEC_STEP, ""), "Grounding")
-        listed = secs.get(prompts.SEC_CANDIDATES, "")
-        state = prompts.parse_state_lines(listed + "\n" + secs.get(prompts.SEC_STATE, ""))
+        step_text = secs.get(prompts.SEC_STEP, "")
+        step = _labelled_triplet(step_text, "Grounding")
+        ref = _labelled(step_text, "Resolve")
+        listed = prompts.parse_state_lines(secs.get(prompts.SEC_CANDIDATES, ""))
+        if ref is None or not listed:
+            return "CHOICE:{}"
+        state = listed + prompts.parse_state_lines(secs.get(prompts.SEC_STATE, ""))
         parent_of = {object_id: parent for object_id, _, parent in state}
         recent_targets = re.findall(r"\((?:\w+),(\S+?)\)", secs.get(prompts.SEC_HISTORY, ""))
-        candidates = self._parse_candidates(listed)
-
         receptacle_step = step is not None and step.action in (
             ActionName.PUT, ActionName.OPEN, ActionName.CLOSE
         )
-        picks = {}
-        for ref, ids in candidates.items():
-            picks[ref] = self._pick(ids, parent_of, recent_targets, receptacle_step)
-        body = ", ".join(f"{ref}->{object_id}" for ref, object_id in picks.items())
-        return "CHOICE:{" + body + "}"
+        pick = self._pick([i for i, _, _ in listed], parent_of, recent_targets, receptacle_step)
+        return "CHOICE:{" + f"{ref}->{pick}" + "}"
 
     def _pick(
         self,
@@ -420,22 +423,6 @@ class ScriptedOracle:
             for object_id in ids
         }
         return min(ids, key=lambda i: (counts[i], ids.index(i)))
-
-    @staticmethod
-    def _parse_candidates(text: str) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {}
-        current: Optional[str] = None
-        for raw in text.splitlines():
-            line = raw.strip()
-            head = _CAND_HEAD_RE.match(line)
-            if head and not _CAND_ITEM_RE.match(line):
-                current = head.group(1)
-                out[current] = []
-                continue
-            item = _CAND_ITEM_RE.match(line)
-            if item and current is not None:
-                out[current].append(item.group(1))
-        return out
 
     # -- failure recovery ----------------------------------------------------
 

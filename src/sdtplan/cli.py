@@ -65,20 +65,28 @@ def _is_strings(value: object) -> bool:
     return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
 
+def _encodes(text: str) -> bool:
+    """Whether UTF-8 can encode ``text``, so that it prints: it holds no surrogate."""
+    return re.search("[\ud800-\udfff]", text) is None
+
+
+def _require(ok: bool, field: str, shape: str) -> None:
+    if not ok:
+        raise ValueError(f"{field} must be {shape}")
+
+
 def _check_row(row: object, where: str) -> None:
     """Raise ValueError unless ``row`` has the shape a suite row needs."""
-    if not isinstance(row, dict):
-        raise ValueError(f"{where}: must be an object")
+    _require(isinstance(row, dict), f"{where}:", "an object")
     row_id = row.get("id")  # names the trace file; --task matches it as text
-    if isinstance(row_id, bool) or not isinstance(row_id, (int, str)) or (
-        isinstance(row_id, str) and not re.fullmatch(r"[\w-]+", row_id, re.ASCII)
-    ):
-        raise ValueError(f"{where}: 'id' must be an integer or a string of letters, digits, - and _")
+    _require(
+        type(row_id) is int or isinstance(row_id, str) and re.fullmatch(r"[\w-]+", row_id, re.ASCII),
+        f"{where}: 'id'", "an integer or a string of letters, digits, - and _",
+    )
     for key in ("task", "scene"):
-        if not isinstance(row.get(key), str):
-            raise ValueError(f"{where}: '{key}' must be a string")
-    if not _is_strings(row.get("inject", [])):
-        raise ValueError(f"{where}: 'inject' must be a list of strings")
+        _require(isinstance(row.get(key), str), f"{where}: '{key}'", "a string")
+    _require(_encodes(row["task"]), f"{where}: 'task'", "text that UTF-8 can encode")
+    _require(_is_strings(row.get("inject", [])), f"{where}: 'inject'", "a list of strings")
     faults = row.get("oracle_faults", {})
     if not isinstance(faults, dict) or not all(
         name in _FAULT_NAMES and isinstance(on, bool) for name, on in faults.items()
@@ -87,14 +95,14 @@ def _check_row(row: object, where: str) -> None:
             f"{where}: 'oracle_faults' must map fault names {sorted(_FAULT_NAMES)} to booleans"
         )
     expected = row.get("expected", {})
-    if not isinstance(expected, dict) or not all(
-        isinstance(v, bool) if k == "success" else k in _COUNTS and type(v) is int and v >= 0
-        for k, v in expected.items()
-    ):
-        raise ValueError(
-            f"{where}: 'expected' must be an object mapping {', '.join(_COUNTS)} "
-            "to counts of 0 or more and success to a boolean"
-        )
+    _require(
+        isinstance(expected, dict) and all(
+            isinstance(v, bool) if k == "success" else k in _COUNTS and type(v) is int and v >= 0
+            for k, v in expected.items()
+        ),
+        f"{where}: 'expected'",
+        f"an object mapping {', '.join(_COUNTS)} to counts of 0 or more and success to a boolean",
+    )
 
 
 def load_suite(path: Path) -> dict:
@@ -132,19 +140,14 @@ def _backend_for(http: Optional[HttpConfig], faults: dict):
     return HttpBackend(http)
 
 
-def _sdt_file(args) -> str:
-    """The knowledge base file ``args`` names, as an absolute path."""
-    return str(Path(args.sdt or default_sdt_path()).resolve())
-
-
 def trace_header(
-    row: dict, args, suite_dir: Path, extra_injections: list[str], sdt, sdt_file: str
+    row: dict, config: RunConfig, suite_dir: Path, extra_injections: list[str], sdt, sdt_file: str
 ) -> tuple[dict, WorldState]:
     """A run's input as its trace records it, and the start state it builds.
 
     The input is enough to rebuild the start state; ``scene_sha256`` and
     ``start_state_hash`` pin the scene file and the state built from it.
-    ``sdt_file`` is ``_sdt_file(args)``, resolved once per run.
+    ``sdt_file`` is the absolute path ``sdt`` was loaded from.
     """
     header = {
         "schema": TRACE_SCHEMA,
@@ -152,9 +155,7 @@ def trace_header(
         "sdt": sdt_file,
         "inject": list(row.get("inject", [])) + extra_injections,
         "oracle_faults": row.get("oracle_faults", {}),
-        "mode": args.mode,
-        "budget": args.budget,
-        "replan_cap": args.replan_cap,
+        **dataclasses.asdict(config),
     }
     state = apply_perturbations(load_scene(header["scene"], sdt), header["inject"], sdt)
     header["scene_sha256"] = state.scene.sha256
@@ -214,7 +215,8 @@ def cli_run(args) -> int:
     try:
         if args.inject and args.task is None:
             raise ValueError("--inject requires --task")
-        sdt = load_sdt(args.sdt or default_sdt_path())
+        sdt_file = str(Path(args.sdt or default_sdt_path()).resolve())
+        sdt = load_sdt(sdt_file)
         suite_path = Path(args.suite) if args.suite else default_suite_path()
         suite = load_suite(suite_path)
         config = RunConfig(args.mode, args.budget, args.replan_cap)
@@ -227,9 +229,8 @@ def cli_run(args) -> int:
             if not rows:
                 raise ValueError(f"no task with id {args.task}")
         # every row's start state, before any task runs and pays for backend calls
-        sdt_file = _sdt_file(args)
         starts = [
-            (row, *trace_header(row, args, suite_path.parent, list(args.inject or []), sdt, sdt_file))
+            (row, *trace_header(row, config, suite_path.parent, list(args.inject or []), sdt, sdt_file))
             for row in rows
         ]
         out_dir = Path(args.out)
@@ -280,11 +281,6 @@ def cli_run(args) -> int:
 # Trace rendering and verification
 
 
-def _require(ok: bool, field: str, shape: str) -> None:
-    if not ok:
-        raise ValueError(f"{field} must be {shape}")
-
-
 def _is_record(value: object, keys: set[str]) -> bool:
     return isinstance(value, dict) and keys <= value.keys()
 
@@ -302,6 +298,7 @@ def _check_trace(trace: object) -> None:
         raise ValueError(f"unsupported trace schema {schema!r}")
     for key in ("task", "plan", "scene", "sdt", "scene_sha256", "start_state_hash", "final_state_hash"):
         _require(isinstance(trace.get(key), str), f"'{key}'", "a string")
+    _require(_encodes(trace["task"]), "'task'", "text that UTF-8 can encode")
     null_or_string = (str, type(None))  # .get(key, 0) reads a missing key as 0: neither
     _require(isinstance(trace.get("goal", 0), null_or_string), "'goal'", "a string or null")
     _require(type(trace.get("task_id")) in (int, str), "'task_id'", "an integer or a string")
@@ -311,6 +308,11 @@ def _check_trace(trace: object) -> None:
     _require(isinstance(trace.get("exchanges"), list), "'exchanges'", "a list")
     for index, exchange in enumerate(trace["exchanges"]):
         _require(_is_record(exchange, {"reply"}), f"exchanges[{index}]", "an object with a reply")
+        _require(  # as Recorder writes it
+            isinstance(exchange["reply"], str)
+            or exchange["reply"] is None and isinstance(exchange.get("error"), str),
+            f"exchanges[{index}]", "a string reply, or a null reply beside a string error",
+        )
     for key in ("inject", "replan_additions"):
         _require(_is_strings(trace.get(key)), f"'{key}'", "a list of strings")
     columns = set(REPORT_COLUMNS[2:])  # the counted columns, which verify re-derives

@@ -50,14 +50,19 @@ SYNONYMS: tuple[tuple[str, str], ...] = (
     ("statue", "Statue"),
 )
 
-SLICE_TOKENS = frozenset({"slice", "sliced", "slices", "cut", "piece", "pieces"})
-CLEAN_TOKENS = frozenset({"clean", "cleaned", "rinse", "rinsed", "wash", "washed", "wet"})
 COOK_FLAG_TOKENS = frozenset({"cook", "cooked", "cooking"})
 HOT_TEMP_TOKENS = frozenset({"warm", "warmed", "hot", "heat", "heated"})
-#: A heat task names a cooked flag, a hot temperature or both.
-HEAT_TOKENS = COOK_FLAG_TOKENS | HOT_TEMP_TOKENS
-COOL_TOKENS = frozenset({"cool", "cooled", "chill", "chilled", "cold"})
 WET_TOKENS = frozenset({"wet"})
+
+#: Treatment -> the task words that ask for it. Each set is tested on its own,
+#: so a "cooked, chilled" task asks for both heat and cool. A heat task names a
+#: cooked flag, a hot temperature or both.
+TREATMENT_TOKENS = {
+    "clean": frozenset({"clean", "cleaned", "rinse", "rinsed", "wash", "washed"}) | WET_TOKENS,
+    "heat": COOK_FLAG_TOKENS | HOT_TEMP_TOKENS,
+    "cool": frozenset({"cool", "cooled", "chill", "chilled", "cold"}),
+    "slice": frozenset({"slice", "sliced", "slices", "cut", "piece", "pieces"}),
+}
 
 _PREP_RE = re.compile(r"\b(?:on|in|into|inside|under|onto|to)\b")
 
@@ -116,17 +121,17 @@ def main_object(task: str) -> Optional[str]:
     return None
 
 
+def treatments(task: str) -> list[str]:
+    """The treatments the task's words ask for, in ``TREATMENT_TOKENS`` order."""
+    words = set(tokens(task))
+    return [name for name, treatment_words in TREATMENT_TOKENS.items() if words & treatment_words]
+
+
 def wants_slice(task: str) -> bool:
-    return bool(SLICE_TOKENS & set(tokens(task)))
+    return "slice" in treatments(task)
 
 
 def category(task: str) -> Optional[str]:
-    """Treatment category: 'clean', 'heat' or 'cool' (None when untreated)."""
-    toks = set(tokens(task))
-    if toks & CLEAN_TOKENS:
-        return "clean"
-    if toks & HEAT_TOKENS:
-        return "heat"
-    if toks & COOL_TOKENS:
-        return "cool"
-    return None
+    """Treatment category: the first of 'clean', 'heat' and 'cool' the task
+    asks for (None when untreated)."""
+    return next((name for name in treatments(task) if name != "slice"), None)

@@ -38,15 +38,6 @@ _RETRY_REMINDER = (
 )
 
 
-#: Task words per treatment, each set tested on its own, so a "cooked, chilled"
-#: task asks for both heat and cool.
-_TREATMENT_WORDS = {
-    "slice": lexicon.SLICE_TOKENS,
-    "heat": lexicon.HEAT_TOKENS,
-    "cool": lexicon.COOL_TOKENS,
-    "clean": lexicon.CLEAN_TOKENS,
-}
-
 #: Treatment -> the (field, value) a rule sets on other objects to perform it.
 _TREATMENT_EFFECTS = {
     "heat": {("temperature", "Hot")},
@@ -94,9 +85,7 @@ def relevant_types(task: str, sdt: SDT) -> set[str]:
     """
     kept = {t for t in lexicon.type_mentions(task) if t in sdt}
     kept |= {f"{t}Sliced" for t in list(kept) if f"{t}Sliced" in sdt}
-    words = set(lexicon.tokens(task))
-    asked = {name for name, treatment_words in _TREATMENT_WORDS.items() if words & treatment_words}
-    return kept | _treatment_types(sdt, asked)
+    return kept | _treatment_types(sdt, set(lexicon.treatments(task)))
 
 
 def goal_types(goal: GoalCondition, sdt: SDT) -> set[str]:

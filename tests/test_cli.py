@@ -203,6 +203,8 @@ _ROW = {"id": 1, "task": "Pick up the mug", "scene": "scenes/kitchen_mug.json"}
         (dict(_ROW, id=2, expected={"failures": -1}), "'expected' must be an object mapping"),
         (dict(_ROW, id=2, expected={"iterations": 1.0}), "'expected' must be an object mapping"),
         (dict(_ROW, id=2, expected={"failures": "0"}), "'expected' must be an object mapping"),
+        # a lone surrogate cannot be printed in the report
+        (dict(_ROW, id=2, task="Pick up the mug \ud800"), "'task' must be text that UTF-8 can encode"),
     ],
 )
 def test_malformed_suite_row_is_config_error(tmp_path, capsys, row, message):
@@ -569,12 +571,20 @@ def test_trace_replaces_final_state_with_the_run_input(tmp_path, capsys):
          "exchanges[1] must be an object with a reply"),
         ("verify", lambda d: d["exchanges"].__setitem__(0, "[]"),
          "exchanges[0] must be an object with a reply"),
+        # a Recorder writes a string reply, or a null one beside the error it met
+        ("verify", lambda d: d["exchanges"][0].update(reply=5),
+         "exchanges[0] must be a string reply, or a null reply beside a string error"),
+        ("verify", lambda d: d["exchanges"][2].update(reply=None),
+         "exchanges[2] must be a string reply, or a null reply beside a string error"),
+        ("verify", lambda d: d.update(task="Pick up the mug \ud800"),
+         "'task' must be text that UTF-8 can encode"),
     ],
     ids=["history-int", "report-list", "scene-int", "history-entry-string", "no-task",
          "inject-string", "skipped-outcome-null", "no-final-state-hash", "no-goal", "no-concrete",
          "no-task-id", "task-id-bool", "mode-unknown", "budget-string", "budget-negative",
          "no-replan-cap", "replan-cap-float", "no-exchanges", "exchange-without-reply",
-         "exchange-string"],
+         "exchange-string", "exchange-reply-int", "exchange-reply-null-without-error",
+         "task-surrogate"],
 )
 def test_malformed_trace_is_trace_error(tmp_path, capsys, command, edit, message):
     trace_file, data = _task9_trace(tmp_path, capsys)

@@ -125,15 +125,33 @@ def test_oracle_replies_are_pinned(sdt, suite, task_id):
 
 
 class PromptLog(ScriptedOracle):
-    """The oracle, keeping every prompt it answers."""
+    """The oracle, keeping every prompt it answers and, in ``replies``, its reply."""
 
     def __init__(self, config=None):
         super().__init__(config)
         self.prompts = []
+        self.replies = []
 
     def complete(self, prompt):
         self.prompts.append(prompt)
-        return super().complete(prompt)
+        self.replies.append(super().complete(prompt))
+        return self.replies[-1]
+
+
+@pytest.mark.parametrize("task_id", sorted(TRAFFIC))
+@pytest.mark.parametrize("mode", ["plan", "resolve", "replan"])
+def test_clutter_never_moves_backend_traffic(sdt, suite, mode, task_id):
+    """1000 free-standing statues in a row's scene leave every prompt, reply and
+    the report row as they are without them."""
+    row = suite_row(suite, task_id)
+    runs = []
+    for statues in (0, 1000):
+        state = scene_for_row(row, sdt)
+        add_statues(state, statues, seed=task_id)
+        oracle = PromptLog(OracleConfig(**row.get("oracle_faults", {})))
+        report = run_task(row["task"], state, sdt, oracle, RunConfig(mode))
+        runs.append((oracle.prompts, oracle.replies, report.to_row()))
+    assert runs[1] == runs[0]
 
 
 def _prompts_among_statues(sdt, suite, task_id, injected=True):

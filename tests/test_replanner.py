@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
-
 import pytest
 
 from conftest import ScriptedBackend, run_row, scene_for_row, suite_row
@@ -414,11 +412,9 @@ def _run_and_trace(sdt, suite, backend, tmp_path):
     and the trace file written for it."""
     row = suite_row(suite, 14)
     config = RunConfig()
-    args = argparse.Namespace(
-        mode=config.mode, budget=config.budget, replan_cap=config.replan_cap, sdt=None
-    )
     header, scene = cli.trace_header(
-        dict(row, inject=[]), args, default_suite_path().parent, [], sdt, cli._sdt_file(args)
+        dict(row, inject=[]), config, default_suite_path().parent, [], sdt,
+        str(cli.default_sdt_path().resolve()),
     )
     recorder = Recorder(backend)
     report = run_task(row["task"], scene, sdt, recorder, config, task_id=row["id"])
