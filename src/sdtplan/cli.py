@@ -298,7 +298,8 @@ def _check_trace(trace: object) -> None:
         raise ValueError(f"unsupported trace schema {schema!r}")
     for key in ("task", "plan", "scene", "sdt", "scene_sha256", "start_state_hash", "final_state_hash"):
         _require(isinstance(trace.get(key), str), f"'{key}'", "a string")
-    _require(_encodes(trace["task"]), "'task'", "text that UTF-8 can encode")
+    for key, value in trace.items():  # whatever `sdtplan trace` prints must encode
+        _require(_encodes(json.dumps(value, ensure_ascii=False)), f"'{key}'", "text that UTF-8 can encode")
     null_or_string = (str, type(None))  # .get(key, 0) reads a missing key as 0: neither
     _require(isinstance(trace.get("goal", 0), null_or_string), "'goal'", "a string or null")
     _require(type(trace.get("task_id")) in (int, str), "'task_id'", "an integer or a string")

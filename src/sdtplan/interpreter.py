@@ -304,42 +304,30 @@ def postcondition_satisfied(state: WorldState, triplet: ActionTriplet) -> bool:
 # Execution loop
 
 
-@dataclass
-class FailureContext:
-    """One failed step, as the execution loop hands it to ``recover``."""
-
-    failed_triplet: ActionTriplet
-    failed_concrete: Optional[ConcreteAction]
-    outcome: ActionOutcome
-    task: str
-    #: the failed step's entry, last, after up to HISTORY_TAIL entries before it
-    history_tail: list[HistoryEntry] = field(default_factory=list)
-
-
 def execute_plan(
     plan: list[ActionTriplet],
     state: WorldState,
     task: str,
     sdt: SDT,
     backend: LLMBackend,
-    recover: Optional[Callable[[FailureContext, WorldState], tuple]],
-    history: Optional[list[HistoryEntry]] = None,
+    recover: Optional[Callable[[list[HistoryEntry], WorldState, str], tuple]],
+    history: list[HistoryEntry],
     phase: str = "plan",
     goal: Optional[GoalCondition] = None,
-) -> tuple[WorldState, list[HistoryEntry], str]:
-    """Run triplets in order, grounding each against the run's ``goal``;
-    errors go to ``recover`` (or abort the run).
+) -> tuple[WorldState, str]:
+    """Run triplets in order, appending each step to ``history`` and grounding
+    it against the run's ``goal``; errors go to ``recover`` (or abort the run).
 
-    ``recover(ctx, state)`` returns what ``resolver.resolve_failure`` does:
+    ``recover(history, state, task)`` is called with the failed step's entry
+    last in ``history`` and returns what ``resolver.resolve_failure`` does:
     the state, "Resolved" or another status, the iterations and the attempts.
     Each triplet runs at most once. A step whose postcondition already holds
     records as skipped; so does a failed step once a successful resolution
     made the postcondition hold. A resolution that re-executed the step
-    itself finishes the triplet. A backend error ends the phase with status
-    "ExecutionFailed: ..." and the state its executed steps reached.
+    itself finishes the triplet. A backend error, in a step or in its
+    recovery, ends the phase with status "ExecutionFailed: ..." and the state
+    its executed steps reached.
     """
-    if history is None:
-        history = []
     try:
         for triplet in plan:
             if not postcondition_satisfied(state, triplet):
@@ -352,19 +340,16 @@ def execute_plan(
                     state_after, outcome = step(state, concrete, sdt)
                     if outcome.ok:
                         state = state_after
-                entry = HistoryEntry(
-                    triplet=triplet, phase=phase, concrete=concrete, outcome=outcome
+                history.append(
+                    HistoryEntry(triplet=triplet, phase=phase, concrete=concrete, outcome=outcome)
                 )
-                history.append(entry)
                 if outcome.ok:
                     continue
                 if recover is None:
-                    return state, history, "Aborted"
-                ctx = FailureContext(triplet, concrete, outcome, task, history[-HISTORY_TAIL - 1:])
-                state, status, _, attempts = recover(ctx, state)
-                entry.attempts.extend(attempts)
+                    return state, "Aborted"
+                state, status, _, _ = recover(history, state, task)
                 if status != "Resolved":
-                    return state, history, "Aborted"
+                    return state, "Aborted" if status == "Exhausted" else status
                 if not postcondition_satisfied(state, triplet):
                     continue
             history.append(
@@ -372,5 +357,5 @@ def execute_plan(
                              outcome=ActionOutcome.success("already satisfied"))
             )
     except SdtPlanError as exc:  # a backend failure ends the phase; what ran so far stays
-        return state, history, f"ExecutionFailed: {exc}"
-    return state, history, "Completed"
+        return state, f"ExecutionFailed: {exc}"
+    return state, "Completed"

@@ -177,7 +177,7 @@ def run_task(
         )
         phase, triplets = "plan", report.plan
         while True:
-            state, _, report.status = execute_plan(
+            state, report.status = execute_plan(
                 triplets, state, task, sdt, backend, recover,
                 history=report.history, phase=phase, goal=report.goal,
             )

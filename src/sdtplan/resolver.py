@@ -4,9 +4,10 @@ On an execution error the resolver builds the action-pair map (the action
 filter over the task-relevant objects in the current view, widened by pose
 and door counterfactuals so suggestions like "crouch, then pick it up" are
 expressible), queries the backend, validates and executes the suggested
-pair sequence. The attempts of one call are the failure point's adaptive
-memory: every recovery query lists the sequences tried so far with their
-feedback, and a sequence proposed again is rejected without running.
+pair sequence. The failed step's history entry is the failure point's
+adaptive memory: each attempt is filed in its ``attempts``, every recovery
+query lists the sequences tried so far with their feedback, and a sequence
+proposed again is rejected without running.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from typing import AbstractSet, Optional
 
 from . import prompts
 from .backends import LLMBackend, complete_text
-from .errors import GrammarError, NoCandidate
+from .errors import GrammarError, NoCandidate, SdtPlanError
 from .interpreter import (
-    FailureContext,
+    HISTORY_TAIL,
+    HistoryEntry,
     RecoveryAttempt,
     postcondition_satisfied,
     ref_instances,
@@ -64,15 +66,12 @@ def _view_descriptions(
     so the union takes either band. Opening the doors shows what their
     containers hide and shows each closed openable with isOpen=True; a
     closed openable keeps its as-is form only while its own container chain
-    is open as it is.
+    is open as it is. With the doors opened every chain is open: a container
+    is a receptacle, and one without a door is open and never closes.
     """
     if not in_sight(state, obj, either_pose=True):
         return []
     as_is = container_chain_open(state, obj)
-    # A chain that only opens with the doors opened holds a closed openable,
-    # so the doors-opened views exist whenever this second walk matters.
-    if not as_is and not container_chain_open(state, obj, sdt):
-        return []
     if not is_closed_openable(sdt, obj):
         return [obj]
     opened = dataclasses.replace(obj, flags={**obj.flags, "isOpen": True})
@@ -137,22 +136,27 @@ def build_action_pairs(
 
 
 def build_failure_query(
-    ctx: FailureContext,
-    pairs: list[tuple[ActionName, str]],
-    tried: dict[tuple[ConcreteAction, ...], str],
+    task: str, history: list[HistoryEntry], pairs: list[tuple[ActionName, str]]
 ) -> str:
-    """Recovery prompt; ``tried`` maps each sequence proposed so far for this
-    failure to its feedback, listed in proposal order. Each run of pairs with
-    one target is one line, ``- <id>: <action>, ...``; Recent Actions lists
-    only the steps before the failed one, and is left out when there are none.
+    """Recovery prompt for the failed step, ``history``'s last entry. Do Not
+    Repeat lists each sequence its attempts proposed once, in proposal order,
+    with the feedback of its first attempt. Each run of pairs with one target
+    is one line, ``- <id>: <action>, ...``; Recent Actions lists up to
+    ``HISTORY_TAIL`` steps before the failed one, and is left out when there
+    are none.
     """
-    grounded = ctx.failed_concrete.render() if ctx.failed_concrete is not None else "-"
-    attempted = [f"- {format_recovery(seq)} => {fb}" for seq, fb in tried.items()]
+    failed = history[-1]
+    grounded = failed.concrete.render() if failed.concrete is not None else "-"
+    listed: dict[tuple[ConcreteAction, ...], str] = {}
+    for attempt in failed.attempts:
+        if attempt.proposed:
+            listed.setdefault(tuple(attempt.proposed), attempt.feedback)
+    attempted = [f"- {format_recovery(seq)} => {fb}" for seq, fb in listed.items()]
     return prompts.render(prompts.RECOVERY_HEADER, [
-        (prompts.SEC_ERROR, [f'{ctx.outcome.error_code}: "{ctx.outcome.message}"']),
-        (prompts.SEC_FAILED, [f"Triplet: {ctx.failed_triplet.render()}", f"Grounded: {grounded}"]),
-        (prompts.SEC_TASK, [ctx.task]),
-        (prompts.SEC_HISTORY, prompts.render_history_lines(ctx.history_tail[:-1]) or None),
+        (prompts.SEC_ERROR, [f'{failed.outcome.error_code}: "{failed.outcome.message}"']),
+        (prompts.SEC_FAILED, [f"Triplet: {failed.triplet.render()}", f"Grounded: {grounded}"]),
+        (prompts.SEC_TASK, [task]),
+        (prompts.SEC_HISTORY, prompts.render_history_lines(history[-HISTORY_TAIL - 1:-1]) or None),
         (prompts.SEC_PAIRS, [
             f"- {object_id}: {', '.join(action.value for action, _ in run)}"
             for object_id, run in itertools.groupby(pairs, key=lambda pair: pair[1])
@@ -169,19 +173,19 @@ def build_failure_query(
 
 
 def _reexecute_failed(
-    ctx: FailureContext,
+    task: str,
+    history: list[HistoryEntry],
     state: WorldState,
     sdt: SDT,
     backend: LLMBackend,
     attempt: RecoveryAttempt,
     goal: Optional[GoalCondition],
 ) -> tuple[WorldState, bool, str]:
-    """Retry the failed triplet against the recovered state, grounding it
-    against the run's ``goal`` as ``execute_plan`` does."""
+    """Retry the failed triplet, ``history``'s last entry, against the
+    recovered state, grounding it against the run's ``goal`` as
+    ``execute_plan`` does."""
     try:
-        concrete = resolve(
-            ctx.failed_triplet, state, ctx.task, ctx.history_tail, sdt, backend, goal
-        )
+        concrete = resolve(history[-1].triplet, state, task, history, sdt, backend, goal)
     except NoCandidate:
         return state, False, "target still has no candidate instance"
     new_state, outcome = step(state, concrete, sdt)
@@ -192,8 +196,9 @@ def _reexecute_failed(
 
 
 def resolve_failure(
-    ctx: FailureContext,
+    history: list[HistoryEntry],
     state: WorldState,
+    task: str,
     sdt: SDT,
     relevant: AbstractSet[str],
     backend: LLMBackend,
@@ -202,70 +207,78 @@ def resolve_failure(
 ) -> tuple[WorldState, str, int, list[RecoveryAttempt]]:
     """Iterate query -> validate -> execute -> record until resolved or spent.
 
-    The pair map covers the ``relevant`` types, the types the failed
-    triplet names and its grounded target. A pair runs only if it is in the
-    pair map of the state it runs in: the first pair's is the map its prompt
-    listed, and each later pair's is rebuilt after its predecessor, so
-    enabling actions (open the alternate drawer, crouch) legitimize their
-    successors. A sequence already tried for this failure is rejected unrun.
-    A proposal that runs without resolving the failure re-executes the failed
-    triplet, grounded against the run's ``goal``. Returns the state,
-    "Resolved" or "Exhausted", the iterations run (one attempt each) and the
-    attempts.
+    The failed step is ``history``'s last entry, and each attempt is
+    appended to its ``attempts``. The pair map covers the ``relevant``
+    types, the types the failed triplet names and its grounded target. A
+    pair runs only if it is in the pair map of the state it runs in: the
+    first pair's is the map its prompt listed, and each later pair's is
+    rebuilt after its predecessor, so enabling actions (open the alternate
+    drawer, crouch) legitimize their successors. A sequence already tried for
+    this failure is rejected unrun. A proposal that runs without resolving
+    the failure re-executes the failed triplet, grounded against the run's
+    ``goal``. A backend error ends the recovery with status
+    "ExecutionFailed: ..." and the state the executed pairs reached; the
+    attempt it cuts short keeps what ran. Returns the state, "Resolved",
+    "Exhausted" or that status, the iterations run (one attempt each) and
+    the attempts.
     """
-    attempts: list[RecoveryAttempt] = []
-    tried: dict[tuple[ConcreteAction, ...], str] = {}
-    mapped = relevant | _reference_types(ctx.failed_triplet)
-    focus = None
-    if ctx.failed_concrete is not None and ctx.failed_concrete.target is not None:
-        focus = ctx.failed_concrete.target
+    failed = history[-1]
+    attempts = failed.attempts
+    mapped = relevant | _reference_types(failed.triplet)
+    focus = failed.concrete.target if failed.concrete is not None else None
 
     def pair_map(state: WorldState) -> list[tuple[ActionName, str]]:
-        return build_action_pairs(state, sdt, mapped, focus=focus or _focus_from_ref(state, ctx))
+        focused = focus or _focus_from_ref(state, failed.triplet.arg1)
+        return build_action_pairs(state, sdt, mapped, focus=focused)
 
-    for _ in range(budget):
-        pairs = pair_map(state)
-        query = build_failure_query(ctx, pairs, tried)
-        try:
-            sequence = parse_recovery(complete_text(backend, query))
-        except GrammarError as exc:
-            attempts.append(RecoveryAttempt(proposed=[], feedback=f"unparseable proposal: {exc}"))
-            continue
-        attempt = RecoveryAttempt(proposed=sequence)
-        attempts.append(attempt)
-        if not sequence:  # the backend says nothing applies; asking again would repeat it
-            attempt.feedback = "empty proposal"
-            break
-        if tuple(sequence) in tried:
-            attempt.feedback = "repeated sequence; rejected"
-            continue
-        feedback = "executed"
-        for index, pair in enumerate(sequence):
-            if index:
-                pairs = pair_map(state)
-            if (pair.name, pair.target) not in pairs:
-                feedback = f"invalid pair {pair.render()}"
+    try:
+        for _ in range(budget):
+            pairs = pair_map(state)
+            query = build_failure_query(task, history, pairs)
+            try:
+                sequence = parse_recovery(complete_text(backend, query))
+            except GrammarError as exc:
+                attempts.append(RecoveryAttempt([], feedback=f"unparseable proposal: {exc}"))
+                continue
+            repeated = any(a.proposed == sequence for a in attempts)
+            attempt = RecoveryAttempt(proposed=sequence)
+            attempts.append(attempt)
+            if not sequence:  # the backend says nothing applies; asking again would repeat it
+                attempt.feedback = "empty proposal"
                 break
-            # a pose pair names its anchor only for the prompt; the pose targets nothing
-            concrete = ConcreteAction(pair.name) if pair.name in POSE_ACTIONS else pair
-            state_after, outcome = step(state, concrete, sdt)
-            attempt.executed.append((concrete, outcome))
-            if not outcome.ok:
-                feedback = f"recovery action failed: {outcome.message}"
-                break
-            state = state_after
-        if postcondition_satisfied(state, ctx.failed_triplet):
-            feedback += "; resolved"
-            attempt.resolved = True
-        elif attempt.executed and all(o.ok for _, o in attempt.executed):
-            state, attempt.resolved, note = _reexecute_failed(
-                ctx, state, sdt, backend, attempt, goal
-            )
-            feedback = f"{feedback}; {note}"
-        attempt.feedback = feedback
-        tried[tuple(sequence)] = feedback
-        if attempt.resolved:
-            return state, "Resolved", len(attempts), attempts
+            if repeated:
+                attempt.feedback = "repeated sequence; rejected"
+                continue
+            feedback = "executed"
+            for index, pair in enumerate(sequence):
+                if index:
+                    pairs = pair_map(state)
+                if (pair.name, pair.target) not in pairs:
+                    feedback = f"invalid pair {pair.render()}"
+                    break
+                # a pose pair names its anchor only for the prompt; the pose targets nothing
+                concrete = ConcreteAction(pair.name) if pair.name in POSE_ACTIONS else pair
+                state_after, outcome = step(state, concrete, sdt)
+                attempt.executed.append((concrete, outcome))
+                if not outcome.ok:
+                    feedback = f"recovery action failed: {outcome.message}"
+                    break
+                state = state_after
+            if postcondition_satisfied(state, failed.triplet):
+                feedback += "; resolved"
+                attempt.resolved = True
+            elif attempt.executed and all(o.ok for _, o in attempt.executed):
+                state, attempt.resolved, note = _reexecute_failed(
+                    task, history, state, sdt, backend, attempt, goal
+                )
+                feedback = f"{feedback}; {note}"
+            attempt.feedback = feedback
+            if attempt.resolved:
+                return state, "Resolved", len(attempts), attempts
+    except SdtPlanError as exc:  # a backend failure ends the recovery; what ran so far stays
+        if attempts and not attempts[-1].feedback:
+            attempts[-1].feedback = f"cut short: {exc}"
+        return state, f"ExecutionFailed: {exc}", len(attempts), attempts
     return state, "Exhausted", len(attempts), attempts
 
 
@@ -279,9 +292,8 @@ def _reference_types(triplet: ActionTriplet) -> set[str]:
     return out
 
 
-def _focus_from_ref(state: WorldState, ctx: FailureContext) -> Optional[str]:
-    """Nearest instance matching the failed primary reference, visible or not."""
-    ref = ctx.failed_triplet.arg1
+def _focus_from_ref(state: WorldState, ref: str) -> Optional[str]:
+    """Nearest instance matching the failed step's primary reference, visible or not."""
     matches = ref_instances(state, ref, include_sliced=True)
     if not matches:
         return None

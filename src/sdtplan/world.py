@@ -589,20 +589,12 @@ def is_closed_openable(sdt: SDT, obj: ObjectInstance) -> bool:
     return _afforded(sdt, obj, AffordanceTag.OPENABLE) and not obj.flag("isOpen")
 
 
-def container_chain_open(
-    state: WorldState, obj: ObjectInstance, sdt: Optional[SDT] = None
-) -> bool:
-    """Every container around ``obj`` is open.
-
-    With the knowledge base given, closed containers of an openable type
-    count as open: the chain as it would be with every door opened.
-    """
+def container_chain_open(state: WorldState, obj: ObjectInstance) -> bool:
+    """Every container around ``obj`` is open."""
     cur = obj.parent_receptacle
     while cur is not None:
         parent = state.objects.get(cur)
-        if parent is None:
-            return False
-        if not parent.flag("isOpen") and (sdt is None or not is_closed_openable(sdt, parent)):
+        if parent is None or not parent.flag("isOpen"):
             return False
         cur = parent.parent_receptacle
     return True

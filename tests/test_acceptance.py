@@ -13,7 +13,8 @@ import time
 from conftest import random_state, run_row, scene_for_row, suite_row
 
 from sdtplan.errors import SdtPlanError
-from sdtplan.resolver import FailureContext, build_action_pairs, resolve_failure
+from sdtplan.interpreter import HistoryEntry
+from sdtplan.resolver import build_action_pairs, resolve_failure
 from sdtplan.sdt import ActionName, POSE_ACTIONS
 from sdtplan.triplets import (
     ActionTriplet,
@@ -178,16 +179,13 @@ def test_criterion_4_memory_non_repetition(sdt, all_types):
             continue
         runs += 1
         rng.randint(0, 5)  # keeps the seeded stream that draws the states below
-        ctx = FailureContext(
-            failed_triplet=ActionTriplet(ActionName.PICKUP, "Unicorn"),
-            failed_concrete=None,
-            outcome=ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE),
-            task="adversarial run",
-            history_tail=[],
+        failed = HistoryEntry(
+            ActionTriplet(ActionName.PICKUP, "Unicorn"),
+            ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE),
         )
         budget = rng.randint(1, 5)
         _, status, iterations, attempts = resolve_failure(
-            ctx, state, sdt, all_types, _RepeatingBackend(rng, pool),
+            [failed], state, "adversarial run", sdt, all_types, _RepeatingBackend(rng, pool),
             budget=budget,
         )
         if iterations > budget or status not in ("Resolved", "Exhausted"):

@@ -22,7 +22,8 @@ from sdtplan.backends import HttpBackend, HttpConfig, OracleConfig, ScriptedOrac
 from sdtplan.errors import BackendError, GrammarError, OracleError, PlanParseError
 from sdtplan.planner import build_plan_prompt, load_examples, nearest_examples, relevant_types
 from sdtplan.replanner import RunConfig, run_task
-from sdtplan.resolver import FailureContext, build_action_pairs, build_failure_query
+from sdtplan.interpreter import HistoryEntry, RecoveryAttempt
+from sdtplan.resolver import build_action_pairs, build_failure_query
 from sdtplan.sdt import ActionName, render_type_text
 from sdtplan.triplets import ActionTriplet, parse_goal, parse_recovery, parse_triplets
 from sdtplan.world import (
@@ -48,18 +49,17 @@ def _plan_prompt(sdt, suite, task_id):
     )
 
 
-def _failure_query(sdt, suite, task_id, triplet, tried=None):
+def _failure_query(sdt, suite, task_id, triplet, blocked=()):
+    """The recovery prompt for ``triplet`` failing NotVisible in the row's
+    scene, after one failed attempt per sequence in ``blocked``."""
     row = suite_row(suite, task_id)
     state = scene_for_row(row, sdt)
-    ctx = FailureContext(
-        failed_triplet=triplet,
-        failed_concrete=None,
-        outcome=ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE),
-        task=row["task"],
-        history_tail=[],
+    failed = HistoryEntry(
+        triplet, ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE),
+        attempts=[RecoveryAttempt(list(sequence), feedback="failed") for sequence in blocked],
     )
     pairs = build_action_pairs(state, sdt, frozenset(sdt.type_names()))
-    return build_failure_query(ctx, pairs, tried or {}), pairs
+    return build_failure_query(row["task"], [failed], pairs), pairs
 
 
 def test_oracle_is_deterministic(sdt, suite):
@@ -167,7 +167,7 @@ def test_oracle_never_repeats_blocked_sequence(sdt, suite):
     triplet = ActionTriplet(ActionName.PICKUP, "WineBottle")
     query, _ = _failure_query(sdt, suite, 9, triplet)
     first = parse_recovery(ScriptedOracle().complete(query))
-    query2, _ = _failure_query(sdt, suite, 9, triplet, {tuple(first): "failed"})
+    query2, _ = _failure_query(sdt, suite, 9, triplet, [first])
     second = parse_recovery(ScriptedOracle().complete(query2))
     assert second != first
 
@@ -176,15 +176,12 @@ def test_oracle_recovery_replies_parse_for_every_suite_scene(sdt, suite, all_typ
     for row in suite["tasks"]:
         state = scene_for_row(row, sdt)
         first_type = sorted({o.type_name for o in state.objects.values()})[0]
-        ctx = FailureContext(
-            failed_triplet=ActionTriplet(ActionName.PICKUP, first_type),
-            failed_concrete=None,
-            outcome=ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE),
-            task=row["task"],
-            history_tail=[],
+        failed = HistoryEntry(
+            ActionTriplet(ActionName.PICKUP, first_type),
+            ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE),
         )
         pairs = build_action_pairs(state, sdt, all_types)
-        query = build_failure_query(ctx, pairs, {})
+        query = build_failure_query(row["task"], [failed], pairs)
         reply = ScriptedOracle().complete(query)
         parse_recovery(reply)  # grammar-valid or the parser raises
 
@@ -283,15 +280,14 @@ def test_oracle_recovery_reply_per_strategy(
 ):
     row = suite_row(suite, task_id)
     state = scene_for_row(row, sdt)
-    ctx = FailureContext(
-        failed_triplet=triplet,
-        failed_concrete=None if grounded is None else ConcreteAction(name=triplet.action, target=grounded),
-        outcome=ActionOutcome.error(code, _MESSAGES[code]),
-        task=row["task"],
-        history_tail=[],
+    failed = HistoryEntry(
+        triplet,
+        ActionOutcome.error(code, _MESSAGES[code]),
+        concrete=None if grounded is None else ConcreteAction(name=triplet.action, target=grounded),
+        attempts=[RecoveryAttempt(parse_recovery(sequence), feedback="failed") for sequence in blocked],
     )
-    tried = {tuple(parse_recovery(sequence)): "failed" for sequence in blocked}
-    query = build_failure_query(ctx, build_action_pairs(state, sdt, all_types, grounded), tried)
+    pairs = build_action_pairs(state, sdt, all_types, grounded)
+    query = build_failure_query(row["task"], [failed], pairs)
     assert ScriptedOracle().complete(query) == expected
 
 

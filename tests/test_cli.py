@@ -517,7 +517,8 @@ def test_a_budget_1_trace_verifies_and_fails_under_an_edited_budget(tmp_path, ca
     capsys.readouterr()
     assert run_cli("verify", str(trace_file)) == 1
     named = [line.split(":")[1].strip() for line in capsys.readouterr().out.splitlines()]
-    assert "history[0]" in named
+    # the missing reply ends the recovery; the attempt that ran stays in the history
+    assert named == ["status", "exchanges[2]"]
 
 
 def test_verify_detects_edited_final_state_hash(tmp_path, capsys):
@@ -578,13 +579,20 @@ def test_trace_replaces_final_state_with_the_run_input(tmp_path, capsys):
          "exchanges[2] must be a string reply, or a null reply beside a string error"),
         ("verify", lambda d: d.update(task="Pick up the mug \ud800"),
          "'task' must be text that UTF-8 can encode"),
+        # `sdtplan trace` prints these too
+        ("trace", lambda d: d.update(plan=d["plan"] + "\ud800"),
+         "'plan' must be text that UTF-8 can encode"),
+        ("trace", lambda d: d.update(goal=d["goal"] + "\ud800"),
+         "'goal' must be text that UTF-8 can encode"),
+        ("trace", lambda d: d["history"][0]["outcome"].update(message="\ud800"),
+         "'history' must be text that UTF-8 can encode"),
     ],
     ids=["history-int", "report-list", "scene-int", "history-entry-string", "no-task",
          "inject-string", "skipped-outcome-null", "no-final-state-hash", "no-goal", "no-concrete",
          "no-task-id", "task-id-bool", "mode-unknown", "budget-string", "budget-negative",
          "no-replan-cap", "replan-cap-float", "no-exchanges", "exchange-without-reply",
          "exchange-string", "exchange-reply-int", "exchange-reply-null-without-error",
-         "task-surrogate"],
+         "task-surrogate", "plan-surrogate", "goal-surrogate", "history-message-surrogate"],
 )
 def test_malformed_trace_is_trace_error(tmp_path, capsys, command, edit, message):
     trace_file, data = _task9_trace(tmp_path, capsys)

@@ -113,8 +113,9 @@ def test_a_slice_step_on_the_consumed_object_records_as_skipped(sdt, suite):
     state, outcome = step(state, ConcreteAction(ActionName.SLICE, apple), sdt)
     assert outcome.ok and apple not in state.objects
     backend = CountingBackend(ScriptedOracle())
-    final, history, status = execute_plan(
-        [trip(ActionName.SLICE, apple)], state, row["task"], sdt, backend, None
+    history = []
+    final, status = execute_plan(
+        [trip(ActionName.SLICE, apple)], state, row["task"], sdt, backend, None, history
     )
     assert status == "Completed" and final is state and backend.calls == 0
     assert [(e.concrete, e.skipped, e.outcome) for e in history] == [
@@ -624,8 +625,9 @@ def test_postcondition_pickup_and_put(sdt, suite):
 
 def test_execute_empty_plan(sdt, suite):
     state = scene_for_row(suite_row(suite, 9), sdt, injected=False)
-    final, history, status = execute_plan(
-        [], state, "idle", sdt, ScriptedOracle(), recover=None
+    history = []
+    final, status = execute_plan(
+        [], state, "idle", sdt, ScriptedOracle(), None, history
     )
     assert status == "Completed"
     assert history == []
@@ -663,7 +665,8 @@ def test_execute_wine_plan_with_recovery(sdt, suite):
     )
     relevant = relevant_types(row["task"], sdt)
     recover = partial(resolve_failure, sdt=sdt, relevant=relevant, backend=backend)
-    final, history, status = execute_plan(plan, state, row["task"], sdt, backend, recover)
+    history = []
+    final, status = execute_plan(plan, state, row["task"], sdt, backend, recover, history)
     assert status == "Completed"
     failed = [e for e in history if not e.outcome.ok and not e.skipped]
     assert len(failed) == 1
@@ -680,8 +683,9 @@ def test_execute_aborts_without_resolver(sdt, suite):
     row = suite_row(suite, 9)
     state = scene_for_row(row, sdt)
     plan = parse_triplets("[['PickupObject', 'WineBottle', 0]]")
-    final, history, status = execute_plan(
-        plan, state, row["task"], sdt, ScriptedOracle(), None
+    history = []
+    final, status = execute_plan(
+        plan, state, row["task"], sdt, ScriptedOracle(), None, history
     )
     assert status == "Aborted"
     assert history[-1].outcome.error_code == "NotVisible"
@@ -693,8 +697,9 @@ def test_execute_aborts_when_budget_exhausted(sdt, suite):
     plan = [trip(ActionName.PICKUP, "Plate")]  # no plate anywhere in this scene
     relevant = relevant_types("fetch the plate", sdt)
     recover = partial(resolve_failure, sdt=sdt, relevant=relevant, backend=backend, budget=3)
-    _, history, status = execute_plan(
-        plan, state, "fetch the plate", sdt, backend, recover
+    history = []
+    _, status = execute_plan(
+        plan, state, "fetch the plate", sdt, backend, recover, history
     )
     assert status == "Aborted"
     assert sum(len(e.attempts) for e in history) == 3
@@ -708,8 +713,9 @@ def test_recovered_step_runs_once(sdt, suite):
     plan = [trip(ActionName.GOTO, "Apple")]
     relevant = relevant_types("go to the apple", sdt)
     recover = partial(resolve_failure, sdt=sdt, relevant=relevant, backend=backend)
-    _, history, status = execute_plan(
-        plan, state, "go to the apple", sdt, backend, recover
+    history = []
+    _, status = execute_plan(
+        plan, state, "go to the apple", sdt, backend, recover, history
     )
     assert status == "Completed"
     gotos = [c for c, o in _executed(history) if c.name is ActionName.GOTO and o.ok]
@@ -724,8 +730,9 @@ def test_closed_receptacle_recovered_by_opening_it(sdt, suite, put):
     plan = [trip(ActionName.PICKUP, "Apple"), trip(ActionName.PUT, *put)]
     relevant = relevant_types("put the apple in the drawer", sdt)
     recover = partial(resolve_failure, sdt=sdt, relevant=relevant, backend=backend)
-    final, history, status = execute_plan(
-        plan, state, "put the apple in the drawer", sdt, backend, recover
+    history = []
+    final, status = execute_plan(
+        plan, state, "put the apple in the drawer", sdt, backend, recover, history
     )
     assert status == "Completed"
     assert sum(len(e.attempts) for e in history) == 1
@@ -772,7 +779,8 @@ def test_history_counts_match_simulator_steps(sdt, suite, monkeypatch):
     )
     relevant = relevant_types(row["task"], sdt)
     recover = partial(resolve_failure, sdt=sdt, relevant=relevant, backend=backend)
-    _, history, status = execute_plan(plan, state, row["task"], sdt, backend, recover)
+    history = []
+    _, status = execute_plan(plan, state, row["task"], sdt, backend, recover, history)
     assert status == "Completed"
     assert len(_executed(history)) == calls["n"]
 

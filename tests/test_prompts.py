@@ -15,7 +15,7 @@ from conftest import (
     add_statues, pair_section_lines, record_choice_queries, run_row, scene_for_row, suite_row,
 )
 
-from sdtplan import planner, prompts, replanner, resolver
+from sdtplan import planner, prompts, resolver
 from sdtplan.backends import OracleConfig, ScriptedOracle
 from sdtplan.interpreter import HISTORY_TAIL, candidate_instances, resolve
 from sdtplan.replanner import RunConfig, run_task
@@ -282,22 +282,17 @@ def test_choice_prompts_are_pinned(sdt, suite, mode):
 
 
 def _recovery_queries(sdt, suite, monkeypatch, case):
-    """(failure context, pair map, prompt, history so far) of every recovery
-    prompt the table-1 rows send: in ``case`` mode, or among 300 statues in
-    replan mode when ``case`` is "padded"."""
-    queries, histories = [], []
-    execute, build = replanner.execute_plan, resolver.build_failure_query
+    """(pair map, prompt, history so far) of every recovery prompt the
+    table-1 rows send: in ``case`` mode, or among 300 statues in replan mode
+    when ``case`` is "padded"."""
+    queries = []
+    build = resolver.build_failure_query
 
-    def recording_execute(*args, **kwargs):
-        histories.append(kwargs["history"])
-        return execute(*args, **kwargs)
-
-    def recording_build(ctx, pairs, tried):
-        prompt = build(ctx, pairs, tried)
-        queries.append((ctx, pairs, prompt, list(histories[-1])))
+    def recording_build(task, history, pairs):
+        prompt = build(task, history, pairs)
+        queries.append((pairs, prompt, list(history)))
         return prompt
 
-    monkeypatch.setattr(replanner, "execute_plan", recording_execute)
     monkeypatch.setattr(resolver, "build_failure_query", recording_build)
     for row in suite["tasks"]:
         state = scene_for_row(row, sdt)
@@ -311,16 +306,15 @@ def _recovery_queries(sdt, suite, monkeypatch, case):
 
 @pytest.mark.parametrize("case", ["resolve", "replan", "padded"])
 def test_recovery_prompts_name_each_target_once_per_run_of_its_pairs(sdt, suite, monkeypatch, case):
-    for _, pairs, prompt, _ in _recovery_queries(sdt, suite, monkeypatch, case):
+    for pairs, prompt, _ in _recovery_queries(sdt, suite, monkeypatch, case):
         lines = pair_section_lines(prompts.sections(prompt)[prompts.SEC_PAIRS], pairs)
         assert len(lines) == len(list(itertools.groupby(t for _, t in pairs)))
 
 
 @pytest.mark.parametrize("case", ["resolve", "replan", "padded"])
 def test_recovery_prompts_state_the_failed_step_once(sdt, suite, monkeypatch, case):
-    for ctx, _, prompt, history in _recovery_queries(sdt, suite, monkeypatch, case):
+    for _, prompt, history in _recovery_queries(sdt, suite, monkeypatch, case):
         failed = history[-1]
-        assert (failed.triplet, failed.outcome) == (ctx.failed_triplet, ctx.outcome)
         earlier = prompts.render_history_lines(history[:-1][-HISTORY_TAIL:])
         shown = prompts.sections(prompt).get(prompts.SEC_HISTORY)
         assert shown == ("\n".join(earlier) if earlier else None)
@@ -466,5 +460,5 @@ def test_state_line_round_trips_and_carries_only_fields_off_their_default(
 
 @pytest.mark.parametrize("case", ["resolve", "replan", "padded"])
 def test_recovery_output_format_names_no_object(sdt, suite, monkeypatch, case):
-    for _, _, prompt, _ in _recovery_queries(sdt, suite, monkeypatch, case):
+    for _, prompt, _ in _recovery_queries(sdt, suite, monkeypatch, case):
         assert "|" not in prompts.sections(prompt)[prompts.SEC_OUTPUT]

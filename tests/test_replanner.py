@@ -131,8 +131,9 @@ def test_replan_moves_slice_to_goal_receptacle(sdt, suite):
     )
     from sdtplan.triplets import parse_triplets
 
-    state, history, status = execute_plan(
-        parse_triplets(plan_text), state, row["task"], sdt, backend, None
+    history = []
+    state, status = execute_plan(
+        parse_triplets(plan_text), state, row["task"], sdt, backend, None, history
     )
     assert status == "Completed"
     for obj in state.objects.values():
@@ -360,8 +361,9 @@ def test_wash_replan_template_cleans_dirty_goal_object(sdt, suite):
     additions = replan(row["task"], [], state, unmet, sdt, relevant, backend)
     actions = [t.action for t in additions]
     assert ActionName.TOGGLE_ON in actions and ActionName.TOGGLE_OFF in actions
-    state, history, status = execute_plan(
-        additions, state, row["task"], sdt, backend, None
+    history = []
+    state, status = execute_plan(
+        additions, state, row["task"], sdt, backend, None, history
     )
     assert status == "Completed"
     assert not state.objects[knife.object_id].flag("isDirty")

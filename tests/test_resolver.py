@@ -12,11 +12,12 @@ from conftest import (
 )
 
 from sdtplan.backends import ScriptedOracle
-from sdtplan.interpreter import execute_plan
+from sdtplan.errors import BackendError
+from sdtplan.interpreter import HistoryEntry, RecoveryAttempt, execute_plan
 from sdtplan.planner import relevant_types
+from sdtplan.replanner import RunConfig, run_task
 from sdtplan import prompts, resolver
 from sdtplan.resolver import (
-    FailureContext,
     _pose_anchor,
     build_action_pairs,
     build_failure_query,
@@ -43,14 +44,9 @@ def by_type(state, type_name):
     return next(o for o in state.objects.values() if o.type_name == type_name)
 
 
-def not_visible_ctx(triplet, task="task"):
-    return FailureContext(
-        failed_triplet=triplet,
-        failed_concrete=None,
-        outcome=ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE),
-        task=task,
-        history_tail=[],
-    )
+def not_visible_history(triplet):
+    """A one-entry history: ``triplet`` failed as not visible, ungrounded."""
+    return [HistoryEntry(triplet, ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE))]
 
 
 # ---------------------------------------------------------------------------
@@ -232,18 +228,20 @@ def test_pairs_deterministic_order(sdt, suite, all_types):
 
 def test_first_query_has_no_repeat_section(sdt, suite, all_types):
     state = scene_for_row(suite_row(suite, 9), sdt)
-    ctx = not_visible_ctx(ActionTriplet(ActionName.PICKUP, "WineBottle"))
-    query = build_failure_query(ctx, build_action_pairs(state, sdt, all_types), {})
+    history = not_visible_history(ActionTriplet(ActionName.PICKUP, "WineBottle"))
+    query = build_failure_query("task", history, build_action_pairs(state, sdt, all_types))
     assert "## Do Not Repeat" not in query
     assert MSG_NOT_VISIBLE in query
 
 
 def test_second_query_lists_prior_attempt_with_feedback(sdt, suite, all_types):
     state = scene_for_row(suite_row(suite, 9), sdt)
-    ctx = not_visible_ctx(ActionTriplet(ActionName.PICKUP, "WineBottle"))
+    history = not_visible_history(ActionTriplet(ActionName.PICKUP, "WineBottle"))
     fridge = by_type(state, "Fridge")
-    tried = {(ConcreteAction(ActionName.OPEN, fridge.object_id),): "step still failing"}
-    query = build_failure_query(ctx, build_action_pairs(state, sdt, all_types), tried)
+    history[-1].attempts.append(RecoveryAttempt(
+        [ConcreteAction(ActionName.OPEN, fridge.object_id)], feedback="step still failing"
+    ))
+    query = build_failure_query("task", history, build_action_pairs(state, sdt, all_types))
     assert "## Do Not Repeat" in query
     assert f"(OpenObject,{fridge.object_id})" in query
     assert "step still failing" in query
@@ -251,19 +249,19 @@ def test_second_query_lists_prior_attempt_with_feedback(sdt, suite, all_types):
 
 def test_query_contains_verbatim_error_strings(sdt, suite, all_types):
     state = scene_for_row(suite_row(suite, 3), sdt)
-    ctx = FailureContext(
-        failed_triplet=ActionTriplet(ActionName.PUT, "Knife", "Drawer"),
-        failed_concrete=ConcreteAction(ActionName.PUT, by_type(state, "Drawer").object_id),
-        outcome=ActionOutcome.error("NoValidPosition", MSG_NO_VALID_POSITION),
-        task="Place a rinsed knife inside a drawer.",
-        history_tail=[],
+    failed = HistoryEntry(
+        ActionTriplet(ActionName.PUT, "Knife", "Drawer"),
+        ActionOutcome.error("NoValidPosition", MSG_NO_VALID_POSITION),
+        concrete=ConcreteAction(ActionName.PUT, by_type(state, "Drawer").object_id),
     )
-    query = build_failure_query(ctx, build_action_pairs(state, sdt, all_types), {})
+    query = build_failure_query(
+        "Place a rinsed knife inside a drawer.", [failed], build_action_pairs(state, sdt, all_types)
+    )
     assert "No valid positions to place object found." in query
 
 
-def pair_lines(ctx, pairs):
-    body = prompts.sections(build_failure_query(ctx, pairs, {}))[prompts.SEC_PAIRS]
+def pair_lines(history, pairs):
+    body = prompts.sections(build_failure_query("task", history, pairs))[prompts.SEC_PAIRS]
     return pair_section_lines(body, pairs)
 
 
@@ -277,7 +275,7 @@ def test_pose_pairs_join_the_line_of_an_anchor_listed_last(sdt, all_types):
     state = WorldState({o.object_id: o for o in (mug, counter)}, (0.0, 0.9, 0.0))
     pairs = build_action_pairs(state, sdt, all_types, focus=mug.object_id)
     assert pairs[-1] == (ActionName.STAND, counter.object_id)
-    first, last = pair_lines(not_visible_ctx(ActionTriplet(ActionName.PICKUP, "Mug")), pairs)
+    first, last = pair_lines(not_visible_history(ActionTriplet(ActionName.PICKUP, "Mug")), pairs)
     assert first.startswith(f"- {mug.object_id}: GotoObject, ")
     assert last.startswith(f"- {counter.object_id}: GotoObject, ")
     assert last.endswith(", Crouch, Stand")
@@ -287,7 +285,7 @@ def test_pose_pairs_keep_their_own_line_when_the_anchor_is_listed_earlier(sdt, a
     counter, mug = _free("CounterTop", (0.5, 0.9, 0.0)), _free("Mug", (3.0, 0.9, 0.0))
     state = WorldState({o.object_id: o for o in (mug, counter)}, (0.0, 0.9, 0.0))
     pairs = build_action_pairs(state, sdt, all_types, focus=mug.object_id)
-    lines = pair_lines(not_visible_ctx(ActionTriplet(ActionName.PICKUP, "Mug")), pairs)
+    lines = pair_lines(not_visible_history(ActionTriplet(ActionName.PICKUP, "Mug")), pairs)
     assert [line.split(":")[0] for line in lines] == [
         f"- {counter.object_id}", f"- {mug.object_id}", f"- {counter.object_id}"
     ]
@@ -298,15 +296,15 @@ def test_pose_pairs_against_the_agent_when_no_receptacle_is_shown(sdt, all_types
     mug = _free("Mug", (0.5, 0.9, 0.0))
     state = WorldState({mug.object_id: mug}, (0.0, 0.9, 0.0))
     pairs = build_action_pairs(state, sdt, all_types)
-    lines = pair_lines(not_visible_ctx(ActionTriplet(ActionName.PICKUP, "Mug")), pairs)
+    lines = pair_lines(not_visible_history(ActionTriplet(ActionName.PICKUP, "Mug")), pairs)
     assert lines[-1] == "- Agent|+00.00|+00.90|+00.00: Crouch, Stand"
     assert len(lines) == 2
 
 
 def test_a_single_pair_is_a_single_line():
     fridge = "Fridge|-01.30|+00.90|+00.99"
-    ctx = not_visible_ctx(ActionTriplet(ActionName.PICKUP, "WineBottle"))
-    assert pair_lines(ctx, [(ActionName.OPEN, fridge)]) == [f"- {fridge}: OpenObject"]
+    history = not_visible_history(ActionTriplet(ActionName.PICKUP, "WineBottle"))
+    assert pair_lines(history, [(ActionName.OPEN, fridge)]) == [f"- {fridge}: OpenObject"]
 
 
 def _first_recovery_prompt(sdt, suite, before):
@@ -319,7 +317,8 @@ def _first_recovery_prompt(sdt, suite, before):
     recover = partial(
         resolve_failure, sdt=sdt, relevant=relevant_types("wine", sdt), backend=backend, budget=1
     )
-    _, history, _ = execute_plan(plan, state, "task", sdt, backend, recover)
+    history = []
+    execute_plan(plan, state, "task", sdt, backend, recover, history)
     assert history[len(before)].outcome.error_code == "NotVisible"
     (prompt,) = [p for p in backend.prompts if p.startswith(prompts.RECOVERY_HEADER)]
     return prompt, history
@@ -344,9 +343,10 @@ def test_recovery_prompt_lists_the_five_steps_before_the_failure(sdt, suite):
 # Recovery loop
 
 
-def test_knife_full_drawer_resolved_in_one_iteration(sdt, suite):
-    row = suite_row(suite, 3)
-    state = scene_for_row(row, sdt)
+def _knife_in_full_drawer(sdt, suite):
+    """Row 3's scene after the held knife's put into the full small drawer
+    failed: the state, the failed step's entry and the knife."""
+    state = scene_for_row(suite_row(suite, 3), sdt)
     knife = by_type(state, "Knife")
     small = min(
         (o for o in state.objects.values() if o.type_name == "Drawer"),
@@ -354,33 +354,88 @@ def test_knife_full_drawer_resolved_in_one_iteration(sdt, suite):
     )
     state, _ = step(state, ConcreteAction(ActionName.PICKUP, knife.object_id), sdt)
     state, _ = step(state, ConcreteAction(ActionName.OPEN, small.object_id), sdt)
-    state, outcome = step(state, ConcreteAction(ActionName.PUT, small.object_id), sdt)
+    put = ConcreteAction(ActionName.PUT, small.object_id)
+    state, outcome = step(state, put, sdt)
     assert outcome.error_code == "NoValidPosition"
-    ctx = FailureContext(
-        failed_triplet=ActionTriplet(ActionName.PUT, "Knife", "Drawer"),
-        failed_concrete=ConcreteAction(ActionName.PUT, small.object_id),
-        outcome=outcome,
-        task=row["task"],
-        history_tail=[],
-    )
+    failed = HistoryEntry(ActionTriplet(ActionName.PUT, "Knife", "Drawer"), outcome, concrete=put)
+    return state, failed, knife
+
+
+def test_knife_full_drawer_resolved_in_one_iteration(sdt, suite):
+    row = suite_row(suite, 3)
+    state, failed, knife = _knife_in_full_drawer(sdt, suite)
     state, status, iterations, attempts = resolve_failure(
-        ctx, state, sdt, relevant_types(row["task"], sdt), ScriptedOracle(), budget=5
+        [failed], state, row["task"], sdt, relevant_types(row["task"], sdt), ScriptedOracle(),
+        budget=5,
     )
     assert status == "Resolved"
     assert iterations == 1
     resolving = attempts[-1]
     assert [p.name for p in resolving.proposed] == [ActionName.OPEN, ActionName.PUT]
     alt = resolving.proposed[0].target
-    assert type_of_id(alt) == "Drawer" and alt != small.object_id
+    assert type_of_id(alt) == "Drawer" and alt != failed.concrete.target
     assert state.objects[knife.object_id].parent_receptacle == alt
+
+
+class ResetAt:
+    """Passes each prompt to ``inner``, except the ``nth`` one whose layout
+    header is ``header``: that one fails in transport."""
+
+    def __init__(self, inner, header, nth):
+        self.inner, self.header, self.left = inner, header, nth
+
+    def complete(self, prompt):
+        if prompt.startswith(self.header):
+            self.left -= 1
+            if self.left == 0:
+                raise BackendError("connection reset")
+        return self.inner.complete(prompt)
+
+
+def test_a_backend_error_in_recovery_keeps_the_recovery_that_ran(sdt, suite):
+    # Row 9's first attempt opens a drawer; the second recovery prompt fails.
+    row = suite_row(suite, 9)
+    backend = ResetAt(ScriptedOracle(), prompts.RECOVERY_HEADER, 2)
+    report = run_task(row["task"], scene_for_row(row, sdt), sdt, backend, RunConfig("resolve"))
+    assert report.status == "ExecutionFailed: connection reset"
+    failed = report.history[-1]
+    assert failed.outcome.error_code == "NotVisible"
+    (attempt,) = failed.attempts
+    assert [(c.render(), o.ok) for c, o in attempt.executed] == [
+        ("(OpenObject,Drawer|+00.50|+00.82|+00.30)", True)
+    ]
+    assert report.final_state.objects["Drawer|+00.50|+00.82|+00.30"].flag("isOpen")
+
+
+def test_an_attempt_cut_short_by_a_backend_error_keeps_its_executed_pairs(sdt, suite, all_types):
+    # Opening the other drawer resolves nothing; re-grounding the put then asks
+    # which drawer, and that prompt fails.
+    state, failed, _ = _knife_in_full_drawer(sdt, suite)
+    other = next(
+        o.object_id for o in state.objects.values()
+        if o.type_name == "Drawer" and o.object_id != failed.concrete.target
+    )
+    inner = ScriptedBackend([f"[(OpenObject,{other})]"])
+    backend = ResetAt(inner, prompts.CHOICE_HEADER, 1)
+    state, status, iterations, attempts = resolve_failure(
+        [failed], state, "task", sdt, all_types, backend
+    )
+    assert (status, iterations) == ("ExecutionFailed: connection reset", 1)
+    (attempt,) = attempts
+    assert [(c, o.ok) for c, o in attempt.executed] == [
+        (ConcreteAction(ActionName.OPEN, other), True)
+    ]
+    assert "connection reset" in attempt.feedback and not attempt.resolved
+    assert state.objects[other].flag("isOpen")
 
 
 def test_hidden_bottle_resolved_in_four_iterations(sdt, suite):
     row = suite_row(suite, 9)
     state = scene_for_row(row, sdt)
-    ctx = not_visible_ctx(ActionTriplet(ActionName.PICKUP, "WineBottle"), task=row["task"])
+    history = not_visible_history(ActionTriplet(ActionName.PICKUP, "WineBottle"))
     state, status, iterations, attempts = resolve_failure(
-        ctx, state, sdt, relevant_types(row["task"], sdt), ScriptedOracle(), budget=5
+        history, state, row["task"], sdt, relevant_types(row["task"], sdt), ScriptedOracle(),
+        budget=5,
     )
     assert status == "Resolved"
     assert iterations == 4
@@ -404,8 +459,9 @@ def test_memory_is_keyed_by_phase(sdt, suite):
     recover = partial(resolve_failure, sdt=sdt, relevant=relevant, backend=backend, budget=1)
     plan = [ActionTriplet(ActionName.PICKUP, "WineBottle")]
     for phase in ("plan", "replan-1"):
-        _, history, status = execute_plan(
-            plan, state, row["task"], sdt, backend, recover, phase=phase
+        history = []
+        _, status = execute_plan(
+            plan, state, row["task"], sdt, backend, recover, history, phase=phase
         )
         assert status == "Aborted"
         attempt = history[-1].attempts[-1]
@@ -421,9 +477,9 @@ def test_no_failure_point_reaches_the_resolver_twice(sdt, suite, monkeypatch, mo
 
     real = resolver.resolve_failure
 
-    def recording_resolve_failure(ctx, state, *args, **kwargs):
-        seen.append((ctx.history_tail[-1].phase, ctx.failed_triplet))
-        return real(ctx, state, *args, **kwargs)
+    def recording_resolve_failure(history, *args, **kwargs):
+        seen.append((history[-1].phase, history[-1].triplet))
+        return real(history, *args, **kwargs)
 
     monkeypatch.setattr(resolver, "resolve_failure", recording_resolve_failure)
     handled = 0
@@ -469,9 +525,9 @@ def test_adversarial_repeats_blocked_and_budget_respected(sdt, all_types):
             continue
         runs += 1
         backend = RepeatingBackend(rng, pairs)
-        ctx = not_visible_ctx(ActionTriplet(ActionName.PICKUP, "Unicorn"))
+        history = not_visible_history(ActionTriplet(ActionName.PICKUP, "Unicorn"))
         _, status, iterations, attempts = resolve_failure(
-            ctx, state, sdt, all_types, backend, budget=4
+            history, state, "task", sdt, all_types, backend, budget=4
         )
         assert iterations <= 4
         executed = [tuple(a.proposed) for a in attempts if a.executed]
@@ -480,7 +536,8 @@ def test_adversarial_repeats_blocked_and_budget_respected(sdt, all_types):
 
 
 def test_repeated_sequence_rejected_and_listed_once(sdt, suite):
-    # The goto runs and resolves nothing; the second proposal repeats it.
+    # The goto runs and resolves nothing; a later proposal repeats it, right
+    # after it or after a reply that proposes nothing parseable.
     row = suite_row(suite, 9)
     state = scene_for_row(row, sdt)
     relevant = relevant_types(row["task"], sdt)
@@ -489,17 +546,21 @@ def test_repeated_sequence_rejected_and_listed_once(sdt, suite):
         if a is ActionName.GOTO and type_of_id(t) == "CounterTop"
     )
     sequence = f"[({goto[0].value},{goto[1]})]"
-    backend = ScriptedBackend([sequence, sequence, "[]"])
-    ctx = not_visible_ctx(ActionTriplet(ActionName.PICKUP, "WineBottle"), task=row["task"])
-    _, status, iterations, attempts = resolve_failure(ctx, state, sdt, relevant, backend, budget=3)
-    assert (status, iterations) == ("Exhausted", 3)
-    first, repeat, _ = attempts
-    assert first.executed and all(o.ok for _, o in first.executed)
-    assert not first.resolved
-    assert repeat.feedback == "repeated sequence; rejected"
-    assert repeat.executed == []
-    listed = prompts.sections(backend.prompts[2])[prompts.SEC_NO_REPEAT].splitlines()
-    assert listed == [f"- {sequence} => {first.feedback}"]
+    for replies in ([sequence, sequence, "[]"], [sequence, "no pairs here", sequence, "[]"]):
+        backend = ScriptedBackend(replies)
+        history = not_visible_history(ActionTriplet(ActionName.PICKUP, "WineBottle"))
+        _, status, iterations, attempts = resolve_failure(
+            history, state, row["task"], sdt, relevant, backend, budget=len(replies)
+        )
+        assert (status, iterations) == ("Exhausted", len(replies))
+        assert attempts is history[-1].attempts
+        first, repeat = attempts[0], attempts[-2]
+        assert first.executed and all(o.ok for _, o in first.executed)
+        assert not first.resolved
+        assert repeat.feedback == "repeated sequence; rejected"
+        assert repeat.executed == []
+        listed = prompts.sections(backend.prompts[-1])[prompts.SEC_NO_REPEAT].splitlines()
+        assert listed == [f"- {sequence} => {first.feedback}"]
 
 
 def test_invalid_pairs_rejected_without_execution(sdt, suite, all_types):
@@ -512,9 +573,9 @@ def test_invalid_pairs_rejected_without_execution(sdt, suite, all_types):
         def complete(self, prompt):
             return "[(SliceObject,Fridge|-01.30|+00.90|+00.99)]"
 
-    ctx = not_visible_ctx(ActionTriplet(ActionName.PICKUP, "WineBottle"))
+    history = not_visible_history(ActionTriplet(ActionName.PICKUP, "WineBottle"))
     _, status, iterations, attempts = resolve_failure(
-        ctx, state, sdt, all_types, BogusBackend(), budget=2
+        history, state, "task", sdt, all_types, BogusBackend(), budget=2
     )
     assert status == "Exhausted"
     assert iterations == 2
@@ -529,8 +590,8 @@ def test_later_pairs_admitted_against_the_state_they_run_in(sdt, suite, all_type
     fridge = by_type(state, "Fridge").object_id
     assert not state.objects[fridge].flag("isOpen")
     backend = ScriptedBackend([f"[(OpenObject,{fridge}),({second.value},{fridge})]"])
-    ctx = not_visible_ctx(ActionTriplet(ActionName.PICKUP, "WineBottle"))
-    _, _, _, attempts = resolve_failure(ctx, state, sdt, all_types, backend, budget=1)
+    history = not_visible_history(ActionTriplet(ActionName.PICKUP, "WineBottle"))
+    _, _, _, attempts = resolve_failure(history, state, "task", sdt, all_types, backend, budget=1)
     on_fridge = [(c, o) for c, o in attempts[0].executed if c.target == fridge]
     expected = [ConcreteAction(ActionName.OPEN, fridge)] + admitted * [ConcreteAction(second, fridge)]
     assert [c for c, _ in on_fridge] == expected

@@ -132,6 +132,23 @@ def test_nonopenable_receptacles_load_open(sdt, suite):
     assert by_type(state, "CounterTop").flag("isOpen")
 
 
+def assert_containers_open_or_openable(state, sdt):
+    """Every container on every record's chain is open or has a door, so that
+    with the doors opened every chain is open (the pair map's views rely on it)."""
+    for obj in state.objects.values():
+        if obj.parent_receptacle is not None:
+            parent = state.objects[obj.parent_receptacle]
+            assert parent.flag("isOpen") or sdt.get(parent.type_name).has(AffordanceTag.OPENABLE), (
+                obj.object_id, parent.object_id
+            )
+
+
+def test_table1_scenes_hold_only_open_or_openable_containers(sdt, suite):
+    for row in suite["tasks"]:
+        for injected in (False, True):
+            assert_containers_open_or_openable(scene_for_row(row, sdt, injected), sdt)
+
+
 _APPLE = {"type": "Apple", "position": [0, 0.9, 0]}
 _TABLE = {"type": "CounterTop", "position": [1, 0.95, 0], "capacity": 1}
 _TABLE_ID = "CounterTop|+01.00|+00.95|+00.00"
@@ -592,7 +609,8 @@ def _random_perturbation(rng, state):
 
 
 def test_random_scripts_keep_invariants(sdt):
-    """No step or injection writes its input; every result passes validate_state.
+    """No step or injection writes its input; every result passes validate_state
+    and holds only open or openable containers.
 
     A successful step adds objects only by slicing, two pieces per cut.
     """
@@ -621,6 +639,7 @@ def test_random_scripts_keep_invariants(sdt):
                 else:
                     assert state_hash(new_state) == before  # pure failure
             assert state_hash(state) == before
+            assert_containers_open_or_openable(new_state, sdt)
             state = new_state
     assert successes > 5000 and injected > 100
 
