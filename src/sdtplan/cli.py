@@ -47,6 +47,23 @@ def default_sdt_path() -> Path:
     return _data_path("sdt.json")
 
 
+#: The package data directory, which a trace names its packaged files relative to.
+_DATA_DIR = default_sdt_path().resolve().parent
+
+
+def _trace_name(path: Path) -> str:
+    """How a trace names ``path``: relative to the package data when it lies
+    there, so that a committed trace names the same file in any checkout or
+    install, and absolute otherwise."""
+    path = path.resolve()
+    return path.relative_to(_DATA_DIR).as_posix() if path.is_relative_to(_DATA_DIR) else str(path)
+
+
+def _trace_file(name: str) -> Path:
+    """The file a trace's ``scene`` or ``sdt`` names (see ``_trace_name``)."""
+    return Path(name) if Path(name).is_absolute() else _DATA_DIR / name
+
+
 def _resolve_scene(scene: str, suite_dir: Path) -> Path:
     candidate = suite_dir / scene
     if candidate.exists():
@@ -86,6 +103,7 @@ def _check_row(row: object, where: str) -> None:
     for key in ("task", "scene"):
         _require(isinstance(row.get(key), str), f"{where}: '{key}'", "a string")
     _require(_encodes(row["task"]), f"{where}: 'task'", "text that UTF-8 can encode")
+    _require(len(row["task"].splitlines()) <= 1, f"{where}: 'task'", "one line")
     _require(_is_strings(row.get("inject", [])), f"{where}: 'inject'", "a list of strings")
     faults = row.get("oracle_faults", {})
     if not isinstance(faults, dict) or not all(
@@ -147,17 +165,18 @@ def trace_header(
 
     The input is enough to rebuild the start state; ``scene_sha256`` and
     ``start_state_hash`` pin the scene file and the state built from it.
-    ``sdt_file`` is the absolute path ``sdt`` was loaded from.
+    ``sdt_file`` names the file ``sdt`` was loaded from, as ``_trace_name`` does.
     """
+    scene = _resolve_scene(row["scene"], suite_dir)
     header = {
         "schema": TRACE_SCHEMA,
-        "scene": str(_resolve_scene(row["scene"], suite_dir).resolve()),
+        "scene": _trace_name(scene),
         "sdt": sdt_file,
         "inject": list(row.get("inject", [])) + extra_injections,
         "oracle_faults": row.get("oracle_faults", {}),
         **dataclasses.asdict(config),
     }
-    state = apply_perturbations(load_scene(header["scene"], sdt), header["inject"], sdt)
+    state = apply_perturbations(load_scene(scene, sdt), header["inject"], sdt)
     header["scene_sha256"] = state.scene.sha256
     header["start_state_hash"] = state_json_hash(state_to_json(state))
     return header, state
@@ -191,12 +210,14 @@ def render_report(reports: list[TaskReport], fmt: str) -> str:
                 ",".join('"' + str(row[c]).replace('"', '""') + '"' for c in REPORT_COLUMNS)
             )
         return "\n".join(lines)
-    widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) if rows else len(c) for c in REPORT_COLUMNS}
+    # a | in a cell would open a column of its own
+    rows = [{c: str(row[c]).replace("|", "\\|") for c in REPORT_COLUMNS} for row in rows]
+    widths = {c: max(len(c), *(len(r[c]) for r in rows)) if rows else len(c) for c in REPORT_COLUMNS}
     header = "| " + " | ".join(c.ljust(widths[c]) for c in REPORT_COLUMNS) + " |"
     sep = "|" + "|".join("-" * (widths[c] + 2) for c in REPORT_COLUMNS) + "|"
     lines = [header, sep]
     for row in rows:
-        lines.append("| " + " | ".join(str(row[c]).ljust(widths[c]) for c in REPORT_COLUMNS) + " |")
+        lines.append("| " + " | ".join(row[c].ljust(widths[c]) for c in REPORT_COLUMNS) + " |")
     return "\n".join(lines)
 
 
@@ -215,8 +236,8 @@ def cli_run(args) -> int:
     try:
         if args.inject and args.task is None:
             raise ValueError("--inject requires --task")
-        sdt_file = str(Path(args.sdt or default_sdt_path()).resolve())
-        sdt = load_sdt(sdt_file)
+        sdt_file = _trace_name(Path(args.sdt or default_sdt_path()))
+        sdt = load_sdt(_trace_file(sdt_file))
         suite_path = Path(args.suite) if args.suite else default_suite_path()
         suite = load_suite(suite_path)
         config = RunConfig(args.mode, args.budget, args.replan_cap)
@@ -404,8 +425,8 @@ def rerun(trace: dict) -> dict:
     with the next recorded reply, and return its ``_run_record``. When the
     scene file's sha256, then the start state's hash, differs from the
     header's, the task does not run and that digest alone is returned."""
-    sdt = load_sdt(trace["sdt"])
-    state = load_scene(trace["scene"], sdt)
+    sdt = load_sdt(_trace_file(trace["sdt"]))
+    state = load_scene(_trace_file(trace["scene"]), sdt)
     if state.scene.sha256 != trace["scene_sha256"]:
         return {"scene_sha256": state.scene.sha256}
     state = apply_perturbations(state, trace["inject"], sdt)

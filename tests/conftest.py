@@ -24,6 +24,16 @@ from sdtplan.world import (
 )
 
 
+#: The committed golden-trace corpus: ``<mode>/trace_task<N>.json`` and ``<mode>/report.md``.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_exchanges(mode: str, task_id: int) -> list[dict]:
+    """The ``exchanges`` of the committed trace of table-1 row ``task_id`` in ``mode``."""
+    path = GOLDEN / mode / f"trace_task{task_id}.json"
+    return json.loads(path.read_text(encoding="utf-8"))["exchanges"]
+
+
 @pytest.fixture(scope="session")
 def sdt() -> SDT:
     return load_sdt(default_sdt_path())

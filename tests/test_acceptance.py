@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; every tolerance is pinned here.
+lines; every tolerance is pinned here, and the table-1 counts are the
+packaged suite's `expected` rows.
 """
 
 from __future__ import annotations
@@ -39,15 +40,6 @@ from sdtplan.world import (
     type_of_id,
 )
 
-REFERENCE_ROWS = {
-    1: (2, 2, 0), 2: (0, 0, 2), 3: (1, 1, 0), 4: (1, 1, 0), 5: (0, 0, 0),
-    6: (2, 2, 0), 7: (1, 1, 0), 8: (2, 2, 0), 9: (1, 4, 0), 10: (0, 0, 0),
-    11: (0, 0, 0), 12: (1, 2, 0), 13: (0, 0, 0), 14: (1, 1, 2),
-}
-
-EXACT_ROWS = (2, 3, 5, 10, 11, 13)
-
-
 def _verdict(name: str, ok: bool) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {name}")
     assert ok, name
@@ -60,7 +52,8 @@ def test_criterion_1_table1_regression(sdt, suite):
     ok = True
     for row in suite["tasks"]:
         task_id, report = row["id"], reports[row["id"]]
-        expected = REFERENCE_ROWS[task_id]
+        pins = row["expected"]
+        expected = (pins["failures"], pins["iterations"], pins["replans"])
         got = (report.failures, report.resolver_iterations, report.replanner_invocations)
         if not report.success or got != expected:
             ok = False
@@ -68,12 +61,6 @@ def test_criterion_1_table1_regression(sdt, suite):
         if report.failures != len(row.get("inject", [])):
             ok = False
             print(f"  row {task_id}: {report.failures} failures vs {len(row['inject'])} injections")
-    for task_id in EXACT_ROWS:
-        assert (
-            reports[task_id].failures,
-            reports[task_id].resolver_iterations,
-            reports[task_id].replanner_invocations,
-        ) == REFERENCE_ROWS[task_id]
     ok = ok and elapsed < 10.0
     print(f"  suite wall time: {elapsed:.2f}s (budget 10s)")
     _verdict("criterion 1: 14-task table regression", ok)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -205,6 +206,9 @@ _ROW = {"id": 1, "task": "Pick up the mug", "scene": "scenes/kitchen_mug.json"}
         (dict(_ROW, id=2, expected={"failures": "0"}), "'expected' must be an object mapping"),
         # a lone surrogate cannot be printed in the report
         (dict(_ROW, id=2, task="Pick up the mug \ud800"), "'task' must be text that UTF-8 can encode"),
+        # a second line split the report row, and the oracle's plan read only the first
+        (dict(_ROW, id=2, task="Put the mug in the sink | quickly\nthen stop"), "'task' must be one line"),
+        (dict(_ROW, id=2, task="Pick up the mug\u2028then stop"), "'task' must be one line"),
     ],
 )
 def test_malformed_suite_row_is_config_error(tmp_path, capsys, row, message):
@@ -278,6 +282,18 @@ def test_csv_report_shape(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("Task ID,Task Description,No. Failure")
     assert len(lines) == 2
+
+
+def test_md_report_escapes_a_bar_in_a_cell(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"name": "bar", "tasks": [dict(_ROW, task="Pick up the mug | quickly")]}))
+    assert run_cli("run", "--suite", str(suite), "--out", str(tmp_path / "out")) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 3 and len({len(line) for line in lines}) == 1
+    cells = [re.split(r"(?<!\\)\|", line)[1:-1] for line in lines]
+    assert [len(row) for row in cells] == [len(cli.REPORT_COLUMNS)] * 3
+    assert cells[2][1].strip() == "Pick up the mug \\| quickly"
+    assert (tmp_path / "out" / "report.md").read_text(encoding="utf-8") == "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -538,9 +554,37 @@ def test_trace_replaces_final_state_with_the_run_input(tmp_path, capsys):
     assert [sorted(exchange) for exchange in data["exchanges"]] == [["prompt_sha256", "reply"]] * 5
     assert data["exchanges"][0]["reply"].startswith("Action-Triplets:")
     assert data["scene"].endswith("kitchen_wine.json") and data["sdt"].endswith("sdt.json")
-    scene_bytes = Path(data["scene"]).read_bytes()
+    scene_bytes = cli._data_path(data["scene"]).read_bytes()
     assert data["scene_sha256"] == hashlib.sha256(scene_bytes).hexdigest()
     assert len(data["start_state_hash"]) == len(data["final_state_hash"]) == 64
+
+
+def test_a_packaged_scene_is_named_relative_to_the_package_data(tmp_path, capsys, monkeypatch):
+    trace_file, data = _task9_trace(tmp_path, capsys)
+    assert (data["scene"], data["sdt"]) == ("scenes/kitchen_wine.json", "sdt.json")
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)  # the names do not depend on the working directory
+    assert run_cli("verify", str(trace_file)) == 0
+
+
+def test_a_suite_outside_the_package_records_absolute_paths(tmp_path, capsys):
+    # laid out as the bench writes its cluttered suites: suite.json beside scenes/
+    work = tmp_path / "work"
+    (work / "scenes").mkdir(parents=True)
+    shipped = cli._data_path("scenes/kitchen_wine.json")
+    (work / "scenes" / "kitchen_wine.json").write_bytes(shipped.read_bytes())
+    (work / "sdt.json").write_bytes(cli.default_sdt_path().read_bytes())
+    row = next(r for r in json.loads(default_suite_path().read_text(encoding="utf-8"))["tasks"] if r["id"] == 9)
+    (work / "suite.json").write_text(json.dumps({"name": "outside", "tasks": [row]}))
+    assert run_cli(
+        "run", "--suite", str(work / "suite.json"), "--sdt", str(work / "sdt.json"), "--out", str(tmp_path / "out"),
+    ) == 0
+    trace_file = tmp_path / "out" / "trace_task9.json"
+    data = json.loads(trace_file.read_text())
+    assert data["scene"] == str((work / "scenes" / "kitchen_wine.json").resolve())
+    assert data["sdt"] == str((work / "sdt.json").resolve())
+    assert run_cli("verify", str(trace_file)) == 0
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,14 @@
-"""Prompt layout: rendering and splitting, and the pinned oracle traffic."""
+"""Prompt layout: rendering and splitting, what each prompt shows, and clutter
+that moves no prompt or reply.
+
+The table-1 traffic itself, every prompt's sha256 and every reply in each
+mode, is pinned by the golden-trace corpus that tests/test_golden.py checks
+through the CLI; the pinned-traffic tests here hold ``run_task`` to the same
+corpus one row, or one mode's choice prompts, at a time.
+"""
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import operator
 import re
@@ -12,13 +18,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    add_statues, pair_section_lines, record_choice_queries, run_row, scene_for_row, suite_row,
+    add_statues, golden_exchanges, pair_section_lines, record_choice_queries, run_row,
+    scene_for_row, suite_row,
 )
 
 from sdtplan import planner, prompts, resolver
-from sdtplan.backends import OracleConfig, ScriptedOracle
+from sdtplan.backends import OracleConfig, Recorder, ScriptedOracle
 from sdtplan.interpreter import HISTORY_TAIL, candidate_instances, resolve
-from sdtplan.replanner import RunConfig, run_task
+from sdtplan.replanner import MODES, RunConfig, run_task
 from sdtplan.sdt import FLAG_NAMES, TEMPERATURES, ActionName, AffordanceTag
 from sdtplan.triplets import ActionTriplet
 from sdtplan.world import ObjectInstance, WorldState, format_object_id, type_of_id
@@ -43,83 +50,6 @@ def test_render_leaves_out_none_bodies_and_first_title_wins():
     assert prompts.sections(prompt) == {"## A": "a"}
 
 
-class RecordingOracle(ScriptedOracle):
-    """The oracle, counting its calls and hashing, in order, every (prompt, reply)
-    pair into ``digest`` and every reply alone into ``reply_digest``."""
-
-    def __init__(self, config: OracleConfig):
-        super().__init__(config)
-        self.calls = 0
-        self.digest = hashlib.sha256()
-        self.reply_digest = hashlib.sha256()
-
-    def complete(self, prompt: str) -> str:
-        reply = super().complete(prompt)
-        self.calls += 1
-        for text in (prompt, reply):
-            self.digest.update(text.encode("utf-8") + b"\0")
-        self.reply_digest.update(reply.encode("utf-8") + b"\0")
-        return reply
-
-
-#: Table-1 row id -> (oracle calls, sha256 over its prompts and replies), replan mode.
-TRAFFIC = {
-    1: (3, "b456e777a9944b5437f308fa3314a0d7424861ca6227cb399108f1b3c23769df"),
-    2: (3, "8fa8013c30011232df7a82c550d708ed85385989ec4ce4dce9219a6e3df82101"),
-    3: (4, "28715f0d9245fc73e4e49756c64deacb935fd4cd454c172d4979b65cea0861fc"),
-    4: (3, "e17b674fbc28b687c34789459126a00aa6ac9fa23b577c59fdd8d8cdd795903c"),
-    5: (2, "37bff160fdeaf09866b49c4f48dc50f96d1ff926e13c950bf574997e992848fe"),
-    6: (4, "c52d44b57cf96f07e59fba21a126568823ee9e43154ec3db55bfd73675119245"),
-    7: (2, "ffc570c08c0ad3a32b3515ac6c7f80494d6933111b289fcab88ae7bff3e1f27a"),
-    8: (4, "ce0abc40123d97e175c8a302dff09e5cac0b9988b938d507d3964eab2a35ad79"),
-    9: (5, "eff6bd047821f3589aa774521bbef1206b5ed722b32d3f6819d1d24f1a843d41"),
-    10: (1, "a0364f70025703aa7df7a639c3eea8ac217bfeb5b9c8cc7148f0a100adffca35"),
-    11: (1, "d623b8b83257bb8c7c149a968b9db974b591d0ca0ca54af18532a174f62530ad"),
-    12: (3, "23410d5cba4d57bdaa0f568417852dc650230dc2db98f0d2c2f86e5ce4b4a251"),
-    13: (1, "98d6eeb6c4559b324cc2089a3fcdcaf855b98cc49d482e1625afeb859c93bd4e"),
-    14: (4, "7cfb9e593123c94fff7be94634a6026e25e55e1c5d76c10666f4ec3603eb5c50"),
-}
-
-
-#: Table-1 row id -> (oracle calls, sha256 over its replies alone), replan mode.
-#: Prompt wording may change without moving these; a moved reply moves them.
-REPLIES = {
-    1: (3, "469e78a3ab140c0b78a6737901172d698c31894b8b43ad9fec275c9fcdfd39fd"),
-    2: (3, "a81478df27275b9d8164c98413f166011fb71921cac909ecf842050c93e85154"),
-    3: (4, "aa86ef66cb4901d39dd20e34128366bab04062574fca9ade1849c762bfd1d163"),
-    4: (3, "d3ea173cd5d5170da94a37d83db9b74c8566c8aed4327a8f91ce323da3557af2"),
-    5: (2, "e57cededf5e9a7438a55e026f5e82c22fd52904552c88d0dc911dcfd24f3e1db"),
-    6: (4, "8d211c7ea0c96e18440ed8d06777558cad28325cc5b809f8fafcefecb319acca"),
-    7: (2, "adb9c9017d4e3e78186cee80dab8386b3dd96aa794a1e5f34925be5d65f897a1"),
-    8: (4, "6105d22b711484a7fcfc14b6adb5bf7358547686056b765963a34ee6ac5f79b2"),
-    9: (5, "d6ce753c893b1a075927c6cc4e437d7d810fae6210484be5996641b610e85c3e"),
-    10: (1, "4a6a21145d8ff826644a2afaf5665f62aae44d5e2f68170cd674032e6fce4e29"),
-    11: (1, "e0d16625e96ca31479e45f831d71852fd92d9725365cc47b07d66e6af4e1c919"),
-    12: (3, "e88001057407cd71000ae5711a00d1c5cf0897ea7a6f1e9904890d7b88bdd925"),
-    13: (1, "89f1837f89181da4b3c294e22114fc1f852541b196693c1e81fdb924d40df5f9"),
-    14: (4, "61ce5cb5924d543466533237e4ecbce10b15356b0eaee8126e5018b95c2d9404"),
-}
-
-
-def _recorded_run(sdt, suite, task_id) -> RecordingOracle:
-    row = suite_row(suite, task_id)
-    oracle = RecordingOracle(OracleConfig(**row.get("oracle_faults", {})))
-    run_task(row["task"], scene_for_row(row, sdt), sdt, oracle, RunConfig("replan"))
-    return oracle
-
-
-@pytest.mark.parametrize("task_id", sorted(TRAFFIC))
-def test_oracle_traffic_is_pinned(sdt, suite, task_id):
-    oracle = _recorded_run(sdt, suite, task_id)
-    assert (oracle.calls, oracle.digest.hexdigest()) == TRAFFIC[task_id]
-
-
-@pytest.mark.parametrize("task_id", sorted(TRAFFIC))
-def test_oracle_replies_are_pinned(sdt, suite, task_id):
-    oracle = _recorded_run(sdt, suite, task_id)
-    assert (oracle.calls, oracle.reply_digest.hexdigest()) == REPLIES[task_id]
-
-
 # ---------------------------------------------------------------------------
 # Relevance-bounded prompts
 
@@ -138,7 +68,32 @@ class PromptLog(ScriptedOracle):
         return self.replies[-1]
 
 
-@pytest.mark.parametrize("task_id", sorted(TRAFFIC))
+def _recorded_run(sdt, suite, task_id, mode="replan") -> tuple[PromptLog, Recorder]:
+    """A table-1 row's run in ``mode``: its prompts and replies, and its exchanges
+    as a trace records them."""
+    row = suite_row(suite, task_id)
+    oracle = PromptLog(OracleConfig(**row.get("oracle_faults", {})))
+    recorder = Recorder(oracle)
+    run_task(row["task"], scene_for_row(row, sdt), sdt, recorder, RunConfig(mode))
+    return oracle, recorder
+
+
+@pytest.mark.parametrize("task_id", range(1, 15))  # the table-1 rows
+def test_oracle_traffic_is_pinned(sdt, suite, task_id):
+    """A row's replan-mode prompts and replies, in order, are its committed trace's."""
+    _, recorder = _recorded_run(sdt, suite, task_id)
+    assert recorder.exchanges == golden_exchanges("replan", task_id)
+
+
+@pytest.mark.parametrize("task_id", range(1, 15))
+def test_oracle_replies_are_pinned(sdt, suite, task_id):
+    """A row's replan-mode replies, in order, are its committed trace's; prompt
+    wording may change without moving them."""
+    oracle, _ = _recorded_run(sdt, suite, task_id)
+    assert oracle.replies == [exchange["reply"] for exchange in golden_exchanges("replan", task_id)]
+
+
+@pytest.mark.parametrize("task_id", range(1, 15))
 @pytest.mark.parametrize("mode", ["plan", "resolve", "replan"])
 def test_clutter_never_moves_backend_traffic(sdt, suite, mode, task_id):
     """1000 free-standing statues in a row's scene leave every prompt, reply and
@@ -260,25 +215,20 @@ def test_a_choice_prompt_with_no_recent_step_on_its_objects_has_no_history_secti
 # Recovery prompts
 
 
-#: Mode -> (choice prompts, sha256 over them in order) across the 14 table-1 rows.
-CHOICE_PROMPTS = {
-    "plan": (3, "a3801ea5ec8dfec1dc39209b7c773f8a63553d2154de9db09f00b1d776f6bac3"),
-    "resolve": (6, "f4b22f22e1001a8f975abf53de6a2109dd972e24f93b4df57e6e3e015a26105d"),
-    "replan": (6, "f4b22f22e1001a8f975abf53de6a2109dd972e24f93b4df57e6e3e015a26105d"),
-}
-
-
-@pytest.mark.parametrize("mode", sorted(CHOICE_PROMPTS))
+@pytest.mark.parametrize("mode", MODES)
 def test_choice_prompts_are_pinned(sdt, suite, mode):
-    oracle = PromptLog()
+    """Every choice exchange the table-1 rows send in ``mode`` is the committed
+    trace's exchange at the same place."""
+    sent, stored = {}, {}
     for row in suite["tasks"]:
-        oracle.config = OracleConfig(**row.get("oracle_faults", {}))
-        run_task(row["task"], scene_for_row(row, sdt), sdt, oracle, RunConfig(mode))
-    digest = hashlib.sha256()
-    choices = [p for p in oracle.prompts if p.startswith(prompts.CHOICE_HEADER)]
-    for prompt in choices:
-        digest.update(prompt.encode("utf-8") + b"\0")
-    assert (len(choices), digest.hexdigest()) == CHOICE_PROMPTS[mode]
+        oracle, recorder = _recorded_run(sdt, suite, row["id"], mode)
+        golden = golden_exchanges(mode, row["id"])
+        for index, prompt in enumerate(oracle.prompts):
+            if prompt.startswith(prompts.CHOICE_HEADER):
+                sent[row["id"], index] = recorder.exchanges[index]
+                stored[row["id"], index] = golden[index] if index < len(golden) else None
+    assert sent
+    assert sent == stored
 
 
 def _recovery_queries(sdt, suite, monkeypatch, case):
