@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Protocol, TypeVar
 
 from . import lexicon, prompts
-from .errors import BackendError, GrammarError, OracleError, PlanParseError, SdtPlanError
+from .errors import BackendError, GrammarError, PlanParseError, SdtPlanError
 from .sdt import ActionName
 from .triplets import ActionTriplet, GoalClause, format_triplets, parse_recovery, parse_triplets
 from .world import type_of_id
@@ -106,6 +106,8 @@ class HttpConfig:
     max_retries: int = 2
 
     def __post_init__(self) -> None:
+        if not self.endpoint:
+            raise ValueError("endpoint must not be empty")
         if not (math.isfinite(self.timeout) and self.timeout > 0):
             raise ValueError(f"timeout must be a finite number above 0, got {self.timeout}")
         if self.max_retries < 0:
@@ -307,7 +309,7 @@ class ScriptedOracle:
             return self._recover(prompt)
         if prompt.startswith(prompts.REPLAN_HEADER):
             return self._replan(prompt)
-        raise OracleError("unrecognized prompt layout")
+        raise BackendError("unrecognized prompt layout")
 
     # -- plan ---------------------------------------------------------------
 
@@ -320,7 +322,7 @@ class ScriptedOracle:
 
         obj = lexicon.main_object(task)
         if obj is None:
-            raise OracleError(f"cannot identify the task object in {task!r}")
+            raise BackendError(f"cannot identify the task object in {task!r}")
         recept = lexicon.receptacle_mention(task)
         cat = lexicon.category(task)
         slicing = lexicon.wants_slice(task)

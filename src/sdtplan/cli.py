@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import importlib.resources
 import json
 import math
 import re
@@ -35,8 +34,14 @@ REPORT_COLUMNS = (
 )
 
 
-def _data_path(relative: str) -> Path:
-    return Path(str(importlib.resources.files("sdtplan.data").joinpath(relative)))
+#: The package data directory, which a trace names its packaged files relative to.
+_DATA_DIR = Path(__file__).resolve().parent / "data"
+
+
+def _data_path(name: str) -> Path:
+    """The file ``name`` names: under the package data when it is relative,
+    itself when it is absolute. This also reads a trace's ``scene`` and ``sdt``."""
+    return _DATA_DIR / name
 
 
 def default_suite_path() -> Path:
@@ -47,21 +52,12 @@ def default_sdt_path() -> Path:
     return _data_path("sdt.json")
 
 
-#: The package data directory, which a trace names its packaged files relative to.
-_DATA_DIR = default_sdt_path().resolve().parent
-
-
 def _trace_name(path: Path) -> str:
     """How a trace names ``path``: relative to the package data when it lies
     there, so that a committed trace names the same file in any checkout or
     install, and absolute otherwise."""
     path = path.resolve()
     return path.relative_to(_DATA_DIR).as_posix() if path.is_relative_to(_DATA_DIR) else str(path)
-
-
-def _trace_file(name: str) -> Path:
-    """The file a trace's ``scene`` or ``sdt`` names (see ``_trace_name``)."""
-    return Path(name) if Path(name).is_absolute() else _DATA_DIR / name
 
 
 def _resolve_scene(scene: str, suite_dir: Path) -> Path:
@@ -138,11 +134,10 @@ def load_suite(path: Path) -> dict:
 
 
 def _http_config(args) -> Optional[HttpConfig]:
-    """The checked settings of ``--backend http``, or None for the oracle."""
-    if args.backend == "oracle":
+    """The checked settings of the HTTP backend that ``--endpoint`` selects, or
+    None for the oracle."""
+    if args.endpoint is None:
         return None
-    if not args.endpoint:
-        raise ValueError("--backend http requires --endpoint")
     return HttpConfig(
         endpoint=args.endpoint,
         model=args.model,
@@ -237,7 +232,7 @@ def cli_run(args) -> int:
         if args.inject and args.task is None:
             raise ValueError("--inject requires --task")
         sdt_file = _trace_name(Path(args.sdt or default_sdt_path()))
-        sdt = load_sdt(_trace_file(sdt_file))
+        sdt = load_sdt(_data_path(sdt_file))
         suite_path = Path(args.suite) if args.suite else default_suite_path()
         suite = load_suite(suite_path)
         config = RunConfig(args.mode, args.budget, args.replan_cap)
@@ -425,8 +420,8 @@ def rerun(trace: dict) -> dict:
     with the next recorded reply, and return its ``_run_record``. When the
     scene file's sha256, then the start state's hash, differs from the
     header's, the task does not run and that digest alone is returned."""
-    sdt = load_sdt(_trace_file(trace["sdt"]))
-    state = load_scene(_trace_file(trace["scene"]), sdt)
+    sdt = load_sdt(_data_path(trace["sdt"]))
+    state = load_scene(_data_path(trace["scene"]), sdt)
     if state.scene.sha256 != trace["scene_sha256"]:
         return {"scene_sha256": state.scene.sha256}
     state = apply_perturbations(state, trace["inject"], sdt)
@@ -484,9 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--suite", help="suite file (default: packaged 14-task suite)")
     run.add_argument("--task", help="run a single task id from the suite")
     run.add_argument("--sdt", help="knowledge base file (default: packaged)")
-    run.add_argument("--backend", choices=("oracle", "http"), default="oracle")
-    run.add_argument("--endpoint", help="chat-completion URL for --backend http")
-    run.add_argument("--model", default="", help="model name for --backend http")
+    run.add_argument("--endpoint", help="chat-completion URL of a model to ask (default: the offline oracle)")
+    run.add_argument("--model", default="", help="model name sent to --endpoint")
     run.add_argument("--timeout", type=float, default=HttpConfig.timeout)
     run.add_argument("--max-retries", type=int, default=HttpConfig.max_retries)
     run.add_argument(
@@ -501,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--replan-cap", type=int, default=RunConfig.replan_cap)
     run.add_argument("--report", choices=("md", "csv", "json"), default="md")
-    run.add_argument("--jobs", type=int, default=1, help="tasks at once; helps --backend http")
+    run.add_argument("--jobs", type=int, default=1, help="tasks at once; helps with --endpoint")
     run.add_argument("--out", default="runs", help="directory for report and trace files")
     run.add_argument("--lenient", action="store_true", help="exit 0 even when tasks fail")
     run.add_argument("--no-regression-check", action="store_true")

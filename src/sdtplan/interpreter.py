@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 from . import prompts
 from .backends import LLMBackend, ask
-from .errors import GrammarError, NoCandidate, PlanParseError, SdtPlanError
+from .errors import GrammarError, PlanParseError, SdtPlanError
 from .sdt import FLAG_ACTIONS, SDT, ActionName
 from .triplets import ActionTriplet, GoalCondition, clause_conjuncts
 from .world import (
@@ -216,11 +216,11 @@ def resolve(
     sdt: SDT,
     backend: LLMBackend,
     goal: Optional[GoalCondition] = None,
-) -> ConcreteAction:
+) -> Optional[ConcreteAction]:
     """Ground one triplet to a concrete action.
 
-    Raises NoCandidate when the reference has no instance; the caller surfaces
-    that to the failure resolver as a visibility failure. The candidates
+    None when the reference has no instance; the caller surfaces that to
+    the failure resolver as a visibility failure. The candidates
     narrow to those ``condition_fn`` admits, which is none of a type the
     knowledge base lacks; when it admits none they all stay, so the step fails
     with the simulator's refusal. The gates that read the state (visibility,
@@ -236,7 +236,7 @@ def resolve(
         return ConcreteAction(name=triplet.action, target=None)
     ids = candidate_instances(state, ref, triplet.action)
     if not ids:
-        raise NoCandidate(ref)
+        return None
     ids = [i for i in ids if condition_fn(sdt, state.objects[i], triplet.action)] or ids
     if len(ids) == 1 or _interchangeable(state, ids):
         return ConcreteAction(name=triplet.action, target=ids[0])
@@ -331,10 +331,8 @@ def execute_plan(
     try:
         for triplet in plan:
             if not postcondition_satisfied(state, triplet):
-                concrete: Optional[ConcreteAction] = None
-                try:
-                    concrete = resolve(triplet, state, task, history, sdt, backend, goal)
-                except NoCandidate:
+                concrete = resolve(triplet, state, task, history, sdt, backend, goal)
+                if concrete is None:
                     outcome = ActionOutcome.error("NotVisible", MSG_NOT_VISIBLE)
                 else:
                     state_after, outcome = step(state, concrete, sdt)

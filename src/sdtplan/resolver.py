@@ -19,7 +19,7 @@ from typing import AbstractSet, Optional
 
 from . import prompts
 from .backends import LLMBackend, complete_text
-from .errors import GrammarError, NoCandidate, SdtPlanError
+from .errors import GrammarError, SdtPlanError
 from .interpreter import (
     HISTORY_TAIL,
     HistoryEntry,
@@ -184,9 +184,8 @@ def _reexecute_failed(
     """Retry the failed triplet, ``history``'s last entry, against the
     recovered state, grounding it against the run's ``goal`` as
     ``execute_plan`` does."""
-    try:
-        concrete = resolve(history[-1].triplet, state, task, history, sdt, backend, goal)
-    except NoCandidate:
+    concrete = resolve(history[-1].triplet, state, task, history, sdt, backend, goal)
+    if concrete is None:
         return state, False, "target still has no candidate instance"
     new_state, outcome = step(state, concrete, sdt)
     attempt.executed.append((concrete, outcome))

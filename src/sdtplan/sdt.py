@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 
 
 class ActionName(str, Enum):
@@ -225,7 +225,7 @@ def _parse_predicate(raw: dict, where: str) -> StatePredicate:
         raise ValidationError(f"{where}: predicate 'is' must be a boolean")
     type_name = raw.get("type")
     if type_name is not None and not isinstance(type_name, str):
-        raise ParseError(f"{where}: predicate 'type' must be a string")
+        raise ValidationError(f"{where}: predicate 'type' must be a string")
     return StatePredicate(scope=scope, flag=flag, value=value, type_name=type_name)
 
 
@@ -272,22 +272,22 @@ def _objects(raw: dict, key: str, where: str) -> list[dict]:
     """``raw[key]`` (absent: empty), which must be a list of JSON objects."""
     value = raw.get(key, [])
     if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
-        raise ParseError(f"{where}: '{key}' must be a list of objects")
+        raise ValidationError(f"{where}: '{key}' must be a list of objects")
     return value
 
 
 def parse_sdt_data(data: object) -> SDT:
     """Build a validated SDT from already-decoded JSON data."""
     if not isinstance(data, list):
-        raise ParseError("knowledge base file must be a top-level array of entries")
+        raise ValidationError("knowledge base file must be a top-level array of entries")
     entries = []
     for i, raw in enumerate(data):
         where = f"entry {i}"
         if not isinstance(raw, dict) or "type" not in raw:
-            raise ParseError(f"{where}: each entry needs a 'type' field")
+            raise ValidationError(f"{where}: each entry needs a 'type' field")
         type_name = raw["type"]
         if not isinstance(type_name, str):
-            raise ParseError(f"{where}: 'type' must be a string")
+            raise ValidationError(f"{where}: 'type' must be a string")
         where = type_name
         tags = set()
         for tag in raw.get("affordances", []):
@@ -303,7 +303,7 @@ def parse_sdt_data(data: object) -> SDT:
             rwhere = f"{where}/rule {j}"
             text = raw_rule.get("text", "")
             if not isinstance(text, str):
-                raise ParseError(f"{rwhere}: rule text must be a string")
+                raise ValidationError(f"{rwhere}: rule text must be a string")
             try:
                 action = ActionName(raw_rule.get("action"))
             except ValueError:
@@ -340,9 +340,9 @@ def load_sdt(path: str | Path) -> SDT:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ParseError(f"cannot read knowledge base file: {exc}") from exc
+        raise ValidationError(f"cannot read knowledge base file: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed knowledge base file: {exc}") from exc
+        raise ValidationError(f"malformed knowledge base file: {exc}") from exc
     return parse_sdt_data(data)
 
 

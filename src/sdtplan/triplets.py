@@ -1,9 +1,9 @@
 """Grammar layer: action triplets, recovery pairs, goal conditions.
 
 Parsers are total over arbitrary text: they either return a value or raise
-one of the typed grammar errors, never anything else. Extraction is
-tolerant of surrounding prose (live model output is chatty) and pulls the
-first well-formed structure out of the reply.
+GrammarError, never anything else. Extraction is tolerant of surrounding
+prose (live model output is chatty) and pulls the first well-formed
+structure out of the reply.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Optional
 
-from .errors import BadAction, GoalParseError, MalformedEntry, NoTripletsFound
+from .errors import GrammarError
 from .sdt import ActionName, FLAG_NAMES, TEMPERATURES
 from .world import ConcreteAction, WorldState, is_valid_object_id
 
@@ -131,15 +131,15 @@ def _first_list_of_lists(text: str) -> Optional[list]:
 
 def _to_triplet(item: list, position: int) -> ActionTriplet:
     if not (2 <= len(item) <= 3):
-        raise MalformedEntry(f"triplet needs 2-3 slots, got {len(item)}", position)
+        raise GrammarError(f"triplet needs 2-3 slots, got {len(item)} (entry {position})")
     if any(isinstance(slot, list) for slot in item):
-        raise MalformedEntry("nested list inside triplet", position)
+        raise GrammarError(f"nested list inside triplet (entry {position})")
     name = str(item[0]).strip()
     if name not in _ACTION_NAMES:
-        raise BadAction(name)
+        raise GrammarError(f"unknown action name: {name!r}")
     arg1 = str(item[1]).strip()
     if not arg1:
-        raise MalformedEntry("empty first argument", position)
+        raise GrammarError(f"empty first argument (entry {position})")
     arg2: Optional[str] = None
     if len(item) == 3:
         third = str(item[2]).strip()
@@ -152,7 +152,7 @@ def parse_triplets(text: str) -> list[ActionTriplet]:
     """Extract the first well-formed list-of-lists as a triplet plan."""
     value = _first_list_of_lists(text)
     if value is None:
-        raise NoTripletsFound("no triplet list found in text")
+        raise GrammarError("no triplet list found in text")
     return [_to_triplet(item, i) for i, item in enumerate(value)]
 
 
@@ -173,15 +173,15 @@ def parse_recovery(text: str) -> list[ConcreteAction]:
     for i, m in enumerate(_PAIR_RE.finditer(text)):
         name, target = m.group(1), m.group(2).strip().strip("'\"")
         if name not in _ACTION_NAMES:
-            raise BadAction(name)
+            raise GrammarError(f"unknown action name: {name!r}")
         if not is_valid_object_id(target):
-            raise MalformedEntry(f"malformed target id {target!r}", i)
+            raise GrammarError(f"malformed target id {target!r} (entry {i})")
         pairs.append(ConcreteAction(ActionName(name), target))
     if pairs:
         return pairs
     if re.search(r"\[\s*\]", text):
         return []
-    raise NoTripletsFound("no recovery pairs found in text")
+    raise GrammarError("no recovery pairs found in text")
 
 
 def format_recovery(pairs: Iterable[ConcreteAction]) -> str:
@@ -219,18 +219,18 @@ class GoalCondition:
 
     def __post_init__(self) -> None:
         if not self.clauses:
-            raise GoalParseError("goal needs at least one clause")
+            raise GrammarError("goal needs at least one clause")
         for clause in self.clauses:
             if not clause.object_type:
-                raise GoalParseError("goal clause needs an object type")
+                raise GrammarError("goal clause needs an object type")
             for flag in clause.required_flags:
                 if flag.lstrip("!") not in FLAG_NAMES:
-                    raise GoalParseError(f"unknown goal flag {flag!r}")
+                    raise GrammarError(f"unknown goal flag {flag!r}")
             if (
                 clause.required_temperature is not None
                 and clause.required_temperature not in TEMPERATURES
             ):
-                raise GoalParseError(
+                raise GrammarError(
                     f"unknown goal temperature {clause.required_temperature!r}"
                 )
 
@@ -251,11 +251,11 @@ def parse_goal(text: str) -> GoalCondition:
             if not part:
                 continue
             if "=" not in part:
-                raise GoalParseError(f"bad goal field {part!r}")
+                raise GrammarError(f"bad goal field {part!r}")
             key, value = part.split("=", 1)
             fields[key.strip()] = value.strip()
         if "type" not in fields:
-            raise GoalParseError("goal clause missing type field")
+            raise GrammarError("goal clause missing type field")
         flags_field = fields.get("flags", "-")
         flags = tuple(
             f.strip() for f in flags_field.split(",") if f.strip() and f.strip() != "-"
@@ -271,7 +271,7 @@ def parse_goal(text: str) -> GoalCondition:
             )
         )
     if not clauses:
-        raise GoalParseError("no GOAL lines found in text")
+        raise GrammarError("no GOAL lines found in text")
     return GoalCondition(clauses=tuple(clauses))
 
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Collection, Iterable, NamedTuple, Optional
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .sdt import (
     ACTION_AFFORDANCES,
     SDT,
@@ -402,13 +402,13 @@ _NUMBER_TYPES = frozenset({int, float})
 
 def _vector(value: object, count: int, where: str) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)):
-        raise ParseError(f"{where} must be a list of {count} numbers")
+        raise ValidationError(f"{where} must be a list of {count} numbers")
     if len(value) != count:
-        raise ParseError(f"{where} must have {count} components")
+        raise ValidationError(f"{where} must have {count} components")
     if not _NUMBER_TYPES.issuperset(map(type, value)):
-        raise ParseError(f"{where} must be a list of {count} numbers")
+        raise ValidationError(f"{where} must be a list of {count} numbers")
     if not all(map(math.isfinite, value)):
-        raise ParseError(f"{where} must be a list of {count} finite numbers")
+        raise ValidationError(f"{where} must be a list of {count} finite numbers")
     return tuple(map(float, value))
 
 
@@ -419,7 +419,7 @@ def _parse_instance(raw: dict, index: int, id_types: Collection[str]) -> ObjectI
     """Scene record ``index``. A type in ``id_types`` has formed a valid id, so with
     every coordinate within ±99.99 this record's id is valid too: no regex."""
     if not isinstance(raw, dict) or "type" not in raw or "position" not in raw:
-        raise ParseError(f"object {index}: needs 'type' and 'position'")
+        raise ValidationError(f"object {index}: needs 'type' and 'position'")
     p = raw["position"]
     if (type(p) is list and len(p) == 3 and type(p[0]) in _NUMBER_TYPES
             and type(p[1]) in _NUMBER_TYPES and type(p[2]) in _NUMBER_TYPES):
@@ -428,7 +428,7 @@ def _parse_instance(raw: dict, index: int, id_types: Collection[str]) -> ObjectI
         position = _vector(p, 3, f"object {index}: position")
     type_name = raw["type"]
     if type(type_name) is not str:
-        raise ParseError(f"object {index}: type must be a string")
+        raise ValidationError(f"object {index}: type must be a string")
     given_id = raw.get("id")
     if given_id is not None:  # a formatted id embeds its type and position by construction
         m = _ID_RE.match(given_id) if isinstance(given_id, str) else None
@@ -451,22 +451,22 @@ def _parse_instance(raw: dict, index: int, id_types: Collection[str]) -> ObjectI
     if "flags" in raw:
         given_flags = raw["flags"]
         if not isinstance(given_flags, dict):
-            raise ParseError(f"object {index}: flags must be an object")
+            raise ValidationError(f"object {index}: flags must be an object")
         for k, v in given_flags.items():
             if k not in FLAG_NAMES:
                 raise ValidationError(f"object {index}: unknown flag {k!r}")
             if not isinstance(v, bool):
-                raise ParseError(f"object {index}: flag {k} must be a boolean")
+                raise ValidationError(f"object {index}: flag {k} must be a boolean")
             flags[k] = v
     temperature = raw.get("temperature", ROOM_TEMP)
     if temperature not in TEMPERATURES:
         raise ValidationError(f"object {index}: unknown temperature {temperature!r}")
     parent = raw.get("parent_receptacle")
     if parent is not None and not isinstance(parent, str):
-        raise ParseError(f"object {index}: parent_receptacle must be an object id")
+        raise ValidationError(f"object {index}: parent_receptacle must be an object id")
     capacity = raw.get("capacity", 0)
     if type(capacity) is not int:
-        raise ParseError(f"object {index}: capacity must be an integer")
+        raise ValidationError(f"object {index}: capacity must be an integer")
     return ObjectInstance(object_id, type_name, position, flags, temperature, parent, capacity)
 
 
@@ -514,18 +514,18 @@ def validate_state(state: WorldState, sdt: SDT) -> None:
 def _parse_agent(agent: object) -> dict:
     """WorldState keyword arguments from a scene's agent block."""
     if not isinstance(agent, dict):
-        raise ParseError("scene file's 'agent' must be an object")
+        raise ValidationError("scene file's 'agent' must be an object")
     held = agent.get("held_object")
     if held is not None and not isinstance(held, str):
-        raise ParseError("agent: held_object must be an object id")
+        raise ValidationError("agent: held_object must be an object id")
     radius = agent.get("visibility_radius", WorldState.visibility_radius)
     if type(radius) not in _NUMBER_TYPES:
-        raise ParseError("agent: visibility_radius must be a number")
+        raise ValidationError("agent: visibility_radius must be a number")
     if not math.isfinite(radius):
-        raise ParseError("agent: visibility_radius must be a finite number")
+        raise ValidationError("agent: visibility_radius must be a finite number")
     crouched = agent.get("crouched", False)
     if not isinstance(crouched, bool):
-        raise ParseError("agent: crouched must be a boolean")
+        raise ValidationError("agent: crouched must be a boolean")
     return {
         "agent_position": _vector(agent.get("position", (0.0, 0.9, 0.0)), 3, "agent: position"),
         "agent_crouched": crouched,
@@ -553,15 +553,15 @@ def load_scene(path: str | Path, sdt: SDT) -> WorldState:
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
-        raise ParseError(f"cannot read scene file: {exc}") from exc
+        raise ValidationError(f"cannot read scene file: {exc}") from exc
     try:
         data = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"malformed scene file: {exc}") from exc
+        raise ValidationError(f"malformed scene file: {exc}") from exc
     if not isinstance(data, dict) or "agent" not in data or "objects" not in data:
-        raise ParseError("scene file must be an object with 'agent' and 'objects'")
+        raise ValidationError("scene file must be an object with 'agent' and 'objects'")
     if not isinstance(data["objects"], list):
-        raise ParseError("scene file's 'objects' must be a list")
+        raise ValidationError("scene file's 'objects' must be a list")
     objects: dict[str, ObjectInstance] = {}
     opens: dict[str, bool] = {}  # type -> a receptacle with no door; each key has formed a valid id
     for i, raw in enumerate(data["objects"]):

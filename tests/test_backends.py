@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -19,7 +20,7 @@ from conftest import record_choice_queries, scene_for_row, suite_row
 import sdtplan
 from sdtplan import cli, prompts
 from sdtplan.backends import HttpBackend, HttpConfig, OracleConfig, ScriptedOracle, ask
-from sdtplan.errors import BackendError, GrammarError, OracleError, PlanParseError
+from sdtplan.errors import BackendError, GrammarError, PlanParseError
 from sdtplan.planner import build_plan_prompt, load_examples, nearest_examples, relevant_types
 from sdtplan.replanner import RunConfig, run_task
 from sdtplan.interpreter import HistoryEntry, RecoveryAttempt
@@ -292,7 +293,7 @@ def test_oracle_recovery_reply_per_strategy(
 
 
 def test_oracle_rejects_unknown_prompt_layout():
-    with pytest.raises(OracleError):
+    with pytest.raises(BackendError):
         ScriptedOracle().complete("tell me a joke")
 
 
@@ -319,10 +320,11 @@ def test_oracle_misorder_heat_toggles_with_door_open(sdt, suite):
 
 
 #: ``echo`` False sends ``content`` as the completion's content verbatim, or
-#: ``content(prompt)`` when it is callable.
+#: ``content(prompt)`` when it is callable; ``body``, when set, is sent verbatim
+#: in place of the completion, and as the body of each failure.
 _STUB_DEFAULTS = {
     "failures_left": 0, "delay": 0.0, "requests": 0, "status": 500, "retry_after": None,
-    "echo": True, "content": None,
+    "echo": True, "content": None, "body": None,
 }
 
 
@@ -338,17 +340,20 @@ class _StubHandler(BaseHTTPRequestHandler):
             return  # the fixture is shutting down: end the delay early, with no reply
         if cls.behavior["failures_left"] > 0:
             cls.behavior["failures_left"] -= 1
+            data = (cls.behavior["body"] or "").encode()
             self.send_response(cls.behavior["status"])
             if cls.behavior["retry_after"] is not None:
                 self.send_header("Retry-After", cls.behavior["retry_after"])
+            self.send_header("Content-Length", str(len(data)))
             self.end_headers()
+            self.wfile.write(data)
             return
         prompt = body["messages"][0]["content"]
         content = f"echo:{prompt}" if cls.behavior["echo"] else cls.behavior["content"]
         if callable(content):
             content = content(prompt)
         payload = {"choices": [{"message": {"role": "assistant", "content": content}}]}
-        data = json.dumps(payload).encode()
+        data = (cls.behavior["body"] or json.dumps(payload)).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -399,7 +404,7 @@ def test_an_http_run_verifies_offline(stub_server, tmp_path, capsys, failing):
     behavior.update(echo=False, content=ScriptedOracle().complete)
     behavior["failures_left"] = 99 if failing else 0
     out = str(tmp_path / "out")
-    cli.main(["run", "--task", "9", "--backend", "http", "--endpoint", url, "--max-retries", "0",
+    cli.main(["run", "--task", "9", "--endpoint", url, "--max-retries", "0",
               "--lenient", "--out", out])
     trace = json.loads((tmp_path / "out" / "trace_task9.json").read_text())
     assert trace["report"]["Success"] == ("No" if failing else "Yes")
@@ -477,6 +482,46 @@ def test_http_non_string_content_is_backend_error(stub_server, content):
     behavior.update(echo=False, content=content)
     backend = HttpBackend(HttpConfig(endpoint=url, model="m", timeout=5, max_retries=2))
     with pytest.raises(BackendError, match="content"):
+        backend.complete("x")
+    assert behavior["requests"] == 1
+
+
+def test_http_transport_error_is_retried_then_unreachable(monkeypatch):
+    # nothing listens on a port just released: each attempt fails to connect
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    backend = HttpBackend(HttpConfig(endpoint=f"http://127.0.0.1:{port}/v1", model="m", max_retries=2))
+    with pytest.raises(BackendError) as info:
+        backend.complete("x")
+    assert str(info.value).startswith("backend unreachable after 3 attempts (transport error: ")
+    assert sleeps == [0.25, 0.5]  # the backoff before each of the two retries
+
+
+@pytest.mark.parametrize(
+    "status, body, shown",
+    [(400, '{"error": "unknown model"}', '{"error": "unknown model"}'), (404, "x" * 300, "x" * 200)],
+)
+def test_http_4xx_fails_at_once_with_status_and_body(stub_server, status, body, shown):
+    url, behavior = stub_server
+    behavior.update(failures_left=3, status=status, body=body)
+    backend = HttpBackend(HttpConfig(endpoint=url, model="m", timeout=5, max_retries=2))
+    with pytest.raises(BackendError) as info:
+        backend.complete("x")
+    assert str(info.value) == f"HTTP {status}: {shown}"
+    assert behavior["requests"] == 1
+
+
+@pytest.mark.parametrize(
+    "body", ["{}", '{"choices": []}', '{"choices": [{"message": null}]}', '{"choices": [{}]}', "no json"]
+)
+def test_http_completion_without_content_is_backend_error(stub_server, body):
+    url, behavior = stub_server
+    behavior["body"] = body
+    backend = HttpBackend(HttpConfig(endpoint=url, model="m", timeout=5, max_retries=2))
+    with pytest.raises(BackendError, match="^malformed completion response: "):
         backend.complete("x")
     assert behavior["requests"] == 1
 

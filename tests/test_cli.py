@@ -18,7 +18,7 @@ import pytest
 
 from sdtplan import cli
 from sdtplan.cli import default_suite_path, main
-from sdtplan.errors import ParseError
+from sdtplan.errors import ValidationError
 from sdtplan.world import load_scene
 
 
@@ -38,7 +38,7 @@ def test_importing_the_cli_leaves_the_thread_pool_module_unloaded():
 
 
 def test_run_default_suite_all_green(tmp_path, capsys):
-    code = run_cli("run", "--backend", "oracle", "--out", str(tmp_path))
+    code = run_cli("run", "--out", str(tmp_path))
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("| Yes") == 14
@@ -49,7 +49,7 @@ def test_run_default_suite_all_green(tmp_path, capsys):
 def test_run_single_task_with_inject(tmp_path, capsys):
     code = run_cli(
         "run", "--task", "9", "--inject", "hide:WineBottle:Fridge",
-        "--backend", "oracle", "--report", "json", "--out", str(tmp_path),
+        "--report", "json", "--out", str(tmp_path),
     )
     assert code == 0
     rows = json.loads(capsys.readouterr().out)
@@ -67,6 +67,14 @@ def test_run_empty_suite_exits_zero(tmp_path, capsys):
 
 def test_run_missing_suite_is_config_error(tmp_path):
     assert run_cli("run", "--suite", str(tmp_path / "nope.json"), "--out", str(tmp_path)) == 2
+
+
+@pytest.mark.parametrize("suite", [[], {"name": "no rows"}, {"tasks": {"1": {}}}])
+def test_suite_without_a_tasks_array_is_config_error(tmp_path, capsys, suite):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    assert run_cli("run", "--suite", str(path), "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == "config error: suite file needs a 'tasks' array\n"
 
 
 def test_run_unknown_task_id_is_config_error(tmp_path):
@@ -156,7 +164,7 @@ def test_malformed_scene_is_config_error(tmp_path, capsys, sdt, scene, message):
     row = {"id": 1, "task": "Pick up the mug", "scene": "scene.json", "inject": []}
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps({"name": "bad", "tasks": [row]}))
-    with pytest.raises(ParseError) as info:
+    with pytest.raises(ValidationError) as info:
         load_scene(tmp_path / "scene.json", sdt)
     assert str(info.value) == message
     assert run_cli("run", "--suite", str(suite), "--out", str(tmp_path / "out")) == 2
@@ -229,7 +237,7 @@ def test_malformed_suite_row_is_config_error(tmp_path, capsys, row, message):
 )
 def test_bad_start_state_in_a_later_row_runs_no_task(tmp_path, capsys, monkeypatch, jobs, edit, message):
     # every row's start state is built before any task runs, so a bad row 2 is refused
-    # before row 1 makes a backend call, which --backend http pays for
+    # before row 1 makes a backend call, which an HTTP backend pays for
     calls = []
     monkeypatch.setattr(cli, "run_task", lambda *args, **kwargs: calls.append(args))
     suite = tmp_path / "suite.json"
@@ -306,12 +314,14 @@ def test_md_report_escapes_a_bar_in_a_cell(tmp_path, capsys):
         (["--timeout=-1"], "timeout"),
         # -1 used to send no request and fail every task
         (["--max-retries=-1"], "max_retries"),
+        # an empty URL would fail every task's first call
+        (["--endpoint="], "endpoint"),
     ],
 )
 def test_http_option_out_of_range_is_config_error(tmp_path, capsys, options, name):
     # nothing listens on the endpoint: the check must come before any task runs
     code = run_cli(
-        "run", "--backend", "http", "--endpoint", "http://127.0.0.1:9/v1/chat/completions",
+        "run", "--endpoint", "http://127.0.0.1:9/v1/chat/completions",
         *options, "--out", str(tmp_path / "out"),
     )
     assert code == 2
@@ -374,7 +384,7 @@ def test_jobs_overlap_http_waits(tmp_path, capsys, jobs, overlaps):
     threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()
     try:
         code = run_cli(
-            "run", "--suite", str(suite), "--backend", "http", "--jobs", str(jobs),
+            "run", "--suite", str(suite), "--jobs", str(jobs),
             "--endpoint", f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions",
             "--lenient", "--no-regression-check", "--out", str(tmp_path / "out"),
         )

@@ -13,7 +13,6 @@ import sdtplan.interpreter as interp_mod
 import sdtplan.resolver as resolver_mod
 from sdtplan import prompts
 from sdtplan.backends import OracleConfig, ScriptedOracle
-from sdtplan.errors import NoCandidate
 from sdtplan.interpreter import (
     candidate_instances,
     execute_plan,
@@ -200,15 +199,9 @@ def test_oracle_prefers_drawer_with_free_space(sdt, suite):
 
 def test_hidden_object_raises_no_candidate(sdt, suite):
     state = scene_for_row(suite_row(suite, 9), sdt)  # bottle hidden
-    with pytest.raises(NoCandidate):
-        resolve(
-            trip(ActionName.PICKUP, "WineBottle"),
-            state,
-            "grab the bottle",
-            [],
-            sdt,
-            ScriptedOracle(),
-        )
+    assert resolve(
+        trip(ActionName.PICKUP, "WineBottle"), state, "grab the bottle", [], sdt, ScriptedOracle()
+    ) is None
 
 
 def test_bad_choice_falls_back_to_nearest(sdt, suite):

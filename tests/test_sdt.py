@@ -52,22 +52,22 @@ _RULE = {"action": "PickupObject", "pre": [], "effect": [], "text": "t"}
 
 def test_load_missing_or_malformed_file(tmp_path, capsys):
     from sdtplan.cli import main
-    from sdtplan.errors import ParseError
     from sdtplan.sdt import load_sdt
 
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError):
         load_sdt(tmp_path / "nope.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError):
         load_sdt(bad)
     not_array = tmp_path / "obj.json"
     not_array.write_text('{"type": "X"}')
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError):
         load_sdt(not_array)
     # entries of the wrong JSON shape are config errors, not loader crashes
     for entry, message in [
         ({"type": 5}, "entry 0: 'type' must be a string"),
+        ({}, "entry 0: each entry needs a 'type' field"),
         ({"type": "X", "rules": "none"}, "X: 'rules' must be a list of objects"),
         ({"type": "X", "rules": ["none"]}, "X: 'rules' must be a list of objects"),
         ({"type": "X", "rules": [dict(_RULE, pre=["isOpen"])]},
@@ -81,7 +81,7 @@ def test_load_missing_or_malformed_file(tmp_path, capsys):
     ]:
         shaped = tmp_path / "shaped.json"
         shaped.write_text(json.dumps([{"affordances": ["Pickupable"], **entry}]))
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(ValidationError) as info:
             load_sdt(shaped)
         assert str(info.value) == message
         out = str(tmp_path / "out")
@@ -168,6 +168,9 @@ def test_self_trigger_needs_matching_affordance():
          "effect field 'parent_receptacle' does not exist on instances"),
         ({"effect": [{"scope": "nearby", "set": "temperature", "to": "RoomTemp"}]},
          "bad temperature value 'RoomTemp'"),
+        ({"effect": [{"set": "isDirty"}]}, "effect needs 'set' and 'to' fields"),
+        ({"effect": [{"scope": "room", "set": "isDirty", "to": True}]}, "unknown effect scope 'room'"),
+        ({"effect": [{"set": "isDirty", "to": "yes"}]}, "flag effect isDirty needs a boolean"),
     ],
 )
 def test_rule_forms_outside_the_language_rejected(rule, message):

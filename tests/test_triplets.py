@@ -10,13 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import scene_for_row, suite_row
 
-from sdtplan.errors import (
-    BadAction,
-    GoalParseError,
-    MalformedEntry,
-    NoTripletsFound,
-    SdtPlanError,
-)
+from sdtplan.errors import GrammarError, SdtPlanError
 from sdtplan.sdt import ActionName
 from sdtplan.triplets import (
     ActionTriplet,
@@ -60,27 +54,43 @@ def test_parse_with_second_object():
 
 
 def test_parse_no_plan():
-    with pytest.raises(NoTripletsFound):
+    with pytest.raises(GrammarError):
         parse_triplets("no plan here")
 
 
 def test_parse_rejects_deep_brackets_without_recursing():
     # the scan from each '[' gives up past 3 levels: no RecursionError, and
     # no rescan that grows with the nesting
-    with pytest.raises(NoTripletsFound):
+    with pytest.raises(GrammarError):
         parse_triplets("[" * 100_000)
 
 
 def test_parse_bad_action():
-    with pytest.raises(BadAction) as exc:
+    with pytest.raises(GrammarError) as exc:
         parse_triplets("[['FlyObject','Broom',0]]")
-    assert exc.value.name == "FlyObject"
+    assert str(exc.value) == "unknown action name: 'FlyObject'"
 
 
 def test_parse_malformed_entry_position():
-    with pytest.raises(MalformedEntry) as exc:
+    with pytest.raises(GrammarError) as exc:
         parse_triplets("[['PickupObject','Mug',0],['PickupObject']]")
-    assert exc.value.position == 1
+    assert str(exc.value) == "triplet needs 2-3 slots, got 1 (entry 1)"
+
+
+@pytest.mark.parametrize(
+    "parser, text, message",
+    [
+        (parse_triplets, "[['PickupObject', ['Mug'], 0]]", "nested list inside triplet (entry 0)"),
+        (parse_triplets, "[['PickupObject','Mug',0],['PickupObject', ' ', 0]]",
+         "empty first argument (entry 1)"),
+        (parse_goal, "GOAL:{type=; flags=-; temp=-; in=-}", "goal clause needs an object type"),
+        (parse_goal, "GOAL:{flags=isCooked; temp=-; in=Sink}", "goal clause missing type field"),
+    ],
+)
+def test_malformed_reply_messages(parser, text, message):
+    with pytest.raises(GrammarError) as info:
+        parser(text)
+    assert str(info.value) == message
 
 
 def test_parse_skips_prose_and_quote_styles():
@@ -165,13 +175,13 @@ def test_parse_recovery_empty():
 
 
 def test_parse_recovery_bad_action():
-    with pytest.raises(BadAction) as exc:
+    with pytest.raises(GrammarError) as exc:
         parse_recovery("(Fly,Drawer|-00.86|+00.58|+01.43)")
-    assert exc.value.name == "Fly"
+    assert str(exc.value) == "unknown action name: 'Fly'"
 
 
 def test_parse_recovery_bad_id():
-    with pytest.raises(MalformedEntry):
+    with pytest.raises(GrammarError):
         parse_recovery("(OpenObject,not-an-id)")
 
 
@@ -214,12 +224,12 @@ def test_goal_render_round_trip():
 
 
 def test_goal_requires_clauses():
-    with pytest.raises(GoalParseError):
+    with pytest.raises(GrammarError):
         GoalCondition(clauses=())
 
 
 def test_goal_rejects_unknown_flag():
-    with pytest.raises(GoalParseError):
+    with pytest.raises(GrammarError):
         GoalCondition(clauses=(GoalClause("Mug", ("isShiny",), None, None),))
 
 
