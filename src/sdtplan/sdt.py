@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import ValidationError
 
@@ -110,20 +110,16 @@ _EFFECT_AFFORDANCES: dict[str, AffordanceTag] = {
     "Cold": AffordanceTag.COOLABLE,
 }
 
-_PREDICATE_SCOPES = ("self", "colocated")
-_PREDICATE_FIELDS = frozenset({"scope", "flag", "is", "type"})
+_PREDICATE_FIELDS = frozenset({"scope", "flag", "is"})
 _EFFECT_SCOPES = ("self", "contents", "nearby")
 
 
 @dataclass(frozen=True)
 class StatePredicate:
-    """A flag value on the rule owner (``self``) or on some co-located object
-    (``colocated``), optionally of the type ``type_name``."""
+    """A flag value on the rule owner."""
 
-    scope: str
     flag: str
     value: bool
-    type_name: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -151,11 +147,6 @@ class InteractionRule:
     preconditions: tuple[StatePredicate, ...]
     effects: tuple[StateEffect, ...]
     text: str
-
-    @property
-    def reactive(self) -> bool:
-        """True when the rule reacts to an action performed on another object."""
-        return any(p.scope == "colocated" for p in self.preconditions)
 
 
 @dataclass(frozen=True)
@@ -215,7 +206,7 @@ class SDT:
 
 def _parse_predicate(raw: dict, where: str) -> StatePredicate:
     scope = raw.get("scope", "self")
-    if scope not in _PREDICATE_SCOPES:
+    if scope != "self":
         raise ValidationError(f"{where}: unknown predicate scope {scope!r}")
     flag = raw.get("flag")
     if flag not in FLAG_NAMES or not raw.keys() <= _PREDICATE_FIELDS:
@@ -223,10 +214,7 @@ def _parse_predicate(raw: dict, where: str) -> StatePredicate:
     value = raw.get("is", True)
     if not isinstance(value, bool):
         raise ValidationError(f"{where}: predicate 'is' must be a boolean")
-    type_name = raw.get("type")
-    if type_name is not None and not isinstance(type_name, str):
-        raise ValidationError(f"{where}: predicate 'type' must be a string")
-    return StatePredicate(scope=scope, flag=flag, value=value, type_name=type_name)
+    return StatePredicate(flag=flag, value=value)
 
 
 def _parse_effect(raw: dict, where: str) -> StateEffect:
@@ -252,15 +240,11 @@ def _validate_rule(entry_name: str, affordances: frozenset[AffordanceTag], rule:
     where = f"{entry_name}/{rule.trigger_action}"
     if not rule.text.strip():
         raise ValidationError(f"{where}: rule text must be non-empty")
-    # Self-triggered rules answer to the trigger action's affordance;
-    # reactive rules (conditioned on colocated state) do not,
-    # their legitimacy comes from the effect gates below.
-    if not rule.reactive:
-        needed = _TRIGGER_AFFORDANCES.get(rule.trigger_action, frozenset())
-        if needed and not (affordances & needed):
-            raise ValidationError(
-                f"{where}: trigger requires one of {sorted(str(a) for a in needed)}"
-            )
+    needed = _TRIGGER_AFFORDANCES.get(rule.trigger_action, frozenset())
+    if needed and not (affordances & needed):
+        raise ValidationError(
+            f"{where}: trigger requires one of {sorted(str(a) for a in needed)}"
+        )
     for eff in rule.effects:
         if eff.scope == "self" and eff.gate not in affordances:
             raise ValidationError(

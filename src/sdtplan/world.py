@@ -60,7 +60,6 @@ from .sdt import (
     FLAG_ACTIONS,
     FLAG_NAMES,
     StateEffect,
-    StatePredicate,
     TEMPERATURES,
 )
 
@@ -73,7 +72,7 @@ MSG_NOT_AFFORDED = "Action is not applicable to the target object in its current
 MSG_CLOSED_RECEPTACLE = "Target receptacle is closed."
 MSG_UNKNOWN_OBJECT = "Referenced object does not exist in the scene."
 
-#: Radius within which objects count as co-located for rule firing.
+#: Radius within which a rule's ``nearby`` effects reach.
 NEARBY_RADIUS = 1.0
 
 #: Standoff the agent keeps from a navigation target.
@@ -633,18 +632,6 @@ def _nearby(state: WorldState, obj: ObjectInstance) -> list[ObjectInstance]:
     return sorted(state.near(obj), key=lambda o: o.object_id)
 
 
-def _predicate_holds(state: WorldState, owner: ObjectInstance, pred: StatePredicate) -> bool:
-    if pred.scope == "self":
-        return owner.flag(pred.flag) == pred.value
-    # colocated: some nearby object (optionally of a named type) holds the flag value
-    for other in _nearby(state, owner):
-        if pred.type_name is not None and other.type_name != pred.type_name:
-            continue
-        if other.flag(pred.flag) == pred.value:
-            return True
-    return False
-
-
 def _effect_targets(state: WorldState, owner: ObjectInstance, effect: StateEffect) -> list[ObjectInstance]:
     if effect.scope == "self":
         return [owner]
@@ -666,27 +653,20 @@ def _apply_effect(state: WorldState, sdt: SDT, owner: ObjectInstance, effect: St
 
 
 def _fire_rules(state: WorldState, sdt: SDT, action: ActionName, target: ObjectInstance) -> None:
-    """Fire matching rules of the action target, its contents and neighbours.
+    """Fire the action target's rules for ``action``, in their order.
 
-    Owners are visited in a deterministic order; rule preconditions are
-    evaluated against the already-updated state (consequences are instant).
-    Owners are read by id before each rule's preconditions and effects: an
-    earlier effect may have replaced the record with an owned copy.
+    Preconditions test the target's flags in the already-updated state
+    (consequences are instant). The target is read by id before each rule:
+    an earlier effect may have replaced the record with an owned copy.
     """
-    owner_ids = [target.object_id]
-    owner_ids.extend(o.object_id for o in state.contents_of(target.object_id))
-    seen = set(owner_ids)
-    owner_ids.extend(o.object_id for o in _nearby(state, target) if o.object_id not in seen)
-    for owner_id in owner_ids:
-        for rule in sdt.get(state.objects[owner_id].type_name).rules:
-            if rule.trigger_action is not action:
-                continue
-            if owner_id != target.object_id and not rule.reactive:
-                continue  # self-triggered rules only fire on the action target
-            owner = state.objects[owner_id]
-            if all(_predicate_holds(state, owner, p) for p in rule.preconditions):
-                for effect in rule.effects:
-                    _apply_effect(state, sdt, state.objects[owner_id], effect)
+    object_id = target.object_id
+    for rule in sdt.get(target.type_name).rules:
+        if rule.trigger_action is not action:
+            continue
+        owner = state.objects[object_id]
+        if all(owner.flag(p.flag) == p.value for p in rule.preconditions):
+            for effect in rule.effects:
+                _apply_effect(state, sdt, state.objects[object_id], effect)
 
 
 # ---------------------------------------------------------------------------

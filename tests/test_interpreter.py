@@ -197,7 +197,7 @@ def test_oracle_prefers_drawer_with_free_space(sdt, suite):
     assert outcome.ok
 
 
-def test_hidden_object_raises_no_candidate(sdt, suite):
+def test_hidden_object_grounds_to_none(sdt, suite):
     state = scene_for_row(suite_row(suite, 9), sdt)  # bottle hidden
     assert resolve(
         trip(ActionName.PICKUP, "WineBottle"), state, "grab the bottle", [], sdt, ScriptedOracle()

@@ -20,7 +20,7 @@ from sdtplan.planner import (
     plan,
     relevant_types,
 )
-from sdtplan.sdt import ActionName
+from sdtplan.sdt import ActionName, render_type_text
 
 
 def test_filter_knife_task_keeps_washing_chain(sdt, suite):
@@ -155,8 +155,9 @@ def test_prompt_bottle_rules_present(sdt, suite):
     state = scene_for_row(suite_row(suite, 9), sdt)
     task = "Set a chilled bottle of wine on the table."
     prompt = build_plan_prompt(task, state, sdt, relevant_types(task, sdt), [])
-    assert "Pickupable" in prompt
-    assert "Will fill up with water when placed under a running faucet." in prompt
+    line = render_type_text(sdt.get("WineBottle"))
+    assert line in prompt.splitlines()
+    assert "Pickupable" in line and "Rules:" not in line
 
 
 def test_prompt_omits_examples_section_when_empty(sdt, suite):

@@ -76,8 +76,8 @@ def test_load_missing_or_malformed_file(tmp_path, capsys):
          "X/rule 0: 'effect' must be a list of objects"),
         ({"type": "X", "rules": [dict(_RULE, text=["t"])]}, "X/rule 0: rule text must be a string"),
         ({"type": "X", "rules": [dict(_RULE, pre=[{"scope": "colocated", "flag": "isOpen",
-                                                   "type": 1}])]},
-         "X/rule 0: predicate 'type' must be a string"),
+                                                   "is": True}])]},
+         "X/rule 0: unknown predicate scope 'colocated'"),
     ]:
         shaped = tmp_path / "shaped.json"
         shaped.write_text(json.dumps([{"affordances": ["Pickupable"], **entry}]))
@@ -104,15 +104,17 @@ def test_fill_rule_without_fillable_tag_rejected():
             "description": "a cup",
             "rules": [
                 {
-                    "action": "ToggleOnObject",
-                    "pre": [{"scope": "colocated", "type": "Faucet", "flag": "isToggled", "is": True}],
+                    "action": "PickupObject",
+                    "pre": [{"scope": "self", "flag": "isDirty", "is": False}],
                     "effect": [{"set": "isFilled", "to": True}],
                     "text": "fills up",
                 }
             ],
         }
     ]
-    with pytest.raises(ValidationError):
+    with pytest.raises(
+        ValidationError, match="^Cup/PickupObject: effect on isFilled requires affordance Fillable$"
+    ):
         parse_sdt_data(data)
 
 
@@ -162,7 +164,7 @@ def test_self_trigger_needs_matching_affordance():
         ({"pre": [{"scope": "container", "flag": "isOpen"}]}, "unknown predicate scope 'container'"),
         ({"pre": [{"temperature": "Hot"}]}, "a predicate tests one known flag"),
         ({"pre": [{"flag": "isDirty", "temperature": "Hot"}]}, "a predicate tests one known flag"),
-        ({"pre": [{"scope": "colocated", "type": "Faucet"}]}, "a predicate tests one known flag"),
+        ({"pre": [{"scope": "colocated", "type": "Faucet"}]}, "unknown predicate scope 'colocated'"),
         ({"pre": [{"flag": "isDirty", "is": "false"}]}, "predicate 'is' must be a boolean"),
         ({"effect": [{"set": "parent_receptacle", "to": None}]},
          "effect field 'parent_receptacle' does not exist on instances"),
@@ -171,10 +173,13 @@ def test_self_trigger_needs_matching_affordance():
         ({"effect": [{"set": "isDirty"}]}, "effect needs 'set' and 'to' fields"),
         ({"effect": [{"scope": "room", "set": "isDirty", "to": True}]}, "unknown effect scope 'room'"),
         ({"effect": [{"set": "isDirty", "to": "yes"}]}, "flag effect isDirty needs a boolean"),
+        # well formed, but a rule tests only its owner's flags
+        ({"pre": [{"scope": "colocated", "flag": "isToggled", "is": True}]},
+         "unknown predicate scope 'colocated'"),
     ],
 )
 def test_rule_forms_outside_the_language_rejected(rule, message):
-    """A rule tests flags on its owner or on co-located objects and sets flags or Hot/Cold."""
+    """A rule tests flags on its owner and sets flags or Hot/Cold."""
     fine = {"action": "PickupObject", "pre": [], "effect": [], "text": "t"}
     data = [{"type": "X", "affordances": ["Pickupable"], "rules": [fine, dict(fine, **rule)]}]
     with pytest.raises(ValidationError) as info:
@@ -319,7 +324,7 @@ def test_render_bottle_text(sdt):
     text = render_type_text(sdt.get("Bottle"))
     for word in ("Pickupable", "Fillable", "Breakable"):
         assert word in text
-    assert "Will fill up with water if placed under a running water source." in text
+    assert "Rules:" not in text  # the Faucet's rule fills a bottle, the bottle has none
 
 
 def test_render_no_rules_section_when_ruleless(sdt):

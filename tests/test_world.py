@@ -727,41 +727,45 @@ def test_rule_effects_write_the_new_state_only(sdt, suite):
 
 
 def test_later_rules_read_the_owner_earlier_effects_wrote(sdt):
-    """A neighbour's second rule sees the flag its first rule set in the same step."""
-    machine_on = {"scope": "colocated", "type": "CoffeeMachine", "flag": "isToggled", "is": True}
-    gadget = {
-        "type": "Gadget",
-        "affordances": ["Dirtyable", "Fillable"],
+    """The target's second rule sees the flag its first rule set in the same step.
+
+    A put leaves the receptacle's record shared with the state before it, so
+    the first effect writes an owned copy, and the second rule must read that.
+    """
+    basin = {
+        "type": "Basin",
+        "affordances": ["Receptacle", "Dirtyable", "Fillable"],
         "rules": [
             {
-                "action": "ToggleOnObject",
-                "pre": [machine_on],
+                "action": "PutObject",
+                "pre": [],
                 "effect": [{"set": "isDirty", "to": True}],
-                "text": "Gets dirty while the machine runs.",
+                "text": "Gets dirty when something is put in.",
             },
             {
-                "action": "ToggleOnObject",
-                "pre": [machine_on, {"flag": "isDirty", "is": True}],
+                "action": "PutObject",
+                "pre": [{"flag": "isDirty", "is": True}],
                 "effect": [{"set": "isFilled", "to": True}],
                 "text": "Once dirty, it fills up.",
             },
         ],
     }
-    kb = parse_sdt_data([{"type": "CoffeeMachine", "affordances": ["Toggleable"]}, gadget])
-    machine_pos, gadget_pos = (1.0, 1.0, 0.0), (1.5, 1.0, 0.0)
-    machine_id = format_object_id("CoffeeMachine", machine_pos)
-    gadget_id = format_object_id("Gadget", gadget_pos)
+    kb = parse_sdt_data([{"type": "Apple", "affordances": ["Pickupable"]}, basin])
+    agent_pos, basin_pos = (0.0, 0.9, 0.0), (1.0, 0.9, 0.0)
+    apple_id = format_object_id("Apple", agent_pos)
+    basin_id = format_object_id("Basin", basin_pos)
     state = WorldState(
         {
-            machine_id: ObjectInstance(machine_id, "CoffeeMachine", machine_pos, {}),
-            gadget_id: ObjectInstance(gadget_id, "Gadget", gadget_pos, {}),
+            apple_id: ObjectInstance(apple_id, "Apple", agent_pos, {}),
+            basin_id: ObjectInstance(basin_id, "Basin", basin_pos, {"isOpen": True}, capacity=1),
         },
-        agent_position=(0.0, 0.9, 0.0),
+        agent_position=agent_pos,
+        held_object=apple_id,
     )
-    new, outcome = step(state, act(ActionName.TOGGLE_ON, machine_id), kb)
+    new, outcome = step(state, act(ActionName.PUT, basin_id), kb)
     assert outcome.ok
-    assert new.objects[gadget_id].flag("isDirty") and new.objects[gadget_id].flag("isFilled")
-    assert not state.objects[gadget_id].flag("isDirty")
+    assert new.objects[basin_id].flag("isDirty") and new.objects[basin_id].flag("isFilled")
+    assert not state.objects[basin_id].flag("isDirty")
 
 
 # ---------------------------------------------------------------------------
