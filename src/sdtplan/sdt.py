@@ -1,12 +1,12 @@
 """Semantic digital twin: object affordances and interaction rules.
 
-The twin is the single source of truth for both prompting (rendered rule
-sentences) and simulation (machine-readable preconditions/effects). Loading
-validates the closed affordance and action vocabularies and the coupling
-between a type's rules and its affordance tags. ``ACTION_AFFORDANCES`` is the
-one table of the affordance each object action needs; the simulator's gate
-table (``world.ACTION_GATES``, which the action filter reads too) and rule
-validation both read it.
+The twin is the single source of truth for both prompting and simulation: a
+rule is one trigger/preconditions/effects record that ``world.step`` runs and
+the prompt line renders. Loading validates the closed affordance and action
+vocabularies and the coupling between a type's rules and its affordance tags.
+``ACTION_AFFORDANCES`` is the one table of the affordance each object action
+needs; the simulator's gate table (``world.ACTION_GATES``, which the action
+filter reads too) and rule validation both read it.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ class AffordanceTag(str, Enum):
     COOLABLE = "Coolable"
     HEATABLE = "Heatable"
     MOVEABLE = "Moveable"
+    SLICING_TOOL = "SlicingTool"
 
     def __str__(self) -> str:
         return self.value
@@ -90,14 +91,6 @@ ACTION_AFFORDANCES: dict[ActionName, AffordanceTag] = {
     **{action: tag for action, (tag, _, _) in FLAG_ACTIONS.items()},
 }
 
-#: Affordances that permit a type to own a rule triggered by an action on
-#: itself: the action's own gate, and for a cut also Pickupable, the held
-#: instrument's.
-_TRIGGER_AFFORDANCES: dict[ActionName, frozenset[AffordanceTag]] = {
-    action: frozenset({tag}) for action, tag in ACTION_AFFORDANCES.items()
-}
-_TRIGGER_AFFORDANCES[ActionName.SLICE] |= {AffordanceTag.PICKUPABLE}
-
 #: Affordance a target's type needs before a rule effect applies to it, by
 #: the flag the effect sets or, for a temperature effect, the temperature.
 _EFFECT_AFFORDANCES: dict[str, AffordanceTag] = {
@@ -110,6 +103,7 @@ _EFFECT_AFFORDANCES: dict[str, AffordanceTag] = {
     "Cold": AffordanceTag.COOLABLE,
 }
 
+_RULE_FIELDS = frozenset({"action", "pre", "effect"})
 _PREDICATE_FIELDS = frozenset({"scope", "flag", "is"})
 _EFFECT_SCOPES = ("self", "contents", "nearby")
 
@@ -146,7 +140,6 @@ class InteractionRule:
     trigger_action: ActionName
     preconditions: tuple[StatePredicate, ...]
     effects: tuple[StateEffect, ...]
-    text: str
 
 
 @dataclass(frozen=True)
@@ -161,12 +154,7 @@ class ObjectTypeEntry:
 
     @property
     def is_slicing_tool(self) -> bool:
-        """Held instrument convention: Pickupable, not itself Sliceable, carries a cut rule."""
-        return (
-            self.has(AffordanceTag.PICKUPABLE)
-            and not self.has(AffordanceTag.SLICEABLE)
-            and any(r.trigger_action is ActionName.SLICE for r in self.rules)
-        )
+        return self.has(AffordanceTag.SLICING_TOOL)
 
 
 class SDT:
@@ -238,13 +226,11 @@ def _parse_effect(raw: dict, where: str) -> StateEffect:
 
 def _validate_rule(entry_name: str, affordances: frozenset[AffordanceTag], rule: InteractionRule) -> None:
     where = f"{entry_name}/{rule.trigger_action}"
-    if not rule.text.strip():
-        raise ValidationError(f"{where}: rule text must be non-empty")
-    needed = _TRIGGER_AFFORDANCES.get(rule.trigger_action, frozenset())
-    if needed and not (affordances & needed):
-        raise ValidationError(
-            f"{where}: trigger requires one of {sorted(str(a) for a in needed)}"
-        )
+    needed = ACTION_AFFORDANCES.get(rule.trigger_action)
+    if needed is None:  # ``step`` fires no rules on a goto or a pose action
+        raise ValidationError(f"{where}: {rule.trigger_action} fires no rules")
+    if needed not in affordances:
+        raise ValidationError(f"{where}: trigger requires affordance {needed}")
     for eff in rule.effects:
         if eff.scope == "self" and eff.gate not in affordances:
             raise ValidationError(
@@ -282,12 +268,15 @@ def parse_sdt_data(data: object) -> SDT:
         if {AffordanceTag.SLICEABLE, AffordanceTag.RECEPTACLE} <= tags:
             # slicing deletes the object, which would leave its contents without a container
             raise ValidationError(f"{where}: a Sliceable type cannot be a Receptacle")
+        if AffordanceTag.SLICING_TOOL in tags and (
+            AffordanceTag.SLICEABLE in tags or AffordanceTag.PICKUPABLE not in tags
+        ):
+            raise ValidationError(f"{where}: a SlicingTool type must be Pickupable and not Sliceable")
         rules = []
         for j, raw_rule in enumerate(_objects(raw, "rules", where)):
             rwhere = f"{where}/rule {j}"
-            text = raw_rule.get("text", "")
-            if not isinstance(text, str):
-                raise ValidationError(f"{rwhere}: rule text must be a string")
+            if extra := sorted(raw_rule.keys() - _RULE_FIELDS):
+                raise ValidationError(f"{rwhere}: unknown rule fields {extra}")
             try:
                 action = ActionName(raw_rule.get("action"))
             except ValueError:
@@ -303,7 +292,6 @@ def parse_sdt_data(data: object) -> SDT:
                     effects=tuple(
                         _parse_effect(e, rwhere) for e in _objects(raw_rule, "effect", rwhere)
                     ),
-                    text=text,
                 )
             )
         entry = ObjectTypeEntry(
@@ -330,10 +318,29 @@ def load_sdt(path: str | Path) -> SDT:
     return parse_sdt_data(data)
 
 
+def _field_text(field_name: str, value: object) -> str:
+    if field_name == "temperature":
+        return f"temp={value}"
+    return field_name if value else f"!{field_name}"
+
+
+def _render_rule(rule: InteractionRule) -> str:
+    """``<Action>[ if <pre>, ...] -> <scope> <effect>, ...[; <scope> ...].`` in the
+    goal line's notation: ``isX``, ``!isX`` or ``temp=<T>``; no effect reads ``-``."""
+    head = str(rule.trigger_action)
+    if rule.preconditions:
+        head += " if " + ", ".join(_field_text(p.flag, p.value) for p in rule.preconditions)
+    by_scope: dict[str, list[str]] = {}
+    for e in rule.effects:
+        by_scope.setdefault(e.scope, []).append(_field_text(e.field_name, e.to))
+    effects = "; ".join(f"{scope} {', '.join(parts)}" for scope, parts in by_scope.items())
+    return f"{head} -> {effects or '-'}."
+
+
 def render_type_text(entry: ObjectTypeEntry) -> str:
     """One prompt line for a type: ``- <Type> [<affordances, sorted>] <description>
-    Rules: <rule texts>``, the rule part left out when the type has none."""
-    rules = " ".join(rule.text for rule in entry.rules)
+    Rules: <rules>``, the rule part left out when the type has none."""
+    rules = " ".join(_render_rule(rule) for rule in entry.rules)
     affordances = ", ".join(sorted(str(a) for a in entry.affordances))
     return " ".join(filter(None, (
         f"- {entry.type_name} [{affordances}]", entry.description, rules and f"Rules: {rules}"

@@ -42,8 +42,12 @@ class ActionTriplet:
         return self.arg1
 
     def render(self) -> str:
-        third = "0" if self.arg2 is None else f"'{self.arg2}'"
-        return f"['{self.action}', '{self.arg1}', {third}]"
+        third = "0" if self.arg2 is None else _quote(self.arg2)
+        return f"['{self.action}', {_quote(self.arg1)}, {third}]"
+
+
+def _quote(ref: str) -> str:
+    return f'"{ref}"' if "'" in ref else f"'{ref}'"
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +149,8 @@ def _to_triplet(item: list, position: int) -> ActionTriplet:
         third = str(item[2]).strip()
         if third not in ("0", "", "None"):
             arg2 = third
+    if any("'" in ref and '"' in ref for ref in (arg1, arg2 or "")):
+        raise GrammarError(f"reference holds both quote characters (entry {position})")
     return ActionTriplet(action=ActionName(name), arg1=arg1, arg2=arg2)
 
 

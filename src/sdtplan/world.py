@@ -24,15 +24,16 @@ scene: it covers the records that differ from the scene's, found by identity
 first, so hashing a state costs what the run changed.
 
 Reads are indexed the same way. A ``Scene`` indexes its records' ids by
-type, by parent receptacle and by floor-plan cell of side ``NEARBY_RADIUS``.
-A state's ``objects`` is an ``ObjectMap``, which remembers every id assigned
-or deleted through it: ``own``, slicing, ``fill``, or a direct assignment or
-``del``. Every other id still holds the scene's record, which the index
-describes. ``WorldState.of_types``, ``contents_of`` and ``near`` share one
-scan: the index's unwritten ids, then the written ids, each record tested on
-its current fields, so a query costs what the task touches, not the size of
-the scene. A state
-built in code has no scene and every id written. The index rests on one
+type and by parent receptacle. A state's ``objects`` is an ``ObjectMap``,
+which remembers every id assigned or deleted through it: ``own``, slicing,
+``fill``, or a direct assignment or ``del``. Every other id still holds the
+scene's record, which the index describes. ``WorldState.of_types`` and
+``contents_of`` share one scan: the index's unwritten ids, then the written
+ids, each record tested on its current fields, so a query costs what the
+task touches, not the size of the scene. ``near`` reads every record: only a
+``nearby`` rule effect calls it, twice per faucet toggle, which is 2 calls
+per cleaning task of the table-1 suite (0.71 per task over its 14 rows). A
+state built in code has no scene and every id written. The index rests on one
 rule: records are written only through ``own`` or by assigning into
 ``state.objects``. Editing a shared record's type, position or parent in
 place is outside the contract, as it is for copy-on-write. A state's scene
@@ -173,37 +174,25 @@ class ObjectInstance:
         return self.flags.get(name, False)
 
 
-def _cell(position: tuple[float, float, float]) -> tuple[int, int]:
-    """Floor-plan cell of side NEARBY_RADIUS holding ``position``."""
-    return math.floor(position[0] / NEARBY_RADIUS), math.floor(position[2] / NEARBY_RADIUS)
-
-
-#: Offsets of the cells that hold every point within NEARBY_RADIUS of a cell.
-_NEIGHBOUR_CELLS = tuple((dx, dz) for dx in (-1, 0, 1) for dz in (-1, 0, 1))
-
-
 @dataclass(frozen=True, eq=False)
 class Scene:
     """A loaded scene file: the sha256 of its bytes, the records parsed from
-    them, and their ids by type, by parent receptacle and by floor-plan cell.
+    them, and their ids by type and by parent receptacle.
     Nothing writes to these records; states own copies."""
 
     sha256: str
     objects: dict[str, ObjectInstance]
     by_type: dict[str, list[str]] = field(init=False, repr=False)
     by_parent: dict[str, list[str]] = field(init=False, repr=False)
-    by_cell: dict[tuple[int, int], list[str]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        by_type, by_parent, by_cell = defaultdict(list), defaultdict(list), defaultdict(list)
+        by_type, by_parent = defaultdict(list), defaultdict(list)
         for object_id, obj in self.objects.items():
             by_type[obj.type_name].append(object_id)
             if obj.parent_receptacle is not None:
                 by_parent[obj.parent_receptacle].append(object_id)
-            by_cell[_cell(obj.position)].append(object_id)
         object.__setattr__(self, "by_type", dict(by_type))
         object.__setattr__(self, "by_parent", dict(by_parent))
-        object.__setattr__(self, "by_cell", dict(by_cell))
 
 
 class ObjectMap(dict):
@@ -291,7 +280,7 @@ class WorldState:
         self, index: str, keys: Iterable, test: Callable[[ObjectInstance], bool]
     ) -> list[ObjectInstance]:
         """Records that pass ``test``: first those of the unwritten ids that the
-        scene's ``index`` (``by_type``, ``by_parent`` or ``by_cell``) lists
+        scene's ``index`` (``by_type`` or ``by_parent``) lists
         under ``keys``, then those of the written ids."""
         objects = self.objects
         written = objects.written
@@ -321,14 +310,12 @@ class WorldState:
         return found
 
     def near(self, obj: ObjectInstance) -> list[ObjectInstance]:
-        """Other records within NEARBY_RADIUS of ``obj``, in no particular order."""
+        """Other records within NEARBY_RADIUS of ``obj``, in no particular order (reads all)."""
         object_id, position = obj.object_id, obj.position
-        cx, cz = _cell(position)
-        return self._scan(
-            "by_cell",
-            [(cx + dx, cz + dz) for dx, dz in _NEIGHBOUR_CELLS],
-            lambda o: o.object_id != object_id and math.dist(o.position, position) <= NEARBY_RADIUS,
-        )
+        return [
+            o for o in self.objects.values()
+            if o.object_id != object_id and math.dist(o.position, position) <= NEARBY_RADIUS
+        ]
 
 
 def _record_json(o: ObjectInstance) -> dict:
@@ -627,17 +614,12 @@ def object_descriptions(state: WorldState) -> list[ObjectInstance]:
 # Rule engine
 
 
-def _nearby(state: WorldState, obj: ObjectInstance) -> list[ObjectInstance]:
-    """Other objects within NEARBY_RADIUS of ``obj``, sorted by id."""
-    return sorted(state.near(obj), key=lambda o: o.object_id)
-
-
 def _effect_targets(state: WorldState, owner: ObjectInstance, effect: StateEffect) -> list[ObjectInstance]:
     if effect.scope == "self":
         return [owner]
     if effect.scope == "contents":
         return state.contents_of(owner.object_id)
-    return _nearby(state, owner)
+    return sorted(state.near(owner), key=lambda o: o.object_id)
 
 
 def _apply_effect(state: WorldState, sdt: SDT, owner: ObjectInstance, effect: StateEffect) -> None:

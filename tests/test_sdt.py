@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
 from sdtplan.errors import ValidationError
 from sdtplan.sdt import (
+    FLAG_ACTIONS,
     FLAG_NAMES,
     ActionName,
     AffordanceTag,
+    StateEffect,
     parse_sdt_data,
     render_type_text,
 )
@@ -21,6 +24,7 @@ from sdtplan.world import (
     WorldState,
     condition_fn,
     filter_actions,
+    format_object_id,
     step,
     validate_state,
 )
@@ -47,7 +51,7 @@ def test_load_bottle_entry_affordances(sdt):
     )
 
 
-_RULE = {"action": "PickupObject", "pre": [], "effect": [], "text": "t"}
+_RULE = {"action": "PickupObject", "pre": [], "effect": []}
 
 
 def test_load_missing_or_malformed_file(tmp_path, capsys):
@@ -74,10 +78,22 @@ def test_load_missing_or_malformed_file(tmp_path, capsys):
          "X/rule 0: 'pre' must be a list of objects"),
         ({"type": "X", "rules": [dict(_RULE, effect="isOpen")]},
          "X/rule 0: 'effect' must be a list of objects"),
-        ({"type": "X", "rules": [dict(_RULE, text=["t"])]}, "X/rule 0: rule text must be a string"),
+        ({"type": "X", "rules": [dict(_RULE, text="t")]}, "X/rule 0: unknown rule fields ['text']"),
         ({"type": "X", "rules": [dict(_RULE, pre=[{"scope": "colocated", "flag": "isOpen",
                                                    "is": True}])]},
          "X/rule 0: unknown predicate scope 'colocated'"),
+        # a slicing tool is a held instrument: it is picked up and is not cut itself
+        ({"type": "X", "affordances": ["Pickupable", "Sliceable", "SlicingTool"]},
+         "X: a SlicingTool type must be Pickupable and not Sliceable"),
+        ({"type": "X", "affordances": ["SlicingTool"]},
+         "X: a SlicingTool type must be Pickupable and not Sliceable"),
+        # step fires no rules after a goto or a pose action
+        ({"type": "X", "rules": [dict(_RULE, action="GotoObject")]}, "X/GotoObject: GotoObject fires no rules"),
+        ({"type": "X", "rules": [dict(_RULE, action="Crouch")]}, "X/Crouch: Crouch fires no rules"),
+        # a cut fires the cut object's rules, so a knife's slice rule could never fire
+        ({"type": "X", "affordances": ["Pickupable", "SlicingTool"],
+          "rules": [dict(_RULE, action="SliceObject")]},
+         "X/SliceObject: trigger requires affordance Sliceable"),
     ]:
         shaped = tmp_path / "shaped.json"
         shaped.write_text(json.dumps([{"affordances": ["Pickupable"], **entry}]))
@@ -107,7 +123,6 @@ def test_fill_rule_without_fillable_tag_rejected():
                     "action": "PickupObject",
                     "pre": [{"scope": "self", "flag": "isDirty", "is": False}],
                     "effect": [{"set": "isFilled", "to": True}],
-                    "text": "fills up",
                 }
             ],
         }
@@ -131,14 +146,7 @@ def test_duplicate_type_rejected():
 
 def test_unknown_trigger_action_rejected():
     data = [{"type": "X", "affordances": ["Pickupable"],
-             "rules": [{"action": "FlyObject", "pre": [], "effect": [], "text": "t"}]}]
-    with pytest.raises(ValidationError):
-        parse_sdt_data(data)
-
-
-def test_empty_rule_text_rejected():
-    data = [{"type": "X", "affordances": ["Pickupable"],
-             "rules": [{"action": "PickupObject", "pre": [], "effect": [], "text": " "}]}]
+             "rules": [{"action": "FlyObject", "pre": [], "effect": []}]}]
     with pytest.raises(ValidationError):
         parse_sdt_data(data)
 
@@ -153,7 +161,7 @@ def test_a_sliceable_type_cannot_be_a_receptacle():
 def test_self_trigger_needs_matching_affordance():
     # an OpenObject rule on a type that is not Openable
     data = [{"type": "X", "affordances": ["Pickupable"],
-             "rules": [{"action": "OpenObject", "pre": [], "effect": [], "text": "t"}]}]
+             "rules": [{"action": "OpenObject", "pre": [], "effect": []}]}]
     with pytest.raises(ValidationError):
         parse_sdt_data(data)
 
@@ -180,7 +188,7 @@ def test_self_trigger_needs_matching_affordance():
 )
 def test_rule_forms_outside_the_language_rejected(rule, message):
     """A rule tests flags on its owner and sets flags or Hot/Cold."""
-    fine = {"action": "PickupObject", "pre": [], "effect": [], "text": "t"}
+    fine = {"action": "PickupObject", "pre": [], "effect": []}
     data = [{"type": "X", "affordances": ["Pickupable"], "rules": [fine, dict(fine, **rule)]}]
     with pytest.raises(ValidationError) as info:
         parse_sdt_data(data)
@@ -334,12 +342,120 @@ def test_render_no_rules_section_when_ruleless(sdt):
 
 
 def test_render_is_one_line_per_type(sdt):
-    assert render_type_text(sdt.get("Fridge")) == (
+    assert [render_type_text(sdt.get(t)) for t in ("Fridge", "Microwave", "Faucet", "Knife")] == [
         "- Fridge [Openable, Receptacle] A refrigerator with a single door compartment. "
-        "Rules: Chills its contents: anything inside becomes cold once the door closes."
+        "Rules: CloseObject -> contents temp=Cold.",
+        "- Microwave [Openable, Receptacle, Toggleable] A countertop microwave oven. "
+        "Rules: ToggleOnObject if !isOpen -> contents temp=Hot, isCooked.",
+        "- Faucet [Toggleable] A water tap mounted over the sink. "
+        "Rules: ToggleOnObject -> nearby !isDirty, isFilled.",
+        "- Knife [Dirtyable, Pickupable, SlicingTool] A sharp kitchen knife.",
+    ]
+
+
+def test_render_rules_in_the_goal_notation():
+    """Preconditions after ``if``, effects grouped by scope, ``-`` for no effect."""
+    kb = parse_sdt_data([{"type": "X", "affordances": ["Pickupable"], "rules": [
+        {"action": "PickupObject", "pre": [{"flag": "isDirty"}, {"flag": "isOpen", "is": False}],
+         "effect": []},
+        {"action": "PickupObject", "effect": [{"set": "isCooked", "to": True, "scope": "nearby"},
+                                              {"set": "temperature", "to": "Cold", "scope": "contents"},
+                                              {"set": "isFilled", "to": False, "scope": "nearby"}]},
+    ]}])
+    assert render_type_text(kb.get("X")) == (
+        "- X [Pickupable] Rules: PickupObject if isDirty, !isOpen -> -. "
+        "PickupObject -> nearby isCooked, !isFilled; contents temp=Cold."
     )
 
 
 def test_render_deterministic(sdt):
     entry = sdt.get("Microwave")
     assert render_type_text(entry) == render_type_text(entry)
+
+
+def test_slicing_tools_carry_the_tag(sdt):
+    assert sdt.slicing_tool_types() == ["ButterKnife", "Knife"]
+
+
+#: One rule of a knowledge line: trigger, preconditions, effects.
+_CLAIM_RE = re.compile(r"(\w+)(?: if (.+?))? -> (.+?)\.(?= |$)")
+
+
+def _field(token):
+    """A claimed field and value: ``temp=<T>``, ``isX`` or ``!isX``."""
+    if token.startswith("temp="):
+        return "temperature", token.removeprefix("temp=")
+    return token.lstrip("!"), not token.startswith("!")
+
+
+def _claims(line):
+    """(action, {flag: value}, [(scope, field, value)]) per rule the line states."""
+    claims = []
+    for action, pre, effects in _CLAIM_RE.findall(line.partition(" Rules: ")[2]):
+        named = [] if effects == "-" else [
+            (scope, *_field(token))
+            for group in effects.split("; ")
+            for scope, _, tokens in [group.partition(" ")]
+            for token in tokens.split(", ")
+        ]
+        flags = dict(_field(token) for token in pre.split(", ")) if pre else {}
+        claims.append((ActionName(action), flags, named))
+    return claims
+
+
+def _rule_scene(sdt, owner_type, action, pre, effects):
+    """The owner, flagged to allow ``action`` and meet ``pre``, and per effect one
+    object of a type carrying its gate, in its scope (inside the owner for
+    ``contents``, 0.5 m away for ``nearby``) and not yet in the claimed state."""
+    _, trigger_flag, trigger_value = FLAG_ACTIONS[action]
+    owner_pos = (1.0, 0.9, 0.0)
+    owner_id = format_object_id(owner_type, owner_pos)
+    owner = ObjectInstance(owner_id, owner_type, owner_pos, {trigger_flag: not trigger_value, **pre},
+                           capacity=len(effects))
+    objects, placed = {owner_id: owner}, []
+    for k, (scope, field, value) in enumerate(effects):
+        if scope == "self":
+            placed.append((owner_id, field, value))
+            continue
+        type_name = next(t for t in sdt.type_names()
+                         if sdt.get(t).has(StateEffect(field, value).gate))
+        pos = (1.0 + 0.01 * k, 0.9, 0.0) if scope == "contents" else (1.5, 0.9, 0.01 * k)
+        obj = ObjectInstance(format_object_id(type_name, pos), type_name, pos,
+                             {} if field == "temperature" else {field: not value},
+                             parent_receptacle=owner_id if scope == "contents" else None)
+        objects[obj.object_id] = obj
+        placed.append((obj.object_id, field, value))
+    return WorldState(objects, agent_position=(0.0, 0.9, 0.0)), owner_id, placed
+
+
+def _value(obj, field):
+    return obj.temperature if field == "temperature" else obj.flag(field)
+
+
+def test_each_rule_line_says_what_step_does(sdt):
+    """Each knowledge line's rules, read back from the line, are what ``step``
+    does: the trigger sets every named effect on the objects in its scope, and
+    with a precondition flipped it leaves them as they were."""
+    checked = 0
+    for type_name in sdt.type_names():
+        line = render_type_text(sdt.get(type_name))
+        claims = _claims(line)
+        assert len(claims) == len(sdt.get(type_name).rules), line
+        for action, pre, effects in claims:
+            assert action in FLAG_ACTIONS, f"no one-step scene for a {action} rule: {line}"
+            state, owner_id, placed = _rule_scene(sdt, type_name, action, pre, effects)
+            after, outcome = step(state, ConcreteAction(action, owner_id), sdt)
+            assert outcome.ok, line
+            for object_id, field, value in placed:
+                assert _value(state.objects[object_id], field) != value, line
+                assert _value(after.objects[object_id], field) == value, (line, object_id, field)
+            for flag in pre:
+                flipped = dict(pre, **{flag: not pre[flag]})
+                state, owner_id, placed = _rule_scene(sdt, type_name, action, flipped, effects)
+                after, outcome = step(state, ConcreteAction(action, owner_id), sdt)
+                assert outcome.ok, line
+                for object_id, _, _ in placed:
+                    if object_id != owner_id:
+                        assert after.objects[object_id] == state.objects[object_id], (line, flag)
+            checked += 1
+    assert checked

@@ -116,6 +116,8 @@ def test_format_renders_missing_arg2_as_zero():
 
 _REF = st.one_of(
     st.sampled_from(["WineBottle", "Fridge", "PotatoSliced", "CounterTop", "Mug"]),
+    # a live model may name an object in its own words, quote marks included
+    st.sampled_from(["Bob's mug", "the 'good' knife", 'the "big" pan', "a [chilled], (red) apple"]),
     st.builds(
         lambda t, x, y, z: format_object_id(t, (x, y, z)),
         st.sampled_from(["Apple", "Drawer", "Sink"]),
@@ -136,6 +138,12 @@ _TRIPLET = st.builds(
 @given(st.lists(_TRIPLET, max_size=12))
 def test_round_trip_random_plans(plan):
     assert parse_triplets(format_triplets(plan)) == plan
+
+
+def test_reference_with_both_quote_characters_rejected():
+    # no quoting renders it, so no plan can hold it
+    with pytest.raises(GrammarError, match=r"^reference holds both quote characters \(entry 1\)$"):
+        parse_triplets("""[['Stand', 'x', 0], ['PickupObject', "Bob's" '"mug"', 0]]""")
 
 
 @settings(max_examples=500, deadline=None)

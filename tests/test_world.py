@@ -6,7 +6,6 @@ import copy
 import dataclasses
 import itertools
 import json
-import math
 import random
 
 import pytest
@@ -26,7 +25,6 @@ from sdtplan.sdt import (
 from sdtplan.triplets import ActionTriplet, GoalClause, clause_witnesses
 from sdtplan.world import (
     ACTION_GATES,
-    NEARBY_RADIUS,
     ConcreteAction,
     MSG_NO_VALID_POSITION,
     MSG_NOT_VISIBLE,
@@ -34,7 +32,6 @@ from sdtplan.world import (
     Perturbation,
     Scene,
     WorldState,
-    _nearby,
     _record_json,
     condition_fn,
     format_object_id,
@@ -740,13 +737,11 @@ def test_later_rules_read_the_owner_earlier_effects_wrote(sdt):
                 "action": "PutObject",
                 "pre": [],
                 "effect": [{"set": "isDirty", "to": True}],
-                "text": "Gets dirty when something is put in.",
             },
             {
                 "action": "PutObject",
                 "pre": [{"flag": "isDirty", "is": True}],
                 "effect": [{"set": "isFilled", "to": True}],
-                "text": "Once dirty, it fills up.",
             },
         ],
     }
@@ -946,13 +941,6 @@ def _scan_contents_of(state, receptacle_id):
     )
 
 
-def _scan_near(state, obj):
-    return [
-        o for o in state.objects.values()
-        if o.object_id != obj.object_id and math.dist(o.position, obj.position) <= NEARBY_RADIUS
-    ]
-
-
 def _scan_ref_instances(state, ref, include_sliced):
     return [o for o in state.objects.values() if _matches_ref(o, ref, include_sliced)]
 
@@ -1006,10 +994,6 @@ def _index_queries(state, sdt, rng_seed):
             state.contents_of(i) for i in ids + ["Ghost|+00.00|+00.90|+00.00"]
             if i not in state.objects or state.objects[i].type_name in sdt.receptacle_types
         ],
-        "nearby": [
-            _nearby(state, state.objects[i])
-            for i in some + [i for i in ids if not i.startswith("Statue|")]
-        ],
         "witnesses": [clause_witnesses(state, c) for c in clauses],
         "postconditions": [
             postcondition_satisfied(state, ActionTriplet(action, ref, arg2))
@@ -1032,7 +1016,6 @@ def _assert_index_matches_scan(state, sdt, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(WorldState, "of_types", _scan_of_types)
         mp.setattr(WorldState, "contents_of", _scan_contents_of)
-        mp.setattr(WorldState, "near", _scan_near)
         for module in (interpreter, resolver):
             mp.setattr(module, "ref_instances", _scan_ref_instances)
         for module in (planner, resolver):
