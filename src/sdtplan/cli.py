@@ -72,6 +72,7 @@ def _resolve_scene(scene: str, suite_dir: Path) -> Path:
 
 _FAULT_NAMES = frozenset(f.name for f in dataclasses.fields(OracleConfig))
 _COUNTS = ("failures", "iterations", "replans")  # a row's "expected" pins these and "success"
+_ROW_FIELDS = frozenset({"id", "task", "scene", "inject", "oracle_faults", "expected"})
 
 
 def _is_strings(value: object) -> bool:
@@ -91,6 +92,8 @@ def _require(ok: bool, field: str, shape: str) -> None:
 def _check_row(row: object, where: str) -> None:
     """Raise ValueError unless ``row`` has the shape a suite row needs."""
     _require(isinstance(row, dict), f"{where}:", "an object")
+    if extra := sorted(row.keys() - _ROW_FIELDS):
+        raise ValueError(f"{where}: unknown fields {extra}")
     row_id = row.get("id")  # names the trace file; --task matches it as text
     _require(
         type(row_id) is int or isinstance(row_id, str) and re.fullmatch(r"[\w-]+", row_id, re.ASCII),

@@ -71,7 +71,7 @@ def _treatment_types(sdt: SDT, treatments: AbstractSet[str]) -> set[str]:
     wanted = set().union(*(_TREATMENT_EFFECTS.get(t, ()) for t in treatments))
     for type_name in sdt.type_names():
         for rule in sdt.get(type_name).rules:
-            if any(e.scope != "self" and (e.field_name, e.to) in wanted for e in rule.effects):
+            if any((e.field_name, e.to) in wanted for e in rule.effects):
                 out.add(type_name)
     return out
 

@@ -103,9 +103,11 @@ _EFFECT_AFFORDANCES: dict[str, AffordanceTag] = {
     "Cold": AffordanceTag.COOLABLE,
 }
 
+_ENTRY_FIELDS = frozenset({"type", "affordances", "description", "rules"})
 _RULE_FIELDS = frozenset({"action", "pre", "effect"})
-_PREDICATE_FIELDS = frozenset({"scope", "flag", "is"})
-_EFFECT_SCOPES = ("self", "contents", "nearby")
+_PREDICATE_FIELDS = frozenset({"flag", "is"})
+_EFFECT_FIELDS = frozenset({"scope", "set", "to"})
+_EFFECT_SCOPES = ("contents", "nearby")
 
 
 @dataclass(frozen=True)
@@ -120,15 +122,15 @@ class StatePredicate:
 class StateEffect:
     """State mutation applied when a rule fires.
 
-    ``scope`` picks the targets relative to the rule owner: itself, its
-    direct contents, or objects nearby. ``field_name`` is a flag, set to a
-    boolean, or ``temperature``, set to Hot or Cold. An effect only touches
-    instances whose type carries its ``gate``.
+    ``scope`` picks the targets relative to the rule owner, never the owner
+    itself: its direct contents, or objects nearby. ``field_name`` is a flag,
+    set to a boolean, or ``temperature``, set to Hot or Cold. An effect only
+    touches instances whose type carries its ``gate``.
     """
 
     field_name: str
     to: object
-    scope: str = "self"
+    scope: str
 
     @property
     def gate(self) -> AffordanceTag:
@@ -193,9 +195,8 @@ class SDT:
 
 
 def _parse_predicate(raw: dict, where: str) -> StatePredicate:
-    scope = raw.get("scope", "self")
-    if scope != "self":
-        raise ValidationError(f"{where}: unknown predicate scope {scope!r}")
+    if "scope" in raw:
+        raise ValidationError(f"{where}: unknown predicate scope {raw['scope']!r}")
     flag = raw.get("flag")
     if flag not in FLAG_NAMES or not raw.keys() <= _PREDICATE_FIELDS:
         raise ValidationError(f"{where}: a predicate tests one known flag: {raw!r}")
@@ -206,11 +207,11 @@ def _parse_predicate(raw: dict, where: str) -> StatePredicate:
 
 
 def _parse_effect(raw: dict, where: str) -> StateEffect:
-    if "set" not in raw or "to" not in raw:
-        raise ValidationError(f"{where}: effect needs 'set' and 'to' fields")
-    field_name = raw["set"]
-    to = raw["to"]
-    scope = raw.get("scope", "self")
+    if extra := sorted(raw.keys() - _EFFECT_FIELDS):
+        raise ValidationError(f"{where}: unknown effect fields {extra}")
+    if raw.keys() != _EFFECT_FIELDS:
+        raise ValidationError(f"{where}: effect needs 'scope', 'set' and 'to' fields")
+    field_name, to, scope = raw["set"], raw["to"], raw["scope"]
     if scope not in _EFFECT_SCOPES:
         raise ValidationError(f"{where}: unknown effect scope {scope!r}")
     if field_name in FLAG_NAMES:
@@ -222,20 +223,6 @@ def _parse_effect(raw: dict, where: str) -> StateEffect:
     else:
         raise ValidationError(f"{where}: effect field {field_name!r} does not exist on instances")
     return StateEffect(field_name=field_name, to=to, scope=scope)
-
-
-def _validate_rule(entry_name: str, affordances: frozenset[AffordanceTag], rule: InteractionRule) -> None:
-    where = f"{entry_name}/{rule.trigger_action}"
-    needed = ACTION_AFFORDANCES.get(rule.trigger_action)
-    if needed is None:  # ``step`` fires no rules on a goto or a pose action
-        raise ValidationError(f"{where}: {rule.trigger_action} fires no rules")
-    if needed not in affordances:
-        raise ValidationError(f"{where}: trigger requires affordance {needed}")
-    for eff in rule.effects:
-        if eff.scope == "self" and eff.gate not in affordances:
-            raise ValidationError(
-                f"{where}: effect on {eff.field_name} requires affordance {eff.gate}"
-            )
 
 
 def _objects(raw: dict, key: str, where: str) -> list[dict]:
@@ -259,6 +246,11 @@ def parse_sdt_data(data: object) -> SDT:
         if not isinstance(type_name, str):
             raise ValidationError(f"{where}: 'type' must be a string")
         where = type_name
+        if extra := sorted(raw.keys() - _ENTRY_FIELDS):
+            raise ValidationError(f"{where}: unknown entry fields {extra}")
+        description = raw.get("description", "")
+        if not isinstance(description, str):
+            raise ValidationError(f"{where}: 'description' must be a string")
         tags = set()
         for tag in raw.get("affordances", []):
             try:
@@ -283,6 +275,11 @@ def parse_sdt_data(data: object) -> SDT:
                 raise ValidationError(
                     f"{rwhere}: unknown trigger action {raw_rule.get('action')!r}"
                 ) from None
+            needed = ACTION_AFFORDANCES.get(action)
+            if needed is None:  # ``step`` fires no rules on a goto or a pose action
+                raise ValidationError(f"{where}/{action}: {action} fires no rules")
+            if needed not in tags:
+                raise ValidationError(f"{where}/{action}: trigger requires affordance {needed}")
             rules.append(
                 InteractionRule(
                     trigger_action=action,
@@ -294,15 +291,12 @@ def parse_sdt_data(data: object) -> SDT:
                     ),
                 )
             )
-        entry = ObjectTypeEntry(
+        entries.append(ObjectTypeEntry(
             type_name=type_name,
             affordances=frozenset(tags),
-            description=raw.get("description", ""),
+            description=description,
             rules=tuple(rules),
-        )
-        for rule in entry.rules:
-            _validate_rule(type_name, entry.affordances, rule)
-        entries.append(entry)
+        ))
     return SDT(entries)
 
 

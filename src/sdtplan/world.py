@@ -384,6 +384,9 @@ def state_hash(state: WorldState) -> str:
 
 #: Python types of a JSON number; a bool is not one.
 _NUMBER_TYPES = frozenset({int, float})
+_AGENT_FIELDS = frozenset({
+    "position", "crouched", "held_object", "visibility_radius", "view_band_standing", "view_band_crouched",
+})
 
 
 def _vector(value: object, count: int, where: str) -> tuple[float, ...]:
@@ -501,6 +504,8 @@ def _parse_agent(agent: object) -> dict:
     """WorldState keyword arguments from a scene's agent block."""
     if not isinstance(agent, dict):
         raise ValidationError("scene file's 'agent' must be an object")
+    if extra := sorted(agent.keys() - _AGENT_FIELDS):
+        raise ValidationError(f"agent: unknown fields {extra}")
     held = agent.get("held_object")
     if held is not None and not isinstance(held, str):
         raise ValidationError("agent: held_object must be an object id")
@@ -614,17 +619,13 @@ def object_descriptions(state: WorldState) -> list[ObjectInstance]:
 # Rule engine
 
 
-def _effect_targets(state: WorldState, owner: ObjectInstance, effect: StateEffect) -> list[ObjectInstance]:
-    if effect.scope == "self":
-        return [owner]
-    if effect.scope == "contents":
-        return state.contents_of(owner.object_id)
-    return sorted(state.near(owner), key=lambda o: o.object_id)
-
-
 def _apply_effect(state: WorldState, sdt: SDT, owner: ObjectInstance, effect: StateEffect) -> None:
     gate = effect.gate
-    for target in _effect_targets(state, owner, effect):
+    if effect.scope == "contents":
+        targets = state.contents_of(owner.object_id)
+    else:
+        targets = sorted(state.near(owner), key=lambda o: o.object_id)
+    for target in targets:
         if not _afforded(sdt, target, gate):
             continue
         target = state.own(target.object_id)
@@ -638,17 +639,15 @@ def _fire_rules(state: WorldState, sdt: SDT, action: ActionName, target: ObjectI
     """Fire the action target's rules for ``action``, in their order.
 
     Preconditions test the target's flags in the already-updated state
-    (consequences are instant). The target is read by id before each rule:
-    an earlier effect may have replaced the record with an owned copy.
+    (consequences are instant). No effect writes the target itself, so one
+    read of it serves every rule.
     """
-    object_id = target.object_id
     for rule in sdt.get(target.type_name).rules:
-        if rule.trigger_action is not action:
-            continue
-        owner = state.objects[object_id]
-        if all(owner.flag(p.flag) == p.value for p in rule.preconditions):
+        if rule.trigger_action is action and all(
+            target.flag(p.flag) == p.value for p in rule.preconditions
+        ):
             for effect in rule.effects:
-                _apply_effect(state, sdt, state.objects[object_id], effect)
+                _apply_effect(state, sdt, target, effect)
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,9 @@ _MUG = {"type": "Mug", "position": [0.5, 0.94, 0.2]}
          "agent: view_band_crouched must be a list of 2 finite numbers"),
         ({"agent": _GOOD_AGENT, "objects": [_MUG, dict(_MUG, type=None)]},
          "object 1: type must be a string"),
+        # a misspelled key used to run with the default it meant to override
+        ({"agent": dict(_GOOD_AGENT, visiblity_radius=0.1), "objects": [_MUG]},
+         "agent: unknown fields ['visiblity_radius']"),
     ],
 )
 def test_malformed_scene_is_config_error(tmp_path, capsys, sdt, scene, message):
@@ -217,6 +220,8 @@ _ROW = {"id": 1, "task": "Pick up the mug", "scene": "scenes/kitchen_mug.json"}
         # a second line split the report row, and the oracle's plan read only the first
         (dict(_ROW, id=2, task="Put the mug in the sink | quickly\nthen stop"), "'task' must be one line"),
         (dict(_ROW, id=2, task="Pick up the mug\u2028then stop"), "'task' must be one line"),
+        # a misspelled key used to run the row without the field it meant to set
+        (dict(_ROW, id=2, injects=["dirty:Mug"]), "unknown fields ['injects']"),
     ],
 )
 def test_malformed_suite_row_is_config_error(tmp_path, capsys, row, message):
@@ -574,6 +579,18 @@ def test_a_suite_outside_the_package_records_absolute_paths(tmp_path, capsys):
     assert data["scene"] == str((work / "scenes" / "kitchen_wine.json").resolve())
     assert data["sdt"] == str((work / "sdt.json").resolve())
     assert run_cli("verify", str(trace_file)) == 0
+
+
+def test_a_type_the_knowledge_base_lacks_changes_no_row(tmp_path, capsys):
+    """Row 9 with a Unicorn 0.3 m from the fridge meets the packaged row's pins and
+    its trace verifies: an unknown type affords nothing, and no rule effect reaches it."""
+    row = next(r for r in json.loads(default_suite_path().read_text(encoding="utf-8"))["tasks"] if r["id"] == 9)
+    scene = json.loads(cli._data_path(row["scene"]).read_text(encoding="utf-8"))
+    scene["objects"].append({"type": "Unicorn", "position": [-1.0, 0.9, 0.99]})
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    (tmp_path / "suite.json").write_text(json.dumps({"name": "unknown type", "tasks": [dict(row, scene="scene.json")]}))
+    assert run_cli("run", "--suite", str(tmp_path / "suite.json"), "--out", str(tmp_path / "out")) == 0
+    assert run_cli("verify", str(tmp_path / "out" / "trace_task9.json")) == 0
 
 
 @pytest.mark.parametrize(

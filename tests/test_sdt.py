@@ -79,9 +79,16 @@ def test_load_missing_or_malformed_file(tmp_path, capsys):
         ({"type": "X", "rules": [dict(_RULE, effect="isOpen")]},
          "X/rule 0: 'effect' must be a list of objects"),
         ({"type": "X", "rules": [dict(_RULE, text="t")]}, "X/rule 0: unknown rule fields ['text']"),
+        # a rule tests only its owner's flags, so a predicate names no scope
         ({"type": "X", "rules": [dict(_RULE, pre=[{"scope": "colocated", "flag": "isOpen",
                                                    "is": True}])]},
          "X/rule 0: unknown predicate scope 'colocated'"),
+        # entries and effects refuse the fields their kind lacks
+        ({"type": "X", "rule": []}, "X: unknown entry fields ['rule']"),
+        ({"type": "X", "description": 5}, "X: 'description' must be a string"),
+        ({"type": "X", "rules": [dict(_RULE, effect=[{"scope": "nearby", "set": "isDirty", "to": False,
+                                                      "note": "rinses"}])]},
+         "X/rule 0: unknown effect fields ['note']"),
         # a slicing tool is a held instrument: it is picked up and is not cut itself
         ({"type": "X", "affordances": ["Pickupable", "Sliceable", "SlicingTool"]},
          "X: a SlicingTool type must be Pickupable and not Sliceable"),
@@ -110,27 +117,6 @@ def test_empty_knowledge_base():
     assert len(empty) == 0
     assert empty.type_names() == []
     assert filter_actions(empty, [], ALL_ACTIONS) == set()
-
-
-def test_fill_rule_without_fillable_tag_rejected():
-    data = [
-        {
-            "type": "Cup",
-            "affordances": ["Pickupable"],
-            "description": "a cup",
-            "rules": [
-                {
-                    "action": "PickupObject",
-                    "pre": [{"scope": "self", "flag": "isDirty", "is": False}],
-                    "effect": [{"set": "isFilled", "to": True}],
-                }
-            ],
-        }
-    ]
-    with pytest.raises(
-        ValidationError, match="^Cup/PickupObject: effect on isFilled requires affordance Fillable$"
-    ):
-        parse_sdt_data(data)
 
 
 def test_unknown_affordance_tag_rejected():
@@ -174,20 +160,25 @@ def test_self_trigger_needs_matching_affordance():
         ({"pre": [{"flag": "isDirty", "temperature": "Hot"}]}, "a predicate tests one known flag"),
         ({"pre": [{"scope": "colocated", "type": "Faucet"}]}, "unknown predicate scope 'colocated'"),
         ({"pre": [{"flag": "isDirty", "is": "false"}]}, "predicate 'is' must be a boolean"),
-        ({"effect": [{"set": "parent_receptacle", "to": None}]},
+        ({"effect": [{"scope": "contents", "set": "parent_receptacle", "to": None}]},
          "effect field 'parent_receptacle' does not exist on instances"),
         ({"effect": [{"scope": "nearby", "set": "temperature", "to": "RoomTemp"}]},
          "bad temperature value 'RoomTemp'"),
-        ({"effect": [{"set": "isDirty"}]}, "effect needs 'set' and 'to' fields"),
+        ({"effect": [{"scope": "nearby", "set": "isDirty"}]}, "effect needs 'scope', 'set' and 'to' fields"),
         ({"effect": [{"scope": "room", "set": "isDirty", "to": True}]}, "unknown effect scope 'room'"),
-        ({"effect": [{"set": "isDirty", "to": "yes"}]}, "flag effect isDirty needs a boolean"),
+        ({"effect": [{"scope": "nearby", "set": "isDirty", "to": "yes"}]}, "flag effect isDirty needs a boolean"),
         # well formed, but a rule tests only its owner's flags
         ({"pre": [{"scope": "colocated", "flag": "isToggled", "is": True}]},
          "unknown predicate scope 'colocated'"),
+        # a predicate names no scope, not even its owner
+        ({"pre": [{"scope": "self", "flag": "isOpen"}]}, "unknown predicate scope 'self'"),
+        # every effect names its scope, and a rule never writes its owner
+        ({"effect": [{"set": "isDirty", "to": True}]}, "effect needs 'scope', 'set' and 'to' fields"),
+        ({"effect": [{"scope": "self", "set": "isDirty", "to": True}]}, "unknown effect scope 'self'"),
     ],
 )
 def test_rule_forms_outside_the_language_rejected(rule, message):
-    """A rule tests flags on its owner and sets flags or Hot/Cold."""
+    """A rule tests flags on its owner and sets flags or Hot/Cold on other objects."""
     fine = {"action": "PickupObject", "pre": [], "effect": []}
     data = [{"type": "X", "affordances": ["Pickupable"], "rules": [fine, dict(fine, **rule)]}]
     with pytest.raises(ValidationError) as info:
@@ -414,11 +405,8 @@ def _rule_scene(sdt, owner_type, action, pre, effects):
                            capacity=len(effects))
     objects, placed = {owner_id: owner}, []
     for k, (scope, field, value) in enumerate(effects):
-        if scope == "self":
-            placed.append((owner_id, field, value))
-            continue
         type_name = next(t for t in sdt.type_names()
-                         if sdt.get(t).has(StateEffect(field, value).gate))
+                         if sdt.get(t).has(StateEffect(field, value, scope).gate))
         pos = (1.0 + 0.01 * k, 0.9, 0.0) if scope == "contents" else (1.5, 0.9, 0.01 * k)
         obj = ObjectInstance(format_object_id(type_name, pos), type_name, pos,
                              {} if field == "temperature" else {field: not value},
@@ -455,7 +443,6 @@ def test_each_rule_line_says_what_step_does(sdt):
                 after, outcome = step(state, ConcreteAction(action, owner_id), sdt)
                 assert outcome.ok, line
                 for object_id, _, _ in placed:
-                    if object_id != owner_id:
-                        assert after.objects[object_id] == state.objects[object_id], (line, flag)
+                    assert after.objects[object_id] == state.objects[object_id], (line, flag)
             checked += 1
     assert checked

@@ -723,46 +723,6 @@ def test_rule_effects_write_the_new_state_only(sdt, suite):
     _assert_shares_unwritten(stored, closed, {fridge, bottle})
 
 
-def test_later_rules_read_the_owner_earlier_effects_wrote(sdt):
-    """The target's second rule sees the flag its first rule set in the same step.
-
-    A put leaves the receptacle's record shared with the state before it, so
-    the first effect writes an owned copy, and the second rule must read that.
-    """
-    basin = {
-        "type": "Basin",
-        "affordances": ["Receptacle", "Dirtyable", "Fillable"],
-        "rules": [
-            {
-                "action": "PutObject",
-                "pre": [],
-                "effect": [{"set": "isDirty", "to": True}],
-            },
-            {
-                "action": "PutObject",
-                "pre": [{"flag": "isDirty", "is": True}],
-                "effect": [{"set": "isFilled", "to": True}],
-            },
-        ],
-    }
-    kb = parse_sdt_data([{"type": "Apple", "affordances": ["Pickupable"]}, basin])
-    agent_pos, basin_pos = (0.0, 0.9, 0.0), (1.0, 0.9, 0.0)
-    apple_id = format_object_id("Apple", agent_pos)
-    basin_id = format_object_id("Basin", basin_pos)
-    state = WorldState(
-        {
-            apple_id: ObjectInstance(apple_id, "Apple", agent_pos, {}),
-            basin_id: ObjectInstance(basin_id, "Basin", basin_pos, {"isOpen": True}, capacity=1),
-        },
-        agent_position=agent_pos,
-        held_object=apple_id,
-    )
-    new, outcome = step(state, act(ActionName.PUT, basin_id), kb)
-    assert outcome.ok
-    assert new.objects[basin_id].flag("isDirty") and new.objects[basin_id].flag("isFilled")
-    assert not state.objects[basin_id].flag("isDirty")
-
-
 # ---------------------------------------------------------------------------
 # Copy-on-write over the loaded scene; the scene-relative state hash
 
