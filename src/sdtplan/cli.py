@@ -17,12 +17,12 @@ from typing import Iterator, Optional
 
 from .backends import HttpBackend, HttpConfig, OracleConfig, Recorder, ReplayBackend, ScriptedOracle
 from .errors import SdtPlanError
-from .replanner import MODES, RunConfig, TaskReport, run_task
+from .replanner import RunConfig, TaskReport, run_task
 from .sdt import load_sdt
 from .world import WorldState, apply_perturbations, load_scene, state_json_hash, state_to_json
 
 #: Version of the trace layout that ``_write_trace`` writes and ``rerun`` reads.
-TRACE_SCHEMA = 5
+TRACE_SCHEMA = 6
 
 REPORT_COLUMNS = (
     "Task ID",
@@ -238,7 +238,7 @@ def cli_run(args) -> int:
         sdt = load_sdt(_data_path(sdt_file))
         suite_path = Path(args.suite) if args.suite else default_suite_path()
         suite = load_suite(suite_path)
-        config = RunConfig(args.mode, args.budget, args.replan_cap)
+        config = RunConfig(args.budget, args.replan_cap)
         http = _http_config(args)
         if args.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {args.jobs}")
@@ -280,9 +280,11 @@ def cli_run(args) -> int:
     results.sort(key=row_key)
     reports = []
     regression_notes = []
+    # a row's pins describe its run on the oracle with the default settings and no --inject
+    pinned = config == RunConfig() and http is None and not args.inject
     for row, report in results:
         reports.append(report)
-        if row.get("expected") and not args.no_regression_check:
+        if pinned and row.get("expected"):
             for note in check_expected(report, row["expected"]):
                 regression_notes.append(f"task {row['id']}: {note}")
 
@@ -322,7 +324,6 @@ def _check_trace(trace: object) -> None:
     null_or_string = (str, type(None))  # .get(key, 0) reads a missing key as 0: neither
     _require(isinstance(trace.get("goal", 0), null_or_string), "'goal'", "a string or null")
     _require(type(trace.get("task_id")) in (int, str), "'task_id'", "an integer or a string")
-    _require(trace.get("mode") in MODES, "'mode'", f"one of {', '.join(MODES)}")
     for key in ("budget", "replan_cap"):
         _require(type(trace.get(key)) is int and trace[key] >= 0, f"'{key}'", "an integer of 0 or more")
     _require(isinstance(trace.get("exchanges"), list), "'exchanges'", "a list")
@@ -431,7 +432,7 @@ def rerun(trace: dict) -> dict:
     if (start_hash := state_json_hash(state_to_json(state))) != trace["start_state_hash"]:
         return {"start_state_hash": start_hash}
     recorder = Recorder(ReplayBackend(trace["exchanges"]))
-    config = RunConfig(trace["mode"], trace["budget"], trace["replan_cap"])
+    config = RunConfig(trace["budget"], trace["replan_cap"])
     report = run_task(trace["task"], state, sdt, recorder, config, task_id=trace["task_id"])
     return _run_record(report, recorder.exchanges)
 
@@ -492,7 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KIND:ARGS",
         help="extra perturbation (dirty:X, hide:X:R, fill:R, lower:X); requires --task",
     )
-    run.add_argument("--mode", choices=MODES, default=RunConfig.mode)
     run.add_argument(
         "--budget", type=int, default=RunConfig.budget, help="resolver iterations per failure"
     )
@@ -501,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--jobs", type=int, default=1, help="tasks at once; helps with --endpoint")
     run.add_argument("--out", default="runs", help="directory for report and trace files")
     run.add_argument("--lenient", action="store_true", help="exit 0 even when tasks fail")
-    run.add_argument("--no-regression-check", action="store_true")
     run.set_defaults(func=cli_run)
 
     trace = sub.add_parser("trace", help="pretty-print a recorded trace file")

@@ -310,13 +310,13 @@ def execute_plan(
     task: str,
     sdt: SDT,
     backend: LLMBackend,
-    recover: Optional[Callable[[list[HistoryEntry], WorldState, str], tuple]],
+    recover: Callable[[list[HistoryEntry], WorldState, str], tuple],
     history: list[HistoryEntry],
     phase: str = "plan",
     goal: Optional[GoalCondition] = None,
 ) -> tuple[WorldState, str]:
     """Run triplets in order, appending each step to ``history`` and grounding
-    it against the run's ``goal``; errors go to ``recover`` (or abort the run).
+    it against the run's ``goal``; errors go to ``recover``.
 
     ``recover(history, state, task)`` is called with the failed step's entry
     last in ``history`` and returns what ``resolver.resolve_failure`` does:
@@ -343,8 +343,6 @@ def execute_plan(
                 )
                 if outcome.ok:
                     continue
-                if recover is None:
-                    return state, "Aborted"
                 state, status, _, _ = recover(history, state, task)
                 if status != "Resolved":
                     return state, "Aborted" if status == "Exhausted" else status

@@ -68,20 +68,15 @@ def replan(
     return ask(backend, prompt, parse_triplets, _RETRY_REMINDER)
 
 
-#: "plan" executes the plan alone, "resolve" adds the failure resolver,
-#: "replan" adds the replanner as well.
-MODES = ("plan", "resolve", "replan")
-
-
 @dataclass
 class RunConfig:
-    mode: str = "replan"
+    """How much of the loop runs: ``budget`` resolver iterations per failure,
+    ``replan_cap`` replans; ``RunConfig(0, 0)`` runs the plan alone."""
+
     budget: int = resolver.DEFAULT_BUDGET
     replan_cap: int = 3
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
         for name in ("budget", "replan_cap"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
@@ -149,10 +144,10 @@ def run_task(
     """Plan, then run phases: execute (with recovery), check the goal, replan.
 
     Phases are ``plan`` then ``replan-1`` ... ``replan-k``. The goal is checked
-    after every phase, aborted or not. Replanning follows only in replan mode,
-    after a phase that completed with the goal unmet, while fewer than
-    ``replan_cap`` replans ran. Failures never raise: anything that prevents
-    completion lands in the report's status.
+    after every phase, aborted or not. Replanning follows a phase that
+    completed with the goal unmet, while fewer than ``replan_cap`` replans
+    ran. Failures never raise: anything that prevents completion lands in
+    the report's status.
 
     Every prompt shows the task's relevant objects only: the types
     ``relevant_types`` finds in the task and, once planned, the types
@@ -171,7 +166,7 @@ def run_task(
     else:
         relevant |= goal_types(report.goal, sdt)
         # read through the module now, so a wrapper installed on it sees every call
-        recover = None if config.mode == "plan" else partial(
+        recover = partial(
             resolver.resolve_failure, sdt=sdt, relevant=relevant, backend=backend,
             budget=config.budget, goal=report.goal,
         )
@@ -184,7 +179,6 @@ def run_task(
             report.success, report.unmet_final = goal_satisfied(state, report.goal)
             if (
                 report.success
-                or config.mode != "replan"
                 or report.status != "Completed"
                 or len(report.replan_additions) >= config.replan_cap
             ):

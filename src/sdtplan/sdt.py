@@ -251,8 +251,11 @@ def parse_sdt_data(data: object) -> SDT:
         description = raw.get("description", "")
         if not isinstance(description, str):
             raise ValidationError(f"{where}: 'description' must be a string")
+        affordances = raw.get("affordances", [])
+        if not isinstance(affordances, list):
+            raise ValidationError(f"{where}: 'affordances' must be a list of tags")
         tags = set()
-        for tag in raw.get("affordances", []):
+        for tag in affordances:
             try:
                 tags.add(AffordanceTag(tag))
             except ValueError:

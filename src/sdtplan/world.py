@@ -384,6 +384,9 @@ def state_hash(state: WorldState) -> str:
 
 #: Python types of a JSON number; a bool is not one.
 _NUMBER_TYPES = frozenset({int, float})
+_OBJECT_FIELDS = frozenset({
+    "id", "type", "position", "flags", "temperature", "parent_receptacle", "capacity",
+})
 _AGENT_FIELDS = frozenset({
     "position", "crouched", "held_object", "visibility_radius", "view_band_standing", "view_band_crouched",
 })
@@ -409,6 +412,8 @@ def _parse_instance(raw: dict, index: int, id_types: Collection[str]) -> ObjectI
     every coordinate within ±99.99 this record's id is valid too: no regex."""
     if not isinstance(raw, dict) or "type" not in raw or "position" not in raw:
         raise ValidationError(f"object {index}: needs 'type' and 'position'")
+    if not _OBJECT_FIELDS.issuperset(raw):
+        raise ValidationError(f"object {index}: unknown fields {sorted(raw.keys() - _OBJECT_FIELDS)}")
     p = raw["position"]
     if (type(p) is list and len(p) == 3 and type(p[0]) in _NUMBER_TYPES
             and type(p[1]) in _NUMBER_TYPES and type(p[2]) in _NUMBER_TYPES):
@@ -534,8 +539,8 @@ def load_scene(path: str | Path, sdt: SDT) -> WorldState:
 
     The file is read once; its sha256 and the parsed records become the
     returned state's ``scene``, which the state is copy-on-write over.
-    One pass reads each record: its shape and JSON types, flags, temperature
-    and id, then duplicate ids. Receptacles with no door get isOpen=True, so
+    One pass reads each record: its keys, shape and JSON types, flags,
+    temperature and id, then duplicate ids. Receptacles with no door get isOpen=True, so
     visibility and the action filter can read openness off the instance flag
     alone; that is decided once per type, in a memo that lives for this call
     only. The agent block's numbers must be finite. ``validate_state`` then

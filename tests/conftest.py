@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from sdtplan import interpreter
 from sdtplan.backends import OracleConfig, ScriptedOracle
 from sdtplan.cli import default_sdt_path, default_suite_path, _resolve_scene
 from sdtplan.replanner import RunConfig, run_task
+from sdtplan.resolver import resolve_failure
 from sdtplan.sdt import SDT, AffordanceTag, FLAG_NAMES, TEMPERATURES, load_sdt
 from sdtplan.world import (
     ObjectInstance,
@@ -24,13 +26,20 @@ from sdtplan.world import (
 )
 
 
-#: The committed golden-trace corpus: ``<mode>/trace_task<N>.json`` and ``<mode>/report.md``.
+#: The ablation settings the tests and the golden corpus name: the plan alone, the
+#: plan with the failure resolver, and the whole loop with the replanner as well.
+ABLATIONS = {"plan": RunConfig(0, 0), "resolve": RunConfig(replan_cap=0), "replan": RunConfig()}
+#: The ``sdtplan run`` flags that select each of ``ABLATIONS``.
+ABLATION_FLAGS = {"plan": "--budget 0 --replan-cap 0", "resolve": "--replan-cap 0", "replan": ""}
+
+#: The committed golden-trace corpus: ``<ablation>/trace_task<N>.json`` and
+#: ``<ablation>/report.md``, one directory per ``ABLATIONS`` key.
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def golden_exchanges(mode: str, task_id: int) -> list[dict]:
-    """The ``exchanges`` of the committed trace of table-1 row ``task_id`` in ``mode``."""
-    path = GOLDEN / mode / f"trace_task{task_id}.json"
+def golden_exchanges(ablation: str, task_id: int) -> list[dict]:
+    """The ``exchanges`` of the committed trace of table-1 row ``task_id`` under ``ablation``."""
+    path = GOLDEN / ablation / f"trace_task{task_id}.json"
     return json.loads(path.read_text(encoding="utf-8"))["exchanges"]
 
 
@@ -65,11 +74,15 @@ def scene_for_row(row: dict, sdt: SDT, injected: bool = True) -> WorldState:
     return scene
 
 
-def run_row(row: dict, sdt: SDT, mode: str = "replan", injected: bool = True):
+def run_row(row: dict, sdt: SDT, ablation: str = "replan", injected: bool = True):
     scene = scene_for_row(row, sdt, injected=injected)
     backend = ScriptedOracle(OracleConfig(**row.get("oracle_faults", {})))
-    config = RunConfig(mode)
-    return run_task(row["task"], scene, sdt, backend, config, task_id=row["id"])
+    return run_task(row["task"], scene, sdt, backend, ABLATIONS[ablation], task_id=row["id"])
+
+
+def no_recovery(sdt: SDT, backend):
+    """The ``recover`` a budget-0 run hands ``execute_plan``: it asks nothing and gives up."""
+    return partial(resolve_failure, sdt=sdt, relevant=frozenset(), backend=backend, budget=0)
 
 
 def record_choice_queries(monkeypatch) -> dict:

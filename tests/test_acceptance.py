@@ -11,7 +11,7 @@ import itertools
 import random
 import time
 
-from conftest import random_state, run_row, scene_for_row, suite_row
+from conftest import ABLATIONS, random_state, run_row, scene_for_row, suite_row
 
 from sdtplan.errors import SdtPlanError
 from sdtplan.interpreter import HistoryEntry
@@ -316,9 +316,9 @@ def test_criterion_7_grammar_round_trips_and_totality(sdt):
 
 def test_criterion_8_ablation_ordering(sdt, suite):
     successes = {}
-    for mode in ("plan", "resolve", "replan"):
-        reports = [run_row(row, sdt, mode=mode) for row in suite["tasks"]]
-        successes[mode] = sum(1 for r in reports if r.success)
-    print(f"  successes by mode: {successes}")
+    for ablation in ABLATIONS:
+        reports = [run_row(row, sdt, ablation) for row in suite["tasks"]]
+        successes[ablation] = sum(1 for r in reports if r.success)
+    print(f"  successes by ablation: {successes}")
     ok = successes["plan"] < successes["resolve"] <= successes["replan"]
-    _verdict("criterion 8: mode successes ordered plan < resolve <= replan", ok)
+    _verdict("criterion 8: ablation successes ordered plan < resolve <= replan", ok)

@@ -15,14 +15,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import record_choice_queries, scene_for_row, suite_row
+from conftest import ABLATIONS, record_choice_queries, scene_for_row, suite_row
 
 import sdtplan
 from sdtplan import cli, prompts
 from sdtplan.backends import HttpBackend, HttpConfig, OracleConfig, ScriptedOracle, ask
 from sdtplan.errors import BackendError, GrammarError, PlanParseError
 from sdtplan.planner import build_plan_prompt, load_examples, nearest_examples, relevant_types
-from sdtplan.replanner import RunConfig, run_task
+from sdtplan.replanner import run_task
 from sdtplan.interpreter import HistoryEntry, RecoveryAttempt
 from sdtplan.resolver import build_action_pairs, build_failure_query
 from sdtplan.sdt import ActionName, render_type_text
@@ -132,9 +132,9 @@ class _FullContextOracle(ScriptedOracle):
         return reply
 
 
-@pytest.mark.parametrize("mode", ["plan", "resolve", "replan"])
+@pytest.mark.parametrize("ablation", ABLATIONS)
 def test_oracle_replies_ignore_the_knowledge_and_history_the_prompts_leave_out(
-    sdt, suite, mode, monkeypatch
+    sdt, suite, ablation, monkeypatch
 ):
     """A plan prompt describes only the relevant types, and a choice prompt
     recalls only the recent steps on the objects it shows; the oracle reads
@@ -144,11 +144,11 @@ def test_oracle_replies_ignore_the_knowledge_and_history_the_prompts_leave_out(
     for row in suite["tasks"]:
         state = scene_for_row(row, sdt)
         oracle = _FullContextOracle(OracleConfig(**row.get("oracle_faults", {})), sdt, tails)
-        run_task(row["task"], state, sdt, oracle, RunConfig(mode))
+        run_task(row["task"], state, sdt, oracle, ABLATIONS[ablation])
         checked += oracle.checked
     choices = [narrowed for header, narrowed in checked if header == prompts.CHOICE_HEADER]
     assert len(checked) - len(choices) == 14
-    assert len(choices) == {"plan": 3, "resolve": 6, "replan": 6}[mode]
+    assert len(choices) == {"plan": 3, "resolve": 6, "replan": 6}[ablation]
     assert all(choices)  # every choice prompt left some step out
 
 

@@ -1,4 +1,4 @@
-"""Command-line runner: suites, reports, traces, verification, modes."""
+"""Command-line runner: suites, reports, traces, verification, run settings."""
 
 from __future__ import annotations
 
@@ -15,6 +15,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+
+from conftest import ABLATION_FLAGS
 
 from sdtplan import cli
 from sdtplan.cli import default_suite_path, main
@@ -280,13 +282,15 @@ def test_inject_breaking_an_invariant_is_config_error(tmp_path):
     assert code == 2
 
 
-def test_failing_mode_returns_one_and_lenient_zero(tmp_path):
-    code = run_cli("run", "--mode", "plan", "--no-regression-check", "--out", str(tmp_path / "a"))
+def test_failing_mode_returns_one_and_lenient_zero(tmp_path, capsys):
+    code = run_cli("run", "--budget", "0", "--replan-cap", "0", "--out", str(tmp_path / "a"))
     assert code == 1
     code = run_cli(
-        "run", "--mode", "plan", "--no-regression-check", "--lenient", "--out", str(tmp_path / "b")
+        "run", "--budget", "0", "--replan-cap", "0", "--lenient", "--out", str(tmp_path / "b")
     )
     assert code == 0
+    # the rows' pins describe their runs with the default settings, so they are not checked here
+    assert "regression:" not in capsys.readouterr().err
 
 
 def test_csv_report_shape(tmp_path, capsys):
@@ -391,7 +395,7 @@ def test_jobs_overlap_http_waits(tmp_path, capsys, jobs, overlaps):
         code = run_cli(
             "run", "--suite", str(suite), "--jobs", str(jobs),
             "--endpoint", f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions",
-            "--lenient", "--no-regression-check", "--out", str(tmp_path / "out"),
+            "--lenient", "--out", str(tmp_path / "out"),
         )
     finally:
         server.shutdown()
@@ -515,7 +519,7 @@ def test_verify_names_first_divergence(tmp_path, capsys, edit, named):
 
 
 def test_a_budget_1_trace_verifies_and_fails_under_an_edited_budget(tmp_path, capsys):
-    run_cli("run", "--task", "9", "--mode", "resolve", "--budget", "1", "--lenient",
+    run_cli("run", "--task", "9", "--replan-cap", "0", "--budget", "1", "--lenient",
             "--out", str(tmp_path))
     capsys.readouterr()
     trace_file = tmp_path / "trace_task9.json"
@@ -542,8 +546,8 @@ def test_verify_detects_edited_final_state_hash(tmp_path, capsys):
 def test_trace_replaces_final_state_with_the_run_input(tmp_path, capsys):
     _, data = _task9_trace(tmp_path, capsys)
     assert "final_state" not in data
-    assert data["schema"] == 5
-    assert (data["mode"], data["budget"], data["replan_cap"]) == ("replan", 5, 3)
+    assert data["schema"] == 6 and "mode" not in data
+    assert (data["budget"], data["replan_cap"]) == (5, 3)
     # the plan, then one recovery per resolver iteration
     assert [sorted(exchange) for exchange in data["exchanges"]] == [["prompt_sha256", "reply"]] * 5
     assert data["exchanges"][0]["reply"].startswith("Action-Triplets:")
@@ -611,7 +615,6 @@ def test_a_type_the_knowledge_base_lacks_changes_no_row(tmp_path, capsys):
          "history[0].concrete must be a string or null"),
         ("verify", lambda d: d.pop("task_id"), "'task_id' must be an integer or a string"),
         ("verify", lambda d: d.update(task_id=True), "'task_id' must be an integer or a string"),
-        ("verify", lambda d: d.update(mode="rerun"), "'mode' must be one of plan, resolve, replan"),
         ("verify", lambda d: d.update(budget="5"), "'budget' must be an integer of 0 or more"),
         ("verify", lambda d: d.update(budget=-1), "'budget' must be an integer of 0 or more"),
         ("verify", lambda d: d.pop("replan_cap"), "'replan_cap' must be an integer of 0 or more"),
@@ -639,7 +642,7 @@ def test_a_type_the_knowledge_base_lacks_changes_no_row(tmp_path, capsys):
     ],
     ids=["history-int", "report-list", "scene-int", "history-entry-string", "no-task",
          "inject-string", "skipped-outcome-null", "no-final-state-hash", "no-goal", "no-concrete",
-         "no-task-id", "task-id-bool", "mode-unknown", "budget-string", "budget-negative",
+         "no-task-id", "task-id-bool", "budget-string", "budget-negative",
          "no-replan-cap", "replan-cap-float", "no-exchanges", "exchange-without-reply",
          "exchange-string", "exchange-reply-int", "exchange-reply-null-without-error",
          "task-surrogate", "plan-surrogate", "goal-surrogate", "history-message-surrogate"],
@@ -693,10 +696,10 @@ def test_verify_rejects_schema_2_trace(tmp_path, capsys):
     assert err.startswith("trace error: unsupported trace schema 2") and "re-record" in err
 
 
-@pytest.mark.parametrize("schema", [3, 4, 6])
+@pytest.mark.parametrize("schema", [3, 4, 5, 7])
 def test_verify_asks_to_re_record_only_an_older_schema(tmp_path, capsys, schema):
     # schema 3 hashed each record with the slice_children key that slicing no longer needs;
-    # schema 4 recorded no replies, so its task cannot be re-run
+    # schema 4 recorded no replies, so its task cannot be re-run; schema 5 recorded a run mode
     trace_file, data = _task9_trace(tmp_path, capsys)
     data["schema"] = schema
     trace_file.write_text(json.dumps(data))
@@ -708,7 +711,7 @@ def test_verify_asks_to_re_record_only_an_older_schema(tmp_path, capsys, schema)
 
 def test_trace_records_cli_injections(tmp_path, capsys):
     code = run_cli(
-        "run", "--task", "10", "--inject", "lower:Mug", "--no-regression-check", "--out", str(tmp_path)
+        "run", "--task", "10", "--inject", "lower:Mug", "--out", str(tmp_path)
     )
     assert code == 0
     trace_file = tmp_path / "trace_task10.json"
@@ -725,12 +728,12 @@ def test_negative_replan_cap_is_config_error(tmp_path):
 
 def test_three_modes_are_independently_invocable(tmp_path):
     results = {}
-    for mode in ("plan", "resolve", "replan"):
-        out = tmp_path / mode
-        run_cli("run", "--mode", mode, "--no-regression-check", "--lenient", "--out", str(out))
+    for ablation, flags in ABLATION_FLAGS.items():
+        out = tmp_path / ablation
+        run_cli("run", *flags.split(), "--lenient", "--out", str(out))
         rows = [
             json.loads(p.read_text())["report"]["Success"]
             for p in out.glob("trace_task*.json")
         ]
-        results[mode] = sum(1 for s in rows if s == "Yes")
+        results[ablation] = sum(1 for s in rows if s == "Yes")
     assert results["plan"] < results["resolve"] <= results["replan"]

@@ -1,8 +1,9 @@
 """The golden-trace corpus: the one pin on every prompt, reply and report row.
 
-``tests/golden/<mode>/`` holds what ``sdtplan run --mode <mode> --lenient``
-writes for the packaged table-1 suite: a trace per row and ``report.md``. A
-fresh oracle run must write the same corpus, which pins the oracle, and
+``tests/golden/<ablation>/`` holds what ``sdtplan run <flags> --lenient``
+writes for the packaged table-1 suite, ``<flags>`` being the ablation's
+``ABLATION_FLAGS``: a trace per row and ``report.md``. A fresh oracle run
+must write the same corpus, which pins the oracle, and
 ``sdtplan verify`` must accept every committed trace, which pins the pipeline
 given the recorded replies. A change that is meant to move a prompt or a reply
 re-records the corpus with the command in ``RE_RECORD``.
@@ -16,44 +17,45 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GOLDEN
+from conftest import ABLATION_FLAGS, GOLDEN
 
 from sdtplan import cli, resolver
-from sdtplan.replanner import MODES
 
-RE_RECORD = "sdtplan run --mode {mode} --lenient --out tests/golden/{mode}"
+RE_RECORD = "sdtplan run {flags} --lenient --out tests/golden/{ablation}"
 
 
-def _corpus_moves(mode: str, out_dir: Path) -> list[str]:
-    """Each field in which a fresh oracle run in ``mode``, written to ``out_dir``,
-    differs from the committed corpus, as ``<mode>/<file>: <field>: ...`` lines
+def _corpus_moves(ablation: str, out_dir: Path) -> list[str]:
+    """Each field in which a fresh oracle run of ``ablation``, written to ``out_dir``,
+    differs from the committed corpus, as ``<ablation>/<file>: <field>: ...`` lines
     (``cli._divergences`` names a list by its first differing entry)."""
-    assert cli.main(["run", "--mode", mode, "--lenient", "--out", str(out_dir)]) == 0
-    golden = GOLDEN / mode
+    argv = ["run", *ABLATION_FLAGS[ablation].split(), "--lenient", "--out", str(out_dir)]
+    assert cli.main(argv) == 0
+    golden = GOLDEN / ablation
     names = sorted(path.name for path in golden.iterdir())
     assert sorted(path.name for path in out_dir.iterdir()) == names
     moves = []
     for name in names:
         stored, fresh = ((folder / name).read_bytes() for folder in (golden, out_dir))
         if name == "report.md":
-            moves += [f"{mode}/{name}: differs"] if stored != fresh else []
+            moves += [f"{ablation}/{name}: differs"] if stored != fresh else []
             continue
         stored, fresh = json.loads(stored), json.loads(fresh)
         lost = [f"{key}: stored only" for key in sorted(stored.keys() - fresh.keys())]
-        moves += [f"{mode}/{name}: {move}" for move in lost + list(cli._divergences(stored, fresh))]
+        moves += [f"{ablation}/{name}: {move}" for move in lost + list(cli._divergences(stored, fresh))]
     return moves
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_a_fresh_run_writes_the_committed_corpus(tmp_path, mode):
-    moves = _corpus_moves(mode, tmp_path)
-    assert not moves, "\n".join(moves + [f"if the change is meant, re-record: {RE_RECORD.format(mode=mode)}"])
+@pytest.mark.parametrize("ablation", ABLATION_FLAGS)
+def test_a_fresh_run_writes_the_committed_corpus(tmp_path, ablation):
+    moves = _corpus_moves(ablation, tmp_path)
+    command = RE_RECORD.format(flags=ABLATION_FLAGS[ablation], ablation=ablation)
+    assert not moves, "\n".join(moves + [f"if the change is meant, re-record: {command}"])
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_verify_accepts_every_committed_trace(tmp_path, capsys, monkeypatch, mode):
+@pytest.mark.parametrize("ablation", ABLATION_FLAGS)
+def test_verify_accepts_every_committed_trace(tmp_path, capsys, monkeypatch, ablation):
     monkeypatch.chdir(tmp_path)  # a trace names its scene and knowledge base apart from the cwd
-    traces = sorted((GOLDEN / mode).glob("trace_task*.json"))
+    traces = sorted((GOLDEN / ablation).glob("trace_task*.json"))
     assert len(traces) == 14
     refused = {}
     for path in traces:

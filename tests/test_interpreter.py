@@ -7,7 +7,9 @@ from functools import partial
 
 import pytest
 
-from conftest import CountingBackend, ScriptedBackend, run_row, scene_for_row, suite_row
+from conftest import (
+    ABLATIONS, CountingBackend, ScriptedBackend, no_recovery, run_row, scene_for_row, suite_row,
+)
 
 import sdtplan.interpreter as interp_mod
 import sdtplan.resolver as resolver_mod
@@ -92,7 +94,7 @@ def test_row_4_cut_consumes_the_apple(sdt, suite, monkeypatch):
     monkeypatch.setattr(interp_mod, "step", recording_step)
     monkeypatch.setattr(resolver_mod, "step", recording_step)
     row = suite_row(suite, 4)
-    run_task(row["task"], scene_for_row(row, sdt), sdt, PromptLog(), RunConfig("replan"))
+    run_task(row["task"], scene_for_row(row, sdt), sdt, PromptLog(), RunConfig())
     cut = next(
         i for i, (kind, *rest) in enumerate(events)
         if kind == "step" and rest[0] == ConcreteAction(ActionName.SLICE, whole) and rest[1].ok
@@ -114,7 +116,8 @@ def test_a_slice_step_on_the_consumed_object_records_as_skipped(sdt, suite):
     backend = CountingBackend(ScriptedOracle())
     history = []
     final, status = execute_plan(
-        [trip(ActionName.SLICE, apple)], state, row["task"], sdt, backend, None, history
+        [trip(ActionName.SLICE, apple)], state, row["task"], sdt, backend, no_recovery(sdt, backend),
+        history,
     )
     assert status == "Completed" and final is state and backend.calls == 0
     assert [(e.concrete, e.skipped, e.outcome) for e in history] == [
@@ -279,7 +282,7 @@ def test_candidates_of_an_unknown_type_are_a_choice_not_an_error(sdt, suite):
         "Action-Triplets:[['GotoObject', 'Gizmo', 0]]\nGOAL:{type=Gizmo; flags=-; temp=-; in=-}",
         f"CHOICE:{{Gizmo->{gizmos[1]}}}",
     ])
-    report = run_task("go to the gizmo", state, sdt, backend, RunConfig("plan"))
+    report = run_task("go to the gizmo", state, sdt, backend, ABLATIONS["plan"])
     assert not report.status.startswith("ExecutionFailed"), report.status
     assert report.history[0].concrete == ConcreteAction(ActionName.GOTO, gizmos[1])
     listed = prompts.parse_state_lines(prompts.sections(backend.prompts[1])[prompts.SEC_CANDIDATES])
@@ -396,7 +399,7 @@ def test_the_resolver_re_executes_the_failed_step_against_the_goal(sdt, suite):
                 return "[(PutObject,CounterTop|+00.70|+00.95|+00.10)]"
             return super().complete(prompt)
 
-    report = run_task("Pick up a cooked apple slice.", state, sdt, Backend(), RunConfig("resolve"))
+    report = run_task("Pick up a cooked apple slice.", state, sdt, Backend(), ABLATIONS["resolve"])
     (attempt,) = report.history[0].attempts
     assert attempt.executed[-1][0] == ConcreteAction(ActionName.PICKUP, cooked)
     assert attempt.resolved and report.success
@@ -459,14 +462,14 @@ def test_a_receptacle_choice_is_left_to_the_backend(sdt, suite):
     assert concrete.target == drawers[1]
 
 
-@pytest.mark.parametrize("mode", ["plan", "resolve", "replan"])
-def test_skipped_choices_are_the_ones_the_oracle_answered_nearest(sdt, suite, mode, monkeypatch):
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_skipped_choices_are_the_ones_the_oracle_answered_nearest(sdt, suite, ablation, monkeypatch):
     """Asking between interchangeable candidates anyway changes no run, and the
     oracle answers every such query with the nearest: each query the program
     skips is one whose reply it now makes itself."""
     skipped = {}
     for row in suite["tasks"]:
-        report = run_row(row, sdt, mode)
+        report = run_row(row, sdt, ablation)
         skipped[row["id"]] = (report.to_json(), state_hash(report.final_state))
 
     interchangeable, complete = interp_mod._interchangeable, ScriptedOracle.complete
@@ -490,10 +493,10 @@ def test_skipped_choices_are_the_ones_the_oracle_answered_nearest(sdt, suite, mo
     monkeypatch.setattr(interp_mod, "_interchangeable", never)
     monkeypatch.setattr(ScriptedOracle, "complete", checked)
     for row in suite["tasks"]:
-        report = run_row(row, sdt, mode)
+        report = run_row(row, sdt, ablation)
         report.wall_time_s = skipped[row["id"]][0]["wall_time_s"]
         assert (report.to_json(), state_hash(report.final_state)) == skipped[row["id"]], row["id"]
-    assert forced  # sliced rows ask between sibling slices in every mode
+    assert forced  # sliced rows ask between sibling slices in every ablation
 
 
 class ExchangeLog(ScriptedOracle):
@@ -509,11 +512,11 @@ class ExchangeLog(ScriptedOracle):
         return reply
 
 
-def _runs_with_exchanges(sdt, suite, mode):
+def _runs_with_exchanges(sdt, suite, ablation):
     out = {}
     for row in suite["tasks"]:
         oracle = ExchangeLog(OracleConfig(**row.get("oracle_faults", {})))
-        report = run_task(row["task"], scene_for_row(row, sdt), sdt, oracle, RunConfig(mode))
+        report = run_task(row["task"], scene_for_row(row, sdt), sdt, oracle, ABLATIONS[ablation])
         report.wall_time_s = 0.0
         out[row["id"]] = (report.to_json(), state_hash(report.final_state), oracle.exchanges)
     return out
@@ -537,16 +540,16 @@ def _dropped_exchanges(full, kept):
     return dropped
 
 
-@pytest.mark.parametrize("mode", ["plan", "resolve", "replan"])
+@pytest.mark.parametrize("ablation", ABLATIONS)
 def test_affordance_narrowing_only_drops_choices_the_oracle_answered_alike(
-    sdt, suite, mode, monkeypatch
+    sdt, suite, ablation, monkeypatch
 ):
     """Listing every candidate anyway changes no run: with the gates admitting
     everything, the same reports come back, and the exchanges are the narrowed
     run's with choice queries added: row 3's and row 5's put into a drawer."""
-    narrowed = _runs_with_exchanges(sdt, suite, mode)
+    narrowed = _runs_with_exchanges(sdt, suite, ablation)
     monkeypatch.setattr(interp_mod, "condition_fn", lambda sdt, obj, action: True)
-    dropped = _dropped_exchanges(_runs_with_exchanges(sdt, suite, mode), narrowed)
+    dropped = _dropped_exchanges(_runs_with_exchanges(sdt, suite, ablation), narrowed)
     assert [task_id for task_id, _, _ in dropped] == [3, 5]
     for _, prompt, _ in dropped:
         step_lines = prompts.sections(prompt)[prompts.SEC_STEP].splitlines()
@@ -554,16 +557,16 @@ def test_affordance_narrowing_only_drops_choices_the_oracle_answered_alike(
         assert step_lines == ["Grounding: ['PutObject', 'Knife', 'Drawer']", "Resolve: Drawer"]
 
 
-@pytest.mark.parametrize("mode, settled_rows", [
+@pytest.mark.parametrize("ablation, settled_rows", [
     ("plan", [4, 13]), ("resolve", [1, 4, 6, 7, 13]), ("replan", [1, 4, 6, 7, 13]),
 ])
 def test_goal_rank_only_drops_choices_the_oracle_answered_with_its_pick(
-    sdt, suite, mode, settled_rows, monkeypatch
+    sdt, suite, ablation, settled_rows, monkeypatch
 ):
     """Asking where the goal settles the choice changes no run: with the rank
     switched off, the same reports come back, and the exchanges are the ranked
     run's with choice queries added, each answered with the rank's pick."""
-    ranked = _runs_with_exchanges(sdt, suite, mode)
+    ranked = _runs_with_exchanges(sdt, suite, ablation)
     goal_best, build_query = interp_mod._goal_best, interp_mod._build_choice_query
     pick = [None]
     settled = {}  # choice prompt -> the candidate the rank would have grounded to
@@ -579,7 +582,7 @@ def test_goal_rank_only_drops_choices_the_oracle_answered_with_its_pick(
 
     monkeypatch.setattr(interp_mod, "_goal_best", unranked)
     monkeypatch.setattr(interp_mod, "_build_choice_query", recording_query)
-    dropped = _dropped_exchanges(_runs_with_exchanges(sdt, suite, mode), ranked)
+    dropped = _dropped_exchanges(_runs_with_exchanges(sdt, suite, ablation), ranked)
     assert [task_id for task_id, _, _ in dropped] == settled_rows
     for _, prompt, reply in dropped:
         assert prompt.startswith(prompts.CHOICE_HEADER)
@@ -619,9 +622,8 @@ def test_postcondition_pickup_and_put(sdt, suite):
 def test_execute_empty_plan(sdt, suite):
     state = scene_for_row(suite_row(suite, 9), sdt, injected=False)
     history = []
-    final, status = execute_plan(
-        [], state, "idle", sdt, ScriptedOracle(), None, history
-    )
+    backend = ScriptedOracle()
+    final, status = execute_plan([], state, "idle", sdt, backend, no_recovery(sdt, backend), history)
     assert status == "Completed"
     assert history == []
     assert final is state
@@ -635,7 +637,7 @@ def test_pose_triplets_ground_with_no_target(sdt, suite):
     )
     backend = ScriptedBackend([reply])
     state = scene_for_row(row, sdt, injected=False)
-    report = run_task(row["task"], state, sdt, backend, RunConfig(mode="plan"))
+    report = run_task(row["task"], state, sdt, backend, ABLATIONS["plan"])
     assert report.status == "Completed" and report.success
     assert backend.calls == 1  # the plan; a pose grounds with no choice query
     assert [(e.concrete, e.skipped, e.outcome) for e in report.history] == [
@@ -676,12 +678,13 @@ def test_execute_aborts_without_resolver(sdt, suite):
     row = suite_row(suite, 9)
     state = scene_for_row(row, sdt)
     plan = parse_triplets("[['PickupObject', 'WineBottle', 0]]")
+    backend = CountingBackend(ScriptedOracle())
     history = []
     final, status = execute_plan(
-        plan, state, row["task"], sdt, ScriptedOracle(), None, history
+        plan, state, row["task"], sdt, backend, no_recovery(sdt, backend), history
     )
-    assert status == "Aborted"
-    assert history[-1].outcome.error_code == "NotVisible"
+    assert status == "Aborted" and backend.calls == 0
+    assert history[-1].outcome.error_code == "NotVisible" and history[-1].attempts == []
 
 
 def test_execute_aborts_when_budget_exhausted(sdt, suite):

@@ -2,9 +2,9 @@
 that moves no prompt or reply.
 
 The table-1 traffic itself, every prompt's sha256 and every reply in each
-mode, is pinned by the golden-trace corpus that tests/test_golden.py checks
+ablation, is pinned by the golden-trace corpus that tests/test_golden.py checks
 through the CLI; the pinned-traffic tests here hold ``run_task`` to the same
-corpus one row, or one mode's choice prompts, at a time.
+corpus one row, or one ablation's choice prompts, at a time.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    add_statues, golden_exchanges, pair_section_lines, record_choice_queries, run_row,
+    ABLATIONS, add_statues, golden_exchanges, pair_section_lines, record_choice_queries, run_row,
     scene_for_row, suite_row,
 )
 
 from sdtplan import planner, prompts, resolver
 from sdtplan.backends import OracleConfig, Recorder, ScriptedOracle
 from sdtplan.interpreter import HISTORY_TAIL, candidate_instances, resolve
-from sdtplan.replanner import MODES, RunConfig, run_task
+from sdtplan.replanner import RunConfig, run_task
 from sdtplan.sdt import FLAG_NAMES, TEMPERATURES, ActionName, AffordanceTag
 from sdtplan.triplets import ActionTriplet
 from sdtplan.world import ObjectInstance, WorldState, format_object_id, type_of_id
@@ -68,34 +68,34 @@ class PromptLog(ScriptedOracle):
         return self.replies[-1]
 
 
-def _recorded_run(sdt, suite, task_id, mode="replan") -> tuple[PromptLog, Recorder]:
-    """A table-1 row's run in ``mode``: its prompts and replies, and its exchanges
+def _recorded_run(sdt, suite, task_id, ablation="replan") -> tuple[PromptLog, Recorder]:
+    """A table-1 row's run under ``ablation``: its prompts and replies, and its exchanges
     as a trace records them."""
     row = suite_row(suite, task_id)
     oracle = PromptLog(OracleConfig(**row.get("oracle_faults", {})))
     recorder = Recorder(oracle)
-    run_task(row["task"], scene_for_row(row, sdt), sdt, recorder, RunConfig(mode))
+    run_task(row["task"], scene_for_row(row, sdt), sdt, recorder, ABLATIONS[ablation])
     return oracle, recorder
 
 
 @pytest.mark.parametrize("task_id", range(1, 15))  # the table-1 rows
 def test_oracle_traffic_is_pinned(sdt, suite, task_id):
-    """A row's replan-mode prompts and replies, in order, are its committed trace's."""
+    """A row's prompts and replies under the default settings, in order, are its committed trace's."""
     _, recorder = _recorded_run(sdt, suite, task_id)
     assert recorder.exchanges == golden_exchanges("replan", task_id)
 
 
 @pytest.mark.parametrize("task_id", range(1, 15))
 def test_oracle_replies_are_pinned(sdt, suite, task_id):
-    """A row's replan-mode replies, in order, are its committed trace's; prompt
-    wording may change without moving them."""
+    """A row's replies under the default settings, in order, are its committed
+    trace's; prompt wording may change without moving them."""
     oracle, _ = _recorded_run(sdt, suite, task_id)
     assert oracle.replies == [exchange["reply"] for exchange in golden_exchanges("replan", task_id)]
 
 
 @pytest.mark.parametrize("task_id", range(1, 15))
-@pytest.mark.parametrize("mode", ["plan", "resolve", "replan"])
-def test_clutter_never_moves_backend_traffic(sdt, suite, mode, task_id):
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_clutter_never_moves_backend_traffic(sdt, suite, ablation, task_id):
     """1000 free-standing statues in a row's scene leave every prompt, reply and
     the report row as they are without them."""
     row = suite_row(suite, task_id)
@@ -104,7 +104,7 @@ def test_clutter_never_moves_backend_traffic(sdt, suite, mode, task_id):
         state = scene_for_row(row, sdt)
         add_statues(state, statues, seed=task_id)
         oracle = PromptLog(OracleConfig(**row.get("oracle_faults", {})))
-        report = run_task(row["task"], state, sdt, oracle, RunConfig(mode))
+        report = run_task(row["task"], state, sdt, oracle, ABLATIONS[ablation])
         runs.append((oracle.prompts, oracle.replies, report.to_row()))
     assert runs[1] == runs[0]
 
@@ -176,7 +176,7 @@ def test_choice_prompt_lists_each_candidate_receptacles_contents(sdt, suite):
 
 def _choice_queries(sdt, suite, monkeypatch, task_id):
     """(prompt, the history's last ``HISTORY_TAIL`` entries) of every choice
-    query row ``task_id`` builds in resolve mode."""
+    query row ``task_id`` builds under the resolve ablation."""
     queries = record_choice_queries(monkeypatch)
     run_row(suite_row(suite, task_id), sdt, "resolve")
     return list(queries.items())
@@ -215,14 +215,14 @@ def test_a_choice_prompt_with_no_recent_step_on_its_objects_has_no_history_secti
 # Recovery prompts
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_choice_prompts_are_pinned(sdt, suite, mode):
-    """Every choice exchange the table-1 rows send in ``mode`` is the committed
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_choice_prompts_are_pinned(sdt, suite, ablation):
+    """Every choice exchange the table-1 rows send under ``ablation`` is the committed
     trace's exchange at the same place."""
     sent, stored = {}, {}
     for row in suite["tasks"]:
-        oracle, recorder = _recorded_run(sdt, suite, row["id"], mode)
-        golden = golden_exchanges(mode, row["id"])
+        oracle, recorder = _recorded_run(sdt, suite, row["id"], ablation)
+        golden = golden_exchanges(ablation, row["id"])
         for index, prompt in enumerate(oracle.prompts):
             if prompt.startswith(prompts.CHOICE_HEADER):
                 sent[row["id"], index] = recorder.exchanges[index]
@@ -233,8 +233,8 @@ def test_choice_prompts_are_pinned(sdt, suite, mode):
 
 def _recovery_queries(sdt, suite, monkeypatch, case):
     """(pair map, prompt, history so far) of every recovery prompt the
-    table-1 rows send: in ``case`` mode, or among 300 statues in replan mode
-    when ``case`` is "padded"."""
+    table-1 rows send: under the ``case`` ablation, or among 300 statues
+    under the default settings when ``case`` is "padded"."""
     queries = []
     build = resolver.build_failure_query
 
@@ -249,7 +249,7 @@ def _recovery_queries(sdt, suite, monkeypatch, case):
         if case == "padded":
             add_statues(state, 300, seed=5)
         oracle = ScriptedOracle(OracleConfig(**row.get("oracle_faults", {})))
-        run_task(row["task"], state, sdt, oracle, RunConfig("replan" if case == "padded" else case))
+        run_task(row["task"], state, sdt, oracle, ABLATIONS["replan" if case == "padded" else case])
     assert len(queries) >= 16
     return queries
 
@@ -291,8 +291,8 @@ class ShownLog(ScriptedOracle):
 
 def _shown_per_prompt(sdt, suite, monkeypatch, case):
     """(prompt, knowledge types, state records) of every prompt the 14 table-1
-    rows send in ``case`` mode, or among 300 statues in replan mode when
-    ``case`` is "padded"."""
+    rows send under the ``case`` ablation, or among 300 statues under the
+    default settings when ``case`` is "padded"."""
     oracle = ShownLog()
     render_type, render_line = planner.render_type_text, prompts.render_state_line
 
@@ -311,7 +311,7 @@ def _shown_per_prompt(sdt, suite, monkeypatch, case):
         if case == "padded":
             add_statues(state, 300, seed=5)
         oracle.config = OracleConfig(**row.get("oracle_faults", {}))
-        run_task(row["task"], state, sdt, oracle, RunConfig("replan" if case == "padded" else case))
+        run_task(row["task"], state, sdt, oracle, ABLATIONS["replan" if case == "padded" else case])
     return oracle.sent
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import ScriptedBackend, run_row, scene_for_row, suite_row
+from conftest import ABLATIONS, ScriptedBackend, no_recovery, run_row, scene_for_row, suite_row
 
 from sdtplan import cli, prompts
 from sdtplan.cli import default_suite_path
@@ -133,7 +133,7 @@ def test_replan_moves_slice_to_goal_receptacle(sdt, suite):
 
     history = []
     state, status = execute_plan(
-        parse_triplets(plan_text), state, row["task"], sdt, backend, None, history
+        parse_triplets(plan_text), state, row["task"], sdt, backend, no_recovery(sdt, backend), history
     )
     assert status == "Completed"
     for obj in state.objects.values():
@@ -301,7 +301,7 @@ def test_the_goal_keeps_the_water_source_a_task_without_a_clean_word_leaves_out(
         "GOAL:{type=Knife; flags=!isDirty; temp=-; in=Drawer}",
         "[]",
     ])
-    run_task(task, scene_for_row(suite_row(suite, 5), sdt), sdt, backend, RunConfig("resolve"))
+    run_task(task, scene_for_row(suite_row(suite, 5), sdt), sdt, backend, ABLATIONS["resolve"])
     (recovery,) = [p for p in backend.prompts if p.startswith(prompts.RECOVERY_HEADER)]
     pair_types = {
         type_of_id(line.removeprefix("- ").split(": ")[0])
@@ -363,7 +363,7 @@ def test_wash_replan_template_cleans_dirty_goal_object(sdt, suite):
     assert ActionName.TOGGLE_ON in actions and ActionName.TOGGLE_OFF in actions
     history = []
     state, status = execute_plan(
-        additions, state, row["task"], sdt, backend, None, history
+        additions, state, row["task"], sdt, backend, no_recovery(sdt, backend), history
     )
     assert status == "Completed"
     assert not state.objects[knife.object_id].flag("isDirty")

@@ -7,10 +7,10 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import scene_for_row
+from conftest import ABLATIONS, scene_for_row
 
 from sdtplan.backends import OracleConfig, ScriptedOracle
-from sdtplan.replanner import MODES, RunConfig, run_task
+from sdtplan.replanner import run_task
 from sdtplan.world import validate_state
 
 #: One reply's corruption: the operation and two cut points, as fractions of its length.
@@ -51,13 +51,13 @@ class MutatingOracle(ScriptedOracle):
         return mutate(reply, *self.mutations.pop(0)) if self.mutations else reply
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("ablation", ABLATIONS)
 @settings(max_examples=8, deadline=None, derandomize=True, database=None)
 @given(mutations=st.lists(_MUTATION, min_size=1, max_size=8))
-def test_corrupted_replies_end_in_a_reported_status(sdt, suite, mode, mutations):
+def test_corrupted_replies_end_in_a_reported_status(sdt, suite, ablation, mutations):
     for row in suite["tasks"]:
         oracle = MutatingOracle(OracleConfig(**row.get("oracle_faults", {})), mutations)
-        report = run_task(row["task"], scene_for_row(row, sdt), sdt, oracle, RunConfig(mode))
+        report = run_task(row["task"], scene_for_row(row, sdt), sdt, oracle, ABLATIONS[ablation])
         validate_state(report.final_state, sdt)
         assert report.status in ("Completed", "Aborted") or report.status.startswith(
             ("PlanningFailed: ", "ReplanFailed: ", "ExecutionFailed: ")

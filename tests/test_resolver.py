@@ -8,14 +8,14 @@ from functools import partial
 import pytest
 
 from conftest import (
-    ScriptedBackend, pair_section_lines, random_state, run_row, scene_for_row, suite_row,
+    ABLATIONS, ScriptedBackend, pair_section_lines, random_state, run_row, scene_for_row, suite_row,
 )
 
 from sdtplan.backends import ScriptedOracle
 from sdtplan.errors import BackendError
 from sdtplan.interpreter import HistoryEntry, RecoveryAttempt, execute_plan
 from sdtplan.planner import relevant_types
-from sdtplan.replanner import RunConfig, run_task
+from sdtplan.replanner import run_task
 from sdtplan import prompts, resolver
 from sdtplan.resolver import (
     _pose_anchor,
@@ -396,7 +396,7 @@ def test_a_backend_error_in_recovery_keeps_the_recovery_that_ran(sdt, suite):
     # Row 9's first attempt opens a drawer; the second recovery prompt fails.
     row = suite_row(suite, 9)
     backend = ResetAt(ScriptedOracle(), prompts.RECOVERY_HEADER, 2)
-    report = run_task(row["task"], scene_for_row(row, sdt), sdt, backend, RunConfig("resolve"))
+    report = run_task(row["task"], scene_for_row(row, sdt), sdt, backend, ABLATIONS["resolve"])
     assert report.status == "ExecutionFailed: connection reset"
     failed = report.history[-1]
     assert failed.outcome.error_code == "NotVisible"
@@ -469,8 +469,8 @@ def test_memory_is_keyed_by_phase(sdt, suite):
         assert "repeated sequence" not in attempt.feedback
 
 
-@pytest.mark.parametrize("mode", ["resolve", "replan"])
-def test_no_failure_point_reaches_the_resolver_twice(sdt, suite, monkeypatch, mode):
+@pytest.mark.parametrize("ablation", ["resolve", "replan"])
+def test_no_failure_point_reaches_the_resolver_twice(sdt, suite, monkeypatch, ablation):
     # Each triplet of a phase's plan runs at most once, so one resolve_failure
     # call sees every attempt ever made at its failure point.
     seen = []
@@ -485,7 +485,7 @@ def test_no_failure_point_reaches_the_resolver_twice(sdt, suite, monkeypatch, mo
     handled = 0
     for row in suite["tasks"]:
         seen.clear()
-        report = run_row(row, sdt, mode=mode)
+        report = run_row(row, sdt, ablation=ablation)
         plans = {"plan": report.plan}
         plans.update((f"replan-{k}", p) for k, p in enumerate(report.replan_additions, start=1))
         points = [

@@ -94,6 +94,8 @@ def test_load_missing_or_malformed_file(tmp_path, capsys):
          "X: a SlicingTool type must be Pickupable and not Sliceable"),
         ({"type": "X", "affordances": ["SlicingTool"]},
          "X: a SlicingTool type must be Pickupable and not Sliceable"),
+        # a string is not read letter by letter as tags
+        ({"type": "Fridge", "affordances": "Receptacle"}, "Fridge: 'affordances' must be a list of tags"),
         # step fires no rules after a goto or a pose action
         ({"type": "X", "rules": [dict(_RULE, action="GotoObject")]}, "X/GotoObject: GotoObject fires no rules"),
         ({"type": "X", "rules": [dict(_RULE, action="Crouch")]}, "X/Crouch: Crouch fires no rules"),

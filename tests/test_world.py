@@ -237,6 +237,9 @@ _SHAPE = "ParseError"
         (None, _SHAPE, "cannot read scene file: [Errno 2] No such file or directory: '<path>'"),
         ({"objects": []}, _SHAPE, "scene file must be an object with 'agent' and 'objects'"),
         ({"agent": {}, "objects": {}}, _SHAPE, "scene file's 'objects' must be a list"),
+        # a misspelled key is refused, not dropped
+        ([_TABLE, dict(_APPLE, flag={"isDirty": True})], ValidationError,
+         "object 1: unknown fields ['flag']"),
     ],
 )
 def test_load_error_messages(tmp_path, sdt, objects, kind, message):
