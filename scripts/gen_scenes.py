@@ -1,4 +1,5 @@
-"""Generate the authored scene files with ids derived from positions."""
+"""Generate the authored scene files. Records carry no id: the scene loader derives
+each from its type and position, and ``oid`` derives the ids that records name."""
 
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ AGENT = {
 
 def obj(type_name, pos, capacity=0, parent=None, flags=None, temperature="RoomTemp"):
     entry = {
-        "id": format_object_id(type_name, tuple(pos)),
         "type": type_name,
         "position": list(pos),
         "capacity": capacity,

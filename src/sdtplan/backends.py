@@ -430,7 +430,10 @@ class ScriptedOracle:
 
     def _recover(self, prompt: str) -> str:
         secs = prompts.sections(prompt)
-        code = secs.get(prompts.SEC_ERROR, "").splitlines()[0].split(":", 1)[0].strip()
+        error = next(iter(secs.get(prompts.SEC_ERROR, "").splitlines()), None)
+        if error is None:
+            raise BackendError("recovery prompt has no error line")
+        code = error.split(":", 1)[0].strip()
         failed = secs.get(prompts.SEC_FAILED, "")
         grounded = _GROUNDED_RE.search(failed)
         candidates = self._recovery_candidates(

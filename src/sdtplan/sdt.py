@@ -43,12 +43,10 @@ class AffordanceTag(str, Enum):
     TOGGLEABLE = "Toggleable"
     SLICEABLE = "Sliceable"
     FILLABLE = "Fillable"
-    BREAKABLE = "Breakable"
     DIRTYABLE = "Dirtyable"
     COOKABLE = "Cookable"
     COOLABLE = "Coolable"
     HEATABLE = "Heatable"
-    MOVEABLE = "Moveable"
     SLICING_TOOL = "SlicingTool"
 
     def __str__(self) -> str:
@@ -78,7 +76,6 @@ FLAG_NAMES = (
     "isSliced",
     "isToggled",
     "isFilled",
-    "isBroken",
 )
 
 TEMPERATURES = ("Hot", "Cold", "RoomTemp")
@@ -98,7 +95,6 @@ _EFFECT_AFFORDANCES: dict[str, AffordanceTag] = {
     "isFilled": AffordanceTag.FILLABLE,
     "isDirty": AffordanceTag.DIRTYABLE,
     "isCooked": AffordanceTag.COOKABLE,
-    "isBroken": AffordanceTag.BREAKABLE,
     "Hot": AffordanceTag.HEATABLE,
     "Cold": AffordanceTag.COOLABLE,
 }

@@ -385,7 +385,7 @@ def state_hash(state: WorldState) -> str:
 #: Python types of a JSON number; a bool is not one.
 _NUMBER_TYPES = frozenset({int, float})
 _OBJECT_FIELDS = frozenset({
-    "id", "type", "position", "flags", "temperature", "parent_receptacle", "capacity",
+    "type", "position", "flags", "temperature", "parent_receptacle", "capacity",
 })
 _AGENT_FIELDS = frozenset({
     "position", "crouched", "held_object", "visibility_radius", "view_band_standing", "view_band_crouched",
@@ -408,8 +408,9 @@ _NO_FLAGS = dict.fromkeys(FLAG_NAMES, False)
 
 
 def _parse_instance(raw: dict, index: int, id_types: Collection[str]) -> ObjectInstance:
-    """Scene record ``index``. A type in ``id_types`` has formed a valid id, so with
-    every coordinate within ±99.99 this record's id is valid too: no regex."""
+    """Scene record ``index``; its id is formatted from its type and position. A type
+    in ``id_types`` has formed a valid id, so with every coordinate within ±99.99
+    this record's id is valid too: no regex."""
     if not isinstance(raw, dict) or "type" not in raw or "position" not in raw:
         raise ValidationError(f"object {index}: needs 'type' and 'position'")
     if not _OBJECT_FIELDS.issuperset(raw):
@@ -423,18 +424,7 @@ def _parse_instance(raw: dict, index: int, id_types: Collection[str]) -> ObjectI
     type_name = raw["type"]
     if type(type_name) is not str:
         raise ValidationError(f"object {index}: type must be a string")
-    given_id = raw.get("id")
-    if given_id is not None:  # a formatted id embeds its type and position by construction
-        m = _ID_RE.match(given_id) if isinstance(given_id, str) else None
-        if m is None:
-            raise ValidationError(f"object {index}: malformed id {given_id!r}")
-        expected = format_object_id(type_name, position) + (m.group("suffix") or "")
-        if given_id != expected:
-            raise ValidationError(
-                f"object {index}: id {given_id!r} does not embed its type/position ({expected!r})"
-            )
-        object_id = given_id
-    elif (type_name in id_types and -99.99 <= position[0] <= 99.99
+    if (type_name in id_types and -99.99 <= position[0] <= 99.99
             and -99.99 <= position[1] <= 99.99 and -99.99 <= position[2] <= 99.99):
         object_id = _ID_FORMAT % (type_name, *position)
     else:

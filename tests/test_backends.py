@@ -297,6 +297,15 @@ def test_oracle_rejects_unknown_prompt_layout():
         ScriptedOracle().complete("tell me a joke")
 
 
+@pytest.mark.parametrize(
+    "error_section",
+    [pytest.param("", id="no-section"), pytest.param(f"{prompts.SEC_ERROR}\n\n", id="empty-section")],
+)
+def test_oracle_rejects_a_recovery_prompt_without_an_error_line(error_section):
+    with pytest.raises(BackendError, match="no error line"):
+        ScriptedOracle().complete(f"{prompts.RECOVERY_HEADER}\n\n{error_section}")
+
+
 def test_oracle_fault_switch_omit_slice_changes_plan_not_goal(sdt, suite):
     prompt = _plan_prompt(sdt, suite, 2)
     honest = ScriptedOracle().complete(prompt)

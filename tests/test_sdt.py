@@ -33,8 +33,7 @@ ALL_ACTIONS = list(ActionName)
 
 
 def desc(type_name, flags=None, **kw):
-    merged = {"isOpen": False, "isDirty": False, "isCooked": False, "isSliced": False,
-              "isToggled": False, "isFilled": False, "isBroken": False}
+    merged = dict.fromkeys(FLAG_NAMES, False)
     merged.update(flags or {})
     return ObjectInstance(
         object_id=kw.pop("object_id", f"{type_name}|+00.50|+00.90|+00.50"),
@@ -47,7 +46,7 @@ def desc(type_name, flags=None, **kw):
 
 def test_load_bottle_entry_affordances(sdt):
     assert sdt.get("Bottle").affordances == frozenset(
-        {AffordanceTag.PICKUPABLE, AffordanceTag.FILLABLE, AffordanceTag.BREAKABLE}
+        {AffordanceTag.PICKUPABLE, AffordanceTag.FILLABLE}
     )
 
 
@@ -273,8 +272,7 @@ def _random_descriptions(rng, sdt, n):
     out = []
     for i in range(n):
         type_name = rng.choice(sdt.type_names())
-        flags = {k: rng.random() < 0.4 for k in
-                 ("isOpen", "isDirty", "isCooked", "isSliced", "isToggled", "isFilled", "isBroken")}
+        flags = {k: rng.random() < 0.4 for k in FLAG_NAMES}
         out.append(desc(type_name, flags, object_id=f"{type_name}|+0{i}.00|+00.90|+00.00"))
     return out
 
@@ -322,10 +320,10 @@ def test_condition_never_true_without_affordance(sdt):
 
 
 def test_render_bottle_text(sdt):
-    text = render_type_text(sdt.get("Bottle"))
-    for word in ("Pickupable", "Fillable", "Breakable"):
-        assert word in text
-    assert "Rules:" not in text  # the Faucet's rule fills a bottle, the bottle has none
+    # no "Rules:": the Faucet's rule fills a bottle, the bottle has none
+    assert render_type_text(sdt.get("Bottle")) == (
+        "- Bottle [Fillable, Pickupable] A glass bottle. Will break if subjected to sufficient force."
+    )
 
 
 def test_render_no_rules_section_when_ruleless(sdt):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import scene_for_row, suite_row
 
 from sdtplan.errors import GrammarError, SdtPlanError
-from sdtplan.sdt import ActionName
+from sdtplan.sdt import FLAG_NAMES, ActionName
 from sdtplan.triplets import (
     ActionTriplet,
     GoalClause,
@@ -251,8 +251,7 @@ def _mini_state(objects):
 
 def _obj(type_name, x, flags=None, temp="RoomTemp", parent=None, capacity=0):
     pos = (x, 0.9, 0.0)
-    base = {"isOpen": False, "isDirty": False, "isCooked": False, "isSliced": False,
-            "isToggled": False, "isFilled": False, "isBroken": False}
+    base = dict.fromkeys(FLAG_NAMES, False)
     base.update(flags or {})
     return ObjectInstance(
         object_id=format_object_id(type_name, pos),
