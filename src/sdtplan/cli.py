@@ -127,6 +127,8 @@ def load_suite(path: Path) -> dict:
         suite = json.load(fh)
     if not isinstance(suite, dict) or not isinstance(suite.get("tasks"), list):
         raise ValueError("suite file needs a 'tasks' array")
+    if extra := sorted(suite.keys() - {"name", "tasks"}):
+        raise ValueError(f"suite file: unknown fields {extra}")
     first_of: dict[str, int] = {}
     for index, row in enumerate(suite["tasks"]):
         _check_row(row, f"suite row {index}")

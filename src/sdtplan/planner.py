@@ -46,32 +46,14 @@ _TREATMENT_EFFECTS = {
 }
 
 
-def _goal_treatments(goal: GoalCondition) -> set[str]:
-    """The treatments the goal's clauses need: a sliced type needs a slice,
-    ``isCooked`` or Hot heat, Cold cool, ``!isDirty`` or ``isFilled`` clean."""
-    out = set()
-    for clause in goal.clauses:
-        flags = set(clause.required_flags)
-        if clause.object_type.endswith("Sliced"):
-            out.add("slice")
-        if "isCooked" in flags or clause.required_temperature == "Hot":
-            out.add("heat")
-        if clause.required_temperature == "Cold":
-            out.add("cool")
-        if flags & {"!isDirty", "isFilled"}:
-            out.add("clean")
-    return out
-
-
-def _treatment_types(sdt: SDT, treatments: AbstractSet[str]) -> set[str]:
-    """The types that perform ``treatments``: the slicing tools for a slice,
-    else the types with a rule that sets the treatment's effect on other
-    objects (heaters, coolers, water sources)."""
-    out = set(sdt.slicing_tool_types()) if "slice" in treatments else set()
-    wanted = set().union(*(_TREATMENT_EFFECTS.get(t, ()) for t in treatments))
+def _performers(sdt: SDT, effects: AbstractSet[tuple[str, object]], slicing: bool) -> set[str]:
+    """The types with a rule that sets one of the ``(field, value)`` ``effects``
+    on other objects (heaters, coolers, water sources), plus the slicing tools
+    when ``slicing``."""
+    out = set(sdt.slicing_tool_types()) if slicing else set()
     for type_name in sdt.type_names():
         for rule in sdt.get(type_name).rules:
-            if any((e.field_name, e.to) in wanted for e in rule.effects):
+            if any((e.field_name, e.to) in effects for e in rule.effects):
                 out.add(type_name)
     return out
 
@@ -85,14 +67,20 @@ def relevant_types(task: str, sdt: SDT) -> set[str]:
     """
     kept = {t for t in lexicon.type_mentions(task) if t in sdt}
     kept |= {f"{t}Sliced" for t in list(kept) if f"{t}Sliced" in sdt}
-    return kept | _treatment_types(sdt, set(lexicon.treatments(task)))
+    treatments = lexicon.treatments(task)
+    effects = set().union(*(_TREATMENT_EFFECTS.get(t, ()) for t in treatments))
+    return kept | _performers(sdt, effects, "slice" in treatments)
 
 
 def goal_types(goal: GoalCondition, sdt: SDT) -> set[str]:
-    """The object and receptacle types the goal names, and the types that
-    perform each treatment its clauses need, by ``relevant_types``' rule."""
+    """The object and receptacle types the goal names, the types whose rules
+    set a flag or temperature one of its clauses asks for (``!isDirty`` is
+    ``isDirty`` set False), and the slicing tools when it names a sliced type."""
     named = {t for c in goal.clauses for t in (c.object_type, c.receptacle_type) if t}
-    return named | _treatment_types(sdt, _goal_treatments(goal))
+    effects = {(f.removeprefix("!"), not f.startswith("!")) for c in goal.clauses for f in c.required_flags}
+    effects |= {("temperature", c.required_temperature) for c in goal.clauses if c.required_temperature}
+    slicing = any(c.object_type.endswith("Sliced") for c in goal.clauses)
+    return named | _performers(sdt, effects, slicing)
 
 
 def shown_objects(

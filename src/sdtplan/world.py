@@ -546,6 +546,8 @@ def load_scene(path: str | Path, sdt: SDT) -> WorldState:
         raise ValidationError(f"malformed scene file: {exc}") from exc
     if not isinstance(data, dict) or "agent" not in data or "objects" not in data:
         raise ValidationError("scene file must be an object with 'agent' and 'objects'")
+    if extra := sorted(data.keys() - {"agent", "objects"}):
+        raise ValidationError(f"scene file: unknown fields {extra}")
     if not isinstance(data["objects"], list):
         raise ValidationError("scene file's 'objects' must be a list")
     objects: dict[str, ObjectInstance] = {}

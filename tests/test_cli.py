@@ -79,6 +79,13 @@ def test_suite_without_a_tasks_array_is_config_error(tmp_path, capsys, suite):
     assert capsys.readouterr().err == "config error: suite file needs a 'tasks' array\n"
 
 
+def test_suite_with_an_unknown_top_level_key_is_config_error(tmp_path, capsys):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"name": "typo", "tasks": [], "task": []}))
+    assert run_cli("run", "--suite", str(path), "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == "config error: suite file: unknown fields ['task']\n"
+
+
 def test_run_unknown_task_id_is_config_error(tmp_path):
     assert run_cli("run", "--task", "99", "--out", str(tmp_path)) == 2
 

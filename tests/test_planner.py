@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
@@ -10,17 +11,20 @@ from conftest import ScriptedBackend, scene_for_row, suite_row
 
 from sdtplan import lexicon, prompts
 from sdtplan.backends import ScriptedOracle
+from sdtplan.cli import default_sdt_path
 from sdtplan.errors import PlanParseError
 from sdtplan.planner import (
     EXAMPLES_SHOWN,
     build_plan_prompt,
     filter_relevant_objects,
+    goal_types,
     load_examples,
     nearest_examples,
     plan,
     relevant_types,
 )
-from sdtplan.sdt import ActionName, render_type_text
+from sdtplan.sdt import FLAG_NAMES, ActionName, parse_sdt_data, render_type_text
+from sdtplan.triplets import GoalClause, GoalCondition
 
 
 def test_filter_knife_task_keeps_washing_chain(sdt, suite):
@@ -68,6 +72,46 @@ def test_each_treatment_word_implies_its_own_helpers(sdt):
     task = "Put a cooked, chilled potato in the sink."
     assert lexicon.category(task) == "heat"  # the one category a task gets names only the first
     assert relevant_types(task, sdt) == {"Potato", "PotatoSliced", "Sink", "Microwave", "Fridge"}
+
+
+#: The helper types the shipped twin gives each clause form, beyond the types it names.
+_CLAUSE_HELPERS = {
+    **{(flag,): set() for flag in FLAG_NAMES},
+    **{("!" + flag,): set() for flag in FLAG_NAMES},
+    ("isCooked",): {"Microwave"},
+    ("!isDirty",): {"Faucet"},
+    ("isFilled",): {"Faucet"},
+}
+
+
+@pytest.mark.parametrize("clause, helpers", [
+    *(pytest.param(GoalClause("Apple", flags), helpers, id=flags[0])
+      for flags, helpers in _CLAUSE_HELPERS.items()),
+    pytest.param(GoalClause("Apple", required_temperature="Hot"), {"Microwave"}, id="temp=Hot"),
+    pytest.param(GoalClause("Apple", required_temperature="Cold"), {"Fridge"}, id="temp=Cold"),
+    pytest.param(GoalClause("Apple", required_temperature="RoomTemp"), set(), id="temp=RoomTemp"),
+    pytest.param(GoalClause("AppleSliced"), {"Knife", "ButterKnife"}, id="AppleSliced"),
+])
+def test_goal_types_add_the_types_whose_rules_set_what_a_clause_asks_for(sdt, clause, helpers):
+    assert goal_types(GoalCondition((clause,)), sdt) == {clause.object_type} | helpers
+
+
+def test_goal_types_read_the_rule_effects_not_a_treatment_name():
+    """A toaster cooks without heating, and a water cooler fills without cleaning."""
+    data = json.loads(default_sdt_path().read_text(encoding="utf-8"))
+    data += [
+        {"type": "Toaster", "affordances": ["Receptacle", "Toggleable"], "rules": [
+            {"action": "ToggleOnObject", "effect": [{"scope": "contents", "set": "isCooked", "to": True}]},
+        ]},
+        {"type": "WaterCooler", "affordances": ["Toggleable"], "rules": [
+            {"action": "ToggleOnObject", "effect": [{"scope": "nearby", "set": "isFilled", "to": True}]},
+        ]},
+    ]
+    twin = parse_sdt_data(data)
+    cooked = GoalCondition((GoalClause("Bread", ("isCooked",)),))
+    assert goal_types(cooked, twin) == {"Bread", "Microwave", "Toaster"}
+    clean = GoalCondition((GoalClause("Mug", ("!isDirty",)),))
+    assert goal_types(clean, twin) == {"Mug", "Faucet"}
 
 
 def _knowledge_types(prompt: str) -> set[str]:

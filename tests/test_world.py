@@ -237,6 +237,7 @@ _SHAPE = "ParseError"
         # a misspelled key is refused, not dropped
         ([_TABLE, dict(_APPLE, flag={"isDirty": True})], ValidationError,
          "object 1: unknown fields ['flag']"),
+        ({"agent": {}, "objects": [_APPLE], "room": 1}, ValidationError, "scene file: unknown fields ['room']"),
     ],
 )
 def test_load_error_messages(tmp_path, sdt, objects, kind, message):
