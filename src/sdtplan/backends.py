@@ -316,8 +316,7 @@ class ScriptedOracle:
     def _plan(self, prompt: str) -> str:
         secs = prompts.sections(prompt)
         task = next(iter(secs.get(prompts.SEC_TASK, "").splitlines()), "").strip()
-        instances = prompts.parse_state_lines(secs.get(prompts.SEC_OBJECTS, ""))
-        present = {type_name for _, type_name, _ in instances}
+        present = prompts.listed_types(secs.get(prompts.SEC_OBJECTS, ""))
         openable = self._openable_types(secs.get(prompts.SEC_KNOWLEDGE, ""))
 
         obj = lexicon.main_object(task)

@@ -5,8 +5,10 @@ derivatives, then the types that perform each treatment the task asks for:
 the slicing tools for a slice, the heaters for heat, the coolers for cool
 and the water sources for clean. What an object could undergo pulls in
 nothing, since every prompt line is context a model can be distracted by.
-Every receptacle in view rides along as an object line, a place to put
-things, but a plan prompt writes knowledge lines for the relevant types
+Every receptacle in view rides along, a place to put things: a plan
+prompt gives each object of a relevant type its state line and each other
+receptacle type one count line, so the prompt stays flat however many
+cabinets a kitchen holds, and writes knowledge lines for the relevant types
 alone. A task's relevant types are computed once and bound every prompt's
 object listing, not only the plan prompt's. A plan prompt shows the
 ``EXAMPLES_SHOWN`` worked examples nearest its task.
@@ -162,15 +164,24 @@ def build_plan_prompt(
 ) -> str:
     """Deterministic plan prompt with fixed section order.
 
-    The objects in view are the ones of the ``relevant`` types plus the
-    receptacles. Knowledge lines, one per type, cover each relevant type
-    that some object in the state is or slices into, in view or not: a
-    hidden bottle is still plannable-for, a knife the scene lacks is not,
-    and a receptacle the task does not need is listed but not described.
-    The knowledge section is left out when no type qualifies. Each rule
-    sentence appears exactly once.
+    The objects in view are the ones of the ``relevant`` types, one state
+    line each, plus the receptacles: a receptacle type the task does not
+    need gets one count line, ``- <Type> x<N>`` with the flags all its
+    instances share, however many of it are in view. Knowledge lines, one
+    per type, cover each relevant type that some object in the state is or
+    slices into, in view or not: a hidden bottle is still plannable-for, a
+    knife the scene lacks is not, and a receptacle the task does not need
+    is counted but not described. The knowledge section is left out when no
+    type qualifies. Each rule sentence appears exactly once.
     """
-    objects = filter_relevant_objects(state, sdt, relevant)
+    shown: list[ObjectInstance] = []
+    collapsed: dict[str, list[ObjectInstance]] = {}
+    for obj in filter_relevant_objects(state, sdt, relevant):
+        if obj.type_name in relevant:
+            shown.append(obj)
+        else:
+            collapsed.setdefault(obj.type_name, []).append(obj)
+    counts = [prompts.render_count_line(t, collapsed[t]) for t in sorted(collapsed)]
     known = sorted(t for t in relevant if state.of_types({t, t.removesuffix("Sliced")}))
     worked = "\n\n".join(
         f"Task: {ex['task']}\nAction-Triplets:{ex['triplets']}\n{ex['goal']}" for ex in examples
@@ -182,7 +193,7 @@ def build_plan_prompt(
             "Allowed actions: " + ", ".join(a.value for a in ActionName) + ".",
         ]),
         (prompts.SEC_KNOWLEDGE, [render_type_text(sdt.get(t)) for t in known] or None),
-        (prompts.SEC_OBJECTS, prompts.state_lines(state, objects)),
+        (prompts.SEC_OBJECTS, prompts.state_lines(state, shown, counts)),
         (prompts.SEC_EXAMPLES, [worked] if examples else None),
         (prompts.SEC_TASK, [task]),
         (prompts.SEC_OUTPUT, [

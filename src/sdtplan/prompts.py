@@ -1,4 +1,4 @@
-"""The prompt layout: headers, section titles, rendering and splitting, state lines.
+"""The prompt layout: headers, section titles, rendering and splitting, state and count lines.
 
 Every query type carries a fixed header token so a text-to-text backend can
 recognize the layout without a side channel. The scripted oracle parses
@@ -8,7 +8,7 @@ these exact formats back out of the prompt.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .world import ROOM_TEMP, ObjectInstance, WorldState, type_of_id
 
@@ -41,6 +41,8 @@ _STATE_LINE_RE = re.compile(
     r"(?:temp=(?P<temp>[^;]+); )?(?:in=(?P<parent>[^;]+); )?dist=(?P<dist>[^)]+)\)$"
 )
 
+_COUNT_LINE_RE = re.compile(r"^- (\S+) x\d+(?: \(flags=[^)]*\))?$", re.MULTILINE)
+
 
 def render_state_line(state: WorldState, obj: ObjectInstance, bullet: str = "-") -> str:
     """``<bullet> <id> (type=<T>; flags=<f,..>; temp=<T>; in=<id>; dist=<d>)``.
@@ -61,9 +63,20 @@ def render_state_line(state: WorldState, obj: ObjectInstance, bullet: str = "-")
     return f"{bullet} {obj.object_id} ({'; '.join(fields)})"
 
 
-def state_lines(state: WorldState, objects: Iterable[ObjectInstance]) -> list[str]:
-    """``STATE_LEGEND``, then one state line per object; empty when there is none."""
-    lines = [render_state_line(state, obj) for obj in objects]
+def render_count_line(type_name: str, objects: Sequence[ObjectInstance]) -> str:
+    """``- <Type> x<N>``, then ``(flags=<f,..>)`` with the flags every one of the
+    ``objects`` has set, left out when they share none; ``objects`` is not empty."""
+    shared = set.intersection(*({k for k, v in obj.flags.items() if v} for obj in objects))
+    line = f"- {type_name} x{len(objects)}"
+    return f"{line} (flags={','.join(sorted(shared))})" if shared else line
+
+
+def state_lines(
+    state: WorldState, objects: Iterable[ObjectInstance], counts: Iterable[str] = ()
+) -> list[str]:
+    """``STATE_LEGEND``, then one state line per object, then the ``counts``
+    lines (``render_count_line``); empty when there is no line."""
+    lines = [render_state_line(state, obj) for obj in objects] + list(counts)
     return [STATE_LEGEND, *lines] if lines else []
 
 
@@ -78,6 +91,12 @@ def parse_state_lines(text: str) -> list[tuple[str, str, Optional[str]]]:
         object_id = m.group("id")
         out.append((object_id, m.group("type") or type_of_id(object_id), m.group("parent")))
     return out
+
+
+def listed_types(text: str) -> set[str]:
+    """The types ``text`` lists, on state lines and count lines alike."""
+    types = {type_name for _, type_name, _ in parse_state_lines(text)}
+    return types | {m.group(1) for m in _COUNT_LINE_RE.finditer(text)}
 
 
 def render(header: str, sections: Iterable[tuple[str, Optional[Iterable[str]]]]) -> str:

@@ -21,7 +21,9 @@ import sdtplan
 from sdtplan import cli, prompts
 from sdtplan.backends import HttpBackend, HttpConfig, OracleConfig, ScriptedOracle, ask
 from sdtplan.errors import BackendError, GrammarError, PlanParseError
-from sdtplan.planner import build_plan_prompt, load_examples, nearest_examples, relevant_types
+from sdtplan.planner import (
+    build_plan_prompt, filter_relevant_objects, load_examples, nearest_examples, relevant_types,
+)
 from sdtplan.replanner import run_task
 from sdtplan.interpreter import HistoryEntry, RecoveryAttempt
 from sdtplan.resolver import build_action_pairs, build_failure_query
@@ -105,22 +107,27 @@ def _with_section(prompt: str, title: str, lines: list[str], before: str) -> str
 class _FullContextOracle(ScriptedOracle):
     """The oracle, checking that each plan and choice prompt gets the reply it
     would get with the context these prompts leave out put back: a knowledge
-    line for the type of every object in view, and a choice's whole history tail.
-    ``tails`` maps each choice prompt to that tail."""
+    line for the type of every object in view and a state line for every
+    receptacle a count line stands for, both as of the plan's start ``state``,
+    and a choice's whole history tail. ``tails`` maps each choice prompt to that tail."""
 
-    def __init__(self, config, sdt, tails):
+    def __init__(self, config, sdt, state, tails):
         super().__init__(config)
-        self.sdt, self.tails, self.checked = sdt, tails, []
+        self.sdt, self.state, self.tails, self.checked = sdt, state, tails, []
 
     def complete(self, prompt):
         reply = super().complete(prompt)
         if prompt.startswith(prompts.PLAN_HEADER):
             secs = prompts.sections(prompt)
             known = {line.split()[1] for line in secs[prompts.SEC_KNOWLEDGE].splitlines()}
-            listed = {t for _, t, _ in prompts.parse_state_lines(secs[prompts.SEC_OBJECTS])}
-            assert not listed <= known
+            listed = prompts.listed_types(secs[prompts.SEC_OBJECTS])
             lines = [render_type_text(self.sdt.get(t)) for t in sorted(known | listed)]
             full = _with_section(prompt, prompts.SEC_KNOWLEDGE, lines, prompts.SEC_OBJECTS)
+            objects = filter_relevant_objects(self.state, self.sdt, listed)
+            itemised = prompts.state_lines(self.state, objects)
+            assert itemised != secs[prompts.SEC_OBJECTS].splitlines()  # some type was counted
+            assert prompts.listed_types("\n".join(itemised)) == listed
+            full = _with_section(full, prompts.SEC_OBJECTS, itemised, prompts.SEC_EXAMPLES)
         elif prompt.startswith(prompts.CHOICE_HEADER):
             lines = prompts.render_history_lines(self.tails[prompt])
             full = _with_section(prompt, prompts.SEC_HISTORY, lines, prompts.SEC_CANDIDATES)
@@ -136,14 +143,15 @@ class _FullContextOracle(ScriptedOracle):
 def test_oracle_replies_ignore_the_knowledge_and_history_the_prompts_leave_out(
     sdt, suite, ablation, monkeypatch
 ):
-    """A plan prompt describes only the relevant types, and a choice prompt
-    recalls only the recent steps on the objects it shows; the oracle reads
-    neither what is left out, so every reply, row and final state stays as is."""
+    """A plan prompt describes only the relevant types and counts the
+    receptacles of the others, and a choice prompt recalls only the recent
+    steps on the objects it shows; the oracle reads none of what is left out,
+    so every reply, row and final state stays as is."""
     tails = record_choice_queries(monkeypatch)
     checked = []
     for row in suite["tasks"]:
         state = scene_for_row(row, sdt)
-        oracle = _FullContextOracle(OracleConfig(**row.get("oracle_faults", {})), sdt, tails)
+        oracle = _FullContextOracle(OracleConfig(**row.get("oracle_faults", {})), sdt, state, tails)
         run_task(row["task"], state, sdt, oracle, ABLATIONS[ablation])
         checked += oracle.checked
     choices = [narrowed for header, narrowed in checked if header == prompts.CHOICE_HEADER]

@@ -1,0 +1,83 @@
+"""The cabinet suite (``scripts/cabinet_suite.py``): the table-1 rows on scenes
+padded with closed, empty cabinets, a receptacle clutter that relevance keeps in
+view. ROADMAP item 9 measures backend traffic against it."""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+from sdtplan import prompts
+from sdtplan.backends import OracleConfig, ScriptedOracle
+from sdtplan.cli import _resolve_scene, load_suite
+from sdtplan.replanner import RunConfig, run_task
+from sdtplan.world import apply_perturbations, load_scene
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "cabinet_suite.py"
+
+_KINDS = {
+    prompts.PLAN_HEADER: "plan",
+    prompts.CHOICE_HEADER: "choice",
+    prompts.RECOVERY_HEADER: "recovery",
+    prompts.REPLAN_HEADER: "replan",
+}
+
+
+class _KindCount(ScriptedOracle):
+    """The oracle, adding each prompt's call and chars to ``totals[kind]``."""
+
+    def __init__(self, config, totals):
+        super().__init__(config)
+        self.totals = totals
+
+    def complete(self, prompt):
+        kind = _KINDS[prompt.split("\n", 1)[0]]
+        calls, chars = self.totals.get(kind, (0, 0))
+        self.totals[kind] = (calls + 1, chars + len(prompt))
+        return super().complete(prompt)
+
+
+def _run_cabinet_suite(tmp_path, sdt, count: int):
+    """Calls per task and prompt chars per task, by prompt kind, and each row's
+    (status, failures, iterations, replans), of the default oracle run on the
+    suite with ``count`` cabinets per scene."""
+    subprocess.run([sys.executable, str(SCRIPT), str(count), str(tmp_path)], check=True, capture_output=True)
+    suite_path = tmp_path / "suite.json"
+    rows = load_suite(suite_path)["tasks"]
+    totals, outcomes = {}, {}
+    for row in rows:
+        scene = load_scene(_resolve_scene(row["scene"], suite_path.parent), sdt)
+        state = apply_perturbations(scene, row.get("inject", []), sdt)
+        oracle = _KindCount(OracleConfig(**row.get("oracle_faults", {})), totals)
+        report = run_task(row["task"], state, sdt, oracle, RunConfig())
+        outcomes[row["id"]] = (
+            report.status, report.failures, report.resolver_iterations, report.replanner_invocations,
+        )
+    calls = {kind: round(c / len(rows), 3) for kind, (c, _) in totals.items()}
+    chars = {kind: round(n / len(rows), 1) for kind, (_, n) in totals.items()}
+    return calls, chars, outcomes
+
+
+def test_ten_cabinets_traffic_and_outcomes_are_pinned(tmp_path, sdt):
+    calls, chars, outcomes = _run_cabinet_suite(tmp_path, sdt, 10)
+    assert calls == {"plan": 1.0, "choice": 0.429, "recovery": 1.429, "replan": 0.286}
+    assert chars == {"plan": 2117.4, "choice": 296.6, "recovery": 2287.2, "replan": 480.0}
+    assert outcomes == {
+        1: ("Completed", 2, 2, 0), 2: ("Completed", 0, 0, 2), 3: ("Completed", 1, 1, 0),
+        4: ("Completed", 1, 1, 0), 5: ("Completed", 0, 0, 0), 6: ("Completed", 2, 2, 0),
+        7: ("Completed", 1, 1, 0), 8: ("Completed", 2, 2, 0), 10: ("Completed", 0, 0, 0),
+        11: ("Completed", 0, 0, 0), 13: ("Completed", 0, 0, 0), 14: ("Completed", 1, 1, 2),
+        # ROADMAP item 10's: the recovery search for the unseen bottle (9) and the
+        # lowered sponge (12) opens every closed door before it tries a crouch,
+        # and the budget of 5 runs out first
+        9: ("Aborted", 1, 5, 0), 12: ("Aborted", 1, 5, 0),
+    }
+
+
+def test_plan_prompts_stay_flat_among_cabinets(tmp_path, sdt):
+    """Plan-prompt chars per task at 200 cabinets stay within 10% of the figure
+    with none: each receptacle type the task does not need is one count line."""
+    _, bare, _ = _run_cabinet_suite(tmp_path / "bare", sdt, 0)
+    _, padded, _ = _run_cabinet_suite(tmp_path / "padded", sdt, 200)
+    assert padded["plan"] <= 1.10 * bare["plan"], (bare["plan"], padded["plan"])

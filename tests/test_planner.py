@@ -129,8 +129,14 @@ def _row_plan_prompt(sdt, suite, task_id, task=None):
 
 
 def _listed_types(prompt: str) -> set[str]:
-    objects = prompts.sections(prompt)[prompts.SEC_OBJECTS]
-    return {type_name for _, type_name, _ in prompts.parse_state_lines(objects)}
+    return prompts.listed_types(prompts.sections(prompt)[prompts.SEC_OBJECTS])
+
+
+def _object_lines(prompt: str) -> list[str]:
+    """The ``## Objects In View`` lines after the legend."""
+    legend, *lines = prompts.sections(prompt)[prompts.SEC_OBJECTS].splitlines()
+    assert legend == prompts.STATE_LEGEND
+    return lines
 
 
 @pytest.mark.parametrize("task_id, knowledge", [
@@ -162,8 +168,11 @@ def test_knowledge_types_are_the_relevant_types_the_state_holds_on_every_row(sdt
 def test_a_hiding_container_keeps_its_object_line_and_loses_its_knowledge_line(
     sdt, suite, task_id, container
 ):
+    """The container the task does not name is still listed, on one count
+    line, and not described."""
     prompt = _row_plan_prompt(sdt, suite, task_id)
     assert container in _listed_types(prompt)
+    assert f"- {container} x1" in _object_lines(prompt)
     assert container not in _knowledge_types(prompt)
 
 
@@ -171,6 +180,10 @@ def test_a_task_naming_no_known_type_gets_no_knowledge_section(sdt, suite):
     prompt = _row_plan_prompt(sdt, suite, 1, task="Do a little dance")
     assert prompts.SEC_KNOWLEDGE not in prompt
     assert {"CounterTop", "Fridge", "Microwave", "Sink"} <= _listed_types(prompt)
+    # no type is relevant, so each receptacle type in view is counted, not itemised
+    assert _object_lines(prompt) == [
+        "- CounterTop x1 (flags=isOpen)", "- Fridge x1", "- Microwave x1", "- Sink x1 (flags=isOpen)",
+    ]
 
 
 def test_prompt_deterministic(sdt, suite):

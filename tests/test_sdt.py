@@ -320,10 +320,14 @@ def test_condition_never_true_without_affordance(sdt):
 
 
 def test_render_bottle_text(sdt):
-    # no "Rules:": the Faucet's rule fills a bottle, the bottle has none
-    assert render_type_text(sdt.get("Bottle")) == (
-        "- Bottle [Fillable, Pickupable] A glass bottle. Will break if subjected to sufficient force."
-    )
+    # no "Rules:": the Faucet's rule fills a bottle, the bottle has none; and no
+    # line claims a breakage, which the simulator does not model
+    assert [render_type_text(sdt.get(t)) for t in ("Bottle", "Mug", "Plate", "WineBottle")] == [
+        "- Bottle [Fillable, Pickupable] A glass bottle.",
+        "- Mug [Coolable, Dirtyable, Fillable, Pickupable] A ceramic mug.",
+        "- Plate [Coolable, Dirtyable, Pickupable] A dinner plate.",
+        "- WineBottle [Coolable, Fillable, Pickupable] A bottle of wine.",
+    ]
 
 
 def test_render_no_rules_section_when_ruleless(sdt):
