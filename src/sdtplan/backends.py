@@ -438,7 +438,6 @@ class ScriptedOracle:
         candidates = self._recovery_candidates(
             code,
             self._parse_pairs(secs.get(prompts.SEC_PAIRS, "")),
-            _labelled_triplet(failed, "Triplet"),
             grounded.group(1) if grounded else None,
         )
         blocked = self._parse_blocked(secs.get(prompts.SEC_NO_REPEAT, ""))
@@ -449,14 +448,14 @@ class ScriptedOracle:
     def _recovery_candidates(
         code: str,
         pairs: list[tuple[str, str]],
-        failed_triplet: Optional[ActionTriplet],
         grounded: Optional[str],
     ) -> Iterator[tuple[tuple[str, str], ...]]:
         """Recovery sequences for the error ``code``, most preferred first.
 
         NoValidPosition: an alternate receptacle, same type first, opened
         first when its open pair is listed. NotVisible: open a door (nearest
-        first), retry the failed action directly, crouch or stand and retry.
+        first), then change pose; the resolver then re-executes the failed
+        step, grounded on what the door or the pose revealed.
         ClosedReceptacle: open the grounded receptacle. HandOccupied: put the
         held object down. Every single pair follows as the fallback.
         """
@@ -470,25 +469,9 @@ class ScriptedOracle:
                 opener = (open_, target)
                 yield (opener, (put, target)) if opener in listed else ((put, target),)
         elif code == "NotVisible":
+            poses = (ActionName.CROUCH.value, ActionName.STAND.value)
             yield from ((p,) for p in pairs if p[0] == open_)
-            if failed_triplet is not None and failed_triplet.target_ref is not None:
-                ref = failed_triplet.target_ref
-                ref_type = type_of_id(ref)
-                direct = next(
-                    (
-                        p
-                        for p in pairs
-                        if p[0] == failed_triplet.action.value
-                        and type_of_id(p[1]) in (ref_type, f"{ref_type}Sliced")
-                    ),
-                    None,
-                )
-                if direct:
-                    yield (direct,)
-                    for pose in (ActionName.CROUCH.value, ActionName.STAND.value):
-                        pose_pair = next((p for p in pairs if p[0] == pose), None)
-                        if pose_pair:
-                            yield (pose_pair, direct)
+            yield from ((p,) for p in pairs if p[0] in poses)
         elif code == "ClosedReceptacle" and (open_, grounded) in listed:
             yield ((open_, grounded),)
         elif code == "HandOccupied":

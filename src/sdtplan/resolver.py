@@ -1,13 +1,13 @@
 """Context-aware failure resolver: action pairs, failure queries, recovery loop.
 
 On an execution error the resolver builds the action-pair map (the action
-filter over the task-relevant objects in the current view, widened by pose
-and door counterfactuals so suggestions like "crouch, then pick it up" are
-expressible), queries the backend, validates and executes the suggested
-pair sequence. The failed step's history entry is the failure point's
-adaptive memory: each attempt is filed in its ``attempts``, every recovery
-query lists the sequences tried so far with their feedback, and a sequence
-proposed again is rejected without running.
+filter over the task-relevant objects in the current view, each visible
+closed door also in its opened form so "open it, then put into it" is
+expressible, then the pose pairs), queries the backend, validates and
+executes the suggested pair sequence. The failed step's history entry is
+the failure point's adaptive memory: each attempt is filed in its
+``attempts``, every recovery query lists the sequences tried so far with
+their feedback, and a sequence proposed again is rejected without running.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .interpreter import (
     HistoryEntry,
     RecoveryAttempt,
     postcondition_satisfied,
-    ref_instances,
     resolve,
 )
 from .planner import shown_objects
@@ -35,11 +34,10 @@ from .world import (
     ConcreteAction,
     ObjectInstance,
     WorldState,
-    container_chain_open,
     filter_actions,
     format_object_id,
-    in_sight,
     is_closed_openable,
+    is_visible,
     object_descriptions,  # noqa: F401  (not called here; bench/tracer.py wraps this binding)
     step,
     type_of_id,
@@ -59,28 +57,21 @@ _OBJECT_ACTIONS = tuple(a for a in ActionName if a not in POSE_ACTIONS)
 def _view_descriptions(
     state: WorldState, sdt: SDT, obj: ObjectInstance
 ) -> list[ObjectInstance]:
-    """``obj`` as it appears across the four counterfactual views.
-
-    The views cross the current and the toggled pose with the doors as they
-    are and every closed openable opened. A pose only selects a view band,
-    so the union takes either band. Opening the doors shows what their
-    containers hide and shows each closed openable with isOpen=True; a
-    closed openable keeps its as-is form only while its own container chain
-    is open as it is. With the doors opened every chain is open: a container
-    is a receptacle, and one without a door is open and never closes.
+    """``obj`` as the agent sees it now: nothing when it is not visible, and a
+    visible closed openable both as it is and opened (isOpen=True), so the
+    pairs one opening enables are offered. The opened form shows the door
+    alone, never what it hides.
     """
-    if not in_sight(state, obj, either_pose=True):
+    if not is_visible(state, obj):
         return []
-    as_is = container_chain_open(state, obj)
     if not is_closed_openable(sdt, obj):
         return [obj]
-    opened = dataclasses.replace(obj, flags={**obj.flags, "isOpen": True})
-    return [obj, opened] if as_is else [opened]
+    return [obj, dataclasses.replace(obj, flags={**obj.flags, "isOpen": True})]
 
 
 def _undoes_view(state: WorldState, action: ActionName, object_id: str) -> bool:
-    """Closing a door that is open only in the doors-opened view: the view
-    offers the pair, but no state it stands for can run it."""
+    """Closing a door that is open only in its opened form: the form offers
+    the pair, but the state cannot run it."""
     return action is ActionName.CLOSE and not state.objects[object_id].flag("isOpen")
 
 
@@ -102,12 +93,12 @@ def build_action_pairs(
 ) -> list[tuple[ActionName, str]]:
     """Deterministically ordered action-pair map for recovery prompts.
 
-    The map covers the objects of the ``relevant`` types, the receptacles
-    and the focus object. Object pairs come from the action filter over the
-    union of counterfactual views (pose toggled, closed doors opened) so one
-    enabling action ahead is visible to the model, less the pairs that only
-    undo a view's own change; pose pairs are appended against the focus
-    object's nearest receptacle.
+    The map covers the visible objects of the ``relevant`` types, the
+    receptacles and the focus object. Object pairs come from the action
+    filter over what the agent sees now, each visible closed door also in
+    its opened form (see ``_view_descriptions``), less the ``CloseObject``
+    pairs that only that form admits; pose pairs are appended against the
+    receptacle nearest the focus object, or the agent when there is none.
     """
     views = [
         v
@@ -207,8 +198,9 @@ def resolve_failure(
     """Iterate query -> validate -> execute -> record until resolved or spent.
 
     The failed step is ``history``'s last entry, and each attempt is
-    appended to its ``attempts``. The pair map covers the ``relevant``
-    types, the types the failed triplet names and its grounded target. A
+    appended to its ``attempts``. The pair map covers what the agent sees
+    of the ``relevant`` types, the types the failed triplet names and its
+    grounded target, which also anchors the pose pairs. A
     pair runs only if it is in the pair map of the state it runs in: the
     first pair's is the map its prompt listed, and each later pair's is
     rebuilt after its predecessor, so enabling actions (open the alternate
@@ -227,8 +219,7 @@ def resolve_failure(
     focus = failed.concrete.target if failed.concrete is not None else None
 
     def pair_map(state: WorldState) -> list[tuple[ActionName, str]]:
-        focused = focus or _focus_from_ref(state, failed.triplet.arg1)
-        return build_action_pairs(state, sdt, mapped, focus=focused)
+        return build_action_pairs(state, sdt, mapped, focus=focus)
 
     try:
         for _ in range(budget):
@@ -289,11 +280,3 @@ def _reference_types(triplet: ActionTriplet) -> set[str]:
             type_name = type_of_id(ref)
             out |= {type_name, f"{type_name}Sliced"}
     return out
-
-
-def _focus_from_ref(state: WorldState, ref: str) -> Optional[str]:
-    """Nearest instance matching the failed step's primary reference, visible or not."""
-    matches = ref_instances(state, ref, include_sliced=True)
-    if not matches:
-        return None
-    return min(matches, key=lambda o: (state.distance_to(o), o.object_id)).object_id

@@ -577,8 +577,14 @@ def is_closed_openable(sdt: SDT, obj: ObjectInstance) -> bool:
     return _afforded(sdt, obj, AffordanceTag.OPENABLE) and not obj.flag("isOpen")
 
 
-def container_chain_open(state: WorldState, obj: ObjectInstance) -> bool:
-    """Every container around ``obj`` is open."""
+def is_visible(state: WorldState, obj: ObjectInstance) -> bool:
+    """Within the visibility radius and the current pose's view band, and
+    every container around ``obj`` is open."""
+    if state.distance_to(obj) > state.visibility_radius:
+        return False
+    lo, hi = state.view_band
+    if not lo <= obj.position[1] <= hi:
+        return False
     cur = obj.parent_receptacle
     while cur is not None:
         parent = state.objects.get(cur)
@@ -586,22 +592,6 @@ def container_chain_open(state: WorldState, obj: ObjectInstance) -> bool:
             return False
         cur = parent.parent_receptacle
     return True
-
-
-def in_sight(state: WorldState, obj: ObjectInstance, either_pose: bool = False) -> bool:
-    """Within the visibility radius and the current pose's view band (or either band)."""
-    if state.distance_to(obj) > state.visibility_radius:
-        return False
-    y = obj.position[1]
-    if either_pose:
-        (lo_s, hi_s), (lo_c, hi_c) = state.view_band_standing, state.view_band_crouched
-        return lo_s <= y <= hi_s or lo_c <= y <= hi_c
-    lo, hi = state.view_band
-    return lo <= y <= hi
-
-
-def is_visible(state: WorldState, obj: ObjectInstance) -> bool:
-    return in_sight(state, obj) and container_chain_open(state, obj)
 
 
 def object_descriptions(state: WorldState) -> list[ObjectInstance]:

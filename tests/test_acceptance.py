@@ -85,11 +85,13 @@ def test_criterion_2a_wine_bottle_golden_trace(sdt, suite):
     ok = ok and failed[0].outcome.message == "Target object not found within the specified visibility..."
     resolving = failed[0].attempts[-1]
     ok = ok and resolving.resolved
-    ok = ok and [p.name for p in resolving.proposed] == [ActionName.CROUCH, ActionName.PICKUP]
-    ok = ok and type_of_id(resolving.proposed[0].target) == "Fridge"
-    ok = ok and type_of_id(resolving.proposed[1].target) == "WineBottle"
+    # the crouch alone, then the failed pickup re-executed on the bottle it revealed
+    ok = ok and [p.name for p in resolving.proposed] == [ActionName.CROUCH]
+    executed = [concrete for concrete, _ in resolving.executed]
+    ok = ok and [c.name for c in executed] == [ActionName.CROUCH, ActionName.PICKUP]
+    ok = ok and type_of_id(executed[1].target) == "WineBottle"
     ok = ok and report.success
-    _verdict("criterion 2a: wine-bottle trace (8 triplets, verbatim error, crouch+pickup)", ok)
+    _verdict("criterion 2a: wine-bottle trace (8 triplets, verbatim error, crouch, then pickup)", ok)
 
 
 def test_criterion_2b_knife_drawer_golden_trace(sdt, suite):

@@ -204,7 +204,6 @@ _MESSAGES = {
 }
 _DRAWER_FULL = "Drawer|+00.40|+00.82|-00.50"
 _DRAWER_SPARE = "Drawer|+01.60|+00.82|-00.80"
-_SPONGE = "Sponge|+00.70|+00.96|+00.25"
 _SPONGE_COUNTER = "CounterTop|+00.70|+00.95|+00.10"
 _FRIDGE = "Fridge|-01.30|+00.90|+00.99"
 _DRAWER_WINE = "Drawer|+00.50|+00.82|+00.30"
@@ -231,21 +230,23 @@ _DRAWER_WINE = "Drawer|+00.50|+00.82|+00.30"
             "[(OpenObject,Drawer|+00.50|+00.82|+00.30)]",
             id="visibility-open",
         ),
+        # the lowered sponge is unseen, so no pair names it: the pose pairs alone,
+        # then the fallback
         pytest.param(
             12, "NotVisible", ActionTriplet(ActionName.PICKUP, "Sponge"), None, (),
-            f"[(PickupObject,{_SPONGE})]",
+            f"[(Crouch,{_SPONGE_COUNTER})]",
             id="visibility-direct",
         ),
         pytest.param(
             12, "NotVisible", ActionTriplet(ActionName.PICKUP, "Sponge"), None,
-            (f"[(PickupObject,{_SPONGE})]",),
-            f"[(Crouch,{_SPONGE_COUNTER}),(PickupObject,{_SPONGE})]",
+            (f"[(Crouch,{_SPONGE_COUNTER})]",),
+            f"[(Stand,{_SPONGE_COUNTER})]",
             id="visibility-crouch-direct",
         ),
         pytest.param(
             12, "NotVisible", ActionTriplet(ActionName.PICKUP, "Sponge"), None,
-            (f"[(PickupObject,{_SPONGE})]", f"[(Crouch,{_SPONGE_COUNTER}),(PickupObject,{_SPONGE})]"),
-            f"[(Stand,{_SPONGE_COUNTER}),(PickupObject,{_SPONGE})]",
+            (f"[(Crouch,{_SPONGE_COUNTER})]", f"[(Stand,{_SPONGE_COUNTER})]"),
+            f"[(GotoObject,{_SPONGE_COUNTER})]",
             id="visibility-stand-direct",
         ),
         pytest.param(
@@ -261,7 +262,7 @@ _DRAWER_WINE = "Drawer|+00.50|+00.82|+00.30"
         ),
         pytest.param(
             14, "NotAfforded", ActionTriplet(ActionName.SLICE, "Apple"), "Apple|+00.95|+00.97|+00.05", (),
-            "[(GotoObject,Knife|+00.95|+00.97|+00.35)]",
+            "[(GotoObject,Drawer|+00.45|+00.82|+00.35)]",  # the knife is in the closed drawer
             id="fallback-no-strategy",
         ),
         pytest.param(
@@ -279,7 +280,7 @@ _DRAWER_WINE = "Drawer|+00.50|+00.82|+00.30"
         pytest.param(
             9, "NotVisible", ActionTriplet(ActionName.PUT, "WineBottle", "Fridge"), _FRIDGE,
             (f"[(OpenObject,{_DRAWER_WINE})]", f"[(OpenObject,{_FRIDGE})]"),
-            f"[(PutObject,{_FRIDGE})]",
+            f"[(Crouch,{_FRIDGE})]",  # anchored on the grounded receptacle
             id="visibility-direct-put-retries-receptacle",
         ),
     ],

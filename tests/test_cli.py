@@ -56,7 +56,7 @@ def test_run_single_task_with_inject(tmp_path, capsys):
     assert code == 0
     rows = json.loads(capsys.readouterr().out)
     assert rows[0]["No. Failure"] == 1
-    assert rows[0]["Iteration Per Failure"] == 4
+    assert rows[0]["Iteration Per Failure"] == 3
     assert rows[0]["Success"] == "Yes"
 
 
@@ -423,7 +423,9 @@ def test_trace_renders_wine_story(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Target object not found within the specified visibility..." in out
     assert "Failure Resolver suggested solution actions are:" in out
-    assert "(Crouch,Fridge" in out and "(PickupObject,WineBottle" in out
+    # the drawer, the fridge, then the crouch that shows the bottle to the re-executed pickup
+    assert "(OpenObject,Fridge" in out and "(Crouch," in out
+    assert "resolved by re-executing the failed step" in out
 
 
 def test_trace_shows_each_replanner_iteration(tmp_path, capsys):
@@ -556,7 +558,7 @@ def test_trace_replaces_final_state_with_the_run_input(tmp_path, capsys):
     assert data["schema"] == 6 and "mode" not in data
     assert (data["budget"], data["replan_cap"]) == (5, 3)
     # the plan, then one recovery per resolver iteration
-    assert [sorted(exchange) for exchange in data["exchanges"]] == [["prompt_sha256", "reply"]] * 5
+    assert [sorted(exchange) for exchange in data["exchanges"]] == [["prompt_sha256", "reply"]] * 4
     assert data["exchanges"][0]["reply"].startswith("Action-Triplets:")
     assert data["scene"].endswith("kitchen_wine.json") and data["sdt"].endswith("sdt.json")
     scene_bytes = cli._data_path(data["scene"]).read_bytes()

@@ -667,7 +667,8 @@ def test_execute_wine_plan_with_recovery(sdt, suite):
     assert len(failed) == 1
     resolving = failed[0].attempts[-1]
     assert resolving.resolved
-    assert [p.name for p in resolving.proposed] == [ActionName.CROUCH, ActionName.PICKUP]
+    assert [p.name for p in resolving.proposed] == [ActionName.CROUCH]
+    assert [c.name for c, _ in resolving.executed] == [ActionName.CROUCH, ActionName.PICKUP]
     bottle = by_type(final, "WineBottle")
     table = by_type(final, "DiningTable")
     assert bottle.parent_receptacle == table.object_id

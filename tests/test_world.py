@@ -976,8 +976,7 @@ def _assert_index_matches_scan(state, sdt, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(WorldState, "of_types", _scan_of_types)
         mp.setattr(WorldState, "contents_of", _scan_contents_of)
-        for module in (interpreter, resolver):
-            mp.setattr(module, "ref_instances", _scan_ref_instances)
+        mp.setattr(interpreter, "ref_instances", _scan_ref_instances)
         for module in (planner, resolver):
             mp.setattr(module, "shown_objects", _scan_shown_objects)
         scanned = _index_queries(state, sdt, seed)
