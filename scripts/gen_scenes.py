@@ -13,9 +13,6 @@ OUT = Path(__file__).resolve().parents[1] / "src" / "sdtplan" / "data" / "scenes
 AGENT = {
     "position": [0.0, 0.90, 0.0],
     "crouched": False,
-    "visibility_radius": 25.0,
-    "view_band_standing": [0.80, 2.20],
-    "view_band_crouched": [0.00, 1.50],
 }
 
 

@@ -22,7 +22,7 @@ from .sdt import load_sdt
 from .world import WorldState, apply_perturbations, load_scene, state_json_hash, state_to_json
 
 #: Version of the trace layout that ``_write_trace`` writes and ``rerun`` reads.
-TRACE_SCHEMA = 6
+TRACE_SCHEMA = 7
 
 REPORT_COLUMNS = (
     "Task ID",

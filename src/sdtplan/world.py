@@ -9,6 +9,13 @@ timed processes). Slicing consumes the object: its slices replace it, a net
 gain of one record. A type the knowledge base lacks affords nothing:
 ``SDT.get`` gives it an empty entry and ``condition_fn`` admits no action on it.
 
+How the agent perceives is the simulator's, not the scene's, as AI2-THOR's
+controller fixes the visibility distance for every scene: an object is
+visible within ``VISIBILITY_RADIUS`` of the agent, at a height inside the
+current pose's view band (``VIEW_BAND_STANDING`` or ``VIEW_BAND_CROUCHED``),
+with every container around it open. A scene's agent block holds only the
+agent's position, pose and held object.
+
 Transitions are copy-on-write. ``WorldState.clone`` copies the id-to-record
 map and shares the ``ObjectInstance`` records with its source; a transition
 takes a private copy of a record through ``WorldState.own`` before writing
@@ -76,6 +83,11 @@ MSG_UNKNOWN_OBJECT = "Referenced object does not exist in the scene."
 #: Radius within which a rule's ``nearby`` effects reach.
 NEARBY_RADIUS = 1.0
 
+#: How far the agent sees, and the heights it sees standing and crouched.
+VISIBILITY_RADIUS = 25.0
+VIEW_BAND_STANDING = (0.80, 2.20)
+VIEW_BAND_CROUCHED = (0.00, 1.50)
+
 #: Standoff the agent keeps from a navigation target.
 GOTO_STANDOFF = 0.5
 
@@ -94,11 +106,12 @@ _ID_FORMAT = "%s|%+06.2f|%+06.2f|%+06.2f"
 
 
 def format_object_id(type_name: str, position: tuple[float, float, float]) -> str:
-    x, y, z = position
-    if abs(x) >= 100 or abs(y) >= 100 or abs(z) >= 100:
-        bad = next(c for c in position if abs(c) >= 100)
-        raise ValidationError(f"coordinate out of id range: {bad}")
-    return _ID_FORMAT % (type_name, x, y, z)
+    """The id of a ``type_name`` object at ``position``; a coordinate that does not
+    round to within ±99.99 (NaN and ±inf among them) is refused."""
+    for c in position:
+        if not abs(round(c, 2)) <= 99.99:
+            raise ValidationError(f"coordinate out of id range: {c}")
+    return _ID_FORMAT % (type_name, *position)
 
 
 def is_valid_object_id(object_id: str) -> bool:
@@ -227,9 +240,6 @@ class WorldState:
     agent_position: tuple[float, float, float]
     agent_crouched: bool = False
     held_object: Optional[str] = None
-    visibility_radius: float = 25.0
-    view_band_standing: tuple[float, float] = (0.80, 2.20)
-    view_band_crouched: tuple[float, float] = (0.00, 1.50)
     #: the scene file this state descends from; None for a state built in code
     scene: Optional[Scene] = field(default=None, repr=False, compare=False)
     # records of the map this state was cloned from are shared, not owned
@@ -249,7 +259,7 @@ class WorldState:
 
     @property
     def view_band(self) -> tuple[float, float]:
-        return self.view_band_crouched if self.agent_crouched else self.view_band_standing
+        return VIEW_BAND_CROUCHED if self.agent_crouched else VIEW_BAND_STANDING
 
     def clone(self) -> "WorldState":
         """Copy-on-write copy: a new id-to-record map over shared records."""
@@ -258,9 +268,6 @@ class WorldState:
             agent_position=self.agent_position,
             agent_crouched=self.agent_crouched,
             held_object=self.held_object,
-            visibility_radius=self.visibility_radius,
-            view_band_standing=self.view_band_standing,
-            view_band_crouched=self.view_band_crouched,
             scene=self.scene,
         )
         new._source = self.objects
@@ -358,9 +365,6 @@ def state_to_json(state: WorldState) -> dict:
             "position": list(state.agent_position),
             "crouched": state.agent_crouched,
             "held_object": state.held_object,
-            "visibility_radius": state.visibility_radius,
-            "view_band_standing": list(state.view_band_standing),
-            "view_band_crouched": list(state.view_band_crouched),
         },
         "objects": changed,
         "removed": sorted(i for i in objects.written if i in base and i not in objects),
@@ -387,20 +391,18 @@ _NUMBER_TYPES = frozenset({int, float})
 _OBJECT_FIELDS = frozenset({
     "type", "position", "flags", "temperature", "parent_receptacle", "capacity",
 })
-_AGENT_FIELDS = frozenset({
-    "position", "crouched", "held_object", "visibility_radius", "view_band_standing", "view_band_crouched",
-})
+_AGENT_FIELDS = frozenset({"position", "crouched", "held_object"})
 
 
-def _vector(value: object, count: int, where: str) -> tuple[float, ...]:
+def _position(value: object, where: str) -> tuple[float, float, float]:
     if not isinstance(value, (list, tuple)):
-        raise ValidationError(f"{where} must be a list of {count} numbers")
-    if len(value) != count:
-        raise ValidationError(f"{where} must have {count} components")
+        raise ValidationError(f"{where} must be a list of 3 numbers")
+    if len(value) != 3:
+        raise ValidationError(f"{where} must have 3 components")
     if not _NUMBER_TYPES.issuperset(map(type, value)):
-        raise ValidationError(f"{where} must be a list of {count} numbers")
+        raise ValidationError(f"{where} must be a list of 3 numbers")
     if not all(map(math.isfinite, value)):
-        raise ValidationError(f"{where} must be a list of {count} finite numbers")
+        raise ValidationError(f"{where} must be a list of 3 finite numbers")
     return tuple(map(float, value))
 
 
@@ -419,16 +421,20 @@ def _parse_instance(raw: dict, index: int, id_types: Collection[str]) -> ObjectI
     if (type(p) is list and len(p) == 3 and type(p[0]) in _NUMBER_TYPES
             and type(p[1]) in _NUMBER_TYPES and type(p[2]) in _NUMBER_TYPES):
         position = (float(p[0]), float(p[1]), float(p[2]))
-    else:  # not a list of 3 numbers: _vector names the fault
-        position = _vector(p, 3, f"object {index}: position")
+    else:  # not a list of 3 numbers: _position names the fault
+        position = _position(p, f"object {index}: position")
     type_name = raw["type"]
     if type(type_name) is not str:
         raise ValidationError(f"object {index}: type must be a string")
     if (type_name in id_types and -99.99 <= position[0] <= 99.99
             and -99.99 <= position[1] <= 99.99 and -99.99 <= position[2] <= 99.99):
         object_id = _ID_FORMAT % (type_name, *position)
-    else:
-        object_id = format_object_id(type_name, position)
+    else:  # a new type or an edge coordinate; the fast path let NaN and inf through
+        _position(position, f"object {index}: position")
+        try:
+            object_id = format_object_id(type_name, position)
+        except ValidationError as exc:
+            raise ValidationError(f"object {index}: {exc}") from None
         if _ID_RE.match(object_id) is None:
             raise ValidationError(f"object {index}: malformed id {object_id!r}")
     flags = _NO_FLAGS.copy()
@@ -504,23 +510,13 @@ def _parse_agent(agent: object) -> dict:
     held = agent.get("held_object")
     if held is not None and not isinstance(held, str):
         raise ValidationError("agent: held_object must be an object id")
-    radius = agent.get("visibility_radius", WorldState.visibility_radius)
-    if type(radius) not in _NUMBER_TYPES:
-        raise ValidationError("agent: visibility_radius must be a number")
-    if not math.isfinite(radius):
-        raise ValidationError("agent: visibility_radius must be a finite number")
     crouched = agent.get("crouched", False)
     if not isinstance(crouched, bool):
         raise ValidationError("agent: crouched must be a boolean")
     return {
-        "agent_position": _vector(agent.get("position", (0.0, 0.9, 0.0)), 3, "agent: position"),
+        "agent_position": _position(agent.get("position", (0.0, 0.9, 0.0)), "agent: position"),
         "agent_crouched": crouched,
         "held_object": held,
-        "visibility_radius": float(radius),
-        **{
-            band: _vector(agent.get(band, getattr(WorldState, band)), 2, f"agent: {band}")
-            for band in ("view_band_standing", "view_band_crouched")
-        },
     }
 
 
@@ -533,7 +529,7 @@ def load_scene(path: str | Path, sdt: SDT) -> WorldState:
     temperature and id, then duplicate ids. Receptacles with no door get isOpen=True, so
     visibility and the action filter can read openness off the instance flag
     alone; that is decided once per type, in a memo that lives for this call
-    only. The agent block's numbers must be finite. ``validate_state`` then
+    only. The agent's position must be finite. ``validate_state`` then
     checks containment, capacity and the held object.
     """
     try:
@@ -580,7 +576,7 @@ def is_closed_openable(sdt: SDT, obj: ObjectInstance) -> bool:
 def is_visible(state: WorldState, obj: ObjectInstance) -> bool:
     """Within the visibility radius and the current pose's view band, and
     every container around ``obj`` is open."""
-    if state.distance_to(obj) > state.visibility_radius:
+    if state.distance_to(obj) > VISIBILITY_RADIUS:
         return False
     lo, hi = state.view_band
     if not lo <= obj.position[1] <= hi:
@@ -897,9 +893,8 @@ def inject_failure(state: WorldState, perturbation: Perturbation, sdt: SDT) -> W
                 raise ValidationError(f"fill would overwrite {filler.object_id!r}")
             new.objects[filler.object_id] = filler
     elif perturbation.kind == "lower":
-        lo_standing = new.view_band_standing[0]
-        lo_crouched = new.view_band_crouched[0]
-        y = max(lo_standing - 0.30, lo_crouched + 0.01)
+        # below the standing band, inside the crouched one
+        y = max(VIEW_BAND_STANDING[0] - 0.30, VIEW_BAND_CROUCHED[0] + 0.01)
         target = new.own(target.object_id)
         target.position = (target.position[0], y, target.position[2])
     else:

@@ -146,15 +146,17 @@ class ScriptedBackend:
 
 
 def random_state(rng: random.Random, sdt: SDT, max_objects: int = 10) -> WorldState:
-    """Random but invariant-respecting scene for property tests."""
+    """Random but invariant-respecting scene for property tests. Half of them
+    spread their objects over ±40 m, so that some lie beyond ``VISIBILITY_RADIUS``."""
+    reach = rng.choice([3.0, 40.0])
     type_names = [t for t in sdt.type_names() if not t.endswith("Sliced")]
     objects: dict[str, ObjectInstance] = {}
     for _ in range(rng.randint(1, max_objects)):
         type_name = rng.choice(type_names)
         pos = (
-            round(rng.uniform(-3, 3), 2),
+            round(rng.uniform(-reach, reach), 2),
             round(rng.uniform(0.0, 2.0), 2),
-            round(rng.uniform(-3, 3), 2),
+            round(rng.uniform(-reach, reach), 2),
         )
         object_id = format_object_id(type_name, pos)
         if object_id in objects:
@@ -187,11 +189,7 @@ def random_state(rng: random.Random, sdt: SDT, max_objects: int = 10) -> WorldSt
             if occupied < recept.capacity:
                 obj.parent_receptacle = recept.object_id
                 obj.position = recept.position
-    return WorldState(
-        objects=objects,
-        agent_position=(0.0, 0.9, 0.0),
-        visibility_radius=rng.choice([2.0, 25.0]),
-    )
+    return WorldState(objects=objects, agent_position=(0.0, 0.9, 0.0))
 
 
 def add_statues(state, count, seed):

@@ -235,19 +235,19 @@ _DRAWER_WINE = "Drawer|+00.50|+00.82|+00.30"
         pytest.param(
             12, "NotVisible", ActionTriplet(ActionName.PICKUP, "Sponge"), None, (),
             f"[(Crouch,{_SPONGE_COUNTER})]",
-            id="visibility-direct",
+            id="visibility-crouch-first",
         ),
         pytest.param(
             12, "NotVisible", ActionTriplet(ActionName.PICKUP, "Sponge"), None,
             (f"[(Crouch,{_SPONGE_COUNTER})]",),
             f"[(Stand,{_SPONGE_COUNTER})]",
-            id="visibility-crouch-direct",
+            id="visibility-stand-after-crouch",
         ),
         pytest.param(
             12, "NotVisible", ActionTriplet(ActionName.PICKUP, "Sponge"), None,
             (f"[(Crouch,{_SPONGE_COUNTER})]", f"[(Stand,{_SPONGE_COUNTER})]"),
             f"[(GotoObject,{_SPONGE_COUNTER})]",
-            id="visibility-stand-direct",
+            id="visibility-fallback-after-both-poses",
         ),
         pytest.param(
             14, "ClosedReceptacle", ActionTriplet(ActionName.PUT, "Apple", "Drawer"),
@@ -281,7 +281,7 @@ _DRAWER_WINE = "Drawer|+00.50|+00.82|+00.30"
             9, "NotVisible", ActionTriplet(ActionName.PUT, "WineBottle", "Fridge"), _FRIDGE,
             (f"[(OpenObject,{_DRAWER_WINE})]", f"[(OpenObject,{_FRIDGE})]"),
             f"[(Crouch,{_FRIDGE})]",  # anchored on the grounded receptacle
-            id="visibility-direct-put-retries-receptacle",
+            id="visibility-pose-anchored-on-put-receptacle",
         ),
     ],
 )

@@ -133,12 +133,13 @@ _MUG = {"type": "Mug", "position": [0.5, 0.94, 0.2]}
         ({"agent": {"position": [1, 2]}, "objects": [_MUG]}, "agent: position must have 3 components"),
         ({"agent": dict(_GOOD_AGENT, crouched="no"), "objects": [_MUG]},
          "agent: crouched must be a boolean"),
-        ({"agent": dict(_GOOD_AGENT, visibility_radius="25"), "objects": [_MUG]},
-         "agent: visibility_radius must be a number"),
-        ({"agent": dict(_GOOD_AGENT, visibility_radius=True), "objects": [_MUG]},
-         "agent: visibility_radius must be a number"),
-        ({"agent": dict(_GOOD_AGENT, view_band_standing=[0.8, "2.2"]), "objects": [_MUG]},
-         "agent: view_band_standing must be a list of 2 numbers"),
+        # the agent's perception is the simulator's: a scene that sets it is refused
+        ({"agent": dict(_GOOD_AGENT, visibility_radius=25.0), "objects": [_MUG]},
+         "agent: unknown fields ['visibility_radius']"),
+        ({"agent": dict(_GOOD_AGENT, view_band_standing=[0.8, 2.2]), "objects": [_MUG]},
+         "agent: unknown fields ['view_band_standing']"),
+        ({"agent": dict(_GOOD_AGENT, view_band_crouched=[0.0, 1.5]), "objects": [_MUG]},
+         "agent: unknown fields ['view_band_crouched']"),
         ({"agent": {"position": [0, 0.9, False]}, "objects": [_MUG]},
          "agent: position must be a list of 3 numbers"),
         ({"agent": _GOOD_AGENT, "objects": [dict(_MUG, position=["0.5", 0.94, 0.2])]},
@@ -153,20 +154,21 @@ _MUG = {"type": "Mug", "position": [0.5, 0.94, 0.2]}
          "object 0: capacity must be an integer"),
         ({"agent": _GOOD_AGENT, "objects": [dict(_MUG, capacity=True)]},
          "object 0: capacity must be an integer"),
-        # json.loads reads NaN and Infinity; with either, every distance test passes
-        ({"agent": dict(_GOOD_AGENT, visibility_radius=math.nan), "objects": [_MUG]},
-         "agent: visibility_radius must be a finite number"),
-        ({"agent": dict(_GOOD_AGENT, visibility_radius=math.inf), "objects": [_MUG]},
-         "agent: visibility_radius must be a finite number"),
+        # json.loads reads NaN and Infinity, which form no id, on a new type or a seen one
+        ({"agent": _GOOD_AGENT, "objects": [dict(_MUG, position=[0.5, math.nan, 0.2])]},
+         "object 0: position must be a list of 3 finite numbers"),
+        ({"agent": _GOOD_AGENT, "objects": [_MUG, dict(_MUG, position=[math.inf, 0.94, 0.2])]},
+         "object 1: position must be a list of 3 finite numbers"),
         ({"agent": {"position": [math.nan, 0.9, 0]}, "objects": [_MUG]},
          "agent: position must be a list of 3 finite numbers"),
-        ({"agent": dict(_GOOD_AGENT, view_band_standing=[0.8, math.inf]), "objects": [_MUG]},
-         "agent: view_band_standing must be a list of 2 finite numbers"),
-        ({"agent": dict(_GOOD_AGENT, view_band_crouched=[-math.inf, 1.5]), "objects": [_MUG]},
-         "agent: view_band_crouched must be a list of 2 finite numbers"),
+        # a coordinate that rounds beyond ±99.99 forms no id
+        ({"agent": _GOOD_AGENT, "objects": [dict(_MUG, position=[100.0, 0.94, 0.2])]},
+         "object 0: coordinate out of id range: 100.0"),
+        ({"agent": _GOOD_AGENT, "objects": [_MUG, dict(_MUG, position=[0.5, 0.94, -99.996])]},
+         "object 1: coordinate out of id range: -99.996"),
         ({"agent": _GOOD_AGENT, "objects": [_MUG, dict(_MUG, type=None)]},
          "object 1: type must be a string"),
-        # a misspelled key used to run with the default it meant to override
+        # a misspelled key is refused, not dropped
         ({"agent": dict(_GOOD_AGENT, visiblity_radius=0.1), "objects": [_MUG]},
          "agent: unknown fields ['visiblity_radius']"),
     ],
@@ -555,7 +557,7 @@ def test_verify_detects_edited_final_state_hash(tmp_path, capsys):
 def test_trace_replaces_final_state_with_the_run_input(tmp_path, capsys):
     _, data = _task9_trace(tmp_path, capsys)
     assert "final_state" not in data
-    assert data["schema"] == 6 and "mode" not in data
+    assert data["schema"] == 7 and "mode" not in data
     assert (data["budget"], data["replan_cap"]) == (5, 3)
     # the plan, then one recovery per resolver iteration
     assert [sorted(exchange) for exchange in data["exchanges"]] == [["prompt_sha256", "reply"]] * 4
@@ -705,10 +707,11 @@ def test_verify_rejects_schema_2_trace(tmp_path, capsys):
     assert err.startswith("trace error: unsupported trace schema 2") and "re-record" in err
 
 
-@pytest.mark.parametrize("schema", [3, 4, 5, 7])
+@pytest.mark.parametrize("schema", [3, 4, 5, 6, 8])
 def test_verify_asks_to_re_record_only_an_older_schema(tmp_path, capsys, schema):
     # schema 3 hashed each record with the slice_children key that slicing no longer needs;
-    # schema 4 recorded no replies, so its task cannot be re-run; schema 5 recorded a run mode
+    # schema 4 recorded no replies, so its task cannot be re-run; schema 5 recorded a run mode;
+    # schema 6 hashed the agent's visibility radius and view bands with each state
     trace_file, data = _task9_trace(tmp_path, capsys)
     data["schema"] = schema
     trace_file.write_text(json.dumps(data))

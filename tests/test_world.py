@@ -10,13 +10,13 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import add_statues, random_state, scene_for_row, suite_row
 
 from sdtplan.cli import _resolve_scene, default_suite_path
 from sdtplan.errors import ValidationError
-from sdtplan import interpreter, planner, resolver
+from sdtplan import interpreter, planner, prompts, resolver
 from sdtplan.interpreter import _matches_ref, candidate_instances, postcondition_satisfied
 from sdtplan.planner import filter_relevant_objects
 from sdtplan.resolver import build_action_pairs
@@ -32,6 +32,7 @@ from sdtplan.world import (
     ObjectInstance,
     Perturbation,
     Scene,
+    VISIBILITY_RADIUS,
     WorldState,
     _record_json,
     condition_fn,
@@ -161,9 +162,9 @@ _SHAPE = "ParseError"
         ([_TABLE, dict(_APPLE, flags={"isOpen": True, "isShiny": True})], ValidationError,
          "object 1: unknown flag 'isShiny'"),
         ([dict(_APPLE, temperature="Warm")], ValidationError, "object 0: unknown temperature 'Warm'"),
-        ([_apple_at(100.0)], ValidationError, "coordinate out of id range: 100.0"),
-        ([_TABLE, _apple_at(99.996)], ValidationError,
-         "object 1: malformed id 'Apple|+100.00|+00.90|+00.00'"),
+        ([_apple_at(100.0)], ValidationError, "object 0: coordinate out of id range: 100.0"),
+        # it would format as +100.00
+        ([_TABLE, _apple_at(99.996)], ValidationError, "object 1: coordinate out of id range: 99.996"),
         # the loader derives every id, so a record names none, not even its derived id
         ([dict(_APPLE, id="Apple|+00.00|+00.90|+00.00")], ValidationError, "object 0: unknown fields ['id']"),
         ([_APPLE, _TABLE, _APPLE], ValidationError, "duplicate object id 'Apple|+00.00|+00.90|+00.00'"),
@@ -189,7 +190,7 @@ _SHAPE = "ParseError"
          "object 0: position must be a list of 3 numbers"),
         # json.loads reads NaN, which forms no valid id
         ([dict(_APPLE, position=[0, math.nan, 0])], ValidationError,
-         "object 0: malformed id 'Apple|+00.00|+00nan|+00.00'"),
+         "object 0: position must be a list of 3 finite numbers"),
         ([dict(_APPLE, flags=["isDirty"])], _SHAPE, "object 0: flags must be an object"),
         ([dict(_APPLE, flags={"isDirty": 1})], _SHAPE, "object 0: flag isDirty must be a boolean"),
         ([dict(_APPLE, parent_receptacle=5)], _SHAPE,
@@ -200,16 +201,18 @@ _SHAPE = "ParseError"
         ({"agent": [0, 0.9, 0], "objects": []}, _SHAPE, "scene file's 'agent' must be an object"),
         ({"agent": {"held_object": 3}, "objects": []}, _SHAPE,
          "agent: held_object must be an object id"),
-        ({"agent": {"visibility_radius": "far"}, "objects": []}, _SHAPE,
-         "agent: visibility_radius must be a number"),
+        # the agent's perception is the simulator's: an older scene that sets it is refused
+        ({"agent": {"visibility_radius": 25.0, "view_band_standing": [0.8, 2.2],
+                    "view_band_crouched": [0.0, 1.5]}, "objects": []}, ValidationError,
+         "agent: unknown fields ['view_band_crouched', 'view_band_standing', 'visibility_radius']"),
         ({"agent": {"crouched": 1}, "objects": []}, _SHAPE, "agent: crouched must be a boolean"),
         # two faults in one record: the first check in the record's order names it
-        ([_apple_at(100.0, flags=["isDirty"])], ValidationError, "coordinate out of id range: 100.0"),
+        ([_apple_at(100.0, flags=["isDirty"])], ValidationError,
+         "object 0: coordinate out of id range: 100.0"),
         ([dict(_APPLE, temperature="Warm", capacity="2")], ValidationError,
          "object 0: unknown temperature 'Warm'"),
         # the type has already formed a valid id
-        ([_APPLE, _apple_at(-99.996)], ValidationError,
-         "object 1: malformed id 'Apple|-100.00|+00.90|+00.00'"),
+        ([_APPLE, _apple_at(-99.996)], ValidationError, "object 1: coordinate out of id range: -99.996"),
         # a type that is not a string forms no id
         ([dict(_APPLE, type=True)], _SHAPE, "object 0: type must be a string"),
         ([_TABLE, dict(_APPLE, type=None)], _SHAPE, "object 1: type must be a string"),
@@ -222,7 +225,8 @@ _SHAPE = "ParseError"
         ([_APPLE, _apple_at(1, parent_receptacle="Apple|+00.00|+00.90|+00.00")], ValidationError,
          "Apple|+01.00|+00.90|+00.00: container 'Apple|+00.00|+00.90|+00.00' is not a receptacle type"),
         # json.loads reads Infinity too
-        ([dict(_APPLE, position=[0, 0.9, math.inf])], ValidationError, "coordinate out of id range: inf"),
+        ([dict(_APPLE, position=[0, 0.9, math.inf])], ValidationError,
+         "object 0: position must be a list of 3 finite numbers"),
         # the state invariants checked once the records have loaded
         ([dict(_TABLE, capacity=-1)], ValidationError, f"{_TABLE_ID}: negative capacity"),
         ({"agent": {"held_object": _TABLE_ID}, "objects": [_APPLE]}, ValidationError,
@@ -248,6 +252,39 @@ def test_load_error_messages(tmp_path, sdt, objects, kind, message):
     with pytest.raises(ValidationError) as info:
         load_scene(path, sdt)
     assert str(info.value) == message.replace("<path>", str(path))
+
+
+#: Any float, with the values on and around the edges of the id range.
+_COORDINATES = st.one_of(
+    st.floats(),
+    st.floats(-100.01, 100.01),
+    st.sampled_from([99.99, 99.994, 99.995, 99.996, 100.0, -99.995, -99.996, -100.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_COORDINATES, _COORDINATES, _COORDINATES), st.booleans())
+def test_a_coordinate_loads_to_a_valid_id_or_the_refusal_names_its_record(
+    mutated_path, sdt, position, seen
+):
+    """Record 1 follows a record of its own type (the loader's fast path) or of
+    another (its full path). It loads with a valid id, or is refused by a message
+    on record 1: not finite, or beyond the id range."""
+    first = _APPLE if seen else _TABLE
+    assume(not seen or [round(c, 2) for c in position] != [0.0, 0.9, 0.0])  # not a duplicate id
+    mutated_path.write_text(json.dumps({"agent": {}, "objects": [first, {"type": "Apple", "position": position}]}))
+    try:
+        state = load_scene(mutated_path, sdt)
+    except ValidationError as exc:
+        message = str(exc)
+        if not all(map(math.isfinite, position)):
+            assert message == "object 1: position must be a list of 3 finite numbers"
+        else:
+            assert message.startswith("object 1: coordinate out of id range: ")
+        return
+    object_id = list(state.objects)[1]
+    assert is_valid_object_id(object_id)
+    assert object_id == format_object_id("Apple", position)
 
 
 def test_load_path_ids_match_format_object_id(tmp_path, sdt):
@@ -305,13 +342,13 @@ def mutated_path(tmp_path_factory):
 @given(st.randoms(use_true_random=False), st.sampled_from(_SHIPPED_SCENES))
 def test_loader_loads_a_valid_state_or_raises_a_load_error(mutated_path, sdt, rng, scene):
     """A mutated shipped scene loads to a state whose ids are formatted from its
-    records, or fails with ValidationError or ValidationError; nothing else escapes."""
+    records, or fails with ValidationError; nothing else escapes."""
     data = json.loads(scene.read_text(encoding="utf-8"))
     _mutate_scene(rng, data)
     mutated_path.write_text(json.dumps(data), encoding="utf-8")
     try:
         state = load_scene(mutated_path, sdt)
-    except (ValidationError, ValidationError):
+    except ValidationError:
         return
     validate_state(state, sdt)
     for object_id, obj in state.objects.items():
@@ -358,6 +395,28 @@ def test_opening_never_shrinks_visibility(sdt, suite):
                 after = {o.object_id for o in object_descriptions(state)}
                 assert before <= after
                 before = after
+
+
+def test_an_object_beyond_the_visibility_radius_is_out_of_sight(sdt, suite):
+    """Of two mugs in the standing band, the one 20 m off is seen and the one 30 m
+    off, beyond VISIBILITY_RADIUS, is not: no plan prompt or pair map lists it,
+    and a pickup on it is refused as not visible."""
+    row = suite_row(suite, 10)
+    state = scene_for_row(row, sdt, injected=False)
+    near_id, far_id = "Mug|+20.00|+00.94|+00.00", "Mug|+30.00|+00.94|+00.00"
+    for object_id, x in ((near_id, 20.0), (far_id, 30.0)):
+        state.objects[object_id] = ObjectInstance(object_id, "Mug", (x, 0.94, 0.0), dict.fromkeys(FLAG_NAMES, False))
+    assert state.distance_to(state.objects[near_id]) < VISIBILITY_RADIUS < state.distance_to(state.objects[far_id])
+    relevant = planner.relevant_types(row["task"], sdt)
+    shown = prompts.sections(planner.build_plan_prompt(row["task"], state, sdt, relevant, []))[prompts.SEC_OBJECTS]
+    assert near_id in shown and far_id not in shown
+    pair_targets = {target for _, target in build_action_pairs(state, sdt, relevant)}
+    assert near_id in pair_targets and far_id not in pair_targets
+    after, outcome = step(state, act(ActionName.PICKUP, far_id), sdt)
+    assert (outcome.status, outcome.error_code, outcome.message) == ("Error", "NotVisible", MSG_NOT_VISIBLE)
+    assert MSG_NOT_VISIBLE == "Target object not found within the specified visibility..."
+    assert after is state
+    assert step(state, act(ActionName.PICKUP, near_id), sdt)[1].ok
 
 
 # ---------------------------------------------------------------------------
